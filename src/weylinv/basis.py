@@ -304,35 +304,53 @@ def restrict(
         frame.root_indices if isinstance(frame, OrthogonalFrame) else frame
     )
     labels = tuple(root_label(sys_, r) for r in roots)
-    return _restrict(inv, roots, labels, sys_, cache_dir)
+    return _restrict(inv, roots, labels, sys_, cache_dir, {})
 
 
-def _restrict(inv, roots, labels, sys_, cache_dir) -> KInvariant:
+def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
+    """restrict() on precomputed labels.
+
+    memo holds this frame's diagonal forms, keyed by recipe kind
+    ("linear", a points value or a projection value), so that every
+    element restricted with the same memo diagonalizes each form once.
+    One memo serves one frame of one system: callers create a fresh dict
+    per frame and drop it with the frame.
+    """
     r = inv.recipe
     if isinstance(r, ReflectionSW):
-        form = form_of_linear_action(sys_, roots, labels)
+        form = memo.get("linear")
+        if form is None:
+            form = memo["linear"] = form_of_linear_action(sys_, roots, labels)
         return modified_sw(form, r.d) if r.modified else sw_class(form, r.d)
     if isinstance(r, PermutationSW):
-        npts = len(sys_.roots[0].doubled)
-        if r.points == "signed":
-            gens = [_signed_point_perm(sys_, idx, npts) for idx in roots]
-        elif r.points == "natural":
-            gens = [_natural_point_perm(sys_, idx, npts) for idx in roots]
-        else:
-            raise ValueError(f"unknown point action {r.points!r}")
-        diag = expand_to_diagonal(form_of_permutation_action(gens, labels))
+        diag = memo.get(r.points)
+        if diag is None:
+            npts = len(sys_.roots[0].doubled)
+            if r.points == "signed":
+                gens = [_signed_point_perm(sys_, idx, npts) for idx in roots]
+            elif r.points == "natural":
+                gens = [_natural_point_perm(sys_, idx, npts) for idx in roots]
+            else:
+                raise ValueError(f"unknown point action {r.points!r}")
+            diag = memo[r.points] = expand_to_diagonal(
+                form_of_permutation_action(gens, labels)
+            )
         return modified_sw(diag, r.d) if r.modified else sw_class(diag, r.d)
     if isinstance(r, ProjectionSW):
         if r.projection.startswith("sign:"):
             return x_monomial(labels, (r.projection[5:],))
-        if r.projection == "pairs":
-            npts = len(sys_.roots[0].doubled)
-            gens = [_pair_point_perm(sys_, idx, npts) for idx in roots]
-        elif r.projection == "triality":
-            gens = [_triality_point_perm(sys_, idx) for idx in roots]
-        else:
-            raise ValueError(f"unknown projection {r.projection!r}")
-        diag = expand_to_diagonal(form_of_permutation_action(gens, labels))
+        diag = memo.get(r.projection)
+        if diag is None:
+            if r.projection == "pairs":
+                npts = len(sys_.roots[0].doubled)
+                gens = [_pair_point_perm(sys_, idx, npts) for idx in roots]
+            elif r.projection == "triality":
+                gens = [_triality_point_perm(sys_, idx) for idx in roots]
+            else:
+                raise ValueError(f"unknown projection {r.projection!r}")
+            diag = memo[r.projection] = expand_to_diagonal(
+                form_of_permutation_action(gens, labels)
+            )
         return modified_sw(diag, r.d)
     if isinstance(r, FoldInvariant):
         cert = _fold_certificate(sys_, roots, cache_dir)
@@ -340,13 +358,13 @@ def _restrict(inv, roots, labels, sys_, cache_dir) -> KInvariant:
     if isinstance(r, Product):
         acc = one(labels)
         for f in r.factors:
-            acc = acc * _restrict(f, roots, labels, sys_, cache_dir)
+            acc = acc * _restrict(f, roots, labels, sys_, cache_dir, memo)
         return acc
     acc = zero(labels)
     for eps, factors in r.terms:
         term = one(labels) if eps % 2 == 0 else two(labels)
         for f in factors:
-            term = term * _restrict(f, roots, labels, sys_, cache_dir)
+            term = term * _restrict(f, roots, labels, sys_, cache_dir, memo)
         acc = acc + term
     return acc
 
@@ -1000,9 +1018,11 @@ def upstream_table(
     _, roots_e = standard_frames(sys_e)[0]
     labels_e = tuple(root_label(sys_e, r) for r in roots_e)
     inj = _injection(labels_d, labels_e)
+    memo: dict = {}
     entries = []
     for b in generators_for("D", inner_rank):
-        entries.append((b.name, b.degree, inj.apply(restrict(b, roots_d, sys_d, cache_dir))))
+        val = _restrict(b, roots_d, labels_d, sys_d, cache_dir, memo)
+        entries.append((b.name, b.degree, inj.apply(val)))
     if rank != 7:
         return entries
     xa4 = x_monomial(labels_e, ("a4",))
@@ -1061,14 +1081,28 @@ def constrained_dim(
     g-plus-identity images.  F4 constrains the B_4 basis at its pair
     frame; the E types constrain their upstream tables.
     """
+    return _constrained_dims(type_label, rank, cache_dir).get(degree, 0)
+
+
+def _constrained_dims(
+    type_label: str,
+    rank: int,
+    cache_dir: Optional[str],
+    upstream: Optional[list[tuple[str, int, KInvariant]]] = None,
+) -> dict[int, int]:
+    """constrained_dim for every degree that has upstream vectors.
+
+    E types read their vectors from upstream, the upstream_table of the
+    same system and cache_dir, which is built here when not given.
+    """
     if (type_label, rank) == ("F", 4):
         sys_b = build_root_system("B", 4)
-        frame_name, roots_b = standard_frames(sys_b)[2]
+        _, roots_b = standard_frames(sys_b)[2]
         labels = tuple(root_label(sys_b, r) for r in roots_b)
-        vecs = [
-            restrict(b, roots_b, sys_b, cache_dir)
+        memo: dict = {}
+        graded = [
+            (b.degree, _restrict(b, roots_b, labels, sys_b, cache_dir, memo))
             for b in generators_for("B", 4)
-            if b.degree == degree
         ]
         sys_f = build_root_system("F", 4)
         _, roots_f = standard_frames(sys_f)[2]
@@ -1079,24 +1113,26 @@ def constrained_dim(
         sys_e = build_root_system("E", rank)
         _, roots_e = standard_frames(sys_e)[0]
         labels = tuple(root_label(sys_e, r) for r in roots_e)
-        vecs = [
-            val
-            for _, deg, val in upstream_table(type_label, rank, cache_dir)
-            if deg == degree
-        ]
+        if upstream is None:
+            upstream = upstream_table(type_label, rank, cache_dir)
+        graded = [(deg, val) for _, deg, val in upstream]
         action = normalizer_action(sys_e, _e_torsor_elem(sys_e), roots_e)
     else:
         raise UnsupportedSystemError(
             "constrained dimensions are computed for F4/E6/E7/E8 only"
         )
-    if not vecs:
-        return 0
     cmap = CoordinateMap.from_permutation(labels, action)
-    key_bits: dict = {}
-    images = [
-        _stacked_bits((substitute(v, cmap) + v,), key_bits) for v in vecs
-    ]
-    return len(vecs) - _f2_rank(images)
+    by_degree: dict[int, list[KInvariant]] = {}
+    for deg, val in graded:
+        by_degree.setdefault(deg, []).append(val)
+    dims = {}
+    for deg, vecs in by_degree.items():
+        key_bits: dict = {}
+        images = [
+            _stacked_bits((substitute(v, cmap) + v,), key_bits) for v in vecs
+        ]
+        dims[deg] = len(vecs) - _f2_rank(images)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -1168,9 +1204,9 @@ def verify_identity(
     invariants means here.
     """
 
-    def side(x, name, roots, labels):
+    def side(x, name, roots, labels, memo):
         if isinstance(x, NamedInvariant):
-            return _restrict(x, tuple(roots), labels, sys_, cache_dir)
+            return _restrict(x, tuple(roots), labels, sys_, cache_dir, memo)
         return x[name]
 
     def describe(x):
@@ -1179,8 +1215,9 @@ def verify_identity(
     cid = check_id or f"identity:{describe(lhs)}={describe(rhs)}"
     for name, roots in standard_frames(sys_):
         labels = tuple(root_label(sys_, r) for r in roots)
-        lv = side(lhs, name, roots, labels)
-        rv = side(rhs, name, roots, labels)
+        memo: dict = {}
+        lv = side(lhs, name, roots, labels, memo)
+        rv = side(rhs, name, roots, labels, memo)
         if lv != rv:
             return _check(
                 cid, False, f"differs at {name}: {lv.render()} != {rv.render()}"
@@ -1228,10 +1265,11 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     frame_labels = [
         tuple(root_label(sys_, r) for r in roots) for _, roots in frames
     ]
+    memos = [{} for _ in frames]
     restrictions = tuple(
         tuple(
-            _restrict(b, tuple(roots), labels, sys_, cache_dir)
-            for (_, roots), labels in zip(frames, frame_labels)
+            _restrict(b, tuple(roots), labels, sys_, cache_dir, memo)
+            for (_, roots), labels, memo in zip(frames, frame_labels, memos)
         )
         for b in basis
     )
@@ -1239,10 +1277,10 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     checks: list[CheckResult] = []
 
     # (1) stated formulas
+    upstream = None
     if out_type == "E":
-        checks.append(
-            _e_table_check(out_type, out_rank, basis, restrictions, cache_dir)
-        )
+        upstream = upstream_table(out_type, out_rank, cache_dir)
+        checks.append(_e_table_check(out_rank, basis, restrictions, upstream))
     else:
         failures = []
         covered = 0
@@ -1347,9 +1385,10 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
 
     # (6) the encoded lists are recomputed from the constraint itself
     if (out_type, out_rank) in _ENCODED_BOUNDS:
+        constrained = _constrained_dims(out_type, out_rank, cache_dir, upstream)
         mism = []
         for d, _, bound in dims:
-            got = constrained_dim(out_type, out_rank, d, cache_dir)
+            got = constrained.get(d, 0)
             if got != bound:
                 mism.append(f"degree {d}: constrained {got} != encoded {bound}")
         checks.append(
@@ -1372,10 +1411,8 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     )
 
 
-def _e_table_check(out_type, out_rank, basis, restrictions, cache_dir) -> CheckResult:
-    entries = {
-        name: val for name, _, val in upstream_table(out_type, out_rank, cache_dir)
-    }
+def _e_table_check(out_rank, basis, restrictions, upstream) -> CheckResult:
+    entries = {name: val for name, _, val in upstream}
     table = _E_TABLES[out_rank]
     failures = []
     for b, row in zip(basis, restrictions):

@@ -26,9 +26,11 @@ from .cosets import (
     cache_path,
     clear_cache,
     full_check,
+    read_cache_file,
     standard_u_gens,
 )
 from .errors import (
+    CacheFormatError,
     CapExceededError,
     CertificateError,
     CosetValidationError,
@@ -428,19 +430,23 @@ def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
             if not (name.startswith("cosets-") and name.endswith(".json")):
                 continue
             path = os.path.join(cfg.cache_dir, name)
-            with open(path) as fh:
-                doc = json.load(fh)
-            entries.append(
-                {
-                    "file": name,
-                    "bytes": os.path.getsize(path),
-                    "type": doc["type"],
-                    "rank": doc["rank"],
-                    "cosets": doc["size"],
-                    "format_version": doc["format_version"],
-                    "certified": doc["certificate"] is not None,
-                }
-            )
+            doc = read_cache_file(path)
+            try:
+                entries.append(
+                    {
+                        "file": name,
+                        "bytes": os.path.getsize(path),
+                        "type": doc["type"],
+                        "rank": doc["rank"],
+                        "cosets": doc["size"],
+                        "format_version": doc["format_version"],
+                        "certified": doc["certificate"] is not None,
+                    }
+                )
+            except KeyError as bad:
+                raise CacheFormatError(
+                    f"cache file {path} has no {bad.args[0]!r} entry"
+                ) from None
     lines = [f"{len(entries)} cached space(s) in {cfg.cache_dir}"]
     for e in entries:
         cert = "certified" if e["certified"] else "no certificate"

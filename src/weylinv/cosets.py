@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -44,6 +45,7 @@ __all__ = [
     "compare_support",
     "f_restriction",
     "cache_path",
+    "read_cache_file",
     "clear_cache",
     "CACHE_FORMAT_VERSION",
 ]
@@ -565,56 +567,82 @@ def _write_space(space: CosetSpace, path: str) -> None:
     os.replace(tmp, path)
 
 
+def read_cache_file(path: str) -> dict:
+    """The JSON object stored in a cache file.
+
+    Raises CacheFormatError naming the file when it does not hold one,
+    for instance after a write was cut short.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as bad:
+        raise CacheFormatError(f"cache file {path} is not valid JSON: {bad}") from None
+    if not isinstance(doc, dict):
+        raise CacheFormatError(f"cache file {path} does not hold a JSON object")
+    return doc
+
+
 def _load_space(
     sys_: RootSystem, u_gen_roots: tuple[int, ...], path: str
 ) -> CosetSpace:
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != CACHE_FORMAT_VERSION:
+    doc = read_cache_file(path)
+    try:
+        version = doc.get("format_version")
+        if version != CACHE_FORMAT_VERSION:
+            raise CacheFormatError(
+                f"cache file {path} has format_version {version!r}; "
+                f"expected {CACHE_FORMAT_VERSION}"
+            )
+        if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
+            raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
+        expected_gens = sorted(tuple(sys_.roots[g].doubled) for g in u_gen_roots)
+        if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
+            raise CacheFormatError(f"cache file {path} was built from different generators")
+        cert = None
+        if doc.get("certificate"):
+            c = doc["certificate"]
+            cert = FoldCertificate(
+                frame_roots=tuple(c["frame_roots"]),
+                labels=tuple(c["labels"]),
+                orbits=tuple(
+                    CertOrbit(
+                        members=tuple(o["members"]),
+                        a_set=tuple(o["a_set"]),
+                        fold=o["fold"],
+                        delta_masks=tuple(o["delta_masks"]),
+                    )
+                    for o in c["orbits"]
+                ),
+            )
+        return CosetSpace(
+            type_label=doc["type"],
+            rank=doc["rank"],
+            u_gen_roots=tuple(tuple(g) for g in doc["u_gens"]),
+            u_order=doc["u_order"],
+            representatives=tuple(tuple(k) for k in doc["representatives"]),
+            action_tables=tuple(tuple(t) for t in doc["action_tables"]),
+            certificate=cert,
+        )
+    except (KeyError, TypeError) as bad:
         raise CacheFormatError(
-            f"cache file {path} has format_version {version!r}; "
-            f"expected {CACHE_FORMAT_VERSION}"
-        )
-    if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
-        raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
-    expected_gens = sorted(tuple(sys_.roots[g].doubled) for g in u_gen_roots)
-    if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
-        raise CacheFormatError("cache file was built from different generators")
-    cert = None
-    if doc.get("certificate"):
-        c = doc["certificate"]
-        cert = FoldCertificate(
-            frame_roots=tuple(c["frame_roots"]),
-            labels=tuple(c["labels"]),
-            orbits=tuple(
-                CertOrbit(
-                    members=tuple(o["members"]),
-                    a_set=tuple(o["a_set"]),
-                    fold=o["fold"],
-                    delta_masks=tuple(o["delta_masks"]),
-                )
-                for o in c["orbits"]
-            ),
-        )
-    return CosetSpace(
-        type_label=doc["type"],
-        rank=doc["rank"],
-        u_gen_roots=tuple(tuple(g) for g in doc["u_gens"]),
-        u_order=doc["u_order"],
-        representatives=tuple(tuple(k) for k in doc["representatives"]),
-        action_tables=tuple(tuple(t) for t in doc["action_tables"]),
-        certificate=cert,
-    )
+            f"cache file {path} has a missing or malformed entry: {bad!r}"
+        ) from None
+
+
+_CACHE_NAME = re.compile(r"cosets-.*\.json(\.tmp\d+)?")
 
 
 def clear_cache(cache_dir: str) -> list[str]:
-    """Remove coset cache files; returns the removed names."""
+    """Remove coset cache files and scratch files of interrupted writes.
+
+    Returns the removed names.
+    """
     removed = []
     if not os.path.isdir(cache_dir):
         return removed
     for name in sorted(os.listdir(cache_dir)):
-        if name.startswith("cosets-") and name.endswith(".json"):
+        if _CACHE_NAME.fullmatch(name):
             os.remove(os.path.join(cache_dir, name))
             removed.append(name)
     return removed

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import KInvariant, Monomial, kinv, one, zero
@@ -140,9 +141,14 @@ def form_of_involutions(
 ) -> DiagonalForm:
     """Diagonal form of the torsor twist for commuting orthogonal involutions.
 
-    The matrices act on the standard inner-product space.  A common
-    eigenbasis is computed exactly; a vector u with character chi and
-    squared norm 2^a * (square) yields the entry 2^a * prod_{i in chi} c_i.
+    The matrices act on the standard inner-product space.  The
+    involution, orthogonality and commutation checks run on integer
+    numerators: with M = A / den (den the lcm of M's denominators), M is
+    an orthogonal involution exactly when A.A = A^T.A = den^2 * I, and
+    M_i, M_j commute exactly when A_i.A_j = A_j.A_i.  A common
+    eigenbasis is then computed exactly; a vector u with character chi
+    and squared norm 2^a * (square) yields the entry
+    2^a * prod_{i in chi} c_i.
     """
     k = len(matrices)
     if k != len(labels):
@@ -153,23 +159,27 @@ def form_of_involutions(
     dim = len(mats[0]) if mats else 0
     ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
 
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
+    def int_mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
+    numerators = []
     for m in mats:
         if len(m) != dim or any(len(row) != dim for row in m):
             raise ValueError("matrices must be square of equal size")
-        if mat_mul(m, m) != ident:
+        den = lcm(*(x.denominator for row in m for x in row))
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+        scaled_ident = [[den * den * (i == j) for j in range(dim)] for i in range(dim)]
+        if int_mul(a, a) != scaled_ident:
             raise ValueError("generator is not an involution")
-        mt = [[m[j][i] for j in range(dim)] for i in range(dim)]
-        if mat_mul(mt, m) != ident:
+        if int_mul(list(zip(*a)), a) != scaled_ident:
             raise ValueError("generator is not orthogonal")
+        numerators.append(a)
     for i in range(k):
         for j in range(i + 1, k):
-            if mat_mul(mats[i], mats[j]) != mat_mul(mats[j], mats[i]):
+            if int_mul(numerators[i], numerators[j]) != int_mul(
+                numerators[j], numerators[i]
+            ):
                 raise ValueError("generators do not commute")
 
     # split into simultaneous character spaces

@@ -10,7 +10,6 @@ root geometry here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Optional, Sequence
 

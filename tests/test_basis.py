@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from weylinv import basis
 from weylinv.algebra import BnContext, parse_terms, substitute, CoordinateMap
 from weylinv.basis import (
     BasisReport,
@@ -421,13 +422,14 @@ def test_a_bounds_are_flat(n):
     ],
 )
 def test_encoded_e_bounds_match_constraint_computation(rank, bounds, tmp_path):
-    for d, b in enumerate(bounds):
+    # one degree past the top: no upstream vectors, so both read 0
+    for d, b in enumerate(bounds + [0]):
         assert upper_bound_dim("E", rank, d) == b
         assert constrained_dim("E", rank, d, str(tmp_path)) == b, d
 
 
 def test_encoded_f4_bounds_match_constraint_computation():
-    for d, b in enumerate([1, 2, 2, 2, 1]):
+    for d, b in enumerate([1, 2, 2, 2, 1, 0]):
         assert upper_bound_dim("F", 4, d) == b
         assert constrained_dim("F", 4, d) == b, d
 
@@ -449,6 +451,27 @@ def test_verify_basis_passes(type_label, rank, tmp_path):
     failing = [c for c in report.checks if c.status != "pass"]
     assert report.passed(), failing
     assert all(a == b for _, a, b in report.dims), report.dims
+    if (type_label, rank) in (("F", 4), ("E", 6), ("E", 7), ("E", 8)):
+        # the report shares one constraint pass; the public entry point
+        # recomputes it per degree
+        for d, _, bound in report.dims:
+            got = constrained_dim(type_label, rank, d, str(tmp_path))
+            assert got == bound, (d, got, bound)
+
+
+def test_one_linear_form_per_frame(monkeypatch):
+    calls = []
+    real = basis.form_of_linear_action
+
+    def counted(sys_, frame_roots, labels=None):
+        calls.append(tuple(frame_roots))
+        return real(sys_, frame_roots, labels)
+
+    monkeypatch.setattr(basis, "form_of_linear_action", counted)
+    report = verify_basis("E", 8)
+    assert report.passed()
+    frames = [tuple(roots) for _, roots in standard_frames(build_root_system("E", 8))]
+    assert calls == frames
 
 
 def test_report_checks_cover_required_ids():

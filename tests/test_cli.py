@@ -164,14 +164,37 @@ def test_verify_all_task_order_and_determinism(capsys, tmp_path):
 
 def test_cache_inspect_and_clear(capsys, tmp_path):
     run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
+    (cached,) = [p.name for p in tmp_path.iterdir()]
+    orphan = f"{cached}.tmp4242"  # left behind by a writer that was killed
+    (tmp_path / orphan).write_text('{"format_v')
     code, out, _ = run(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert code == 0 and "1 cached space(s)" in out and "D4, 8 cosets" in out
     code, out, _ = run(
         capsys, "cache", "clear", "--cache-dir", str(tmp_path), "--json"
     )
-    assert code == 0 and len(json.loads(out)["removed"]) == 1
+    assert code == 0 and json.loads(out)["removed"] == [cached, orphan]
+    assert list(tmp_path.iterdir()) == []
     code, out, _ = run(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert "0 cached space(s)" in out
+
+
+@pytest.mark.parametrize(
+    "content", ['{"format_version": 1, "type": "D", "ra', '{"format_version": 1}']
+)
+def test_cache_inspect_rejects_malformed_file(capsys, tmp_path, content):
+    name = "cosets-D4-0000000000000000.json"
+    (tmp_path / name).write_text(content)
+    code, out, err = run(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert name in err and "Traceback" not in err
+
+
+def test_truncated_cache_file_exits_2(capsys, tmp_path):
+    assert run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    path.write_bytes(path.read_bytes()[:200])
+    code, _, err = run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
+    assert code == 2 and path.name in err
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):

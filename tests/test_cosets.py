@@ -225,11 +225,20 @@ def test_cache_format_version_rejected(tmp_path, d4_space):
     cache = str(tmp_path)
     build_coset_space(sys_, cache_dir=cache)
     path = cache_path(sys_, standard_u_gens(sys_), cache)
-    doc = json.load(open(path))
+    with open(path) as fh:
+        doc = json.load(fh)
     doc["format_version"] = 99
-    json.dump(doc, open(path, "w"))
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
     with pytest.raises(CacheFormatError):
         build_coset_space(sys_, cache_dir=cache)
+    doc["format_version"] = 1
+    del doc["u_order"]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(CacheFormatError, match="u_order") as bad:
+        build_coset_space(sys_, cache_dir=cache)
+    assert path in str(bad.value)
 
 
 def test_cached_certificate_reused(tmp_path):

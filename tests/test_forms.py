@@ -18,6 +18,7 @@ from weylinv.forms import (
     form_of_permutation_action,
     modified_sw,
     pfister_gram_check,
+    reflection_matrix,
     sw_class,
     total_sw,
     twist_by_two,
@@ -74,6 +75,19 @@ def test_involution_validation():
     diag = ((1, 0), (0, -1))
     with pytest.raises(ValueError):
         form_of_involutions([SWAP, diag], AB)  # these do not commute
+    from fractions import Fraction
+
+    skew = ((1, 0), (Fraction(1, 2), -1))  # an involution, not orthogonal
+    with pytest.raises(ValueError, match="not orthogonal"):
+        form_of_involutions([skew], ("a",))
+    # reflections at two F4 short roots at angle 60 degrees: entries +-1/2
+    sys_ = build_root_system("F", 4)
+    near = [
+        reflection_matrix(sys_, sys_.index[r])
+        for r in ((1, 1, 1, 1), (1, 1, 1, -1))
+    ]
+    with pytest.raises(ValueError, match="do not commute"):
+        form_of_involutions(near, AB)
 
 
 def test_linear_action_f4_frames():
@@ -85,6 +99,12 @@ def test_linear_action_f4_frames():
     assert f1.render() == "<2a1, 2b1, e3, e4>"
     f2 = form_of_linear_action(sys_, frames["P_2"])
     assert f2.render() == "<2a1, 2b1, 2a2, 2b2>"
+    # four orthogonal short roots: reflection matrices with entries +-1/2
+    short = [
+        sys_.index[r]
+        for r in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+    ]
+    assert form_of_linear_action(sys_, short, "abcd").render() == "<a, b, c, d>"
 
 
 def test_linear_action_e6_frame():
