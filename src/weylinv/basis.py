@@ -1530,16 +1530,11 @@ def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvarian
 
 
 def _dihedral_stabilizer_perms(group, frame) -> list[tuple[int, ...]]:
-    inverse = {}
-    for i, p in enumerate(group.elements):
-        inv = [0] * group.n
-        for a, b in enumerate(p):
-            inv[b] = a
-        inverse[i] = group.elements.index(tuple(inv))
     perms = set()
     members = list(frame)
     for g in range(len(group.elements)):
-        images = [group.mul(group.mul(inverse[g], r), g) for r in members]
+        ginv = group.inverse(g)
+        images = [group.mul(group.mul(ginv, r), g) for r in members]
         if set(images) == set(members):
             perms.add(tuple(members.index(i) for i in images))
     return sorted(perms)

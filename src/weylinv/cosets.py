@@ -20,18 +20,18 @@ import hashlib
 import json
 import os
 import re
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import KInvariant
 from .errors import (
     CacheFormatError,
-    CapExceededError,
     CertificateError,
     CosetValidationError,
 )
 from .forms import OrbitPfister, OrbitPfisterDecomp, e_fold, form_of_permutation_action
-from .groups import root_label, weyl_order
+from .groups import RootPermutation, enumerate_subgroup, root_label, weyl_order
 from .roots import RootSystem
 
 __all__ = [
@@ -168,28 +168,11 @@ def _enumerate_u_order(
         domain.append(sys_.negation[r])
     domain.sort()
     local = {r: i for i, r in enumerate(domain)}
-    deg = len(domain)
-    tables = []
+    gens = []
     for g in gen_roots:
         images = sys_.reflection_images(g)
-        tables.append(bytes(local[images[r]] for r in domain).ljust(256, b"\0"))
-    identity = bytes(range(deg))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t in tables:
-                q = p.translate(t)
-                if q not in seen:
-                    if len(seen) >= U_ELEMENT_CAP:
-                        raise CapExceededError(
-                            "subgroup enumeration exceeded the cap", U_ELEMENT_CAP
-                        )
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
+        gens.append(RootPermutation(tuple(local[images[r]] for r in domain)))
+    return enumerate_subgroup(gens, element_cap=U_ELEMENT_CAP).order
 
 
 def _reflector(sys_: RootSystem, root_idx: int) -> tuple[Key, int]:
@@ -308,29 +291,37 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
     u_order = _enumerate_u_order(sys_, u_gen_roots, domain_lines)
     start = _invariant_vector(sys_, u_gen_roots, domain_lines)
     reflectors = [_reflector(sys_, i) for i in sys_.simple_indices]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            for d_r, rr4 in reflectors:
-                img = _reflect_key(key, d_r, rr4)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    reps = tuple(sorted(seen))
+    # BFS that records its edges: keys[k] is the k-th key found, and
+    # edges[k * ngen + g] the BFS id of its image under simple reflector g
+    ngen = len(reflectors)
+    keys = [start]
+    ids = {start: 0}
+    edges = array("l")
+    for key in keys:  # FIFO: the loop reaches appended keys
+        for d_r, rr4 in reflectors:
+            img = _reflect_key(key, d_r, rr4)
+            j = ids.get(img)
+            if j is None:
+                j = ids[img] = len(keys)
+                keys.append(img)
+            edges.append(j)
+    size = len(keys)
     expected = weyl_order(sys_)
-    if len(reps) * u_order != expected:
+    if size * u_order != expected:
         raise CosetValidationError(
-            f"|orbit| x |U| = {len(reps)} x {u_order} != |W| = {expected}: "
+            f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
             "the coset enumeration is inconsistent with the group order"
         )
-    index = {key: i for i, key in enumerate(reps)}
+    order = sorted(range(size), key=keys.__getitem__)  # sorted pos -> BFS id
+    reps = tuple(keys[k] for k in order)
+    position = [0] * size  # BFS id -> sorted pos
+    for i, k in enumerate(order):
+        position[k] = i
     tables = []
-    for d_r, rr4 in reflectors:
-        table = tuple(index[_reflect_key(key, d_r, rr4)] for key in reps)
-        if sorted(table) != list(range(len(reps))):
+    for g in range(ngen):
+        images = edges[g::ngen]
+        table = tuple(position[images[k]] for k in order)
+        if sorted(table) != list(range(size)):
             raise CosetValidationError("action table is not a bijection")
         tables.append(table)
     return CosetSpace(
@@ -367,10 +358,14 @@ def p_orbits(
     sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Orbit partition of the coset indices under the frame generators."""
-    tables = _frame_tables(sys_, space, frame_roots)
-    seen = [False] * space.size
+    return _orbits(_frame_tables(sys_, space, frame_roots), space.size)
+
+
+def _orbits(tables: Sequence[Sequence[int]], size: int) -> list[tuple[int, ...]]:
+    """Orbit partition of range(size) under the given action tables."""
+    seen = [False] * size
     orbits = []
-    for start in range(space.size):
+    for start in range(size):
         if seen[start]:
             continue
         orbit = {start}
@@ -407,7 +402,7 @@ def full_check(
         return space.certificate
     labels = tuple(root_label(sys_, r) for r in frame_roots)
     tables = _frame_tables(sys_, space, frame_roots)
-    orbits = p_orbits(sys_, space, frame_roots)
+    orbits = _orbits(tables, space.size)
     cert_orbits = []
     for oi, members in enumerate(orbits):
         relabel = {m: j for j, m in enumerate(members)}

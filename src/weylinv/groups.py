@@ -10,6 +10,7 @@ root geometry here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -70,13 +71,18 @@ class RootPermutation:
         return RootPermutation(tuple(im[j] for j in other.images))
 
     def inverse(self) -> "RootPermutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return RootPermutation(tuple(inv))
+        return RootPermutation(_inverse_images(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
+
+
+def _inverse_images(images: Sequence[int]) -> tuple[int, ...]:
+    """The image sequence of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 def compose(*perms: RootPermutation) -> RootPermutation:
@@ -101,7 +107,18 @@ def _gram(sys_: RootSystem) -> list[list[int]]:
 
 
 def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
-    """Raise ValueError unless images defines a sign-equivariant isometry."""
+    """Raise ValueError unless images defines a sign-equivariant isometry.
+
+    Inner products are checked only between the simple roots b and all
+    roots j: gram[b][j] == gram[pi b][pi j].  That suffices.  Taking j
+    simple shows that the images pi b have the simple roots' Gram
+    matrix, which is nondegenerate, so they form a basis of the roots'
+    span and b -> pi b extends to a linear isometry T of it.  Each pi j
+    is then fixed by its inner products with that basis, which equal
+    those of T j, so pi j = T j: pi is the restriction of the isometry T
+    and preserves every pairwise inner product.  The cost is
+    O(rank x roots) instead of O(roots^2).
+    """
     n = len(sys_.roots)
     if len(images) != n or sorted(images) != list(range(n)):
         raise ValueError("images is not a bijection of root indices")
@@ -110,12 +127,12 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
         if images[neg[i]] != neg[images[i]]:
             raise ValueError(f"not sign-equivariant at root {i}")
     gram = _gram(sys_)
-    for i in range(n):
-        gi, gpi = gram[i], gram[images[i]]
-        for j in range(i + 1, n):
-            if gi[j] != gpi[images[j]]:
+    for b in sys_.simple_indices:
+        gb, gpb = gram[b], gram[images[b]]
+        for j in range(n):
+            if gb[j] != gpb[images[j]]:
                 raise ValueError(
-                    f"inner product not preserved on roots ({i}, {j})"
+                    f"inner product not preserved on roots ({b}, {j})"
                 )
 
 
@@ -136,10 +153,14 @@ def perm_of_reflection(sys_: RootSystem, root_idx: int) -> RootPermutation:
 
 @dataclass(frozen=True)
 class GeneratedGroup:
-    """A subgroup given by generators, optionally fully enumerated."""
+    """A subgroup given by generators, enumerated by enumerate_subgroup.
+
+    elements[k] is the k-th element found, as the bytes of its image
+    sequence (elements[k][r] is the image of point r), identity first.
+    """
 
     generators: tuple[RootPermutation, ...]
-    elements: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
+    elements: Optional[tuple[bytes, ...]] = field(default=None, repr=False)
     order: Optional[int] = None
 
 
@@ -149,10 +170,14 @@ def enumerate_subgroup(
 ) -> GeneratedGroup:
     """Breadth-first closure of the generated subgroup.
 
-    Deterministic: elements appear in discovery order (identity first,
-    frontier processed FIFO, generators applied in the given order).
-    Raises CapExceededError beyond element_cap, which signals that an
-    index-based order computation should be used instead.
+    The package's one permutation BFS.  Each generator becomes a
+    256-byte bytes.translate table and each element the bytes of its
+    images, so a product is one translate call; the degree is therefore
+    at most 256.  Deterministic: elements appear in discovery order
+    (identity first, frontier processed FIFO, generators applied in the
+    given order).  Raises CapExceededError beyond element_cap, which
+    signals that an index-based order computation should be used
+    instead.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -161,33 +186,25 @@ def enumerate_subgroup(
     degree = len(gens[0].images)
     if any(len(g.images) != degree for g in gens):
         raise ValueError("generator degrees differ")
-    # bytes-encode when indices fit, for compact hashing
-    use_bytes = degree <= 255
-    gen_images = [g.images for g in gens]
-
-    def encode(images: Sequence[int]):
-        return bytes(images) if use_bytes else tuple(images)
-
-    identity = tuple(range(degree))
-    seen = {encode(identity)}
-    ordered: list[tuple[int, ...]] = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for p in frontier:
-            for g in gen_images:
-                q = tuple(g[i] for i in p)
-                key = encode(q)
-                if key not in seen:
-                    if len(seen) >= element_cap:
-                        raise CapExceededError(
-                            f"subgroup exceeds element cap {element_cap}",
-                            element_cap,
-                        )
-                    seen.add(key)
-                    ordered.append(q)
-                    nxt.append(q)
-        frontier = nxt
+    if degree > 256:
+        raise ValueError(f"degree {degree} exceeds 256, the bytes-image limit")
+    tables = [bytes(g.images).ljust(256, b"\0") for g in gens]
+    identity = bytes(range(degree))
+    seen = {identity}
+    ordered = [identity]
+    # ordered is also the FIFO queue: the loop reaches appended elements
+    for p in ordered:
+        for t in tables:
+            # q = p followed by the generator: q[r] = t[p[r]]
+            q = p.translate(t)
+            if q not in seen:
+                if len(seen) >= element_cap:
+                    raise CapExceededError(
+                        f"subgroup exceeds element cap {element_cap}",
+                        element_cap,
+                    )
+                seen.add(q)
+                ordered.append(q)
     return GeneratedGroup(
         generators=tuple(gens),
         elements=tuple(ordered),
@@ -305,11 +322,16 @@ def maximal_orthogonal_frames(sys_: RootSystem) -> list[OrthogonalFrame]:
         if p == 0 and x == 0:
             cliques.append(r)
             return
+        # pivot: the first vertex of P | X with the most neighbours in P
         pux = p | x
-        pivot = max(
-            range(nlines),
-            key=lambda v: bin(p & adj[v]).count("1") if (pux >> v) & 1 else -1,
-        )
+        pivot, best = -1, -1
+        while pux:
+            low = pux & -pux
+            v = low.bit_length() - 1
+            count = (p & adj[v]).bit_count()
+            if count > best:
+                pivot, best = v, count
+            pux ^= low
         candidates = p & ~adj[pivot]
         while candidates:
             v = (candidates & -candidates).bit_length() - 1
@@ -604,11 +626,18 @@ class DihedralGroup:
     def order(self) -> int:
         return 2 * self.n
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {p: i for i, p in enumerate(self.elements)}
+
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] followed by elements[j]."""
         pi, pj = self.elements[i], self.elements[j]
-        prod = tuple(pj[x] for x in pi)
-        return self.elements.index(prod)
+        return self._index[tuple(pj[x] for x in pi)]
+
+    def inverse(self, i: int) -> int:
+        """Index of the inverse of elements[i]."""
+        return self._index[_inverse_images(self.elements[i])]
 
 
 def build_dihedral(n: int) -> DihedralGroup:
@@ -644,23 +673,12 @@ def dihedral_omega(group: DihedralGroup) -> list[list[tuple[int, ...]]]:
         m = n // 2
         frames = [(refl[k], refl[k + m]) for k in range(m)]
     # orbit BFS under conjugation by the full group
-    elements = group.elements
-    inverse = []
-    for p in elements:
-        inv = [0] * n
-        for i, j in enumerate(p):
-            inv[j] = i
-        inverse.append(tuple(inv))
-    perm_index = {p: i for i, p in enumerate(elements)}
+    mul = group.mul
 
     def conj_frame(frame: tuple[int, ...], g: int) -> tuple[int, ...]:
-        out = []
-        for r in frame:
-            pg, pr, pginv = elements[g], elements[r], inverse[g]
-            # g^-1 r g as a permutation product (apply g, then r, then g^-1)
-            prod = tuple(pginv[pr[pg[i]]] for i in range(n))
-            out.append(perm_index[prod])
-        return tuple(sorted(out))
+        # g^-1 r g as a permutation product (apply g, then r, then g^-1)
+        ginv = group.inverse(g)
+        return tuple(sorted(mul(mul(g, r), ginv) for r in frame))
 
     frames = [tuple(sorted(f)) for f in frames]
     unseen = set(frames)
@@ -705,10 +723,9 @@ def g2_split_check(group: DihedralGroup) -> dict[str, bool]:
     unique = len(order3) == 2
     subgroup = {0, *order3}
     normal = True
-    inverse = {i: elements.index(tuple(_inv(elements[i]))) for i in range(12)}
     for g in range(12):
         for u in subgroup:
-            conj = group.mul(group.mul(inverse[g], u), g)
+            conj = group.mul(group.mul(group.inverse(g), u), g)
             if conj not in subgroup:
                 normal = False
     classes = dihedral_omega(group)
@@ -724,10 +741,3 @@ def g2_split_check(group: DihedralGroup) -> dict[str, bool]:
         "splits_as_p_semidirect_u": splits,
         "one_omega_class": len(classes) == 1,
     }
-
-
-def _inv(p: tuple[int, ...]) -> list[int]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return out

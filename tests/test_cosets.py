@@ -9,6 +9,8 @@ from weylinv.algebra import x_monomial, zero
 from weylinv.cosets import (
     CertOrbit,
     FoldCertificate,
+    _reflect_key,
+    _reflector,
     build_coset_space,
     cache_path,
     clear_cache,
@@ -67,6 +69,31 @@ def test_validation_failure_full_rank_subgroup():
 def test_standard_u_gens_unknown():
     with pytest.raises(ValueError):
         standard_u_gens(build_root_system("B", 3))
+
+
+@pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
+def test_action_tables_match_rederived(label, rank):
+    """The tables recorded from the BFS edges equal tables re-derived by
+    reflecting each sorted representative."""
+    sys_ = build_root_system(label, rank)
+    space = build_coset_space(sys_)
+    index = {key: i for i, key in enumerate(space.representatives)}
+    rederived = tuple(
+        tuple(
+            index[_reflect_key(key, *_reflector(sys_, s))]
+            for key in space.representatives
+        )
+        for s in sys_.simple_indices
+    )
+    assert space.action_tables == rederived
+
+
+def test_full_check_orbits_match_p_orbits():
+    sys_ = build_root_system("D", 6)
+    space = build_coset_space(sys_)
+    (_, frame), = standard_frames(sys_)
+    cert = full_check(sys_, space, frame)
+    assert [o.members for o in cert.orbits] == p_orbits(sys_, space, frame)
 
 
 def test_d4_orbits(d4_space):

@@ -1,12 +1,15 @@
 """Permutation-group layer: orders, frames, Omega classes, dihedral groups."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
     DihedralGroup,
     OrthogonalFrame,
+    RootPermutation,
     build_dihedral,
     classify_frame,
     compose,
@@ -51,6 +54,47 @@ def test_validate_rejects_broken_images():
         validate_root_permutation(sys_, images)
 
 
+def _all_pairs_isometry(sys_, images):
+    gram = [[sum(a * b for a, b in zip(v.doubled, w.doubled)) for w in sys_.roots]
+            for v in sys_.roots]
+    n = len(sys_.roots)
+    return all(
+        gram[i][j] == gram[images[i]][images[j]] for i in range(n) for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3)])
+def test_validate_rejects_sign_equivariant_swaps(label, rank):
+    """Swapping two non-opposite lines (with their negatives) is a
+    sign-equivariant bijection; it must be rejected exactly when an
+    all-pairs Gram comparison says it is not an isometry."""
+    sys_ = build_root_system(label, rank)
+    neg = sys_.negation
+    rejected = 0
+    for i, j in combinations(sys_.lines, 2):
+        for jj in (j, neg[j]):
+            images = list(range(len(sys_.roots)))
+            images[i], images[jj] = jj, i
+            images[neg[i]], images[neg[jj]] = neg[jj], neg[i]
+            if _all_pairs_isometry(sys_, images):
+                validate_root_permutation(sys_, images)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match="inner product"):
+                    validate_root_permutation(sys_, images)
+    assert rejected > 0
+
+
+def test_validate_accepts_reflections_and_products():
+    sys_ = build_root_system("F", 4)
+    for r in sys_.lines:
+        images = sys_.reflection_images(r)
+        validate_root_permutation(sys_, images)
+        assert _all_pairs_isometry(sys_, images)
+    s0, s1 = (perm_of_reflection(sys_, i) for i in sys_.simple_indices[:2])
+    validate_root_permutation(sys_, compose(s0, s1, s0).images)
+
+
 def test_compose_against_after():
     sys_ = build_root_system("B", 2)
     s0 = perm_of_reflection(sys_, sys_.simple_indices[0])
@@ -65,9 +109,16 @@ ENUMERATED_ORDERS = [
     ("B", 2, 8),
     ("B", 3, 48),
     ("B", 4, 384),
+    ("A", 4, 120),
+    ("A", 5, 720),
+    ("A", 6, 5040),
     ("B", 5, 3840),
+    ("B", 6, 46080),
     ("D", 4, 192),
+    ("D", 5, 1920),
+    ("D", 6, 23040),
     ("F", 4, 1152),
+    ("E", 6, 51840),
 ]
 
 
@@ -90,6 +141,41 @@ def test_enumeration_cap():
     gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
     with pytest.raises(CapExceededError):
         enumerate_subgroup(gens, element_cap=100)
+
+
+def test_enumeration_cap_boundary():
+    sys_ = build_root_system("B", 3)
+    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    # a cap equal to the order admits every element; one less does not
+    assert enumerate_subgroup(gens, element_cap=48).order == 48
+    with pytest.raises(CapExceededError):
+        enumerate_subgroup(gens, element_cap=47)
+
+
+def test_enumeration_degree_limit():
+    big = RootPermutation(tuple(range(1, 257)) + (0,))
+    with pytest.raises(ValueError, match="degree 257"):
+        enumerate_subgroup([big])
+    # degree 256 is the largest a bytes image can hold
+    cycle = RootPermutation(tuple(range(1, 256)) + (0,))
+    assert enumerate_subgroup([cycle]).order == 256
+
+
+def test_enumeration_elements_in_discovery_order():
+    sys_ = build_root_system("B", 2)
+    s0, s1 = (perm_of_reflection(sys_, i) for i in sys_.simple_indices)
+    group = enumerate_subgroup([s0, s1])
+    assert all(type(e) is bytes for e in group.elements)
+    expected = [
+        (),
+        (s0,), (s1,),
+        (s0, s1), (s1, s0),
+        (s0, s1, s0), (s1, s0, s1),
+        (s0, s1, s0, s1),
+    ]
+    identity = tuple(range(len(sys_.roots)))
+    images = [compose(*w).images if w else identity for w in expected]
+    assert [tuple(e) for e in group.elements] == images
 
 
 def test_single_reflection_subgroup():
@@ -116,6 +202,34 @@ def test_frames_all_have_full_rank_size():
         sys_ = build_root_system(label, rank)
         for f in maximal_orthogonal_frames(sys_):
             assert len(f) == rank
+
+
+def _brute_force_frames(sys_):
+    """Maximal pairwise-orthogonal line sets, by trying every subset."""
+    lines = sys_.lines
+
+    def orth(a, b):
+        return sum(x * y for x, y in zip(sys_.roots[a].doubled, sys_.roots[b].doubled)) == 0
+
+    found = []
+    for k in range(1, sys_.rank + 1):
+        for subset in combinations(lines, k):
+            if all(orth(a, b) for a, b in combinations(subset, 2)):
+                found.append(subset)
+    return {
+        s for s in found
+        if not any(
+            line not in s and all(orth(line, m) for m in s) for line in lines
+        )
+    }
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("D", 4), ("F", 4)])
+def test_frames_match_brute_force(label, rank):
+    sys_ = build_root_system(label, rank)
+    frames = maximal_orthogonal_frames(sys_)
+    assert len(set(frames)) == len(frames)
+    assert {f.root_indices for f in frames} == _brute_force_frames(sys_)
 
 
 def test_a_type_frame_size():
@@ -313,6 +427,10 @@ def test_dihedral_basics():
     assert len(set(g.elements)) == 10
     for r in g.reflection_ids:
         assert g.mul(r, r) == 0
+        assert g.inverse(r) == r
+    for i in range(g.order):
+        assert g.mul(i, g.inverse(i)) == 0 == g.mul(g.inverse(i), i)
+    assert g.inverse(1) == 4  # rotation by 1 undoes rotation by 4
 
 
 def test_dihedral_omega_odd():
