@@ -22,6 +22,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .algebra import KInvariant
@@ -54,6 +55,7 @@ CACHE_FORMAT_VERSION = 1
 U_ELEMENT_CAP = 100_000
 
 Key = tuple[int, ...]
+Support = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -175,20 +177,26 @@ def _enumerate_u_order(
     return enumerate_subgroup(gens, element_cap=U_ELEMENT_CAP).order
 
 
-def _reflector(sys_: RootSystem, root_idx: int) -> tuple[Key, int]:
-    """(doubled root, squared length x 4) for fast integral reflections."""
+def _reflector(sys_: RootSystem, root_idx: int) -> tuple[Support, int]:
+    """(nonzero (coordinate, value) pairs of the doubled root, squared
+    length x 4) for fast integral reflections."""
     d = sys_.roots[root_idx].doubled
-    return d, sum(a * a for a in d)
+    return tuple((i, a) for i, a in enumerate(d) if a), sum(a * a for a in d)
 
 
-def _reflect_key(key: Key, d_r: Key, rr4: int) -> Key:
+def _reflect_key(key: Key, support: Support, rr4: int) -> Key:
     # s_r(v) = v - (2(r,v)/(r,r)) r; with both in doubled coordinates the
     # coefficient is 2 * <d_r, key> / <d_r, d_r>, an integer whenever key
-    # lies in the root lattice
-    q, rem = divmod(2 * sum(a * b for a, b in zip(d_r, key)), rr4)
+    # lies in the root lattice.  Only the root's support takes part.
+    q, rem = divmod(2 * sum(key[i] * a for i, a in support), rr4)
     if rem:
         raise CosetValidationError("coset key left the root lattice")
-    return tuple(kv - q * dr for kv, dr in zip(key, d_r))
+    if not q:
+        return key
+    out = list(key)
+    for i, a in support:
+        out[i] -= q * a
+    return tuple(out)
 
 
 def _u_orbit_sums(sys_: RootSystem, gen_roots: Sequence[int]) -> list[Key]:
@@ -298,8 +306,8 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
     ids = {start: 0}
     edges = array("l")
     for key in keys:  # FIFO: the loop reaches appended keys
-        for d_r, rr4 in reflectors:
-            img = _reflect_key(key, d_r, rr4)
+        for support, rr4 in reflectors:
+            img = _reflect_key(key, support, rr4)
             j = ids.get(img)
             if j is None:
                 j = ids[img] = len(keys)
@@ -341,17 +349,47 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
 def _frame_tables(
     sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    index = {key: i for i, key in enumerate(space.representatives)}
+    """Coset action tables of the reflections in the frame roots.
+
+    They are composed from the stored simple-reflection tables t_i: if
+    x = s_i(y) then s_x = s_i s_y s_i, so T_x[k] = t_i[T_y[t_i[k]]].  A
+    BFS over the roots from the simple roots records one such parent
+    (i, y) per root; each frame root's table is its chain conjugated
+    outwards from a simple reflection's table.
+    """
+    simple = sys_.simple_indices
+    images = [sys_.reflection_images(a) for a in simple]
+    parent: dict[int, tuple[int, int]] = {}
+    start: dict[int, int] = {}
+    for i, a in enumerate(simple):
+        start[a] = start[sys_.negation[a]] = i
+    frontier = list(start)
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for i, img in enumerate(images):
+                x = img[y]
+                if x not in start and x not in parent:
+                    parent[x] = (i, y)
+                    nxt.append(x)
+        frontier = nxt
+    t = space.action_tables
     tables = []
-    for r in frame_roots:
-        d_r, rr4 = _reflector(sys_, r)
-        tables.append(
-            tuple(
-                index[_reflect_key(key, d_r, rr4)]
-                for key in space.representatives
-            )
-        )
+    for x in frame_roots:
+        chain = []
+        while x not in start:
+            i, x = parent[x]
+            chain.append(i)
+        table = t[start[x]]
+        for i in reversed(chain):
+            table = _compose(t[i], _compose(table, t[i]))
+        tables.append(table)
     return tables
+
+
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The table k -> a[b[k]]."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
 
 
 def p_orbits(
@@ -525,18 +563,19 @@ def cache_path(
 
 
 def _write_space(space: CosetSpace, path: str) -> None:
+    # tuples encode as JSON arrays, so the stored tuples go in uncopied
     cert = space.certificate
     cert_json = None
     if cert is not None:
         cert_json = {
-            "frame_roots": list(cert.frame_roots),
-            "labels": list(cert.labels),
+            "frame_roots": cert.frame_roots,
+            "labels": cert.labels,
             "orbits": [
                 {
-                    "members": list(o.members),
-                    "a_set": list(o.a_set),
+                    "members": o.members,
+                    "a_set": o.a_set,
                     "fold": o.fold,
-                    "delta_masks": list(o.delta_masks),
+                    "delta_masks": o.delta_masks,
                 }
                 for o in cert.orbits
             ],
@@ -545,19 +584,22 @@ def _write_space(space: CosetSpace, path: str) -> None:
         "format_version": CACHE_FORMAT_VERSION,
         "type": space.type_label,
         "rank": space.rank,
-        "u_gens": [list(g) for g in space.u_gen_roots],
+        "u_gens": space.u_gen_roots,
         "u_order": space.u_order,
         "size": space.size,
-        "representatives": [list(k) for k in space.representatives],
-        "action_tables": [list(t) for t in space.action_tables],
+        "representatives": space.representatives,
+        "action_tables": space.action_tables,
         "certificate": cert_json,
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # unique per writer: concurrent builders of the same space must not
     # share a scratch file (the final replace is atomic either way)
     tmp = f"{path}.tmp{os.getpid()}"
+    # json.dumps without indent runs the C encoder; json.dump or an
+    # indent would take the pure-Python one
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write(text)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -610,7 +652,7 @@ def _load_space(
                     for o in c["orbits"]
                 ),
             )
-        return CosetSpace(
+        space = CosetSpace(
             type_label=doc["type"],
             rank=doc["rank"],
             u_gen_roots=tuple(tuple(g) for g in doc["u_gens"]),
@@ -619,10 +661,50 @@ def _load_space(
             action_tables=tuple(tuple(t) for t in doc["action_tables"]),
             certificate=cert,
         )
+        problem = _structural_problem(sys_, space, doc["size"])
     except (KeyError, TypeError) as bad:
         raise CacheFormatError(
             f"cache file {path} has a missing or malformed entry: {bad!r}"
         ) from None
+    if problem:
+        raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
+    return space
+
+
+def _structural_problem(
+    sys_: RootSystem, space: CosetSpace, size: int
+) -> Optional[str]:
+    """What makes a loaded space unusable, or None.
+
+    Frame tables are composed from the stored action tables, so each
+    must be an involutive permutation; the certificate's orbits must
+    partition the cosets with 2^|A| members each.
+    """
+    if space.size != size:
+        return f"{space.size} representatives for size {size}"
+    expected = weyl_order(sys_)
+    if size * space.u_order != expected:
+        return f"size x |U| = {size} x {space.u_order} != |W| = {expected}"
+    if len(space.action_tables) != len(sys_.simple_indices):
+        return f"{len(space.action_tables)} action tables for rank {sys_.rank}"
+    identity = tuple(range(size))
+    for i, t in enumerate(space.action_tables):
+        if len(t) != size or min(t) < 0 or max(t) >= size:
+            return f"action table {i} is not a map of range({size})"
+        if _compose(t, t) != identity:
+            return f"action table {i} is not an involutive permutation"
+    cert = space.certificate
+    if cert is not None:
+        members = sorted(m for o in cert.orbits for m in o.members)
+        if members != list(identity):
+            return "certificate orbits do not partition the cosets"
+        for oi, o in enumerate(cert.orbits):
+            if len(o.members) != 1 << len(o.a_set):
+                return (
+                    f"certificate orbit {oi} has {len(o.members)} members "
+                    f"for {len(o.a_set)} active generators"
+                )
+    return None
 
 
 _CACHE_NAME = re.compile(r"cosets-.*\.json(\.tmp\d+)?")

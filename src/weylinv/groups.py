@@ -95,17 +95,6 @@ def compose(*perms: RootPermutation) -> RootPermutation:
     return RootPermutation(tuple(result))
 
 
-def _gram(sys_: RootSystem) -> list[list[int]]:
-    cached = getattr(sys_, "_gram_cache", None)
-    if cached is None:
-        doubles = [r.doubled for r in sys_.roots]
-        cached = [
-            [sum(a * b for a, b in zip(v, w)) for w in doubles] for v in doubles
-        ]
-        sys_._gram_cache = cached  # type: ignore[attr-defined]
-    return cached
-
-
 def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
     """Raise ValueError unless images defines a sign-equivariant isometry.
 
@@ -126,7 +115,7 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
     for i in range(n):
         if images[neg[i]] != neg[images[i]]:
             raise ValueError(f"not sign-equivariant at root {i}")
-    gram = _gram(sys_)
+    gram = sys_.gram
     for b in sys_.simple_indices:
         gb, gpb = gram[b], gram[images[b]]
         for j in range(n):
@@ -279,7 +268,7 @@ def make_frame(
 ) -> OrthogonalFrame:
     """Canonicalize and validate a frame given by arbitrary root indices."""
     canon = sorted({sys_.canonical_rep[i] for i in roots})
-    gram = _gram(sys_)
+    gram = sys_.gram
     for a in range(len(canon)):
         for b in range(a + 1, len(canon)):
             if gram[canon[a]][canon[b]] != 0:
@@ -305,7 +294,7 @@ def maximal_orthogonal_frames(sys_: RootSystem) -> list[OrthogonalFrame]:
     by the root-index tuple, so the listing is deterministic.
     """
     lines = sys_.lines
-    gram = _gram(sys_)
+    gram = sys_.gram
     nlines = len(lines)
     adj = []
     for a in range(nlines):

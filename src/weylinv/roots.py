@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable
 
 from .errors import IsotropicRootError, RankMismatchError, UnsupportedSystemError
@@ -238,6 +239,8 @@ class RootSystem:
         lines: indices of the sign-canonical root of each +- pair, ascending.
         line_of: root index -> position of its line in `lines`.
         canonical_rep: root index -> index of the sign-canonical partner.
+        gram: gram[i][j] is the dot product of the doubled coordinates of
+            roots i and j, an integer equal to 4 (roots[i], roots[j]).
         notes: informational strings (e.g. the C -> B alias).
     """
 
@@ -302,20 +305,26 @@ class RootSystem:
                 raise ValueError("negation is not a perfect matching")
         # Crystallographic condition and closure under every reflection,
         # checked in pure integer arithmetic on doubled coordinates:
-        # c = 2(v,w)/(v,v) = 2*dot_d(v,w)/dot_d(v,v) and s_v(w) = w - c v.
+        # c = 2*gram[v][w]/gram[v][v] and s_v(w) = w - c v, which is w
+        # itself when c = 0.
         doubles = [r.doubled for r in roots]
-        for vd in doubles:
-            vv = sum(a * a for a in vd)
-            for wd in doubles:
-                num = 2 * sum(a * b for a, b in zip(vd, wd))
-                if num % vv:
+        index = self.index
+        gram = []
+        for i, vd in enumerate(doubles):
+            row = tuple([sum(map(mul, vd, wd)) for wd in doubles])
+            vv = row[i]
+            for wd, g in zip(doubles, row):
+                if not g:
+                    continue
+                c, rem = divmod(2 * g, vv)
+                if rem:
                     raise ValueError(
                         f"non-integral Cartan pairing between {vd} and {wd}"
                     )
-                c = num // vv
-                img = tuple(b - c * a for a, b in zip(vd, wd))
-                if img not in self.index:
+                if tuple([b - c * a for a, b in zip(vd, wd)]) not in index:
                     raise ValueError(f"not closed: s_{vd}({wd}) missing")
+            gram.append(row)
+        self.gram: tuple[tuple[int, ...], ...] = tuple(gram)
 
     def reflection_images(self, root_idx: int) -> tuple[int, ...]:
         """Root-index images of the reflection at roots[root_idx]."""

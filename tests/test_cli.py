@@ -197,6 +197,35 @@ def test_truncated_cache_file_exits_2(capsys, tmp_path):
     assert code == 2 and path.name in err
 
 
+def _swap_with_fixed_point(doc):
+    """Turn a 2-cycle of an action table into a 3-cycle through a fixed
+    point: the table stays a permutation but is no longer an involution."""
+    for table in doc["action_tables"]:
+        fixed = [k for k, j in enumerate(table) if j == k]
+        moved = [k for k, j in enumerate(table) if j != k]
+        if fixed and moved:
+            a, c = moved[0], fixed[0]
+            table[a], table[c] = table[c], table[a]
+            return
+    raise AssertionError("no table with both a 2-cycle and a fixed point")
+
+
+def _wrong_size(doc):
+    doc["size"] += 1
+
+
+@pytest.mark.parametrize("corrupt", [_swap_with_fixed_point, _wrong_size])
+def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
+    assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(capsys, "cosets", "D4")

@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+from weylinv import cosets
 from weylinv.algebra import x_monomial, zero
 from weylinv.cosets import (
     CertOrbit,
+    CosetSpace,
     FoldCertificate,
+    _frame_tables,
     _reflect_key,
     _reflector,
     build_coset_space,
@@ -71,21 +74,74 @@ def test_standard_u_gens_unknown():
         standard_u_gens(build_root_system("B", 3))
 
 
+def _reflected_tables(sys_, space, roots):
+    """Tables built by reflecting every representative (the oracle)."""
+    index = {key: i for i, key in enumerate(space.representatives)}
+    return [
+        tuple(
+            index[_reflect_key(key, *_reflector(sys_, r))]
+            for key in space.representatives
+        )
+        for r in roots
+    ]
+
+
 @pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
 def test_action_tables_match_rederived(label, rank):
     """The tables recorded from the BFS edges equal tables re-derived by
     reflecting each sorted representative."""
     sys_ = build_root_system(label, rank)
     space = build_coset_space(sys_)
-    index = {key: i for i, key in enumerate(space.representatives)}
-    rederived = tuple(
-        tuple(
-            index[_reflect_key(key, *_reflector(sys_, s))]
-            for key in space.representatives
-        )
-        for s in sys_.simple_indices
+    assert list(space.action_tables) == _reflected_tables(
+        sys_, space, sys_.simple_indices
     )
-    assert space.action_tables == rederived
+
+
+@pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
+def test_frame_tables_match_reflection(label, rank):
+    """Tables composed from the simple-reflection tables equal tables
+    built by reflecting each representative, for every root (both
+    signs of every line), not only frame members."""
+    sys_ = build_root_system(label, rank)
+    space = build_coset_space(sys_)
+    roots = range(len(sys_.roots))
+    assert _frame_tables(sys_, space, roots) == _reflected_tables(
+        sys_, space, roots
+    )
+
+
+def test_full_check_reflects_no_keys(monkeypatch):
+    sys_ = build_root_system("E", 7)
+    space = build_coset_space(sys_)
+    (_, frame), = standard_frames(sys_)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _reflect_key(*args)
+
+    monkeypatch.setattr(cosets, "_reflect_key", counting)
+    full_check(sys_, space, frame)
+    assert calls == []
+
+
+def test_sparse_reflect_key_matches_dense(d4_space):
+    sys_, space = d4_space
+    passed_through = 0
+    for r in range(len(sys_.roots)):
+        d_r = sys_.roots[r].doubled
+        rr4 = sum(a * a for a in d_r)
+        for key in space.representatives:
+            q = 2 * sum(a * b for a, b in zip(d_r, key)) // rr4
+            dense = tuple(k - q * a for k, a in zip(key, d_r))
+            image = _reflect_key(key, *_reflector(sys_, r))
+            assert image == dense
+            if q == 0:
+                assert image is key
+                passed_through += 1
+    assert passed_through > 0
+    with pytest.raises(CosetValidationError):
+        _reflect_key((1, 0, 0, 0), *_reflector(sys_, sys_.simple_indices[0]))
 
 
 def test_full_check_orbits_match_p_orbits():
@@ -266,6 +322,20 @@ def test_cache_format_version_rejected(tmp_path, d4_space):
     with pytest.raises(CacheFormatError, match="u_order") as bad:
         build_coset_space(sys_, cache_dir=cache)
     assert path in str(bad.value)
+
+
+def test_indented_cache_file_loads(tmp_path, d4_space):
+    """Files written with indent=2 by older versions still load."""
+    sys_, _ = d4_space
+    cache = str(tmp_path)
+    built = build_coset_space(sys_, cache_dir=cache)
+    path = cache_path(sys_, standard_u_gens(sys_), cache)
+    with open(path) as fh:
+        doc = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+    loaded = build_coset_space(sys_, cache_dir=cache)
+    assert isinstance(loaded, CosetSpace) and loaded == built
 
 
 def test_cached_certificate_reused(tmp_path):

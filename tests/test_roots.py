@@ -12,6 +12,7 @@ from weylinv.errors import (
     UnsupportedSystemError,
 )
 from weylinv.roots import (
+    RootSystem,
     RootVector,
     build_root_system,
     cartan_integer,
@@ -157,3 +158,26 @@ def test_json_export_roundtrip():
     ]
     # canonical output is stable
     assert roots_to_json(sys_) == roots_to_json(build_root_system("B", 2))
+
+
+@pytest.mark.parametrize(
+    "label,rank", [("A", 3), ("B", 3), ("D", 4), ("F", 4), ("E", 6)]
+)
+def test_gram_matches_dot_products(label, rank):
+    sys_ = build_root_system(label, rank)
+    assert sys_.gram == tuple(
+        tuple(sum(a * b for a, b in zip(v.doubled, w.doubled)) for w in sys_.roots)
+        for v in sys_.roots
+    )
+
+
+def test_validate_rejects_unclosed_root_set():
+    sys_ = build_root_system("D", 4)
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    # drop one non-simple root together with its negative, so that the
+    # negation pairing still holds and only closure can fail
+    dropped = v(2, 2, 0, 0)
+    assert dropped.doubled in sys_.index and dropped not in simple
+    kept = [r for r in sys_.roots if r not in (dropped, -dropped)]
+    with pytest.raises(ValueError, match="not closed"):
+        RootSystem("D", 4, kept, simple)
