@@ -5,14 +5,23 @@ vector in the root lattice fixed by U and orthogonal to no root outside
 the subsystem Sigma_U.  The stabiliser of a vector in a reflection group
 is generated by the reflections fixing it, so that orthogonality
 condition makes the stabiliser exactly U and the key map injective on
-cosets.  This keeps E8 tractable: the 17280 cosets are found by BFS on
-8-tuples of integers instead of walking 7 x 10^8 group elements.  The
-order identity |orbit| x |U| = |W| is still re-checked at build time.
+cosets.  This keeps E8 tractable: the 17280 cosets are found by a BFS
+over the simple reflections instead of walking 7 x 10^8 group elements.
+The BFS runs on each key's Dynkin labels packed into one int, where a
+simple reflection is a field read and one subtraction (_label_bfs); the
+doubled-coordinate key is built once per new coset from its parent.
+|U| is never enumerated either: a chain of root orbits gives it as
+|U r| x |Stab_U(r)|, the stabiliser again a reflection group by
+Steinberg's theorem.  The order identity |orbit| x |U| = |W| is still
+re-checked at build time.
 
 Frame actions on the cosets decompose into orbits whose sizes are powers
 of two; the fold certificate records, per orbit, the generator subset
 that acts simply transitively, which is exactly the datum needed to
-place the associated form in a power of the fundamental ideal.
+place the associated form in a power of the fundamental ideal.  Once the
+frame tables are checked to be commuting involutions, that subset is
+read off one point of the orbit, and the orbit's fold and delta masks
+follow from it (see full_check).
 """
 from __future__ import annotations
 
@@ -22,7 +31,8 @@ import os
 import re
 from array import array
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from math import isqrt
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .algebra import KInvariant
@@ -31,8 +41,8 @@ from .errors import (
     CertificateError,
     CosetValidationError,
 )
-from .forms import OrbitPfister, OrbitPfisterDecomp, e_fold, form_of_permutation_action
-from .groups import RootPermutation, enumerate_subgroup, root_label, weyl_order
+from .forms import OrbitPfister, OrbitPfisterDecomp, e_fold
+from .groups import root_label, weyl_order
 from .roots import RootSystem
 
 __all__ = [
@@ -52,10 +62,8 @@ __all__ = [
 ]
 
 CACHE_FORMAT_VERSION = 1
-U_ELEMENT_CAP = 100_000
 
 Key = tuple[int, ...]
-Support = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -140,89 +148,137 @@ def standard_u_gens(sys_: RootSystem) -> tuple[int, ...]:
     raise ValueError(f"no standard coset subgroup recorded for {label}{n}")
 
 
-def _closure_lines(sys_: RootSystem, gen_roots: Sequence[int]) -> list[int]:
-    """Line positions of the reflection-closed subsystem Sigma_U."""
-    from .roots import reflect
-
-    roots = {sys_.roots[sys_.canonical_rep[g]] for g in gen_roots}
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for r in list(roots):
-            for s in frontier:
-                img = reflect(r, s).sign_canonical()
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    positions = sorted(sys_.line_of[sys_.root_index(r)] for r in roots)
-    return positions
+def _root_orbit(
+    images: Sequence[Sequence[int]], start: Sequence[int], seen: set[int]
+) -> list[int]:
+    """Roots reached from start under the reflection tables images, in
+    BFS order; each is added to seen, and roots already in it are not
+    revisited."""
+    orbit = [r for r in start if r not in seen]
+    seen.update(orbit)
+    for r in orbit:  # FIFO: the loop reaches appended roots
+        for img in images:
+            s = img[r]
+            if s not in seen:
+                seen.add(s)
+                orbit.append(s)
+    return orbit
 
 
-def _enumerate_u_order(
-    sys_: RootSystem, gen_roots: Sequence[int], domain_lines: list[int]
-) -> int:
-    """|U| by BFS on the subsystem's own roots (faithful restriction)."""
-    domain = []
-    for pos in domain_lines:
-        r = sys_.lines[pos]
-        domain.append(r)
-        domain.append(sys_.negation[r])
-    domain.sort()
-    local = {r: i for i, r in enumerate(domain)}
-    gens = []
-    for g in gen_roots:
-        images = sys_.reflection_images(g)
-        gens.append(RootPermutation(tuple(local[images[r]] for r in domain)))
-    return enumerate_subgroup(gens, element_cap=U_ELEMENT_CAP).order
+def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
+    """|W(Sigma)| for a reflection-closed set of roots, without
+    enumerating the group.
+
+    Orbit-stabiliser on a root r gives |W| = |W r| x |Stab(r)|, and by
+    Steinberg's theorem Stab(r) is generated by the reflections fixing
+    r, i.e. it is the reflection group of the roots of Sigma orthogonal
+    to r, again reflection-closed.  Repeat until no roots are left; for
+    the S8 inside E8 the chain is 56 x 30 x 12 x 2.
+    """
+    images = {r: sys_.reflection_images(r) for r in roots if sys_.canonical_rep[r] == r}
+    order = 1
+    left = list(roots)
+    while left:
+        mirrors = [images[r] for r in left if r in images]
+        orbit = _root_orbit(mirrors, left[:1], set())
+        order *= len(orbit)
+        row = sys_.gram[orbit[0]]
+        left = [r for r in left if not row[r]]
+    return order
 
 
-def _reflector(sys_: RootSystem, root_idx: int) -> tuple[Support, int]:
-    """(nonzero (coordinate, value) pairs of the doubled root, squared
-    length x 4) for fast integral reflections."""
-    d = sys_.roots[root_idx].doubled
-    return tuple((i, a) for i, a in enumerate(d) if a), sum(a * a for a in d)
+def _labels(simple: Sequence[Key], vec: Key) -> list[int]:
+    """Dynkin labels c_i = 2(v, a_i)/(a_i, a_i) of the doubled vector vec
+    over the doubled simple roots.
+
+    Raises CosetValidationError when one is not an integer, i.e. when
+    vec lies outside the weight lattice.
+    """
+    out = []
+    for a in simple:
+        c, rem = divmod(2 * sum(map(mul, a, vec)), sum(map(mul, a, a)))
+        if rem:
+            raise CosetValidationError(
+                f"coset key {vec} has a non-integral label against the simple "
+                f"root {a}: it lies outside the weight lattice"
+            )
+        out.append(c)
+    return out
 
 
-def _reflect_key(key: Key, support: Support, rr4: int) -> Key:
-    # s_r(v) = v - (2(r,v)/(r,r)) r; with both in doubled coordinates the
-    # coefficient is 2 * <d_r, key> / <d_r, d_r>, an integer whenever key
-    # lies in the root lattice.  Only the root's support takes part.
-    q, rem = divmod(2 * sum(key[i] * a for i, a in support), rr4)
-    if rem:
-        raise CosetValidationError("coset key left the root lattice")
-    if not q:
-        return key
-    out = list(key)
-    for i, a in support:
-        out[i] -= q * a
-    return tuple(out)
+def _label_width(simple: Sequence[Key], vec: Key) -> int:
+    """Bits per packed label for the W-orbit of vec (see _label_bfs)."""
+    vv = sum(map(mul, vec, vec))
+    bound = max(isqrt(4 * vv // sum(map(mul, a, a))) for a in simple)
+    return bound.bit_length() + 1
 
 
-def _u_orbit_sums(sys_: RootSystem, gen_roots: Sequence[int]) -> list[Key]:
-    """Sum of roots over each U-orbit, in BFS discovery order."""
-    images = [sys_.reflection_images(g) for g in gen_roots]
+def _label_bfs(sys_: RootSystem, start: Key) -> tuple[list[Key], array]:
+    """The W-orbit of start by BFS over the simple reflections.
+
+    Returns the orbit's doubled-coordinate vectors in discovery order
+    and the BFS edges: edges[k * rank + i] is the BFS id of s_i applied
+    to vector k.
+
+    The BFS runs on packed Dynkin labels.  A vector v with labels c_j is
+    the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels of
+    s_i(v) are c_j - c_i A_ij, where A_ij = 2(a_i, a_j)/(a_j, a_j), so
+    the image key is key - c_i row_i, row_i = sum_j A_ij 2^(w j), and
+    c_i is read off field i.  This is exact: by Cauchy-Schwarz
+    c_j^2 <= 4(v, v)/(a_j, a_j), and (v, v) is W-invariant, so w is
+    taken with off > max_j sqrt(4(v, v)/(a_j, a_j)) and every label of
+    every orbit vector has c_j + off in [1, 2^w - 1].  Each key is then
+    the base-2^w expansion of its labels, field reads are exact, and two
+    keys agree exactly when the labels do, that is (v lies in the span of
+    the roots) when the vectors do.  Integer labels stay integral under
+    integer Cartan rows, so the lattice check on start covers the orbit.
+    Each new vector is its parent minus c_i a_i over a_i's support.
+    """
+    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    width = _label_width(simple, start)
+    off, mask = 1 << (width - 1), (1 << width) - 1
+    steps = [
+        (
+            width * i,
+            sum(c << (width * j) for j, c in enumerate(_labels(simple, a))),
+            tuple((p, x) for p, x in enumerate(a) if x),
+        )
+        for i, a in enumerate(simple)
+    ]
+    first = sum((c + off) << (width * j) for j, c in enumerate(_labels(simple, start)))
+    keys = [first]
+    ids = {first: 0}
+    vectors = [start]
+    edges = array("l")
+    for k, key in enumerate(keys):  # FIFO: the loop reaches appended keys
+        for shift, row, support in steps:
+            q = ((key >> shift) & mask) - off
+            if not q:
+                edges.append(k)
+                continue
+            img = key - q * row
+            j = ids.get(img)
+            if j is None:
+                j = ids[img] = len(keys)
+                keys.append(img)
+                vec = list(vectors[k])
+                for p, x in support:
+                    vec[p] -= q * x
+                vectors.append(tuple(vec))
+            edges.append(j)
+    return vectors, edges
+
+
+def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
+    """Sum of roots over each U-orbit, orbits ordered by least root."""
     ambient = len(sys_.roots[0].doubled)
-    seen = [False] * len(sys_.roots)
+    seen: set[int] = set()
     sums = []
     for start in range(len(sys_.roots)):
-        if seen[start]:
+        if start in seen:
             continue
-        seen[start] = True
-        orbit = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for img in images:
-                    s = img[r]
-                    if not seen[s]:
-                        seen[s] = True
-                        orbit.append(s)
-                        nxt.append(s)
-            frontier = nxt
         vec = [0] * ambient
-        for r in orbit:
+        for r in _root_orbit(images, (start,), seen):
             for i, d in enumerate(sys_.roots[r].doubled):
                 vec[i] += d
         sums.append(tuple(vec))
@@ -230,19 +286,19 @@ def _u_orbit_sums(sys_: RootSystem, gen_roots: Sequence[int]) -> list[Key]:
 
 
 def _invariant_vector(
-    sys_: RootSystem, gen_roots: Sequence[int], domain_lines: list[int]
+    sys_: RootSystem, images: Sequence[Sequence[int]], domain_lines: set[int]
 ) -> Key:
     """A root-lattice vector whose stabiliser in W is exactly U.
 
-    Candidates are weighted sums of the U-orbit sums of the roots (each
-    summand is U-invariant and lies in the root lattice).  A candidate
-    is accepted when the set of roots orthogonal to it is precisely
-    Sigma_U: by Steinberg's theorem the stabiliser of a vector is
-    generated by the reflections fixing it, so acceptance proves
-    Stab(v) = U and the coset key g^{-1}(v) is collision-free.
+    images are the reflection tables of U's generators.  Candidates are
+    weighted sums of the U-orbit sums of the roots (each summand is
+    U-invariant and lies in the root lattice).  A candidate is accepted
+    when the set of roots orthogonal to it is precisely Sigma_U: by
+    Steinberg's theorem the stabiliser of a vector is generated by the
+    reflections fixing it, so acceptance proves Stab(v) = U and the
+    coset key g^{-1}(v) is collision-free.
     """
-    sums = _u_orbit_sums(sys_, gen_roots)
-    wanted = set(domain_lines)
+    sums = _u_orbit_sums(sys_, images)
     for t in range(1, 65):
         vec = [0] * len(sums[0])
         weight = 1
@@ -260,7 +316,7 @@ def _invariant_vector(
             )
             == 0
         }
-        if perp == wanted:
+        if perp == domain_lines:
             return tuple(vec)
     raise CosetValidationError(
         "no generic invariant vector found; the orbit-sum family does not "
@@ -295,40 +351,31 @@ def build_coset_space(
 
 
 def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
-    domain_lines = _closure_lines(sys_, u_gen_roots)
-    u_order = _enumerate_u_order(sys_, u_gen_roots, domain_lines)
-    start = _invariant_vector(sys_, u_gen_roots, domain_lines)
-    reflectors = [_reflector(sys_, i) for i in sys_.simple_indices]
-    # BFS that records its edges: keys[k] is the k-th key found, and
-    # edges[k * ngen + g] the BFS id of its image under simple reflector g
-    ngen = len(reflectors)
-    keys = [start]
-    ids = {start: 0}
-    edges = array("l")
-    for key in keys:  # FIFO: the loop reaches appended keys
-        for support, rr4 in reflectors:
-            img = _reflect_key(key, support, rr4)
-            j = ids.get(img)
-            if j is None:
-                j = ids[img] = len(keys)
-                keys.append(img)
-            edges.append(j)
-    size = len(keys)
+    images = [sys_.reflection_images(g) for g in u_gen_roots]
+    # Sigma_U is the U-orbit of the generators' roots: each member is
+    # u(g), and s_u(g) = u s_g u^-1 lies in U, so the orbit is closed
+    # under reflecting its members in each other
+    sigma_u = sorted(_root_orbit(images, u_gen_roots, set()))
+    u_order = _reflection_group_order(sys_, sigma_u)
+    start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
+    vectors, edges = _label_bfs(sys_, start)
+    ngen = len(sys_.simple_indices)
+    size = len(vectors)
     expected = weyl_order(sys_)
     if size * u_order != expected:
         raise CosetValidationError(
             f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
             "the coset enumeration is inconsistent with the group order"
         )
-    order = sorted(range(size), key=keys.__getitem__)  # sorted pos -> BFS id
-    reps = tuple(keys[k] for k in order)
+    order = sorted(range(size), key=vectors.__getitem__)  # sorted pos -> BFS id
+    reps = tuple(vectors[k] for k in order)
     position = [0] * size  # BFS id -> sorted pos
     for i, k in enumerate(order):
         position[k] = i
     tables = []
     for g in range(ngen):
-        images = edges[g::ngen]
-        table = tuple(position[images[k]] for k in order)
+        column = edges[g::ngen]
+        table = tuple(position[column[k]] for k in order)
         if sorted(table) != list(range(size)):
             raise CosetValidationError("action table is not a bijection")
         tables.append(table)
@@ -392,6 +439,14 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
 
 
+def _is_involution(t: Sequence[int], identity: tuple[int, ...]) -> bool:
+    """Is t an involutive permutation of range(len(identity))?"""
+    size = len(identity)
+    return (
+        len(t) == size and min(t) >= 0 and max(t) < size and _compose(t, t) == identity
+    )
+
+
 def p_orbits(
     sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
 ) -> list[tuple[int, ...]]:
@@ -432,6 +487,17 @@ def full_check(
     certificate requires |O_k| = 2^|A_k|, which pins the orbit's form to
     an |A_k|-fold Pfister class.  There is no a-priori reason for this
     to hold; failure raises CertificateError naming the orbit.
+
+    The frame tables are checked once to be commuting involutive
+    permutations, so they generate an elementary abelian 2-group G.  G
+    acts on each orbit through a quotient that is regular (an abelian
+    transitive action has one stabiliser, the kernel), so a generator
+    fixing one point of the orbit fixes all of it and A_k is read off a
+    single point.  The active generators map onto that quotient, which
+    has |O_k| = 2^|A_k| elements, so they stay independent in it and
+    the kernel in F2^frame is spanned by the inactive generators.  Its
+    annihilator, the orbit's delta masks, is spanned by the active
+    ones: fold |A_k|, masks 1 << i for i in A_k.
     """
     frame_roots = tuple(frame_roots)
     if space.certificate is not None and _same_frame(
@@ -440,31 +506,33 @@ def full_check(
         return space.certificate
     labels = tuple(root_label(sys_, r) for r in frame_roots)
     tables = _frame_tables(sys_, space, frame_roots)
-    orbits = _orbits(tables, space.size)
+    identity = tuple(range(space.size))
+    for i, t in enumerate(tables):
+        if not _is_involution(t, identity):
+            raise CertificateError(
+                f"the reflection in {labels[i]} is not an involution on the cosets"
+            )
+        for j in range(i):
+            if _compose(t, tables[j]) != _compose(tables[j], t):
+                raise CertificateError(
+                    f"the reflections in {labels[j]} and {labels[i]} do not "
+                    "commute on the cosets: the roots are not orthogonal"
+                )
     cert_orbits = []
-    for oi, members in enumerate(orbits):
-        relabel = {m: j for j, m in enumerate(members)}
-        local = [
-            tuple(relabel[t[m]] for m in members) for t in tables
-        ]
-        a_set = tuple(
-            i for i, g in enumerate(local) if any(g[j] != j for j in range(len(members)))
-        )
+    for oi, members in enumerate(_orbits(tables, space.size)):
+        base = members[0]
+        a_set = tuple(i for i, t in enumerate(tables) if t[base] != base)
         if (1 << len(a_set)) != len(members):
             raise CertificateError(
                 f"orbit {oi} (size {len(members)}) is not simply transitive "
                 f"under its {len(a_set)} active generators"
             )
-        decomp = form_of_permutation_action(local, labels)
-        if len(decomp.orbits) != 1:
-            raise AssertionError("orbit decomposed further; partition bug")
-        pf = decomp.orbits[0]
         cert_orbits.append(
             CertOrbit(
                 members=members,
                 a_set=a_set,
-                fold=pf.fold,
-                delta_masks=pf.delta_masks,
+                fold=len(a_set),
+                delta_masks=tuple(1 << i for i in a_set),
             )
         )
     if sum(len(o.members) for o in cert_orbits) != space.size:
@@ -678,7 +746,9 @@ def _structural_problem(
 
     Frame tables are composed from the stored action tables, so each
     must be an involutive permutation; the certificate's orbits must
-    partition the cosets with 2^|A| members each.
+    partition the cosets with 2^|A| members each, A must be increasing
+    frame positions, and the fold and delta masks are those full_check
+    derives from A.
     """
     if space.size != size:
         return f"{space.size} representatives for size {size}"
@@ -689,20 +759,32 @@ def _structural_problem(
         return f"{len(space.action_tables)} action tables for rank {sys_.rank}"
     identity = tuple(range(size))
     for i, t in enumerate(space.action_tables):
-        if len(t) != size or min(t) < 0 or max(t) >= size:
-            return f"action table {i} is not a map of range({size})"
-        if _compose(t, t) != identity:
-            return f"action table {i} is not an involutive permutation"
+        if not _is_involution(t, identity):
+            return f"action table {i} is not an involutive permutation of range({size})"
     cert = space.certificate
     if cert is not None:
         members = sorted(m for o in cert.orbits for m in o.members)
         if members != list(identity):
             return "certificate orbits do not partition the cosets"
+        positions = range(len(cert.frame_roots))
         for oi, o in enumerate(cert.orbits):
             if len(o.members) != 1 << len(o.a_set):
                 return (
                     f"certificate orbit {oi} has {len(o.members)} members "
                     f"for {len(o.a_set)} active generators"
+                )
+            if list(o.a_set) != sorted(set(o.a_set)) or not all(
+                i in positions for i in o.a_set
+            ):
+                return (
+                    f"certificate orbit {oi} has a_set {o.a_set}, not increasing "
+                    f"positions of its {len(positions)} frame roots"
+                )
+            masks = tuple(1 << i for i in o.a_set)
+            if o.fold != len(o.a_set) or o.delta_masks != masks:
+                return (
+                    f"certificate orbit {oi} has fold {o.fold} and delta masks "
+                    f"{o.delta_masks} for a_set {o.a_set}"
                 )
     return None
 

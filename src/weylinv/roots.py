@@ -327,14 +327,21 @@ class RootSystem:
         self.gram: tuple[tuple[int, ...], ...] = tuple(gram)
 
     def reflection_images(self, root_idx: int) -> tuple[int, ...]:
-        """Root-index images of the reflection at roots[root_idx]."""
+        """Root-index images of the reflection at roots[root_idx].
+
+        The Cartan integers come from the Gram row; a root orthogonal to
+        roots[root_idx] is its own image.
+        """
         vd = self.roots[root_idx].doubled
-        vv = sum(a * a for a in vd)
+        row = self.gram[root_idx]
+        vv = row[root_idx]
+        index = self.index
         out = []
-        for w in self.roots:
-            wd = w.doubled
-            c = 2 * sum(a * b for a, b in zip(vd, wd)) // vv
-            out.append(self.index[tuple(b - c * a for a, b in zip(vd, wd))])
+        for j, (w, g) in enumerate(zip(self.roots, row)):
+            if g:
+                c = 2 * g // vv
+                j = index[tuple([b - c * a for a, b in zip(vd, w.doubled)])]
+            out.append(j)
         return tuple(out)
 
 

@@ -82,6 +82,35 @@ def test_cosets_with_explicit_generators(capsys):
     assert code == 2 and "not a doubled root" in err
 
 
+def test_fullcheck_non_orthogonal_roots_exits_1(capsys):
+    code, out, err = run(
+        capsys, "fullcheck", "D4", "--root", "2,-2,0,0", "--root", "0,2,-2,0"
+    )
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+
+
+E7_IN_E8 = (
+    "1,-1,-1,-1,-1,-1,-1,1", "2,2,0,0,0,0,0,0", "-2,2,0,0,0,0,0,0",
+    "0,-2,2,0,0,0,0,0", "0,0,-2,2,0,0,0,0", "0,0,0,-2,2,0,0,0",
+    "0,0,0,0,-2,2,0,0",
+)
+
+
+def test_cosets_u_above_enumeration_range(capsys):
+    """U = W(E7) inside E8 has 2,903,040 elements; its order comes from
+    the root-orbit chain, not from enumerating it.  Coordinate lists
+    starting with a minus sign are passed as --u-root=..."""
+    code, out, err = run(
+        capsys, "cosets", "E8", *(f"--u-root={c}" for c in E7_IN_E8), "--json"
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["cosets"] == 240
+    assert payload["u_order"] == 2903040
+    assert payload["group_order"] == 696729600
+
+
 def test_fullcheck_d4(capsys, tmp_path):
     code, out, _ = run(capsys, "fullcheck", "D4", "--cache-dir", str(tmp_path))
     lines = out.splitlines()
@@ -214,7 +243,14 @@ def _wrong_size(doc):
     doc["size"] += 1
 
 
-@pytest.mark.parametrize("corrupt", [_swap_with_fixed_point, _wrong_size])
+def _zeroed_delta_mask(doc):
+    """Well-formed but wrong: the orbit keeps its members and a_set."""
+    doc["certificate"]["orbits"][0]["delta_masks"][0] = 0
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_swap_with_fixed_point, _wrong_size, _zeroed_delta_mask]
+)
 def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +13,11 @@ from weylinv.cosets import (
     CosetSpace,
     FoldCertificate,
     _frame_tables,
-    _reflect_key,
-    _reflector,
+    _label_bfs,
+    _label_width,
+    _labels,
+    _reflection_group_order,
+    _root_orbit,
     build_coset_space,
     cache_path,
     clear_cache,
@@ -24,7 +28,14 @@ from weylinv.cosets import (
     standard_u_gens,
 )
 from weylinv.errors import CacheFormatError, CertificateError, CosetValidationError
-from weylinv.groups import standard_frames
+from weylinv.forms import form_of_permutation_action
+from weylinv.groups import (
+    RootPermutation,
+    enumerate_subgroup,
+    maximal_orthogonal_frames,
+    standard_frames,
+    weyl_order,
+)
 from weylinv.roots import build_root_system
 
 D4_LABELS = ("a1", "b1", "a2", "b2")
@@ -74,6 +85,27 @@ def test_standard_u_gens_unknown():
         standard_u_gens(build_root_system("B", 3))
 
 
+def _reflector(sys_, root_idx):
+    """(nonzero (coordinate, value) pairs of the doubled root, squared
+    length x 4): the reflection oracle's view of a root."""
+    d = sys_.roots[root_idx].doubled
+    return tuple((i, a) for i, a in enumerate(d) if a), sum(a * a for a in d)
+
+
+def _reflect_key(key, support, rr4):
+    """s_r(key) in doubled coordinates, over the root's support only: the
+    reflection oracle the packed-label kernel is checked against."""
+    q, rem = divmod(2 * sum(key[i] * a for i, a in support), rr4)
+    if rem:
+        raise CosetValidationError("coset key left the root lattice")
+    if not q:
+        return key
+    out = list(key)
+    for i, a in support:
+        out[i] -= q * a
+    return tuple(out)
+
+
 def _reflected_tables(sys_, space, roots):
     """Tables built by reflecting every representative (the oracle)."""
     index = {key: i for i, key in enumerate(space.representatives)}
@@ -111,21 +143,29 @@ def test_frame_tables_match_reflection(label, rank):
 
 
 def test_full_check_reflects_no_keys(monkeypatch):
+    """full_check reads the stored tables: the packed-label kernel (the
+    only code that reflects coset keys) is never entered."""
     sys_ = build_root_system("E", 7)
     space = build_coset_space(sys_)
     (_, frame), = standard_frames(sys_)
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return _reflect_key(*args)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(cosets, "_reflect_key", counting)
+        return wrapper
+
+    for name in ("_label_bfs", "_labels"):
+        monkeypatch.setattr(cosets, name, counting(name, getattr(cosets, name)))
     full_check(sys_, space, frame)
     assert calls == []
 
 
 def test_sparse_reflect_key_matches_dense(d4_space):
+    """The reflection oracle against the dense formula for every D4 root
+    x key, and every edge of the packed-label kernel against it."""
     sys_, space = d4_space
     passed_through = 0
     for r in range(len(sys_.roots)):
@@ -142,6 +182,148 @@ def test_sparse_reflect_key_matches_dense(d4_space):
     assert passed_through > 0
     with pytest.raises(CosetValidationError):
         _reflect_key((1, 0, 0, 0), *_reflector(sys_, sys_.simple_indices[0]))
+    vectors, edges = _label_bfs(sys_, space.representatives[0])
+    rank = len(sys_.simple_indices)
+    self_loops = 0
+    for k, key in enumerate(vectors):
+        for i, r in enumerate(sys_.simple_indices):
+            image = _reflect_key(key, *_reflector(sys_, r))
+            assert vectors[edges[k * rank + i]] == image
+            # a q == 0 edge is a self-loop, and only those are
+            assert (edges[k * rank + i] == k) == (image is key)
+            self_loops += image is key
+    assert self_loops > 0
+
+
+def test_non_lattice_start_vector_rejected():
+    sys_ = build_root_system("D", 4)
+    with pytest.raises(CosetValidationError, match="weight lattice"):
+        _label_bfs(sys_, (1, 0, 0, 0))
+
+
+def _dense_orbit(sys_, start):
+    """The sorted W-orbit of start by a BFS that reflects each key with
+    the oracle."""
+    reflectors = [_reflector(sys_, r) for r in sys_.simple_indices]
+    keys = [start]
+    seen = {start}
+    for key in keys:
+        for support, rr4 in reflectors:
+            image = _reflect_key(key, support, rr4)
+            if image not in seen:
+                seen.add(image)
+                keys.append(image)
+    return tuple(sorted(keys))
+
+
+@pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
+def test_label_bfs_matches_dense(label, rank):
+    sys_ = build_root_system(label, rank)
+    space = build_coset_space(sys_)
+    assert _dense_orbit(sys_, space.representatives[-1]) == space.representatives
+    assert list(space.action_tables) == _reflected_tables(
+        sys_, space, sys_.simple_indices
+    )
+
+
+def test_e8_labels_inside_field_bound():
+    """Every packed label of the E8 space lies strictly inside its field:
+    |c_j| < 2^(w-1), with w from the W-invariant Cauchy-Schwarz bound."""
+    sys_ = build_root_system("E", 8)
+    space = build_coset_space(sys_)
+    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    width = _label_width(simple, space.representatives[0])
+    off = 1 << (width - 1)
+    biggest = max(
+        abs(c) for key in space.representatives for c in _labels(simple, key)
+    )
+    assert 0 < biggest < off
+    # the bound is W-invariant: every representative gives the same width
+    assert {_label_width(simple, key) for key in space.representatives} == {width}
+
+
+def _sigma_u(sys_, u_gens):
+    images = [sys_.reflection_images(g) for g in u_gens]
+    return sorted(_root_orbit(images, u_gens, set()))
+
+
+def _enumerated_u_order(sys_, u_gens):
+    """|U| by enumerating U on its own roots (faithful restriction)."""
+    domain = _sigma_u(sys_, u_gens)
+    local = {r: i for i, r in enumerate(domain)}
+    gens = [
+        RootPermutation(tuple(local[sys_.reflection_images(g)[r]] for r in domain))
+        for g in u_gens
+    ]
+    return enumerate_subgroup(gens, element_cap=10**6).order
+
+
+def _custom_u(label, rank):
+    sys_ = build_root_system(label, rank)
+    if label == "D":  # <s_{e1-e2}, s_{e3-e4}>: 48 cosets
+        return sys_, (sys_.index[(2, -2, 0, 0)], sys_.index[(0, 0, 2, -2)])
+    return sys_, sys_.simple_indices[1:]  # E6 without its first node: 72 cosets
+
+
+@pytest.mark.parametrize(
+    "label,rank,custom",
+    [("D", 4, False), ("D", 6, False), ("D", 8, False), ("E", 7, False),
+     ("E", 8, False), ("D", 4, True), ("E", 6, True)],
+)
+def test_u_order_chain_matches_enumeration(label, rank, custom):
+    if custom:
+        sys_, u_gens = _custom_u(label, rank)
+    else:
+        sys_ = build_root_system(label, rank)
+        u_gens = standard_u_gens(sys_)
+    order = _enumerated_u_order(sys_, u_gens)
+    assert _reflection_group_order(sys_, _sigma_u(sys_, u_gens)) == order
+    space = build_coset_space(sys_, u_gens)
+    assert space.u_order == order
+    assert space.size * order == weyl_order(sys_)
+
+
+def test_closure_matches_mutual_reflection():
+    """Sigma_U as an orbit equals the closure of the generators' roots
+    under reflecting them in each other."""
+    from weylinv.roots import reflect
+
+    for label, rank in (("D", 6), ("E", 7)):
+        sys_ = build_root_system(label, rank)
+        gens = standard_u_gens(sys_)
+        closed = {sys_.roots[g] for g in gens}
+        while True:
+            more = {reflect(r, s) for r in closed for s in closed} - closed
+            if not more:
+                break
+            closed |= more
+        assert sorted(sys_.root_index(r) for r in closed) == _sigma_u(sys_, gens)
+
+
+def _frames(sys_):
+    """The standard frames and three further maximal frames."""
+    frames = [f for _, f in standard_frames(sys_)]
+    found = [f.root_indices for f in maximal_orthogonal_frames(sys_)]
+    return frames + [found[0], found[len(found) // 2], found[-1]]
+
+
+@pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
+def test_full_check_matches_permutation_forms(label, rank):
+    """Each certificate orbit equals form_of_permutation_action on the
+    orbit's relabelled local tables."""
+    sys_ = build_root_system(label, rank)
+    space = build_coset_space(sys_)
+    for frame in _frames(sys_):
+        cert = full_check(sys_, space, frame)
+        tables = _frame_tables(sys_, space, frame)
+        for o in cert.orbits:
+            relabel = {m: j for j, m in enumerate(o.members)}
+            local = [tuple(relabel[t[m]] for m in o.members) for t in tables]
+            a_set = tuple(
+                i for i, g in enumerate(local) if any(g[j] != j for j in range(len(g)))
+            )
+            (pf,) = form_of_permutation_action(local, cert.labels).orbits
+            assert (o.a_set, o.fold, o.delta_masks) == (a_set, pf.fold, pf.delta_masks)
 
 
 def test_full_check_orbits_match_p_orbits():
@@ -241,6 +423,15 @@ def test_fold_failure_reported():
     a1 = frame[0]
     with pytest.raises(CertificateError):
         full_check(sys_, space, (a1, a1, frame[1]))
+    # roots that are not orthogonal: their reflections do not commute
+    pair = (sys_.index[(2, -2, 0, 0)], sys_.index[(0, 2, -2, 0)])
+    with pytest.raises(CertificateError, match="do not commute"):
+        full_check(sys_, space, pair)
+    # a stored table that is a permutation but not an involution
+    rotated = tuple((k + 1) % space.size for k in range(space.size))
+    broken = replace(space, action_tables=(rotated,) * len(space.action_tables))
+    with pytest.raises(CertificateError, match="not an involution"):
+        full_check(sys_, broken, frame)
 
 
 def test_e7_coset_space():
