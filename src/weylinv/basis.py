@@ -58,8 +58,9 @@ from .forms import (
     expand_to_diagonal,
     form_of_linear_action,
     form_of_permutation_action,
-    modified_sw,
-    sw_class,
+    _modified_from_twisted,
+    total_sw,
+    twist_by_two,
 )
 from .groups import (
     OrthogonalFrame,
@@ -313,15 +314,17 @@ def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
     memo holds this frame's diagonal forms, keyed by recipe kind
     ("linear", a points value or a projection value), so that every
     element restricted with the same memo diagonalizes each form once.
-    One memo serves one frame of one system: callers create a fresh dict
-    per frame and drop it with the frame.
+    Next to each form it holds the form's total Stiefel-Whitney class and
+    that of its <2>-twist (see _sw_degree).  One memo serves one frame
+    of one system: callers create a fresh dict per frame and drop it
+    with the frame.
     """
     r = inv.recipe
     if isinstance(r, ReflectionSW):
         form = memo.get("linear")
         if form is None:
             form = memo["linear"] = form_of_linear_action(sys_, roots, labels)
-        return modified_sw(form, r.d) if r.modified else sw_class(form, r.d)
+        return _sw_degree(memo, "linear", form, r.d, r.modified)
     if isinstance(r, PermutationSW):
         diag = memo.get(r.points)
         if diag is None:
@@ -335,7 +338,7 @@ def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
             diag = memo[r.points] = expand_to_diagonal(
                 form_of_permutation_action(gens, labels)
             )
-        return modified_sw(diag, r.d) if r.modified else sw_class(diag, r.d)
+        return _sw_degree(memo, r.points, diag, r.d, r.modified)
     if isinstance(r, ProjectionSW):
         if r.projection.startswith("sign:"):
             return x_monomial(labels, (r.projection[5:],))
@@ -351,7 +354,7 @@ def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
             diag = memo[r.projection] = expand_to_diagonal(
                 form_of_permutation_action(gens, labels)
             )
-        return modified_sw(diag, r.d)
+        return _sw_degree(memo, r.projection, diag, r.d, True)
     if isinstance(r, FoldInvariant):
         cert = _fold_certificate(sys_, roots, cache_dir)
         return f_restriction(cert, r.m)
@@ -367,6 +370,24 @@ def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
             term = term * _restrict(f, roots, labels, sys_, cache_dir, memo)
         acc = acc + term
     return acc
+
+
+def _sw_degree(memo, key, form, d: int, modified: bool) -> KInvariant:
+    """sw_class(form, d), or modified_sw(form, d) if modified, for the
+    form held at memo[key].
+
+    The total class (of the form, or of its <2>-twist when modified) is
+    multiplied out once per frame and kept at memo[(key, modified)];
+    every degree is read off it.
+    """
+    total = memo.get((key, modified))
+    if total is None:
+        total = memo[(key, modified)] = total_sw(
+            twist_by_two(form) if modified else form
+        )
+    if modified:
+        return _modified_from_twisted(total, d, form.dim)
+    return total.degree_part(d)
 
 
 # ---------------------------------------------------------------------------

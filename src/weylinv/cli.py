@@ -540,10 +540,34 @@ _DISPATCH = {
 }
 
 
+_COORD_OPTIONS = ("--u-root", "--root")
+
+
+def _attach_coords(argv: Sequence[str]) -> list[str]:
+    """Join each --u-root/--root with the token after it, as in
+    --u-root=-2,2,0,0, so that a list starting with a minus sign is not
+    taken for an option."""
+    out: list[str] = []
+    rest = iter(argv)
+    for tok in rest:
+        if tok == "--":
+            return out + [tok, *rest]
+        nxt = next(rest, None) if tok in _COORD_OPTIONS else None
+        out.append(tok if nxt is None else f"{tok}={nxt}")
+    return out
+
+
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:  # built on first use, once per process
+        _parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(_attach_coords(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
     try:

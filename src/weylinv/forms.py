@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import KInvariant, Monomial, kinv, one, zero
@@ -92,34 +93,63 @@ class DiagonalForm:
 # linear route
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [list(r) for r in rows]
-    basis: list[list[Fraction]] = []
-    width = len(rows[0]) if rows else 0
-    pivots = []
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries (v nonzero)."""
+    g = gcd(*v)
+    return v if g == 1 else [x // g for x in v]
+
+
+def _echelon(rows: list[list[int]]) -> list[list[int]]:
+    """Primitive echelon basis of the rows' span, in ascending pivot order.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): a row is
+    reduced at each earlier pivot p by row <- b[p] row - row[p] b.  If
+    the inputs are nonzero rational multiples of rows r_k, every row
+    kept is a nonzero multiple of the one that rational elimination
+    row <- row - (row[p] / b[p]) b builds from the r_k with the same
+    pivot order, because the update is bilinear in (row, b) and b[p]
+    is nonzero; so the zero tests and pivots are the same too.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
     for row in rows:
         for piv, b in zip(pivots, basis):
-            if row[piv]:
-                f = row[piv] / b[piv]
-                row = [x - f * y for x, y in zip(row, b)]
-        lead = next((i for i in range(width) if row[i]), None)
+            c = row[piv]
+            if c:
+                bp = b[piv]
+                row = [bp * x - c * y for x, y in zip(row, b)]
+        lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        basis.append(row)
+        basis.append(_primitive(row))
         pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
     return [basis[i] for i in order]
 
 
-def _mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+def _orthogonalize(basis: list[list[int]]) -> list[list[int]]:
+    """Unnormalized Gram-Schmidt on integer vectors, in basis order.
+
+    w <- (u.u) w - (u.w) u is (u.u) times w - (u.w / u.u) u, and it is
+    bilinear in (w, u) again, so each vector stays a nonzero multiple of
+    the one rational Gram-Schmidt builds from the same inputs.
+    """
+    ortho: list[list[int]] = []
+    for w in basis:
+        for u in ortho:
+            uw = sum(map(mul, u, w))
+            if uw:
+                uu = sum(map(mul, u, u))
+                w = _primitive([uu * x - uw * y for x, y in zip(w, u)])
+        ortho.append(w)
+    return ortho
 
 
 def _square_free_two_part(x: Fraction) -> Optional[int]:
     """x = 2^a * square -> a mod 2; None when the odd square-free part != 1."""
     if x <= 0:
         return None
-    n = x.numerator * x.denominator
+    n = x.numerator * x.denominator  # x times the square of its denominator
     a = 0
     while n % 2 == 0:
         n //= 2
@@ -146,53 +176,68 @@ def form_of_involutions(
     numerators: with M = A / den (den the lcm of M's denominators), M is
     an orthogonal involution exactly when A.A = A^T.A = den^2 * I, and
     M_i, M_j commute exactly when A_i.A_j = A_j.A_i.  A common
-    eigenbasis is then computed exactly; a vector u with character chi
-    and squared norm 2^a * (square) yields the entry
-    2^a * prod_{i in chi} c_i.
+    orthogonal eigenbasis is then computed on integer vectors; a vector
+    u with character chi and squared norm 2^a * (square) yields the
+    entry 2^a * prod_{i in chi} c_i.  Each vector is a nonzero rational
+    multiple of the one that the same eliminations in rational
+    arithmetic build, so its norm differs by a square and the entry is
+    the same.
     """
-    k = len(matrices)
+    numerators = []
+    for m in matrices:
+        m = [[Fraction(x) for x in row] for row in m]
+        den = lcm(*(x.denominator for row in m for x in row))
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+        numerators.append((a, den))
+    return _form_of_numerators(numerators, labels)
+
+
+def _form_of_numerators(
+    numerators: Sequence[tuple[list[list[int]], int]], labels: Sequence[str]
+) -> DiagonalForm:
+    """form_of_involutions on the pairs (A, den) with M = A / den, den > 0.
+
+    Any common denominator of M will do for den: the checks and the
+    character spaces below scale with it.
+    """
+    k = len(numerators)
     if k != len(labels):
         raise ValueError("one label per generator required")
-    mats = [
-        [[Fraction(x) for x in row] for row in m] for m in matrices
-    ]
-    dim = len(mats[0]) if mats else 0
-    ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    dim = len(numerators[0][0]) if numerators else 0
 
     def int_mul(a, b):
         cols = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
-    numerators = []
-    for m in mats:
-        if len(m) != dim or any(len(row) != dim for row in m):
+    for a, den in numerators:
+        if len(a) != dim or any(len(row) != dim for row in a):
             raise ValueError("matrices must be square of equal size")
-        den = lcm(*(x.denominator for row in m for x in row))
-        a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
         scaled_ident = [[den * den * (i == j) for j in range(dim)] for i in range(dim)]
         if int_mul(a, a) != scaled_ident:
             raise ValueError("generator is not an involution")
         if int_mul(list(zip(*a)), a) != scaled_ident:
             raise ValueError("generator is not orthogonal")
-        numerators.append(a)
     for i in range(k):
         for j in range(i + 1, k):
-            if int_mul(numerators[i], numerators[j]) != int_mul(
-                numerators[j], numerators[i]
-            ):
+            ai, aj = numerators[i][0], numerators[j][0]
+            if int_mul(ai, aj) != int_mul(aj, ai):
                 raise ValueError("generators do not commute")
 
-    # split into simultaneous character spaces
-    spaces: list[tuple[int, list[list[Fraction]]]] = [(0, [row[:] for row in ident])]
-    for gi, m in enumerate(mats):
+    # split into simultaneous character spaces: with v in a space, the
+    # (+1)- and (-1)-parts of v under M = A / den are positive multiples
+    # of den v + A v and den v - A v
+    spaces: list[tuple[int, list[list[int]]]] = [
+        (0, [[int(i == j) for j in range(dim)] for i in range(dim)])
+    ]
+    for gi, (a, den) in enumerate(numerators):
         nxt = []
         for chi, basis in spaces:
             plus, minus = [], []
             for v in basis:
-                mv = _mat_vec(m, v)
-                plus.append([x + y for x, y in zip(v, mv)])
-                minus.append([x - y for x, y in zip(v, mv)])
-            pb, mb = _rref(plus), _rref(minus)
+                av = [sum(map(mul, row, v)) for row in a]
+                plus.append([den * x + y for x, y in zip(v, av)])
+                minus.append([den * x - y for x, y in zip(v, av)])
+            pb, mb = _echelon(plus), _echelon(minus)
             if pb:
                 nxt.append((chi, pb))
             if mb:
@@ -203,18 +248,8 @@ def form_of_involutions(
 
     entries = []
     for chi, basis in spaces:
-        # unnormalized Gram-Schmidt inside the character space
-        ortho: list[list[Fraction]] = []
-        for v in basis:
-            w = list(v)
-            for u in ortho:
-                uu = sum(x * x for x in u)
-                uv = sum(x * y for x, y in zip(u, w))
-                if uv:
-                    w = [x - (uv / uu) * y for x, y in zip(w, u)]
-            ortho.append(w)
-        for u in ortho:
-            norm = sum(x * x for x in u)
+        for u in _orthogonalize(basis):
+            norm = sum(map(mul, u, u))
             a = _square_free_two_part(norm)
             if a is None:
                 raise UnsupportedEmbeddingError(
@@ -249,8 +284,16 @@ def form_of_linear_action(
         frame_roots = frame_roots.root_indices
     if labels is None:
         labels = [root_label(sys_, r) for r in frame_roots]
-    mats = [reflection_matrix(sys_, r) for r in frame_roots]
-    return form_of_involutions(mats, labels)
+    # reflection_matrix(sys_, r) is A / dd with A = dd I - 2 d d^T
+    numerators = []
+    for r in frame_roots:
+        d = sys_.roots[r].doubled
+        dd = sum(map(mul, d, d))
+        a = [[-2 * x * y for y in d] for x in d]
+        for i in range(len(d)):
+            a[i][i] += dd
+        numerators.append((a, dd))
+    return _form_of_numerators(numerators, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +487,19 @@ def modified_sw(
     listed entries pass the true parity explicitly.
     """
     parity = (form.dim if ambient_parity is None else ambient_parity) % 2
-    twisted = total_sw(twist_by_two(form))
-    if parity == 0:
+    return _modified_from_twisted(total_sw(twist_by_two(form)), d, parity)
+
+
+def _modified_from_twisted(twisted: KInvariant, d: int, parity: int) -> KInvariant:
+    """modified_sw read off twisted = total_sw(twist_by_two(form)).
+
+    Callers that need several degrees of one form multiply the total
+    class out once and read every degree off it here.
+    """
+    if parity % 2 == 0:
         return twisted.degree_part(d)
-    current = one(form.labels)
-    s = kinv(form.labels, [Monomial(0, True)])
+    current = one(twisted.labels)
+    s = kinv(twisted.labels, [Monomial(0, True)])
     for deg in range(1, d + 1):
         current = twisted.degree_part(deg) + s * current
     return current

@@ -227,6 +227,36 @@ def _roots_f4() -> tuple[list[RootVector], list[RootVector]]:
     return roots, simple
 
 
+class _GramRows:
+    """The Gram matrix of a root list, one row computed at its first read.
+
+    gram[i][j] is the dot product of doubled coordinates i and j.  It
+    iterates over its rows (through __getitem__) and compares equal to
+    the tuple of them.
+    """
+
+    __slots__ = ("_doubles", "_rows")
+
+    def __init__(self, doubles: list[tuple[int, ...]]):
+        self._doubles = doubles
+        self._rows: list[tuple[int, ...] | None] = [None] * len(doubles)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        row = self._rows[i]
+        if row is None:
+            vd = self._doubles[i]
+            row = self._rows[i] = tuple(
+                [sum(map(mul, vd, wd)) for wd in self._doubles]
+            )
+        return row
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+
 class RootSystem:
     """Immutable root system with deterministic lexicographic root order.
 
@@ -240,7 +270,8 @@ class RootSystem:
         line_of: root index -> position of its line in `lines`.
         canonical_rep: root index -> index of the sign-canonical partner.
         gram: gram[i][j] is the dot product of the doubled coordinates of
-            roots i and j, an integer equal to 4 (roots[i], roots[j]).
+            roots i and j, an integer equal to 4 (roots[i], roots[j]);
+            each row is computed the first time it is read.
         notes: informational strings (e.g. the C -> B alias).
     """
 
@@ -295,6 +326,27 @@ class RootSystem:
             raise ValueError(f"{v.render()} is not a root of {self!r}") from None
 
     def _validate(self) -> None:
+        """Check that the roots form a crystallographic root system.
+
+        In O(rank x roots) integer operations on doubled coordinates:
+        (a) negation is a perfect matching; (b) every pairing
+        <w, a_i^v> = 2(w, a_i)/(a_i, a_i) with a simple root a_i is an
+        integer and s_i(w) = w - <w, a_i^v> a_i is a root; (c) a search
+        from the simple roots under the simple reflections reaches every
+        root, so Phi = W.Delta with W = <s_i>.
+
+        That is enough for closure under every reflection and integral
+        Cartan pairings (Humphreys, Reflection Groups and Coxeter
+        Groups, 1.5 and 1.14).  By (b) each s_i maps the finite set Phi
+        injectively into itself, so it permutes Phi, and so does every
+        w in W.  By (c) each root is b = w a_i for some w in W; then
+        s_b = w s_i w^-1 permutes Phi, and since w is an isometry,
+        <g, b^v> = <w^-1 g, a_i^v>, an integer by (b) because w^-1 g is
+        a root.
+
+        The Gram matrix is not needed here: `gram` computes each row the
+        first time it is read.
+        """
         roots = self.roots
         n = len(roots)
         if n % 2 != 0:
@@ -303,28 +355,40 @@ class RootSystem:
             j = self.negation[i]
             if j == i or self.negation[j] != i:
                 raise ValueError("negation is not a perfect matching")
-        # Crystallographic condition and closure under every reflection,
-        # checked in pure integer arithmetic on doubled coordinates:
-        # c = 2*gram[v][w]/gram[v][v] and s_v(w) = w - c v, which is w
-        # itself when c = 0.
         doubles = [r.doubled for r in roots]
         index = self.index
-        gram = []
-        for i, vd in enumerate(doubles):
-            row = tuple([sum(map(mul, vd, wd)) for wd in doubles])
-            vv = row[i]
-            for wd, g in zip(doubles, row):
-                if not g:
-                    continue
-                c, rem = divmod(2 * g, vv)
+        tables = []
+        for s in self.simple_indices:
+            ad = doubles[s]
+            aa = sum(map(mul, ad, ad))
+            table = []
+            for j, wd in enumerate(doubles):
+                c, rem = divmod(2 * sum(map(mul, ad, wd)), aa)
                 if rem:
                     raise ValueError(
-                        f"non-integral Cartan pairing between {vd} and {wd}"
+                        f"non-integral Cartan pairing between {ad} and {wd}"
                     )
-                if tuple([b - c * a for a, b in zip(vd, wd)]) not in index:
-                    raise ValueError(f"not closed: s_{vd}({wd}) missing")
-            gram.append(row)
-        self.gram: tuple[tuple[int, ...], ...] = tuple(gram)
+                if c:  # s_i fixes the roots orthogonal to a_i
+                    j = index.get(tuple([b - c * a for a, b in zip(ad, wd)]))
+                    if j is None:
+                        raise ValueError(f"not closed: s_{ad}({wd}) missing")
+                table.append(j)
+            tables.append(table)
+        seen = set(self.simple_indices)
+        frontier = list(seen)
+        while frontier:
+            i = frontier.pop()
+            for table in tables:
+                j = table[i]
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        if len(seen) != n:
+            missing = next(d for i, d in enumerate(doubles) if i not in seen)
+            raise ValueError(
+                f"root {missing} is not reached from the simple roots"
+            )
+        self.gram = _GramRows(doubles)
 
     def reflection_images(self, root_idx: int) -> tuple[int, ...]:
         """Root-index images of the reflection at roots[root_idx].

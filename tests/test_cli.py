@@ -111,6 +111,44 @@ def test_cosets_u_above_enumeration_range(capsys):
     assert payload["group_order"] == 696729600
 
 
+def test_coordinate_list_with_leading_minus_as_separate_argument(capsys):
+    """--u-root -2,2,0,0 and --root -2,0 read the same as the = form."""
+    spaced = run(capsys, "cosets", "D4", "--u-root", "-2,2,0,0", "--json")
+    attached = run(capsys, "cosets", "D4", "--u-root=-2,2,0,0", "--json")
+    assert spaced == attached and spaced[0] == 0
+    assert json.loads(spaced[1])["u_gen_roots"] == [[-2, 2, 0, 0]]
+    spaced = run(capsys, "restrict", "I2(4)", "w1", "--root", "-2,0", "--root", "0,2")
+    attached = run(capsys, "restrict", "I2(4)", "w1", "--root=-2,0", "--root=0,2")
+    assert spaced == attached and spaced[0] == 0
+
+
+def test_parser_reused_without_leaking_lists(capsys):
+    code, out, _ = run(
+        capsys, "cosets", "D4", "--u-root", "2,-2,0,0", "--u-root", "0,2,-2,0",
+        "--json",
+    )
+    parser = cli._parser
+    assert code == 0 and parser is not None
+    code, out, _ = run(capsys, "cosets", "D4", "--u-root", "0,0,2,-2", "--json")
+    assert code == 0 and cli._parser is parser
+    assert json.loads(out)["u_gen_roots"] == [[0, 0, 2, -2]]
+    code, out, _ = run(capsys, "cosets", "D4", "--json")
+    assert code == 0 and len(json.loads(out)["u_gen_roots"]) == 3
+
+
+@pytest.mark.parametrize("system", ["A7", "A8", "B7", "B8", "D5", "D7"])
+def test_verify_ranks_outside_verify_all(capsys, system):
+    """Ranks that verify --all skips; odd D_n has its own basis."""
+    code, out, err = run(capsys, "verify", system, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    (report,) = doc["reports"]
+    assert report["dims"]
+    for degree, dim in report["dims"].items():
+        assert dim["achieved"] == dim["bound"], (system, degree)
+
+
 def test_fullcheck_d4(capsys, tmp_path):
     code, out, _ = run(capsys, "fullcheck", "D4", "--cache-dir", str(tmp_path))
     lines = out.splitlines()

@@ -1,6 +1,8 @@
 """Forms layer: twisted diagonal forms, SW classes, Pfister decompositions."""
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -23,8 +25,9 @@ from weylinv.forms import (
     total_sw,
     twist_by_two,
 )
-from weylinv.groups import standard_frames
-from weylinv.roots import build_root_system
+from weylinv.forms import _echelon, _orthogonalize, _square_free_two_part
+from weylinv.groups import maximal_orthogonal_frames, root_label, standard_frames
+from weylinv.roots import SUPPORTED, build_root_system
 
 SWAP = ((0, 1), (1, 0))
 NEG_SWAP = ((0, -1), (-1, 0))
@@ -289,3 +292,136 @@ def test_twist_involutive_on_classes():
 def test_render_scales():
     form = DiagonalForm(AB, ((3, 0b01), (0, 0)))
     assert form.render() == "<2^3a, 1>"
+
+
+# ---------------------------------------------------------------------------
+# the rational oracle for the integer forms engine
+
+
+def _rref(rows):
+    basis, pivots = [], []
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        for piv, b in zip(pivots, basis):
+            if row[piv]:
+                f = row[piv] / b[piv]
+                row = [x - f * y for x, y in zip(row, b)]
+        lead = next((i for i in range(width) if row[i]), None)
+        if lead is None:
+            continue
+        basis.append(row)
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order]
+
+
+def _gram_schmidt(basis):
+    ortho = []
+    for v in basis:
+        w = list(v)
+        for u in ortho:
+            uu = sum(x * x for x in u)
+            uv = sum(x * y for x, y in zip(u, w))
+            if uv:
+                w = [x - (uv / uu) * y for x, y in zip(w, u)]
+        ortho.append(w)
+    return ortho
+
+
+def fraction_form_of_involutions(matrices, labels):
+    """The character-space splitting and Gram-Schmidt of
+    form_of_involutions, in Fraction arithmetic, without its checks."""
+    mats = [[[Fraction(x) for x in row] for row in m] for m in matrices]
+    dim = len(mats[0])
+    ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    spaces = [(0, ident)]
+    for gi, m in enumerate(mats):
+        nxt = []
+        for chi, basis in spaces:
+            mvs = [[sum(r[j] * v[j] for j in range(dim)) for r in m] for v in basis]
+            plus = _rref([[x + y for x, y in zip(v, mv)] for v, mv in zip(basis, mvs)])
+            minus = _rref([[x - y for x, y in zip(v, mv)] for v, mv in zip(basis, mvs)])
+            if plus:
+                nxt.append((chi, plus))
+            if minus:
+                nxt.append((chi | (1 << gi), minus))
+        spaces = nxt
+    entries = []
+    for chi, basis in spaces:
+        for u in _gram_schmidt(basis):
+            a = _square_free_two_part(sum(x * x for x in u))
+            if a is None:
+                raise UnsupportedEmbeddingError("odd square-free norm")
+            entries.append((a, chi))
+    entries.sort(key=lambda e: (e[1] == 0, e[1], e[0]))
+    return DiagonalForm(tuple(labels), tuple(entries))
+
+
+def _oracle_frames(label, rank):
+    sys_ = build_root_system(label, rank)
+    frames = [f for _, f in standard_frames(sys_)]
+    if (label, rank) in (("D", 4), ("D", 6), ("E", 7)):
+        found = [f.root_indices for f in maximal_orthogonal_frames(sys_)]
+        frames += [found[0], found[len(found) // 2], found[-1]]
+    return sys_, frames
+
+
+SYSTEMS = [
+    (t, r) for t, lo, hi in SUPPORTED if t != "C" for r in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("label,rank", SYSTEMS)
+def test_linear_forms_match_fraction_oracle(label, rank):
+    sys_, frames = _oracle_frames(label, rank)
+    for frame in frames:
+        labels = [root_label(sys_, r) for r in frame]
+        oracle = fraction_form_of_involutions(
+            [reflection_matrix(sys_, r) for r in frame], labels
+        )
+        assert form_of_linear_action(sys_, frame) == oracle, frame
+
+
+def _parallel(v, w):
+    """v and w are nonzero multiples of each other."""
+    p = next((i for i, x in enumerate(v) if x), None)
+    return (
+        p is not None and w[p] != 0
+        and all(x * w[p] == y * v[p] for x, y in zip(v, w))
+    )
+
+
+def test_integer_elimination_matches_fraction_oracle():
+    """Every vector of the fraction-free echelon and Gram-Schmidt steps
+    is a nonzero multiple of the rational oracle's.  Root-system frames
+    never reach the Gram-Schmidt update (their echelon bases are
+    already orthogonal), so random rows exercise it here."""
+    rng = random.Random(5)
+    for _ in range(200):
+        width = rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(width)]
+                for _ in range(rng.randint(1, width + 1))]
+        got = _echelon(rows)
+        want = _rref([[Fraction(x) for x in row] for row in rows])
+        assert len(got) == len(want)
+        assert all(map(_parallel, got, want)), rows
+        got, want = _orthogonalize(got), _gram_schmidt(want)
+        assert all(map(_parallel, got, want)), rows
+
+
+def test_explicit_matrices_match_fraction_oracle():
+    sys_ = build_root_system("F", 4)
+    short = [
+        reflection_matrix(sys_, sys_.index[r])
+        for r in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+    ]
+    cases = [([SWAP, NEG_SWAP], AB), ([SWAP], ("a",)), ([SWAP, SWAP], AB),
+             (short, "abcd")]
+    for mats, labels in cases:
+        assert form_of_involutions(mats, labels) == fraction_form_of_involutions(
+            mats, labels
+        )
+    third = [[(1 if i == j else 0) - Fraction(2, 3) for j in range(3)] for i in range(3)]
+    for engine in (form_of_involutions, fraction_form_of_involutions):
+        with pytest.raises(UnsupportedEmbeddingError):
+            engine([third], ("a",))

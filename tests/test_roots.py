@@ -181,3 +181,19 @@ def test_validate_rejects_unclosed_root_set():
     kept = [r for r in sys_.roots if r not in (dropped, -dropped)]
     with pytest.raises(ValueError, match="not closed"):
         RootSystem("D", 4, kept, simple)
+
+
+def test_validate_rejects_root_outside_weyl_orbit():
+    # A1's simple root together with an orthogonal +-beta: every pairing
+    # is integral and the set is closed under the simple reflection (which
+    # fixes beta), but beta is not in W.Delta, so s_beta is unchecked
+    alpha, beta = v(2, -2), v(2, 2)
+    with pytest.raises(ValueError, match="not reached from the simple roots"):
+        RootSystem("A", 1, [alpha, -alpha, beta, -beta], [alpha])
+
+
+def test_validate_rejects_non_integral_pairing():
+    # <e1, a^v> = 2 (e1, a) / (a, a) = 2/3 for a = e1 + e2 + e3
+    a, e1 = v(2, 2, 2), v(2, 0, 0)
+    with pytest.raises(ValueError, match="non-integral"):
+        RootSystem("A", 1, [a, -a, e1, -e1], [a])
