@@ -44,6 +44,7 @@ from .groups import (
     dihedral_omega,
     group_order,
     omega_classes,
+    order_method,
     root_label,
     standard_frames,
 )
@@ -196,12 +197,7 @@ def cmd_order(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         sys_ = _require_weyl(cfg)
         order = group_order(sys_, element_cap=cfg.max_elements)
-        if sys_.type_label == "E" and sys_.rank in (7, 8):
-            method = "coset-product"
-        elif sys_.rank <= 6 or sys_.type_label == "F":
-            method = "bfs"
-        else:
-            method = "formula"
+        method = order_method(sys_)
     _emit(
         cfg,
         {"type": label, "rank": rank, "order": order, "method": method},

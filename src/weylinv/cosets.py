@@ -350,7 +350,11 @@ def build_coset_space(
     return space
 
 
-def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
+def _coset_orbit(
+    sys_: RootSystem, u_gen_roots: Sequence[int]
+) -> tuple[list[Key], array, int]:
+    """The coset keys in BFS order, the BFS edges (see _label_bfs) and
+    |U|, after checking the order identity |orbit| x |U| = |W|."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
     # Sigma_U is the U-orbit of the generators' roots: each member is
     # u(g), and s_u(g) = u s_g u^-1 lies in U, so the orbit is closed
@@ -359,7 +363,6 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
     u_order = _reflection_group_order(sys_, sigma_u)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
     vectors, edges = _label_bfs(sys_, start)
-    ngen = len(sys_.simple_indices)
     size = len(vectors)
     expected = weyl_order(sys_)
     if size * u_order != expected:
@@ -367,6 +370,13 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
             f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
             "the coset enumeration is inconsistent with the group order"
         )
+    return vectors, edges, u_order
+
+
+def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
+    vectors, edges, u_order = _coset_orbit(sys_, u_gen_roots)
+    ngen = len(sys_.simple_indices)
+    size = len(vectors)
     order = sorted(range(size), key=vectors.__getitem__)  # sorted pos -> BFS id
     reps = tuple(vectors[k] for k in order)
     position = [0] * size  # BFS id -> sorted pos

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial
+from math import factorial, inf
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -30,6 +30,7 @@ __all__ = [
     "compose",
     "enumerate_subgroup",
     "group_order",
+    "order_method",
     "weyl_order",
     "maximal_orthogonal_frames",
     "make_frame",
@@ -145,7 +146,8 @@ class GeneratedGroup:
     """A subgroup given by generators, enumerated by enumerate_subgroup.
 
     elements[k] is the k-th element found, as the bytes of its image
-    sequence (elements[k][r] is the image of point r), identity first.
+    sequence (elements[k][r] is the image of point r), identity first;
+    with points, the bytes of the images of those points only.
     """
 
     generators: tuple[RootPermutation, ...]
@@ -156,6 +158,7 @@ class GeneratedGroup:
 def enumerate_subgroup(
     gens: Sequence[RootPermutation],
     element_cap: int = DEFAULT_ELEMENT_CAP,
+    points: Optional[Sequence[int]] = None,
 ) -> GeneratedGroup:
     """Breadth-first closure of the generated subgroup.
 
@@ -167,6 +170,11 @@ def enumerate_subgroup(
     given order).  Raises CapExceededError beyond element_cap, which
     signals that an index-based order computation should be used
     instead.
+
+    With points given, an element is recorded by the images of points
+    only (elements[k][i] is the image of points[i]): the BFS enumerates
+    the orbit of that tuple, of the group's order exactly when those
+    images determine the element.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -178,7 +186,9 @@ def enumerate_subgroup(
     if degree > 256:
         raise ValueError(f"degree {degree} exceeds 256, the bytes-image limit")
     tables = [bytes(g.images).ljust(256, b"\0") for g in gens]
-    identity = bytes(range(degree))
+    if points is not None and not all(0 <= i < degree for i in points):
+        raise ValueError(f"points must be indices below the degree {degree}")
+    identity = bytes(range(degree) if points is None else points)
     seen = {identity}
     ordered = [identity]
     # ordered is also the FIFO queue: the loop reaches appended elements
@@ -222,25 +232,39 @@ def weyl_order(sys_: RootSystem) -> int:
     raise UnsupportedSystemError(label)
 
 
-def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """Order of W(Sigma).
-
-    Rank <= 6 systems and F4 are enumerated by BFS over the simple
-    reflections.  E7/E8 multiply the coset count |U\\W| by |U| (see
-    weylinv.cosets).  The remaining large classical ranks (7, 8) use the
-    product formula, which the enumerated ranks validate.
-    """
+def order_method(sys_: RootSystem) -> str:
+    """How group_order computes |W(Sigma)|: "coset-product" (E7/E8),
+    "bfs" (rank <= 6 and F4) or "formula" (the other ranks)."""
     label, n = sys_.type_label, sys_.rank
     if label == "E" and n in (7, 8):
+        return "coset-product"
+    if n <= 6 or label == "F":
+        return "bfs"
+    return "formula"
+
+
+def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int:
+    """Order of W(Sigma), by the method order_method names.
+
+    "bfs" visits every element of W as the orbit of the simple-root
+    tuple (a_1, ..., a_n) under the simple reflections.  An element w
+    is linear and the simple roots span, so w is determined by
+    (w a_1, ..., w a_n): the orbit map is injective and the orbit has
+    |W| elements.  "coset-product" multiplies the coset count |U\\W| by
+    |U| (see weylinv.cosets); the tables of the coset space are not
+    built.  "formula" is the product formula, which the enumerated
+    ranks validate.
+    """
+    method = order_method(sys_)
+    if method == "coset-product":
         from . import cosets  # local import: cosets depends on this module
 
-        space = cosets.build_coset_space(
-            sys_, cosets.standard_u_gens(sys_), cache_dir=None
-        )
-        return space.size * space.u_order
-    if n <= 6 or label == "F":
+        vectors, _, u_order = cosets._coset_orbit(sys_, cosets.standard_u_gens(sys_))
+        return len(vectors) * u_order
+    if method == "bfs":
         gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
-        return enumerate_subgroup(gens, element_cap).order  # type: ignore[return-value]
+        orbit = enumerate_subgroup(gens, element_cap, points=sys_.simple_indices)
+        return orbit.order  # type: ignore[return-value]
     return weyl_order(sys_)
 
 
@@ -287,11 +311,14 @@ def make_frame(
     return OrthogonalFrame(tuple(canon))
 
 
-def maximal_orthogonal_frames(sys_: RootSystem) -> list[OrthogonalFrame]:
+def maximal_orthogonal_frames(
+    sys_: RootSystem, cap: Optional[int] = None
+) -> list[OrthogonalFrame]:
     """All maximal cliques of the orthogonality graph on root lines.
 
-    Bron-Kerbosch with pivoting over bitmask vertex sets; output sorted
-    by the root-index tuple, so the listing is deterministic.
+    Output sorted by the root-index tuple, so the listing is
+    deterministic.  With cap set, raises CapExceededError as soon as
+    the search finds a (cap + 1)-th frame.
     """
     lines = sys_.lines
     gram = sys_.gram
@@ -304,41 +331,64 @@ def maximal_orthogonal_frames(sys_: RootSystem) -> list[OrthogonalFrame]:
             if b != a and ga[lines[b]] == 0:
                 mask |= 1 << b
         adj.append(mask)
-
-    cliques: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            cliques.append(r)
-            return
-        # pivot: the first vertex of P | X with the most neighbours in P
-        pux = p | x
-        pivot, best = -1, -1
-        while pux:
-            low = pux & -pux
-            v = low.bit_length() - 1
-            count = (p & adj[v]).bit_count()
-            if count > best:
-                pivot, best = v, count
-            pux ^= low
-        candidates = p & ~adj[pivot]
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            bit = 1 << v
-            bk(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-            candidates &= ~bit
-
-    bk(0, (1 << nlines) - 1, 0)
     frames = []
-    for mask in cliques:
-        members = tuple(
-            lines[v] for v in range(nlines) if (mask >> v) & 1
-        )
-        frames.append(OrthogonalFrame(members))
+    for mask in _maximal_cliques(adj, cap):
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(lines[low.bit_length() - 1])
+            mask ^= low
+        frames.append(OrthogonalFrame(tuple(members)))
     frames.sort(key=lambda f: f.root_indices)
     return frames
+
+
+def _maximal_cliques(adj: Sequence[int], cap: Optional[int] = None) -> list[int]:
+    """Maximal cliques of the graph with neighbour bitmasks adj, as
+    bitmasks, by Bron-Kerbosch with Tomita's pivot.
+
+    The pivot is a vertex of P | X with the most neighbours in P; no
+    vertex of P has more than |P| - 1 (adj has no loops), so the scan
+    stops at the first that has.  A vertex of X with all of P as
+    neighbours extends every clique below, so none of them is maximal
+    and the call returns at once.  Raises CapExceededError on finding
+    a (cap + 1)-th clique.
+    """
+    cliques: list[int] = []
+    limit = inf if cap is None else cap
+
+    def bk(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                cliques.append(r)
+                if len(cliques) > limit:
+                    raise CapExceededError(f"more than {cap} maximal cliques", cap)
+            return
+        need = p.bit_count() - 1
+        best, pivot = -1, 0
+        scan = p | x
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            nb = adj[low.bit_length() - 1]
+            count = (p & nb).bit_count()
+            if count > best:
+                best, pivot = count, nb
+                if count >= need:
+                    if count > need:
+                        return
+                    break
+        candidates = p & ~pivot
+        while candidates:
+            low = candidates & -candidates
+            nb = adj[low.bit_length() - 1]
+            bk(r | low, p & nb, x & nb)
+            candidates ^= low
+            p ^= low
+            x |= low
+
+    bk(0, (1 << len(adj)) - 1, 0)
+    return cliques
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +428,16 @@ def omega_classes(
     under the simple reflections (which generate W).  Frames map to
     frames because reflections are isometries, so the orbits partition
     the full frame list; representatives are the lexicographically least
-    member of each orbit.  If the frame list exceeds max_frames the
-    inductive fallback classifies by invariants instead (see
-    _omega_inductive).
+    member of each orbit.  If there are more than max_frames frames, the
+    clique search stops at the (max_frames + 1)-th and the inductive
+    fallback classifies by invariants instead (see _omega_inductive).
     """
     cache = sys_._omega_cache
     if max_frames in cache:
         return cache[max_frames]  # type: ignore[return-value]
-    frames = maximal_orthogonal_frames(sys_)
-    if len(frames) > max_frames:
+    try:
+        frames = maximal_orthogonal_frames(sys_, max_frames)
+    except CapExceededError:
         result = _omega_inductive(sys_)
         cache[max_frames] = result
         return result

@@ -5,8 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from weylinv.cosets import _reflection_group_order
 from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
+    _maximal_cliques,
     DihedralGroup,
     OrthogonalFrame,
     RootPermutation,
@@ -21,6 +23,7 @@ from weylinv.groups import (
     maximal_orthogonal_frames,
     normalizer_action,
     omega_classes,
+    order_method,
     perm_of_reflection,
     root_label,
     standard_frames,
@@ -124,16 +127,58 @@ ENUMERATED_ORDERS = [
 
 @pytest.mark.parametrize("label,rank,expected", ENUMERATED_ORDERS)
 def test_enumerated_orders(label, rank, expected):
+    """Four derivations of |W| agree: the full-image enumeration, the
+    orbit of the simple-root tuple, the formula table and the root-orbit
+    chain over all of Phi."""
     sys_ = build_root_system(label, rank)
     gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     assert group.order == expected
     assert weyl_order(sys_) == expected
+    orbit = enumerate_subgroup(gens, points=sys_.simple_indices)
+    assert orbit.order == expected
+    assert all(len(e) == rank for e in orbit.elements)
+    assert _reflection_group_order(sys_, range(len(sys_.roots))) == expected
+    assert order_method(sys_) == "bfs"
+    assert group_order(sys_) == expected
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_coset_product_orders_match_root_orbit_chain(rank):
+    sys_ = build_root_system("E", rank)
+    assert order_method(sys_) == "coset-product"
+    chain = _reflection_group_order(sys_, range(len(sys_.roots)))
+    assert group_order(sys_) == chain == weyl_order(sys_)
 
 
 def test_group_order_dispatch_small():
     assert group_order(build_root_system("B", 5)) == 3840
     assert group_order(build_root_system("E", 6)) == 51840
+
+
+@pytest.mark.parametrize(
+    "label,rank,method",
+    [("A", 6, "bfs"), ("A", 7, "formula"), ("B", 8, "formula"),
+     ("D", 7, "formula"), ("F", 4, "bfs"), ("E", 7, "coset-product")],
+)
+def test_order_method(label, rank, method):
+    sys_ = build_root_system(label, rank)
+    assert order_method(sys_) == method
+    if method == "formula":
+        assert group_order(sys_) == weyl_order(sys_)
+
+
+def test_orbit_of_points_that_do_not_determine_the_element():
+    """points enumerates an orbit, which is |W| only when the images of
+    points determine the element: one B2 root has 4 images, not 8."""
+    sys_ = build_root_system("B", 2)
+    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    for r in sys_.simple_indices:
+        orbit = enumerate_subgroup(gens, points=[r])
+        assert orbit.order == 4
+        assert orbit.elements[0] == bytes([r])
+    with pytest.raises(ValueError, match="below the degree"):
+        enumerate_subgroup(gens, points=[len(sys_.roots)])
 
 
 def test_enumeration_cap():
@@ -205,17 +250,24 @@ def test_frames_all_have_full_rank_size():
 
 
 def _brute_force_frames(sys_):
-    """Maximal pairwise-orthogonal line sets, by trying every subset."""
+    """Maximal pairwise-orthogonal line sets, from every pairwise-orthogonal
+    set: those of size k are the sets of size k - 1 extended by a later
+    line orthogonal to all their members."""
     lines = sys_.lines
 
     def orth(a, b):
         return sum(x * y for x, y in zip(sys_.roots[a].doubled, sys_.roots[b].doubled)) == 0
 
     found = []
-    for k in range(1, sys_.rank + 1):
-        for subset in combinations(lines, k):
-            if all(orth(a, b) for a, b in combinations(subset, 2)):
-                found.append(subset)
+    level = [()]  # positions in lines, ascending
+    while level:
+        level = [
+            s + (j,)
+            for s in level
+            for j in range(s[-1] + 1 if s else 0, len(lines))
+            if all(orth(lines[i], lines[j]) for i in s)
+        ]
+        found += [tuple(lines[i] for i in s) for s in level]
     return {
         s for s in found
         if not any(
@@ -224,12 +276,111 @@ def _brute_force_frames(sys_):
     }
 
 
-@pytest.mark.parametrize("label,rank", [("B", 3), ("D", 4), ("F", 4)])
+@pytest.mark.parametrize(
+    "label,rank", [("A", 5), ("B", 3), ("D", 4), ("F", 4), ("E", 6)]
+)
 def test_frames_match_brute_force(label, rank):
     sys_ = build_root_system(label, rank)
     frames = maximal_orthogonal_frames(sys_)
     assert len(set(frames)) == len(frames)
     assert {f.root_indices for f in frames} == _brute_force_frames(sys_)
+
+
+FRAME_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+)
+
+
+def _orthogonality_adj(sys_):
+    vecs = [sys_.roots[line].doubled for line in sys_.lines]
+    return [
+        sum(
+            1 << b
+            for b, w in enumerate(vecs)
+            if b != a and sum(x * y for x, y in zip(v, w)) == 0
+        )
+        for a, v in enumerate(vecs)
+    ]
+
+
+def _pivot_free_bron_kerbosch(adj):
+    """Maximal cliques as bitmasks, by Bron-Kerbosch without a pivot."""
+    cliques = []
+
+    def bk(r, p, x):
+        if not p and not x:
+            cliques.append(r)
+        while p:
+            v = (p & -p).bit_length() - 1
+            bk(r | 1 << v, p & adj[v], x & adj[v])
+            p ^= 1 << v
+            x |= 1 << v
+
+    bk(0, (1 << len(adj)) - 1, 0)
+    return cliques
+
+
+@pytest.mark.parametrize("label,rank", FRAME_SYSTEMS)
+def test_frames_match_pivot_free_bron_kerbosch(label, rank):
+    sys_ = build_root_system(label, rank)
+    lines = sys_.lines
+    expected = sorted(
+        tuple(sorted(lines[v] for v in range(len(lines)) if mask >> v & 1))
+        for mask in _pivot_free_bron_kerbosch(_orthogonality_adj(sys_))
+    )
+    assert [f.root_indices for f in maximal_orthogonal_frames(sys_)] == expected
+
+
+def test_e_frame_counts():
+    assert len(maximal_orthogonal_frames(build_root_system("E", 7))) == 135
+    assert len(maximal_orthogonal_frames(build_root_system("E", 8))) == 2025
+
+
+class _CountingAdj(list):
+    """Neighbour masks that count how often the search reads one."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_pivot_scan_stops_at_a_full_p_vertex():
+    """In the star K_{1,m} the centre has |P| - 1 neighbours at the top
+    call, so the pivot scan reads only its mask there: 2m + 2 reads in
+    all, against 3m + 2 for a scan of every vertex."""
+    m = 10
+    adj = _CountingAdj([(1 << (m + 1)) - 2] + [1] * m)
+    cliques = _maximal_cliques(adj)
+    assert sorted(cliques) == [1 | 1 << i for i in range(1, m + 1)]
+    assert adj.reads <= 2 * m + 2
+
+
+def test_frame_cap_stops_the_search():
+    sys_ = build_root_system("E", 8)
+    assert len(maximal_orthogonal_frames(sys_, cap=2025)) == 2025
+    with pytest.raises(CapExceededError):
+        maximal_orthogonal_frames(sys_, cap=2024)
+    full = _CountingAdj(_orthogonality_adj(sys_))
+    assert len(_maximal_cliques(full)) == 2025
+    capped = _CountingAdj(full)
+    with pytest.raises(CapExceededError) as err:
+        _maximal_cliques(capped, cap=2)
+    assert err.value.cap == 2
+    # three cliques found, a small fraction of the full search read
+    assert capped.reads * 100 < full.reads
+
+
+def test_omega_frame_cap_boundary_e8():
+    sys_ = build_root_system("E", 8)
+    assert omega_classes(sys_, max_frames=2025).method == "bfs"
+    capped = omega_classes(sys_, max_frames=2024)
+    assert capped.method == "inductive"
+    assert capped.orbit_sizes is None
 
 
 def test_a_type_frame_size():
