@@ -401,33 +401,39 @@ def substitute(inv: KInvariant, cmap: CoordinateMap) -> KInvariant:
 
 @dataclass(frozen=True)
 class IndependenceResult:
+    """Verdict on a list of invariants; rank is the F2 rank of all inputs mod s."""
+
     independent: bool
     rank: int
     # non-trivial combination of input indices summing to 0 mod s, when dependent
     dependency: Optional[tuple[int, ...]] = None
 
 
-def _rank_certificate(vectors: list[int]) -> IndependenceResult:
+def _f2_eliminate(
+    vectors: Sequence[int],
+) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
     """F2 Gaussian elimination with row tracking.
 
-    Each vector is an int bitset.  The tracked combination recovers an
-    explicit dependency when one exists.
+    Each vector is an int bitset.  Returns the non-zero reduced rows as
+    (row, combination) pairs sorted by pivot (lowest set bit), where the
+    combination is the bitset of input indices that sums to the row, and
+    the first dependency: the indices whose sum reduced the first
+    dependent input to 0, or None when the inputs are independent.
     """
-    rows = []  # (vector, combination-bitset over input indices)
-    for i, v in enumerate(vectors):
+    rows: list[tuple[int, int]] = []
+    first = None
+    for i, cur in enumerate(vectors):
         comb = 1 << i
-        cur = v
         for rv, rc in rows:
-            low = rv & -rv
-            if cur & low:
+            if cur & rv & -rv:
                 cur ^= rv
                 comb ^= rc
-        if cur == 0:
-            deps = tuple(j for j in range(len(vectors)) if (comb >> j) & 1)
-            return IndependenceResult(False, len(rows), deps)
-        rows.append((cur, comb))
-        rows.sort(key=lambda t: t[0] & -t[0])
-    return IndependenceResult(True, len(rows), None)
+        if cur:
+            rows.append((cur, comb))
+            rows.sort(key=lambda t: t[0] & -t[0])
+        elif first is None:
+            first = tuple(j for j in range(i + 1) if (comb >> j) & 1)
+    return rows, first
 
 
 def linear_independence(vs: Sequence[KInvariant]) -> IndependenceResult:
@@ -439,20 +445,9 @@ def linear_independence(vs: Sequence[KInvariant]) -> IndependenceResult:
     s (s annihilates only s-multiples) gives Sum d_i (v_i mod s) = 0, a
     dependency again.  So mod-s rank is conclusive for verdicts of
     independence; a mod-s dependency is reported with its combination.
+    The invariants form the one-column case of stacked_independence.
     """
-    if not vs:
-        return IndependenceResult(True, 0, None)
-    labels = vs[0].labels
-    for v in vs[1:]:
-        if v.labels != labels:
-            raise ContextMismatchError("independence needs a common context")
-    vectors = []
-    for v in vs:
-        bits = 0
-        for m in v.mod_s().terms:
-            bits |= 1 << m.var_mask
-        vectors.append(bits)
-    return _rank_certificate(vectors)
+    return stacked_independence([(v,) for v in vs])
 
 
 def stacked_independence(
@@ -485,7 +480,8 @@ def stacked_independence(
                     key_bits[key] = len(key_bits)
                 bits |= 1 << key_bits[key]
         vectors.append(bits)
-    return _rank_certificate(vectors)
+    rows, dependency = _f2_eliminate(vectors)
+    return IndependenceResult(dependency is None, len(rows), dependency)
 
 
 # ---------------------------------------------------------------------------

@@ -179,10 +179,9 @@ class NamedInvariant:
             stated = r.d
         elif isinstance(r, FoldInvariant):
             stated = r.m
-        elif isinstance(r, Product):
-            stated = sum(f.degree for f in r.factors)
         else:
-            degs = {eps + sum(f.degree for f in fs) for eps, fs in r.terms}
+            terms = r.terms if isinstance(r, Correction) else ((0, r.factors),)
+            degs = {eps + sum(f.degree for f in fs) for eps, fs in terms}
             if len(degs) != 1:
                 raise ValueError(f"{self.name}: correction terms differ in degree")
             stated = degs.pop()
@@ -263,19 +262,29 @@ def _pair_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, .
     return tuple(images)
 
 
-def _triality_point_perm(sys_: RootSystem, root_idx: int) -> tuple[int, ...]:
+def _triality_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
     kind = _root_coords(sys_, root_idx)[0]
     return (0, 2, 1) if kind == "axis" else (0, 1, 2)
 
 
+#: point-action builders by PermutationSW.points / ProjectionSW.projection
+_POINT_PERMS = {
+    "signed": _signed_point_perm,
+    "natural": _natural_point_perm,
+    "pairs": _pair_point_perm,
+    "triality": _triality_point_perm,
+}
+
+
 # coset spaces and their canonical-frame certificates are deterministic per
-# (type, rank), so repeated fold-invariant restrictions reuse one build
+# (type, rank), so repeated fold-invariant restrictions reuse one build;
+# the key holds cache_dir too, so that every cache dir gets its file
 _SPACE_MEMO: dict = {}
 _CERT_MEMO: dict = {}
 
 
 def _fold_certificate(sys_, frame_roots, cache_dir):
-    key = (sys_.type_label, sys_.rank)
+    key = (sys_.type_label, sys_.rank, cache_dir)
     cert_key = key + (tuple(sys_.canonical_rep[r] for r in frame_roots),)
     cert = _CERT_MEMO.get(cert_key)
     if cert is not None:
@@ -319,55 +328,69 @@ def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
     of one system: callers create a fresh dict per frame and drop it
     with the frame.
     """
+    return _fold_recipe(
+        inv, labels, lambda f: _restrict_leaf(f, roots, labels, sys_, cache_dir, memo)
+    )
+
+
+def _restrict_leaf(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
     r = inv.recipe
     if isinstance(r, ReflectionSW):
         form = memo.get("linear")
         if form is None:
             form = memo["linear"] = form_of_linear_action(sys_, roots, labels)
         return _sw_degree(memo, "linear", form, r.d, r.modified)
-    if isinstance(r, PermutationSW):
-        diag = memo.get(r.points)
-        if diag is None:
-            npts = len(sys_.roots[0].doubled)
-            if r.points == "signed":
-                gens = [_signed_point_perm(sys_, idx, npts) for idx in roots]
-            elif r.points == "natural":
-                gens = [_natural_point_perm(sys_, idx, npts) for idx in roots]
-            else:
-                raise ValueError(f"unknown point action {r.points!r}")
-            diag = memo[r.points] = expand_to_diagonal(
-                form_of_permutation_action(gens, labels)
-            )
-        return _sw_degree(memo, r.points, diag, r.d, r.modified)
-    if isinstance(r, ProjectionSW):
-        if r.projection.startswith("sign:"):
-            return x_monomial(labels, (r.projection[5:],))
-        diag = memo.get(r.projection)
-        if diag is None:
-            if r.projection == "pairs":
-                npts = len(sys_.roots[0].doubled)
-                gens = [_pair_point_perm(sys_, idx, npts) for idx in roots]
-            elif r.projection == "triality":
-                gens = [_triality_point_perm(sys_, idx) for idx in roots]
-            else:
-                raise ValueError(f"unknown projection {r.projection!r}")
-            diag = memo[r.projection] = expand_to_diagonal(
-                form_of_permutation_action(gens, labels)
-            )
-        return _sw_degree(memo, r.projection, diag, r.d, True)
     if isinstance(r, FoldInvariant):
         cert = _fold_certificate(sys_, roots, cache_dir)
         return f_restriction(cert, r.m)
-    if isinstance(r, Product):
-        acc = one(labels)
-        for f in r.factors:
-            acc = acc * _restrict(f, roots, labels, sys_, cache_dir, memo)
-        return acc
+    if isinstance(r, PermutationSW):
+        key, modified = r.points, r.modified
+    elif r.projection.startswith("sign:"):
+        return _restrict_abelian(inv, labels)
+    else:
+        key, modified = r.projection, True
+    diag = memo.get(key)
+    if diag is None:
+        build = _POINT_PERMS.get(key)
+        if build is None:
+            raise ValueError(f"unknown point action {key!r}")
+        npts = len(sys_.roots[0].doubled)
+        gens = [build(sys_, idx, npts) for idx in roots]
+        diag = memo[key] = expand_to_diagonal(form_of_permutation_action(gens, labels))
+    return _sw_degree(memo, key, diag, r.d, modified)
+
+
+def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvariant:
+    """The degree-one class of a "sign:<label>" projection: the leaf of
+    restrictions to a bare x-context."""
+    r = inv.recipe
+    if isinstance(r, ProjectionSW) and r.projection.startswith("sign:"):
+        return x_monomial(labels, (r.projection[5:],))
+    raise UnsupportedEmbeddingError(
+        f"{inv.name}: recipe has no restriction to a bare x-context"
+    )
+
+
+def _fold_recipe(inv, labels, leaf) -> Optional[KInvariant]:
+    """Evaluate inv, folding Product and Correction recipes over leaf.
+
+    A Correction is the sum of its s^eps * (product of factors) terms and
+    a Product is the one-term correction ((0, factors),); every other
+    recipe is a leaf and goes to leaf(inv).  A leaf may return None
+    (no value on record), and then so does the fold.
+    """
+    r = inv.recipe
+    if not isinstance(r, (Product, Correction)):
+        return leaf(inv)
+    terms = r.terms if isinstance(r, Correction) else ((0, r.factors),)
     acc = zero(labels)
-    for eps, factors in r.terms:
-        term = one(labels) if eps % 2 == 0 else two(labels)
+    for eps, factors in terms:
+        term = two(labels) if eps % 2 else one(labels)
         for f in factors:
-            term = term * _restrict(f, roots, labels, sys_, cache_dir, memo)
+            part = _fold_recipe(f, labels, leaf)
+            if part is None:
+                return None
+            term = term * part
         acc = acc + term
     return acc
 
@@ -454,8 +477,32 @@ def stated_formula(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
 
     Returns None when no formula is stated; verify_basis then relies on
     the independence, cardinality and normalizer checks alone for that
-    element.
+    element.  A product of pair and signed classes has a formula of its
+    own; other products and corrections fold their factors' formulas.
     """
+    r = inv.recipe
+    if isinstance(r, Product) and r.factors:
+        kinds = {type(f.recipe) for f in r.factors}
+        if kinds <= {ProjectionSW, PermutationSW} and all(
+            getattr(f.recipe, "projection", "pairs") == "pairs"
+            and getattr(f.recipe, "points", "signed") == "signed"
+            for f in r.factors
+        ):
+            # product formula: the signed-action degree singles out the
+            # monomials whose C/E weight equals it
+            f_deg = sum(
+                f.recipe.d for f in r.factors if isinstance(f.recipe, PermutationSW)
+            )
+            return lambda_sum(
+                ctx.L,
+                ctx.n,
+                inv.degree,
+                lambda i: 2 * len(i.C) + len(i.E) == f_deg,
+            )
+    return _fold_recipe(inv, ctx.labels, lambda f: _stated_leaf(f, ctx))
+
+
+def _stated_leaf(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
     r = inv.recipe
     if isinstance(r, ProjectionSW):
         if r.projection == "pairs":
@@ -478,44 +525,6 @@ def stated_formula(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
             r.m,
             lambda i: not i.C and not i.E and len(i.A) % 2 == 0,
         )
-    if isinstance(r, Product):
-        if not r.factors:
-            return one(ctx.labels)
-        kinds = {type(f.recipe) for f in r.factors}
-        if kinds <= {ProjectionSW, PermutationSW} and all(
-            getattr(f.recipe, "projection", "pairs") == "pairs"
-            and getattr(f.recipe, "points", "signed") == "signed"
-            for f in r.factors
-        ):
-            # product formula: the signed-action degree singles out the
-            # monomials whose C/E weight equals it
-            f_deg = sum(
-                f.recipe.d for f in r.factors if isinstance(f.recipe, PermutationSW)
-            )
-            return lambda_sum(
-                ctx.L,
-                ctx.n,
-                inv.degree,
-                lambda i: 2 * len(i.C) + len(i.E) == f_deg,
-            )
-        parts = [stated_formula(f, ctx) for f in r.factors]
-        if any(p is None for p in parts):
-            return None
-        acc = one(ctx.labels)
-        for p in parts:
-            acc = acc * p
-        return acc
-    if isinstance(r, Correction):
-        acc = zero(ctx.labels)
-        for eps, factors in r.terms:
-            term = one(ctx.labels) if eps % 2 == 0 else two(ctx.labels)
-            for f in factors:
-                part = stated_formula(f, ctx)
-                if part is None:
-                    return None
-                term = term * part
-            acc = acc + term
-        return acc
     return None
 
 
@@ -579,24 +588,10 @@ def _d_degree_block(n: int, d: int) -> list[NamedInvariant]:
     out = []
     lo = max(0, d - m)
     for i in range(lo, d // 2 + 1):
-        vpart, upart = 2 * i, d - 2 * i
         if n % 2 == 0 and d == m and i == 0:
             out.append(_minus_fold(m) if m > 0 else _ONE)
-            continue
-        if vpart == 0 and upart == 0:
-            out.append(_ONE)
-        elif vpart == 0:
-            out.append(_u(upart))
-        elif upart == 0:
-            out.append(_v(vpart))
         else:
-            out.append(
-                NamedInvariant(
-                    _product_name(f"v{vpart}", f"u{upart}"),
-                    d,
-                    Product((_v(vpart), _u(upart))),
-                )
-            )
+            out.append(_ONE if d == 0 else _uv(d, 2 * i))
     if n % 2 == 0 and d == m:
         out.append(_fold(m))
     return out
@@ -855,34 +850,6 @@ def normalizer_families(
 # dimension bounds
 
 
-def _f2_rank(vectors: Sequence[int]) -> int:
-    rows: list[int] = []
-    for v in vectors:
-        for r in rows:
-            if v & (r & -r):
-                v ^= r
-        if v:
-            rows.append(v)
-            rows.sort(key=lambda r: r & -r)
-    return len(rows)
-
-
-def _stacked_bits(row: Sequence[KInvariant], key_bits: dict) -> int:
-    bits = 0
-    for c, inv in enumerate(row):
-        for m in inv.mod_s().terms:
-            key = (c, m.var_mask)
-            if key not in key_bits:
-                key_bits[key] = len(key_bits)
-            bits |= 1 << key_bits[key]
-    return bits
-
-
-def _stacked_rank(rows: Sequence[Sequence[KInvariant]]) -> int:
-    key_bits: dict = {}
-    return _f2_rank([_stacked_bits(row, key_bits) for row in rows])
-
-
 def _subset_monomials(k: int, d: int) -> list[Monomial]:
     return [
         Monomial(sum(1 << p for p in subset), False)
@@ -977,24 +944,16 @@ def upper_bound_dim(type_label: str, rank: int, degree: int) -> int:
     if degree < 0:
         raise ValueError("degree must be non-negative")
     t = type_label
-    if t == "A":
+    if t in ("A", "D"):
         if degree == 0:
             return 1
-        sys_ = build_root_system("A", rank)
+        sys_ = build_root_system(t, rank)
         frame_name, roots = standard_frames(sys_)[0]
         perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
         labels = tuple(root_label(sys_, r) for r in roots)
         return _orbit_count(labels, perms, degree)
     if t in ("B", "C"):
         return _b_upper_bound(rank, degree)
-    if t == "D":
-        if degree == 0:
-            return 1
-        sys_ = build_root_system("D", rank)
-        frame_name, roots = standard_frames(sys_)[0]
-        perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
-        labels = tuple(root_label(sys_, r) for r in roots)
-        return _orbit_count(labels, perms, degree)
     if (t, rank) in _ENCODED_BOUNDS:
         bounds = _ENCODED_BOUNDS[(t, rank)]
         return bounds[degree] if degree < len(bounds) else 0
@@ -1148,11 +1107,8 @@ def _constrained_dims(
         by_degree.setdefault(deg, []).append(val)
     dims = {}
     for deg, vecs in by_degree.items():
-        key_bits: dict = {}
-        images = [
-            _stacked_bits((substitute(v, cmap) + v,), key_bits) for v in vecs
-        ]
-        dims[deg] = len(vecs) - _f2_rank(images)
+        images = [(substitute(v, cmap) + v,) for v in vecs]
+        dims[deg] = len(vecs) - stacked_independence(images).rank
     return dims
 
 
@@ -1209,6 +1165,28 @@ class BasisReport:
 
 def _check(check_id: str, ok: bool, witness: Optional[str] = None) -> CheckResult:
     return CheckResult(check_id, "pass" if ok else "fail", witness)
+
+
+def _degree_rank(basis, restrictions, d: int) -> int:
+    """Rank of the degree-d elements' stacked restriction rows."""
+    return stacked_independence(
+        [row for b, row in zip(basis, restrictions) if b.degree == d]
+    ).rank
+
+
+def _bounded_dims(out_type, out_rank, basis, restrictions):
+    """Rows (degree, achieved rank, upper bound) for every degree of the
+    basis, and the dimension-bounds check on them."""
+    dims = [
+        (
+            d,
+            _degree_rank(basis, restrictions, d),
+            upper_bound_dim(out_type, out_rank, d),
+        )
+        for d in range(max(b.degree for b in basis) + 1)
+    ]
+    bad = [f"degree {d}: {a} != {b}" for d, a, b in dims if a != b]
+    return dims, _check("dimension-bounds", not bad, "; ".join(bad) if bad else None)
 
 
 def verify_identity(
@@ -1339,14 +1317,7 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     )
 
     # dims feed both the cardinality and the bound check
-    max_deg = max(b.degree for b in basis)
-    dims = []
-    for d in range(max_deg + 1):
-        rows_d = [
-            row for b, row in zip(basis, restrictions) if b.degree == d
-        ]
-        achieved = _stacked_rank(rows_d)
-        dims.append((d, achieved, upper_bound_dim(out_type, out_rank, d)))
+    dims, bounds_check = _bounded_dims(out_type, out_rank, basis, restrictions)
 
     # (3) cardinality
     bound_total = sum(b for _, _, b in dims)
@@ -1399,10 +1370,7 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     )
 
     # (5) per-degree achieved vs bound
-    bad = [f"degree {d}: {a} != {b}" for d, a, b in dims if a != b]
-    checks.append(
-        _check("dimension-bounds", not bad, "; ".join(bad) if bad else None)
-    )
+    checks.append(bounds_check)
 
     # (6) the encoded lists are recomputed from the constraint itself
     if (out_type, out_rank) in _ENCODED_BOUNDS:
@@ -1462,7 +1430,8 @@ def _dihedral_report(out_type: str, out_rank: int, n: int) -> BasisReport:
     labels = tuple(f"x{i + 1}" for i in range(len(frame)))
     basis = generators_for(out_type, out_rank)
     restrictions = tuple(
-        (_restrict_abelian(b, labels),) for b in basis
+        (_fold_recipe(b, labels, lambda f: _restrict_abelian(f, labels)),)
+        for b in basis
     )
     checks = [
         _check(
@@ -1497,13 +1466,8 @@ def _dihedral_report(out_type: str, out_rank: int, n: int) -> BasisReport:
             else f"stabilizer induces {len(stab_perms)} position action(s)",
         )
     )
-    max_deg = max(b.degree for b in basis)
-    dims = []
-    for d in range(max_deg + 1):
-        rows_d = [row for b, row in zip(basis, restrictions) if b.degree == d]
-        dims.append((d, _stacked_rank(rows_d), upper_bound_dim(out_type, out_rank, d)))
-    bad = [f"degree {d}: {a} != {b}" for d, a, b in dims if a != b]
-    checks.append(_check("dimension-bounds", not bad, "; ".join(bad) if bad else None))
+    dims, bounds_check = _bounded_dims(out_type, out_rank, basis, restrictions)
+    checks.append(bounds_check)
     if n == 6:
         facts = g2_split_check(group)
         checks.append(
@@ -1525,28 +1489,6 @@ def _dihedral_report(out_type: str, out_rank: int, n: int) -> BasisReport:
             f"one of {len(classes)} frame class(es) shown; restriction is "
             "bijective onto the x-context",
         ),
-    )
-
-
-def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvariant:
-    r = inv.recipe
-    if isinstance(r, ProjectionSW) and r.projection.startswith("sign:"):
-        return x_monomial(labels, (r.projection[5:],))
-    if isinstance(r, Product):
-        acc = one(labels)
-        for f in r.factors:
-            acc = acc * _restrict_abelian(f, labels)
-        return acc
-    if isinstance(r, Correction):
-        acc = zero(labels)
-        for eps, factors in r.terms:
-            term = one(labels) if eps % 2 == 0 else two(labels)
-            for f in factors:
-                term = term * _restrict_abelian(f, labels)
-            acc = acc + term
-        return acc
-    raise UnsupportedEmbeddingError(
-        f"{inv.name}: recipe has no restriction to a bare x-context"
     )
 
 
@@ -1573,11 +1515,13 @@ def abelian_x_report(labels: Sequence[str], type_label: str = "Z2") -> BasisRepo
     """
     labels = tuple(labels)
     basis = list(_x_subset_basis(labels))
-    restrictions = tuple((_restrict_abelian(b, labels),) for b in basis)
+    restrictions = tuple(
+        (_fold_recipe(b, labels, lambda f: _restrict_abelian(f, labels)),)
+        for b in basis
+    )
     verdict = stacked_independence(restrictions)
     dims = tuple(
-        (d, _stacked_rank([r for b, r in zip(basis, restrictions) if b.degree == d]),
-         comb(len(labels), d))
+        (d, _degree_rank(basis, restrictions, d), comb(len(labels), d))
         for d in range(len(labels) + 1)
     )
     checks = (
@@ -1652,11 +1596,10 @@ def tensor_basis(report_a: BasisReport, report_b: BasisReport) -> BasisReport:
     bounds_b = {d: v for d, _, v in report_b.dims}
     dims = []
     for d in range(max_deg + 1):
-        rows_d = [r for b, r in zip(basis, restrictions) if b.degree == d]
         bound = sum(
             bounds_a.get(k, 0) * bounds_b.get(d - k, 0) for k in range(d + 1)
         )
-        dims.append((d, _stacked_rank(rows_d), bound))
+        dims.append((d, _degree_rank(basis, restrictions, d), bound))
     checks = (
         _check("independence", verdict.independent),
         _check(

@@ -35,13 +35,13 @@ from math import isqrt
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .algebra import KInvariant
+from .algebra import KInvariant, one
 from .errors import (
     CacheFormatError,
     CertificateError,
     CosetValidationError,
 )
-from .forms import OrbitPfister, OrbitPfisterDecomp, e_fold
+from .forms import OrbitPfister, OrbitPfisterDecomp, _entry_class, e_fold
 from .groups import root_label, weyl_order
 from .roots import RootSystem
 
@@ -589,22 +589,13 @@ def compare_support(cert: FoldCertificate, expected: KInvariant) -> bool:
     if not cert.orbits:
         return expected.is_zero()
     m = cert.min_fold
-    from .algebra import Monomial, kinv, one
-
     products = []
     for o in cert.orbits:
         if o.fold != m:
             continue
         term = one(cert.labels)
         for dmask in o.delta_masks:
-            term = term * kinv(
-                cert.labels,
-                [
-                    Monomial(1 << i, False)
-                    for i in range(dmask.bit_length())
-                    if (dmask >> i) & 1
-                ],
-            )
+            term = term * _entry_class(cert.labels, 0, dmask)
         products.append(frozenset(term.terms))
     if expected.labels != cert.labels:
         raise ValueError("expected invariant uses a different context")

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .algebra import KInvariant, Monomial, kinv, one, zero
+from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, zero
 from .errors import CertificateError, UnsupportedEmbeddingError
 
 __all__ = [
@@ -328,16 +328,7 @@ class OrbitPfisterDecomp:
 def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
     """Deterministic basis of {x : x . v = 0 for all v} in F2^width."""
     # row-reduce the constraint matrix, then back-substitute free variables
-    rows = []
-    for v in vectors:
-        cur = v
-        for r in rows:
-            low = r & -r
-            if cur & low:
-                cur ^= r
-        if cur:
-            rows.append(cur)
-            rows.sort(key=lambda r: r & -r)
+    rows = [r for r, _ in _f2_eliminate(vectors)[0]]
     pivots = [(r & -r).bit_length() - 1 for r in rows]
     free = [i for i in range(width) if i not in pivots]
     basis = []
@@ -523,10 +514,7 @@ def e_fold(decomp: OrbitPfisterDecomp, m: int) -> KInvariant:
             continue
         term = one(decomp.labels)
         for dmask in o.delta_masks:
-            term = term * kinv(
-                decomp.labels,
-                [Monomial(1 << i, False) for i in range(dmask.bit_length()) if (dmask >> i) & 1],
-            )
+            term = term * _entry_class(decomp.labels, 0, dmask)
         acc = acc + term
     return acc
 

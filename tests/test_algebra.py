@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -25,7 +27,9 @@ from weylinv.algebra import (
     x_monomial,
     zero,
 )
+from weylinv.algebra import _f2_eliminate
 from weylinv.errors import ContextMismatchError
+from weylinv.forms import _f2_kernel_basis
 
 L2 = ("a1", "b1", "a2", "b2")
 
@@ -174,6 +178,10 @@ def test_independence_examples():
     res = linear_independence([t1 + t2, t2 + t3, t1 + t3])
     assert not res.independent
     assert res.dependency == (0, 1, 2)
+    # the rank counts every input, not only those before the first dependency
+    res = linear_independence([t1 + t2, t2 + t3, t1 + t3, t1])
+    assert not res.independent and res.rank == 3
+    assert res.dependency == (0, 1, 2)
 
 
 def test_independence_mod_s_reduction():
@@ -185,6 +193,45 @@ def test_independence_mod_s_reduction():
     res = linear_independence([t1, st1])
     assert not res.independent
     assert res.dependency == (1,)
+
+
+def _span_size(vectors):
+    """Size of the F2 span, by XOR-ing every subset."""
+    return len(
+        {
+            reduce(xor, (v for i, v in enumerate(vectors) if (sub >> i) & 1), 0)
+            for sub in range(1 << len(vectors))
+        }
+    )
+
+
+def test_elimination_matches_brute_force_seeded():
+    rng = random.Random(20181)
+    for _ in range(200):
+        width = rng.randint(1, 8)
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 10))]
+        rows, dependency = _f2_eliminate(vectors)
+        rank = len(rows)
+        assert 1 << rank == _span_size(vectors)
+        pivots = [r & -r for r, _ in rows]
+        assert pivots == sorted(pivots) and len(set(pivots)) == rank
+        for r, comb in rows:
+            assert r == reduce(
+                xor, (v for i, v in enumerate(vectors) if (comb >> i) & 1), 0
+            )
+        if dependency is None:
+            assert rank == len(vectors)
+        else:
+            assert reduce(xor, (vectors[i] for i in dependency), 0) == 0
+            # first: the inputs before its last index are independent
+            last = dependency[-1]
+            assert _span_size(vectors[:last]) == 1 << last
+        kernel = _f2_kernel_basis(vectors, width)
+        assert len(kernel) == width - rank
+        assert len(_f2_eliminate(kernel)[0]) == len(kernel)
+        for x in kernel:
+            for v in vectors:
+                assert (x & v).bit_count() % 2 == 0
 
 
 def test_stacked_independence():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -29,7 +30,7 @@ from weylinv.basis import (
     verify_basis,
     verify_identity,
 )
-from weylinv.errors import UnsupportedSystemError
+from weylinv.errors import UnsupportedEmbeddingError, UnsupportedSystemError
 from weylinv.groups import make_frame, standard_frames
 from weylinv.roots import build_root_system
 
@@ -571,3 +572,28 @@ def test_tensor_of_x_bases_concatenates():
 def test_tensor_rejects_label_collisions():
     with pytest.raises(ValueError):
         tensor_basis(abelian_x_report(("p",)), abelian_x_report(("p",)))
+
+
+def test_abelian_evaluator_rejects_a_non_x_recipe(monkeypatch):
+    u1 = NamedInvariant("u1", 1, ProjectionSW(1, "pairs"))
+    xp = NamedInvariant("xp", 1, ProjectionSW(1, "sign:p"))
+    for bad in (u1, NamedInvariant("xpu1", 2, Product((xp, u1)))):
+        monkeypatch.setattr(basis, "_x_subset_basis", lambda labels: (xp, bad))
+        with pytest.raises(UnsupportedEmbeddingError, match="u1"):
+            abelian_x_report(("p",))
+
+
+# ---------------------------------------------------------------------------
+# fold certificates
+
+
+def test_each_cache_dir_gets_its_coset_file(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    verify_basis("D", 4, str(first))
+    verify_basis("D", 4, str(second))
+    names = sorted(os.listdir(first))
+    assert names and sorted(os.listdir(second)) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
