@@ -55,6 +55,7 @@ from .algebra import (
 from .cosets import build_coset_space, f_restriction, full_check, standard_u_gens
 from .errors import UnsupportedEmbeddingError, UnsupportedSystemError
 from .forms import (
+    DiagonalForm,
     expand_to_diagonal,
     form_of_linear_action,
     form_of_permutation_action,
@@ -276,26 +277,19 @@ _POINT_PERMS = {
 }
 
 
-# coset spaces and their canonical-frame certificates are deterministic per
-# (type, rank), so repeated fold-invariant restrictions reuse one build;
-# the key holds cache_dir too, so that every cache dir gets its file
-_SPACE_MEMO: dict = {}
-_CERT_MEMO: dict = {}
-
-
 def _fold_certificate(sys_, frame_roots, cache_dir):
-    key = (sys_.type_label, sys_.rank, cache_dir)
-    cert_key = key + (tuple(sys_.canonical_rep[r] for r in frame_roots),)
-    cert = _CERT_MEMO.get(cert_key)
-    if cert is not None:
-        return cert
-    space = _SPACE_MEMO.get(key)
-    if space is None:
-        space = build_coset_space(sys_, standard_u_gens(sys_), cache_dir=cache_dir)
-        _SPACE_MEMO[key] = space
-    cert = full_check(sys_, space, frame_roots)
-    _CERT_MEMO[cert_key] = cert
-    return cert
+    """The frame's fold certificate on the standard coset space, both
+    memoized per cache_dir so that every cache dir gets its file."""
+
+    def certify():
+        space = sys_.memo(
+            ("cosets", cache_dir),
+            lambda: build_coset_space(sys_, standard_u_gens(sys_), cache_dir=cache_dir),
+        )
+        return full_check(sys_, space, frame_roots)
+
+    canonical = tuple(sys_.canonical_rep[r] for r in frame_roots)
+    return sys_.memo(("certificate", cache_dir, canonical), certify)
 
 
 def restrict(
@@ -314,50 +308,58 @@ def restrict(
         frame.root_indices if isinstance(frame, OrthogonalFrame) else frame
     )
     labels = tuple(root_label(sys_, r) for r in roots)
-    return _restrict(inv, roots, labels, sys_, cache_dir, {})
+    return _restrict(inv, roots, labels, sys_, cache_dir)
 
 
-def _restrict(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
-    """restrict() on precomputed labels.
+def _restrict(inv, roots, labels, sys_, cache_dir) -> KInvariant:
+    """restrict() on precomputed labels, the root_label of each of roots.
 
-    memo holds this frame's diagonal forms, keyed by recipe kind
-    ("linear", a points value or a projection value), so that every
-    element restricted with the same memo diagonalizes each form once.
-    Next to each form it holds the form's total Stiefel-Whitney class and
-    that of its <2>-twist (see _sw_degree).  One memo serves one frame
-    of one system: callers create a fresh dict per frame and drop it
-    with the frame.
+    The system memoizes the frame's diagonal form of each recipe kind
+    ("linear", a points value or a projection value), keyed by the kind
+    and roots, and next to it the total Stiefel-Whitney class of the
+    form, or of its <2>-twist for modified classes.  Each form is then
+    diagonalized and multiplied out once, and every degree and every
+    element is read off the total class.
     """
     return _fold_recipe(
-        inv, labels, lambda f: _restrict_leaf(f, roots, labels, sys_, cache_dir, memo)
+        inv, labels, lambda f: _restrict_leaf(f, roots, labels, sys_, cache_dir)
     )
 
 
-def _restrict_leaf(inv, roots, labels, sys_, cache_dir, memo) -> KInvariant:
+def _restrict_leaf(inv, roots, labels, sys_, cache_dir) -> KInvariant:
     r = inv.recipe
-    if isinstance(r, ReflectionSW):
-        form = memo.get("linear")
-        if form is None:
-            form = memo["linear"] = form_of_linear_action(sys_, roots, labels)
-        return _sw_degree(memo, "linear", form, r.d, r.modified)
     if isinstance(r, FoldInvariant):
-        cert = _fold_certificate(sys_, roots, cache_dir)
-        return f_restriction(cert, r.m)
-    if isinstance(r, PermutationSW):
-        key, modified = r.points, r.modified
+        return f_restriction(_fold_certificate(sys_, roots, cache_dir), r.m)
+    if isinstance(r, ReflectionSW):
+        kind, modified = "linear", r.modified
+    elif isinstance(r, PermutationSW):
+        kind, modified = r.points, r.modified
     elif r.projection.startswith("sign:"):
         return _restrict_abelian(inv, labels)
     else:
-        key, modified = r.projection, True
-    diag = memo.get(key)
-    if diag is None:
-        build = _POINT_PERMS.get(key)
-        if build is None:
-            raise ValueError(f"unknown point action {key!r}")
-        npts = len(sys_.roots[0].doubled)
-        gens = [build(sys_, idx, npts) for idx in roots]
-        diag = memo[key] = expand_to_diagonal(form_of_permutation_action(gens, labels))
-    return _sw_degree(memo, key, diag, r.d, modified)
+        kind, modified = r.projection, True
+    key = (kind, roots)
+    form = sys_.memo(key, lambda: _frame_form(sys_, kind, roots, labels))
+    total = sys_.memo(
+        key + (modified,),
+        lambda: total_sw(twist_by_two(form) if modified else form),
+    )
+    if modified:
+        return _modified_from_twisted(total, r.d, form.dim)
+    return total.degree_part(r.d)
+
+
+def _frame_form(sys_, kind, roots, labels) -> DiagonalForm:
+    """The diagonal form of the frame's reflections acting linearly
+    (kind "linear") or on the points of a _POINT_PERMS action."""
+    if kind == "linear":
+        return form_of_linear_action(sys_, roots, labels)
+    build = _POINT_PERMS.get(kind)
+    if build is None:
+        raise ValueError(f"unknown point action {kind!r}")
+    npts = len(sys_.roots[0].doubled)
+    gens = [build(sys_, idx, npts) for idx in roots]
+    return expand_to_diagonal(form_of_permutation_action(gens, labels))
 
 
 def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvariant:
@@ -393,24 +395,6 @@ def _fold_recipe(inv, labels, leaf) -> Optional[KInvariant]:
             term = term * part
         acc = acc + term
     return acc
-
-
-def _sw_degree(memo, key, form, d: int, modified: bool) -> KInvariant:
-    """sw_class(form, d), or modified_sw(form, d) if modified, for the
-    form held at memo[key].
-
-    The total class (of the form, or of its <2>-twist when modified) is
-    multiplied out once per frame and kept at memo[(key, modified)];
-    every degree is read off it.
-    """
-    total = memo.get((key, modified))
-    if total is None:
-        total = memo[(key, modified)] = total_sw(
-            twist_by_two(form) if modified else form
-        )
-    if modified:
-        return _modified_from_twisted(total, d, form.dim)
-    return total.degree_part(d)
 
 
 # ---------------------------------------------------------------------------
@@ -998,10 +982,9 @@ def upstream_table(
     _, roots_e = standard_frames(sys_e)[0]
     labels_e = tuple(root_label(sys_e, r) for r in roots_e)
     inj = _injection(labels_d, labels_e)
-    memo: dict = {}
     entries = []
     for b in generators_for("D", inner_rank):
-        val = _restrict(b, roots_d, labels_d, sys_d, cache_dir, memo)
+        val = _restrict(b, roots_d, labels_d, sys_d, cache_dir)
         entries.append((b.name, b.degree, inj.apply(val)))
     if rank != 7:
         return entries
@@ -1079,9 +1062,8 @@ def _constrained_dims(
         sys_b = build_root_system("B", 4)
         _, roots_b = standard_frames(sys_b)[2]
         labels = tuple(root_label(sys_b, r) for r in roots_b)
-        memo: dict = {}
         graded = [
-            (b.degree, _restrict(b, roots_b, labels, sys_b, cache_dir, memo))
+            (b.degree, _restrict(b, roots_b, labels, sys_b, cache_dir))
             for b in generators_for("B", 4)
         ]
         sys_f = build_root_system("F", 4)
@@ -1203,9 +1185,9 @@ def verify_identity(
     invariants means here.
     """
 
-    def side(x, name, roots, labels, memo):
+    def side(x, name, roots, labels):
         if isinstance(x, NamedInvariant):
-            return _restrict(x, tuple(roots), labels, sys_, cache_dir, memo)
+            return _restrict(x, tuple(roots), labels, sys_, cache_dir)
         return x[name]
 
     def describe(x):
@@ -1214,9 +1196,8 @@ def verify_identity(
     cid = check_id or f"identity:{describe(lhs)}={describe(rhs)}"
     for name, roots in standard_frames(sys_):
         labels = tuple(root_label(sys_, r) for r in roots)
-        memo: dict = {}
-        lv = side(lhs, name, roots, labels, memo)
-        rv = side(rhs, name, roots, labels, memo)
+        lv = side(lhs, name, roots, labels)
+        rv = side(rhs, name, roots, labels)
         if lv != rv:
             return _check(
                 cid, False, f"differs at {name}: {lv.render()} != {rv.render()}"
@@ -1264,11 +1245,10 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     frame_labels = [
         tuple(root_label(sys_, r) for r in roots) for _, roots in frames
     ]
-    memos = [{} for _ in frames]
     restrictions = tuple(
         tuple(
-            _restrict(b, tuple(roots), labels, sys_, cache_dir, memo)
-            for (_, roots), labels, memo in zip(frames, frame_labels, memos)
+            _restrict(b, tuple(roots), labels, sys_, cache_dir)
+            for (_, roots), labels in zip(frames, frame_labels)
         )
         for b in basis
     )

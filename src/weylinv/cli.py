@@ -579,8 +579,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CosetValidationError, CertificateError) as fail:
         print(f"weylinv: verification failure: {fail}", file=sys.stderr)
         return 1
-    except (UnsupportedSystemError, ValueError) as bad:
-        print(f"weylinv: {bad}", file=sys.stderr)
+    except (UnsupportedSystemError, ValueError, OSError) as bad:
+        print(f"weylinv: {bad}", file=sys.stderr)  # an OSError names its path
         return 2
 
 

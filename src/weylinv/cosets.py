@@ -182,7 +182,7 @@ def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
         mirrors = [images[r] for r in left if r in images]
         orbit = _root_orbit(mirrors, left[:1], set())
         order *= len(orbit)
-        row = sys_.gram[orbit[0]]
+        row = sys_.gram_row(orbit[0])
         left = [r for r in left if not row[r]]
     return order
 

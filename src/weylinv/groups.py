@@ -116,9 +116,8 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
     for i in range(n):
         if images[neg[i]] != neg[images[i]]:
             raise ValueError(f"not sign-equivariant at root {i}")
-    gram = sys_.gram
     for b in sys_.simple_indices:
-        gb, gpb = gram[b], gram[images[b]]
+        gb, gpb = sys_.gram_row(b), sys_.gram_row(images[b])
         for j in range(n):
             if gb[j] != gpb[images[j]]:
                 raise ValueError(
@@ -128,17 +127,13 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
 
 def perm_of_reflection(sys_: RootSystem, root_idx: int) -> RootPermutation:
     """The validated root permutation induced by the reflection s_alpha."""
-    cache = getattr(sys_, "_refl_perm_cache", None)
-    if cache is None:
-        cache = {}
-        sys_._refl_perm_cache = cache  # type: ignore[attr-defined]
-    perm = cache.get(root_idx)
-    if perm is None:
+
+    def build():
         images = sys_.reflection_images(root_idx)
         validate_root_permutation(sys_, images)
-        perm = RootPermutation(images)
-        cache[root_idx] = perm
-    return perm
+        return RootPermutation(images)
+
+    return sys_.memo(("reflection", root_idx), build)
 
 
 @dataclass(frozen=True)
@@ -292,10 +287,9 @@ def make_frame(
 ) -> OrthogonalFrame:
     """Canonicalize and validate a frame given by arbitrary root indices."""
     canon = sorted({sys_.canonical_rep[i] for i in roots})
-    gram = sys_.gram
     for a in range(len(canon)):
         for b in range(a + 1, len(canon)):
-            if gram[canon[a]][canon[b]] != 0:
+            if sys_.gram_row(canon[a])[canon[b]] != 0:
                 raise ValueError(
                     f"roots {canon[a]} and {canon[b]} are not orthogonal"
                 )
@@ -304,7 +298,8 @@ def make_frame(
         for line in sys_.lines:
             if line in members:
                 continue
-            if all(gram[line][m] == 0 for m in canon):
+            row = sys_.gram_row(line)
+            if all(row[m] == 0 for m in canon):
                 raise ValueError(
                     f"frame not maximal: root {line} is orthogonal to all members"
                 )
@@ -321,12 +316,11 @@ def maximal_orthogonal_frames(
     the search finds a (cap + 1)-th frame.
     """
     lines = sys_.lines
-    gram = sys_.gram
     nlines = len(lines)
     adj = []
     for a in range(nlines):
         mask = 0
-        ga = gram[lines[a]]
+        ga = sys_.gram_row(lines[a])
         for b in range(nlines):
             if b != a and ga[lines[b]] == 0:
                 mask |= 1 << b
@@ -432,15 +426,14 @@ def omega_classes(
     clique search stops at the (max_frames + 1)-th and the inductive
     fallback classifies by invariants instead (see _omega_inductive).
     """
-    cache = sys_._omega_cache
-    if max_frames in cache:
-        return cache[max_frames]  # type: ignore[return-value]
+    return sys_.memo(("omega", max_frames), lambda: _omega_classes(sys_, max_frames))
+
+
+def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
     try:
         frames = maximal_orthogonal_frames(sys_, max_frames)
     except CapExceededError:
-        result = _omega_inductive(sys_)
-        cache[max_frames] = result
-        return result
+        return _omega_inductive(sys_)
     all_keys = {f.root_indices for f in frames}
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     canonical = sys_.canonical_rep
@@ -474,14 +467,12 @@ def omega_classes(
         sizes.append(len(orbit))
     if sum(sizes) != len(frames):
         raise AssertionError("orbit sizes do not sum to the frame count")
-    result = OmegaClasses(
+    return OmegaClasses(
         representatives=tuple(OrthogonalFrame(r) for r in reps),
         orbit_sizes=tuple(sizes),
         method="bfs",
         class_of=class_of,
     )
-    cache[max_frames] = result
-    return result
 
 
 def _omega_inductive(sys_: RootSystem) -> OmegaClasses:

@@ -227,36 +227,6 @@ def _roots_f4() -> tuple[list[RootVector], list[RootVector]]:
     return roots, simple
 
 
-class _GramRows:
-    """The Gram matrix of a root list, one row computed at its first read.
-
-    gram[i][j] is the dot product of doubled coordinates i and j.  It
-    iterates over its rows (through __getitem__) and compares equal to
-    the tuple of them.
-    """
-
-    __slots__ = ("_doubles", "_rows")
-
-    def __init__(self, doubles: list[tuple[int, ...]]):
-        self._doubles = doubles
-        self._rows: list[tuple[int, ...] | None] = [None] * len(doubles)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        row = self._rows[i]
-        if row is None:
-            vd = self._doubles[i]
-            row = self._rows[i] = tuple(
-                [sum(map(mul, vd, wd)) for wd in self._doubles]
-            )
-        return row
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
-
-
 class RootSystem:
     """Immutable root system with deterministic lexicographic root order.
 
@@ -269,10 +239,14 @@ class RootSystem:
         lines: indices of the sign-canonical root of each +- pair, ascending.
         line_of: root index -> position of its line in `lines`.
         canonical_rep: root index -> index of the sign-canonical partner.
-        gram: gram[i][j] is the dot product of the doubled coordinates of
-            roots i and j, an integer equal to 4 (roots[i], roots[j]);
-            each row is computed the first time it is read.
         notes: informational strings (e.g. the C -> B alias).
+
+    gram_row(i)[j] is the dot product of the doubled coordinates of
+    roots i and j, an integer equal to 4 (roots[i], roots[j]).  It and
+    every other value derived from the system (reflection tables, Omega
+    classes, frame forms, coset spaces, fold certificates) is computed
+    at its first use and held by memo(), so it lives exactly as long as
+    the system: build_root_system.cache_clear() drops them all.
     """
 
     def __init__(
@@ -311,13 +285,33 @@ class RootSystem:
         for pos, root_idx in enumerate(self.lines):
             self.line_of[root_idx] = pos
             self.line_of[self.negation[root_idx]] = pos
+        self._memo: dict = {}
         self._validate()
-        # lazily populated caches (treated as implementation detail;
-        # the public surface stays immutable)
-        self._omega_cache: dict[int, object] = {}
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
+
+    def memo(self, key, build):
+        """The value derived from this system under key: build() on the
+        first request, the stored value after that.
+
+        Keys are tuples led by the kind of value: ("gram", i),
+        ("reflection", i), ("omega", max_frames), ("cosets", cache_dir),
+        ("certificate", cache_dir, frame) and, in basis, a recipe kind
+        with a frame's roots for its forms and total SW classes.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def gram_row(self, i: int) -> tuple[int, ...]:
+        """Dot products of the doubled coordinates of roots[i] with every root."""
+
+        def build():
+            vd = self.roots[i].doubled
+            return tuple([sum(map(mul, vd, w.doubled)) for w in self.roots])
+
+        return self.memo(("gram", i), build)
 
     def root_index(self, v: RootVector) -> int:
         try:
@@ -344,8 +338,8 @@ class RootSystem:
         <g, b^v> = <w^-1 g, a_i^v>, an integer by (b) because w^-1 g is
         a root.
 
-        The Gram matrix is not needed here: `gram` computes each row the
-        first time it is read.
+        The Gram matrix is not needed here: `gram_row` computes each row
+        the first time it is read.
         """
         roots = self.roots
         n = len(roots)
@@ -388,7 +382,6 @@ class RootSystem:
             raise ValueError(
                 f"root {missing} is not reached from the simple roots"
             )
-        self.gram = _GramRows(doubles)
 
     def reflection_images(self, root_idx: int) -> tuple[int, ...]:
         """Root-index images of the reflection at roots[root_idx].
@@ -397,7 +390,7 @@ class RootSystem:
         roots[root_idx] is its own image.
         """
         vd = self.roots[root_idx].doubled
-        row = self.gram[root_idx]
+        row = self.gram_row(root_idx)
         vv = row[root_idx]
         index = self.index
         out = []

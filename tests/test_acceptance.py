@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from weylinv import cli
+from weylinv import cli, cosets
 from weylinv.algebra import parse_terms
 from weylinv.basis import (
     FoldInvariant,
@@ -326,14 +326,28 @@ def test_criterion_09_dimension_equalities(cache_dir):
     _passed(9, "achieved dimensions equal the constraint bounds everywhere")
 
 
-def test_criterion_10_determinism(tmp_path, capsys, cold_spaces):
+def test_criterion_10_determinism(tmp_path, capsys, cold_spaces, monkeypatch):
     fresh = tmp_path / "cache"
     args = ["verify", "--all", "--json", "--cache-dir", str(fresh)]
+    calls = []
+    for name in ("_load_space", "_build_space"):
+        def counted(*a, _real=getattr(cosets, name), _name=name):
+            calls.append(_name)
+            return _real(*a)
+
+        monkeypatch.setattr(cosets, name, counted)
     assert cli.main(list(args)) == 0
     first = capsys.readouterr().out
-    assert cli.main(list(args)) == 0  # second run reads the cache it wrote
+    files = len(list(fresh.iterdir()))
+    assert files and calls == ["_build_space"] * files
+    # the systems own every memo: dropping them makes the second run
+    # read the cache it wrote
+    build_root_system.cache_clear()
+    calls.clear()
+    assert cli.main(list(args)) == 0
     second = capsys.readouterr().out
     assert first == second
+    assert calls == ["_load_space"] * files
 
     sys8, cold, _ = cold_spaces[8]
     cached = build_coset_space(sys8, standard_u_gens(sys8), str(fresh))

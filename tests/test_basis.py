@@ -469,9 +469,12 @@ def test_one_linear_form_per_frame(monkeypatch):
         return real(sys_, frame_roots, labels)
 
     monkeypatch.setattr(basis, "form_of_linear_action", counted)
+    build_root_system.cache_clear()  # a fresh E8 holds no forms yet
     report = verify_basis("E", 8)
     assert report.passed()
     frames = [tuple(roots) for _, roots in standard_frames(build_root_system("E", 8))]
+    assert calls == frames
+    verify_basis("E", 8)  # the system keeps its forms
     assert calls == frames
 
 

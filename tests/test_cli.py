@@ -1,12 +1,16 @@
 """CLI surface: parsing, outputs, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from weylinv import cli
+from weylinv import basis, cli, cosets
 from weylinv.errors import CertificateError
+from weylinv.roots import build_root_system
 
 
 def run(capsys, *argv):
@@ -229,6 +233,33 @@ def test_verify_all_task_order_and_determinism(capsys, tmp_path):
     assert got == list(cli.VERIFY_TASKS)
 
 
+def test_verify_all_reuses_the_systems_memos(capsys, monkeypatch):
+    ref = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
+    want = json.loads(ref.read_text())["verify --all --json"]["sha256"]
+    counted_names = (
+        (basis, "form_of_linear_action"),
+        (basis, "form_of_permutation_action"),
+        (cosets, "_build_space"),
+    )
+    build_root_system.cache_clear()
+    outs, calls = [], []
+    for _ in range(2):
+        calls.append([])
+        for module, name in counted_names:
+            def counted(*a, _real=getattr(module, name), _name=name):
+                calls[-1].append(_name)
+                return _real(*a)
+
+            monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, "verify", "--all", "--json")
+        assert code == 0
+        outs.append(hashlib.sha256(out.encode()).hexdigest())
+        monkeypatch.undo()
+    assert outs == [want, want]
+    assert set(calls[0]) == {name for _, name in counted_names}
+    assert calls[1] == []  # the second run computed no form and no coset space
+
+
 def test_cache_inspect_and_clear(capsys, tmp_path):
     run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
     (cached,) = [p.name for p in tmp_path.iterdir()]
@@ -243,6 +274,18 @@ def test_cache_inspect_and_clear(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
     code, out, _ = run(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert "0 cached space(s)" in out
+
+
+@pytest.mark.parametrize(
+    "command", [("cosets", "D4"), ("cache", "inspect"), ("cache", "clear")]
+)
+def test_unusable_cache_path_exits_2(capsys, tmp_path, command):
+    sys_ = build_root_system("D", 4)
+    path = cosets.cache_path(sys_, cosets.standard_u_gens(sys_), str(tmp_path))
+    os.mkdir(path)  # a directory where the D4 cache file belongs
+    code, out, err = run(capsys, *command, "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert path in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

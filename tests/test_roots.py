@@ -165,10 +165,25 @@ def test_json_export_roundtrip():
 )
 def test_gram_matches_dot_products(label, rank):
     sys_ = build_root_system(label, rank)
-    assert sys_.gram == tuple(
-        tuple(sum(a * b for a, b in zip(v.doubled, w.doubled)) for w in sys_.roots)
-        for v in sys_.roots
-    )
+    for i, v in enumerate(sys_.roots):
+        assert sys_.gram_row(i) == tuple(
+            sum(a * b for a, b in zip(v.doubled, w.doubled)) for w in sys_.roots
+        )
+
+
+def test_memo_builds_once_per_key():
+    alpha = v(2, -2)
+    sys_ = RootSystem("A", 1, [alpha, -alpha], [alpha])
+    builds = []
+
+    def build(value):
+        builds.append(value)
+        return value
+
+    assert sys_.memo(("test", 1), lambda: build("one")) == "one"
+    assert sys_.memo(("test", 1), lambda: build("other")) == "one"
+    assert sys_.memo(("test", 2), lambda: build("two")) == "two"
+    assert builds == ["one", "two"]
 
 
 def test_validate_rejects_unclosed_root_set():
