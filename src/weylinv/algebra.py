@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatchError
+from .roots import _bfs_orbits
 
 __all__ = [
     "Monomial",
@@ -517,25 +518,11 @@ def orbit_sums(
                 raise ValueError(
                     "the permutations do not preserve the monomial set"
                 )
-    out = []
-    remaining = set(pool)
-    for m in sorted(pool, key=lambda t: (t.degree, t.var_mask, t.two_flag)):
-        if m not in remaining:
-            continue
-        orbit = {m}
-        frontier = [m]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for perm in position_perms:
-                    img = act(cur, perm)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        remaining -= orbit
-        out.append(KInvariant(labels, frozenset(orbit)))
-    return out
+    orbits = _bfs_orbits(
+        sorted(pool, key=lambda t: (t.degree, t.var_mask, t.two_flag)),
+        lambda m: [act(m, perm) for perm in position_perms],
+    )
+    return [KInvariant(labels, frozenset(orbit)) for orbit in orbits]
 
 
 def degree_part(inv: KInvariant, d: int) -> KInvariant:

@@ -18,6 +18,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .basis import generators_for, restrict, verify_basis
@@ -113,10 +114,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_elements <= 0 or self.max_frames <= 0 or self.jobs <= 0:
             raise ValueError("caps and job counts must be positive")
-        if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            if not os.access(self.cache_dir, os.W_OK):
-                raise ValueError(f"cache dir {self.cache_dir!r} is not writable")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -285,6 +282,11 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
             raise UnsupportedSystemError(
                 f"{bad.args[0]} is not a doubled root of this system"
             ) from None
+        for (i, u), (j, v) in combinations(zip(idxs, args.root), 2):
+            if sys_.gram_row(i)[j]:  # nonzero also when u and v share a line
+                raise UnsupportedSystemError(
+                    f"frame roots {u} and {v} are not orthogonal"
+                )
         return "(custom)", idxs
     frames = dict(standard_frames(sys_))
     name = getattr(args, "frame", None)
@@ -568,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(stop.code or 0)
     try:
         cfg = _config(args)
-    except (ValueError, OSError) as bad:
+    except ValueError as bad:
         print(f"weylinv: {bad}", file=sys.stderr)
         return 2
     try:

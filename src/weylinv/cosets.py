@@ -43,7 +43,7 @@ from .errors import (
 )
 from .forms import OrbitPfister, OrbitPfisterDecomp, _entry_class, e_fold
 from .groups import root_label, weyl_order
-from .roots import RootSystem
+from .roots import RootSystem, _bfs_orbits
 
 __all__ = [
     "CosetSpace",
@@ -148,23 +148,6 @@ def standard_u_gens(sys_: RootSystem) -> tuple[int, ...]:
     raise ValueError(f"no standard coset subgroup recorded for {label}{n}")
 
 
-def _root_orbit(
-    images: Sequence[Sequence[int]], start: Sequence[int], seen: set[int]
-) -> list[int]:
-    """Roots reached from start under the reflection tables images, in
-    BFS order; each is added to seen, and roots already in it are not
-    revisited."""
-    orbit = [r for r in start if r not in seen]
-    seen.update(orbit)
-    for r in orbit:  # FIFO: the loop reaches appended roots
-        for img in images:
-            s = img[r]
-            if s not in seen:
-                seen.add(s)
-                orbit.append(s)
-    return orbit
-
-
 def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
     """|W(Sigma)| for a reflection-closed set of roots, without
     enumerating the group.
@@ -180,7 +163,7 @@ def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
     left = list(roots)
     while left:
         mirrors = [images[r] for r in left if r in images]
-        orbit = _root_orbit(mirrors, left[:1], set())
+        orbit = _bfs_orbits(left[:1], lambda r: [m[r] for m in mirrors])[0]
         order *= len(orbit)
         row = sys_.gram_row(orbit[0])
         left = [r for r in left if not row[r]]
@@ -233,6 +216,7 @@ def _label_bfs(sys_: RootSystem, start: Key) -> tuple[list[Key], array]:
     the roots) when the vectors do.  Integer labels stay integral under
     integer Cartan rows, so the lattice check on start covers the orbit.
     Each new vector is its parent minus c_i a_i over a_i's support.
+    A packed kernel that records edges, so not roots._bfs_orbits.
     """
     simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
     width = _label_width(simple, start)
@@ -271,18 +255,11 @@ def _label_bfs(sys_: RootSystem, start: Key) -> tuple[list[Key], array]:
 
 def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
     """Sum of roots over each U-orbit, orbits ordered by least root."""
-    ambient = len(sys_.roots[0].doubled)
-    seen: set[int] = set()
-    sums = []
-    for start in range(len(sys_.roots)):
-        if start in seen:
-            continue
-        vec = [0] * ambient
-        for r in _root_orbit(images, (start,), seen):
-            for i, d in enumerate(sys_.roots[r].doubled):
-                vec[i] += d
-        sums.append(tuple(vec))
-    return sums
+    orbits = _bfs_orbits(range(len(sys_.roots)), lambda r: [g[r] for g in images])
+    return [
+        tuple(map(sum, zip(*(sys_.roots[r].doubled for r in orbit))))
+        for orbit in orbits
+    ]
 
 
 def _invariant_vector(
@@ -359,7 +336,8 @@ def _coset_orbit(
     # Sigma_U is the U-orbit of the generators' roots: each member is
     # u(g), and s_u(g) = u s_g u^-1 lies in U, so the orbit is closed
     # under reflecting its members in each other
-    sigma_u = sorted(_root_orbit(images, u_gen_roots, set()))
+    orbits = _bfs_orbits(u_gen_roots, lambda r: [img[r] for img in images])
+    sigma_u = sorted(r for orbit in orbits for r in orbit)
     u_order = _reflection_group_order(sys_, sigma_u)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
     vectors, edges = _label_bfs(sys_, start)
@@ -420,6 +398,7 @@ def _frame_tables(
     start: dict[int, int] = {}
     for i, a in enumerate(simple):
         start[a] = start[sys_.negation[a]] = i
+    # its own search: roots._bfs_orbits does not record parents
     frontier = list(start)
     while frontier:
         nxt = []
@@ -466,26 +445,8 @@ def p_orbits(
 
 def _orbits(tables: Sequence[Sequence[int]], size: int) -> list[tuple[int, ...]]:
     """Orbit partition of range(size) under the given action tables."""
-    seen = [False] * size
-    orbits = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for t in tables:
-                    q = t[p]
-                    if q not in orbit:
-                        orbit.add(q)
-                        seen[q] = True
-                        nxt.append(q)
-            frontier = nxt
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    orbits = _bfs_orbits(range(size), lambda p: [t[p] for t in tables])
+    return [tuple(sorted(orbit)) for orbit in orbits]
 
 
 def full_check(

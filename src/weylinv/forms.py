@@ -374,7 +374,8 @@ def form_of_permutation_action(
     for base in range(npts):
         if seen[base]:
             continue
-        # image of each group element applied to base, keyed by exponent vector
+        # image of each group element applied to base, keyed by exponent
+        # vector: a walk over group elements, not roots._bfs_orbits
         images = {0: base}
         frontier = [(0, base)]
         while frontier:

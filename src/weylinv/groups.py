@@ -19,7 +19,7 @@ from .errors import (
     NormalizerError,
     UnsupportedSystemError,
 )
-from .roots import RootSystem, build_root_system
+from .roots import RootSystem, _bfs_orbits, build_root_system
 
 __all__ = [
     "RootPermutation",
@@ -55,10 +55,10 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 class RootPermutation:
     """A permutation of root indices induced by an orthogonal map.
 
-    Instances produced by perm_of_reflection are fully validated
-    (bijection, sign-equivariance, preservation of all pairwise inner
-    products).  Compositions of validated permutations keep those
-    properties automatically, so compose() does not revalidate.
+    Instances produced by perm_of_reflection are bijections,
+    sign-equivariant and preserve all pairwise inner products, as
+    proved by RootSystem._validate.  Compositions keep those properties
+    automatically, so compose() does not revalidate.
     """
 
     images: tuple[int, ...]
@@ -107,7 +107,8 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
     is then fixed by its inner products with that basis, which equal
     those of T j, so pi j = T j: pi is the restriction of the isometry T
     and preserves every pairwise inner product.  The cost is
-    O(rank x roots) instead of O(roots^2).
+    O(rank x roots) instead of O(roots^2).  The tests use it as an
+    independent check of the tables that RootSystem._validate proves.
     """
     n = len(sys_.roots)
     if len(images) != n or sorted(images) != list(range(n)):
@@ -126,14 +127,10 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
 
 
 def perm_of_reflection(sys_: RootSystem, root_idx: int) -> RootPermutation:
-    """The validated root permutation induced by the reflection s_alpha."""
-
-    def build():
-        images = sys_.reflection_images(root_idx)
-        validate_root_permutation(sys_, images)
-        return RootPermutation(images)
-
-    return sys_.memo(("reflection", root_idx), build)
+    """The root permutation induced by the reflection s_alpha: the
+    system's memoized reflection table, an isometry of the roots because
+    the system passed RootSystem._validate."""
+    return RootPermutation(sys_.reflection_images(root_idx))
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,8 @@ def enumerate_subgroup(
 ) -> GeneratedGroup:
     """Breadth-first closure of the generated subgroup.
 
-    The package's one permutation BFS.  Each generator becomes a
+    The package's one permutation BFS, kept apart from
+    roots._bfs_orbits as a packed kernel.  Each generator becomes a
     256-byte bytes.translate table and each element the bytes of its
     images, so a product is one translate call; the degree is therefore
     at most 256.  Deterministic: elements appear in discovery order
@@ -437,34 +435,17 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
     all_keys = {f.root_indices for f in frames}
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     canonical = sys_.canonical_rep
-    class_of: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[int, ...]] = []
-    sizes: list[int] = []
-    for f in frames:
-        start = f.root_indices
-        if start in class_of:
-            continue
-        cls = len(reps)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for key in frontier:
-                for g in gens:
-                    img = _frame_image(key, g, canonical)
-                    if img not in orbit:
-                        if img not in all_keys:
-                            raise AssertionError(
-                                "orbit left the maximal-frame set; clique "
-                                "enumeration is incomplete"
-                            )
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        for key in orbit:
-            class_of[key] = cls
-        reps.append(min(orbit))
-        sizes.append(len(orbit))
+    orbits = _bfs_orbits(
+        [f.root_indices for f in frames],
+        lambda key: [_frame_image(key, g, canonical) for g in gens],
+    )
+    if not all(all_keys.issuperset(orbit) for orbit in orbits):
+        raise AssertionError(
+            "orbit left the maximal-frame set; clique enumeration is incomplete"
+        )
+    class_of = {key: cls for cls, orbit in enumerate(orbits) for key in orbit}
+    reps = [min(orbit) for orbit in orbits]
+    sizes = [len(orbit) for orbit in orbits]
     if sum(sizes) != len(frames):
         raise AssertionError("orbit sizes do not sum to the frame count")
     return OmegaClasses(
@@ -712,25 +693,8 @@ def dihedral_omega(group: DihedralGroup) -> list[list[tuple[int, ...]]]:
         return tuple(sorted(mul(mul(g, r), ginv) for r in frame))
 
     frames = [tuple(sorted(f)) for f in frames]
-    unseen = set(frames)
-    classes: list[list[tuple[int, ...]]] = []
-    for f in frames:
-        if f not in unseen:
-            continue
-        orbit = {f}
-        frontier = [f]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for g in range(2 * n):
-                    img = conj_frame(cur, g)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        unseen -= orbit
-        classes.append(sorted(orbit))
-    return classes
+    orbits = _bfs_orbits(frames, lambda f: [conj_frame(f, g) for g in range(2 * n)])
+    return [sorted(orbit) for orbit in orbits]
 
 
 def g2_split_check(group: DihedralGroup) -> dict[str, bool]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import IsotropicRootError, RankMismatchError, UnsupportedSystemError
 
@@ -338,8 +338,12 @@ class RootSystem:
         <g, b^v> = <w^-1 g, a_i^v>, an integer by (b) because w^-1 g is
         a root.
 
-        The Gram matrix is not needed here: `gram_row` computes each row
-        the first time it is read.
+        The tables of (b) are stored as the simple reflections'
+        reflection_images: each is then a permutation of Phi, and as the
+        restriction of an orthogonal reflection a sign-equivariant
+        isometry, so no later check repeats this one.  The Gram matrix
+        is not needed here: `gram_row` computes each row the first time
+        it is read.
         """
         roots = self.roots
         n = len(roots)
@@ -368,15 +372,9 @@ class RootSystem:
                         raise ValueError(f"not closed: s_{ad}({wd}) missing")
                 table.append(j)
             tables.append(table)
-        seen = set(self.simple_indices)
-        frontier = list(seen)
-        while frontier:
-            i = frontier.pop()
-            for table in tables:
-                j = table[i]
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
+            self._memo["reflection", s] = tuple(table)
+        reached = _bfs_orbits(self.simple_indices, lambda i: [t[i] for t in tables])
+        seen = {i for orbit in reached for i in orbit}
         if len(seen) != n:
             missing = next(d for i, d in enumerate(doubles) if i not in seen)
             raise ValueError(
@@ -387,19 +385,50 @@ class RootSystem:
         """Root-index images of the reflection at roots[root_idx].
 
         The Cartan integers come from the Gram row; a root orthogonal to
-        roots[root_idx] is its own image.
+        roots[root_idx] is its own image.  _validate stores the simple
+        reflections' tables, so those are never rebuilt here.
         """
-        vd = self.roots[root_idx].doubled
-        row = self.gram_row(root_idx)
-        vv = row[root_idx]
-        index = self.index
-        out = []
-        for j, (w, g) in enumerate(zip(self.roots, row)):
-            if g:
-                c = 2 * g // vv
-                j = index[tuple([b - c * a for a, b in zip(vd, w.doubled)])]
-            out.append(j)
-        return tuple(out)
+
+        def build():
+            vd = self.roots[root_idx].doubled
+            row = self.gram_row(root_idx)
+            vv = row[root_idx]
+            index = self.index
+            out = []
+            for j, (w, g) in enumerate(zip(self.roots, row)):
+                if g:
+                    c = 2 * g // vv
+                    j = index[tuple([b - c * a for a, b in zip(vd, w.doubled)])]
+                out.append(j)
+            return tuple(out)
+
+        return self.memo(("reflection", root_idx), build)
+
+
+def _bfs_orbits(points: Iterable, step: Callable[..., Iterable]) -> list[list]:
+    """The orbits of points under step, where step(x) gives the images
+    of x under the generators.
+
+    Each orbit is a list in breadth-first discovery order, led by the
+    first of points it contains; orbits come in the order of those
+    leading points, and a point already reached is skipped.  The
+    package's one orbit search; groups.enumerate_subgroup and
+    cosets._label_bfs are packed kernels kept apart for speed.
+    """
+    seen = set()
+    orbits = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:  # FIFO: the loop reaches appended points
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        orbits.append(orbit)
+    return orbits
 
 
 _ALIAS_NOTE = "type C aliased to B: identical Weyl group and reflection set"

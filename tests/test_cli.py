@@ -86,12 +86,25 @@ def test_cosets_with_explicit_generators(capsys):
     assert code == 2 and "not a doubled root" in err
 
 
-def test_fullcheck_non_orthogonal_roots_exits_1(capsys):
+def test_fullcheck_non_orthogonal_roots_exits_2(capsys):
     code, out, err = run(
         capsys, "fullcheck", "D4", "--root", "2,-2,0,0", "--root", "0,2,-2,0"
     )
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
+    assert "(2, -2, 0, 0) and (0, 2, -2, 0) are not orthogonal" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "second", ["2,2", "-2,0", "2,0"]  # not orthogonal to e1; its line twice
+)
+def test_restrict_rejects_roots_that_are_not_a_frame(capsys, second):
+    code, out, err = run(
+        capsys, "restrict", "B2", "u1", "--root", "2,0", "--root", second
+    )
+    named = ", ".join(second.split(","))
+    assert code == 2 and out == ""
+    assert f"(2, 0) and ({named}) are not orthogonal" in err
 
 
 E7_IN_E8 = (
@@ -341,6 +354,19 @@ def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
     assert str(path) in err and "Traceback" not in err
+
+
+def test_cache_dir_is_touched_only_by_a_cache_write(capsys, tmp_path, monkeypatch):
+    unused = tmp_path / "unused"
+    assert run(capsys, "order", "A2", "--cache-dir", str(unused))[0] == 0
+    assert not unused.exists()
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    monkeypatch.setenv(cli.CACHE_ENV, str(a_file))
+    assert run(capsys, "order", "A2")[0] == 0
+    code, out, err = run(capsys, "cosets", "D4", "--cache-dir", str(a_file))
+    assert code == 2 and out == ""
+    assert str(a_file) in err and "Traceback" not in err
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):

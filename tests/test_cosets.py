@@ -17,7 +17,6 @@ from weylinv.cosets import (
     _label_width,
     _labels,
     _reflection_group_order,
-    _root_orbit,
     build_coset_space,
     cache_path,
     clear_cache,
@@ -36,7 +35,7 @@ from weylinv.groups import (
     standard_frames,
     weyl_order,
 )
-from weylinv.roots import build_root_system
+from weylinv.roots import _bfs_orbits, build_root_system
 
 D4_LABELS = ("a1", "b1", "a2", "b2")
 
@@ -244,7 +243,8 @@ def test_e8_labels_inside_field_bound():
 
 def _sigma_u(sys_, u_gens):
     images = [sys_.reflection_images(g) for g in u_gens]
-    return sorted(_root_orbit(images, u_gens, set()))
+    orbits = _bfs_orbits(u_gens, lambda r: [img[r] for img in images])
+    return sorted(r for orbit in orbits for r in orbit)
 
 
 def _enumerated_u_order(sys_, u_gens):

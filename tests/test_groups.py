@@ -30,7 +30,7 @@ from weylinv.groups import (
     validate_root_permutation,
     weyl_order,
 )
-from weylinv.roots import RootVector, build_root_system
+from weylinv.roots import SUPPORTED, RootVector, build_root_system, reflect
 
 
 def _root_idx(sys_, doubled):
@@ -96,6 +96,24 @@ def test_validate_accepts_reflections_and_products():
         assert _all_pairs_isometry(sys_, images)
     s0, s1 = (perm_of_reflection(sys_, i) for i in sys_.simple_indices[:2])
     validate_root_permutation(sys_, compose(s0, s1, s0).images)
+
+
+@pytest.mark.parametrize(
+    "label,rank",
+    [(t, n) for t, lo, hi in SUPPORTED for n in range(lo, hi + 1)],
+)
+def test_every_reflection_table_is_an_involutive_isometry(label, rank):
+    sys_ = build_root_system(label, rank)
+    for r in sys_.lines:
+        images = sys_.reflection_images(r)
+        validate_root_permutation(sys_, images)
+        assert all(images[images[i]] == i for i in range(len(images)))
+    # the simple tables are the ones RootSystem._validate stored: check
+    # them against reflections computed afresh from the coordinates
+    for s in sys_.simple_indices:
+        a = sys_.roots[s]
+        fresh = tuple(sys_.root_index(reflect(a, w)) for w in sys_.roots)
+        assert sys_.reflection_images(s) == fresh
 
 
 def test_compose_against_after():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from weylinv.errors import (
 from weylinv.roots import (
     RootSystem,
     RootVector,
+    _bfs_orbits,
     build_root_system,
     cartan_integer,
     inner_product,
@@ -212,3 +214,50 @@ def test_validate_rejects_non_integral_pairing():
     a, e1 = v(2, 2, 2), v(2, 0, 0)
     with pytest.raises(ValueError, match="non-integral"):
         RootSystem("A", 1, [a, -a, e1, -e1], [a])
+
+
+def _components(n, gens):
+    """The components of range(n) under gens, by union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for x in range(n):
+            parent[find(x)] = find(g[x])
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), set()).add(x)
+    return {frozenset(c) for c in groups.values()}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bfs_orbits_against_union_find(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 64)
+    gens = []
+    for _ in range(rng.randint(0, 4)):  # random involutions
+        g = list(range(n))
+        pts = rng.sample(range(n), 2 * rng.randint(0, n // 2))
+        for a, b in zip(pts[::2], pts[1::2]):
+            g[a], g[b] = b, a
+        gens.append(g)
+    points = rng.sample(range(n), n) + rng.choices(range(n), k=3)  # repeats
+
+    def step(x):
+        return [g[x] for g in gens]
+
+    orbits = _bfs_orbits(points, step)
+    assert {frozenset(o) for o in orbits} == _components(n, gens)
+    assert sum(map(len, orbits)) == n  # no point twice
+    first = {p: points.index(p) for p in set(points)}
+    for o in orbits:
+        assert o[0] == min(o, key=first.get)
+        # breadth-first: every later member is an image of an earlier one
+        assert all(any(o[k] in step(o[j]) for j in range(k)) for k in range(1, len(o)))
+    leads = [first[o[0]] for o in orbits]
+    assert leads == sorted(leads)
