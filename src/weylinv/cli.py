@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -55,7 +54,7 @@ __all__ = ["RunConfig", "main", "parse_system", "system_name", "VERIFY_TASKS"]
 
 CACHE_ENV = "WEYLINV_CACHE_DIR"
 
-# verify --all fans out over exactly these, in this order
+# verify --all runs exactly these, in this order
 VERIFY_TASKS: tuple[tuple[str, int], ...] = (
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
     ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
@@ -108,12 +107,11 @@ class RunConfig:
     cache_dir: Optional[str]
     max_elements: int
     max_frames: int
-    jobs: int
     verbosity: int
 
     def __post_init__(self) -> None:
-        if self.max_elements <= 0 or self.max_frames <= 0 or self.jobs <= 0:
-            raise ValueError("caps and job counts must be positive")
+        if self.max_elements <= 0 or self.max_frames <= 0:
+            raise ValueError("caps must be positive")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -127,7 +125,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         cache_dir=cache_dir,
         max_elements=args.max_elements,
         max_frames=args.max_frames,
-        jobs=args.jobs,
         verbosity=args.verbose,
     )
 
@@ -356,11 +353,6 @@ def cmd_restrict(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(task: tuple[str, int, Optional[str]]) -> str:
-    label, rank, cache_dir = task
-    return verify_basis(label, rank, cache_dir).to_json()
-
-
 def _report_lines(doc: dict, verbose: int) -> list[str]:
     name = system_name(doc["type"], doc["rank"])
     ok = all(c["status"] == "pass" for c in doc["checks"])
@@ -387,17 +379,12 @@ def _report_lines(doc: dict, verbose: int) -> list[str]:
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.all:
-        tasks = [(t, r, cfg.cache_dir) for t, r in VERIFY_TASKS]
+        tasks = VERIFY_TASKS
     elif cfg.type_label is not None:
-        tasks = [(cfg.type_label, cfg.rank, cfg.cache_dir)]
+        tasks = ((cfg.type_label, cfg.rank),)
     else:
         raise UnsupportedSystemError("verify needs a system argument or --all")
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
-            raw = list(pool.map(_verify_one, tasks))
-    else:
-        raw = [_verify_one(t) for t in tasks]
-    docs = [json.loads(r) for r in raw]
+    docs = [json.loads(verify_basis(t, r, cfg.cache_dir).to_json()) for t, r in tasks]
     ok = all(c["status"] == "pass" for d in docs for c in d["checks"])
     if cfg.fmt == "json":
         print(json.dumps({"pass": ok, "reports": docs}, indent=2, sort_keys=True))
@@ -423,7 +410,7 @@ def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
         return 0
     entries = []
-    if os.path.isdir(cfg.cache_dir):
+    if os.path.exists(cfg.cache_dir):  # listdir rejects a file, naming it
         for name in sorted(os.listdir(cfg.cache_dir)):
             if not (name.startswith("cosets-") and name.endswith(".json")):
                 continue
@@ -478,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-frames", type=_positive, default=DEFAULT_FRAME_CAP,
         help="frame enumeration cap",
     )
-    common.add_argument("--jobs", type=_positive, default=1, help="worker pool size")
     common.add_argument("-v", "--verbose", action="count", default=0)
 
     sub = parser.add_subparsers(dest="command", required=True)

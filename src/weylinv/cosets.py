@@ -19,9 +19,9 @@ Frame actions on the cosets decompose into orbits whose sizes are powers
 of two; the fold certificate records, per orbit, the generator subset
 that acts simply transitively, which is exactly the datum needed to
 place the associated form in a power of the fundamental ideal.  Once the
-frame tables are checked to be commuting involutions, that subset is
-read off one point of the orbit, and the orbit's fold and delta masks
-follow from it (see full_check).
+frame tables are checked to be commuting involutions, each orbit with
+its active subset, fold and delta masks comes from the permutation
+route's kernel, forms._orbit_pfister (see full_check).
 """
 from __future__ import annotations
 
@@ -32,16 +32,24 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from math import isqrt
-from operator import itemgetter, mul
+from operator import mul
 from typing import Optional, Sequence
 
-from .algebra import KInvariant, one
+from .algebra import KInvariant
 from .errors import (
     CacheFormatError,
     CertificateError,
     CosetValidationError,
 )
-from .forms import OrbitPfister, OrbitPfisterDecomp, _entry_class, e_fold
+from .forms import (
+    OrbitPfister,
+    OrbitPfisterDecomp,
+    _commuting_involution_failure,
+    _compose,
+    _orbit_pfister,
+    _symbol_product,
+    e_fold,
+)
 from .groups import root_label, weyl_order
 from .roots import RootSystem, _bfs_orbits
 
@@ -423,29 +431,12 @@ def _frame_tables(
     return tables
 
 
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """The table k -> a[b[k]]."""
-    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
-
-
-def _is_involution(t: Sequence[int], identity: tuple[int, ...]) -> bool:
-    """Is t an involutive permutation of range(len(identity))?"""
-    size = len(identity)
-    return (
-        len(t) == size and min(t) >= 0 and max(t) < size and _compose(t, t) == identity
-    )
-
-
 def p_orbits(
     sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Orbit partition of the coset indices under the frame generators."""
-    return _orbits(_frame_tables(sys_, space, frame_roots), space.size)
-
-
-def _orbits(tables: Sequence[Sequence[int]], size: int) -> list[tuple[int, ...]]:
-    """Orbit partition of range(size) under the given action tables."""
-    orbits = _bfs_orbits(range(size), lambda p: [t[p] for t in tables])
+    tables = _frame_tables(sys_, space, frame_roots)
+    orbits = _bfs_orbits(range(space.size), lambda p: [t[p] for t in tables])
     return [tuple(sorted(orbit)) for orbit in orbits]
 
 
@@ -460,15 +451,14 @@ def full_check(
     to hold; failure raises CertificateError naming the orbit.
 
     The frame tables are checked once to be commuting involutive
-    permutations, so they generate an elementary abelian 2-group G.  G
-    acts on each orbit through a quotient that is regular (an abelian
-    transitive action has one stabiliser, the kernel), so a generator
-    fixing one point of the orbit fixes all of it and A_k is read off a
-    single point.  The active generators map onto that quotient, which
-    has |O_k| = 2^|A_k| elements, so they stay independent in it and
-    the kernel in F2^frame is spanned by the inactive generators.  Its
-    annihilator, the orbit's delta masks, is spanned by the active
-    ones: fold |A_k|, masks 1 << i for i in A_k.
+    permutations, so they generate an elementary abelian 2-group G, and
+    forms._orbit_pfister, the permutation route's kernel, gives each
+    orbit's members, A_k (read off the orbit's least point: an abelian
+    transitive action has one stabiliser, so a generator fixing one
+    point of the orbit fixes all of it), fold and delta masks.  The
+    certificate condition is fold = |A_k|.  Then the active generators
+    stay independent on the orbit, the kernel in F2^frame is spanned by
+    the inactive ones, and the delta masks are 1 << i for i in A_k.
     """
     frame_roots = tuple(frame_roots)
     if space.certificate is not None and _same_frame(
@@ -477,37 +467,25 @@ def full_check(
         return space.certificate
     labels = tuple(root_label(sys_, r) for r in frame_roots)
     tables = _frame_tables(sys_, space, frame_roots)
-    identity = tuple(range(space.size))
-    for i, t in enumerate(tables):
-        if not _is_involution(t, identity):
-            raise CertificateError(
-                f"the reflection in {labels[i]} is not an involution on the cosets"
-            )
-        for j in range(i):
-            if _compose(t, tables[j]) != _compose(tables[j], t):
-                raise CertificateError(
-                    f"the reflections in {labels[j]} and {labels[i]} do not "
-                    "commute on the cosets: the roots are not orthogonal"
-                )
+    bad = _commuting_involution_failure(tables, space.size)
+    if bad is not None and len(bad) == 1:
+        raise CertificateError(
+            f"the reflection in {labels[bad[0]]} is not an involution on the cosets"
+        )
+    if bad is not None:
+        raise CertificateError(
+            f"the reflections in {labels[bad[0]]} and {labels[bad[1]]} do not "
+            "commute on the cosets: the roots are not orthogonal"
+        )
     cert_orbits = []
-    for oi, members in enumerate(_orbits(tables, space.size)):
-        base = members[0]
-        a_set = tuple(i for i, t in enumerate(tables) if t[base] != base)
-        if (1 << len(a_set)) != len(members):
+    for oi, orbit in enumerate(_orbit_pfister(tables, space.size)):
+        members, a_set, fold, _ = orbit
+        if fold != len(a_set):
             raise CertificateError(
                 f"orbit {oi} (size {len(members)}) is not simply transitive "
                 f"under its {len(a_set)} active generators"
             )
-        cert_orbits.append(
-            CertOrbit(
-                members=members,
-                a_set=a_set,
-                fold=len(a_set),
-                delta_masks=tuple(1 << i for i in a_set),
-            )
-        )
-    if sum(len(o.members) for o in cert_orbits) != space.size:
-        raise AssertionError("orbit sizes do not sum to the coset count")
+        cert_orbits.append(CertOrbit(*orbit))
     return FoldCertificate(
         frame_roots=frame_roots, labels=labels, orbits=tuple(cert_orbits)
     )
@@ -550,14 +528,11 @@ def compare_support(cert: FoldCertificate, expected: KInvariant) -> bool:
     if not cert.orbits:
         return expected.is_zero()
     m = cert.min_fold
-    products = []
-    for o in cert.orbits:
-        if o.fold != m:
-            continue
-        term = one(cert.labels)
-        for dmask in o.delta_masks:
-            term = term * _entry_class(cert.labels, 0, dmask)
-        products.append(frozenset(term.terms))
+    products = [
+        frozenset(_symbol_product(cert.labels, o.delta_masks).terms)
+        for o in cert.orbits
+        if o.fold == m
+    ]
     if expected.labels != cert.labels:
         raise ValueError("expected invariant uses a different context")
     targets = {frozenset((t,)) for t in expected.terms}
@@ -719,14 +694,13 @@ def _structural_problem(
         return f"size x |U| = {size} x {space.u_order} != |W| = {expected}"
     if len(space.action_tables) != len(sys_.simple_indices):
         return f"{len(space.action_tables)} action tables for rank {sys_.rank}"
-    identity = tuple(range(size))
     for i, t in enumerate(space.action_tables):
-        if not _is_involution(t, identity):
+        if _commuting_involution_failure((t,), size):
             return f"action table {i} is not an involutive permutation of range({size})"
     cert = space.certificate
     if cert is not None:
         members = sorted(m for o in cert.orbits for m in o.members)
-        if members != list(identity):
+        if members != list(range(size)):
             return "certificate orbits do not partition the cosets"
         positions = range(len(cert.frame_roots))
         for oi, o in enumerate(cert.orbits):
@@ -757,10 +731,11 @@ _CACHE_NAME = re.compile(r"cosets-.*\.json(\.tmp\d+)?")
 def clear_cache(cache_dir: str) -> list[str]:
     """Remove coset cache files and scratch files of interrupted writes.
 
-    Returns the removed names.
+    Returns the removed names.  A cache_dir that does not exist holds
+    none; one that is not a directory raises NotADirectoryError.
     """
     removed = []
-    if not os.path.isdir(cache_dir):
+    if not os.path.exists(cache_dir):
         return removed
     for name in sorted(os.listdir(cache_dir)):
         if _CACHE_NAME.fullmatch(name):

@@ -9,7 +9,10 @@ diagonal form over the torsor coordinates:
    is -1).
  * permutation route: the action on a finite point set decomposes into
    orbits; each orbit of size 2^f is a scaled f-fold Pfister form whose
-   slots are pullbacks of the dual basis of P/kernel.
+   slots are pullbacks of the dual basis of P/kernel.  One kernel,
+   _orbit_pfister, finds each orbit by doubling from its least point and
+   reads the kernel off the same pass, in O(k + 2^f) table reads; the
+   coset fold certificate (cosets.full_check) is computed by it too.
 
 Entries are square classes: only 2-power scales times coordinate
 monomials occur for the embeddings treated here, and anything else
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, zero
@@ -344,6 +347,77 @@ def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
     return sorted(basis)
 
 
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The table k -> a[b[k]]."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
+
+
+def _commuting_involution_failure(
+    tables: Sequence[Sequence[int]], size: int
+) -> Optional[tuple[int, ...]]:
+    """None when the tables are commuting involutive permutations of
+    range(size); otherwise the first failure, (i,) when table i is not an
+    involutive permutation and (j, i), j < i, when tables j and i do not
+    commute."""
+    identity = tuple(range(size))
+    for i, t in enumerate(tables):
+        in_range = len(t) == size and (not t or min(t) >= 0 and max(t) < size)
+        if not in_range or _compose(t, t) != identity:
+            return (i,)
+        for j in range(i):
+            if _compose(t, tables[j]) != _compose(tables[j], t):
+                return (j, i)
+    return None
+
+
+def _orbit_pfister(
+    tables: Sequence[Sequence[int]], size: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]]:
+    """Orbits of commuting involutive permutations with their Pfister data.
+
+    The tables must pass _commuting_involution_failure.  For each orbit,
+    in order of its least point (the base), returns (members, a_set,
+    fold, delta_masks): the sorted members, the generators moving the
+    base, the orbit's 2^fold = |orbit|, and the annihilator basis of the
+    kernel of F2^k on the orbit.
+
+    The orbit is found by doubling from the base, labelling each point
+    with an exponent vector that carries the base to it.  Once generators
+    0..i-1 are done, the labelled points are the base's orbit under them.
+    If g_i(base) is unlabelled, g_i moves that whole set off itself (were
+    g_i(p) labelled, so would g_i(base) be), and its images, labelled
+    with bit i added, double it.  Otherwise label(g_i(base)) + e_i fixes
+    the base and is new, having bit i; the orbit did not grow, so the
+    stabiliser of the base gained one dimension, and these vectors span
+    it.  An abelian transitive action has one stabiliser, the kernel.
+    This search labels points with group elements, so it is not
+    roots._bfs_orbits.
+    """
+    k = len(tables)
+    label = [-1] * size
+    out = []
+    for base in range(size):
+        if label[base] >= 0:
+            continue
+        label[base] = 0
+        points, a_set, kernel = [base], [], []
+        for i, t in enumerate(tables):
+            img = t[base]
+            if img != base:
+                a_set.append(i)
+            if label[img] >= 0:
+                kernel.append(label[img] | 1 << i)
+                continue
+            images = [t[p] for p in points]
+            for p, q in zip(points, images):
+                label[q] = label[p] | 1 << i
+            points += images
+        fold = len(points).bit_length() - 1
+        deltas = tuple(_f2_kernel_basis(kernel, k))
+        out.append((tuple(sorted(points)), tuple(a_set), fold, deltas))
+    return out
+
+
 def form_of_permutation_action(
     gens: Sequence[Sequence[int]], labels: Sequence[str]
 ) -> OrbitPfisterDecomp:
@@ -352,67 +426,23 @@ def form_of_permutation_action(
     gens[i] is the point-image tuple of the i-th frame generator.  Every
     orbit of the generated abelian 2-group has 2^f points on which the
     quotient by the kernel acts simply transitively; the delta masks are
-    the kernel's annihilator basis.
+    the kernel's annihilator basis (see _orbit_pfister).
     """
-    k = len(gens)
-    if k != len(labels):
+    if len(gens) != len(labels):
         raise ValueError("one label per generator required")
-    npts = len(gens[0]) if gens else 0
-    for g in gens:
-        if sorted(g) != list(range(npts)):
-            raise ValueError("generator is not a permutation")
-        if any(g[g[i]] != i for i in range(npts)):
-            raise ValueError("generator is not an involution")
-    for i in range(k):
-        for j in range(i + 1, k):
-            gi, gj = gens[i], gens[j]
-            if any(gi[gj[p]] != gj[gi[p]] for p in range(npts)):
-                raise ValueError("generators do not commute")
-
-    seen = [False] * npts
-    orbits = []
-    for base in range(npts):
-        if seen[base]:
-            continue
-        # image of each group element applied to base, keyed by exponent
-        # vector: a walk over group elements, not roots._bfs_orbits
-        images = {0: base}
-        frontier = [(0, base)]
-        while frontier:
-            vec, pt = frontier.pop()
-            for i, g in enumerate(gens):
-                nvec = vec ^ (1 << i)
-                npt = g[pt]
-                if nvec not in images:
-                    images[nvec] = npt
-                    frontier.append((nvec, npt))
-        orbit_pts = set(images.values())
-        for p in orbit_pts:
-            seen[p] = True
-        size = len(orbit_pts)
-        fold = size.bit_length() - 1
-        if 1 << fold != size:
-            raise AssertionError(
-                "orbit size is not a power of two; the action is not by a "
-                "commuting involution family"
-            )
-        kernel = [v for v, pt in images.items() if pt == base]
-        if len(kernel) != (1 << k) // size:
-            # defensive: for a transitive abelian action every stabilizer
-            # equals the kernel, so this cannot happen
-            raise AssertionError("quotient action is not simply transitive")
-        # kernel is a subspace; delta masks annihilate it
-        deltas = _f2_kernel_basis(kernel, k)
-        if len(deltas) != fold:
-            raise AssertionError("annihilator dimension mismatch")
-        orbits.append(
-            OrbitPfister(
-                fold=fold,
-                delta_masks=tuple(deltas),
-                scale_exponent=fold,
-            )
+    size = len(gens[0]) if gens else 0
+    bad = _commuting_involution_failure(gens, size)
+    if bad is not None and len(bad) == 1:
+        raise ValueError(
+            f"generator {bad[0]} is not an involutive permutation of range({size})"
         )
-    return OrbitPfisterDecomp(tuple(labels), tuple(orbits))
+    if bad is not None:
+        raise ValueError(f"generators {bad[0]} and {bad[1]} do not commute")
+    orbits = tuple(
+        OrbitPfister(fold=fold, delta_masks=masks, scale_exponent=fold)
+        for _, _, fold, masks in _orbit_pfister(gens, size)
+    )
+    return OrbitPfisterDecomp(tuple(labels), orbits)
 
 
 def expand_to_diagonal(decomp: OrbitPfisterDecomp) -> DiagonalForm:
@@ -447,6 +477,14 @@ def _entry_class(labels: tuple[str, ...], a: int, mask: int) -> KInvariant:
         v ^= low
         terms.append(Monomial(low, False))
     return kinv(labels, terms)
+
+
+def _symbol_product(labels: tuple[str, ...], masks: Sequence[int]) -> KInvariant:
+    """The product of the symbols {mask}: an orbit's Pfister symbol."""
+    term = one(labels)
+    for mask in masks:
+        term = term * _entry_class(labels, 0, mask)
+    return term
 
 
 def total_sw(form: DiagonalForm) -> KInvariant:
@@ -511,12 +549,8 @@ def e_fold(decomp: OrbitPfisterDecomp, m: int) -> KInvariant:
         )
     acc = zero(decomp.labels)
     for o in decomp.orbits:
-        if o.fold != m:
-            continue
-        term = one(decomp.labels)
-        for dmask in o.delta_masks:
-            term = term * _entry_class(decomp.labels, 0, dmask)
-        acc = acc + term
+        if o.fold == m:
+            acc = acc + _symbol_product(decomp.labels, o.delta_masks)
     return acc
 
 

@@ -237,9 +237,9 @@ def test_verify_requires_target(capsys):
 def test_verify_all_task_order_and_determinism(capsys, tmp_path):
     args = ("verify", "--all", "--json", "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args, "--jobs", "4")
+    code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical: cold sequential vs cached pooled
+    assert out1 == out2  # byte-identical: cold vs cached
     doc = json.loads(out1)
     assert doc["pass"] is True
     got = [(r["type"], r["rank"]) for r in doc["reports"]]
@@ -310,6 +310,18 @@ def test_cache_inspect_rejects_malformed_file(capsys, tmp_path, content):
     code, out, err = run(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
     assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [("cosets", "D4"), ("cache", "inspect"), ("cache", "clear")]
+)
+def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "not-a-dir"
+    path.write_text("x")
+    code, out, err = run(capsys, *command, "--cache-dir", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "Traceback" not in err
+    assert path.read_text() == "x"
 
 
 def test_truncated_cache_file_exits_2(capsys, tmp_path):
@@ -387,7 +399,6 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "roots", "Q3")[0] == 2          # unsupported type
     assert run(capsys, "roots", "B9")[0] == 2          # unsupported rank
     assert run(capsys, "roots", "banana")[0] == 2      # unparseable token
-    assert run(capsys, "omega", "B4", "--jobs", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
 
 

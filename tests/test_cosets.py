@@ -27,7 +27,6 @@ from weylinv.cosets import (
     standard_u_gens,
 )
 from weylinv.errors import CacheFormatError, CertificateError, CosetValidationError
-from weylinv.forms import form_of_permutation_action
 from weylinv.groups import (
     RootPermutation,
     enumerate_subgroup,
@@ -36,6 +35,8 @@ from weylinv.groups import (
     weyl_order,
 )
 from weylinv.roots import _bfs_orbits, build_root_system
+
+from test_forms import _exponent_walk
 
 D4_LABELS = ("a1", "b1", "a2", "b2")
 
@@ -309,21 +310,16 @@ def _frames(sys_):
 
 @pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
 def test_full_check_matches_permutation_forms(label, rank):
-    """Each certificate orbit equals form_of_permutation_action on the
-    orbit's relabelled local tables."""
+    """Each certificate orbit equals the exponent-walk oracle's: it walks
+    the group instead of sharing full_check's orbit kernel."""
     sys_ = build_root_system(label, rank)
     space = build_coset_space(sys_)
     for frame in _frames(sys_):
         cert = full_check(sys_, space, frame)
         tables = _frame_tables(sys_, space, frame)
-        for o in cert.orbits:
-            relabel = {m: j for j, m in enumerate(o.members)}
-            local = [tuple(relabel[t[m]] for m in o.members) for t in tables]
-            a_set = tuple(
-                i for i, g in enumerate(local) if any(g[j] != j for j in range(len(g)))
-            )
-            (pf,) = form_of_permutation_action(local, cert.labels).orbits
-            assert (o.a_set, o.fold, o.delta_masks) == (a_set, pf.fold, pf.delta_masks)
+        assert [
+            (o.members, o.a_set, o.fold, o.delta_masks) for o in cert.orbits
+        ] == _exponent_walk(tables, space.size)
 
 
 def test_full_check_orbits_match_p_orbits():

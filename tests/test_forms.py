@@ -25,7 +25,14 @@ from weylinv.forms import (
     total_sw,
     twist_by_two,
 )
-from weylinv.forms import _echelon, _orthogonalize, _square_free_two_part
+from weylinv.forms import (
+    _commuting_involution_failure,
+    _echelon,
+    _f2_kernel_basis,
+    _orbit_pfister,
+    _orthogonalize,
+    _square_free_two_part,
+)
 from weylinv.groups import maximal_orthogonal_frames, root_label, standard_frames
 from weylinv.roots import SUPPORTED, build_root_system
 
@@ -200,6 +207,92 @@ def test_permutation_action_validation():
         form_of_permutation_action([(1, 2, 0)], ("a",))  # 3-cycle
     with pytest.raises(ValueError):
         form_of_permutation_action([(1, 0, 2), (0, 2, 1)], AB)  # not commuting
+
+
+def _exponent_walk(gens, size):
+    """Reference for forms._orbit_pfister: from each orbit's least point,
+    walk all 2^k exponent vectors of the generated group and read the
+    orbit and the kernel off the images (orbits x 2^k x k steps)."""
+    k = len(gens)
+    seen = set()
+    out = []
+    for base in range(size):
+        if base in seen:
+            continue
+        images = {0: base}
+        frontier = [0]
+        while frontier:
+            vec = frontier.pop()
+            for i, g in enumerate(gens):
+                nvec = vec ^ (1 << i)
+                if nvec not in images:
+                    images[nvec] = g[images[vec]]
+                    frontier.append(nvec)
+        members = tuple(sorted(set(images.values())))
+        seen.update(members)
+        fold = len(members).bit_length() - 1
+        assert 1 << fold == len(members)
+        kernel = [v for v, pt in images.items() if pt == base]
+        assert len(kernel) << fold == 1 << k  # the quotient acts regularly
+        deltas = tuple(_f2_kernel_basis(kernel, k))
+        assert len(deltas) == fold
+        assert all((d & v).bit_count() % 2 == 0 for d in deltas for v in kernel)
+        a_set = tuple(i for i, g in enumerate(gens) if g[base] != base)
+        out.append((members, a_set, fold, deltas))
+    return out
+
+
+def _random_commuting_involutions(rng):
+    """Generators of translations on blocks F2^d, d < 4, with points
+    shuffled, plus repeated generators and products of two."""
+    dims = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+    offsets = [sum(1 << d for d in dims[:b]) for b in range(len(dims))]
+    size = sum(1 << d for d in dims)
+    relabel = list(range(size))
+    rng.shuffle(relabel)
+
+    def translation():
+        t = [0] * size
+        for off, d in zip(offsets, dims):
+            shift = rng.randrange(1 << d)
+            for x in range(1 << d):
+                t[relabel[off + x]] = relabel[off + (x ^ shift)]
+        return tuple(t)
+
+    gens = [translation() for _ in range(rng.randrange(1, 5))]
+    gens += [rng.choice(gens) for _ in range(rng.randrange(3))]
+    for _ in range(rng.randrange(3)):
+        a, b = rng.choice(gens), rng.choice(gens)
+        gens.append(tuple(a[p] for p in b))
+    rng.shuffle(gens)
+    return gens, size
+
+
+def test_orbit_pfister_matches_exponent_walk():
+    not_regular = 0
+    for seed in range(80):
+        gens, size = _random_commuting_involutions(random.Random(seed))
+        assert _commuting_involution_failure(gens, size) is None
+        got = _orbit_pfister(gens, size)
+        assert got == _exponent_walk(gens, size), seed
+        not_regular += sum(fold != len(a_set) for _, a_set, fold, _ in got)
+        labels = tuple(f"c{i}" for i in range(len(gens)))
+        decomp = form_of_permutation_action(gens, labels)
+        assert [(o.fold, o.delta_masks) for o in decomp.orbits] == [
+            (fold, deltas) for _, _, fold, deltas in got
+        ]
+    # some orbits are not simply transitive under their active generators
+    assert not_regular > 0
+
+
+def test_commuting_involution_failure_names_the_first():
+    swap, cycle = (1, 0, 2), (1, 2, 0)
+    assert _commuting_involution_failure([swap, (0, 1, 2)], 3) is None
+    assert _commuting_involution_failure([swap, cycle], 3) == (1,)
+    assert _commuting_involution_failure([swap, (0, 3, 1)], 3) == (1,)
+    assert _commuting_involution_failure([swap, (1, 0)], 3) == (1,)
+    assert _commuting_involution_failure([swap, (0, 2, 1), cycle], 3) == (0, 1)
+    assert _commuting_involution_failure([()], 0) is None
 
 
 def test_expand_to_diagonal_fold2():
