@@ -3,24 +3,28 @@
 Elements live in F2[s]/(s^2) tensor Lambda(t_1, ..., t_k): s stands for
 the symbol {2}, the t_i for the square classes attached to the frame
 generator at each coordinate position.  {-1} = 0 throughout (the base
-field has -1 a square), which forces {a}{a} = 0 and s^2 = 0; both are
-baked into the monomial representation, so the relations cannot be
-violated by construction.
+field has -1 a square), which forces {a}{a} = 0 and s^2 = 0.  Both
+factors are square-zero, so this is the exterior algebra over F2 on the
+k + 1 generators s, t_1, ..., t_k, and a product of two monomials
+vanishes exactly when they share a generator.
 
-A monomial is (var_mask, two_flag): a subset of coordinate slots plus at
-most one factor s.  Sums are term sets with XOR semantics.
+A monomial is one int, the set of its generators: bit 0 is s = {2} and
+bit i + 1 is t_i, the coordinate at label position i.  Sums are term
+sets with XOR semantics.  No other module reads or shifts these bits;
+they build monomials through Monomial, one, two, var and x_monomial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ContextMismatchError
 from .roots import _bfs_orbits
 
 __all__ = [
     "Monomial",
+    "coordinate_mask",
     "KInvariant",
     "CoordinateMap",
     "XIndex",
@@ -43,17 +47,18 @@ __all__ = [
 ]
 
 
-class Monomial(NamedTuple):
-    var_mask: int
-    two_flag: bool
-
-    @property
-    def degree(self) -> int:
-        return self.var_mask.bit_count() + (1 if self.two_flag else 0)
+def Monomial(var_mask: int, two_flag: bool = False) -> int:
+    """{2}^two_flag times the product of the t_i with bit i set in var_mask."""
+    return var_mask << 1 | bool(two_flag)
 
 
-_ONE = Monomial(0, False)
-_S = Monomial(0, True)
+def coordinate_mask(m: int) -> int:
+    """The coordinates of a monomial, as a mask over label positions."""
+    return m >> 1
+
+
+_ONE = 0
+_S = 1
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,12 @@ class KInvariant:
     """An F2 sum of monomials over a fixed tuple of coordinate labels."""
 
     labels: tuple[str, ...]
-    terms: frozenset[Monomial]
+    terms: frozenset[int]
 
     def __post_init__(self) -> None:
-        limit = 1 << len(self.labels)
+        limit = 2 << len(self.labels)
         for m in self.terms:
-            if m.var_mask >= limit or m.var_mask < 0:
+            if not 0 <= m < limit:
                 raise ValueError("monomial references a coordinate outside the context")
 
     def _check_context(self, other: "KInvariant") -> None:
@@ -85,15 +90,11 @@ class KInvariant:
 
     def __mul__(self, other: "KInvariant") -> "KInvariant":
         self._check_context(other)
-        acc: set[Monomial] = set()
+        acc: set[int] = set()
         for m1 in self.terms:
             for m2 in other.terms:
-                if m1.var_mask & m2.var_mask:
-                    continue  # t_i^2 = 0
-                if m1.two_flag and m2.two_flag:
-                    continue  # s^2 = 0
-                prod = Monomial(m1.var_mask | m2.var_mask, m1.two_flag or m2.two_flag)
-                acc.symmetric_difference_update((prod,))
+                if not m1 & m2:  # t_i^2 = 0 and s^2 = 0
+                    acc ^= {m1 | m2}
         return KInvariant(self.labels, frozenset(acc))
 
     def is_zero(self) -> bool:
@@ -101,20 +102,24 @@ class KInvariant:
 
     def degree_part(self, d: int) -> "KInvariant":
         return KInvariant(
-            self.labels, frozenset(m for m in self.terms if m.degree == d)
+            self.labels, frozenset(m for m in self.terms if m.bit_count() == d)
         )
 
     def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return max((m.bit_count() for m in self.terms), default=0)
 
     def mod_s(self) -> "KInvariant":
         """Image in the quotient by (s): drop every term carrying {2}."""
         return KInvariant(
-            self.labels, frozenset(m for m in self.terms if not m.two_flag)
+            self.labels, frozenset(m for m in self.terms if not m & 1)
         )
 
-    def sorted_terms(self) -> list[Monomial]:
-        return sorted(self.terms, key=lambda m: (m.degree, m.two_flag, m.var_mask))
+    def sorted_terms(self) -> list[int]:
+        """Terms by degree, then without {2} before with, then coordinates."""
+        return sorted(self.terms, key=lambda m: (m.bit_count(), m & 1, m))
+
+    def _names(self, m: int) -> list[str]:
+        return [name for i, name in enumerate(self.labels) if (m >> i + 1) & 1]
 
     def render(self) -> str:
         if not self.terms:
@@ -124,25 +129,18 @@ class KInvariant:
             if m == _ONE:
                 parts.append("1")
                 continue
-            text = "{2}" if m.two_flag else ""
-            for i, name in enumerate(self.labels):
-                if (m.var_mask >> i) & 1:
-                    text += "{" + name + "}"
-            parts.append(text)
+            text = "{2}" if m & 1 else ""
+            parts.append(text + "".join("{" + name + "}" for name in self._names(m)))
         return " + ".join(parts)
 
     def to_json(self) -> list[dict]:
-        out = []
-        for m in self.sorted_terms():
-            names = [
-                name for i, name in enumerate(self.labels) if (m.var_mask >> i) & 1
-            ]
-            out.append({"vars": names, "two": m.two_flag})
-        return out
+        return [
+            {"vars": self._names(m), "two": bool(m & 1)} for m in self.sorted_terms()
+        ]
 
 
-def kinv(labels: Sequence[str], terms: Iterable[Monomial] = ()) -> KInvariant:
-    acc: set[Monomial] = set()
+def kinv(labels: Sequence[str], terms: Iterable[int] = ()) -> KInvariant:
+    acc: set[int] = set()
     for m in terms:
         acc.symmetric_difference_update((m,))
     return KInvariant(tuple(labels), frozenset(acc))
@@ -164,7 +162,7 @@ def two(labels: Sequence[str]) -> KInvariant:
 def var(labels: Sequence[str], name: str) -> KInvariant:
     """The degree-1 symbol of one coordinate, looked up by label."""
     idx = list(labels).index(name)
-    return KInvariant(tuple(labels), frozenset((Monomial(1 << idx, False),)))
+    return KInvariant(tuple(labels), frozenset((Monomial(1 << idx),)))
 
 
 def x_monomial(labels: Sequence[str], names: Iterable[str], two_flag: bool = False) -> KInvariant:
@@ -267,7 +265,7 @@ def x_basis(idx: XIndex, ctx: BnContext) -> KInvariant:
         mask |= (1 << ctx.a_pos(c)) | (1 << ctx.b_pos(c))
     for e in idx.E:
         mask |= 1 << ctx.e_pos(e)
-    return KInvariant(ctx.labels, frozenset((Monomial(mask, False),)))
+    return KInvariant(ctx.labels, frozenset((Monomial(mask),)))
 
 
 def lambda_indices(L: int, n: int, d: int) -> tuple[XIndex, ...]:
@@ -309,27 +307,29 @@ def _assignments(pairs: list[int]):
 class CoordinateMap:
     """F2-linear map on degree-1 symbols, with optional {2} offsets.
 
-    rows[i] = (target_mask, s_flag): the source coordinate i maps to the
-    sum of the masked target coordinates, plus {2} when s_flag is set.
+    rows[i] is the image of the source coordinate t_i: a sum of degree-one
+    generators of the target, written in the monomial layout (bit j + 1
+    adds t_j, bit 0 adds {2}).  {2} maps to itself, so the image of
+    generator bit b of a source monomial is ((1,) + rows)[b].
     """
 
     source_labels: tuple[str, ...]
     target_labels: tuple[str, ...]
-    rows: tuple[tuple[int, bool], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.source_labels):
             raise ValueError("one row per source coordinate required")
-        limit = 1 << len(self.target_labels)
-        for mask, _ in self.rows:
-            if mask >= limit or mask < 0:
+        limit = 2 << len(self.target_labels)
+        for row in self.rows:
+            if not 0 <= row < limit:
                 raise ValueError("row references a coordinate outside the target")
 
     @staticmethod
     def identity(labels: Sequence[str]) -> "CoordinateMap":
         labels = tuple(labels)
         return CoordinateMap(
-            labels, labels, tuple((1 << i, False) for i in range(len(labels)))
+            labels, labels, tuple(Monomial(1 << i) for i in range(len(labels)))
         )
 
     @staticmethod
@@ -341,22 +341,21 @@ class CoordinateMap:
         return CoordinateMap(
             labels,
             labels,
-            tuple((1 << position_images[p], False) for p in range(len(labels))),
+            tuple(Monomial(1 << position_images[p]) for p in range(len(labels))),
         )
 
     def then(self, other: "CoordinateMap") -> "CoordinateMap":
         """Composite source --self--> mid --other--> target."""
         if self.target_labels != other.source_labels:
             raise ContextMismatchError("maps do not chain: label mismatch")
+        images = (1,) + other.rows
         rows = []
-        for mask, flag in self.rows:
-            out_mask, out_flag = 0, flag
-            for j in range(mask.bit_length()):
-                if (mask >> j) & 1:
-                    m2, f2 = other.rows[j]
-                    out_mask ^= m2
-                    out_flag ^= f2
-            rows.append((out_mask, out_flag))
+        for row in self.rows:
+            out = 0
+            for j in range(row.bit_length()):
+                if (row >> j) & 1:
+                    out ^= images[j]
+            rows.append(out)
         return CoordinateMap(self.source_labels, other.target_labels, tuple(rows))
 
     def apply(self, inv: KInvariant) -> KInvariant:
@@ -364,31 +363,25 @@ class CoordinateMap:
             raise ContextMismatchError(
                 f"invariant context {inv.labels} does not match map source"
             )
-        acc: set[Monomial] = set()
+        images = (1,) + self.rows
+        acc: set[int] = set()
         for m in inv.terms:
-            expanded = {Monomial(0, m.two_flag)}
-            v = m.var_mask
+            expanded = {_ONE}
+            v = m
             while v:
                 i = (v & -v).bit_length() - 1
                 v &= v - 1
-                row_mask, row_flag = self.rows[i]
-                nxt: set[Monomial] = set()
+                image = images[i]
+                nxt: set[int] = set()
                 for cur in expanded:
-                    t = row_mask
+                    t = image
                     while t:
-                        j = (t & -t).bit_length() - 1
-                        t &= t - 1
-                        if (cur.var_mask >> j) & 1:
-                            continue
-                        nxt.symmetric_difference_update(
-                            (Monomial(cur.var_mask | (1 << j), cur.two_flag),)
-                        )
-                    if row_flag and not cur.two_flag:
-                        nxt.symmetric_difference_update(
-                            (Monomial(cur.var_mask, True),)
-                        )
+                        g = t & -t
+                        t ^= g
+                        if not cur & g:
+                            nxt ^= {cur | g}
                 expanded = nxt
-            acc.symmetric_difference_update(expanded)
+            acc ^= expanded
         return KInvariant(self.target_labels, frozenset(acc))
 
 
@@ -469,14 +462,14 @@ def stacked_independence(
         for c in range(ncols):
             if row[c].labels != rows[0][c].labels:
                 raise ContextMismatchError(f"column {c} contexts differ")
-    # assign one bit per (column, var_mask) pair
+    # assign one bit per (column, monomial) pair
     key_bits: dict[tuple[int, int], int] = {}
     vectors = []
     for row in rows:
         bits = 0
         for c, v in enumerate(row):
             for m in v.mod_s().terms:
-                key = (c, m.var_mask)
+                key = (c, m)
                 if key not in key_bits:
                     key_bits[key] = len(key_bits)
                 bits |= 1 << key_bits[key]
@@ -490,7 +483,7 @@ def stacked_independence(
 
 
 def orbit_sums(
-    monomials: Iterable[Monomial],
+    monomials: Iterable[int],
     position_perms: Sequence[Sequence[int]],
     labels: Sequence[str],
 ) -> list[KInvariant]:
@@ -503,14 +496,14 @@ def orbit_sums(
     labels = tuple(labels)
     pool = set(monomials)
 
-    def act(m: Monomial, perm: Sequence[int]) -> Monomial:
-        mask = 0
-        v = m.var_mask
+    def act(m: int, perm: Sequence[int]) -> int:
+        out = m & 1  # {2} is fixed
+        v = m >> 1
         while v:
             i = (v & -v).bit_length() - 1
             v &= v - 1
-            mask |= 1 << perm[i]
-        return Monomial(mask, m.two_flag)
+            out |= 2 << perm[i]
+        return out
 
     for m in pool:
         for perm in position_perms:
@@ -518,8 +511,9 @@ def orbit_sums(
                 raise ValueError(
                     "the permutations do not preserve the monomial set"
                 )
+    # by degree, then coordinates, then {2}: orbit leaders in a fixed order
     orbits = _bfs_orbits(
-        sorted(pool, key=lambda t: (t.degree, t.var_mask, t.two_flag)),
+        sorted(pool, key=lambda m: (m.bit_count(), m)),
         lambda m: [act(m, perm) for perm in position_perms],
     )
     return [KInvariant(labels, frozenset(orbit)) for orbit in orbits]

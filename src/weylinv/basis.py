@@ -42,6 +42,7 @@ from .algebra import (
     CoordinateMap,
     KInvariant,
     Monomial,
+    coordinate_mask,
     lambda_indices,
     one,
     orbit_sums,
@@ -75,7 +76,7 @@ from .groups import (
     root_label,
     standard_frames,
 )
-from .roots import RootSystem, build_root_system
+from .roots import RootSystem, _bfs_orbits, build_root_system
 
 __all__ = [
     "ReflectionSW",
@@ -834,9 +835,9 @@ def normalizer_families(
 # dimension bounds
 
 
-def _subset_monomials(k: int, d: int) -> list[Monomial]:
+def _subset_monomials(k: int, d: int) -> list[int]:
     return [
-        Monomial(sum(1 << p for p in subset), False)
+        Monomial(sum(1 << p for p in subset))
         for subset in combinations(range(k), d)
     ]
 
@@ -867,42 +868,32 @@ def _b_upper_bound(n: int, d: int) -> int:
     if d > n:
         return 0
     sys_ = build_root_system("B", n)
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    nodes = []
     for frame_name, roots in standard_frames(sys_):
         L = int(frame_name.split("_")[1])
         ctx = BnContext(L, n)
         perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
         for s in orbit_sums(_subset_monomials(n, d), perms, ctx.labels):
-            mask = next(iter(s.terms)).var_mask
+            mask = coordinate_mask(min(s.terms))
             node = (L,) + _monomial_signature(mask, ctx)
-            if node in parent:
+            if node in nodes:
                 raise AssertionError("duplicate orbit signature; family bug")
-            parent[node] = node
+            nodes.append(node)
     by_sig: dict = {}
-    for (L, k, ell) in parent:
-        by_sig.setdefault((k, ell), []).append((L, k, ell))
-    for group in by_sig.values():
+    for node in nodes:
+        by_sig.setdefault(node[1:], []).append(node)
+
+    def linked(node):
         # the same signature restricts identically from every frame that
-        # carries it: the shared subgroup comparison pins the multiplier
-        for node in group[1:]:
-            union(group[0], node)
-    for (L, k, ell) in list(parent):
+        # carries it: the shared subgroup comparison pins the multiplier;
         # the two-slot product subgroup trades a tail doubleton against a
-        # full pair one frame up, merging (k, ell) with (k+1, ell-2)
-        other = (L + 1, k + 1, ell - 2)
-        if other in parent:
-            union((L, k, ell), other)
-    return len({find(x) for x in parent})
+        # full pair one frame up, merging (k, ell) with (k+1, ell-2);
+        # linked both ways, as the orbit search follows links forward
+        L, k, ell = node
+        up, down = (L + 1, k + 1, ell - 2), (L - 1, k - 1, ell + 2)
+        return by_sig[(k, ell)] + [x for x in (up, down) if x in nodes]
+
+    return len(_bfs_orbits(nodes, linked))
 
 
 _ENCODED_BOUNDS = {
@@ -959,7 +950,7 @@ def upper_bound_dim(type_label: str, rank: int, degree: int) -> int:
 
 def _injection(source: Sequence[str], target: Sequence[str]) -> CoordinateMap:
     target = tuple(target)
-    rows = tuple((1 << target.index(lab), False) for lab in source)
+    rows = tuple(Monomial(1 << target.index(lab)) for lab in source)
     return CoordinateMap(tuple(source), target, rows)
 
 

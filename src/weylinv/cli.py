@@ -149,6 +149,16 @@ def _weyl_system(cfg: RunConfig):
     return build_root_system(label, rank)
 
 
+def _dihedral_parameter(cfg: RunConfig) -> int:
+    """n for the dihedral group I2(n) that G2 or I2(n) names."""
+    label, rank = cfg.type_label, cfg.rank
+    if label == "G" and rank == 2:
+        return 6
+    if label == "I2" and rank >= 3:
+        return rank
+    raise UnsupportedSystemError(f"unsupported system {system_name(label, rank)}")
+
+
 def _require_weyl(cfg: RunConfig):
     sys_ = _weyl_system(cfg)
     if sys_ is None:
@@ -186,8 +196,7 @@ def cmd_roots(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_order(cfg: RunConfig, args: argparse.Namespace) -> int:
     label, rank = cfg.type_label, cfg.rank
     if label in ("G", "I2") and _weyl_system(cfg) is None:
-        n = 6 if label == "G" else rank
-        order, method = 2 * n, "dihedral"
+        order, method = 2 * _dihedral_parameter(cfg), "dihedral"
     else:
         sys_ = _require_weyl(cfg)
         order = group_order(sys_, element_cap=cfg.max_elements)
@@ -203,8 +212,7 @@ def cmd_order(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_omega(cfg: RunConfig, args: argparse.Namespace) -> int:
     label, rank = cfg.type_label, cfg.rank
     if label in ("G", "I2") and _weyl_system(cfg) is None:
-        n = 6 if label == "G" else rank
-        classes = dihedral_omega(build_dihedral(n))
+        classes = dihedral_omega(build_dihedral(_dihedral_parameter(cfg)))
         payload = {
             "type": label,
             "rank": rank,

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, zero
+from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, two, zero
 from .errors import CertificateError, UnsupportedEmbeddingError
 
 __all__ = [
@@ -475,7 +475,7 @@ def _entry_class(labels: tuple[str, ...], a: int, mask: int) -> KInvariant:
     while v:
         low = v & -v
         v ^= low
-        terms.append(Monomial(low, False))
+        terms.append(Monomial(low))
     return kinv(labels, terms)
 
 
@@ -529,7 +529,7 @@ def _modified_from_twisted(twisted: KInvariant, d: int, parity: int) -> KInvaria
     if parity % 2 == 0:
         return twisted.degree_part(d)
     current = one(twisted.labels)
-    s = kinv(twisted.labels, [Monomial(0, True)])
+    s = two(twisted.labels)
     for deg in range(1, d + 1):
         current = twisted.degree_part(deg) + s * current
     return current

@@ -13,6 +13,7 @@ from weylinv.algebra import (
     KInvariant,
     Monomial,
     XIndex,
+    coordinate_mask,
     kinv,
     lambda_indices,
     linear_independence,
@@ -63,8 +64,8 @@ def test_disjoint_x_product_ors_masks():
     xce = x_basis(XIndex(frozenset(), frozenset(), frozenset({2}), frozenset()), ctx)
     prod = xa * xce
     (m,) = prod.terms
-    assert m.var_mask == (1 << 0) | (1 << 2) | (1 << 3)
-    assert not m.two_flag
+    assert coordinate_mask(m) == (1 << 0) | (1 << 2) | (1 << 3)
+    assert not m & 1  # no {2}
 
 
 def _random_element(rng, labels):
@@ -95,7 +96,7 @@ def test_substitute_identity_and_linearity():
     t1t2 = x_monomial(L2, ["a1", "b1"])
     assert substitute(t1t2, CoordinateMap.identity(L2)) == t1t2
     # a1 -> a2 + b2, others fixed
-    rows = [(0b0100 | 0b1000, False), (0b0010, False), (0b0100, False), (0b1000, False)]
+    rows = [Monomial(0b0100 | 0b1000), Monomial(0b0010), Monomial(0b0100), Monomial(0b1000)]
     cmap = CoordinateMap(L2, L2, tuple(rows))
     img = substitute(t1t2, cmap)
     assert img == x_monomial(L2, ["a2", "b1"]) + x_monomial(L2, ["b2", "b1"])
@@ -110,7 +111,7 @@ def test_substitute_relabel_swap():
 
 def test_substitute_handles_s_offsets():
     # a1 -> a1 + {2}: t_{a1} t_{b1} picks up a {2} t_{b1} cross term
-    rows = [(0b0001, True), (0b0010, False), (0b0100, False), (0b1000, False)]
+    rows = [Monomial(0b0001, True), Monomial(0b0010), Monomial(0b0100), Monomial(0b1000)]
     cmap = CoordinateMap(L2, L2, tuple(rows))
     img = substitute(x_monomial(L2, ["a1", "b1"]), cmap)
     expected = x_monomial(L2, ["a1", "b1"]) + x_monomial(L2, ["b1"], two_flag=True)
@@ -124,12 +125,12 @@ def test_substitute_functorial_seeded():
         f = CoordinateMap(
             L2,
             labels3,
-            tuple((rng.randrange(0, 8), rng.random() < 0.3) for _ in range(4)),
+            tuple(Monomial(rng.randrange(0, 8), rng.random() < 0.3) for _ in range(4)),
         )
         g = CoordinateMap(
             labels3,
             L2,
-            tuple((rng.randrange(0, 16), rng.random() < 0.3) for _ in range(3)),
+            tuple(Monomial(rng.randrange(0, 16), rng.random() < 0.3) for _ in range(3)),
         )
         x = _random_element(rng, L2)
         assert substitute(substitute(x, f), g) == substitute(x, f.then(g))
@@ -284,5 +285,125 @@ def test_json_form():
 
 
 def test_monomial_degree():
-    assert Monomial(0b101, True).degree == 3
-    assert Monomial(0, False).degree == 0
+    assert Monomial(0b101, True).bit_count() == 3
+    assert Monomial(0, False).bit_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# the (var_mask, two_flag) pair encoding, kept as the reference for the
+# one-int monomials: {2} handled apart from the coordinates throughout
+
+
+def _pair_mul(x, y):
+    acc = set()
+    for v1, f1 in x:
+        for v2, f2 in y:
+            if v1 & v2:
+                continue  # t_i^2 = 0
+            if f1 and f2:
+                continue  # s^2 = 0
+            acc ^= {(v1 | v2, f1 or f2)}
+    return acc
+
+
+def _pair_apply(rows, x):
+    """rows[i] = (target_mask, s_flag): t_i -> sum of the masked targets (+ {2})."""
+    acc = set()
+    for var_mask, two_flag in x:
+        expanded = {(0, two_flag)}
+        v = var_mask
+        while v:
+            i = (v & -v).bit_length() - 1
+            v &= v - 1
+            row_mask, row_flag = rows[i]
+            nxt = set()
+            for cur_mask, cur_flag in expanded:
+                t = row_mask
+                while t:
+                    j = (t & -t).bit_length() - 1
+                    t &= t - 1
+                    if not (cur_mask >> j) & 1:
+                        nxt ^= {(cur_mask | (1 << j), cur_flag)}
+                if row_flag and not cur_flag:
+                    nxt ^= {(cur_mask, True)}
+            expanded = nxt
+        acc ^= expanded
+    return acc
+
+
+def _pair_then(rows_f, rows_g):
+    out = []
+    for mask, flag in rows_f:
+        out_mask, out_flag = 0, flag
+        for j in range(mask.bit_length()):
+            if (mask >> j) & 1:
+                out_mask ^= rows_g[j][0]
+                out_flag ^= rows_g[j][1]
+        out.append((out_mask, out_flag))
+    return out
+
+
+def _pair_sorted(x):
+    return sorted(x, key=lambda m: (m[0].bit_count() + m[1], m[1], m[0]))
+
+
+def _pair_render(labels, x):
+    if not x:
+        return "0"
+    parts = []
+    for mask, flag in _pair_sorted(x):
+        if (mask, flag) == (0, False):
+            parts.append("1")
+            continue
+        text = "{2}" if flag else ""
+        for i, name in enumerate(labels):
+            if (mask >> i) & 1:
+                text += "{" + name + "}"
+        parts.append(text)
+    return " + ".join(parts)
+
+
+def _pair_json(labels, x):
+    return [
+        {"vars": [n for i, n in enumerate(labels) if (mask >> i) & 1], "two": flag}
+        for mask, flag in _pair_sorted(x)
+    ]
+
+
+def _random_pairs(rng, k, count):
+    return [(rng.randrange(0, 1 << k), rng.random() < 0.3) for _ in range(count)]
+
+
+def _as_pairs(terms):
+    return {(coordinate_mask(m), bool(m & 1)) for m in terms}
+
+
+def test_int_monomials_match_pair_reference_seeded():
+    labels3 = ("a1", "b1", "e3")
+    for seed in range(60):
+        rng = random.Random(seed)
+        px, py = (set() for _ in range(2))
+        for p in (px, py):
+            for m in _random_pairs(rng, 4, rng.randrange(0, 7)):
+                p ^= {m}
+        x = kinv(L2, [Monomial(*m) for m in px])
+        y = kinv(L2, [Monomial(*m) for m in py])
+        assert _as_pairs(x.terms) == px, seed
+        assert _as_pairs((x * y).terms) == _pair_mul(px, py), seed
+        # rows with {2} offsets, on maps L2 -> labels3 -> L2
+        rows_f = _random_pairs(rng, 3, 4)
+        rows_g = _random_pairs(rng, 4, 3)
+        f = CoordinateMap(L2, labels3, tuple(Monomial(*r) for r in rows_f))
+        g = CoordinateMap(labels3, L2, tuple(Monomial(*r) for r in rows_g))
+        pfx = _pair_apply(rows_f, px)
+        assert _as_pairs(f.apply(x).terms) == pfx, seed
+        assert f.then(g).rows == tuple(
+            Monomial(*r) for r in _pair_then(rows_f, rows_g)
+        ), seed
+        cases = ((x * y, _pair_mul(px, py), L2), (f.apply(x), pfx, labels3))
+        for el, pairs, labels in cases:
+            assert [
+                (coordinate_mask(m), bool(m & 1)) for m in el.sorted_terms()
+            ] == _pair_sorted(pairs), seed
+            assert el.render() == _pair_render(labels, pairs), seed
+            assert el.to_json() == _pair_json(labels, pairs), seed

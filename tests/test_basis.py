@@ -381,7 +381,7 @@ def test_unsupported_pairs_raise():
 # dimension bounds
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_b_bounds_match_interval_count(n):
     for d in range(n + 2):
         expected = (
@@ -440,8 +440,9 @@ def test_encoded_f4_bounds_match_constraint_computation():
 
 
 ALL_PAIRS = [
-    ("A", 3), ("A", 6), ("B", 2), ("B", 4), ("B", 5), ("B", 6),
-    ("D", 4), ("D", 5), ("D", 6), ("D", 8), ("F", 4),
+    ("A", 3), ("A", 6), ("A", 7), ("A", 8),
+    ("B", 2), ("B", 4), ("B", 5), ("B", 6), ("B", 7), ("B", 8),
+    ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("F", 4),
     ("E", 6), ("E", 7), ("E", 8), ("G", 2), ("I2", 4), ("I2", 5), ("I2", 6),
 ]
 

@@ -400,6 +400,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "roots", "B9")[0] == 2          # unsupported rank
     assert run(capsys, "roots", "banana")[0] == 2      # unparseable token
     assert run(capsys, "nonsense")[0] == 2
+    # the dihedral forms exist for G2 and I2(n >= 3) only
+    assert run(capsys, "order", "G3")[0] == 2
+    assert run(capsys, "omega", "G5", "--json")[0] == 2
+    assert run(capsys, "order", "I2(1)")[0] == 2
+    assert run(capsys, "order", "I2(2)")[0] == 2
 
 
 def test_element_cap_exits_3(capsys):
