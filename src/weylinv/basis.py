@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import (
     BnContext,
@@ -65,14 +65,12 @@ from .forms import (
     twist_by_two,
 )
 from .groups import (
-    OrthogonalFrame,
-    RootPermutation,
+    _compose,
+    _find_root,
     build_dihedral,
-    compose,
     dihedral_omega,
     g2_split_check,
     normalizer_action,
-    perm_of_reflection,
     root_label,
     standard_frames,
 )
@@ -295,7 +293,7 @@ def _fold_certificate(sys_, frame_roots, cache_dir):
 
 def restrict(
     inv: NamedInvariant,
-    frame: Union[OrthogonalFrame, Sequence[int]],
+    frame: Sequence[int],
     sys_: RootSystem,
     cache_dir: Optional[str] = None,
 ) -> KInvariant:
@@ -305,9 +303,7 @@ def restrict(
     member order).  cache_dir only matters for fold-invariant recipes,
     which need the coset space of the ambient system.
     """
-    roots = tuple(
-        frame.root_indices if isinstance(frame, OrthogonalFrame) else frame
-    )
+    roots = tuple(frame)
     labels = tuple(root_label(sys_, r) for r in roots)
     return _restrict(inv, roots, labels, sys_, cache_dir)
 
@@ -720,29 +716,27 @@ def f4_hat(d: int) -> NamedInvariant:
 # normalizer families
 
 
-def _refl_at(sys_: RootSystem, coords: Mapping[int, int]) -> RootPermutation:
-    ambient = len(sys_.roots[0].doubled)
-    vec = [0] * ambient
-    for p, val in coords.items():
-        vec[p] = val
-    return perm_of_reflection(sys_, sys_.index[tuple(vec)])
+def _refl_at(sys_: RootSystem, coords: dict[int, int]) -> tuple[int, ...]:
+    """The reflection table of the root with these nonzero doubled
+    coordinates."""
+    return sys_.reflection_images(_find_root(sys_, coords))
 
 
-def _pair_swap_elem(sys_: RootSystem, i: int, j: int) -> RootPermutation:
+def _pair_swap_elem(sys_: RootSystem, i: int, j: int) -> tuple[int, ...]:
     # swap coordinate pair i with pair j (1-based): product of the two
     # difference reflections on matching slots
-    return compose(
-        _refl_at(sys_, {2 * i - 2: 2, 2 * j - 2: -2}),
+    return _compose(
         _refl_at(sys_, {2 * i - 1: 2, 2 * j - 1: -2}),
+        _refl_at(sys_, {2 * i - 2: 2, 2 * j - 2: -2}),
     )
 
 
-def _double_flip_elem(sys_: RootSystem, p: int, q: int) -> RootPermutation:
+def _double_flip_elem(sys_: RootSystem, p: int, q: int) -> tuple[int, ...]:
     # negate coordinates p and q (1-based) inside a group without single
     # sign flips: s_{e_p} s_{e_q} = s_{e_p - e_q} s_{e_p + e_q}
-    return compose(
-        _refl_at(sys_, {p - 1: 2, q - 1: -2}),
+    return _compose(
         _refl_at(sys_, {p - 1: 2, q - 1: 2}),
+        _refl_at(sys_, {p - 1: 2, q - 1: -2}),
     )
 
 
@@ -754,11 +748,11 @@ _E_TORSOR_ROOTS = (
 )
 
 
-def _e_torsor_elem(sys_: RootSystem) -> RootPermutation:
+def _e_torsor_elem(sys_: RootSystem) -> tuple[int, ...]:
     r1, r2 = _E_TORSOR_ROOTS
-    return compose(
-        perm_of_reflection(sys_, sys_.index[r1]),
-        perm_of_reflection(sys_, sys_.index[r2]),
+    return _compose(
+        sys_.reflection_images(sys_.index[r2]),
+        sys_.reflection_images(sys_.index[r1]),
     )
 
 
@@ -779,7 +773,7 @@ def normalizer_families(
     roots = tuple(frame_roots)
     out: list[tuple[str, tuple[int, ...]]] = []
 
-    def add(label: str, g: RootPermutation) -> None:
+    def add(label: str, g: tuple[int, ...]) -> None:
         out.append((label, normalizer_action(sys_, g, roots)))
 
     if t == "A":
@@ -799,7 +793,7 @@ def normalizer_families(
                 _refl_at(sys_, {j - 1: 2, j: -2}),
             )
         if t == "F" and L == 2:
-            add("torsor-g", perm_of_reflection(sys_, sys_.index[(1, 1, 1, 1)]))
+            add("torsor-g", sys_.reflection_images(sys_.index[(1, 1, 1, 1)]))
         return out
     if t == "D":
         m = n // 2
@@ -1060,7 +1054,7 @@ def _constrained_dims(
         sys_f = build_root_system("F", 4)
         _, roots_f = standard_frames(sys_f)[2]
         action = normalizer_action(
-            sys_f, perm_of_reflection(sys_f, sys_f.index[(1, 1, 1, 1)]), roots_f
+            sys_f, sys_f.reflection_images(sys_f.index[(1, 1, 1, 1)]), roots_f
         )
     elif type_label == "E" and rank in (6, 7, 8):
         sys_e = build_root_system("E", rank)

@@ -162,9 +162,10 @@ def _dihedral_parameter(cfg: RunConfig) -> int:
 def _require_weyl(cfg: RunConfig):
     sys_ = _weyl_system(cfg)
     if sys_ is None:
+        _dihedral_parameter(cfg)  # G3, I2(2), ...: unsupported outright
         raise UnsupportedSystemError(
-            f"{cfg.type_label}{cfg.rank} has no crystallographic root system "
-            "here; its checks run under 'verify'"
+            f"{system_name(cfg.type_label, cfg.rank)} has no crystallographic "
+            "root system here; its checks run under 'verify'"
         )
     return sys_
 
@@ -227,10 +228,7 @@ def cmd_omega(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 0
     sys_ = _require_weyl(cfg)
     omega = omega_classes(sys_, max_frames=cfg.max_frames)
-    reps = [
-        [root_label(sys_, r) for r in rep.root_indices]
-        for rep in omega.representatives
-    ]
+    reps = [[root_label(sys_, r) for r in rep] for rep in omega.representatives]
     sizes = list(omega.orbit_sizes) if omega.orbit_sizes else None
     payload = {
         "type": sys_.type_label,

@@ -45,12 +45,11 @@ from .forms import (
     OrbitPfister,
     OrbitPfisterDecomp,
     _commuting_involution_failure,
-    _compose,
     _orbit_pfister,
     _symbol_product,
     e_fold,
 )
-from .groups import root_label, weyl_order
+from .groups import _compose, root_label, standard_frames, weyl_order
 from .roots import RootSystem, _bfs_orbits
 
 __all__ = [
@@ -98,9 +97,7 @@ class FoldCertificate:
     def decomp(self) -> OrbitPfisterDecomp:
         return OrbitPfisterDecomp(
             self.labels,
-            tuple(
-                OrbitPfister(o.fold, o.delta_masks, o.fold) for o in self.orbits
-            ),
+            tuple(OrbitPfister(o.fold, o.delta_masks) for o in self.orbits),
         )
 
 
@@ -371,7 +368,7 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
     tables = []
     for g in range(ngen):
         column = edges[g::ngen]
-        table = tuple(position[column[k]] for k in order)
+        table = _compose(position, _compose(column, order))
         if sorted(table) != list(range(size)):
             raise CosetValidationError("action table is not a bijection")
         tables.append(table)
@@ -501,12 +498,7 @@ def _same_frame(
 def _canonical_certificate(
     sys_: RootSystem, space: CosetSpace
 ) -> Optional[FoldCertificate]:
-    from .groups import standard_frames
-
-    try:
-        frames = standard_frames(sys_)
-    except Exception:
-        return None
+    frames = standard_frames(sys_)
     if len(frames) != 1:
         return None
     _, frame_roots = frames[0]

@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, two, zero
 from .errors import CertificateError, UnsupportedEmbeddingError
+from .groups import _compose, root_label
 
 __all__ = [
     "DiagonalForm",
@@ -281,10 +282,6 @@ def form_of_linear_action(
     sys_, frame_roots: Sequence[int], labels: Optional[Sequence[str]] = None
 ) -> DiagonalForm:
     """Diagonal form of a frame acting on the root system's ambient space."""
-    from .groups import OrthogonalFrame, root_label
-
-    if isinstance(frame_roots, OrthogonalFrame):
-        frame_roots = frame_roots.root_indices
     if labels is None:
         labels = [root_label(sys_, r) for r in frame_roots]
     # reflection_matrix(sys_, r) is A / dd with A = dd I - 2 d d^T
@@ -307,7 +304,6 @@ def form_of_linear_action(
 class OrbitPfister:
     fold: int
     delta_masks: tuple[int, ...]
-    scale_exponent: int
 
     def __post_init__(self) -> None:
         if len(self.delta_masks) != self.fold:
@@ -345,11 +341,6 @@ def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
                 x ^= 1 << p
         basis.append(x)
     return sorted(basis)
-
-
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """The table k -> a[b[k]]."""
-    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
 
 
 def _commuting_involution_failure(
@@ -439,7 +430,7 @@ def form_of_permutation_action(
     if bad is not None:
         raise ValueError(f"generators {bad[0]} and {bad[1]} do not commute")
     orbits = tuple(
-        OrbitPfister(fold=fold, delta_masks=masks, scale_exponent=fold)
+        OrbitPfister(fold=fold, delta_masks=masks)
         for _, _, fold, masks in _orbit_pfister(gens, size)
     )
     return OrbitPfisterDecomp(tuple(labels), orbits)
@@ -450,7 +441,8 @@ def expand_to_diagonal(decomp: OrbitPfisterDecomp) -> DiagonalForm:
 
     <<-d_1, ..., -d_f>> has diagonal entries prod_{j in S} d_j over all
     subsets S (signs vanish since {-1} = 0 and entries are square
-    classes, which multiply by XOR of coordinate masks).
+    classes, which multiply by XOR of coordinate masks); an orbit of
+    fold f scales each of its entries by 2^f.
     """
     entries = []
     for o in decomp.orbits:
@@ -459,7 +451,7 @@ def expand_to_diagonal(decomp: OrbitPfisterDecomp) -> DiagonalForm:
             for j in range(o.fold):
                 if (s >> j) & 1:
                     mask ^= o.delta_masks[j]
-            entries.append((o.scale_exponent, mask))
+            entries.append((o.fold, mask))
     return DiagonalForm(decomp.labels, tuple(entries))
 
 

@@ -1,7 +1,14 @@
 """Weyl groups as permutation groups on roots.
 
-Group elements are permutations of the root list, never matrices, once
-constructed: composing is array indexing and the degree stays <= 240.
+A group element is its image tuple, never a matrix: images[i] is the
+index of the image of root i, composing is indexing (_compose) and the
+degree stays <= 240.  The reflection tables, RootSystem.reflection_images,
+are sign-equivariant isometries of the roots, as RootSystem._validate
+proves, and a product of isometries is one, so composed tuples are never
+revalidated.  A frame is the sorted tuple of the canonical root indices
+of its lines (make_frame), so frames are hashable and orbit searches key
+dictionaries by them directly.
+
 The module also classifies Omega(G), the conjugacy classes of maximal
 frames (pairwise-orthogonal root sets generating elementary abelian
 2-subgroups of reflections), and builds the dihedral groups that have no
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, inf
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -22,12 +30,8 @@ from .errors import (
 from .roots import RootSystem, _bfs_orbits, build_root_system
 
 __all__ = [
-    "RootPermutation",
     "GeneratedGroup",
-    "OrthogonalFrame",
     "OmegaClasses",
-    "perm_of_reflection",
-    "compose",
     "enumerate_subgroup",
     "group_order",
     "order_method",
@@ -51,49 +55,9 @@ DEFAULT_FRAME_CAP = 16_777_216
 DEFAULT_ELEMENT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class RootPermutation:
-    """A permutation of root indices induced by an orthogonal map.
-
-    Instances produced by perm_of_reflection are bijections,
-    sign-equivariant and preserve all pairwise inner products, as
-    proved by RootSystem._validate.  Compositions keep those properties
-    automatically, so compose() does not revalidate.
-    """
-
-    images: tuple[int, ...]
-
-    def __call__(self, idx: int) -> int:
-        return self.images[idx]
-
-    def after(self, other: "RootPermutation") -> "RootPermutation":
-        """self composed after other: (self.after(other))(i) = self(other(i))."""
-        im = self.images
-        return RootPermutation(tuple(im[j] for j in other.images))
-
-    def inverse(self) -> "RootPermutation":
-        return RootPermutation(_inverse_images(self.images))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-
-def _inverse_images(images: Sequence[int]) -> tuple[int, ...]:
-    """The image sequence of the inverse permutation."""
-    inv = [0] * len(images)
-    for i, j in enumerate(images):
-        inv[j] = i
-    return tuple(inv)
-
-
-def compose(*perms: RootPermutation) -> RootPermutation:
-    """Left-to-right product: compose(p, q) applies p first, then q."""
-    if not perms:
-        raise ValueError("compose needs at least one permutation")
-    result = list(range(len(perms[0].images)))
-    for p in perms:
-        result = [p.images[i] for i in result]
-    return RootPermutation(tuple(result))
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The table k -> a[b[k]]: b first, then a."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
 
 
 def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
@@ -126,13 +90,6 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
                 )
 
 
-def perm_of_reflection(sys_: RootSystem, root_idx: int) -> RootPermutation:
-    """The root permutation induced by the reflection s_alpha: the
-    system's memoized reflection table, an isometry of the roots because
-    the system passed RootSystem._validate."""
-    return RootPermutation(sys_.reflection_images(root_idx))
-
-
 @dataclass(frozen=True)
 class GeneratedGroup:
     """A subgroup given by generators, enumerated by enumerate_subgroup.
@@ -142,13 +99,12 @@ class GeneratedGroup:
     with points, the bytes of the images of those points only.
     """
 
-    generators: tuple[RootPermutation, ...]
-    elements: Optional[tuple[bytes, ...]] = field(default=None, repr=False)
-    order: Optional[int] = None
+    elements: tuple[bytes, ...] = field(repr=False)
+    order: int
 
 
 def enumerate_subgroup(
-    gens: Sequence[RootPermutation],
+    gens: Sequence[Sequence[int]],
     element_cap: int = DEFAULT_ELEMENT_CAP,
     points: Optional[Sequence[int]] = None,
 ) -> GeneratedGroup:
@@ -173,12 +129,12 @@ def enumerate_subgroup(
         raise ValueError("need at least one generator")
     if element_cap <= 0:
         raise ValueError("element_cap must be positive")
-    degree = len(gens[0].images)
-    if any(len(g.images) != degree for g in gens):
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
         raise ValueError("generator degrees differ")
     if degree > 256:
         raise ValueError(f"degree {degree} exceeds 256, the bytes-image limit")
-    tables = [bytes(g.images).ljust(256, b"\0") for g in gens]
+    tables = [bytes(g).ljust(256, b"\0") for g in gens]
     if points is not None and not all(0 <= i < degree for i in points):
         raise ValueError(f"points must be indices below the degree {degree}")
     identity = bytes(range(degree) if points is None else points)
@@ -197,11 +153,7 @@ def enumerate_subgroup(
                     )
                 seen.add(q)
                 ordered.append(q)
-    return GeneratedGroup(
-        generators=tuple(gens),
-        elements=tuple(ordered),
-        order=len(ordered),
-    )
+    return GeneratedGroup(elements=tuple(ordered), order=len(ordered))
 
 
 def weyl_order(sys_: RootSystem) -> int:
@@ -255,9 +207,9 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
         vectors, _, u_order = cosets._coset_orbit(sys_, cosets.standard_u_gens(sys_))
         return len(vectors) * u_order
     if method == "bfs":
-        gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+        gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
         orbit = enumerate_subgroup(gens, element_cap, points=sys_.simple_indices)
-        return orbit.order  # type: ignore[return-value]
+        return orbit.order
     return weyl_order(sys_)
 
 
@@ -265,25 +217,11 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
 # frames
 
 
-@dataclass(frozen=True)
-class OrthogonalFrame:
-    """A maximal set of pairwise-orthogonal root lines.
-
-    root_indices holds the sign-canonical representative of each line,
-    sorted ascending, so frames are hashable and orbit BFS can use them
-    as dictionary keys directly.
-    """
-
-    root_indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.root_indices)
-
-
 def make_frame(
     sys_: RootSystem, roots: Iterable[int], require_maximal: bool = True
-) -> OrthogonalFrame:
-    """Canonicalize and validate a frame given by arbitrary root indices."""
+) -> tuple[int, ...]:
+    """Canonicalize and validate a frame given by arbitrary root indices:
+    the sorted sign-canonical representatives of its lines."""
     canon = sorted({sys_.canonical_rep[i] for i in roots})
     for a in range(len(canon)):
         for b in range(a + 1, len(canon)):
@@ -301,12 +239,12 @@ def make_frame(
                 raise ValueError(
                     f"frame not maximal: root {line} is orthogonal to all members"
                 )
-    return OrthogonalFrame(tuple(canon))
+    return tuple(canon)
 
 
 def maximal_orthogonal_frames(
     sys_: RootSystem, cap: Optional[int] = None
-) -> list[OrthogonalFrame]:
+) -> list[tuple[int, ...]]:
     """All maximal cliques of the orthogonality graph on root lines.
 
     Output sorted by the root-index tuple, so the listing is
@@ -330,8 +268,8 @@ def maximal_orthogonal_frames(
             low = mask & -mask
             members.append(lines[low.bit_length() - 1])
             mask ^= low
-        frames.append(OrthogonalFrame(tuple(members)))
-    frames.sort(key=lambda f: f.root_indices)
+        frames.append(tuple(members))
+    frames.sort()
     return frames
 
 
@@ -397,7 +335,7 @@ class OmegaClasses:
     orbit_sizes is None).
     """
 
-    representatives: tuple[OrthogonalFrame, ...]
+    representatives: tuple[tuple[int, ...], ...]
     orbit_sizes: Optional[tuple[int, ...]]
     method: str
     class_of: Optional[dict[tuple[int, ...], int]] = field(
@@ -432,11 +370,11 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
         frames = maximal_orthogonal_frames(sys_, max_frames)
     except CapExceededError:
         return _omega_inductive(sys_)
-    all_keys = {f.root_indices for f in frames}
+    all_keys = set(frames)
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     canonical = sys_.canonical_rep
     orbits = _bfs_orbits(
-        [f.root_indices for f in frames],
+        frames,
         lambda key: [_frame_image(key, g, canonical) for g in gens],
     )
     if not all(all_keys.issuperset(orbit) for orbit in orbits):
@@ -449,7 +387,7 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
     if sum(sizes) != len(frames):
         raise AssertionError("orbit sizes do not sum to the frame count")
     return OmegaClasses(
-        representatives=tuple(OrthogonalFrame(r) for r in reps),
+        representatives=tuple(reps),
         orbit_sizes=tuple(sizes),
         method="bfs",
         class_of=class_of,
@@ -472,21 +410,19 @@ def _omega_inductive(sys_: RootSystem) -> OmegaClasses:
 
 
 def classify_frame(
-    sys_: RootSystem, omega: OmegaClasses, frame: OrthogonalFrame | Sequence[int]
+    sys_: RootSystem, omega: OmegaClasses, frame: Sequence[int]
 ) -> int:
     """Index of the Omega class containing the given frame."""
-    roots = frame.root_indices if isinstance(frame, OrthogonalFrame) else frame
-    key = make_frame(sys_, roots).root_indices
+    key = make_frame(sys_, frame)
     if omega.class_of is not None:
         try:
             return omega.class_of[key]
         except KeyError:
             raise ValueError("not a maximal frame of this system") from None
     # inductive fallback: match by the long-pair-count invariant
+    count = _pair_count(sys_, key)
     for i, rep in enumerate(omega.representatives):
-        if len(rep.root_indices) == len(key) and _pair_count(
-            sys_, rep.root_indices
-        ) == _pair_count(sys_, key):
+        if len(rep) == len(key) and _pair_count(sys_, rep) == count:
             return i
     raise ValueError("no class matches the frame invariants")
 
@@ -590,23 +526,22 @@ def root_label(sys_: RootSystem, root_idx: int) -> str:
 
 def normalizer_action(
     sys_: RootSystem,
-    g: RootPermutation,
-    frame: OrthogonalFrame | Sequence[int],
+    g: Sequence[int],
+    frame: Sequence[int],
 ) -> tuple[int, ...]:
     """Position permutation induced by conjugation on the frame's reflections.
 
     Signs are discarded (s_alpha = s_{-alpha}): position p maps to the
-    position holding the line of g(root_p).  Raises NormalizerError when
-    g does not map the frame's line set to itself.
+    position holding the line of g(root_p), where g is an image tuple.
+    Raises NormalizerError when g does not map the frame's line set to
+    itself.
     """
-    roots = tuple(
-        frame.root_indices if isinstance(frame, OrthogonalFrame) else frame
-    )
+    roots = tuple(frame)
     canonical = sys_.canonical_rep
     canon_positions = {canonical[r]: p for p, r in enumerate(roots)}
     out = []
     for p, r in enumerate(roots):
-        img = canonical[g.images[r]]
+        img = canonical[g[r]]
         if img not in canon_positions:
             raise NormalizerError(
                 f"element maps frame member {p} outside the frame"
@@ -644,12 +579,12 @@ class DihedralGroup:
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] followed by elements[j]."""
-        pi, pj = self.elements[i], self.elements[j]
-        return self._index[tuple(pj[x] for x in pi)]
+        return self._index[_compose(self.elements[j], self.elements[i])]
 
     def inverse(self, i: int) -> int:
         """Index of the inverse of elements[i]."""
-        return self._index[_inverse_images(self.elements[i])]
+        # rotation by k undoes rotation by n - k; reflections are involutions
+        return i if i >= self.n else -i % self.n
 
 
 def build_dihedral(n: int) -> DihedralGroup:
@@ -707,12 +642,11 @@ def g2_split_check(group: DihedralGroup) -> dict[str, bool]:
     if group.n != 6:
         raise ValueError("split check is specific to the order-12 group")
     elements = group.elements
-    n = group.n
     order3 = [
         i
         for i, p in enumerate(elements)
         if p != elements[0]
-        and tuple(p[p[p[x]]] for x in range(n)) == elements[0]
+        and _compose(p, _compose(p, p)) == elements[0]
     ]
     # each order-3 subgroup contains two order-3 elements
     unique = len(order3) == 2

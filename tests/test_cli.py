@@ -407,6 +407,25 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "order", "I2(2)")[0] == 2
 
 
+def test_commands_needing_roots_name_the_dihedral_system(capsys):
+    """Labels with no dihedral form are unsupported, as under verify;
+    G2 and I2(n >= 3) are sent to verify, named as the CLI writes them."""
+    for argv, system in (
+        (("roots", "G3"), "G3"),
+        (("fullcheck", "G5"), "G5"),
+        (("cosets", "I2(2)"), "I2(2)"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and f"unsupported system {system}\n" in err, err
+        assert run(capsys, "verify", system)[0] == 2
+    for argv, system in ((("roots", "G2"), "G2"), (("fullcheck", "I2(5)"), "I2(5)")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert f"{system} has no crystallographic root system here" in err, err
+        assert "run under 'verify'" in err
+        assert run(capsys, "verify", system)[0] == 0
+
+
 def test_element_cap_exits_3(capsys):
     code, _, err = run(capsys, "order", "E6", "--max-elements", "10")
     assert code == 3 and "resource cap" in err

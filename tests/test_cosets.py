@@ -28,7 +28,6 @@ from weylinv.cosets import (
 )
 from weylinv.errors import CacheFormatError, CertificateError, CosetValidationError
 from weylinv.groups import (
-    RootPermutation,
     enumerate_subgroup,
     maximal_orthogonal_frames,
     standard_frames,
@@ -253,7 +252,7 @@ def _enumerated_u_order(sys_, u_gens):
     domain = _sigma_u(sys_, u_gens)
     local = {r: i for i, r in enumerate(domain)}
     gens = [
-        RootPermutation(tuple(local[sys_.reflection_images(g)[r]] for r in domain))
+        tuple(local[sys_.reflection_images(g)[r]] for r in domain)
         for g in u_gens
     ]
     return enumerate_subgroup(gens, element_cap=10**6).order
@@ -304,7 +303,7 @@ def test_closure_matches_mutual_reflection():
 def _frames(sys_):
     """The standard frames and three further maximal frames."""
     frames = [f for _, f in standard_frames(sys_)]
-    found = [f.root_indices for f in maximal_orthogonal_frames(sys_)]
+    found = maximal_orthogonal_frames(sys_)
     return frames + [found[0], found[len(found) // 2], found[-1]]
 
 

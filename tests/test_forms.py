@@ -171,7 +171,8 @@ def test_permutation_action_simply_transitive():
     (orbit,) = decomp.orbits
     assert orbit.fold == 2
     assert orbit.delta_masks == (0b01, 0b10)
-    assert orbit.scale_exponent == 2
+    # the orbit's 4 points scale each entry by 2^2
+    assert {a for a, _ in expand_to_diagonal(decomp).entries} == {2}
     assert decomp.ambient_dim == 4
 
 
@@ -296,24 +297,22 @@ def test_commuting_involution_failure_names_the_first():
 
 
 def test_expand_to_diagonal_fold2():
-    decomp = OrbitPfisterDecomp(
-        AB, (OrbitPfister(2, (0b01, 0b10), 2),)
-    )
+    decomp = OrbitPfisterDecomp(AB, (OrbitPfister(2, (0b01, 0b10)),))
     diag = expand_to_diagonal(decomp)
     assert sorted(diag.entries) == [(2, 0b00), (2, 0b01), (2, 0b10), (2, 0b11)]
 
 
 def test_e_fold_examples():
     labels = AB
-    single = OrbitPfisterDecomp(labels, (OrbitPfister(2, (0b01, 0b10), 2),))
+    single = OrbitPfisterDecomp(labels, (OrbitPfister(2, (0b01, 0b10)),))
     assert e_fold(single, 2) == var(labels, "a") * var(labels, "b")
     # non-basis deltas give the same symbol product: (a+b)*b = ab
-    skew = OrbitPfisterDecomp(labels, (OrbitPfister(2, (0b11, 0b10), 2),))
+    skew = OrbitPfisterDecomp(labels, (OrbitPfister(2, (0b11, 0b10)),))
     assert e_fold(skew, 2) == var(labels, "a") * var(labels, "b")
     # higher folds contribute nothing
     mixed = OrbitPfisterDecomp(
         labels,
-        (OrbitPfister(1, (0b01,), 1), OrbitPfister(2, (0b01, 0b10), 2)),
+        (OrbitPfister(1, (0b01,)), OrbitPfister(2, (0b01, 0b10))),
     )
     assert e_fold(mixed, 1) == var(labels, "a")
     with pytest.raises(CertificateError):
@@ -322,16 +321,14 @@ def test_e_fold_examples():
 
 def test_e_fold_zero_counts_orbits():
     labels = ("a",)
-    three_points = OrbitPfisterDecomp(
-        labels, (OrbitPfister(0, (), 0),) * 3
-    )
+    three_points = OrbitPfisterDecomp(labels, (OrbitPfister(0, ()),) * 3)
     assert e_fold(three_points, 0) == one(labels)  # 3 is odd
 
 
 def test_e_fold_additive_over_concatenation():
     labels = AB
-    d1 = OrbitPfisterDecomp(labels, (OrbitPfister(1, (0b01,), 1),))
-    d2 = OrbitPfisterDecomp(labels, (OrbitPfister(1, (0b10,), 1),))
+    d1 = OrbitPfisterDecomp(labels, (OrbitPfister(1, (0b01,)),))
+    d2 = OrbitPfisterDecomp(labels, (OrbitPfister(1, (0b10,)),))
     both = OrbitPfisterDecomp(labels, d1.orbits + d2.orbits)
     assert e_fold(both, 1) == e_fold(d1, 1) + e_fold(d2, 1)
 
@@ -454,7 +451,7 @@ def _oracle_frames(label, rank):
     sys_ = build_root_system(label, rank)
     frames = [f for _, f in standard_frames(sys_)]
     if (label, rank) in (("D", 4), ("D", 6), ("E", 7)):
-        found = [f.root_indices for f in maximal_orthogonal_frames(sys_)]
+        found = maximal_orthogonal_frames(sys_)
         frames += [found[0], found[len(found) // 2], found[-1]]
     return sys_, frames
 

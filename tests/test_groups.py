@@ -8,13 +8,11 @@ import pytest
 from weylinv.cosets import _reflection_group_order
 from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
+    _compose,
     _maximal_cliques,
     DihedralGroup,
-    OrthogonalFrame,
-    RootPermutation,
     build_dihedral,
     classify_frame,
-    compose,
     dihedral_omega,
     enumerate_subgroup,
     g2_split_check,
@@ -24,7 +22,6 @@ from weylinv.groups import (
     normalizer_action,
     omega_classes,
     order_method,
-    perm_of_reflection,
     root_label,
     standard_frames,
     validate_root_permutation,
@@ -37,12 +34,22 @@ def _root_idx(sys_, doubled):
     return sys_.index[tuple(doubled)]
 
 
+def _product(*perms):
+    """Left-to-right product of image tuples: _product(p, q) applies p
+    first, then q.  Written out point by point, apart from _compose."""
+    result = list(range(len(perms[0])))
+    for p in perms:
+        result = [p[i] for i in result]
+    return tuple(result)
+
+
 def test_reflection_perm_is_involution():
     sys_ = build_root_system("B", 3)
     for i in sys_.simple_indices:
-        p = perm_of_reflection(sys_, i)
-        assert p.after(p).is_identity()
-        assert not p.is_identity()
+        p = sys_.reflection_images(i)
+        identity = tuple(range(len(p)))
+        assert _compose(p, p) == identity
+        assert p != identity
 
 
 def test_validate_rejects_broken_images():
@@ -94,8 +101,8 @@ def test_validate_accepts_reflections_and_products():
         images = sys_.reflection_images(r)
         validate_root_permutation(sys_, images)
         assert _all_pairs_isometry(sys_, images)
-    s0, s1 = (perm_of_reflection(sys_, i) for i in sys_.simple_indices[:2])
-    validate_root_permutation(sys_, compose(s0, s1, s0).images)
+    s0, s1 = (sys_.reflection_images(i) for i in sys_.simple_indices[:2])
+    validate_root_permutation(sys_, _product(s0, s1, s0))
 
 
 @pytest.mark.parametrize(
@@ -118,10 +125,14 @@ def test_every_reflection_table_is_an_involutive_isometry(label, rank):
 
 def test_compose_against_after():
     sys_ = build_root_system("B", 2)
-    s0 = perm_of_reflection(sys_, sys_.simple_indices[0])
-    s1 = perm_of_reflection(sys_, sys_.simple_indices[1])
-    # compose(p, q) applies p first; q.after(p) is the same map
-    assert compose(s0, s1).images == s1.after(s0).images
+    s0 = sys_.reflection_images(sys_.simple_indices[0])
+    s1 = sys_.reflection_images(sys_.simple_indices[1])
+    # _compose(q, p) applies p first, then q: s1 after s0
+    assert _compose(s1, s0) == tuple(s1[s0[k]] for k in range(len(s0)))
+    assert _product(s0, s1) == _compose(s1, s0)
+    # one or no points take the branch without itemgetter
+    assert _compose(s1, s0[:1]) == (s1[s0[0]],)
+    assert _compose(s1, ()) == ()
 
 
 ENUMERATED_ORDERS = [
@@ -149,7 +160,7 @@ def test_enumerated_orders(label, rank, expected):
     orbit of the simple-root tuple, the formula table and the root-orbit
     chain over all of Phi."""
     sys_ = build_root_system(label, rank)
-    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     assert group.order == expected
     assert weyl_order(sys_) == expected
@@ -167,6 +178,23 @@ def test_coset_product_orders_match_root_orbit_chain(rank):
     assert order_method(sys_) == "coset-product"
     chain = _reflection_group_order(sys_, range(len(sys_.roots)))
     assert group_order(sys_) == chain == weyl_order(sys_)
+
+
+FORMULA_SYSTEMS = [
+    (t, n)
+    for t, lo, hi in SUPPORTED
+    for n in range(lo, hi + 1)
+    if order_method(build_root_system(t, n)) == "formula"
+]
+
+
+@pytest.mark.parametrize("label,rank", FORMULA_SYSTEMS)
+def test_formula_orders_match_root_orbit_chain(label, rank):
+    """The formula table, which no element enumeration reaches at these
+    ranks, against the root-orbit chain over all of Phi."""
+    sys_ = build_root_system(label, rank)
+    chain = _reflection_group_order(sys_, range(len(sys_.roots)))
+    assert group_order(sys_) == chain
 
 
 def test_group_order_dispatch_small():
@@ -190,7 +218,7 @@ def test_orbit_of_points_that_do_not_determine_the_element():
     """points enumerates an orbit, which is |W| only when the images of
     points determine the element: one B2 root has 4 images, not 8."""
     sys_ = build_root_system("B", 2)
-    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     for r in sys_.simple_indices:
         orbit = enumerate_subgroup(gens, points=[r])
         assert orbit.order == 4
@@ -201,14 +229,14 @@ def test_orbit_of_points_that_do_not_determine_the_element():
 
 def test_enumeration_cap():
     sys_ = build_root_system("B", 4)
-    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     with pytest.raises(CapExceededError):
         enumerate_subgroup(gens, element_cap=100)
 
 
 def test_enumeration_cap_boundary():
     sys_ = build_root_system("B", 3)
-    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     # a cap equal to the order admits every element; one less does not
     assert enumerate_subgroup(gens, element_cap=48).order == 48
     with pytest.raises(CapExceededError):
@@ -216,17 +244,17 @@ def test_enumeration_cap_boundary():
 
 
 def test_enumeration_degree_limit():
-    big = RootPermutation(tuple(range(1, 257)) + (0,))
+    big = tuple(range(1, 257)) + (0,)
     with pytest.raises(ValueError, match="degree 257"):
         enumerate_subgroup([big])
     # degree 256 is the largest a bytes image can hold
-    cycle = RootPermutation(tuple(range(1, 256)) + (0,))
+    cycle = tuple(range(1, 256)) + (0,)
     assert enumerate_subgroup([cycle]).order == 256
 
 
 def test_enumeration_elements_in_discovery_order():
     sys_ = build_root_system("B", 2)
-    s0, s1 = (perm_of_reflection(sys_, i) for i in sys_.simple_indices)
+    s0, s1 = (sys_.reflection_images(i) for i in sys_.simple_indices)
     group = enumerate_subgroup([s0, s1])
     assert all(type(e) is bytes for e in group.elements)
     expected = [
@@ -237,13 +265,13 @@ def test_enumeration_elements_in_discovery_order():
         (s0, s1, s0, s1),
     ]
     identity = tuple(range(len(sys_.roots)))
-    images = [compose(*w).images if w else identity for w in expected]
+    images = [_product(*w) if w else identity for w in expected]
     assert [tuple(e) for e in group.elements] == images
 
 
 def test_single_reflection_subgroup():
     sys_ = build_root_system("B", 2)
-    s = perm_of_reflection(sys_, sys_.simple_indices[0])
+    s = sys_.reflection_images(sys_.simple_indices[0])
     assert enumerate_subgroup([s]).order == 2
 
 
@@ -256,7 +284,7 @@ def test_b2_frames():
     assert sizes == [2, 2]
     e1 = _root_idx(sys_, (2, 0))
     e2 = _root_idx(sys_, (0, 2))
-    assert OrthogonalFrame(tuple(sorted((e1, e2)))) in frames
+    assert tuple(sorted((e1, e2))) in frames
 
 
 def test_frames_all_have_full_rank_size():
@@ -301,7 +329,7 @@ def test_frames_match_brute_force(label, rank):
     sys_ = build_root_system(label, rank)
     frames = maximal_orthogonal_frames(sys_)
     assert len(set(frames)) == len(frames)
-    assert {f.root_indices for f in frames} == _brute_force_frames(sys_)
+    assert set(frames) == _brute_force_frames(sys_)
 
 
 FRAME_SYSTEMS = (
@@ -349,7 +377,7 @@ def test_frames_match_pivot_free_bron_kerbosch(label, rank):
         tuple(sorted(lines[v] for v in range(len(lines)) if mask >> v & 1))
         for mask in _pivot_free_bron_kerbosch(_orthogonality_adj(sys_))
     )
-    assert [f.root_indices for f in maximal_orthogonal_frames(sys_)] == expected
+    assert maximal_orthogonal_frames(sys_) == expected
 
 
 def test_e_frame_counts():
@@ -415,7 +443,7 @@ def test_make_frame_validates():
         make_frame(sys_, [e1, a1])  # not orthogonal
     with pytest.raises(ValueError):
         make_frame(sys_, [e1], require_maximal=True)  # e2 extends it
-    assert make_frame(sys_, [e1], require_maximal=False).root_indices == (
+    assert make_frame(sys_, [e1], require_maximal=False) == (
         sys_.canonical_rep[e1],
     )
 
@@ -472,14 +500,14 @@ def test_omega_inductive_fallback():
 def test_orbit_stabilizer_identity_b3():
     sys_ = build_root_system("B", 3)
     omega = omega_classes(sys_)
-    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     canonical = sys_.canonical_rep
     for rep, orbit_size in zip(omega.representatives, omega.orbit_sizes):
-        target = set(rep.root_indices)
+        target = set(rep)
         stab = 0
         for images in group.elements:
-            if {canonical[images[r]] for r in rep.root_indices} == target:
+            if {canonical[images[r]] for r in rep} == target:
                 stab += 1
         assert stab * orbit_size == group.order
 
@@ -513,7 +541,7 @@ def test_e6_torsor_generator_action():
     sys_ = build_root_system("E", 6)
     r1 = _root_idx(sys_, (1, -1, -1, -1, -1, -1, -1, 1))
     r2 = _root_idx(sys_, (-1, 1, 1, 1, -1, -1, -1, 1))
-    g = perm_of_reflection(sys_, r2).after(perm_of_reflection(sys_, r1))
+    g = _compose(sys_.reflection_images(r2), sys_.reflection_images(r1))
     (_, frame), = standard_frames(sys_)
     action = normalizer_action(sys_, g, frame)
     # positions: a1 b1 a2 b2 -> swap 0 and 3
@@ -524,7 +552,7 @@ def test_e7_torsor_generator_action():
     sys_ = build_root_system("E", 7)
     r1 = _root_idx(sys_, (1, -1, -1, -1, -1, -1, -1, 1))
     r2 = _root_idx(sys_, (-1, 1, 1, 1, -1, -1, -1, 1))
-    g = perm_of_reflection(sys_, r2).after(perm_of_reflection(sys_, r1))
+    g = _compose(sys_.reflection_images(r2), sys_.reflection_images(r1))
     (_, frame), = standard_frames(sys_)
     action = normalizer_action(sys_, g, frame)
     # a1 <-> b2 and b3 <-> a4; b1, a2, a3 fixed
@@ -535,7 +563,7 @@ def test_f4_extra_normalizer_element():
     """s_{(e1+e2+e3+e4)/2} swaps b1 and b2 on the P_2 frame."""
     sys_ = build_root_system("F", 4)
     r = _root_idx(sys_, (1, 1, 1, 1))
-    g = perm_of_reflection(sys_, r)
+    g = sys_.reflection_images(r)
     frame = standard_frames(sys_)[2][1]
     action = normalizer_action(sys_, g, frame)
     assert action == (0, 3, 2, 1)
@@ -546,11 +574,11 @@ def test_normalizer_rejects_outsider():
     e1 = _root_idx(sys_, (2, 0, 0))
     frame = standard_frames(sys_)[1][1]  # (a1, b1, e3)
     # s_{e1} sends a1 to the b1 line: still a frame normalizer
-    assert normalizer_action(sys_, perm_of_reflection(sys_, e1), frame) == (
+    assert normalizer_action(sys_, sys_.reflection_images(e1), frame) == (
         1, 0, 2,
     )
     # s_{e2-e3} sends a1 = e1-e2 to e1-e3, which is not a frame line
-    outsider = perm_of_reflection(sys_, _root_idx(sys_, (0, 2, -2)))
+    outsider = sys_.reflection_images(_root_idx(sys_, (0, 2, -2)))
     with pytest.raises(NormalizerError):
         normalizer_action(sys_, outsider, frame)
 
@@ -558,9 +586,9 @@ def test_normalizer_rejects_outsider():
 def test_pair_swap_normalizer_element_b4():
     """s_{e1-e3} s_{e2-e4} exchanges the two coordinate pairs of P_2."""
     sys_ = build_root_system("B", 4)
-    g = compose(
-        perm_of_reflection(sys_, _root_idx(sys_, (2, 0, -2, 0))),
-        perm_of_reflection(sys_, _root_idx(sys_, (0, 2, 0, -2))),
+    g = _product(
+        sys_.reflection_images(_root_idx(sys_, (2, 0, -2, 0))),
+        sys_.reflection_images(_root_idx(sys_, (0, 2, 0, -2))),
     )
     frame = standard_frames(sys_)[2][1]  # a1 b1 a2 b2
     assert normalizer_action(sys_, g, frame) == (2, 3, 0, 1)
@@ -569,7 +597,7 @@ def test_pair_swap_normalizer_element_b4():
 def test_single_flip_normalizer_element_b3():
     """s_{e2} negates e2, swapping a1 and b1 in X_1 = (a1, b1, e3)."""
     sys_ = build_root_system("B", 3)
-    g = perm_of_reflection(sys_, _root_idx(sys_, (0, 2, 0)))
+    g = sys_.reflection_images(_root_idx(sys_, (0, 2, 0)))
     frame = standard_frames(sys_)[1][1]
     assert normalizer_action(sys_, g, frame) == (1, 0, 2)
 
@@ -577,9 +605,9 @@ def test_single_flip_normalizer_element_b3():
 def test_double_flip_normalizer_element_d4():
     """s_{e1-e3} s_{e1+e3} negates coordinates 1 and 3: a1 <-> b1, a2 <-> b2."""
     sys_ = build_root_system("D", 4)
-    g = compose(
-        perm_of_reflection(sys_, _root_idx(sys_, (2, 0, -2, 0))),
-        perm_of_reflection(sys_, _root_idx(sys_, (2, 0, 2, 0))),
+    g = _product(
+        sys_.reflection_images(_root_idx(sys_, (2, 0, -2, 0))),
+        sys_.reflection_images(_root_idx(sys_, (2, 0, 2, 0))),
     )
     (_, frame), = standard_frames(sys_)
     assert normalizer_action(sys_, g, frame) == (1, 0, 3, 2)
@@ -638,7 +666,7 @@ def test_g2_split():
 
 def test_b2_matches_dihedral_of_order_8():
     sys_ = build_root_system("B", 2)
-    gens = [perm_of_reflection(sys_, i) for i in sys_.simple_indices]
+    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     dih = build_dihedral(4)
     assert group.order == dih.order
