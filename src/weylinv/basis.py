@@ -6,13 +6,13 @@ invariants e_m / f_3 / f_4, x_I pullbacks, and products of these), each
 with a recipe the restriction engine can evaluate at a maximal
 orthogonal frame:
 
-  * ReflectionSW    - Stiefel-Whitney classes of the defining
-                      reflection representation, plain or 2-twisted;
-  * PermutationSW   - SW classes of the signed-coordinate action on 2n
-                      points or of the natural point action of A-type;
-  * ProjectionSW    - SW classes pulled back through a quotient: the
-                      pair-collapse B_n -> S_n, the three-point quotient
-                      used for F4, or a single sign character;
+  * FormSW          - Stiefel-Whitney classes of one frame form, plain or
+                      2-twisted: the reflection representation, or a
+                      point action (signed coordinates, the natural
+                      A-type points, the pair collapse B_n -> S_n, the
+                      three-point quotient used for F4);
+  * SignClass       - the degree-one class of one frame coordinate's
+                      sign character;
   * FoldInvariant   - elementary symmetric functions of the fold data
                       of a certified coset decomposition;
   * Product         - products of previously defined invariants;
@@ -77,9 +77,8 @@ from .groups import (
 from .roots import RootSystem, _bfs_orbits, build_root_system
 
 __all__ = [
-    "ReflectionSW",
-    "PermutationSW",
-    "ProjectionSW",
+    "FormSW",
+    "SignClass",
     "FoldInvariant",
     "Product",
     "Correction",
@@ -107,40 +106,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ReflectionSW:
-    """w_d of the reflection representation, 2-twisted when modified."""
+class FormSW:
+    """w_d of a frame form, of its <2>-twist when modified.
 
-    d: int
-    modified: bool = False
-
-
-@dataclass(frozen=True)
-class PermutationSW:
-    """SW class of a permutation action.
-
-    points selects the action: "signed" doubles each coordinate into a
-    point pair (i, i+n) so that sign flips become transpositions,
-    "natural" is the bare action on the n+1 points of an A-type system.
+    action names the form: "linear" is the reflection representation,
+    and every other value is a _POINT_PERMS point action: "signed"
+    doubles each coordinate into a point pair (i, i+n) so that sign
+    flips become transpositions, "natural" is the bare action on the
+    n+1 points of an A-type system, "pairs" collapses each signed pair
+    to one point, killing the sign flips, and "triality" is the
+    three-point action where axis reflections all map to the same
+    transposition and coordinate-pair reflections die.
     """
 
     d: int
-    points: str
-    modified: bool = True
+    action: str
+    modified: bool
 
 
 @dataclass(frozen=True)
-class ProjectionSW:
-    """Twisted SW class pulled back through a quotient homomorphism.
+class SignClass:
+    """The degree-one class of the sign character of one frame
+    coordinate, named by its label."""
 
-    "pairs" collapses each signed coordinate pair to one point, killing
-    the sign flips; "triality" is the three-point action where axis
-    reflections all map to the same transposition and coordinate-pair
-    reflections die; "sign:<label>" is the degree-one class of the sign
-    character attached to a single frame coordinate.
-    """
-
-    d: int
-    projection: str
+    label: str
 
 
 @dataclass(frozen=True)
@@ -162,9 +151,7 @@ class Correction:
     terms: tuple[tuple[int, tuple["NamedInvariant", ...]], ...]
 
 
-Recipe = Union[
-    ReflectionSW, PermutationSW, ProjectionSW, FoldInvariant, Product, Correction
-]
+Recipe = Union[FormSW, SignClass, FoldInvariant, Product, Correction]
 
 
 @dataclass(frozen=True)
@@ -175,8 +162,10 @@ class NamedInvariant:
 
     def __post_init__(self) -> None:
         r = self.recipe
-        if isinstance(r, (ReflectionSW, PermutationSW, ProjectionSW)):
+        if isinstance(r, FormSW):
             stated = r.d
+        elif isinstance(r, SignClass):
+            stated = 1
         elif isinstance(r, FoldInvariant):
             stated = r.m
         else:
@@ -205,7 +194,7 @@ def _product_name(*parts: str) -> str:
 
 def _x_single(label: str) -> NamedInvariant:
     name = label if label.startswith("x") else f"x{label}"
-    return NamedInvariant(name, 1, ProjectionSW(1, f"sign:{label}"))
+    return NamedInvariant(name, 1, SignClass(label))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +256,7 @@ def _triality_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[in
     return (0, 2, 1) if kind == "axis" else (0, 1, 2)
 
 
-#: point-action builders by PermutationSW.points / ProjectionSW.projection
+#: point-action builders by FormSW.action
 _POINT_PERMS = {
     "signed": _signed_point_perm,
     "natural": _natural_point_perm,
@@ -311,12 +300,11 @@ def restrict(
 def _restrict(inv, roots, labels, sys_, cache_dir) -> KInvariant:
     """restrict() on precomputed labels, the root_label of each of roots.
 
-    The system memoizes the frame's diagonal form of each recipe kind
-    ("linear", a points value or a projection value), keyed by the kind
-    and roots, and next to it the total Stiefel-Whitney class of the
-    form, or of its <2>-twist for modified classes.  Each form is then
-    diagonalized and multiplied out once, and every degree and every
-    element is read off the total class.
+    The system memoizes the frame's diagonal form of each FormSW action,
+    keyed by the action and roots, and next to it the total
+    Stiefel-Whitney class of the form, or of its <2>-twist for modified
+    classes.  Each form is then diagonalized and multiplied out once,
+    and every degree and every element is read off the total class.
     """
     return _fold_recipe(
         inv, labels, lambda f: _restrict_leaf(f, roots, labels, sys_, cache_dir)
@@ -327,44 +315,37 @@ def _restrict_leaf(inv, roots, labels, sys_, cache_dir) -> KInvariant:
     r = inv.recipe
     if isinstance(r, FoldInvariant):
         return f_restriction(_fold_certificate(sys_, roots, cache_dir), r.m)
-    if isinstance(r, ReflectionSW):
-        kind, modified = "linear", r.modified
-    elif isinstance(r, PermutationSW):
-        kind, modified = r.points, r.modified
-    elif r.projection.startswith("sign:"):
+    if isinstance(r, SignClass):
         return _restrict_abelian(inv, labels)
-    else:
-        kind, modified = r.projection, True
-    key = (kind, roots)
-    form = sys_.memo(key, lambda: _frame_form(sys_, kind, roots, labels))
+    key = (r.action, roots)
+    form = sys_.memo(key, lambda: _frame_form(sys_, r.action, roots, labels))
     total = sys_.memo(
-        key + (modified,),
-        lambda: total_sw(twist_by_two(form) if modified else form),
+        key + (r.modified,),
+        lambda: total_sw(twist_by_two(form) if r.modified else form),
     )
-    if modified:
+    if r.modified:
         return _modified_from_twisted(total, r.d, form.dim)
     return total.degree_part(r.d)
 
 
-def _frame_form(sys_, kind, roots, labels) -> DiagonalForm:
+def _frame_form(sys_, action, roots, labels) -> DiagonalForm:
     """The diagonal form of the frame's reflections acting linearly
-    (kind "linear") or on the points of a _POINT_PERMS action."""
-    if kind == "linear":
+    (action "linear") or on the points of a _POINT_PERMS action."""
+    if action == "linear":
         return form_of_linear_action(sys_, roots, labels)
-    build = _POINT_PERMS.get(kind)
+    build = _POINT_PERMS.get(action)
     if build is None:
-        raise ValueError(f"unknown point action {kind!r}")
+        raise ValueError(f"unknown point action {action!r}")
     npts = len(sys_.roots[0].doubled)
     gens = [build(sys_, idx, npts) for idx in roots]
     return expand_to_diagonal(form_of_permutation_action(gens, labels))
 
 
 def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvariant:
-    """The degree-one class of a "sign:<label>" projection: the leaf of
-    restrictions to a bare x-context."""
-    r = inv.recipe
-    if isinstance(r, ProjectionSW) and r.projection.startswith("sign:"):
-        return x_monomial(labels, (r.projection[5:],))
+    """The degree-one class of a SignClass: the leaf of restrictions to a
+    bare x-context."""
+    if isinstance(inv.recipe, SignClass):
+        return x_monomial(labels, (inv.recipe.label,))
     raise UnsupportedEmbeddingError(
         f"{inv.name}: recipe has no restriction to a bare x-context"
     )
@@ -453,52 +434,58 @@ def _natural_sw_formula(d: int, labels: Sequence[str]) -> KInvariant:
     return total.degree_part(d)
 
 
+def _triality_formula(d: int, ctx: BnContext) -> Optional[KInvariant]:
+    if d != 1:
+        return None
+    return lambda_sum(ctx.L, ctx.n, 1, lambda i: not i.A and not i.B and not i.C)
+
+
+#: closed forms of FormSW classes at a coordinate frame, keyed by the
+#: recipe's (action, modified); each maps (d, ctx) to a value or None
+_STATED_SW = {
+    ("pairs", True): lambda d, ctx: lambda_sum(ctx.L, ctx.n, d, _no_tail_no_c),
+    ("signed", True): lambda d, ctx: lambda_sum(ctx.L, ctx.n, d, _pairs_free),
+    ("triality", True): _triality_formula,
+    ("linear", False): _plain_reflection_formula,
+}
+
+
+def _sw_key(inv: NamedInvariant) -> Optional[tuple[str, bool]]:
+    """(action, modified) of a FormSW recipe, None for any other."""
+    r = inv.recipe
+    return (r.action, r.modified) if isinstance(r, FormSW) else None
+
+
 def stated_formula(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
     """The closed-form restriction on record for this recipe, if any.
 
     Returns None when no formula is stated; verify_basis then relies on
     the independence, cardinality and normalizer checks alone for that
-    element.  A product of pair and signed classes has a formula of its
-    own; other products and corrections fold their factors' formulas.
+    element.  A product u_a * v_f of at most one modified pair class and
+    at most one modified signed class has a formula of its own; other
+    products and corrections fold their factors' formulas.
     """
     r = inv.recipe
-    if isinstance(r, Product) and r.factors:
-        kinds = {type(f.recipe) for f in r.factors}
-        if kinds <= {ProjectionSW, PermutationSW} and all(
-            getattr(f.recipe, "projection", "pairs") == "pairs"
-            and getattr(f.recipe, "points", "signed") == "signed"
-            for f in r.factors
-        ):
-            # product formula: the signed-action degree singles out the
-            # monomials whose C/E weight equals it
-            f_deg = sum(
-                f.recipe.d for f in r.factors if isinstance(f.recipe, PermutationSW)
-            )
-            return lambda_sum(
-                ctx.L,
-                ctx.n,
-                inv.degree,
-                lambda i: 2 * len(i.C) + len(i.E) == f_deg,
-            )
+    keys = [_sw_key(f) for f in r.factors] if isinstance(r, Product) else []
+    if (
+        keys
+        and len(set(keys)) == len(keys)
+        and set(keys) <= {("pairs", True), ("signed", True)}
+    ):
+        # product formula: the signed-action degree singles out the
+        # monomials whose C/E weight equals it
+        f_deg = sum(f.recipe.d for f in r.factors if f.recipe.action == "signed")
+        return lambda_sum(
+            ctx.L,
+            ctx.n,
+            inv.degree,
+            lambda i: 2 * len(i.C) + len(i.E) == f_deg,
+        )
     return _fold_recipe(inv, ctx.labels, lambda f: _stated_leaf(f, ctx))
 
 
 def _stated_leaf(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
     r = inv.recipe
-    if isinstance(r, ProjectionSW):
-        if r.projection == "pairs":
-            return lambda_sum(ctx.L, ctx.n, r.d, _no_tail_no_c)
-        if r.projection == "triality":
-            return lambda_sum(
-                ctx.L, ctx.n, 1, lambda i: not i.A and not i.B and not i.C
-            )
-        return None
-    if isinstance(r, PermutationSW):
-        if r.points == "signed":
-            return lambda_sum(ctx.L, ctx.n, r.d, _pairs_free)
-        return None
-    if isinstance(r, ReflectionSW) and not r.modified:
-        return _plain_reflection_formula(r.d, ctx)
     if isinstance(r, FoldInvariant):
         return lambda_sum(
             ctx.L,
@@ -506,7 +493,8 @@ def _stated_leaf(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
             r.m,
             lambda i: not i.C and not i.E and len(i.A) % 2 == 0,
         )
-    return None
+    stated = _STATED_SW.get(_sw_key(inv))
+    return stated(r.d, ctx) if stated else None
 
 
 def _context_for_frame(
@@ -525,7 +513,7 @@ def _a_stated(inv: NamedInvariant, labels: Sequence[str]) -> Optional[KInvariant
     # A-type frames carry plain transposition coordinates, not pair slots
     if inv.name == "1":
         return one(tuple(labels))
-    if isinstance(inv.recipe, PermutationSW) and inv.recipe.points == "natural":
+    if _sw_key(inv) == ("natural", False):
         return _natural_sw_formula(inv.recipe.d, labels)
     return None
 
@@ -535,11 +523,11 @@ def _a_stated(inv: NamedInvariant, labels: Sequence[str]) -> Optional[KInvariant
 
 
 def _u(k: int) -> NamedInvariant:
-    return NamedInvariant(f"u{k}", k, ProjectionSW(k, "pairs"))
+    return NamedInvariant(f"u{k}", k, FormSW(k, "pairs", True))
 
 
 def _v(k: int) -> NamedInvariant:
-    return NamedInvariant(f"v{k}", k, PermutationSW(k, "signed"))
+    return NamedInvariant(f"v{k}", k, FormSW(k, "signed", True))
 
 
 def _uv(d: int, r: int) -> NamedInvariant:
@@ -591,7 +579,7 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
             raise UnsupportedSystemError(f"unsupported system A{rank}")
         f = (rank + 1) // 2
         return (_ONE,) + tuple(
-            NamedInvariant(f"w{d}", d, PermutationSW(d, "natural", modified=False))
+            NamedInvariant(f"w{d}", d, FormSW(d, "natural", False))
             for d in range(1, f + 1)
         )
     if t in ("B", "C"):
@@ -612,8 +600,11 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
     if t == "F":
         if rank != 4:
             raise UnsupportedSystemError(f"unsupported system F{rank}")
-        w = {d: NamedInvariant(f"w{d}", d, ReflectionSW(d)) for d in range(1, 5)}
-        v1 = NamedInvariant("v1", 1, ProjectionSW(1, "triality"))
+        w = {
+            d: NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
+            for d in range(1, 5)
+        }
+        v1 = NamedInvariant("v1", 1, FormSW(1, "triality", True))
         return (
             _ONE,
             w[1],
@@ -628,7 +619,7 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
         if rank not in (6, 7, 8):
             raise UnsupportedSystemError(f"unsupported system E{rank}")
         wt = {
-            d: NamedInvariant(f"wt{d}", d, ReflectionSW(d, modified=True))
+            d: NamedInvariant(f"wt{d}", d, FormSW(d, "linear", True))
             for d in range(1, rank + 1)
         }
         if rank == 6:
@@ -650,9 +641,9 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
     if t == "I2":
         n = rank
         if n == 4:
-            w1 = NamedInvariant("w1", 1, ReflectionSW(1))
-            v1 = NamedInvariant("v1", 1, PermutationSW(1, "signed"))
-            w2 = NamedInvariant("w2", 2, ReflectionSW(2))
+            w1 = NamedInvariant("w1", 1, FormSW(1, "linear", False))
+            v1 = NamedInvariant("v1", 1, FormSW(1, "signed", True))
+            w2 = NamedInvariant("w2", 2, FormSW(2, "linear", False))
             return (_ONE, w1, v1, w2)
         if n >= 3 and n % 2 == 1:
             return _x_subset_basis(("x1",))

@@ -246,7 +246,7 @@ def cmd_omega(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _u_generators(sys_, args: argparse.Namespace) -> tuple[int, ...]:
+def _u_generators(cfg: RunConfig, sys_, args: argparse.Namespace) -> tuple[int, ...]:
     if args.u_root:
         try:
             return tuple(sys_.index[c] for c in args.u_root)
@@ -254,12 +254,18 @@ def _u_generators(sys_, args: argparse.Namespace) -> tuple[int, ...]:
             raise UnsupportedSystemError(
                 f"{bad.args[0]} is not a doubled root of this system"
             ) from None
-    return standard_u_gens(sys_)
+    try:
+        return standard_u_gens(sys_)
+    except ValueError:  # it names sys_, not the label as typed
+        raise UnsupportedSystemError(
+            "no standard coset subgroup recorded for "
+            f"{system_name(cfg.type_label, cfg.rank)}; give one with --u-root"
+        ) from None
 
 
 def cmd_cosets(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys_ = _require_weyl(cfg)
-    space = build_coset_space(sys_, _u_generators(sys_, args), cfg.cache_dir)
+    space = build_coset_space(sys_, _u_generators(cfg, sys_, args), cfg.cache_dir)
     product = space.size * space.u_order
     payload = {
         "type": sys_.type_label,
@@ -304,7 +310,7 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
 
 def cmd_fullcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys_ = _require_weyl(cfg)
-    space = build_coset_space(sys_, _u_generators(sys_, args), cfg.cache_dir)
+    space = build_coset_space(sys_, _u_generators(cfg, sys_, args), cfg.cache_dir)
     fname, frame_roots = _frame_for(sys_, args)
     cert = full_check(sys_, space, frame_roots)
     m = cert.min_fold

@@ -15,10 +15,9 @@ from weylinv import cli, cosets
 from weylinv.algebra import parse_terms
 from weylinv.basis import (
     FoldInvariant,
+    FormSW,
     NamedInvariant,
-    PermutationSW,
     Product,
-    ProjectionSW,
     f4_hat,
     generators_for,
     lambda_sum,
@@ -203,8 +202,8 @@ def test_criterion_06_restriction_suite(cache_dir):
         for fname, roots in standard_frames(sys_):
             L = int(fname.split("_")[1])
             for d in range(1, n + 1):
-                u = NamedInvariant(f"u{d}", d, ProjectionSW(d, "pairs"))
-                v = NamedInvariant(f"v{d}", d, PermutationSW(d, "signed"))
+                u = NamedInvariant(f"u{d}", d, FormSW(d, "pairs", True))
+                v = NamedInvariant(f"v{d}", d, FormSW(d, "signed", True))
                 assert restrict(u, roots, sys_) == lambda_sum(
                     L, n, d, lambda i: not i.C and not i.E
                 )
@@ -223,11 +222,11 @@ def test_criterion_06_restriction_suite(cache_dir):
                 factors = []
                 if f:
                     factors.append(
-                        NamedInvariant(f"v{f}", f, PermutationSW(f, "signed"))
+                        NamedInvariant(f"v{f}", f, FormSW(f, "signed", True))
                     )
                 if a:
                     factors.append(
-                        NamedInvariant(f"u{a}", a, ProjectionSW(a, "pairs"))
+                        NamedInvariant(f"u{a}", a, FormSW(a, "pairs", True))
                     )
                 p = NamedInvariant("p", a + f, Product(tuple(factors)))
                 for fname, roots in frames:

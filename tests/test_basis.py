@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,11 +13,10 @@ from weylinv.basis import (
     BasisReport,
     Correction,
     FoldInvariant,
+    FormSW,
     NamedInvariant,
-    PermutationSW,
     Product,
-    ProjectionSW,
-    ReflectionSW,
+    SignClass,
     abelian_x_report,
     constrained_dim,
     f4_hat,
@@ -53,7 +53,7 @@ def test_pair_projection_classes_match_formula(n):
     for fname, roots in standard_frames(sys_):
         L = int(fname.split("_")[1])
         for d in range(1, n + 1):
-            inv = NamedInvariant(f"u{d}", d, ProjectionSW(d, "pairs"))
+            inv = NamedInvariant(f"u{d}", d, FormSW(d, "pairs", True))
             expected = lambda_sum(L, n, d, lambda i: not i.C and not i.E)
             assert restrict(inv, roots, sys_) == expected, (n, L, d)
 
@@ -64,7 +64,7 @@ def test_signed_action_classes_match_formula(n):
     for fname, roots in standard_frames(sys_):
         L = int(fname.split("_")[1])
         for d in range(1, n + 1):
-            inv = NamedInvariant(f"v{d}", d, PermutationSW(d, "signed"))
+            inv = NamedInvariant(f"v{d}", d, FormSW(d, "signed", True))
             expected = lambda_sum(L, n, d, lambda i: not i.A and not i.B)
             assert restrict(inv, roots, sys_) == expected, (n, L, d)
 
@@ -80,9 +80,9 @@ def test_product_classes_select_by_signed_weight(n):
                 continue
             factors = []
             if f:
-                factors.append(NamedInvariant(f"v{f}", f, PermutationSW(f, "signed")))
+                factors.append(NamedInvariant(f"v{f}", f, FormSW(f, "signed", True)))
             if a:
-                factors.append(NamedInvariant(f"u{a}", a, ProjectionSW(a, "pairs")))
+                factors.append(NamedInvariant(f"u{a}", a, FormSW(a, "pairs", True)))
             inv = NamedInvariant("p", a + f, Product(tuple(factors)))
             for fname, roots in frames:
                 L = int(fname.split("_")[1])
@@ -90,6 +90,46 @@ def test_product_classes_select_by_signed_weight(n):
                     L, n, a + f, lambda i: 2 * len(i.C) + len(i.E) == f
                 )
                 assert restrict(inv, roots, sys_) == expected, (n, L, a, f)
+
+
+@pytest.mark.parametrize("type_label", ["B", "F"])
+def test_stated_formulas_are_keyed_by_the_whole_recipe(type_label):
+    # a closed form on record must be the restriction itself, so recipes
+    # that share an action but differ in degree or twist are told apart
+    sys_ = build_root_system(type_label, 4)
+    leaves = [
+        NamedInvariant(f"c{d}", d, FormSW(d, action, modified))
+        for action in ("linear", "signed", "pairs", "triality")
+        for modified in (True, False)
+        for d in range(1, 5)
+    ]
+    u = [NamedInvariant(f"u{d}", d, FormSW(d, "pairs", True)) for d in (1, 2, 3)]
+    v = [NamedInvariant(f"v{d}", d, FormSW(d, "signed", True)) for d in (1, 2, 3)]
+    products = [
+        Product((NamedInvariant(f"v{d}", d, FormSW(d, "signed", False)), u[0]))
+        for d in (1, 2, 3)
+    ]
+    # repeated factors fall outside the u_a * v_f product formula
+    products += [
+        Product(fs)
+        for k in (2, 3)
+        for fs in combinations_with_replacement(u + v, k)
+        if sum(f.degree for f in fs) <= 4
+    ]
+    invs = leaves + [
+        NamedInvariant("p", sum(f.degree for f in p.factors), p) for p in products
+    ]
+    for fname, roots in standard_frames(sys_):
+        ctx = basis._context_for_frame(type_label, 4, fname)
+        stated = [(inv, basis.stated_formula(inv, ctx)) for inv in invs]
+        for inv, expected in stated:
+            if expected is not None:
+                assert expected == restrict(inv, roots, sys_), (fname, inv)
+        # pairs, signed and linear in degrees 1-4, triality in degree 1
+        # only, and every product: the unmodified signed factor's own
+        # formula is not on record, so the first three products are None
+        on_record = sum(expected is not None for _, expected in stated)
+        assert on_record == 13 + len(products) - 3, fname
 
 
 def test_rank_two_display_values():
@@ -136,7 +176,7 @@ def test_natural_action_small_cases():
     sys_ = build_root_system("A", 3)
     roots = standard_frames(sys_)[0][1]
     labels = ("a1", "a2")
-    w = lambda d: NamedInvariant(f"w{d}", d, PermutationSW(d, "natural", modified=False))
+    w = lambda d: NamedInvariant(f"w{d}", d, FormSW(d, "natural", False))
     assert restrict(w(1), roots, sys_) == parse_terms(labels, "{a1} + {a2}")
     assert restrict(w(2), roots, sys_) == parse_terms(
         labels, "{a1}{a2} + {2}{a1} + {2}{a2}"
@@ -360,9 +400,9 @@ def test_f4_names_in_order():
 
 
 def test_degree_bookkeeping_is_validated():
-    u2 = NamedInvariant("u2", 2, ProjectionSW(2, "pairs"))
+    u2 = NamedInvariant("u2", 2, FormSW(2, "pairs", True))
     with pytest.raises(ValueError):
-        NamedInvariant("u2", 3, ProjectionSW(2, "pairs"))
+        NamedInvariant("u2", 3, FormSW(2, "pairs", True))
     with pytest.raises(ValueError):
         NamedInvariant("p", 5, Product((u2, u2)))
     with pytest.raises(ValueError):
@@ -579,8 +619,8 @@ def test_tensor_rejects_label_collisions():
 
 
 def test_abelian_evaluator_rejects_a_non_x_recipe(monkeypatch):
-    u1 = NamedInvariant("u1", 1, ProjectionSW(1, "pairs"))
-    xp = NamedInvariant("xp", 1, ProjectionSW(1, "sign:p"))
+    u1 = NamedInvariant("u1", 1, FormSW(1, "pairs", True))
+    xp = NamedInvariant("xp", 1, SignClass("p"))
     for bad in (u1, NamedInvariant("xpu1", 2, Product((xp, u1)))):
         monkeypatch.setattr(basis, "_x_subset_basis", lambda labels: (xp, bad))
         with pytest.raises(UnsupportedEmbeddingError, match="u1"):

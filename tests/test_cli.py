@@ -426,6 +426,24 @@ def test_commands_needing_roots_name_the_dihedral_system(capsys):
         assert run(capsys, "verify", system)[0] == 0
 
 
+def test_missing_standard_coset_subgroup_names_the_label_as_typed(capsys):
+    """cosets and fullcheck build the typed label's root system (B2 for
+    I2(4), B4 for C4); the message names the label and --u-root."""
+    for argv, system in (
+        (("cosets", "I2(4)"), "I2(4)"),
+        (("fullcheck", "I2(4)"), "I2(4)"),
+        (("cosets", "C4"), "C4"),
+        (("fullcheck", "B3"), "B3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", err
+        assert f"no standard coset subgroup recorded for {system};" in err, err
+        assert "--u-root" in err
+    # --u-root supplies the subgroup the table lacks
+    code, out, _ = run(capsys, "cosets", "C4", "--u-root", "2,-2,0,0", "--json")
+    assert code == 0 and json.loads(out)["u_order"] == 2
+
+
 def test_element_cap_exits_3(capsys):
     code, _, err = run(capsys, "order", "E6", "--max-elements", "10")
     assert code == 3 and "resource cap" in err
