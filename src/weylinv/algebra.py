@@ -344,20 +344,6 @@ class CoordinateMap:
             tuple(Monomial(1 << position_images[p]) for p in range(len(labels))),
         )
 
-    def then(self, other: "CoordinateMap") -> "CoordinateMap":
-        """Composite source --self--> mid --other--> target."""
-        if self.target_labels != other.source_labels:
-            raise ContextMismatchError("maps do not chain: label mismatch")
-        images = (1,) + other.rows
-        rows = []
-        for row in self.rows:
-            out = 0
-            for j in range(row.bit_length()):
-                if (row >> j) & 1:
-                    out ^= images[j]
-            rows.append(out)
-        return CoordinateMap(self.source_labels, other.target_labels, tuple(rows))
-
     def apply(self, inv: KInvariant) -> KInvariant:
         if inv.labels != self.source_labels:
             raise ContextMismatchError(

@@ -18,15 +18,17 @@ orthogonal frame:
   * Product         - products of previously defined invariants;
   * Correction      - explicit F2[s]-combinations of products.
 
-verify_basis turns the list into a report: restrictions are compared
-against closed-form expectations where one is on record, stacked over
-the frame classes and tested for mod-s independence, checked for
-invariance under the recorded normalizer elements, and counted degree
-by degree against upper bounds.  The bounds themselves come from
-normalizer orbit sums (genuinely computed for A/B/D) together with, for
-B_n, cross-frame consistency equalities; for F4 and the E types the
-constrained dimension lists are encoded and cross-checked against a
-machine computation of the torsor-element constraint on the upstream
+verify_basis, tensor_basis and abelian_x_report build their reports
+through _report, the one BasisReport builder, whose checks run in a
+fixed order: the caller's first checks (closed-form expectations where
+one is on record), mod-s independence of the restrictions stacked over
+the frames, cardinality, invariance under the recorded normalizer
+elements, degree-by-degree dimension bounds, then the caller's last
+checks.  The bounds themselves come from normalizer orbit sums
+(genuinely computed for A/B/D) together with, for B_n, cross-frame
+consistency equalities; for F4 and the E types the constrained
+dimension lists are encoded and cross-checked against a machine
+computation of the torsor-element constraint on the upstream
 restriction span.
 """
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .groups import (
     root_label,
     standard_frames,
 )
-from .roots import RootSystem, _bfs_orbits, build_root_system
+from .roots import SUPPORTED, RootSystem, _bfs_orbits, build_root_system
 
 __all__ = [
     "FormSW",
@@ -566,6 +568,10 @@ def _d_degree_block(n: int, d: int) -> list[NamedInvariant]:
     return out
 
 
+#: (min_rank, max_rank) of each crystallographic type, as roots supports it
+_WEYL_RANKS = {t: (lo, hi) for t, lo, hi in SUPPORTED}
+
+
 def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
     """The named basis of the invariants of (type_label, rank).
 
@@ -574,32 +580,27 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
     table.
     """
     t = type_label
+    ranks = _WEYL_RANKS.get(t)
+    if ranks is not None and not ranks[0] <= rank <= ranks[1]:
+        raise UnsupportedSystemError(f"unsupported system {t}{rank}")
     if t == "A":
-        if rank < 1 or rank > 8:
-            raise UnsupportedSystemError(f"unsupported system A{rank}")
         f = (rank + 1) // 2
         return (_ONE,) + tuple(
             NamedInvariant(f"w{d}", d, FormSW(d, "natural", False))
             for d in range(1, f + 1)
         )
     if t in ("B", "C"):
-        if rank < 2 or rank > 8:
-            raise UnsupportedSystemError(f"unsupported system {t}{rank}")
         out = []
         for d in range(rank + 1):
             for r in range(max(0, 2 * d - rank), d + 1):
                 out.append(_ONE if d == 0 else _uv(d, r))
         return tuple(out)
     if t == "D":
-        if rank < 4 or rank > 8:
-            raise UnsupportedSystemError(f"unsupported system D{rank}")
         out = []
         for d in range(rank + 1):
             out.extend(_d_degree_block(rank, d))
         return tuple(out)
     if t == "F":
-        if rank != 4:
-            raise UnsupportedSystemError(f"unsupported system F{rank}")
         w = {
             d: NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
             for d in range(1, 5)
@@ -616,8 +617,6 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
             w[4],
         )
     if t == "E":
-        if rank not in (6, 7, 8):
-            raise UnsupportedSystemError(f"unsupported system E{rank}")
         wt = {
             d: NamedInvariant(f"wt{d}", d, FormSW(d, "linear", True))
             for d in range(1, rank + 1)
@@ -1132,19 +1131,85 @@ def _degree_rank(basis, restrictions, d: int) -> int:
     ).rank
 
 
-def _bounded_dims(out_type, out_rank, basis, restrictions):
-    """Rows (degree, achieved rank, upper bound) for every degree of the
-    basis, and the dimension-bounds check on them."""
-    dims = [
-        (
-            d,
-            _degree_rank(basis, restrictions, d),
-            upper_bound_dim(out_type, out_rank, d),
+def _report(
+    type_label: str,
+    rank: int,
+    basis,
+    frames,
+    restrictions,
+    bound,
+    first=(),
+    actions=None,
+    last=(),
+    warnings=(),
+    card_note: Optional[str] = None,
+) -> BasisReport:
+    """Build a BasisReport with the checks every report shares, in the
+    order first..., independence, cardinality, normalizer-invariance,
+    dimension-bounds, last....
+
+    bound(d) is the degree-d upper bound; the element count must equal
+    their total over the basis's degrees and, where one is recorded, the
+    _PINNED_COUNTS entry.  card_note, when given, is the cardinality
+    witness.  actions = (elements, pass_note) adds normalizer-invariance:
+    each element (frame_index, desc, perm) permutes that frame's label
+    positions and must fix every restriction there.
+    """
+    checks = list(first)
+    verdict = stacked_independence(restrictions)
+    checks.append(
+        _check(
+            "independence",
+            verdict.independent,
+            None
+            if verdict.independent
+            else "dependent combination at indices "
+            + ",".join(str(i) for i in verdict.dependency),
         )
+    )
+    dims = tuple(
+        (d, _degree_rank(basis, restrictions, d), bound(d))
         for d in range(max(b.degree for b in basis) + 1)
-    ]
+    )
+    bound_total = sum(b for _, _, b in dims)
+    pinned = _PINNED_COUNTS.get((type_label, rank))
+    checks.append(
+        _check(
+            "cardinality",
+            len(basis) == bound_total and pinned in (None, len(basis)),
+            card_note
+            or f"{len(basis)} elements; bound total {bound_total}"
+            + (f"; recorded count {pinned}" if pinned is not None else ""),
+        )
+    )
+    if actions is not None:
+        elements, pass_note = actions
+        failures = []
+        for j, desc, perm in elements:
+            fname, labels = frames[j]
+            cmap = CoordinateMap.from_permutation(labels, perm)
+            for b, row in zip(basis, restrictions):
+                if substitute(row[j], cmap) != row[j]:
+                    failures.append(f"{b.name} at {fname} under {desc}")
+        checks.append(
+            _check(
+                "normalizer-invariance",
+                not failures,
+                "; ".join(failures[:4]) if failures else pass_note,
+            )
+        )
     bad = [f"degree {d}: {a} != {b}" for d, a, b in dims if a != b]
-    return dims, _check("dimension-bounds", not bad, "; ".join(bad) if bad else None)
+    checks.append(_check("dimension-bounds", not bad, "; ".join(bad) or None))
+    return BasisReport(
+        type_label=type_label,
+        rank=rank,
+        basis=tuple(basis),
+        frames=tuple(frames),
+        restrictions=tuple(restrictions),
+        checks=tuple(checks) + tuple(last),
+        dims=dims,
+        warnings=tuple(warnings),
+    )
 
 
 def verify_identity(
@@ -1217,30 +1282,28 @@ def verify_basis(
 
 def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     basis = generators_for(out_type, out_rank)
-    frames = standard_frames(sys_)
-    frame_labels = [
-        tuple(root_label(sys_, r) for r in roots) for _, roots in frames
-    ]
+    std = standard_frames(sys_)
+    frames = tuple(
+        (name, tuple(root_label(sys_, r) for r in roots)) for name, roots in std
+    )
     restrictions = tuple(
         tuple(
             _restrict(b, tuple(roots), labels, sys_, cache_dir)
-            for (_, roots), labels in zip(frames, frame_labels)
+            for (_, roots), (_, labels) in zip(std, frames)
         )
         for b in basis
     )
-    warnings: list[str] = []
-    checks: list[CheckResult] = []
 
-    # (1) stated formulas
+    # stated formulas
     upstream = None
     if out_type == "E":
         upstream = upstream_table(out_type, out_rank, cache_dir)
-        checks.append(_e_table_check(out_rank, basis, restrictions, upstream))
+        stated = _e_table_check(out_rank, basis, restrictions, upstream)
     else:
         failures = []
         covered = 0
         for b, row in zip(basis, restrictions):
-            for (fname, _), labels, value in zip(frames, frame_labels, row):
+            for (fname, labels), value in zip(frames, row):
                 if out_type == "A":
                     expected = _a_stated(b, labels)
                 else:
@@ -1251,42 +1314,25 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
                 covered += 1
                 if value != expected:
                     failures.append(f"{b.name} at {fname}")
-        checks.append(
-            _check(
-                "stated-formulas",
-                not failures,
-                "; ".join(failures) if failures else f"{covered} formula(s) matched",
-            )
+        stated = _check(
+            "stated-formulas",
+            not failures,
+            "; ".join(failures) if failures else f"{covered} formula(s) matched",
         )
 
-    # (2) stacked independence
-    verdict = stacked_independence(restrictions)
-    checks.append(
-        _check(
-            "independence",
-            verdict.independent,
-            None
-            if verdict.independent
-            else "dependent combination at indices "
-            + ",".join(str(i) for i in verdict.dependency),
-        )
-    )
+    # the encoded bound lists are recomputed from the constraint itself
+    last = ()
+    encoded = _ENCODED_BOUNDS.get((out_type, out_rank))
+    if encoded is not None:
+        constrained = _constrained_dims(out_type, out_rank, cache_dir, upstream)
+        mism = [
+            f"degree {d}: constrained {constrained.get(d, 0)} != encoded {bound}"
+            for d, bound in enumerate(encoded)
+            if constrained.get(d, 0) != bound
+        ]
+        last = (_check("encoded-bound-crosscheck", not mism, "; ".join(mism) or None),)
 
-    # dims feed both the cardinality and the bound check
-    dims, bounds_check = _bounded_dims(out_type, out_rank, basis, restrictions)
-
-    # (3) cardinality
-    bound_total = sum(b for _, _, b in dims)
-    pinned = _PINNED_COUNTS.get((out_type, out_rank))
-    card_ok = len(basis) == bound_total and (pinned is None or len(basis) == pinned)
-    checks.append(
-        _check(
-            "cardinality",
-            card_ok,
-            f"{len(basis)} elements; bound total {bound_total}"
-            + (f"; recorded count {pinned}" if pinned is not None else ""),
-        )
-    )
+    warnings = []
     if out_type == "A":
         f = (out_rank + 1) // 2
         warnings.append(
@@ -1304,55 +1350,25 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
             "{2} vanishes because s squares to zero"
         )
 
-    # (4) normalizer invariance
-    failures = []
-    family_count = 0
-    for j, ((fname, roots), labels) in enumerate(zip(frames, frame_labels)):
-        fams = normalizer_families(sys_, fname, roots)
-        family_count += len(fams)
-        for desc, action in fams:
-            cmap = CoordinateMap.from_permutation(labels, action)
-            for b, row in zip(basis, restrictions):
-                if substitute(row[j], cmap) != row[j]:
-                    failures.append(f"{b.name} at {fname} under {desc}")
-    checks.append(
-        _check(
-            "normalizer-invariance",
-            not failures,
-            "; ".join(failures[:4])
-            if failures
-            else f"{family_count} recorded elements across {len(frames)} frame(s)",
-        )
-    )
-
-    # (5) per-degree achieved vs bound
-    checks.append(bounds_check)
-
-    # (6) the encoded lists are recomputed from the constraint itself
-    if (out_type, out_rank) in _ENCODED_BOUNDS:
-        constrained = _constrained_dims(out_type, out_rank, cache_dir, upstream)
-        mism = []
-        for d, _, bound in dims:
-            got = constrained.get(d, 0)
-            if got != bound:
-                mism.append(f"degree {d}: constrained {got} != encoded {bound}")
-        checks.append(
-            _check(
-                "encoded-bound-crosscheck",
-                not mism,
-                "; ".join(mism) if mism else None,
-            )
-        )
-
-    return BasisReport(
-        type_label=out_type,
-        rank=out_rank,
-        basis=basis,
-        frames=tuple((name, labels) for (name, _), labels in zip(frames, frame_labels)),
-        restrictions=restrictions,
-        checks=tuple(checks),
-        dims=tuple(dims),
-        warnings=tuple(warnings),
+    elements = [
+        (j, desc, perm)
+        for j, (fname, roots) in enumerate(std)
+        for desc, perm in normalizer_families(sys_, fname, roots)
+    ]
+    return _report(
+        out_type,
+        out_rank,
+        basis,
+        frames,
+        restrictions,
+        lambda d: upper_bound_dim(out_type, out_rank, d),
+        first=(stated,),
+        actions=(
+            elements,
+            f"{len(elements)} recorded elements across {len(frames)} frame(s)",
+        ),
+        last=last,
+        warnings=warnings,
     )
 
 
@@ -1385,66 +1401,42 @@ def _dihedral_report(out_type: str, out_rank: int, n: int) -> BasisReport:
     frame = classes[0][0]
     labels = tuple(f"x{i + 1}" for i in range(len(frame)))
     basis = generators_for(out_type, out_rank)
-    restrictions = tuple(
-        (_fold_recipe(b, labels, lambda f: _restrict_abelian(f, labels)),)
-        for b in basis
-    )
-    checks = [
-        _check(
-            "stated-formulas",
-            True,
-            "restriction is the defining x-coordinate expression",
-        )
-    ]
-    verdict = stacked_independence(restrictions)
-    checks.append(_check("independence", verdict.independent))
-    pinned = _PINNED_COUNTS.get((out_type, out_rank))
-    card_ok = len(basis) == 2 ** len(labels) and (
-        pinned is None or len(basis) == pinned
-    )
-    checks.append(
-        _check("cardinality", card_ok, f"{len(basis)} = 2^{len(labels)}")
-    )
     # frame stabilizer: conjugation position actions, almost always trivial
     stab_perms = _dihedral_stabilizer_perms(group, frame)
-    failures = []
-    for action in stab_perms:
-        cmap = CoordinateMap.from_permutation(labels, action)
-        for b, row in zip(basis, restrictions):
-            if substitute(row[0], cmap) != row[0]:
-                failures.append(f"{b.name} under {action}")
-    checks.append(
-        _check(
-            "normalizer-invariance",
-            not failures,
-            "; ".join(failures)
-            if failures
-            else f"stabilizer induces {len(stab_perms)} position action(s)",
-        )
-    )
-    dims, bounds_check = _bounded_dims(out_type, out_rank, basis, restrictions)
-    checks.append(bounds_check)
+    last = ()
     if n == 6:
         facts = g2_split_check(group)
-        checks.append(
+        last = (
             _check(
                 "structure-facts",
                 all(facts.values()),
                 ", ".join(k for k, v in facts.items() if v),
-            )
+            ),
         )
-    return BasisReport(
-        type_label=out_type,
-        rank=out_rank,
-        basis=basis,
-        frames=(("P", labels),),
-        restrictions=restrictions,
-        checks=tuple(checks),
-        dims=tuple(dims),
+    return _report(
+        out_type,
+        out_rank,
+        basis,
+        (("P", labels),),
+        _x_rows(basis, labels),
+        lambda d: upper_bound_dim(out_type, out_rank, d),
+        first=(
+            _check(
+                "stated-formulas",
+                True,
+                "restriction is the defining x-coordinate expression",
+            ),
+        ),
+        actions=(
+            [(0, str(perm), perm) for perm in stab_perms],
+            f"stabilizer induces {len(stab_perms)} position action(s)",
+        ),
+        last=last,
         warnings=(
             f"one of {len(classes)} frame class(es) shown; restriction is "
             "bijective onto the x-context",
         ),
+        card_note=f"{len(basis)} = 2^{len(labels)}",
     )
 
 
@@ -1463,6 +1455,15 @@ def _dihedral_stabilizer_perms(group, frame) -> list[tuple[int, ...]]:
 # tensor products of verified bases
 
 
+def _x_rows(basis, labels: tuple[str, ...]) -> tuple[tuple[KInvariant], ...]:
+    """Each element's restriction to the bare x-context on labels, as a
+    one-frame row."""
+    return tuple(
+        (_fold_recipe(b, labels, lambda f: _restrict_abelian(f, labels)),)
+        for b in basis
+    )
+
+
 def abelian_x_report(labels: Sequence[str], type_label: str = "Z2") -> BasisReport:
     """Report for an elementary abelian factor with the given coordinates.
 
@@ -1470,32 +1471,14 @@ def abelian_x_report(labels: Sequence[str], type_label: str = "Z2") -> BasisRepo
     every check is computed, none assumed.
     """
     labels = tuple(labels)
-    basis = list(_x_subset_basis(labels))
-    restrictions = tuple(
-        (_fold_recipe(b, labels, lambda f: _restrict_abelian(f, labels)),)
-        for b in basis
-    )
-    verdict = stacked_independence(restrictions)
-    dims = tuple(
-        (d, _degree_rank(basis, restrictions, d), comb(len(labels), d))
-        for d in range(len(labels) + 1)
-    )
-    checks = (
-        _check("independence", verdict.independent),
-        _check("cardinality", len(basis) == 2 ** len(labels)),
-        _check(
-            "dimension-bounds", all(a == b for _, a, b in dims)
-        ),
-    )
-    return BasisReport(
-        type_label=type_label,
-        rank=len(labels),
-        basis=tuple(basis),
-        frames=(("P", labels),),
-        restrictions=restrictions,
-        checks=checks,
-        dims=dims,
-        warnings=(),
+    basis = _x_subset_basis(labels)
+    return _report(
+        type_label,
+        len(labels),
+        basis,
+        (("P", labels),),
+        _x_rows(basis, labels),
+        lambda d: comb(len(labels), d),
     )
 
 
@@ -1509,13 +1492,15 @@ def tensor_basis(report_a: BasisReport, report_b: BasisReport) -> BasisReport:
     """
     frames = []
     pair_maps = []
-    for fa, la in report_a.frames:
-        for fb, lb in report_b.frames:
+    for ja, (fa, la) in enumerate(report_a.frames):
+        for jb, (fb, lb) in enumerate(report_b.frames):
             combined = la + lb
             if len(set(combined)) != len(combined):
                 raise ValueError("tensor contexts share coordinate labels")
             frames.append((fa if fb == "P" else f"{fa}x{fb}", combined))
-            pair_maps.append((_injection(la, combined), _injection(lb, combined)))
+            pair_maps.append(
+                (ja, jb, _injection(la, combined), _injection(lb, combined))
+            )
     indexed = []
     for bj, eb in enumerate(report_b.basis):
         for ai, ea in enumerate(report_a.basis):
@@ -1535,47 +1520,24 @@ def tensor_basis(report_a: BasisReport, report_b: BasisReport) -> BasisReport:
                 Product((ea, eb)),
             )
         basis.append(elem)
-        row = []
-        pk = 0
-        for fa_idx in range(len(report_a.frames)):
-            for fb_idx in range(len(report_b.frames)):
-                inj_a, inj_b = pair_maps[pk]
-                row.append(
-                    inj_a.apply(report_a.restrictions[ai][fa_idx])
-                    * inj_b.apply(report_b.restrictions[bj][fb_idx])
-                )
-                pk += 1
-        restrictions.append(tuple(row))
-    verdict = stacked_independence(restrictions)
-    max_deg = max(b.degree for b in basis)
+        restrictions.append(
+            tuple(
+                inj_a.apply(report_a.restrictions[ai][ja])
+                * inj_b.apply(report_b.restrictions[bj][jb])
+                for ja, jb, inj_a, inj_b in pair_maps
+            )
+        )
     bounds_a = {d: v for d, _, v in report_a.dims}
     bounds_b = {d: v for d, _, v in report_b.dims}
-    dims = []
-    for d in range(max_deg + 1):
-        bound = sum(
-            bounds_a.get(k, 0) * bounds_b.get(d - k, 0) for k in range(d + 1)
-        )
-        dims.append((d, _degree_rank(basis, restrictions, d), bound))
-    checks = (
-        _check("independence", verdict.independent),
-        _check(
-            "cardinality",
-            len(basis) == len(report_a.basis) * len(report_b.basis),
-            f"{len(report_a.basis)} x {len(report_b.basis)}",
-        ),
-        _check(
-            "dimension-bounds",
-            all(a == b for _, a, b in dims),
-        ),
-    )
-    return BasisReport(
-        type_label=f"{report_a.type_label}{report_a.rank}x"
+    return _report(
+        f"{report_a.type_label}{report_a.rank}x"
         f"{report_b.type_label}{report_b.rank}",
-        rank=report_a.rank + report_b.rank,
-        basis=tuple(basis),
-        frames=tuple(frames),
-        restrictions=tuple(restrictions),
-        checks=checks,
-        dims=tuple(dims),
+        report_a.rank + report_b.rank,
+        basis,
+        frames,
+        restrictions,
+        lambda d: sum(
+            bounds_a.get(k, 0) * bounds_b.get(d - k, 0) for k in range(d + 1)
+        ),
         warnings=report_a.warnings + report_b.warnings,
     )

@@ -410,7 +410,10 @@ def test_degree_bookkeeping_is_validated():
 
 
 def test_unsupported_pairs_raise():
-    for t, r in [("B", 1), ("D", 3), ("E", 5), ("F", 5), ("G", 3), ("I2", 8), ("Z", 2)]:
+    for t, r in [
+        ("A", 0), ("A", 9), ("B", 1), ("B", 9), ("C", 9), ("D", 3), ("D", 9),
+        ("E", 5), ("E", 9), ("F", 5), ("G", 3), ("I2", 8), ("Z", 2),
+    ]:
         with pytest.raises(UnsupportedSystemError):
             generators_for(t, r)
     with pytest.raises(UnsupportedSystemError):
@@ -556,6 +559,83 @@ def test_normalizer_negative_case():
     moved = substitute(bare, CoordinateMap.from_permutation(labels, action))
     assert moved == parse_terms(labels, "{b1}")
     assert moved != bare
+
+
+# ---------------------------------------------------------------------------
+# the shared report checks fail with a witness
+
+
+def _check_of(report, check_id):
+    (check,) = [c for c in report.checks if c.check_id == check_id]
+    return check
+
+
+@pytest.mark.parametrize("type_label,rank", [("B", 2), ("G", 2)])
+def test_repeated_element_fails_independence(type_label, rank, monkeypatch):
+    real = basis.generators_for
+    monkeypatch.setattr(
+        basis, "generators_for", lambda t, r: real(t, r) + real(t, r)[-1:]
+    )
+    check = _check_of(verify_basis(type_label, rank), "independence")
+    assert check.status == "fail"
+    assert check.witness == "dependent combination at indices 3,4"
+
+
+def test_repeated_x_element_fails_independence(monkeypatch):
+    real = basis._x_subset_basis
+    monkeypatch.setattr(
+        basis, "_x_subset_basis", lambda labels: real(labels) + real(labels)[-1:]
+    )
+    check = _check_of(abelian_x_report(("p",)), "independence")
+    assert check.status == "fail"
+    assert check.witness == "dependent combination at indices 1,2"
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,card_witness,bounds_witness",
+    [
+        ("B", 2, "4 elements; bound total 5", "degree 1: 2 != 3"),
+        ("G", 2, "4 = 2^2", "degree 1: 2 != 3"),
+        ("E", 6, "5 elements; bound total 6; recorded count 5", "degree 1: 1 != 2"),
+    ],
+)
+def test_bound_off_by_one_fails_cardinality_and_bounds(
+    type_label, rank, card_witness, bounds_witness, monkeypatch
+):
+    real = basis.upper_bound_dim
+    monkeypatch.setattr(
+        basis, "upper_bound_dim", lambda t, r, d: real(t, r, d) + (d == 1)
+    )
+    report = verify_basis(type_label, rank)
+    card = _check_of(report, "cardinality")
+    bounds = _check_of(report, "dimension-bounds")
+    assert (card.status, card.witness) == ("fail", card_witness)
+    assert (bounds.status, bounds.witness) == ("fail", bounds_witness)
+    if type_label == "E":
+        # the cross-check compares the constraint with the encoded list itself
+        assert _check_of(report, "encoded-bound-crosscheck").status == "pass"
+
+
+def test_tensor_cardinality_counts_the_convolved_bound(monkeypatch):
+    # a factor whose bounds total more than its elements: |A| x |B| elements
+    # still come out, but the convolved bound total is larger
+    real = basis.upper_bound_dim
+    monkeypatch.setattr(
+        basis, "upper_bound_dim", lambda t, r, d: real(t, r, d) + (d == 1)
+    )
+    prod = tensor_basis(verify_basis("G", 2), abelian_x_report(("p",)))
+    card = _check_of(prod, "cardinality")
+    assert (card.status, card.witness) == ("fail", "8 elements; bound total 10")
+
+
+def test_moved_element_fails_normalizer_invariance(monkeypatch):
+    # x_{a1} is not fixed by the swap of A3's two frame coordinates
+    real = basis.generators_for
+    xa1 = NamedInvariant("xa1", 1, SignClass("a1"))
+    monkeypatch.setattr(basis, "generators_for", lambda t, r: real(t, r) + (xa1,))
+    check = _check_of(verify_basis("A", 3), "normalizer-invariance")
+    assert check.status == "fail"
+    assert check.witness == "xa1 at P under pair-swap(1,2)"
 
 
 def test_report_json_shape():
