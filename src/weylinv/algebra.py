@@ -10,14 +10,15 @@ vanishes exactly when they share a generator.
 
 A monomial is one int, the set of its generators: bit 0 is s = {2} and
 bit i + 1 is t_i, the coordinate at label position i.  Sums are term
-sets with XOR semantics.  No other module reads or shifts these bits;
-they build monomials through Monomial, one, two, var and x_monomial.
+sets with XOR semantics.  No other module reads or shifts these bits:
+they build monomials through Monomial, one, two, var and x_monomial,
+move coordinates through relabel, which takes a tuple of positions,
+and read a frame mask's pair and tail counts through BnContext.shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatchError
 from .roots import _bfs_orbits
@@ -26,8 +27,6 @@ __all__ = [
     "Monomial",
     "coordinate_mask",
     "KInvariant",
-    "CoordinateMap",
-    "XIndex",
     "BnContext",
     "kinv",
     "zero",
@@ -35,9 +34,7 @@ __all__ = [
     "two",
     "var",
     "x_monomial",
-    "x_basis",
-    "lambda_indices",
-    "substitute",
+    "relabel",
     "linear_independence",
     "stacked_independence",
     "IndependenceResult",
@@ -192,36 +189,16 @@ def parse_terms(labels: Sequence[str], text: str) -> KInvariant:
 
 
 # ---------------------------------------------------------------------------
-# the B_n index bookkeeping
+# the B_n frame context
 
 
-@dataclass(frozen=True)
-class XIndex:
-    """Index tuple (A, B, C, E) of the reindexed restriction basis.
+class _Shape(NamedTuple):
+    """Counts of a frame monomial: lone a's, lone b's, full pairs, tail entries."""
 
-    A, B, C are pairwise disjoint subsets of the pair slots [1; L]; E is
-    a subset of the tail slots [2L+1; n].  The monomial it names has
-    degree |A| + |B| + 2|C| + |E|.
-    """
-
-    A: frozenset[int]
-    B: frozenset[int]
-    C: frozenset[int]
-    E: frozenset[int]
-
-    @property
-    def degree(self) -> int:
-        return len(self.A) + len(self.B) + 2 * len(self.C) + len(self.E)
-
-    def validate(self, L: int, n: int) -> None:
-        if (self.A & self.B) or (self.A & self.C) or (self.B & self.C):
-            raise ValueError("A, B, C must be pairwise disjoint")
-        pairs = set(range(1, L + 1))
-        if not (self.A <= pairs and self.B <= pairs and self.C <= pairs):
-            raise ValueError(f"pair indices must lie in [1; {L}]")
-        tail = set(range(2 * L + 1, n + 1))
-        if not self.E <= tail:
-            raise ValueError(f"tail indices must lie in [{2 * L + 1}; {n}]")
+    A: int
+    B: int
+    C: int
+    E: int
 
 
 @dataclass(frozen=True)
@@ -235,6 +212,12 @@ class BnContext:
     L: int
     n: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= 2 * self.L <= self.n:
+            raise ValueError(
+                f"no frame X_L at (L, n) = ({self.L}, {self.n}): need 0 <= 2L <= n"
+            )
+
     @property
     def labels(self) -> tuple[str, ...]:
         out = []
@@ -243,136 +226,57 @@ class BnContext:
         out += [f"e{j}" for j in range(2 * self.L + 1, self.n + 1)]
         return tuple(out)
 
-    def a_pos(self, i: int) -> int:
-        return 2 * (i - 1)
-
-    def b_pos(self, i: int) -> int:
-        return 2 * (i - 1) + 1
-
-    def e_pos(self, j: int) -> int:
-        return j - 1
-
-
-def x_basis(idx: XIndex, ctx: BnContext) -> KInvariant:
-    """The monomial x_{A,B,C,E} in the context's coordinates."""
-    idx.validate(ctx.L, ctx.n)
-    mask = 0
-    for a in idx.A:
-        mask |= 1 << ctx.a_pos(a)
-    for b in idx.B:
-        mask |= 1 << ctx.b_pos(b)
-    for c in idx.C:
-        mask |= (1 << ctx.a_pos(c)) | (1 << ctx.b_pos(c))
-    for e in idx.E:
-        mask |= 1 << ctx.e_pos(e)
-    return KInvariant(ctx.labels, frozenset((Monomial(mask),)))
-
-
-def lambda_indices(L: int, n: int, d: int) -> tuple[XIndex, ...]:
-    """All of Lambda^d_L, deterministically ordered."""
-    pairs = list(range(1, L + 1))
-    tail = list(range(2 * L + 1, n + 1))
-    out = []
-    # assign each pair slot one of: unused, A, B, C
-    for assignment in _assignments(pairs):
-        A, B, C = assignment
-        base = len(A) + len(B) + 2 * len(C)
-        if base > d:
-            continue
-        for E in combinations(tail, d - base):
-            out.append(
-                XIndex(frozenset(A), frozenset(B), frozenset(C), frozenset(E))
-            )
-    out.sort(key=lambda i: (sorted(i.A), sorted(i.B), sorted(i.C), sorted(i.E)))
-    return tuple(out)
-
-
-def _assignments(pairs: list[int]):
-    if not pairs:
-        yield ([], [], [])
-        return
-    head, rest = pairs[0], pairs[1:]
-    for A, B, C in _assignments(rest):
-        yield (A, B, C)
-        yield ([head] + A, B, C)
-        yield (A, [head] + B, C)
-        yield (A, B, [head] + C)
+    def shape(self, mask: int) -> _Shape:
+        """(A, B, C, E) of a coordinate mask, as counts: the pair slots
+        holding a_i alone, b_i alone or both, and the tail entries."""
+        evens = (4**self.L - 1) // 3  # bit 2(i - 1), the a_i of each pair slot
+        a = mask & evens
+        b = mask >> 1 & evens
+        return _Shape(
+            (a & ~b).bit_count(),
+            (b & ~a).bit_count(),
+            (a & b).bit_count(),
+            (mask >> 2 * self.L).bit_count(),
+        )
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# relabeling
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    """F2-linear map on degree-1 symbols, with optional {2} offsets.
+def _moved(m: int, images: Sequence[int]) -> int:
+    """The monomial m with coordinate bit i moved to position images[i]."""
+    out = m & 1  # {2} is fixed
+    v = m >> 1
+    while v:
+        i = (v & -v).bit_length() - 1
+        v &= v - 1
+        out |= 2 << images[i]
+    return out
 
-    rows[i] is the image of the source coordinate t_i: a sum of degree-one
-    generators of the target, written in the monomial layout (bit j + 1
-    adds t_j, bit 0 adds {2}).  {2} maps to itself, so the image of
-    generator bit b of a source monomial is ((1,) + rows)[b].
+
+def relabel(
+    inv: KInvariant, images: Sequence[int], labels: Optional[Sequence[str]] = None
+) -> KInvariant:
+    """inv with coordinate i renamed to position images[i] of labels.
+
+    labels defaults to inv's own, so images is a permutation; a larger
+    context makes it an injection.  Every coordinate map the package
+    needs is one of these: a normalizer element permutes a frame's
+    coordinates, and a context embeds in a larger one.
     """
-
-    source_labels: tuple[str, ...]
-    target_labels: tuple[str, ...]
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.source_labels):
-            raise ValueError("one row per source coordinate required")
-        limit = 2 << len(self.target_labels)
-        for row in self.rows:
-            if not 0 <= row < limit:
-                raise ValueError("row references a coordinate outside the target")
-
-    @staticmethod
-    def identity(labels: Sequence[str]) -> "CoordinateMap":
-        labels = tuple(labels)
-        return CoordinateMap(
-            labels, labels, tuple(Monomial(1 << i) for i in range(len(labels)))
+    target = inv.labels if labels is None else tuple(labels)
+    if len(images) != len(inv.labels):
+        raise ContextMismatchError(
+            f"{len(images)} images for the context {inv.labels}"
         )
-
-    @staticmethod
-    def from_permutation(
-        labels: Sequence[str], position_images: Sequence[int]
-    ) -> "CoordinateMap":
-        """Relabeling map t_p -> t_{position_images[p]} (same label set)."""
-        labels = tuple(labels)
-        return CoordinateMap(
-            labels,
-            labels,
-            tuple(Monomial(1 << position_images[p]) for p in range(len(labels))),
+    if len(set(images)) != len(images) or not all(
+        0 <= p < len(target) for p in images
+    ):
+        raise ValueError(
+            f"images {tuple(images)} are not distinct positions of {target}"
         )
-
-    def apply(self, inv: KInvariant) -> KInvariant:
-        if inv.labels != self.source_labels:
-            raise ContextMismatchError(
-                f"invariant context {inv.labels} does not match map source"
-            )
-        images = (1,) + self.rows
-        acc: set[int] = set()
-        for m in inv.terms:
-            expanded = {_ONE}
-            v = m
-            while v:
-                i = (v & -v).bit_length() - 1
-                v &= v - 1
-                image = images[i]
-                nxt: set[int] = set()
-                for cur in expanded:
-                    t = image
-                    while t:
-                        g = t & -t
-                        t ^= g
-                        if not cur & g:
-                            nxt ^= {cur | g}
-                expanded = nxt
-            acc ^= expanded
-        return KInvariant(self.target_labels, frozenset(acc))
-
-
-def substitute(inv: KInvariant, cmap: CoordinateMap) -> KInvariant:
-    return cmap.apply(inv)
+    return KInvariant(target, frozenset(_moved(m, images) for m in inv.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +385,16 @@ def orbit_sums(
     """
     labels = tuple(labels)
     pool = set(monomials)
-
-    def act(m: int, perm: Sequence[int]) -> int:
-        out = m & 1  # {2} is fixed
-        v = m >> 1
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            out |= 2 << perm[i]
-        return out
-
     for m in pool:
         for perm in position_perms:
-            if act(m, perm) not in pool:
+            if _moved(m, perm) not in pool:
                 raise ValueError(
                     "the permutations do not preserve the monomial set"
                 )
     # by degree, then coordinates, then {2}: orbit leaders in a fixed order
     orbits = _bfs_orbits(
         sorted(pool, key=lambda m: (m.bit_count(), m)),
-        lambda m: [act(m, perm) for perm in position_perms],
+        lambda m: [_moved(m, perm) for perm in position_perms],
     )
     return [KInvariant(labels, frozenset(orbit)) for orbit in orbits]
 

@@ -25,11 +25,11 @@ one is on record), mod-s independence of the restrictions stacked over
 the frames, cardinality, invariance under the recorded normalizer
 elements, degree-by-degree dimension bounds, then the caller's last
 checks.  The bounds themselves come from normalizer orbit sums
-(genuinely computed for A/B/D) together with, for B_n, cross-frame
-consistency equalities; for F4 and the E types the constrained
-dimension lists are encoded and cross-checked against a machine
-computation of the torsor-element constraint on the upstream
-restriction span.
+(computed for A/D, counted by pair/tail signature for B) together
+with, for B_n, cross-frame consistency equalities; for F4 and the E
+types the constrained dimension lists are encoded and cross-checked
+against a machine computation of the torsor-element constraint on the
+upstream restriction span.
 """
 from __future__ import annotations
 
@@ -41,17 +41,14 @@ from typing import Optional, Sequence, Union
 
 from .algebra import (
     BnContext,
-    CoordinateMap,
     KInvariant,
     Monomial,
     coordinate_mask,
-    lambda_indices,
     one,
     orbit_sums,
+    relabel,
     stacked_independence,
-    substitute,
     two,
-    x_basis,
     x_monomial,
     zero,
 )
@@ -382,25 +379,29 @@ def _fold_recipe(inv, labels, leaf) -> Optional[KInvariant]:
 
 
 def lambda_sum(L: int, n: int, d: int, predicate=None) -> KInvariant:
-    """Sum of the degree-d index monomials, optionally filtered.
+    """Sum of the degree-d frame monomials, optionally filtered.
 
-    The workhorse oracle: sums x_{A,B,C,E} over all index tuples of
-    degree d in the (L, n) context, keeping those the predicate accepts.
+    The workhorse oracle: sums every degree-d monomial of the (L, n)
+    context whose shape (the counts A, B, C, E of BnContext.shape) the
+    predicate accepts.
     """
     ctx = BnContext(L, n)
-    acc = zero(ctx.labels)
-    for idx in lambda_indices(L, n, d):
-        if predicate is None or predicate(idx):
-            acc = acc + x_basis(idx, ctx)
-    return acc
+    return KInvariant(
+        ctx.labels,
+        frozenset(
+            m
+            for m in _subset_monomials(n, d)
+            if predicate is None or predicate(ctx.shape(coordinate_mask(m)))
+        ),
+    )
 
 
-def _no_tail_no_c(idx) -> bool:
-    return not idx.C and not idx.E
+def _no_tail_no_c(shape) -> bool:
+    return not shape.C and not shape.E
 
 
-def _pairs_free(idx) -> bool:
-    return not idx.A and not idx.B
+def _pairs_free(shape) -> bool:
+    return not shape.A and not shape.B
 
 
 def _plain_reflection_formula(d: int, ctx: BnContext) -> Optional[KInvariant]:
@@ -415,11 +416,11 @@ def _plain_reflection_formula(d: int, ctx: BnContext) -> Optional[KInvariant]:
         )
     if d == 3:
         return lambda_sum(L, n, 3) + two(ctx.labels) * lambda_sum(
-            L, n, 2, lambda i: not i.C and len(i.E) == 1
+            L, n, 2, lambda i: not i.C and i.E == 1
         )
     if d == 4:
         return lambda_sum(L, n, 4) + two(ctx.labels) * lambda_sum(
-            L, n, 3, lambda i: 2 * len(i.C) + len(i.E) == 2
+            L, n, 3, lambda i: 2 * i.C + i.E == 2
         )
     return None
 
@@ -481,7 +482,7 @@ def stated_formula(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
             ctx.L,
             ctx.n,
             inv.degree,
-            lambda i: 2 * len(i.C) + len(i.E) == f_deg,
+            lambda i: 2 * i.C + i.E == f_deg,
         )
     return _fold_recipe(inv, ctx.labels, lambda f: _stated_leaf(f, ctx))
 
@@ -493,7 +494,7 @@ def _stated_leaf(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
             ctx.L,
             ctx.n,
             r.m,
-            lambda i: not i.C and not i.E and len(i.A) % 2 == 0,
+            lambda i: not i.C and not i.E and i.A % 2 == 0,
         )
     stated = _STATED_SW.get(_sw_key(inv))
     return stated(r.d, ctx) if stated else None
@@ -834,35 +835,23 @@ def _orbit_count(labels: Sequence[str], perms: Sequence[Sequence[int]], d: int) 
     return len(orbit_sums(_subset_monomials(len(labels), d), perms, labels))
 
 
-def _monomial_signature(mask: int, ctx: BnContext) -> tuple[int, int]:
-    k = sum(
-        1
-        for i in range(1, ctx.L + 1)
-        if (mask >> ctx.a_pos(i)) & 1 and (mask >> ctx.b_pos(i)) & 1
-    )
-    ell = sum(
-        1 for j in range(2 * ctx.L + 1, ctx.n + 1) if (mask >> ctx.e_pos(j)) & 1
-    )
-    return k, ell
+def _b_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
+    """One node (L, k, ell) per normalizer orbit of the degree-d monomials
+    at frame X_L of B_n: k full pairs, ell tail entries and d - 2k - ell
+    lone entries among the other L - k pairs.  The pair swaps, pair flips
+    and tail swaps move any monomial of a signature to any other."""
+    return [
+        (L, k, ell)
+        for L in range(n // 2 + 1)
+        for k in range(L + 1)
+        for ell in range(n - 2 * L + 1)
+        if 0 <= d - 2 * k - ell <= L - k
+    ]
 
 
 def _b_upper_bound(n: int, d: int) -> int:
-    if d == 0:
-        return 1
-    if d > n:
-        return 0
-    sys_ = build_root_system("B", n)
-    nodes = []
-    for frame_name, roots in standard_frames(sys_):
-        L = int(frame_name.split("_")[1])
-        ctx = BnContext(L, n)
-        perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
-        for s in orbit_sums(_subset_monomials(n, d), perms, ctx.labels):
-            mask = coordinate_mask(min(s.terms))
-            node = (L,) + _monomial_signature(mask, ctx)
-            if node in nodes:
-                raise AssertionError("duplicate orbit signature; family bug")
-            nodes.append(node)
+    nodes = _b_nodes(n, d)
+    present = set(nodes)
     by_sig: dict = {}
     for node in nodes:
         by_sig.setdefault(node[1:], []).append(node)
@@ -875,7 +864,7 @@ def _b_upper_bound(n: int, d: int) -> int:
         # linked both ways, as the orbit search follows links forward
         L, k, ell = node
         up, down = (L + 1, k + 1, ell - 2), (L - 1, k - 1, ell + 2)
-        return by_sig[(k, ell)] + [x for x in (up, down) if x in nodes]
+        return by_sig[(k, ell)] + [x for x in (up, down) if x in present]
 
     return len(_bfs_orbits(nodes, linked))
 
@@ -892,13 +881,13 @@ def upper_bound_dim(type_label: str, rank: int, degree: int) -> int:
     """Upper bound for the degree component of the invariants' image.
 
     A/B/D: the number of normalizer orbit sums on the frame monomials,
-    with the cross-frame consistency identifications for B (orbits whose
-    pair/tail signature agrees restrict compatibly from every frame, and
-    a two-slot product subgroup identifies the (k, ell) and (k+1, ell-2)
-    signatures).  F4/E6/E7/E8: the encoded constrained-dimension lists,
-    cross-checkable against constrained_dim.  Dihedral types: binomial
-    coefficients of the free x-context, I2(4) via its rank-2 coordinate
-    realization.
+    with the cross-frame consistency identifications for B (an orbit is
+    its pair/tail signature, orbits whose signature agrees restrict
+    compatibly from every frame, and a two-slot product subgroup
+    identifies the (k, ell) and (k+1, ell-2) signatures).  F4/E6/E7/E8:
+    the encoded constrained-dimension lists, cross-checkable against
+    constrained_dim.  Dihedral types: binomial coefficients of the free
+    x-context, I2(4) via its rank-2 coordinate realization.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -932,10 +921,9 @@ def upper_bound_dim(type_label: str, rank: int, degree: int) -> int:
 # upstream restriction spans and the encoded-bound cross-check
 
 
-def _injection(source: Sequence[str], target: Sequence[str]) -> CoordinateMap:
-    target = tuple(target)
-    rows = tuple(Monomial(1 << target.index(lab)) for lab in source)
-    return CoordinateMap(tuple(source), target, rows)
+def _injection(source: Sequence[str], target: Sequence[str]) -> tuple[int, ...]:
+    """The position of each source label in target, for relabel."""
+    return tuple(tuple(target).index(lab) for lab in source)
 
 
 def upstream_table(
@@ -960,7 +948,7 @@ def upstream_table(
     entries = []
     for b in generators_for("D", inner_rank):
         val = _restrict(b, roots_d, labels_d, sys_d, cache_dir)
-        entries.append((b.name, b.degree, inj.apply(val)))
+        entries.append((b.name, b.degree, relabel(val, inj, labels_e)))
     if rank != 7:
         return entries
     xa4 = x_monomial(labels_e, ("a4",))
@@ -1049,7 +1037,6 @@ def _constrained_dims(
     elif type_label == "E" and rank in (6, 7, 8):
         sys_e = build_root_system("E", rank)
         _, roots_e = standard_frames(sys_e)[0]
-        labels = tuple(root_label(sys_e, r) for r in roots_e)
         if upstream is None:
             upstream = upstream_table(type_label, rank, cache_dir)
         graded = [(deg, val) for _, deg, val in upstream]
@@ -1058,13 +1045,12 @@ def _constrained_dims(
         raise UnsupportedSystemError(
             "constrained dimensions are computed for F4/E6/E7/E8 only"
         )
-    cmap = CoordinateMap.from_permutation(labels, action)
     by_degree: dict[int, list[KInvariant]] = {}
     for deg, val in graded:
         by_degree.setdefault(deg, []).append(val)
     dims = {}
     for deg, vecs in by_degree.items():
-        images = [(substitute(v, cmap) + v,) for v in vecs]
+        images = [(relabel(v, action) + v,) for v in vecs]
         dims[deg] = len(vecs) - stacked_independence(images).rank
     return dims
 
@@ -1186,10 +1172,9 @@ def _report(
         elements, pass_note = actions
         failures = []
         for j, desc, perm in elements:
-            fname, labels = frames[j]
-            cmap = CoordinateMap.from_permutation(labels, perm)
+            fname = frames[j][0]
             for b, row in zip(basis, restrictions):
-                if substitute(row[j], cmap) != row[j]:
+                if relabel(row[j], perm) != row[j]:
                     failures.append(f"{b.name} at {fname} under {desc}")
         checks.append(
             _check(
@@ -1498,9 +1483,8 @@ def tensor_basis(report_a: BasisReport, report_b: BasisReport) -> BasisReport:
             if len(set(combined)) != len(combined):
                 raise ValueError("tensor contexts share coordinate labels")
             frames.append((fa if fb == "P" else f"{fa}x{fb}", combined))
-            pair_maps.append(
-                (ja, jb, _injection(la, combined), _injection(lb, combined))
-            )
+            inj_a, inj_b = _injection(la, combined), _injection(lb, combined)
+            pair_maps.append((ja, jb, combined, inj_a, inj_b))
     indexed = []
     for bj, eb in enumerate(report_b.basis):
         for ai, ea in enumerate(report_a.basis):
@@ -1522,9 +1506,9 @@ def tensor_basis(report_a: BasisReport, report_b: BasisReport) -> BasisReport:
         basis.append(elem)
         restrictions.append(
             tuple(
-                inj_a.apply(report_a.restrictions[ai][ja])
-                * inj_b.apply(report_b.restrictions[bj][jb])
-                for ja, jb, inj_a, inj_b in pair_maps
+                relabel(report_a.restrictions[ai][ja], inj_a, combined)
+                * relabel(report_b.restrictions[bj][jb], inj_b, combined)
+                for ja, jb, combined, inj_a, inj_b in pair_maps
             )
         )
     bounds_a = {d: v for d, _, v in report_a.dims}

@@ -326,7 +326,7 @@ class OrbitPfisterDecomp:
 
 def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
     """Deterministic basis of {x : x . v = 0 for all v} in F2^width."""
-    # row-reduce the constraint matrix, then back-substitute free variables
+    # row-reduce the constraint matrix, then solve back from each free variable
     rows = [r for r, _ in _f2_eliminate(vectors)[0]]
     pivots = [(r & -r).bit_length() - 1 for r in rows]
     free = [i for i in range(width) if i not in pivots]

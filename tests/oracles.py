@@ -1,0 +1,255 @@
+"""Reference routes kept from earlier versions of the package, for tests.
+
+Each is the generic or roundabout form of something `weylinv` now does
+directly, and the tests check the direct form against it:
+
+  * CoordinateMap / substitute - an F2-linear map on degree-one symbols,
+    rows of any weight with optional {2} offsets; weylinv.algebra.relabel
+    is its single-bit-row case.
+  * XIndex / x_basis / lambda_indices / lambda_sum - the B_n restriction
+    basis indexed by set tuples (A, B, C, E); weylinv.basis.lambda_sum
+    enumerates masks and reads their counts through BnContext.shape.
+  * b_orbit_nodes - the (L, k, ell) nodes of the B_n bound read off
+    normalizer orbit sums at every frame; weylinv.basis lists them
+    directly.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from typing import Sequence
+
+from weylinv.algebra import (
+    BnContext,
+    KInvariant,
+    Monomial,
+    coordinate_mask,
+    orbit_sums,
+    zero,
+)
+from weylinv.basis import normalizer_families
+from weylinv.errors import ContextMismatchError
+from weylinv.groups import standard_frames
+from weylinv.roots import build_root_system
+
+_ONE = 0
+
+
+# ---------------------------------------------------------------------------
+# generic substitution
+
+
+@dataclass(frozen=True)
+class CoordinateMap:
+    """F2-linear map on degree-1 symbols, with optional {2} offsets.
+
+    rows[i] is the image of the source coordinate t_i: a sum of degree-one
+    generators of the target, written in the monomial layout (bit j + 1
+    adds t_j, bit 0 adds {2}).  {2} maps to itself, so the image of
+    generator bit b of a source monomial is ((1,) + rows)[b].
+    """
+
+    source_labels: tuple[str, ...]
+    target_labels: tuple[str, ...]
+    rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.rows) != len(self.source_labels):
+            raise ValueError("one row per source coordinate required")
+        limit = 2 << len(self.target_labels)
+        for row in self.rows:
+            if not 0 <= row < limit:
+                raise ValueError("row references a coordinate outside the target")
+
+    @staticmethod
+    def identity(labels: Sequence[str]) -> "CoordinateMap":
+        labels = tuple(labels)
+        return CoordinateMap(
+            labels, labels, tuple(Monomial(1 << i) for i in range(len(labels)))
+        )
+
+    @staticmethod
+    def from_permutation(
+        labels: Sequence[str], position_images: Sequence[int]
+    ) -> "CoordinateMap":
+        """Relabeling map t_p -> t_{position_images[p]} (same label set)."""
+        labels = tuple(labels)
+        return CoordinateMap(
+            labels,
+            labels,
+            tuple(Monomial(1 << position_images[p]) for p in range(len(labels))),
+        )
+
+    def apply(self, inv: KInvariant) -> KInvariant:
+        if inv.labels != self.source_labels:
+            raise ContextMismatchError(
+                f"invariant context {inv.labels} does not match map source"
+            )
+        images = (1,) + self.rows
+        acc: set[int] = set()
+        for m in inv.terms:
+            expanded = {_ONE}
+            v = m
+            while v:
+                i = (v & -v).bit_length() - 1
+                v &= v - 1
+                image = images[i]
+                nxt: set[int] = set()
+                for cur in expanded:
+                    t = image
+                    while t:
+                        g = t & -t
+                        t ^= g
+                        if not cur & g:
+                            nxt ^= {cur | g}
+                expanded = nxt
+            acc ^= expanded
+        return KInvariant(self.target_labels, frozenset(acc))
+
+
+def substitute(inv: KInvariant, cmap: CoordinateMap) -> KInvariant:
+    return cmap.apply(inv)
+
+
+# ---------------------------------------------------------------------------
+# the B_n index bookkeeping by set tuples
+
+
+@dataclass(frozen=True)
+class XIndex:
+    """Index tuple (A, B, C, E) of the reindexed restriction basis.
+
+    A, B, C are pairwise disjoint subsets of the pair slots [1; L]; E is
+    a subset of the tail slots [2L+1; n].  The monomial it names has
+    degree |A| + |B| + 2|C| + |E|.
+    """
+
+    A: frozenset[int]
+    B: frozenset[int]
+    C: frozenset[int]
+    E: frozenset[int]
+
+    @property
+    def degree(self) -> int:
+        return len(self.A) + len(self.B) + 2 * len(self.C) + len(self.E)
+
+    def validate(self, L: int, n: int) -> None:
+        if (self.A & self.B) or (self.A & self.C) or (self.B & self.C):
+            raise ValueError("A, B, C must be pairwise disjoint")
+        pairs = set(range(1, L + 1))
+        if not (self.A <= pairs and self.B <= pairs and self.C <= pairs):
+            raise ValueError(f"pair indices must lie in [1; {L}]")
+        tail = set(range(2 * L + 1, n + 1))
+        if not self.E <= tail:
+            raise ValueError(f"tail indices must lie in [{2 * L + 1}; {n}]")
+
+
+def _a_pos(i: int) -> int:
+    return 2 * (i - 1)
+
+
+def _b_pos(i: int) -> int:
+    return 2 * (i - 1) + 1
+
+
+def _e_pos(j: int) -> int:
+    return j - 1
+
+
+def x_basis(idx: XIndex, ctx: BnContext) -> KInvariant:
+    """The monomial x_{A,B,C,E} in the context's coordinates."""
+    idx.validate(ctx.L, ctx.n)
+    mask = 0
+    for a in idx.A:
+        mask |= 1 << _a_pos(a)
+    for b in idx.B:
+        mask |= 1 << _b_pos(b)
+    for c in idx.C:
+        mask |= (1 << _a_pos(c)) | (1 << _b_pos(c))
+    for e in idx.E:
+        mask |= 1 << _e_pos(e)
+    return KInvariant(ctx.labels, frozenset((Monomial(mask),)))
+
+
+@lru_cache(maxsize=None)
+def lambda_indices(L: int, n: int, d: int) -> tuple[XIndex, ...]:
+    """All of Lambda^d_L, deterministically ordered (memoized for tests
+    that filter one index set many ways)."""
+    pairs = list(range(1, L + 1))
+    tail = list(range(2 * L + 1, n + 1))
+    out = []
+    # assign each pair slot one of: unused, A, B, C
+    for assignment in _assignments(pairs):
+        A, B, C = assignment
+        base = len(A) + len(B) + 2 * len(C)
+        if base > d:
+            continue
+        for E in combinations(tail, d - base):
+            out.append(
+                XIndex(frozenset(A), frozenset(B), frozenset(C), frozenset(E))
+            )
+    out.sort(key=lambda i: (sorted(i.A), sorted(i.B), sorted(i.C), sorted(i.E)))
+    return tuple(out)
+
+
+def _assignments(pairs: list[int]):
+    if not pairs:
+        yield ([], [], [])
+        return
+    head, rest = pairs[0], pairs[1:]
+    for A, B, C in _assignments(rest):
+        yield (A, B, C)
+        yield ([head] + A, B, C)
+        yield (A, [head] + B, C)
+        yield (A, B, [head] + C)
+
+
+def lambda_sum(L: int, n: int, d: int, predicate=None) -> KInvariant:
+    """Sum of x_{A,B,C,E} over the degree-d index tuples the predicate
+    accepts; the predicate reads the sets of an XIndex."""
+    ctx = BnContext(L, n)
+    acc = zero(ctx.labels)
+    for idx in lambda_indices(L, n, d):
+        if predicate is None or predicate(idx):
+            acc = acc + x_basis(idx, ctx)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# the B_n bound's nodes through orbit sums
+
+
+def _monomial_signature(mask: int, ctx: BnContext) -> tuple[int, int]:
+    k = sum(
+        1
+        for i in range(1, ctx.L + 1)
+        if (mask >> _a_pos(i)) & 1 and (mask >> _b_pos(i)) & 1
+    )
+    ell = sum(1 for j in range(2 * ctx.L + 1, ctx.n + 1) if (mask >> _e_pos(j)) & 1)
+    return k, ell
+
+
+def b_orbit_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
+    """(L, k, ell) of each normalizer orbit sum of degree-d monomials at
+    every standard frame X_L of B_n, read off its least monomial.
+
+    Raises AssertionError when two orbits at one frame share a signature:
+    the direct node list counts each signature once, so it is right only
+    when the signature names the orbit.
+    """
+    sys_ = build_root_system("B", n)
+    monomials = [
+        Monomial(sum(1 << p for p in subset)) for subset in combinations(range(n), d)
+    ]
+    nodes = []
+    for frame_name, roots in standard_frames(sys_):
+        ctx = BnContext(int(frame_name.split("_")[1]), n)
+        perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
+        for s in orbit_sums(monomials, perms, ctx.labels):
+            mask = coordinate_mask(min(s.terms))
+            node = (ctx.L,) + _monomial_signature(mask, ctx)
+            if node in nodes:
+                raise AssertionError("duplicate orbit signature; family bug")
+            nodes.append(node)
+    return nodes

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import lambda_sum
 from weylinv import cli, cosets
 from weylinv.algebra import parse_terms
 from weylinv.basis import (
@@ -20,7 +21,6 @@ from weylinv.basis import (
     Product,
     f4_hat,
     generators_for,
-    lambda_sum,
     restrict,
     upper_bound_dim,
     upstream_table,

@@ -1,4 +1,4 @@
-"""The F2 symbol algebra: products, substitution, indexing, independence."""
+"""The F2 symbol algebra: products, relabeling, frame shapes, independence."""
 from __future__ import annotations
 
 import random
@@ -7,24 +7,21 @@ from operator import xor
 
 import pytest
 
+from oracles import CoordinateMap, XIndex, lambda_indices, substitute, x_basis
 from weylinv.algebra import (
     BnContext,
-    CoordinateMap,
     KInvariant,
     Monomial,
-    XIndex,
     coordinate_mask,
     kinv,
-    lambda_indices,
     linear_independence,
     one,
     orbit_sums,
     parse_terms,
+    relabel,
     stacked_independence,
-    substitute,
     two,
     var,
-    x_basis,
     x_monomial,
     zero,
 )
@@ -104,9 +101,64 @@ def test_substitute_identity_and_linearity():
 
 def test_substitute_relabel_swap():
     # the E6 normalizer generator swaps positions of a1 and b2
-    cmap = CoordinateMap.from_permutation(L2, (3, 1, 2, 0))
-    img = substitute(x_monomial(L2, ["a1", "b1"]), cmap)
+    img = relabel(x_monomial(L2, ["a1", "b1"]), (3, 1, 2, 0))
     assert img == x_monomial(L2, ["b2", "b1"])
+
+
+def test_relabel_matches_single_bit_coordinate_maps_seeded():
+    # a permutation of L2, or an injection of L2 into a six-label context
+    wide = L2 + ("e5", "e6")
+    rng = random.Random(1729)
+    for trial in range(80):
+        x = _random_element(rng, L2)
+        if trial % 8 == 0:
+            x = x + two(L2)  # the bare {2} term as well
+        target = wide if trial % 2 else L2
+        images = tuple(rng.sample(range(len(target)), len(L2)))
+        rows = tuple(Monomial(1 << p) for p in images)
+        expected = CoordinateMap(L2, target, rows).apply(x)
+        labels = target if target != L2 else None
+        assert relabel(x, images, labels) == expected, (trial, images)
+
+
+@pytest.mark.parametrize(
+    "images,labels,error",
+    [
+        ((0, 0, 2, 3), None, ValueError),  # repeated image
+        ((0, 1, 2, 4), None, ValueError),  # past the last position
+        ((0, 1, 2, -1), None, ValueError),  # before the first
+        ((0, 1, 2, 3, 4), L2 + ("e5",), ContextMismatchError),  # one too many
+        ((0, 1, 2), None, ContextMismatchError),  # one too few
+    ],
+)
+def test_relabel_guards(images, labels, error):
+    with pytest.raises(error):
+        relabel(x_monomial(L2, ["a1"]), images, labels)
+
+
+@pytest.mark.parametrize("L,n", [(3, 4), (-1, 4), (1, 1), (0, -1)])
+def test_bn_context_rejects_out_of_range_frames(L, n):
+    with pytest.raises(ValueError, match=rf"\({L}, {n}\)"):
+        BnContext(L, n)
+
+
+def test_bn_context_accepts_every_frame_in_range():
+    for n in range(0, 9):
+        for L in range(n // 2 + 1):
+            assert len(BnContext(L, n).labels) == n
+
+
+def test_shape_counts_match_index_sets():
+    # every monomial of every (L, n) context with n <= 7, against the
+    # XIndex that names it
+    for n in range(0, 8):
+        for L in range(n // 2 + 1):
+            ctx = BnContext(L, n)
+            for d in range(n + 1):
+                for idx in lambda_indices(L, n, d):
+                    (m,) = x_basis(idx, ctx).terms
+                    counts = tuple(len(s) for s in (idx.A, idx.B, idx.C, idx.E))
+                    assert ctx.shape(coordinate_mask(m)) == counts, (L, n, idx)
 
 
 def test_substitute_handles_s_offsets():

@@ -4,11 +4,13 @@ from __future__ import annotations
 import json
 import os
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
+from oracles import b_orbit_nodes, lambda_sum
 from weylinv import basis
-from weylinv.algebra import BnContext, parse_terms, substitute, CoordinateMap
+from weylinv.algebra import BnContext, parse_terms, relabel
 from weylinv.basis import (
     BasisReport,
     Correction,
@@ -21,7 +23,6 @@ from weylinv.basis import (
     constrained_dim,
     f4_hat,
     generators_for,
-    lambda_sum,
     normalizer_families,
     restrict,
     tensor_basis,
@@ -130,6 +131,42 @@ def test_stated_formulas_are_keyed_by_the_whole_recipe(type_label):
         # formula is not on record, so the first three products are None
         on_record = sum(expected is not None for _, expected in stated)
         assert on_record == 13 + len(products) - 3, fname
+
+
+#: the shape predicates basis passes to lambda_sum: the _STATED_SW
+#: entries, the {2}-parts of _plain_reflection_formula and the fold
+#: classes; the product rule's signed weights are added per case
+_SHAPE_PREDICATES = [
+    basis._no_tail_no_c,
+    basis._pairs_free,
+    lambda s: not s.A and not s.B and not s.C,
+    lambda s: not s.C and s.E == 1,
+    lambda s: 2 * s.C + s.E == 2,
+    lambda s: not s.C and not s.E and s.A % 2 == 0,
+]
+
+
+def _counts(idx):
+    """The shape of an index tuple: the sizes of its sets."""
+    return SimpleNamespace(A=len(idx.A), B=len(idx.B), C=len(idx.C), E=len(idx.E))
+
+
+@pytest.mark.parametrize(
+    "L,n", [(0, 2), (1, 3), (2, 4), (2, 6), (3, 8), (4, 8), (6, 12), (3, 13)]
+)
+def test_lambda_sum_matches_index_tuple_oracle(L, n):
+    weights = [lambda s, f=f: 2 * s.C + s.E == f for f in range(n + 1)]
+    for d in range(n + 1):
+        for pred in [None] + _SHAPE_PREDICATES + weights:
+            on_sets = pred and (lambda idx, pred=pred: pred(_counts(idx)))
+            expected = lambda_sum(L, n, d, on_sets)
+            assert basis.lambda_sum(L, n, d, pred) == expected, (L, n, d, pred)
+
+
+@pytest.mark.parametrize("L,n", [(3, 4), (-1, 4)])
+def test_lambda_sum_rejects_frames_outside_the_rank(L, n):
+    with pytest.raises(ValueError, match=rf"\({L}, {n}\)"):
+        basis.lambda_sum(L, n, 1)
 
 
 def test_rank_two_display_values():
@@ -433,6 +470,14 @@ def test_b_bounds_match_interval_count(n):
         assert upper_bound_dim("B", n, d) == expected, (n, d)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_b_nodes_are_the_orbit_signatures(n):
+    # the orbit-sum route asserts that no two orbits at one frame share a
+    # signature, so each node it returns is one whole orbit
+    for d in range(n + 2):
+        assert sorted(basis._b_nodes(n, d)) == sorted(b_orbit_nodes(n, d)), (n, d)
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_d_bounds_match_interval_count_with_parity_split(n):
     m = n // 2
@@ -450,7 +495,7 @@ def test_d5_bounds_have_no_parity_split():
     assert [upper_bound_dim("D", 5, d) for d in range(6)] == [1, 1, 2, 1, 1, 0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_a_bounds_are_flat(n):
     f = (n + 1) // 2
     for d in range(f + 2):
@@ -556,7 +601,7 @@ def test_normalizer_negative_case():
     action = fams["pair-flip(1)"]
     labels = ("a1", "b1")
     bare = parse_terms(labels, "{a1}")
-    moved = substitute(bare, CoordinateMap.from_permutation(labels, action))
+    moved = relabel(bare, action)
     assert moved == parse_terms(labels, "{b1}")
     assert moved != bare
 
