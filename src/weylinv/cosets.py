@@ -22,6 +22,17 @@ place the associated form in a power of the fundamental ideal.  Once the
 frame tables are checked to be commuting involutions, each orbit with
 its active subset, fold and delta masks comes from the permutation
 route's kernel, forms._orbit_pfister (see full_check).
+
+A cache file (format_version 2) is one line of compact JSON with sorted
+keys, the header, then a little-endian int32 body.  The header holds
+everything but the bulk: type, rank, u_gens, u_order, size and the
+certificate with each orbit's a_set, fold and delta masks.  The body
+holds, in order, the representatives row by row (size x ambient width),
+the rank action tables, and each certificate orbit's 2^|a_set| members.
+The header thus fixes the body's length, which the loader checks against
+the file before it reads the body.  The file name hashes the format
+version, so files of version 1 (one JSON document) are never opened by a
+build; `cache inspect` lists them and `cache clear` removes them.
 """
 from __future__ import annotations
 
@@ -29,8 +40,10 @@ import hashlib
 import json
 import os
 import re
+import sys
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from math import isqrt
 from operator import mul
 from typing import Optional, Sequence
@@ -68,7 +81,7 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
 ]
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 Key = tuple[int, ...]
 
@@ -201,12 +214,15 @@ def _label_width(simple: Sequence[Key], vec: Key) -> int:
     return bound.bit_length() + 1
 
 
-def _label_bfs(sys_: RootSystem, start: Key) -> tuple[list[Key], array]:
+def _label_bfs(
+    sys_: RootSystem, start: Key, record: bool = True
+) -> tuple[int, list[Key], array]:
     """The W-orbit of start by BFS over the simple reflections.
 
-    Returns the orbit's doubled-coordinate vectors in discovery order
-    and the BFS edges: edges[k * rank + i] is the BFS id of s_i applied
-    to vector k.
+    Returns the orbit's size, its doubled-coordinate vectors in
+    discovery order and the BFS edges: edges[k * rank + i] is the BFS id
+    of s_i applied to vector k.  With record False only the keys are
+    walked, and the vectors and edges come back empty.
 
     The BFS runs on packed Dynkin labels.  A vector v with labels c_j is
     the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels of
@@ -236,6 +252,15 @@ def _label_bfs(sys_: RootSystem, start: Key) -> tuple[list[Key], array]:
     ]
     first = sum((c + off) << (width * j) for j, c in enumerate(_labels(simple, start)))
     keys = [first]
+    if not record:
+        seen = {first}
+        for key in keys:
+            for shift, row, _ in steps:
+                q = ((key >> shift) & mask) - off
+                if q and (img := key - q * row) not in seen:
+                    seen.add(img)
+                    keys.append(img)
+        return len(keys), [], array("l")
     ids = {first: 0}
     vectors = [start]
     edges = array("l")
@@ -255,7 +280,7 @@ def _label_bfs(sys_: RootSystem, start: Key) -> tuple[list[Key], array]:
                     vec[p] -= q * x
                 vectors.append(tuple(vec))
             edges.append(j)
-    return vectors, edges
+    return len(keys), vectors, edges
 
 
 def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
@@ -333,10 +358,11 @@ def build_coset_space(
 
 
 def _coset_orbit(
-    sys_: RootSystem, u_gen_roots: Sequence[int]
-) -> tuple[list[Key], array, int]:
-    """The coset keys in BFS order, the BFS edges (see _label_bfs) and
-    |U|, after checking the order identity |orbit| x |U| = |W|."""
+    sys_: RootSystem, u_gen_roots: Sequence[int], record: bool = True
+) -> tuple[int, list[Key], array, int]:
+    """|U\\W|, the coset keys in BFS order, the BFS edges (see _label_bfs;
+    both empty with record False) and |U|, after checking the order
+    identity |orbit| x |U| = |W|."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
     # Sigma_U is the U-orbit of the generators' roots: each member is
     # u(g), and s_u(g) = u s_g u^-1 lies in U, so the orbit is closed
@@ -345,21 +371,19 @@ def _coset_orbit(
     sigma_u = sorted(r for orbit in orbits for r in orbit)
     u_order = _reflection_group_order(sys_, sigma_u)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
-    vectors, edges = _label_bfs(sys_, start)
-    size = len(vectors)
+    size, vectors, edges = _label_bfs(sys_, start, record)
     expected = weyl_order(sys_)
     if size * u_order != expected:
         raise CosetValidationError(
             f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
             "the coset enumeration is inconsistent with the group order"
         )
-    return vectors, edges, u_order
+    return size, vectors, edges, u_order
 
 
 def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
-    vectors, edges, u_order = _coset_orbit(sys_, u_gen_roots)
+    size, vectors, edges, u_order = _coset_orbit(sys_, u_gen_roots)
     ngen = len(sys_.simple_indices)
-    size = len(vectors)
     order = sorted(range(size), key=vectors.__getitem__)  # sorted pos -> BFS id
     reps = tuple(vectors[k] for k in order)
     position = [0] * size  # BFS id -> sorted pos
@@ -560,21 +584,27 @@ def cache_path(
 
 
 def _write_space(space: CosetSpace, path: str) -> None:
-    # tuples encode as JSON arrays, so the stored tuples go in uncopied
+    """Write the header line, then the int32 body (see the module
+    docstring).  A space with a coordinate past the int32 range, which a
+    small custom U can give, is not written."""
     cert = space.certificate
+    orbits = cert.orbits if cert is not None else ()
+    rows = chain(space.representatives, space.action_tables, (o.members for o in orbits))
+    try:
+        body = array("i", chain.from_iterable(rows))
+    except OverflowError:
+        return
+    if sys.byteorder == "big":
+        body.byteswap()
+    # tuples encode as JSON arrays, so the stored tuples go in uncopied
     cert_json = None
     if cert is not None:
         cert_json = {
             "frame_roots": cert.frame_roots,
             "labels": cert.labels,
             "orbits": [
-                {
-                    "members": o.members,
-                    "a_set": o.a_set,
-                    "fold": o.fold,
-                    "delta_masks": o.delta_masks,
-                }
-                for o in cert.orbits
+                {"a_set": o.a_set, "fold": o.fold, "delta_masks": o.delta_masks}
+                for o in orbits
             ],
         }
     doc = {
@@ -584,85 +614,121 @@ def _write_space(space: CosetSpace, path: str) -> None:
         "u_gens": space.u_gen_roots,
         "u_order": space.u_order,
         "size": space.size,
-        "representatives": space.representatives,
-        "action_tables": space.action_tables,
         "certificate": cert_json,
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # unique per writer: concurrent builders of the same space must not
     # share a scratch file (the final replace is atomic either way)
     tmp = f"{path}.tmp{os.getpid()}"
-    # json.dumps without indent runs the C encoder; json.dump or an
-    # indent would take the pure-Python one
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    with open(tmp, "wb") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+        fh.write(b"\n")
+        body.tofile(fh)
     os.replace(tmp, path)
 
 
-def read_cache_file(path: str) -> dict:
-    """The JSON object stored in a cache file.
-
-    Raises CacheFormatError naming the file when it does not hold one,
-    for instance after a write was cut short.
-    """
+def _read_header(fh, path: str) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as bad:
-        raise CacheFormatError(f"cache file {path} is not valid JSON: {bad}") from None
+        doc = json.loads(fh.readline().decode())
+    except ValueError as bad:  # UnicodeDecodeError is one
+        raise CacheFormatError(
+            f"cache file {path} does not start with a JSON line: {bad}"
+        ) from None
     if not isinstance(doc, dict):
         raise CacheFormatError(f"cache file {path} does not hold a JSON object")
     return doc
 
 
+def read_cache_file(path: str) -> dict:
+    """The JSON header of a cache file: its first line, which for a
+    version 1 file is the whole document.
+
+    Raises CacheFormatError naming the file when that line is not a JSON
+    object, for instance after a write was cut short.
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def _load_space(
     sys_: RootSystem, u_gen_roots: tuple[int, ...], path: str
 ) -> CosetSpace:
-    doc = read_cache_file(path)
-    try:
-        version = doc.get("format_version")
-        if version != CACHE_FORMAT_VERSION:
+    """The space stored at path.  The header alone fixes the body's
+    length, which is checked against the file before a byte of the body
+    is read, so a lying header never makes the loader allocate."""
+    with open(path, "rb") as fh:
+        doc = _read_header(fh, path)
+        try:
+            version = doc.get("format_version")
+            if version != CACHE_FORMAT_VERSION:
+                raise CacheFormatError(
+                    f"cache file {path} has format_version {version!r}; "
+                    f"expected {CACHE_FORMAT_VERSION}"
+                )
+            if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
+                raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
+            expected_gens = sorted(tuple(sys_.roots[g].doubled) for g in u_gen_roots)
+            if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
+                raise CacheFormatError(f"cache file {path} was built from different generators")
+            size, u_order, c = doc["size"], doc["u_order"], doc.get("certificate")
+            order = weyl_order(sys_)
+            if not all(type(n) is int and n > 0 for n in (size, u_order)) or (
+                size * u_order != order
+            ):
+                raise CacheFormatError(
+                    f"cache file {path} is inconsistent: size x |U| = "
+                    f"{size!r} x {u_order!r} != |W| = {order}"
+                )
+            width = len(sys_.roots[0].doubled)
+            ngen = len(sys_.simple_indices)
+            orbits = c["orbits"] if c else []
+            spans = [size * width, ngen * size] + [1 << len(o["a_set"]) for o in orbits]
+            body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+            if body_bytes != 4 * sum(spans):
+                raise CacheFormatError(
+                    f"cache file {path} has a {body_bytes}-byte body; its header "
+                    f"calls for {4 * sum(spans)}"
+                )
+            body = array("i")
+            body.fromfile(fh, sum(spans))
+            if fh.read(1):
+                raise CacheFormatError(f"cache file {path} has bytes past its body")
+            if sys.byteorder == "big":
+                body.byteswap()
+            it = iter(body)
+            reps = tuple(zip(*[islice(it, spans[0])] * width))
+            tables = tuple(zip(*[islice(it, spans[1])] * size))
+            cert = None
+            if c:
+                cert = FoldCertificate(
+                    frame_roots=tuple(c["frame_roots"]),
+                    labels=tuple(c["labels"]),
+                    orbits=tuple(
+                        CertOrbit(
+                            members=tuple(islice(it, n)),
+                            a_set=tuple(o["a_set"]),
+                            fold=o["fold"],
+                            delta_masks=tuple(o["delta_masks"]),
+                        )
+                        for o, n in zip(orbits, spans[2:])
+                    ),
+                )
+            space = CosetSpace(
+                type_label=doc["type"],
+                rank=doc["rank"],
+                u_gen_roots=tuple(tuple(g) for g in doc["u_gens"]),
+                u_order=u_order,
+                representatives=reps,
+                action_tables=tables,
+                certificate=cert,
+            )
+            problem = _structural_problem(sys_, space, size)
+        except (KeyError, TypeError) as bad:
             raise CacheFormatError(
-                f"cache file {path} has format_version {version!r}; "
-                f"expected {CACHE_FORMAT_VERSION}"
-            )
-        if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
-            raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
-        expected_gens = sorted(tuple(sys_.roots[g].doubled) for g in u_gen_roots)
-        if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
-            raise CacheFormatError(f"cache file {path} was built from different generators")
-        cert = None
-        if doc.get("certificate"):
-            c = doc["certificate"]
-            cert = FoldCertificate(
-                frame_roots=tuple(c["frame_roots"]),
-                labels=tuple(c["labels"]),
-                orbits=tuple(
-                    CertOrbit(
-                        members=tuple(o["members"]),
-                        a_set=tuple(o["a_set"]),
-                        fold=o["fold"],
-                        delta_masks=tuple(o["delta_masks"]),
-                    )
-                    for o in c["orbits"]
-                ),
-            )
-        space = CosetSpace(
-            type_label=doc["type"],
-            rank=doc["rank"],
-            u_gen_roots=tuple(tuple(g) for g in doc["u_gens"]),
-            u_order=doc["u_order"],
-            representatives=tuple(tuple(k) for k in doc["representatives"]),
-            action_tables=tuple(tuple(t) for t in doc["action_tables"]),
-            certificate=cert,
-        )
-        problem = _structural_problem(sys_, space, doc["size"])
-    except (KeyError, TypeError) as bad:
-        raise CacheFormatError(
-            f"cache file {path} has a missing or malformed entry: {bad!r}"
-        ) from None
+                f"cache file {path} has a missing or malformed entry: {bad!r}"
+            ) from None
+        except EOFError:
+            raise CacheFormatError(f"cache file {path} ends inside its body") from None
     if problem:
         raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
     return space

@@ -196,16 +196,17 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
     is linear and the simple roots span, so w is determined by
     (w a_1, ..., w a_n): the orbit map is injective and the orbit has
     |W| elements.  "coset-product" multiplies the coset count |U\\W| by
-    |U| (see weylinv.cosets); the tables of the coset space are not
-    built.  "formula" is the product formula, which the enumerated
-    ranks validate.
+    |U| (see weylinv.cosets); that BFS only counts the cosets, so no
+    coset vector, edge or table is built.  "formula" is the product
+    formula, which the enumerated ranks validate.
     """
     method = order_method(sys_)
     if method == "coset-product":
         from . import cosets  # local import: cosets depends on this module
 
-        vectors, _, u_order = cosets._coset_orbit(sys_, cosets.standard_u_gens(sys_))
-        return len(vectors) * u_order
+        gens = cosets.standard_u_gens(sys_)
+        size, _, _, u_order = cosets._coset_orbit(sys_, gens, record=False)
+        return size * u_order
     if method == "bfs":
         gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
         orbit = enumerate_subgroup(gens, element_cap, points=sys_.simple_indices)

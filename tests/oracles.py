@@ -12,9 +12,14 @@ directly, and the tests check the direct form against it:
   * b_orbit_nodes - the (L, k, ell) nodes of the B_n bound read off
     normalizer orbit sums at every frame; weylinv.basis lists them
     directly.
+  * read_cache / write_cache - a coset cache file as one JSON document
+    shaped like a version 1 file, unpacked and packed with struct;
+    weylinv.cosets reads the header and the int32 body on its own.
 """
 from __future__ import annotations
 
+import json
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -253,3 +258,51 @@ def b_orbit_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
                 raise AssertionError("duplicate orbit signature; family bug")
             nodes.append(node)
     return nodes
+
+
+# ---------------------------------------------------------------------------
+# coset cache files
+
+_BODY_FIELDS = ("representatives", "action_tables")
+
+
+def read_cache(path) -> dict:
+    """The cache file at path as one document: its header line, with the
+    little-endian int32 body put back as "representatives" (size rows of
+    the ambient width), "action_tables" (rank rows of size) and each
+    certificate orbit's "members" (2^|a_set| of them)."""
+    with open(path, "rb") as fh:
+        doc = json.loads(fh.readline())
+        body = fh.read()
+    values = iter(struct.unpack(f"<{len(body) // 4}i", body))
+
+    def rows(count, length):
+        return [[next(values) for _ in range(length)] for _ in range(count)]
+
+    doc["representatives"] = rows(doc["size"], len(doc["u_gens"][0]))
+    doc["action_tables"] = rows(doc["rank"], doc["size"])
+    for orbit in (doc["certificate"] or {"orbits": ()})["orbits"]:
+        (orbit["members"],) = rows(1, 1 << len(orbit["a_set"]))
+    assert next(values, None) is None, "body longer than its header says"
+    return doc
+
+
+def write_cache(path, doc: dict, **dumps) -> None:
+    """Write a document shaped like read_cache's in the cache layout.
+
+    dumps go to json.dumps for the header line; by default it is compact
+    with sorted keys, as the package writes it.
+    """
+    header = {k: v for k, v in doc.items() if k not in _BODY_FIELDS}
+    values = [x for field in _BODY_FIELDS for row in doc[field] for x in row]
+    cert = doc.get("certificate")
+    if cert:
+        orbits = cert["orbits"]
+        header["certificate"] = dict(
+            cert, orbits=[{k: v for k, v in o.items() if k != "members"} for o in orbits]
+        )
+        values += [m for o in orbits for m in o["members"]]
+    dumps = {"sort_keys": True, "separators": (",", ":"), **dumps}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, **dumps).encode() + b"\n")
+        fh.write(struct.pack(f"<{len(values)}i", *values))

@@ -12,6 +12,8 @@ from weylinv import basis, cli, cosets
 from weylinv.errors import CertificateError
 from weylinv.roots import build_root_system
 
+from oracles import read_cache, write_cache
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -360,12 +362,95 @@ def _zeroed_delta_mask(doc):
 def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()
-    doc = json.loads(path.read_text())
+    doc = read_cache(path)
     corrupt(doc)
-    path.write_text(json.dumps(doc))
+    write_cache(path, doc)
     code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
     assert str(path) in err and "Traceback" not in err
+
+
+def _cut_body(path):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _extra_byte(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def _header_edit(**fields):
+    def edit(path):
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = dict(json.loads(header), **fields)
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+
+    return edit
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _cut_body,
+        _extra_byte,
+        pytest.param(_header_edit(size=10**12), id="size_10_12"),
+        pytest.param(_header_edit(size=33), id="size_times_u_order_not_W"),
+        pytest.param(_header_edit(u_order=1), id="u_order_not_W_over_size"),
+        _not_utf8,
+    ],
+)
+def test_bad_cache_layout_exits_2_before_reading_the_body(
+    capsys, tmp_path, monkeypatch, corrupt
+):
+    """The header and the file's length are checked before any body byte
+    is read, so a lying header never makes the loader allocate."""
+    assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    corrupt(path)
+    arrays = []
+    monkeypatch.setattr(cosets, "array", lambda *a: arrays.append(a))
+    code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "Traceback" not in err
+    assert arrays == []
+
+
+# the D4 file a format_version 1 build wrote: one line of JSON
+_V1_D4_NAME = "cosets-D4-e90f96221d20d8ac.json"
+_V1_D4 = (
+    '{"action_tables":[[0,1,4,5,2,3,6,7],[0,2,1,3,4,6,5,7],[0,1,3,2,5,4,6,'
+    '7],[1,0,2,3,4,5,7,6]],"certificate":{"frame_roots":[18,23,12,13],'
+    '"labels":["a1","b1","a2","b2"],"orbits":[{"a_set":[1,3],'
+    '"delta_masks":[2,8],"fold":2,"members":[0,1,6,7]},{"a_set":[0,2],'
+    '"delta_masks":[1,4],"fold":2,"members":[2,3,4,5]}]},'
+    '"format_version":1,"rank":4,"representatives":[[-18,-18,-18,-18],[-18,'
+    '-18,18,18],[-18,18,-18,18],[-18,18,18,-18],[18,-18,-18,18],[18,-18,18,'
+    '-18],[18,18,-18,-18],[18,18,18,18]],"size":8,"type":"D","u_gens":[[2,'
+    '-2,0,0],[0,2,-2,0],[0,0,2,-2]],"u_order":24}'
+    "\n"
+)
+
+
+def test_format_1_file_is_ignored_listed_and_cleared(capsys, tmp_path):
+    (tmp_path / _V1_D4_NAME).write_text(_V1_D4)
+    code, out, _ = run(capsys, "cosets", "D4", "--json", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["cosets"] == 8
+    sys_ = build_root_system("D", 4)
+    v2 = os.path.basename(cosets.cache_path(sys_, cosets.standard_u_gens(sys_), "."))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([_V1_D4_NAME, v2])
+    assert (tmp_path / _V1_D4_NAME).read_text() == _V1_D4
+    code, out, _ = run(capsys, "cache", "inspect", "--json", "--cache-dir", str(tmp_path))
+    spaces = {e["file"]: e for e in json.loads(out)["spaces"]}
+    assert code == 0 and sorted(spaces) == sorted([_V1_D4_NAME, v2])
+    assert spaces[_V1_D4_NAME]["format_version"] == 1
+    assert spaces[v2]["format_version"] == cosets.CACHE_FORMAT_VERSION
+    assert all(e["cosets"] == 8 and e["certified"] for e in spaces.values())
+    code, out, _ = run(capsys, "cache", "clear", "--json", "--cache-dir", str(tmp_path))
+    assert code == 0 and sorted(json.loads(out)["removed"]) == sorted([_V1_D4_NAME, v2])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_dir_is_touched_only_by_a_cache_write(capsys, tmp_path, monkeypatch):

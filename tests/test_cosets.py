@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import os
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -9,11 +11,13 @@ import pytest
 from weylinv import cosets
 from weylinv.algebra import x_monomial, zero
 from weylinv.cosets import (
+    CACHE_FORMAT_VERSION,
     CertOrbit,
     CosetSpace,
     FoldCertificate,
     _frame_tables,
     _label_bfs,
+    _coset_orbit,
     _label_width,
     _labels,
     _reflection_group_order,
@@ -35,6 +39,7 @@ from weylinv.groups import (
 )
 from weylinv.roots import _bfs_orbits, build_root_system
 
+from oracles import read_cache, write_cache
 from test_forms import _exponent_walk
 
 D4_LABELS = ("a1", "b1", "a2", "b2")
@@ -181,7 +186,7 @@ def test_sparse_reflect_key_matches_dense(d4_space):
     assert passed_through > 0
     with pytest.raises(CosetValidationError):
         _reflect_key((1, 0, 0, 0), *_reflector(sys_, sys_.simple_indices[0]))
-    vectors, edges = _label_bfs(sys_, space.representatives[0])
+    _, vectors, edges = _label_bfs(sys_, space.representatives[0])
     rank = len(sys_.simple_indices)
     self_loops = 0
     for k, key in enumerate(vectors):
@@ -198,6 +203,19 @@ def test_non_lattice_start_vector_rejected():
     sys_ = build_root_system("D", 4)
     with pytest.raises(CosetValidationError, match="weight lattice"):
         _label_bfs(sys_, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "system", [("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("E", 7), ("E", 8)]
+)
+def test_count_only_coset_bfs_matches_the_full_one(system):
+    sys_ = build_root_system(*system)
+    gens = standard_u_gens(sys_)
+    size, vectors, edges, u_order = _coset_orbit(sys_, gens)
+    assert size == len(vectors) and len(edges) == size * sys_.rank
+    assert _coset_orbit(sys_, gens, record=False) == (size, [], array("l"), u_order)
+    with pytest.raises(CosetValidationError, match="weight lattice"):
+        _label_bfs(sys_, (1,) + (0,) * (len(vectors[0]) - 1), False)
 
 
 def _dense_orbit(sys_, start):
@@ -494,34 +512,103 @@ def test_cache_format_version_rejected(tmp_path, d4_space):
     cache = str(tmp_path)
     build_coset_space(sys_, cache_dir=cache)
     path = cache_path(sys_, standard_u_gens(sys_), cache)
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_cache(path)
     doc["format_version"] = 99
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_cache(path, doc)
     with pytest.raises(CacheFormatError):
         build_coset_space(sys_, cache_dir=cache)
-    doc["format_version"] = 1
+    doc["format_version"] = CACHE_FORMAT_VERSION
     del doc["u_order"]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_cache(path, doc)
     with pytest.raises(CacheFormatError, match="u_order") as bad:
         build_coset_space(sys_, cache_dir=cache)
     assert path in str(bad.value)
 
 
-def test_indented_cache_file_loads(tmp_path, d4_space):
-    """Files written with indent=2 by older versions still load."""
+def test_respaced_cache_header_loads(tmp_path, d4_space):
+    """A header re-dumped with default separators and reversed key order
+    still loads."""
     sys_, _ = d4_space
     cache = str(tmp_path)
     built = build_coset_space(sys_, cache_dir=cache)
     path = cache_path(sys_, standard_u_gens(sys_), cache)
-    with open(path) as fh:
-        doc = json.load(fh)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+    doc = read_cache(path)
+    write_cache(path, dict(reversed(doc.items())), sort_keys=False, separators=None)
+    assert open(path, "rb").readline().startswith(b'{"u_order": 24, "u_gens": ')
     loaded = build_coset_space(sys_, cache_dir=cache)
     assert isinstance(loaded, CosetSpace) and loaded == built
+
+
+def test_cache_oracle_round_trips_the_bytes(tmp_path):
+    """The test-side reader and writer give back the file's own bytes,
+    and the header line is compact JSON with sorted keys."""
+    sys_ = build_root_system("D", 6)
+    space = build_coset_space(sys_, cache_dir=str(tmp_path))
+    path = cache_path(sys_, standard_u_gens(sys_), str(tmp_path))
+    written = open(path, "rb").read()
+    doc = read_cache(path)
+    assert doc["representatives"] == [list(k) for k in space.representatives]
+    assert doc["action_tables"] == [list(t) for t in space.action_tables]
+    assert [o["members"] for o in doc["certificate"]["orbits"]] == [
+        list(o.members) for o in space.certificate.orbits
+    ]
+    write_cache(path, doc)
+    assert open(path, "rb").read() == written
+    header = written.split(b"\n", 1)[0]
+    assert header == json.dumps(
+        json.loads(header), sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+@pytest.mark.parametrize("system", [("D", 4), ("D", 6), ("D", 8), ("E", 7), ("E", 8)])
+def test_loaded_space_equals_fresh_build(tmp_path, system):
+    """A space read back from its cache file equals one built without a
+    cache, its canonical frame's certificate included."""
+    sys_ = build_root_system(*system)
+    fresh = build_coset_space(sys_)
+    (_, frame), = standard_frames(sys_)
+    fresh = replace(fresh, certificate=full_check(sys_, fresh, frame))
+    build_coset_space(sys_, cache_dir=str(tmp_path))
+    path = cache_path(sys_, standard_u_gens(sys_), str(tmp_path))
+    loaded = cosets._load_space(sys_, standard_u_gens(sys_), path)
+    assert loaded == fresh
+    assert loaded.certificate is not None
+
+
+@pytest.mark.parametrize("extra", [-4, 1])
+def test_body_changed_after_its_length_check_is_rejected(
+    tmp_path, monkeypatch, extra
+):
+    """A body cut short or grown after os.fstat measured it: the reads
+    at exact counts still catch it."""
+    sys_ = build_root_system("D", 4)
+    build_coset_space(sys_, cache_dir=str(tmp_path))
+    path = cache_path(sys_, standard_u_gens(sys_), str(tmp_path))
+    good = os.path.getsize(path)
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:extra] if extra < 0 else data + b"\0" * extra)
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        return os.stat_result(
+            tuple(real_fstat(fd)[:6]) + (good,) + tuple(real_fstat(fd)[7:])
+        )
+
+    monkeypatch.setattr(cosets.os, "fstat", stale_fstat)
+    why = "ends inside its body" if extra < 0 else "bytes past its body"
+    with pytest.raises(CacheFormatError, match=why) as bad:
+        build_coset_space(sys_, cache_dir=str(tmp_path))
+    assert path in str(bad.value)
+
+
+def test_space_past_int32_is_not_cached(tmp_path):
+    """One A1 as U in F4 puts coordinates past 2^31 in the coset keys:
+    the space is built, and no cache file is written for it."""
+    sys_ = build_root_system("F", 4)
+    space = build_coset_space(sys_, (0,), cache_dir=str(tmp_path))
+    assert max(abs(x) for k in space.representatives for x in k) >= 1 << 31
+    assert space.representatives == build_coset_space(sys_, (0,)).representatives
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_certificate_reused(tmp_path):
