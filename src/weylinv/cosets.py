@@ -1,14 +1,16 @@
 """Coset spaces U\\W without enumerating W, and their fold certificates.
 
-A coset Ug is keyed by the vector g^{-1}(v_U), where v_U is an integer
-vector in the root lattice fixed by U and orthogonal to no root outside
-the subsystem Sigma_U.  The stabiliser of a vector in a reflection group
-is generated by the reflections fixing it, so that orthogonality
-condition makes the stabiliser exactly U and the key map injective on
-cosets.  This keeps E8 tractable: the 17280 cosets are found by a BFS
-over the simple reflections instead of walking 7 x 10^8 group elements.
-The BFS runs on each key's Dynkin labels packed into one int, where a
-simple reflection is a field read and one subtraction (_label_bfs); the
+A coset Ug is keyed by the vector g^{-1}(v_U), where v_U is a primitive
+vector of the weight lattice fixed by U and orthogonal to no root
+outside the subsystem Sigma_U.  The stabiliser of a vector in a
+reflection group is generated by the reflections fixing it, so that
+orthogonality condition makes the stabiliser exactly U and the key map
+injective on cosets.  This keeps E8 tractable: the 17280 cosets are
+found by a BFS over the simple reflections instead of walking 7 x 10^8
+group elements.  The BFS runs on each key's Dynkin labels packed into
+one int, where a simple reflection is a field read and one subtraction
+(_label_bfs); each label field is as wide as the largest label on the
+orbit needs, which is 3 bits for E8, so an E8 key is a 24-bit int.  The
 doubled-coordinate key is built once per new coset from its parent.
 |U| is never enumerated either: a chain of root orbits gives it as
 |U r| x |Stab_U(r)|, the stabiliser again a reflection group by
@@ -30,9 +32,11 @@ certificate with each orbit's a_set, fold and delta masks.  The body
 holds, in order, the representatives row by row (size x ambient width),
 the rank action tables, and each certificate orbit's 2^|a_set| members.
 The header thus fixes the body's length, which the loader checks against
-the file before it reads the body.  The file name hashes the format
-version, so files of version 1 (one JSON document) are never opened by a
-build; `cache inspect` lists them and `cache clear` removes them.
+the file before it reads the body, as it checks the stored u_order
+against |U| from the requested generators.  The file name hashes the
+format version, so files of version 1 (one JSON document) are never
+opened by a build; `cache inspect` lists them and `cache clear` removes
+them.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from math import isqrt
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -174,17 +178,26 @@ def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
     Steinberg's theorem Stab(r) is generated by the reflections fixing
     r, i.e. it is the reflection group of the roots of Sigma orthogonal
     to r, again reflection-closed.  Repeat until no roots are left; for
-    the S8 inside E8 the chain is 56 x 30 x 12 x 2.
+    the S8 inside E8 the chain is 56 x 30 x 12 x 2.  W r is the set of
+    roots of r's length in r's irreducible component (Humphreys,
+    Introduction to Lie Algebras, 10.4 Lemma C), and that component is
+    r's class under the chains of non-orthogonal roots, so only the
+    inner products within Sigma are read.
     """
-    images = {r: sys_.reflection_images(r) for r in roots if sys_.canonical_rep[r] == r}
     order = 1
-    left = list(roots)
+    left = [sys_.roots[r].doubled for r in roots]
     while left:
-        mirrors = [images[r] for r in left if r in images]
-        orbit = _bfs_orbits(left[:1], lambda r: [m[r] for m in mirrors])[0]
-        order *= len(orbit)
-        row = sys_.gram_row(orbit[0])
-        left = [r for r in left if not row[r]]
+        first, rest = left[0], set(left[1:])
+
+        def near(v: Key) -> list[Key]:
+            found = [w for w in rest if sum(map(mul, v, w))]
+            rest.difference_update(found)
+            return found
+
+        length = sum(map(mul, first, first))
+        component = _bfs_orbits([first], near)[0]
+        order *= sum(1 for v in component if sum(map(mul, v, v)) == length)
+        left = [v for v in left if not sum(map(mul, v, first))]
     return order
 
 
@@ -207,10 +220,13 @@ def _labels(simple: Sequence[Key], vec: Key) -> list[int]:
     return out
 
 
-def _label_width(simple: Sequence[Key], vec: Key) -> int:
-    """Bits per packed label for the W-orbit of vec (see _label_bfs)."""
-    vv = sum(map(mul, vec, vec))
-    bound = max(isqrt(4 * vv // sum(map(mul, a, a))) for a in simple)
+def _label_width(sys_: RootSystem, vec: Key) -> int:
+    """Bits per packed label for the W-orbit of vec, a weight-lattice
+    vector (see _label_bfs): one sign bit past the largest |label|."""
+    bound = max(
+        abs(2 * sum(map(mul, b, vec)) // sum(map(mul, b, b)))
+        for b in (sys_.roots[i].doubled for i in sys_.lines)
+    )
     return bound.bit_length() + 1
 
 
@@ -228,19 +244,24 @@ def _label_bfs(
     the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels of
     s_i(v) are c_j - c_i A_ij, where A_ij = 2(a_i, a_j)/(a_j, a_j), so
     the image key is key - c_i row_i, row_i = sum_j A_ij 2^(w j), and
-    c_i is read off field i.  This is exact: by Cauchy-Schwarz
-    c_j^2 <= 4(v, v)/(a_j, a_j), and (v, v) is W-invariant, so w is
-    taken with off > max_j sqrt(4(v, v)/(a_j, a_j)) and every label of
-    every orbit vector has c_j + off in [1, 2^w - 1].  Each key is then
-    the base-2^w expansion of its labels, field reads are exact, and two
-    keys agree exactly when the labels do, that is (v lies in the span of
-    the roots) when the vectors do.  Integer labels stay integral under
-    integer Cartan rows, so the lattice check on start covers the orbit.
-    Each new vector is its parent minus c_i a_i over a_i's support.
-    A packed kernel that records edges, so not roots._bfs_orbits.
+    c_i is read off field i.  This is exact: the labels of w(v) are
+    2(v, b)/(b, b) with b = w^-1(a_j), a root, and every root is
+    W-conjugate to a simple one, so the largest |label| on the orbit is
+    M = max over the roots b of |2(v, b)/(b, b)|.  w is taken with
+    off = 2^(w-1) > M, so every label of every orbit vector has
+    c_j + off in [1, 2^w - 1].  Each key is then the base-2^w expansion
+    of its labels, field reads are exact, and two keys agree exactly
+    when the labels do, that is (v lies in the span of the roots) when
+    the vectors do.  Integer labels stay integral under integer Cartan
+    rows, so the lattice check on start, made before M is taken, covers
+    the orbit.  _coset_orbit hands in a primitive start (see
+    _invariant_vector): for E8, M is 3 and a key is 24 bits.  Each new
+    vector is its parent minus c_i a_i over a_i's support.  A packed
+    kernel that records edges, so not roots._bfs_orbits.
     """
     simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
-    width = _label_width(simple, start)
+    labels = _labels(simple, start)
+    width = _label_width(sys_, start)
     off, mask = 1 << (width - 1), (1 << width) - 1
     steps = [
         (
@@ -250,7 +271,7 @@ def _label_bfs(
         )
         for i, a in enumerate(simple)
     ]
-    first = sum((c + off) << (width * j) for j, c in enumerate(_labels(simple, start)))
+    first = sum((c + off) << (width * j) for j, c in enumerate(labels))
     keys = [first]
     if not record:
         seen = {first}
@@ -295,7 +316,8 @@ def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key
 def _invariant_vector(
     sys_: RootSystem, images: Sequence[Sequence[int]], domain_lines: set[int]
 ) -> Key:
-    """A root-lattice vector whose stabiliser in W is exactly U.
+    """A primitive weight-lattice vector whose stabiliser in W is
+    exactly U.
 
     images are the reflection tables of U's generators.  Candidates are
     weighted sums of the U-orbit sums of the roots (each summand is
@@ -303,7 +325,11 @@ def _invariant_vector(
     when the set of roots orthogonal to it is precisely Sigma_U: by
     Steinberg's theorem the stabiliser of a vector is generated by the
     reflections fixing it, so acceptance proves Stab(v) = U and the
-    coset key g^{-1}(v) is collision-free.
+    coset key g^{-1}(v) is collision-free.  The accepted vector is
+    divided by the gcd g of its doubled coordinates and its Dynkin
+    labels, which keeps both integral; a positive multiple has the same
+    orthogonal roots, so the proof stands, and the same order on its
+    orbit.  g is 294 for E8, 242 for E7 and 18 for D4.
     """
     sums = _u_orbit_sums(sys_, images)
     for t in range(1, 65):
@@ -324,7 +350,9 @@ def _invariant_vector(
             == 0
         }
         if perp == domain_lines:
-            return tuple(vec)
+            simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+            g = gcd(*vec, *_labels(simple, vec))
+            return tuple(x // g for x in vec)
     raise CosetValidationError(
         "no generic invariant vector found; the orbit-sum family does not "
         "span the fixed space of this subgroup"
@@ -357,6 +385,25 @@ def build_coset_space(
     return space
 
 
+def _sigma_u(sys_: RootSystem, u_gen_roots: Sequence[int]) -> list[int]:
+    """Sigma_U, the roots of U, ascending: the U-orbit of the generators'
+    roots.  Each member is u(g), and s_u(g) = u s_g u^-1 lies in U, so
+    the orbit is closed under reflecting its members in each other.  It
+    is searched on doubled vectors, so no reflection table is built."""
+    gens = [sys_.roots[g].doubled for g in u_gen_roots]
+    norms = [sum(map(mul, g, g)) for g in gens]
+
+    def images(v: Key) -> list[Key]:
+        out = []
+        for g, gg in zip(gens, norms):
+            c = 2 * sum(map(mul, g, v)) // gg  # a Cartan integer: exact
+            out.append(tuple([b - c * a for a, b in zip(g, v)]) if c else v)
+        return out
+
+    orbits = _bfs_orbits(gens, images)
+    return sorted(sys_.index[v] for orbit in orbits for v in orbit)
+
+
 def _coset_orbit(
     sys_: RootSystem, u_gen_roots: Sequence[int], record: bool = True
 ) -> tuple[int, list[Key], array, int]:
@@ -364,11 +411,7 @@ def _coset_orbit(
     both empty with record False) and |U|, after checking the order
     identity |orbit| x |U| = |W|."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
-    # Sigma_U is the U-orbit of the generators' roots: each member is
-    # u(g), and s_u(g) = u s_g u^-1 lies in U, so the orbit is closed
-    # under reflecting its members in each other
-    orbits = _bfs_orbits(u_gen_roots, lambda r: [img[r] for img in images])
-    sigma_u = sorted(r for orbit in orbits for r in orbit)
+    sigma_u = _sigma_u(sys_, u_gen_roots)
     u_order = _reflection_group_order(sys_, sigma_u)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
     size, vectors, edges = _label_bfs(sys_, start, record)
@@ -679,6 +722,12 @@ def _load_space(
                     f"cache file {path} is inconsistent: size x |U| = "
                     f"{size!r} x {u_order!r} != |W| = {order}"
                 )
+            true_order = _reflection_group_order(sys_, _sigma_u(sys_, u_gen_roots))
+            if u_order != true_order:
+                raise CacheFormatError(
+                    f"cache file {path} has u_order {u_order}; its generators "
+                    f"give |U| = {true_order}"
+                )
             width = len(sys_.roots[0].doubled)
             ngen = len(sys_.simple_indices)
             orbits = c["orbits"] if c else []
@@ -747,9 +796,6 @@ def _structural_problem(
     """
     if space.size != size:
         return f"{space.size} representatives for size {size}"
-    expected = weyl_order(sys_)
-    if size * space.u_order != expected:
-        return f"size x |U| = {size} x {space.u_order} != |W| = {expected}"
     if len(space.action_tables) != len(sys_.simple_indices):
         return f"{len(space.action_tables)} action tables for rank {sys_.rank}"
     for i, t in enumerate(space.action_tables):

@@ -344,12 +344,6 @@ class OmegaClasses:
     )
 
 
-def _frame_image(
-    key: tuple[int, ...], images: tuple[int, ...], canonical: tuple[int, ...]
-) -> tuple[int, ...]:
-    return tuple(sorted(canonical[images[i]] for i in key))
-
-
 def omega_classes(
     sys_: RootSystem, max_frames: int = DEFAULT_FRAME_CAP
 ) -> OmegaClasses:
@@ -371,19 +365,26 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
         frames = maximal_orthogonal_frames(sys_, max_frames)
     except CapExceededError:
         return _omega_inductive(sys_)
-    all_keys = set(frames)
-    gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
+    # a frame is the bytes of its sorted root indices, and a simple
+    # reflection maps it by one line table, r -> canonical_rep[s(r)]
+    # (root indices stay below 256, as in enumerate_subgroup); bytes
+    # order like the index tuples, so orbits and least members agree
+    keys = [bytes(frame) for frame in frames]
+    all_keys = set(keys)
     canonical = sys_.canonical_rep
+    lines = [
+        bytes(canonical[r] for r in sys_.reflection_images(i)).ljust(256, b"\0")
+        for i in sys_.simple_indices
+    ]
     orbits = _bfs_orbits(
-        frames,
-        lambda key: [_frame_image(key, g, canonical) for g in gens],
+        keys, lambda key: [bytes(sorted(key.translate(t))) for t in lines]
     )
     if not all(all_keys.issuperset(orbit) for orbit in orbits):
         raise AssertionError(
             "orbit left the maximal-frame set; clique enumeration is incomplete"
         )
-    class_of = {key: cls for cls, orbit in enumerate(orbits) for key in orbit}
-    reps = [min(orbit) for orbit in orbits]
+    class_of = {tuple(key): cls for cls, orbit in enumerate(orbits) for key in orbit}
+    reps = [tuple(min(orbit)) for orbit in orbits]
     sizes = [len(orbit) for orbit in orbits]
     if sum(sizes) != len(frames):
         raise AssertionError("orbit sizes do not sum to the frame count")

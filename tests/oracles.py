@@ -15,6 +15,10 @@ directly, and the tests check the direct form against it:
   * read_cache / write_cache - a coset cache file as one JSON document
     shaped like a version 1 file, unpacked and packed with struct;
     weylinv.cosets reads the header and the int32 body on its own.
+  * unreduced_invariant_vector / cauchy_schwarz_label_width - the coset
+    BFS's start as the accepted root-lattice vector itself, and a label
+    field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
+    start down to a primitive vector and takes the exact largest label.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from weylinv.algebra import (
@@ -34,7 +40,8 @@ from weylinv.algebra import (
     zero,
 )
 from weylinv.basis import normalizer_families
-from weylinv.errors import ContextMismatchError
+from weylinv.cosets import _u_orbit_sums
+from weylinv.errors import ContextMismatchError, CosetValidationError
 from weylinv.groups import standard_frames
 from weylinv.roots import build_root_system
 
@@ -306,3 +313,42 @@ def write_cache(path, doc: dict, **dumps) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, **dumps).encode() + b"\n")
         fh.write(struct.pack(f"<{len(values)}i", *values))
+
+
+# ---------------------------------------------------------------------------
+# coset BFS start and label width
+
+
+def unreduced_invariant_vector(sys_, images, domain_lines):
+    """A root-lattice vector whose stabiliser in W is exactly U: the first
+    weighted sum of U-orbit sums whose orthogonal roots are Sigma_U,
+    taken as it is, without dividing out a common factor."""
+    sums = _u_orbit_sums(sys_, images)
+    for t in range(1, 65):
+        vec = [0] * len(sums[0])
+        weight = 1
+        for s in sums:
+            for i, d in enumerate(s):
+                vec[i] += weight * d
+            weight *= t
+        if not any(vec):
+            continue
+        perp = {
+            pos
+            for pos in range(len(sys_.lines))
+            if sum(
+                a * b for a, b in zip(sys_.roots[sys_.lines[pos]].doubled, vec)
+            )
+            == 0
+        }
+        if perp == domain_lines:
+            return tuple(vec)
+    raise CosetValidationError("no generic invariant vector found")
+
+
+def cauchy_schwarz_label_width(simple, vec) -> int:
+    """Bits per packed label from c_j^2 <= 4(v, v)/(a_j, a_j), a bound
+    that holds on the whole W-orbit because (v, v) is W-invariant."""
+    vv = sum(map(mul, vec, vec))
+    bound = max(isqrt(4 * vv // sum(map(mul, a, a))) for a in simple)
+    return bound.bit_length() + 1

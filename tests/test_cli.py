@@ -418,6 +418,25 @@ def test_bad_cache_layout_exits_2_before_reading_the_body(
     assert arrays == []
 
 
+def test_forged_u_order_exits_2(capsys, tmp_path):
+    """A D4 file claiming 4 cosets and |U| = 48 is consistent with |W|,
+    its tables and its certificate, but not with its generators, which
+    give |U| = 24."""
+    assert run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    doc = read_cache(path)
+    doc.update(size=4, u_order=48)
+    doc["representatives"] = doc["representatives"][:4]
+    doc["action_tables"] = [list(range(4))] * 4
+    doc["certificate"]["orbits"] = [
+        {"a_set": [], "delta_masks": [], "fold": 0, "members": [k]} for k in range(4)
+    ]
+    write_cache(path, doc)
+    code, out, err = run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "u_order 48" in err and "Traceback" not in err
+
+
 # the D4 file a format_version 1 build wrote: one line of JSON
 _V1_D4_NAME = "cosets-D4-e90f96221d20d8ac.json"
 _V1_D4 = (

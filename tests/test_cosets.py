@@ -5,6 +5,8 @@ import json
 import os
 from array import array
 from dataclasses import replace
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -39,7 +41,12 @@ from weylinv.groups import (
 )
 from weylinv.roots import _bfs_orbits, build_root_system
 
-from oracles import read_cache, write_cache
+from oracles import (
+    cauchy_schwarz_label_width,
+    read_cache,
+    unreduced_invariant_vector,
+    write_cache,
+)
 from test_forms import _exponent_walk
 
 D4_LABELS = ("a1", "b1", "a2", "b2")
@@ -245,18 +252,18 @@ def test_label_bfs_matches_dense(label, rank):
 
 def test_e8_labels_inside_field_bound():
     """Every packed label of the E8 space lies strictly inside its field:
-    |c_j| < 2^(w-1), with w from the W-invariant Cauchy-Schwarz bound."""
+    |c_j| < 2^(w-1), with w from the exact bound over the roots."""
     sys_ = build_root_system("E", 8)
     space = build_coset_space(sys_)
     simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
-    width = _label_width(simple, space.representatives[0])
+    width = _label_width(sys_, space.representatives[0])
     off = 1 << (width - 1)
     biggest = max(
         abs(c) for key in space.representatives for c in _labels(simple, key)
     )
     assert 0 < biggest < off
     # the bound is W-invariant: every representative gives the same width
-    assert {_label_width(simple, key) for key in space.representatives} == {width}
+    assert {_label_width(sys_, key) for key in space.representatives} == {width}
 
 
 def _sigma_u(sys_, u_gens):
@@ -299,6 +306,100 @@ def test_u_order_chain_matches_enumeration(label, rank, custom):
     space = build_coset_space(sys_, u_gens)
     assert space.u_order == order
     assert space.size * order == weyl_order(sys_)
+
+
+_START_SYSTEMS = [
+    ("D", 4, False), ("D", 5, False), ("D", 6, False), ("D", 7, False),
+    ("D", 8, False), ("E", 7, False), ("E", 8, False), ("D", 4, True),
+    ("E", 6, True),
+]
+
+
+def _u_and_starts(label, rank, custom):
+    """The system, U's generators, the primitive start the package takes
+    and the oracle's unreduced one."""
+    if custom:
+        sys_, u_gens = _custom_u(label, rank)
+    else:
+        sys_ = build_root_system(label, rank)
+        u_gens = standard_u_gens(sys_)
+    images = [sys_.reflection_images(g) for g in u_gens]
+    lines = {sys_.line_of[r] for r in _sigma_u(sys_, u_gens)}
+    start = cosets._invariant_vector(sys_, images, lines)
+    unreduced = unreduced_invariant_vector(sys_, images, lines)
+    return sys_, u_gens, start, unreduced
+
+
+def _unreduced_route(monkeypatch, sys_):
+    """Make the package start its BFS from the unreduced vector with the
+    Cauchy-Schwarz field width, as it did before the start was reduced."""
+    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    monkeypatch.setattr(cosets, "_invariant_vector", unreduced_invariant_vector)
+    monkeypatch.setattr(
+        cosets, "_label_width", lambda _, vec: cauchy_schwarz_label_width(simple, vec)
+    )
+
+
+@pytest.mark.parametrize("label,rank,custom", _START_SYSTEMS)
+def test_primitive_start_matches_the_unreduced_oracle(
+    monkeypatch, label, rank, custom
+):
+    """The primitive start gives the oracle's space at 1/g of its scale:
+    the same size, |U|, action tables and certificate."""
+    sys_, u_gens, start, unreduced = _u_and_starts(label, rank, custom)
+    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    assert gcd(*start, *_labels(simple, start)) == 1
+    g = gcd(*unreduced, *_labels(simple, unreduced))
+    assert tuple(g * x for x in start) == unreduced
+    space = build_coset_space(sys_, u_gens)
+    cert = cosets._canonical_certificate(sys_, space)
+    with monkeypatch.context() as m:
+        _unreduced_route(m, sys_)
+        old = build_coset_space(sys_, u_gens)
+        old_cert = cosets._canonical_certificate(sys_, old)
+    assert (space.size, space.u_order) == (old.size, old.u_order)
+    assert space.action_tables == old.action_tables
+    assert cert == old_cert
+    assert [tuple(g * x for x in key) for key in space.representatives] == list(
+        old.representatives
+    )
+    # the exact bound is the largest |label| on the orbit, and fits in
+    # the width the kernel takes for it
+    bound = max(
+        abs(2 * sum(map(mul, b, start)) // sum(map(mul, b, b)))
+        for b in (r.doubled for r in sys_.roots)
+    )
+    biggest = max(
+        abs(c) for key in space.representatives for c in _labels(simple, key)
+    )
+    assert bound == biggest
+    assert _label_width(sys_, start) == biggest.bit_length() + 1
+    assert _label_width(sys_, start) <= cauchy_schwarz_label_width(simple, start)
+
+
+@pytest.mark.parametrize("system", [("D", 4), ("D", 8), ("E", 7), ("E", 8)])
+def test_unreduced_version_2_file_loads(tmp_path, monkeypatch, system):
+    """A version 2 file written from the unreduced start, its
+    representatives g times the primitive ones, still loads, and gives
+    the tables and certificate of a fresh build."""
+    sys_, u_gens, _, unreduced = _u_and_starts(*system, False)
+    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    g = gcd(*unreduced, *_labels(simple, unreduced))
+    fresh = build_coset_space(sys_, cache_dir=str(tmp_path))
+    path = cache_path(sys_, u_gens, str(tmp_path))
+    doc = read_cache(path)
+    doc["representatives"] = [[g * x for x in key] for key in doc["representatives"]]
+    write_cache(path, doc)
+    # byte for byte the file the unreduced route writes
+    with monkeypatch.context() as m:
+        _unreduced_route(m, sys_)
+        build_coset_space(sys_, cache_dir=str(tmp_path / "old"))
+    old_path = cache_path(sys_, u_gens, str(tmp_path / "old"))
+    assert open(old_path, "rb").read() == open(path, "rb").read()
+    loaded = build_coset_space(sys_, cache_dir=str(tmp_path))
+    assert loaded.action_tables == fresh.action_tables
+    assert loaded.certificate == fresh.certificate is not None
+    assert (loaded.size, loaded.u_order) == (fresh.size, fresh.u_order)
 
 
 def test_closure_matches_mutual_reflection():
