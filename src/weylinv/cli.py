@@ -22,15 +22,13 @@ from typing import Optional, Sequence
 
 from .basis import generators_for, restrict, verify_basis
 from .cosets import (
+    _inspect_entries,
     build_coset_space,
-    cache_path,
     clear_cache,
     full_check,
-    read_cache_file,
     standard_u_gens,
 )
 from .errors import (
-    CacheFormatError,
     CapExceededError,
     CertificateError,
     CosetValidationError,
@@ -421,29 +419,7 @@ def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
             [f"removed {len(removed)} file(s)"] + [f"  {n}" for n in removed],
         )
         return 0
-    entries = []
-    if os.path.exists(cfg.cache_dir):  # listdir rejects a file, naming it
-        for name in sorted(os.listdir(cfg.cache_dir)):
-            if not (name.startswith("cosets-") and name.endswith(".json")):
-                continue
-            path = os.path.join(cfg.cache_dir, name)
-            doc = read_cache_file(path)
-            try:
-                entries.append(
-                    {
-                        "file": name,
-                        "bytes": os.path.getsize(path),
-                        "type": doc["type"],
-                        "rank": doc["rank"],
-                        "cosets": doc["size"],
-                        "format_version": doc["format_version"],
-                        "certified": doc["certificate"] is not None,
-                    }
-                )
-            except KeyError as bad:
-                raise CacheFormatError(
-                    f"cache file {path} has no {bad.args[0]!r} entry"
-                ) from None
+    entries = _inspect_entries(cfg.cache_dir)
     lines = [f"{len(entries)} cached space(s) in {cfg.cache_dir}"]
     for e in entries:
         cert = "certified" if e["certified"] else "no certificate"

@@ -10,33 +10,37 @@ found by a BFS over the simple reflections instead of walking 7 x 10^8
 group elements.  The BFS runs on each key's Dynkin labels packed into
 one int, where a simple reflection is a field read and one subtraction
 (_label_bfs); each label field is as wide as the largest label on the
-orbit needs, which is 3 bits for E8, so an E8 key is a 24-bit int.  The
-doubled-coordinate key is built once per new coset from its parent.
-|U| is never enumerated either: a chain of root orbits gives it as
-|U r| x |Stab_U(r)|, the stabiliser again a reflection group by
-Steinberg's theorem.  The order identity |orbit| x |U| = |W| is still
-re-checked at build time.
+orbit needs, which is 3 bits for E8, so an E8 key is a 24-bit int.
+Cosets are numbered in the BFS's discovery order, and a space is its
+action tables: table i sends coset k to the coset of s_i applied to
+k's key, that is Ug to Ugs_i.  The keys themselves are dropped once the
+BFS is done.  |U| is never enumerated either: a chain of root orbits
+gives it as |U r| x |Stab_U(r)|, the stabiliser again a reflection
+group by Steinberg's theorem.  The order identity |orbit| x |U| = |W|
+is still re-checked at build time.
 
 Frame actions on the cosets decompose into orbits whose sizes are powers
 of two; the fold certificate records, per orbit, the generator subset
 that acts simply transitively, which is exactly the datum needed to
 place the associated form in a power of the fundamental ideal.  Once the
-frame tables are checked to be commuting involutions, each orbit with
-its active subset, fold and delta masks comes from the permutation
-route's kernel, forms._orbit_pfister (see full_check).
+frame tables are checked to be commuting involutions, each orbit and
+its active subset come from the permutation route's kernel,
+forms._orbit_pfister; the fold and delta masks follow from the active
+subset (see full_check).
 
-A cache file (format_version 2) is one line of compact JSON with sorted
+A cache file (format_version 3) is one line of compact JSON with sorted
 keys, the header, then a little-endian int32 body.  The header holds
-everything but the bulk: type, rank, u_gens, u_order, size and the
-certificate with each orbit's a_set, fold and delta masks.  The body
-holds, in order, the representatives row by row (size x ambient width),
-the rank action tables, and each certificate orbit's 2^|a_set| members.
-The header thus fixes the body's length, which the loader checks against
-the file before it reads the body, as it checks the stored u_order
-against |U| from the requested generators.  The file name hashes the
-format version, so files of version 1 (one JSON document) are never
-opened by a build; `cache inspect` lists them and `cache clear` removes
-them.
+type, rank, u_gens, u_order, size and the certificate as the list of
+its orbits' a_sets, or null.  A certificate is only ever stored for the
+system's one standard frame, so its frame roots and labels are taken
+from standard_frames on load.  The body holds, in order, the rank action
+tables and each certificate orbit's 2^|a_set| members; every entry is a
+coset number below size.  The header thus fixes the body's length,
+which the loader checks against the file before it reads the body, as
+it checks the stored u_order against |U| from the requested generators.
+The file name hashes the format version, so files of an older version
+are never opened by a build; `cache inspect` lists them and `cache
+clear` removes them.
 """
 from __future__ import annotations
 
@@ -80,22 +84,34 @@ __all__ = [
     "compare_support",
     "f_restriction",
     "cache_path",
-    "read_cache_file",
     "clear_cache",
     "CACHE_FORMAT_VERSION",
 ]
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 Key = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class CertOrbit:
+    """One certified frame orbit: its members, ascending, and its active
+    set, the increasing frame positions whose reflections move it.
+
+    full_check certifies fold = |a_set|, and then the delta masks are
+    1 << i for i in a_set, so both are read off a_set.
+    """
+
     members: tuple[int, ...]
-    a_set: tuple[int, ...]  # frame positions acting non-trivially
-    fold: int
-    delta_masks: tuple[int, ...]
+    a_set: tuple[int, ...]
+
+    @property
+    def fold(self) -> int:
+        return len(self.a_set)
+
+    @property
+    def delta_masks(self) -> tuple[int, ...]:
+        return tuple(1 << i for i in self.a_set)
 
 
 @dataclass(frozen=True)
@@ -120,24 +136,21 @@ class FoldCertificate:
 
 @dataclass(frozen=True)
 class CosetSpace:
-    """U\\W as vector keys with per-simple-reflection action tables.
+    """U\\W as its per-simple-reflection action tables.
 
-    representatives[i] is a doubled-coordinate integer tuple; they are
-    sorted ascending, and the action tables are computed from that
-    sorted order, so rebuilt and cached spaces agree byte for byte.
+    The cosets are 0..size-1, numbered in the coset BFS's discovery
+    order (coset 0 is U itself), and action_tables[i][k] is the coset
+    that s_i sends coset k to.  The BFS is deterministic, so rebuilt
+    and cached spaces agree table for table.
     """
 
     type_label: str
     rank: int
     u_gen_roots: tuple[tuple[int, ...], ...]  # doubled coordinates
     u_order: int
-    representatives: tuple[Key, ...]
+    size: int
     action_tables: tuple[tuple[int, ...], ...]
     certificate: Optional[FoldCertificate] = None
-
-    @property
-    def size(self) -> int:
-        return len(self.representatives)
 
 
 def standard_u_gens(sys_: RootSystem) -> tuple[int, ...]:
@@ -232,13 +245,12 @@ def _label_width(sys_: RootSystem, vec: Key) -> int:
 
 def _label_bfs(
     sys_: RootSystem, start: Key, record: bool = True
-) -> tuple[int, list[Key], array]:
+) -> tuple[int, array]:
     """The W-orbit of start by BFS over the simple reflections.
 
-    Returns the orbit's size, its doubled-coordinate vectors in
-    discovery order and the BFS edges: edges[k * rank + i] is the BFS id
-    of s_i applied to vector k.  With record False only the keys are
-    walked, and the vectors and edges come back empty.
+    Returns the orbit's size and the BFS edges: edges[k * rank + i] is
+    the id, in discovery order, of s_i applied to vector k.  With record
+    False only the keys are walked, and the edges come back empty.
 
     The BFS runs on packed Dynkin labels.  A vector v with labels c_j is
     the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels of
@@ -255,8 +267,7 @@ def _label_bfs(
     the vectors do.  Integer labels stay integral under integer Cartan
     rows, so the lattice check on start, made before M is taken, covers
     the orbit.  _coset_orbit hands in a primitive start (see
-    _invariant_vector): for E8, M is 3 and a key is 24 bits.  Each new
-    vector is its parent minus c_i a_i over a_i's support.  A packed
+    _invariant_vector): for E8, M is 3 and a key is 24 bits.  A packed
     kernel that records edges, so not roots._bfs_orbits.
     """
     simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
@@ -264,11 +275,7 @@ def _label_bfs(
     width = _label_width(sys_, start)
     off, mask = 1 << (width - 1), (1 << width) - 1
     steps = [
-        (
-            width * i,
-            sum(c << (width * j) for j, c in enumerate(_labels(simple, a))),
-            tuple((p, x) for p, x in enumerate(a) if x),
-        )
+        (width * i, sum(c << (width * j) for j, c in enumerate(_labels(simple, a))))
         for i, a in enumerate(simple)
     ]
     first = sum((c + off) << (width * j) for j, c in enumerate(labels))
@@ -276,17 +283,16 @@ def _label_bfs(
     if not record:
         seen = {first}
         for key in keys:
-            for shift, row, _ in steps:
+            for shift, row in steps:
                 q = ((key >> shift) & mask) - off
                 if q and (img := key - q * row) not in seen:
                     seen.add(img)
                     keys.append(img)
-        return len(keys), [], array("l")
+        return len(keys), array("l")
     ids = {first: 0}
-    vectors = [start]
     edges = array("l")
     for k, key in enumerate(keys):  # FIFO: the loop reaches appended keys
-        for shift, row, support in steps:
+        for shift, row in steps:
             q = ((key >> shift) & mask) - off
             if not q:
                 edges.append(k)
@@ -296,12 +302,8 @@ def _label_bfs(
             if j is None:
                 j = ids[img] = len(keys)
                 keys.append(img)
-                vec = list(vectors[k])
-                for p, x in support:
-                    vec[p] -= q * x
-                vectors.append(tuple(vec))
             edges.append(j)
-    return len(keys), vectors, edges
+    return len(keys), edges
 
 
 def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
@@ -406,46 +408,39 @@ def _sigma_u(sys_: RootSystem, u_gen_roots: Sequence[int]) -> list[int]:
 
 def _coset_orbit(
     sys_: RootSystem, u_gen_roots: Sequence[int], record: bool = True
-) -> tuple[int, list[Key], array, int]:
-    """|U\\W|, the coset keys in BFS order, the BFS edges (see _label_bfs;
-    both empty with record False) and |U|, after checking the order
-    identity |orbit| x |U| = |W|."""
+) -> tuple[int, array, int]:
+    """|U\\W|, the BFS edges (see _label_bfs; empty with record False)
+    and |U|, after checking the order identity |orbit| x |U| = |W|."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
     sigma_u = _sigma_u(sys_, u_gen_roots)
     u_order = _reflection_group_order(sys_, sigma_u)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
-    size, vectors, edges = _label_bfs(sys_, start, record)
+    size, edges = _label_bfs(sys_, start, record)
     expected = weyl_order(sys_)
     if size * u_order != expected:
         raise CosetValidationError(
             f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
             "the coset enumeration is inconsistent with the group order"
         )
-    return size, vectors, edges, u_order
+    return size, edges, u_order
 
 
 def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
-    size, vectors, edges, u_order = _coset_orbit(sys_, u_gen_roots)
+    """The space with the cosets in BFS order: table i is the BFS edges'
+    column i."""
+    size, edges, u_order = _coset_orbit(sys_, u_gen_roots)
     ngen = len(sys_.simple_indices)
-    order = sorted(range(size), key=vectors.__getitem__)  # sorted pos -> BFS id
-    reps = tuple(vectors[k] for k in order)
-    position = [0] * size  # BFS id -> sorted pos
-    for i, k in enumerate(order):
-        position[k] = i
-    tables = []
-    for g in range(ngen):
-        column = edges[g::ngen]
-        table = _compose(position, _compose(column, order))
-        if sorted(table) != list(range(size)):
-            raise CosetValidationError("action table is not a bijection")
-        tables.append(table)
+    ids = list(range(size))  # one int object per coset, shared by the tables
+    tables = tuple(_compose(ids, edges[g::ngen]) for g in range(ngen))
+    if any(sorted(t) != list(range(size)) for t in tables):
+        raise CosetValidationError("action table is not a bijection")
     return CosetSpace(
         type_label=sys_.type_label,
         rank=sys_.rank,
         u_gen_roots=tuple(sys_.roots[g].doubled for g in u_gen_roots),
         u_order=u_order,
-        representatives=reps,
-        action_tables=tuple(tables),
+        size=size,
+        action_tables=tables,
     )
 
 
@@ -522,7 +517,8 @@ def full_check(
     point of the orbit fixes all of it), fold and delta masks.  The
     certificate condition is fold = |A_k|.  Then the active generators
     stay independent on the orbit, the kernel in F2^frame is spanned by
-    the inactive ones, and the delta masks are 1 << i for i in A_k.
+    the inactive ones, and the delta masks are 1 << i for i in A_k, so
+    each CertOrbit keeps only its members and A_k.
     """
     frame_roots = tuple(frame_roots)
     if space.certificate is not None and _same_frame(
@@ -542,14 +538,13 @@ def full_check(
             "commute on the cosets: the roots are not orthogonal"
         )
     cert_orbits = []
-    for oi, orbit in enumerate(_orbit_pfister(tables, space.size)):
-        members, a_set, fold, _ = orbit
+    for oi, (members, a_set, fold, _) in enumerate(_orbit_pfister(tables, space.size)):
         if fold != len(a_set):
             raise CertificateError(
                 f"orbit {oi} (size {len(members)}) is not simply transitive "
                 f"under its {len(a_set)} active generators"
             )
-        cert_orbits.append(CertOrbit(*orbit))
+        cert_orbits.append(CertOrbit(members, a_set))
     return FoldCertificate(
         frame_roots=frame_roots, labels=labels, orbits=tuple(cert_orbits)
     )
@@ -628,28 +623,13 @@ def cache_path(
 
 def _write_space(space: CosetSpace, path: str) -> None:
     """Write the header line, then the int32 body (see the module
-    docstring).  A space with a coordinate past the int32 range, which a
-    small custom U can give, is not written."""
+    docstring)."""
     cert = space.certificate
     orbits = cert.orbits if cert is not None else ()
-    rows = chain(space.representatives, space.action_tables, (o.members for o in orbits))
-    try:
-        body = array("i", chain.from_iterable(rows))
-    except OverflowError:
-        return
+    rows = chain(space.action_tables, (o.members for o in orbits))
+    body = array("i", chain.from_iterable(rows))
     if sys.byteorder == "big":
         body.byteswap()
-    # tuples encode as JSON arrays, so the stored tuples go in uncopied
-    cert_json = None
-    if cert is not None:
-        cert_json = {
-            "frame_roots": cert.frame_roots,
-            "labels": cert.labels,
-            "orbits": [
-                {"a_set": o.a_set, "fold": o.fold, "delta_masks": o.delta_masks}
-                for o in orbits
-            ],
-        }
     doc = {
         "format_version": CACHE_FORMAT_VERSION,
         "type": space.type_label,
@@ -657,7 +637,8 @@ def _write_space(space: CosetSpace, path: str) -> None:
         "u_gens": space.u_gen_roots,
         "u_order": space.u_order,
         "size": space.size,
-        "certificate": cert_json,
+        # tuples encode as JSON arrays, so they go in uncopied
+        "certificate": None if cert is None else [o.a_set for o in orbits],
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # unique per writer: concurrent builders of the same space must not
@@ -671,6 +652,8 @@ def _write_space(space: CosetSpace, path: str) -> None:
 
 
 def _read_header(fh, path: str) -> dict:
+    """The first line of a cache file, a JSON object in every format
+    version (a version 1 file is that one line)."""
     try:
         doc = json.loads(fh.readline().decode())
     except ValueError as bad:  # UnicodeDecodeError is one
@@ -680,17 +663,6 @@ def _read_header(fh, path: str) -> dict:
     if not isinstance(doc, dict):
         raise CacheFormatError(f"cache file {path} does not hold a JSON object")
     return doc
-
-
-def read_cache_file(path: str) -> dict:
-    """The JSON header of a cache file: its first line, which for a
-    version 1 file is the whole document.
-
-    Raises CacheFormatError naming the file when that line is not a JSON
-    object, for instance after a write was cut short.
-    """
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
 
 
 def _load_space(
@@ -713,7 +685,7 @@ def _load_space(
             expected_gens = sorted(tuple(sys_.roots[g].doubled) for g in u_gen_roots)
             if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
                 raise CacheFormatError(f"cache file {path} was built from different generators")
-            size, u_order, c = doc["size"], doc["u_order"], doc.get("certificate")
+            size, u_order, a_sets = doc["size"], doc["u_order"], doc["certificate"]
             order = weyl_order(sys_)
             if not all(type(n) is int and n > 0 for n in (size, u_order)) or (
                 size * u_order != order
@@ -728,10 +700,12 @@ def _load_space(
                     f"cache file {path} has u_order {u_order}; its generators "
                     f"give |U| = {true_order}"
                 )
-            width = len(sys_.roots[0].doubled)
+            frames = standard_frames(sys_)
+            problem = _a_set_problem(frames, a_sets)
+            if problem:
+                raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
             ngen = len(sys_.simple_indices)
-            orbits = c["orbits"] if c else []
-            spans = [size * width, ngen * size] + [1 << len(o["a_set"]) for o in orbits]
+            spans = [ngen * size] + [1 << len(a) for a in a_sets or ()]
             body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
             if body_bytes != 4 * sum(spans):
                 raise CacheFormatError(
@@ -742,107 +716,132 @@ def _load_space(
             body.fromfile(fh, sum(spans))
             if fh.read(1):
                 raise CacheFormatError(f"cache file {path} has bytes past its body")
-            if sys.byteorder == "big":
-                body.byteswap()
-            it = iter(body)
-            reps = tuple(zip(*[islice(it, spans[0])] * width))
-            tables = tuple(zip(*[islice(it, spans[1])] * size))
-            cert = None
-            if c:
-                cert = FoldCertificate(
-                    frame_roots=tuple(c["frame_roots"]),
-                    labels=tuple(c["labels"]),
-                    orbits=tuple(
-                        CertOrbit(
-                            members=tuple(islice(it, n)),
-                            a_set=tuple(o["a_set"]),
-                            fold=o["fold"],
-                            delta_masks=tuple(o["delta_masks"]),
-                        )
-                        for o, n in zip(orbits, spans[2:])
-                    ),
-                )
-            space = CosetSpace(
-                type_label=doc["type"],
-                rank=doc["rank"],
-                u_gen_roots=tuple(tuple(g) for g in doc["u_gens"]),
-                u_order=u_order,
-                representatives=reps,
-                action_tables=tables,
-                certificate=cert,
-            )
-            problem = _structural_problem(sys_, space, size)
         except (KeyError, TypeError) as bad:
             raise CacheFormatError(
                 f"cache file {path} has a missing or malformed entry: {bad!r}"
             ) from None
         except EOFError:
             raise CacheFormatError(f"cache file {path} ends inside its body") from None
+    if sys.byteorder == "big":
+        body.byteswap()
+    it = iter(body)
+    tables = tuple(zip(*[islice(it, spans[0])] * size))
+    cert = None
+    if a_sets is not None:
+        (_, frame_roots), = frames
+        cert = FoldCertificate(
+            frame_roots=frame_roots,
+            labels=tuple(root_label(sys_, r) for r in frame_roots),
+            orbits=tuple(
+                CertOrbit(tuple(islice(it, n)), tuple(a))
+                for a, n in zip(a_sets, spans[1:])
+            ),
+        )
+    space = CosetSpace(
+        type_label=sys_.type_label,
+        rank=sys_.rank,
+        u_gen_roots=tuple(sys_.roots[g].doubled for g in u_gen_roots),
+        u_order=u_order,
+        size=size,
+        action_tables=tables,
+        certificate=cert,
+    )
+    problem = _structural_problem(space)
     if problem:
         raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
     return space
 
 
-def _structural_problem(
-    sys_: RootSystem, space: CosetSpace, size: int
-) -> Optional[str]:
+def _a_set_problem(frames: list, a_sets) -> Optional[str]:
+    """What makes a stored certificate, a list of a_sets or None,
+    unusable, or None.  A certificate is for the system's one standard
+    frame, and each a_set is increasing positions of its roots."""
+    if a_sets is None:
+        return None
+    if len(frames) != 1:
+        return f"a certificate, but {len(frames)} standard frames"
+    if not isinstance(a_sets, list):
+        return f"a certificate that is a {type(a_sets).__name__}, not a list of a_sets"
+    positions = range(len(frames[0][1]))
+    for oi, a in enumerate(a_sets):
+        if not (
+            isinstance(a, list)
+            and all(type(i) is int and i in positions for i in a)
+            and a == sorted(set(a))
+        ):
+            return (
+                f"certificate orbit {oi} has a_set {a!r}, not increasing "
+                f"positions of its {len(positions)} frame roots"
+            )
+    return None
+
+
+def _structural_problem(space: CosetSpace) -> Optional[str]:
     """What makes a loaded space unusable, or None.
 
     Frame tables are composed from the stored action tables, so each
-    must be an involutive permutation; the certificate's orbits must
-    partition the cosets with 2^|A| members each, A must be increasing
-    frame positions, and the fold and delta masks are those full_check
-    derives from A.
+    must be an involutive permutation, and the certificate's orbits must
+    partition the cosets.
     """
-    if space.size != size:
-        return f"{space.size} representatives for size {size}"
-    if len(space.action_tables) != len(sys_.simple_indices):
-        return f"{len(space.action_tables)} action tables for rank {sys_.rank}"
     for i, t in enumerate(space.action_tables):
-        if _commuting_involution_failure((t,), size):
-            return f"action table {i} is not an involutive permutation of range({size})"
+        if _commuting_involution_failure((t,), space.size):
+            return f"action table {i} is not an involutive permutation of range({space.size})"
     cert = space.certificate
     if cert is not None:
         members = sorted(m for o in cert.orbits for m in o.members)
-        if members != list(range(size)):
+        if members != list(range(space.size)):
             return "certificate orbits do not partition the cosets"
-        positions = range(len(cert.frame_roots))
-        for oi, o in enumerate(cert.orbits):
-            if len(o.members) != 1 << len(o.a_set):
-                return (
-                    f"certificate orbit {oi} has {len(o.members)} members "
-                    f"for {len(o.a_set)} active generators"
-                )
-            if list(o.a_set) != sorted(set(o.a_set)) or not all(
-                i in positions for i in o.a_set
-            ):
-                return (
-                    f"certificate orbit {oi} has a_set {o.a_set}, not increasing "
-                    f"positions of its {len(positions)} frame roots"
-                )
-            masks = tuple(1 << i for i in o.a_set)
-            if o.fold != len(o.a_set) or o.delta_masks != masks:
-                return (
-                    f"certificate orbit {oi} has fold {o.fold} and delta masks "
-                    f"{o.delta_masks} for a_set {o.a_set}"
-                )
     return None
 
 
 _CACHE_NAME = re.compile(r"cosets-.*\.json(\.tmp\d+)?")
 
 
-def clear_cache(cache_dir: str) -> list[str]:
-    """Remove coset cache files and scratch files of interrupted writes.
-
-    Returns the removed names.  A cache_dir that does not exist holds
-    none; one that is not a directory raises NotADirectoryError.
-    """
-    removed = []
+def _cache_names(cache_dir: str) -> list[str]:
+    """The sorted names of cache files of any format version and of
+    scratch files of interrupted writes in cache_dir.  A cache_dir that
+    does not exist holds none; one that is not a directory raises
+    NotADirectoryError."""
     if not os.path.exists(cache_dir):
-        return removed
-    for name in sorted(os.listdir(cache_dir)):
-        if _CACHE_NAME.fullmatch(name):
-            os.remove(os.path.join(cache_dir, name))
-            removed.append(name)
+        return []
+    return [n for n in sorted(os.listdir(cache_dir)) if _CACHE_NAME.fullmatch(n)]
+
+
+def _inspect_entries(cache_dir: str) -> list[dict]:
+    """What `cache inspect` lists: one entry per cache file in cache_dir,
+    read from its header line alone.  Raises CacheFormatError naming the
+    file when a header is not a JSON object or lacks an entry."""
+    entries = []
+    for name in _cache_names(cache_dir):
+        if not name.endswith(".json"):
+            continue  # scratch files are not listed
+        path = os.path.join(cache_dir, name)
+        with open(path, "rb") as fh:
+            doc = _read_header(fh, path)
+            size = os.fstat(fh.fileno()).st_size
+        try:
+            entries.append(
+                {
+                    "file": name,
+                    "bytes": size,
+                    "type": doc["type"],
+                    "rank": doc["rank"],
+                    "cosets": doc["size"],
+                    "format_version": doc["format_version"],
+                    "certified": doc["certificate"] is not None,
+                }
+            )
+        except KeyError as bad:
+            raise CacheFormatError(
+                f"cache file {path} has no {bad.args[0]!r} entry"
+            ) from None
+    return entries
+
+
+def clear_cache(cache_dir: str) -> list[str]:
+    """Remove coset cache files and scratch files of interrupted writes,
+    and return their names (see _cache_names)."""
+    removed = _cache_names(cache_dir)
+    for name in removed:
+        os.remove(os.path.join(cache_dir, name))
     return removed

@@ -205,7 +205,7 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
         from . import cosets  # local import: cosets depends on this module
 
         gens = cosets.standard_u_gens(sys_)
-        size, _, _, u_order = cosets._coset_orbit(sys_, gens, record=False)
+        size, _, u_order = cosets._coset_orbit(sys_, gens, record=False)
         return size * u_order
     if method == "bfs":
         gens = [sys_.reflection_images(i) for i in sys_.simple_indices]

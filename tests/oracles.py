@@ -12,9 +12,14 @@ directly, and the tests check the direct form against it:
   * b_orbit_nodes - the (L, k, ell) nodes of the B_n bound read off
     normalizer orbit sums at every frame; weylinv.basis lists them
     directly.
-  * read_cache / write_cache - a coset cache file as one JSON document
-    shaped like a version 1 file, unpacked and packed with struct;
-    weylinv.cosets reads the header and the int32 body on its own.
+  * read_cache / write_cache - a coset cache file as one JSON document,
+    its header with the int32 body put back as lists, unpacked and
+    packed with struct; weylinv.cosets reads the header and the body on
+    its own.
+  * reflector / reflect_key / dense_orbit / coset_vectors - each
+    coset's doubled-coordinate key, reflected densely and numbered in BFS
+    order from the package's start vector; weylinv.cosets walks packed
+    Dynkin labels and keeps no keys.
   * unreduced_invariant_vector / cauchy_schwarz_label_width - the coset
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
@@ -40,6 +45,7 @@ from weylinv.algebra import (
     zero,
 )
 from weylinv.basis import normalizer_families
+from weylinv import cosets
 from weylinv.cosets import _u_orbit_sums
 from weylinv.errors import ContextMismatchError, CosetValidationError
 from weylinv.groups import standard_frames
@@ -270,26 +276,24 @@ def b_orbit_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # coset cache files
 
-_BODY_FIELDS = ("representatives", "action_tables")
+_BODY_FIELDS = ("action_tables", "members")
 
 
 def read_cache(path) -> dict:
     """The cache file at path as one document: its header line, with the
-    little-endian int32 body put back as "representatives" (size rows of
-    the ambient width), "action_tables" (rank rows of size) and each
-    certificate orbit's "members" (2^|a_set| of them)."""
+    little-endian int32 body put back as "action_tables" (rank rows of
+    size) and "members", one row of 2^|a_set| per a_set of the
+    certificate (none without one)."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.readline())
         body = fh.read()
     values = iter(struct.unpack(f"<{len(body) // 4}i", body))
 
-    def rows(count, length):
-        return [[next(values) for _ in range(length)] for _ in range(count)]
+    def row(length):
+        return [next(values) for _ in range(length)]
 
-    doc["representatives"] = rows(doc["size"], len(doc["u_gens"][0]))
-    doc["action_tables"] = rows(doc["rank"], doc["size"])
-    for orbit in (doc["certificate"] or {"orbits": ()})["orbits"]:
-        (orbit["members"],) = rows(1, 1 << len(orbit["a_set"]))
+    doc["action_tables"] = [row(doc["size"]) for _ in range(doc["rank"])]
+    doc["members"] = [row(1 << len(a)) for a in doc["certificate"] or ()]
     assert next(values, None) is None, "body longer than its header says"
     return doc
 
@@ -302,17 +306,62 @@ def write_cache(path, doc: dict, **dumps) -> None:
     """
     header = {k: v for k, v in doc.items() if k not in _BODY_FIELDS}
     values = [x for field in _BODY_FIELDS for row in doc[field] for x in row]
-    cert = doc.get("certificate")
-    if cert:
-        orbits = cert["orbits"]
-        header["certificate"] = dict(
-            cert, orbits=[{k: v for k, v in o.items() if k != "members"} for o in orbits]
-        )
-        values += [m for o in orbits for m in o["members"]]
     dumps = {"sort_keys": True, "separators": (",", ":"), **dumps}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, **dumps).encode() + b"\n")
         fh.write(struct.pack(f"<{len(values)}i", *values))
+
+
+# ---------------------------------------------------------------------------
+# coset keys
+
+
+def reflector(sys_, root):
+    """(nonzero (coordinate, value) pairs of the doubled root, squared
+    length x 4): the reflection oracle's view of a root."""
+    d = sys_.roots[root].doubled
+    return tuple((i, a) for i, a in enumerate(d) if a), sum(a * a for a in d)
+
+
+def reflect_key(key, support, rr4):
+    """s_r(key) in doubled coordinates, over the root's support only, for
+    (support, rr4) = reflector(sys_, r); key itself when r is orthogonal
+    to it."""
+    q, rem = divmod(2 * sum(key[i] * a for i, a in support), rr4)
+    if rem:
+        raise CosetValidationError("coset key left the root lattice")
+    if not q:
+        return key
+    out = list(key)
+    for i, a in support:
+        out[i] -= q * a
+    return tuple(out)
+
+
+def dense_orbit(sys_, start):
+    """The W-orbit of start in BFS discovery order: each vector, in turn,
+    reflected in the simple roots in order, each new image appended."""
+    reflectors = [reflector(sys_, r) for r in sys_.simple_indices]
+    keys = [start]
+    seen = {start}
+    for key in keys:
+        for support, rr4 in reflectors:
+            image = reflect_key(key, support, rr4)
+            if image not in seen:
+                seen.add(image)
+                keys.append(image)
+    return keys
+
+
+def coset_vectors(sys_, u_gens=None):
+    """The coset keys of U\\W (U the standard subgroup by default) from
+    the package's start vector, cosets._invariant_vector: vector k is
+    the key of coset k of build_coset_space."""
+    if u_gens is None:
+        u_gens = cosets.standard_u_gens(sys_)
+    images = [sys_.reflection_images(g) for g in u_gens]
+    lines = {sys_.line_of[r] for r in cosets._sigma_u(sys_, u_gens)}
+    return dense_orbit(sys_, cosets._invariant_vector(sys_, images, lines))
 
 
 # ---------------------------------------------------------------------------

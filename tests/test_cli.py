@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import pytest
@@ -351,13 +352,14 @@ def _wrong_size(doc):
     doc["size"] += 1
 
 
-def _zeroed_delta_mask(doc):
-    """Well-formed but wrong: the orbit keeps its members and a_set."""
-    doc["certificate"]["orbits"][0]["delta_masks"][0] = 0
+def _a_set_past_frame(doc):
+    """Well-formed but wrong: the orbit keeps its members, and its last
+    active position lies past the six frame roots."""
+    doc["certificate"][0][-1] = 99
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_swap_with_fixed_point, _wrong_size, _zeroed_delta_mask]
+    "corrupt", [_swap_with_fixed_point, _wrong_size, _a_set_past_frame]
 )
 def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
@@ -425,12 +427,9 @@ def test_forged_u_order_exits_2(capsys, tmp_path):
     assert run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()
     doc = read_cache(path)
-    doc.update(size=4, u_order=48)
-    doc["representatives"] = doc["representatives"][:4]
+    doc.update(size=4, u_order=48, certificate=[[]] * 4)
     doc["action_tables"] = [list(range(4))] * 4
-    doc["certificate"]["orbits"] = [
-        {"a_set": [], "delta_masks": [], "fold": 0, "members": [k]} for k in range(4)
-    ]
+    doc["members"] = [[k] for k in range(4)]
     write_cache(path, doc)
     code, out, err = run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
@@ -453,23 +452,105 @@ _V1_D4 = (
 )
 
 
-def test_format_1_file_is_ignored_listed_and_cleared(capsys, tmp_path):
-    (tmp_path / _V1_D4_NAME).write_text(_V1_D4)
+def test_forged_certificate_frame_exits_2(capsys, tmp_path):
+    """A D4 header holding a certificate shaped as format 2 stored it,
+    with a frame root past the roots: fullcheck and verify reject the
+    file by its path instead of indexing the frame."""
+    assert run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    doc = read_cache(path)
+    doc["certificate"] = {
+        "frame_roots": [99999, 23, 12, 13],
+        "labels": ["a1", "b1", "a2", "b2"],
+        "orbits": [{"a_set": a} for a in doc["certificate"]],
+    }
+    write_cache(path, doc)
+    for argv in (("fullcheck", "D4"), ("verify", "D4")):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "", argv
+        assert str(path) in err and "Traceback" not in err
+
+
+def _old_format_file_is_ignored_listed_and_cleared(capsys, tmp_path, name, data, version):
+    """A build neither opens nor changes a file of an older format (the
+    version is hashed into the name); cache inspect lists it with its
+    version and cache clear removes it."""
+    (tmp_path / name).write_bytes(data)
     code, out, _ = run(capsys, "cosets", "D4", "--json", "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["cosets"] == 8
     sys_ = build_root_system("D", 4)
-    v2 = os.path.basename(cosets.cache_path(sys_, cosets.standard_u_gens(sys_), "."))
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([_V1_D4_NAME, v2])
-    assert (tmp_path / _V1_D4_NAME).read_text() == _V1_D4
+    new = os.path.basename(cosets.cache_path(sys_, cosets.standard_u_gens(sys_), "."))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, new])
+    assert (tmp_path / name).read_bytes() == data
     code, out, _ = run(capsys, "cache", "inspect", "--json", "--cache-dir", str(tmp_path))
     spaces = {e["file"]: e for e in json.loads(out)["spaces"]}
-    assert code == 0 and sorted(spaces) == sorted([_V1_D4_NAME, v2])
-    assert spaces[_V1_D4_NAME]["format_version"] == 1
-    assert spaces[v2]["format_version"] == cosets.CACHE_FORMAT_VERSION
+    assert code == 0 and sorted(spaces) == sorted([name, new])
+    assert spaces[name]["format_version"] == version
+    assert spaces[new]["format_version"] == cosets.CACHE_FORMAT_VERSION
     assert all(e["cosets"] == 8 and e["certified"] for e in spaces.values())
     code, out, _ = run(capsys, "cache", "clear", "--json", "--cache-dir", str(tmp_path))
-    assert code == 0 and sorted(json.loads(out)["removed"]) == sorted([_V1_D4_NAME, v2])
+    assert code == 0 and sorted(json.loads(out)["removed"]) == sorted([name, new])
     assert list(tmp_path.iterdir()) == []
+
+
+# the D4 file a format_version 1 build wrote: one line of JSON
+_V1_D4_NAME = "cosets-D4-e90f96221d20d8ac.json"
+_V1_D4 = (
+    '{"action_tables":[[0,1,4,5,2,3,6,7],[0,2,1,3,4,6,5,7],[0,1,3,2,5,4,6,'
+    '7],[1,0,2,3,4,5,7,6]],"certificate":{"frame_roots":[18,23,12,13],'
+    '"labels":["a1","b1","a2","b2"],"orbits":[{"a_set":[1,3],'
+    '"delta_masks":[2,8],"fold":2,"members":[0,1,6,7]},{"a_set":[0,2],'
+    '"delta_masks":[1,4],"fold":2,"members":[2,3,4,5]}]},'
+    '"format_version":1,"rank":4,"representatives":[[-18,-18,-18,-18],[-18,'
+    '-18,18,18],[-18,18,-18,18],[-18,18,18,-18],[18,-18,-18,18],[18,-18,18,'
+    '-18],[18,18,-18,-18],[18,18,18,18]],"size":8,"type":"D","u_gens":[[2,'
+    '-2,0,0],[0,2,-2,0],[0,0,2,-2]],"u_order":24}'
+    "\n"
+)
+
+
+def test_format_1_file_is_ignored_listed_and_cleared(capsys, tmp_path):
+    _old_format_file_is_ignored_listed_and_cleared(
+        capsys, tmp_path, _V1_D4_NAME, _V1_D4.encode(), 1
+    )
+
+
+# the D4 file a format_version 2 build wrote: its header line, then the
+# int32 body of representatives, action tables and orbit members
+_V2_D4_NAME = "cosets-D4-07751a7613173bf4.json"
+_V2_D4 = (
+    b'{"certificate":{"frame_roots":[18,23,12,13],"labels":["a1","b1","a2",'
+    b'"b2"],"orbits":[{"a_set":[1,3],"delta_masks":[2,8],"fold":2},{"a_set":'
+    b'[0,2],"delta_masks":[1,4],"fold":2}]},"format_version":2,"rank":4,'
+    b'"size":8,"type":"D","u_gens":[[2,-2,0,0],[0,2,-2,0],[0,0,2,-2]],'
+    b'"u_order":24}\n'
+) + struct.pack(
+    "<72i",
+    -1, -1, -1, -1, -1, -1, 1, 1, -1, 1, -1, 1, -1, 1, 1, -1,
+    1, -1, -1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1,
+    0, 1, 4, 5, 2, 3, 6, 7, 0, 2, 1, 3, 4, 6, 5, 7,
+    0, 1, 3, 2, 5, 4, 6, 7, 1, 0, 2, 3, 4, 5, 7, 6,
+    0, 1, 6, 7, 2, 3, 4, 5,
+)
+
+
+def test_format_2_file_is_ignored_listed_and_cleared(capsys, tmp_path):
+    _old_format_file_is_ignored_listed_and_cleared(
+        capsys, tmp_path, _V2_D4_NAME, _V2_D4, 2
+    )
+
+
+def test_u_root_order_does_not_reach_the_output(capsys, tmp_path):
+    """Generators in either order share one cache file, and a warm load
+    reports them in the order given, as a build without a cache does."""
+    fwd = ("--u-root", "2,-2,0,0", "--u-root", "0,0,2,-2")
+    rev = ("--u-root", "0,0,2,-2", "--u-root", "2,-2,0,0")
+    cache = ("--cache-dir", str(tmp_path))
+    assert run(capsys, "cosets", "D4", *fwd, *cache)[0] == 0
+    code, warm, _ = run(capsys, "cosets", "D4", *rev, "--json", *cache)
+    assert len(list(tmp_path.iterdir())) == 1
+    assert code == 0 and warm == run(capsys, "cosets", "D4", *rev, "--json")[1]
+    assert json.loads(warm)["u_gen_roots"] == [[0, 0, 2, -2], [2, -2, 0, 0]]
 
 
 def test_cache_dir_is_touched_only_by_a_cache_write(capsys, tmp_path, monkeypatch):

@@ -43,7 +43,11 @@ from weylinv.roots import _bfs_orbits, build_root_system
 
 from oracles import (
     cauchy_schwarz_label_width,
+    coset_vectors,
+    dense_orbit,
     read_cache,
+    reflect_key,
+    reflector,
     unreduced_invariant_vector,
     write_cache,
 )
@@ -62,7 +66,7 @@ def test_d4_coset_count(d4_space):
     sys_, space = d4_space
     assert space.size == 8  # 2^(n-1)
     assert space.u_order == 24
-    assert space.representatives == tuple(sorted(space.representatives))
+    assert len(set(coset_vectors(sys_))) == space.size  # one key per coset
 
 
 @pytest.mark.parametrize("n,expected", [(5, 16), (6, 32)])
@@ -96,60 +100,36 @@ def test_standard_u_gens_unknown():
         standard_u_gens(build_root_system("B", 3))
 
 
-def _reflector(sys_, root_idx):
-    """(nonzero (coordinate, value) pairs of the doubled root, squared
-    length x 4): the reflection oracle's view of a root."""
-    d = sys_.roots[root_idx].doubled
-    return tuple((i, a) for i, a in enumerate(d) if a), sum(a * a for a in d)
-
-
-def _reflect_key(key, support, rr4):
-    """s_r(key) in doubled coordinates, over the root's support only: the
-    reflection oracle the packed-label kernel is checked against."""
-    q, rem = divmod(2 * sum(key[i] * a for i, a in support), rr4)
-    if rem:
-        raise CosetValidationError("coset key left the root lattice")
-    if not q:
-        return key
-    out = list(key)
-    for i, a in support:
-        out[i] -= q * a
-    return tuple(out)
-
-
-def _reflected_tables(sys_, space, roots):
-    """Tables built by reflecting every representative (the oracle)."""
-    index = {key: i for i, key in enumerate(space.representatives)}
+def _reflected_tables(sys_, vectors, roots):
+    """Tables built by reflecting every coset key (the oracle)."""
+    index = {key: i for i, key in enumerate(vectors)}
     return [
-        tuple(
-            index[_reflect_key(key, *_reflector(sys_, r))]
-            for key in space.representatives
-        )
+        tuple(index[reflect_key(key, *reflector(sys_, r))] for key in vectors)
         for r in roots
     ]
 
 
 @pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
 def test_action_tables_match_rederived(label, rank):
-    """The tables recorded from the BFS edges equal tables re-derived by
-    reflecting each sorted representative."""
+    """The tables read off the BFS edges equal tables re-derived by
+    reflecting each coset's key."""
     sys_ = build_root_system(label, rank)
     space = build_coset_space(sys_)
     assert list(space.action_tables) == _reflected_tables(
-        sys_, space, sys_.simple_indices
+        sys_, coset_vectors(sys_), sys_.simple_indices
     )
 
 
 @pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
 def test_frame_tables_match_reflection(label, rank):
     """Tables composed from the simple-reflection tables equal tables
-    built by reflecting each representative, for every root (both
-    signs of every line), not only frame members."""
+    built by reflecting each coset's key, for every root (both signs of
+    every line), not only frame members."""
     sys_ = build_root_system(label, rank)
     space = build_coset_space(sys_)
     roots = range(len(sys_.roots))
     assert _frame_tables(sys_, space, roots) == _reflected_tables(
-        sys_, space, roots
+        sys_, coset_vectors(sys_), roots
     )
 
 
@@ -177,28 +157,29 @@ def test_full_check_reflects_no_keys(monkeypatch):
 def test_sparse_reflect_key_matches_dense(d4_space):
     """The reflection oracle against the dense formula for every D4 root
     x key, and every edge of the packed-label kernel against it."""
-    sys_, space = d4_space
+    sys_, _ = d4_space
+    vectors = coset_vectors(sys_)
     passed_through = 0
     for r in range(len(sys_.roots)):
         d_r = sys_.roots[r].doubled
         rr4 = sum(a * a for a in d_r)
-        for key in space.representatives:
+        for key in vectors:
             q = 2 * sum(a * b for a, b in zip(d_r, key)) // rr4
             dense = tuple(k - q * a for k, a in zip(key, d_r))
-            image = _reflect_key(key, *_reflector(sys_, r))
+            image = reflect_key(key, *reflector(sys_, r))
             assert image == dense
             if q == 0:
                 assert image is key
                 passed_through += 1
     assert passed_through > 0
     with pytest.raises(CosetValidationError):
-        _reflect_key((1, 0, 0, 0), *_reflector(sys_, sys_.simple_indices[0]))
-    _, vectors, edges = _label_bfs(sys_, space.representatives[0])
+        reflect_key((1, 0, 0, 0), *reflector(sys_, sys_.simple_indices[0]))
+    _, edges = _label_bfs(sys_, vectors[0])
     rank = len(sys_.simple_indices)
     self_loops = 0
     for k, key in enumerate(vectors):
         for i, r in enumerate(sys_.simple_indices):
-            image = _reflect_key(key, *_reflector(sys_, r))
+            image = reflect_key(key, *reflector(sys_, r))
             assert vectors[edges[k * rank + i]] == image
             # a q == 0 edge is a self-loop, and only those are
             assert (edges[k * rank + i] == k) == (image is key)
@@ -218,35 +199,24 @@ def test_non_lattice_start_vector_rejected():
 def test_count_only_coset_bfs_matches_the_full_one(system):
     sys_ = build_root_system(*system)
     gens = standard_u_gens(sys_)
-    size, vectors, edges, u_order = _coset_orbit(sys_, gens)
-    assert size == len(vectors) and len(edges) == size * sys_.rank
-    assert _coset_orbit(sys_, gens, record=False) == (size, [], array("l"), u_order)
+    size, edges, u_order = _coset_orbit(sys_, gens)
+    assert len(edges) == size * sys_.rank
+    assert _coset_orbit(sys_, gens, record=False) == (size, array("l"), u_order)
+    width = len(sys_.roots[0].doubled)
     with pytest.raises(CosetValidationError, match="weight lattice"):
-        _label_bfs(sys_, (1,) + (0,) * (len(vectors[0]) - 1), False)
-
-
-def _dense_orbit(sys_, start):
-    """The sorted W-orbit of start by a BFS that reflects each key with
-    the oracle."""
-    reflectors = [_reflector(sys_, r) for r in sys_.simple_indices]
-    keys = [start]
-    seen = {start}
-    for key in keys:
-        for support, rr4 in reflectors:
-            image = _reflect_key(key, support, rr4)
-            if image not in seen:
-                seen.add(image)
-                keys.append(image)
-    return tuple(sorted(keys))
+        _label_bfs(sys_, (1,) + (0,) * (width - 1), False)
 
 
 @pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
 def test_label_bfs_matches_dense(label, rank):
     sys_ = build_root_system(label, rank)
     space = build_coset_space(sys_)
-    assert _dense_orbit(sys_, space.representatives[-1]) == space.representatives
+    vectors = coset_vectors(sys_)
+    # the dense orbit of any of its vectors is the same set
+    assert sorted(dense_orbit(sys_, vectors[-1])) == sorted(vectors)
+    assert len(vectors) == space.size
     assert list(space.action_tables) == _reflected_tables(
-        sys_, space, sys_.simple_indices
+        sys_, vectors, sys_.simple_indices
     )
 
 
@@ -254,16 +224,15 @@ def test_e8_labels_inside_field_bound():
     """Every packed label of the E8 space lies strictly inside its field:
     |c_j| < 2^(w-1), with w from the exact bound over the roots."""
     sys_ = build_root_system("E", 8)
-    space = build_coset_space(sys_)
+    vectors = coset_vectors(sys_)
+    assert len(vectors) == build_coset_space(sys_).size
     simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
-    width = _label_width(sys_, space.representatives[0])
+    width = _label_width(sys_, vectors[0])
     off = 1 << (width - 1)
-    biggest = max(
-        abs(c) for key in space.representatives for c in _labels(simple, key)
-    )
+    biggest = max(abs(c) for key in vectors for c in _labels(simple, key))
     assert 0 < biggest < off
-    # the bound is W-invariant: every representative gives the same width
-    assert {_label_width(sys_, key) for key in space.representatives} == {width}
+    # the bound is W-invariant: every coset key gives the same width
+    assert {_label_width(sys_, key) for key in vectors} == {width}
 
 
 def _sigma_u(sys_, u_gens):
@@ -287,7 +256,7 @@ def _custom_u(label, rank):
     sys_ = build_root_system(label, rank)
     if label == "D":  # <s_{e1-e2}, s_{e3-e4}>: 48 cosets
         return sys_, (sys_.index[(2, -2, 0, 0)], sys_.index[(0, 0, 2, -2)])
-    return sys_, sys_.simple_indices[1:]  # E6 without its first node: 72 cosets
+    return sys_, sys_.simple_indices[1:]  # E6 without its first node: 27 cosets
 
 
 @pytest.mark.parametrize(
@@ -306,6 +275,82 @@ def test_u_order_chain_matches_enumeration(label, rank, custom):
     space = build_coset_space(sys_, u_gens)
     assert space.u_order == order
     assert space.size * order == weyl_order(sys_)
+
+
+def _brute_force_cosets(sys_, u_gens):
+    """U\\W from an enumerated W: |U|, the simple reflections' tables and
+    the table of any root's reflection, the cosets numbered by a BFS from
+    U under right multiplication by the simple reflections in order.
+
+    Elements are image tuples on the roots, as bytes; p.translate(t)
+    with t = q padded to 256 bytes is the product q p (p first).  Each
+    coset Uw is found whole as {uw : u in U}, and the reflection s_r
+    sends it to Uws_r."""
+
+    def pad(p):
+        return p.ljust(256, b"\0")
+
+    refl = [bytes(sys_.reflection_images(r)) for r in range(len(sys_.roots))]
+    w_all = enumerate_subgroup([refl[i] for i in sys_.simple_indices]).elements
+    u_all = [pad(u) for u in enumerate_subgroup([refl[g] for g in u_gens]).elements]
+    index = {w: k for k, w in enumerate(w_all)}
+    coset_of = [-1] * len(w_all)
+    members = []  # one element of each coset
+    for k, w in enumerate(w_all):
+        if coset_of[k] < 0:
+            for u in u_all:
+                coset_of[index[w.translate(u)]] = len(members)
+            members.append(w)
+    assert -1 not in coset_of and len(members) * len(u_all) == len(w_all)
+
+    def image(w, r):  # the coset of w s_r
+        return coset_of[index[refl[r].translate(pad(w))]]
+
+    bfs = {coset_of[0]: 0}  # w_all[0] is the identity
+    order = [coset_of[0]]
+    for c in order:
+        for i in sys_.simple_indices:
+            d = image(members[c], i)
+            if d not in bfs:
+                bfs[d] = len(order)
+                order.append(d)
+
+    def table(r):
+        return tuple(bfs[image(members[c], r)] for c in order)
+
+    return len(u_all), [table(i) for i in sys_.simple_indices], table
+
+
+@pytest.mark.parametrize(
+    "label,rank,custom", [("D", 4, False), ("D", 6, False), ("D", 4, True), ("E", 6, True)]
+)
+def test_coset_space_matches_brute_force(label, rank, custom):
+    """The space's size, |U| and action tables are those of U\\W split
+    off an enumerated W, and so is every maximal frame's action, so
+    full_check certifies the same orbits on both."""
+    if custom:
+        sys_, u_gens = _custom_u(label, rank)
+    else:
+        sys_ = build_root_system(label, rank)
+        u_gens = standard_u_gens(sys_)
+    space = build_coset_space(sys_, u_gens)
+    u_order, tables, table = _brute_force_cosets(sys_, u_gens)
+    assert (space.size, space.u_order) == (len(tables[0]), u_order)
+    assert list(space.action_tables) == tables
+    brute = replace(space, action_tables=tuple(tables))
+    frames = maximal_orthogonal_frames(sys_)
+    assert frames
+    for frame in frames:
+        assert _frame_tables(sys_, space, frame) == [table(r) for r in frame]
+        assert _certify(sys_, space, frame) == _certify(sys_, brute, frame)
+
+
+def _certify(sys_, space, frame):
+    """full_check's certificate, or the text of its CertificateError."""
+    try:
+        return full_check(sys_, space, frame)
+    except CertificateError as bad:
+        return str(bad)
 
 
 _START_SYSTEMS = [
@@ -360,8 +405,10 @@ def test_primitive_start_matches_the_unreduced_oracle(
     assert (space.size, space.u_order) == (old.size, old.u_order)
     assert space.action_tables == old.action_tables
     assert cert == old_cert
-    assert [tuple(g * x for x in key) for key in space.representatives] == list(
-        old.representatives
+    vectors = dense_orbit(sys_, start)
+    assert vectors == coset_vectors(sys_, u_gens)
+    assert [tuple(g * x for x in key) for key in vectors] == dense_orbit(
+        sys_, unreduced
     )
     # the exact bound is the largest |label| on the orbit, and fits in
     # the width the kernel takes for it
@@ -369,34 +416,26 @@ def test_primitive_start_matches_the_unreduced_oracle(
         abs(2 * sum(map(mul, b, start)) // sum(map(mul, b, b)))
         for b in (r.doubled for r in sys_.roots)
     )
-    biggest = max(
-        abs(c) for key in space.representatives for c in _labels(simple, key)
-    )
+    biggest = max(abs(c) for key in vectors for c in _labels(simple, key))
     assert bound == biggest
     assert _label_width(sys_, start) == biggest.bit_length() + 1
     assert _label_width(sys_, start) <= cauchy_schwarz_label_width(simple, start)
 
 
 @pytest.mark.parametrize("system", [("D", 4), ("D", 8), ("E", 7), ("E", 8)])
-def test_unreduced_version_2_file_loads(tmp_path, monkeypatch, system):
-    """A version 2 file written from the unreduced start, its
-    representatives g times the primitive ones, still loads, and gives
-    the tables and certificate of a fresh build."""
-    sys_, u_gens, _, unreduced = _u_and_starts(*system, False)
-    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
-    g = gcd(*unreduced, *_labels(simple, unreduced))
+def test_unreduced_route_writes_the_same_file(tmp_path, monkeypatch, system):
+    """A build from the unreduced start writes the primitive start's
+    cache file byte for byte: the file holds only tables, orbit members
+    and a_sets, none of which depends on the start's scale."""
+    sys_, u_gens, _, _ = _u_and_starts(*system, False)
     fresh = build_coset_space(sys_, cache_dir=str(tmp_path))
     path = cache_path(sys_, u_gens, str(tmp_path))
-    doc = read_cache(path)
-    doc["representatives"] = [[g * x for x in key] for key in doc["representatives"]]
-    write_cache(path, doc)
-    # byte for byte the file the unreduced route writes
     with monkeypatch.context() as m:
         _unreduced_route(m, sys_)
         build_coset_space(sys_, cache_dir=str(tmp_path / "old"))
     old_path = cache_path(sys_, u_gens, str(tmp_path / "old"))
     assert open(old_path, "rb").read() == open(path, "rb").read()
-    loaded = build_coset_space(sys_, cache_dir=str(tmp_path))
+    loaded = build_coset_space(sys_, cache_dir=str(tmp_path / "old"))
     assert loaded.action_tables == fresh.action_tables
     assert loaded.certificate == fresh.certificate is not None
     assert (loaded.size, loaded.u_order) == (fresh.size, fresh.u_order)
@@ -521,9 +560,7 @@ def test_f_restriction_degree_zero():
     cert = FoldCertificate(frame_roots=(), labels=(), orbits=())
     assert compare_support(cert, zero(()))
     # 8 fold-0 orbits have even parity
-    orbits = tuple(
-        CertOrbit(members=(i,), a_set=(), fold=0, delta_masks=()) for i in range(8)
-    )
+    orbits = tuple(CertOrbit(members=(i,), a_set=()) for i in range(8))
     cert8 = FoldCertificate(frame_roots=(), labels=(), orbits=orbits)
     assert f_restriction(cert8, 0).is_zero()
 
@@ -594,12 +631,12 @@ def test_cache_roundtrip(tmp_path, d4_space):
     sys_, fresh = d4_space
     cache = str(tmp_path)
     built = build_coset_space(sys_, cache_dir=cache)
-    assert built.representatives == fresh.representatives
+    assert built.action_tables == fresh.action_tables
     assert built.certificate is not None  # canonical frame certified at build
     path = cache_path(sys_, standard_u_gens(sys_), cache)
     first_bytes = open(path, "rb").read()
     loaded = build_coset_space(sys_, cache_dir=cache)
-    assert loaded.representatives == built.representatives
+    assert loaded.size == built.size
     assert loaded.action_tables == built.action_tables
     assert loaded.certificate == built.certificate
     # cold rebuild produces identical bytes
@@ -648,11 +685,9 @@ def test_cache_oracle_round_trips_the_bytes(tmp_path):
     path = cache_path(sys_, standard_u_gens(sys_), str(tmp_path))
     written = open(path, "rb").read()
     doc = read_cache(path)
-    assert doc["representatives"] == [list(k) for k in space.representatives]
     assert doc["action_tables"] == [list(t) for t in space.action_tables]
-    assert [o["members"] for o in doc["certificate"]["orbits"]] == [
-        list(o.members) for o in space.certificate.orbits
-    ]
+    assert doc["certificate"] == [list(o.a_set) for o in space.certificate.orbits]
+    assert doc["members"] == [list(o.members) for o in space.certificate.orbits]
     write_cache(path, doc)
     assert open(path, "rb").read() == written
     header = written.split(b"\n", 1)[0]
@@ -702,14 +737,22 @@ def test_body_changed_after_its_length_check_is_rejected(
     assert path in str(bad.value)
 
 
-def test_space_past_int32_is_not_cached(tmp_path):
-    """One A1 as U in F4 puts coordinates past 2^31 in the coset keys:
-    the space is built, and no cache file is written for it."""
+def test_space_past_int32_is_cached(tmp_path):
+    """One A1 as U in F4 puts coordinates past 2^31 in the coset keys,
+    which no cache file stores: the space is cached like any other, and
+    a warm load gives the fresh tables."""
     sys_ = build_root_system("F", 4)
-    space = build_coset_space(sys_, (0,), cache_dir=str(tmp_path))
-    assert max(abs(x) for k in space.representatives for x in k) >= 1 << 31
-    assert space.representatives == build_coset_space(sys_, (0,)).representatives
-    assert list(tmp_path.iterdir()) == []
+    vectors = coset_vectors(sys_, (0,))
+    assert max(abs(x) for k in vectors for x in k) >= 1 << 31
+    fresh = build_coset_space(sys_, (0,))
+    assert fresh.size == len(vectors)
+    cold = build_coset_space(sys_, (0,), cache_dir=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [
+        os.path.basename(cache_path(sys_, (0,), str(tmp_path)))
+    ]
+    warm = build_coset_space(sys_, (0,), cache_dir=str(tmp_path))
+    assert warm.action_tables == cold.action_tables == fresh.action_tables
+    assert warm.certificate is cold.certificate is None  # F4 has three frames
 
 
 def test_cached_certificate_reused(tmp_path):
