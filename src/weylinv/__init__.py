@@ -14,7 +14,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .roots import RootSystem, RootVector, build_root_system
+from .roots import RootSystem, build_root_system
 from .basis import (
     BasisReport,
     NamedInvariant,
@@ -28,7 +28,6 @@ __all__ = [
     "BasisReport",
     "NamedInvariant",
     "RootSystem",
-    "RootVector",
     "build_root_system",
     "generators_for",
     "restrict",

@@ -39,7 +39,6 @@ __all__ = [
     "stacked_independence",
     "IndependenceResult",
     "orbit_sums",
-    "degree_part",
     "parse_terms",
 ]
 
@@ -101,9 +100,6 @@ class KInvariant:
         return KInvariant(
             self.labels, frozenset(m for m in self.terms if m.bit_count() == d)
         )
-
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
 
     def mod_s(self) -> "KInvariant":
         """Image in the quotient by (s): drop every term carrying {2}."""
@@ -397,7 +393,3 @@ def orbit_sums(
         lambda m: [_moved(m, perm) for perm in position_perms],
     )
     return [KInvariant(labels, frozenset(orbit)) for orbit in orbits]
-
-
-def degree_part(inv: KInvariant, d: int) -> KInvariant:
-    return inv.degree_part(d)

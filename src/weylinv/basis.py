@@ -202,7 +202,7 @@ def _x_single(label: str) -> NamedInvariant:
 
 def _root_coords(sys_: RootSystem, root_idx: int) -> tuple[str, int, int]:
     """Classify a frame root as an axis vector e_i or a pair e_i -+ e_j."""
-    d = sys_.roots[root_idx].doubled
+    d = sys_.roots[root_idx]
     support = [(i, v) for i, v in enumerate(d) if v]
     if len(support) == 1 and abs(support[0][1]) == 2:
         return "axis", support[0][0], -1
@@ -335,7 +335,7 @@ def _frame_form(sys_, action, roots, labels) -> DiagonalForm:
     build = _POINT_PERMS.get(action)
     if build is None:
         raise ValueError(f"unknown point action {action!r}")
-    npts = len(sys_.roots[0].doubled)
+    npts = len(sys_.roots[0])
     gens = [build(sys_, idx, npts) for idx in roots]
     return expand_to_diagonal(form_of_permutation_action(gens, labels))
 
@@ -1088,7 +1088,11 @@ class BasisReport:
         return all(c.status == "pass" for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps(self._payload(), indent=2, sort_keys=True)
+
+    def _payload(self) -> dict:
+        """The report as the plain dict that to_json serializes."""
+        return {
             "type": self.type_label,
             "rank": self.rank,
             "basis": [{"name": b.name, "degree": b.degree} for b in self.basis],
@@ -1103,7 +1107,6 @@ class BasisReport:
             },
             "warnings": list(self.warnings),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _check(check_id: str, ok: bool, witness: Optional[str] = None) -> CheckResult:

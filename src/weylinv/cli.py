@@ -174,7 +174,7 @@ def _require_weyl(cfg: RunConfig):
 
 def cmd_roots(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys_ = _require_weyl(cfg)
-    coords = [list(r.doubled) for r in sys_.roots]
+    coords = [list(r) for r in sys_.roots]
     lines = [f"{len(coords)} roots"]
     lines += [
         f"  {i:3d}  ({', '.join(str(c) for c in r)})" for i, r in enumerate(coords)
@@ -263,7 +263,9 @@ def _u_generators(cfg: RunConfig, sys_, args: argparse.Namespace) -> tuple[int, 
 
 def cmd_cosets(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys_ = _require_weyl(cfg)
-    space = build_coset_space(sys_, _u_generators(cfg, sys_, args), cfg.cache_dir)
+    space = build_coset_space(
+        sys_, _u_generators(cfg, sys_, args), cfg.cache_dir, cfg.max_elements
+    )
     product = space.size * space.u_order
     payload = {
         "type": sys_.type_label,
@@ -308,7 +310,9 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
 
 def cmd_fullcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys_ = _require_weyl(cfg)
-    space = build_coset_space(sys_, _u_generators(cfg, sys_, args), cfg.cache_dir)
+    space = build_coset_space(
+        sys_, _u_generators(cfg, sys_, args), cfg.cache_dir, cfg.max_elements
+    )
     fname, frame_roots = _frame_for(sys_, args)
     cert = full_check(sys_, space, frame_roots)
     m = cert.min_fold
@@ -394,7 +398,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         tasks = ((cfg.type_label, cfg.rank),)
     else:
         raise UnsupportedSystemError("verify needs a system argument or --all")
-    docs = [json.loads(verify_basis(t, r, cfg.cache_dir).to_json()) for t, r in tasks]
+    docs = [verify_basis(t, r, cfg.cache_dir)._payload() for t, r in tasks]
     ok = all(c["status"] == "pass" for d in docs for c in d["checks"])
     if cfg.fmt == "json":
         print(json.dumps({"pass": ok, "reports": docs}, indent=2, sort_keys=True))

@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 from .algebra import KInvariant
 from .errors import (
     CacheFormatError,
+    CapExceededError,
     CertificateError,
     CosetValidationError,
 )
@@ -70,7 +71,14 @@ from .forms import (
     _symbol_product,
     e_fold,
 )
-from .groups import _compose, root_label, standard_frames, weyl_order
+from .groups import (
+    DEFAULT_ELEMENT_CAP,
+    _compose,
+    _find_root,
+    root_label,
+    standard_frames,
+    weyl_order,
+)
 from .roots import RootSystem, _bfs_orbits
 
 __all__ = [
@@ -161,26 +169,15 @@ def standard_u_gens(sys_: RootSystem) -> tuple[int, ...]:
     (for E7 the chain breaks at e6 and picks up e7-e8 separately).
     """
     label, n = sys_.type_label, sys_.rank
-    ambient = len(sys_.roots[0].doubled)
-
-    def idx(pos_a: int, val_a: int, pos_b: int, val_b: int) -> int:
-        d = [0] * ambient
-        d[pos_a] = val_a
-        d[pos_b] = val_b
-        return sys_.index[tuple(d)]
-
     if label == "D":
-        return tuple(idx(i, 2, i + 1, -2) for i in range(n - 1))
-    if label == "E" and n == 7:
-        gens = [idx(0, 2, 1, 2)]
-        gens += [idx(i, 2, i + 1, -2) for i in range(1, 5)]
-        gens.append(idx(6, 2, 7, -2))
-        return tuple(gens)
-    if label == "E" and n == 8:
-        gens = [idx(0, 2, 1, 2)]
-        gens += [idx(i, 2, i + 1, -2) for i in range(1, 7)]
-        return tuple(gens)
-    raise ValueError(f"no standard coset subgroup recorded for {label}{n}")
+        tail = range(n - 1)
+    elif label == "E" and n in (7, 8):
+        tail = [1, 2, 3, 4, 6] if n == 7 else range(1, 7)
+    else:
+        raise ValueError(f"no standard coset subgroup recorded for {label}{n}")
+    head = [_find_root(sys_, {0: 2, 1: 2})] if label == "E" else []
+    # tail entry i stands for the root e_{i+1} - e_{i+2}
+    return tuple(head + [_find_root(sys_, {i: 2, i + 1: -2}) for i in tail])
 
 
 def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
@@ -198,7 +195,7 @@ def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
     inner products within Sigma are read.
     """
     order = 1
-    left = [sys_.roots[r].doubled for r in roots]
+    left = [sys_.roots[r] for r in roots]
     while left:
         first, rest = left[0], set(left[1:])
 
@@ -238,7 +235,7 @@ def _label_width(sys_: RootSystem, vec: Key) -> int:
     vector (see _label_bfs): one sign bit past the largest |label|."""
     bound = max(
         abs(2 * sum(map(mul, b, vec)) // sum(map(mul, b, b)))
-        for b in (sys_.roots[i].doubled for i in sys_.lines)
+        for b in (sys_.roots[i] for i in sys_.lines)
     )
     return bound.bit_length() + 1
 
@@ -270,7 +267,7 @@ def _label_bfs(
     _invariant_vector): for E8, M is 3 and a key is 24 bits.  A packed
     kernel that records edges, so not roots._bfs_orbits.
     """
-    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
     labels = _labels(simple, start)
     width = _label_width(sys_, start)
     off, mask = 1 << (width - 1), (1 << width) - 1
@@ -310,7 +307,7 @@ def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key
     """Sum of roots over each U-orbit, orbits ordered by least root."""
     orbits = _bfs_orbits(range(len(sys_.roots)), lambda r: [g[r] for g in images])
     return [
-        tuple(map(sum, zip(*(sys_.roots[r].doubled for r in orbit))))
+        tuple(map(sum, zip(*(sys_.roots[r] for r in orbit))))
         for orbit in orbits
     ]
 
@@ -347,12 +344,12 @@ def _invariant_vector(
             pos
             for pos in range(len(sys_.lines))
             if sum(
-                a * b for a, b in zip(sys_.roots[sys_.lines[pos]].doubled, vec)
+                a * b for a, b in zip(sys_.roots[sys_.lines[pos]], vec)
             )
             == 0
         }
         if perp == domain_lines:
-            simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+            simple = [sys_.roots[i] for i in sys_.simple_indices]
             g = gcd(*vec, *_labels(simple, vec))
             return tuple(x // g for x in vec)
     raise CosetValidationError(
@@ -365,13 +362,16 @@ def build_coset_space(
     sys_: RootSystem,
     u_gen_roots: Optional[Sequence[int]] = None,
     cache_dir: Optional[str] = None,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> CosetSpace:
     """Enumerate U\\W(sys) and validate the order identity.
 
     With cache_dir set, a previously built space for the same
     (type, rank, generators, format version) is loaded instead, and a
     fresh build is written back together with the canonical frame's
-    fold certificate in a single pass.
+    fold certificate in a single pass.  A space of more than
+    element_cap cosets raises CapExceededError, built or loaded; a
+    build refuses it before the first coset is enumerated.
     """
     if u_gen_roots is None:
         u_gen_roots = standard_u_gens(sys_)
@@ -379,8 +379,10 @@ def build_coset_space(
     if cache_dir is not None:
         path = cache_path(sys_, u_gen_roots, cache_dir)
         if os.path.exists(path):
-            return _load_space(sys_, u_gen_roots, path)
-    space = _build_space(sys_, u_gen_roots)
+            space = _load_space(sys_, u_gen_roots, path)
+            _check_cap(sys_, space.size, space.u_order, element_cap)
+            return space
+    space = _build_space(sys_, u_gen_roots, element_cap)
     if cache_dir is not None:
         space = replace(space, certificate=_canonical_certificate(sys_, space))
         _write_space(space, path)
@@ -392,7 +394,7 @@ def _sigma_u(sys_: RootSystem, u_gen_roots: Sequence[int]) -> list[int]:
     roots.  Each member is u(g), and s_u(g) = u s_g u^-1 lies in U, so
     the orbit is closed under reflecting its members in each other.  It
     is searched on doubled vectors, so no reflection table is built."""
-    gens = [sys_.roots[g].doubled for g in u_gen_roots]
+    gens = [sys_.roots[g] for g in u_gen_roots]
     norms = [sum(map(mul, g, g)) for g in gens]
 
     def images(v: Key) -> list[Key]:
@@ -406,17 +408,34 @@ def _sigma_u(sys_: RootSystem, u_gen_roots: Sequence[int]) -> list[int]:
     return sorted(sys_.index[v] for orbit in orbits for v in orbit)
 
 
+def _check_cap(
+    sys_: RootSystem, size: int, u_order: int, element_cap: Optional[int]
+) -> None:
+    if element_cap is not None and size > element_cap:
+        raise CapExceededError(
+            f"U\\W({sys_.type_label}{sys_.rank}) with |U| = {u_order} has "
+            f"{size} cosets, more than the element cap {element_cap}",
+            element_cap,
+        )
+
+
 def _coset_orbit(
-    sys_: RootSystem, u_gen_roots: Sequence[int], record: bool = True
+    sys_: RootSystem,
+    u_gen_roots: Sequence[int],
+    record: bool = True,
+    element_cap: Optional[int] = None,
 ) -> tuple[int, array, int]:
     """|U\\W|, the BFS edges (see _label_bfs; empty with record False)
-    and |U|, after checking the order identity |orbit| x |U| = |W|."""
+    and |U|, after checking the order identity |orbit| x |U| = |W|.
+    |W| / |U| is known before the BFS, which does not start when it is
+    above element_cap (None: no cap)."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
     sigma_u = _sigma_u(sys_, u_gen_roots)
     u_order = _reflection_group_order(sys_, sigma_u)
+    expected = weyl_order(sys_)
+    _check_cap(sys_, expected // u_order, u_order, element_cap)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
     size, edges = _label_bfs(sys_, start, record)
-    expected = weyl_order(sys_)
     if size * u_order != expected:
         raise CosetValidationError(
             f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
@@ -425,10 +444,12 @@ def _coset_orbit(
     return size, edges, u_order
 
 
-def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
+def _build_space(
+    sys_: RootSystem, u_gen_roots: tuple[int, ...], element_cap: int
+) -> CosetSpace:
     """The space with the cosets in BFS order: table i is the BFS edges'
     column i."""
-    size, edges, u_order = _coset_orbit(sys_, u_gen_roots)
+    size, edges, u_order = _coset_orbit(sys_, u_gen_roots, element_cap=element_cap)
     ngen = len(sys_.simple_indices)
     ids = list(range(size))  # one int object per coset, shared by the tables
     tables = tuple(_compose(ids, edges[g::ngen]) for g in range(ngen))
@@ -437,7 +458,7 @@ def _build_space(sys_: RootSystem, u_gen_roots: tuple[int, ...]) -> CosetSpace:
     return CosetSpace(
         type_label=sys_.type_label,
         rank=sys_.rank,
-        u_gen_roots=tuple(sys_.roots[g].doubled for g in u_gen_roots),
+        u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
         u_order=u_order,
         size=size,
         action_tables=tables,
@@ -612,7 +633,7 @@ def cache_path(
             "format_version": CACHE_FORMAT_VERSION,
             "type": sys_.type_label,
             "rank": sys_.rank,
-            "u_gens": sorted(sys_.roots[g].doubled for g in u_gen_roots),
+            "u_gens": sorted(sys_.roots[g] for g in u_gen_roots),
         },
         sort_keys=True,
     )
@@ -682,7 +703,7 @@ def _load_space(
                 )
             if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
                 raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
-            expected_gens = sorted(tuple(sys_.roots[g].doubled) for g in u_gen_roots)
+            expected_gens = sorted(sys_.roots[g] for g in u_gen_roots)
             if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
                 raise CacheFormatError(f"cache file {path} was built from different generators")
             size, u_order, a_sets = doc["size"], doc["u_order"], doc["certificate"]
@@ -740,7 +761,7 @@ def _load_space(
     space = CosetSpace(
         type_label=sys_.type_label,
         rank=sys_.rank,
-        u_gen_roots=tuple(sys_.roots[g].doubled for g in u_gen_roots),
+        u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
         u_order=u_order,
         size=size,
         action_tables=tables,

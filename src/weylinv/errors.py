@@ -8,8 +8,6 @@ from __future__ import annotations
 __all__ = [
     "WeylinvError",
     "UnsupportedSystemError",
-    "RankMismatchError",
-    "IsotropicRootError",
     "ContextMismatchError",
     "CapExceededError",
     "CacheFormatError",
@@ -26,14 +24,6 @@ class WeylinvError(Exception):
 
 class UnsupportedSystemError(WeylinvError, ValueError):
     """Requested (type, rank) outside the supported table."""
-
-
-class RankMismatchError(WeylinvError, ValueError):
-    """Vectors of different ambient dimension combined."""
-
-
-class IsotropicRootError(WeylinvError, ValueError):
-    """Reflection requested at a vector of squared norm zero."""
 
 
 class ContextMismatchError(WeylinvError, ValueError):

@@ -67,11 +67,6 @@ class DiagonalForm:
     def dim(self) -> int:
         return len(self.entries)
 
-    def concat(self, other: "DiagonalForm") -> "DiagonalForm":
-        if other.labels != self.labels:
-            raise ValueError("direct sum needs a common context")
-        return DiagonalForm(self.labels, self.entries + other.entries)
-
     def render(self) -> str:
         parts = []
         for a, mask in self.entries:
@@ -266,7 +261,7 @@ def _form_of_numerators(
 
 def reflection_matrix(sys_, root_idx: int) -> list[list[Fraction]]:
     """Exact ambient matrix of the reflection at a root."""
-    d = sys_.roots[root_idx].doubled
+    d = sys_.roots[root_idx]
     dd = sum(x * x for x in d)
     n = len(d)
     return [
@@ -287,7 +282,7 @@ def form_of_linear_action(
     # reflection_matrix(sys_, r) is A / dd with A = dd I - 2 d d^T
     numerators = []
     for r in frame_roots:
-        d = sys_.roots[r].doubled
+        d = sys_.roots[r]
         dd = sum(map(mul, d, d))
         a = [[-2 * x * y for y in d] for x in d]
         for i in range(len(d)):

@@ -27,7 +27,7 @@ from .errors import (
     NormalizerError,
     UnsupportedSystemError,
 )
-from .roots import RootSystem, _bfs_orbits, build_root_system
+from .roots import RootSystem, _bfs_orbits, _vec, build_root_system
 
 __all__ = [
     "GeneratedGroup",
@@ -433,7 +433,7 @@ def _pair_count(sys_: RootSystem, roots: tuple[int, ...]) -> int:
     """Number of (e_i - e_j, e_i + e_j) coordinate pairs inside the frame."""
     supports = []
     for idx in roots:
-        d = sys_.roots[idx].doubled
+        d = sys_.roots[idx]
         supports.append(frozenset(i for i, v in enumerate(d) if v))
     from collections import Counter
 
@@ -446,11 +446,8 @@ def _pair_count(sys_: RootSystem, roots: tuple[int, ...]) -> int:
 
 
 def _find_root(sys_: RootSystem, entries: dict[int, int]) -> int:
-    ambient = len(sys_.roots[0].doubled)
-    doubled = [0] * ambient
-    for pos, val in entries.items():
-        doubled[pos] = val
-    return sys_.index[tuple(doubled)]
+    """The index of the root with these nonzero doubled entries."""
+    return sys_.index[_vec(len(sys_.roots[0]), entries)]
 
 
 def standard_frames(sys_: RootSystem) -> list[tuple[str, tuple[int, ...]]]:
@@ -510,7 +507,7 @@ def standard_frames(sys_: RootSystem) -> list[tuple[str, tuple[int, ...]]]:
 
 def root_label(sys_: RootSystem, root_idx: int) -> str:
     """Human label for a frame member: a3 / b3 / e5, else r<idx>."""
-    d = sys_.roots[sys_.canonical_rep[root_idx]].doubled
+    d = sys_.roots[sys_.canonical_rep[root_idx]]
     support = [i for i, val in enumerate(d) if val]
     if len(support) == 1 and d[support[0]] == 2:
         return f"e{support[0] + 1}"

@@ -1,8 +1,9 @@
 """Exact crystallographic root systems in doubled-integer coordinates.
 
-Every coordinate is stored as twice its real value, so the half-integer
-roots of the E family stay exact integers.  Inner products consequently
-carry a denominator of 4 and are returned as Fraction.
+A root is the tuple of its coordinates, each stored as twice its real
+value, so the half-integer roots of the E family stay exact integers.
+The dot product of two such tuples is 4 times the inner product of the
+roots, an integer.
 
 Supported systems: A_n (n >= 1), B_n/C_n (n >= 2, C aliased to B), D_n
 (n >= 4), E6, E7, E8, F4.  The dihedral families (including G2) have no
@@ -11,26 +12,21 @@ weylinv.groups.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 from typing import Callable, Iterable
 
-from .errors import IsotropicRootError, RankMismatchError, UnsupportedSystemError
+from .errors import UnsupportedSystemError
 
 __all__ = [
-    "RootVector",
     "RootSystem",
     "build_root_system",
-    "inner_product",
-    "reflect",
-    "cartan_integer",
-    "roots_to_json",
     "SUPPORTED",
 ]
+
+#: A root: its doubled coordinates.
+Root = tuple[int, ...]
 
 #: (type_label, min_rank, max_rank) rows of the supported table.  E/F entries
 #: are fixed-rank.  max_rank 8 keeps every enumeration comfortably in memory.
@@ -44,94 +40,15 @@ SUPPORTED: tuple[tuple[str, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """A vector with entries equal to 2x the real coordinates."""
-
-    doubled: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not any(self.doubled):
-            raise ValueError("root vector must be nonzero")
-
-    @property
-    def rank(self) -> int:
-        """Ambient coordinate dimension."""
-        return len(self.doubled)
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-d for d in self.doubled))
-
-    def sign_canonical(self) -> "RootVector":
-        """The representative of {v, -v} whose first nonzero entry is positive."""
-        for d in self.doubled:
-            if d > 0:
-                return self
-            if d < 0:
-                return -self
-        raise AssertionError("unreachable: zero vector")
-
-    def norm(self) -> Fraction:
-        return inner_product(self, self)
-
-    def render(self) -> str:
-        return "(" + ", ".join(
-            str(Fraction(d, 2)) for d in self.doubled
-        ) + ")"
-
-
-def inner_product(v: RootVector, w: RootVector) -> Fraction:
-    """Exact scalar product; doubled coordinates give (sum d_i d'_i) / 4."""
-    if len(v.doubled) != len(w.doubled):
-        raise RankMismatchError(
-            f"rank mismatch: {len(v.doubled)} vs {len(w.doubled)}"
-        )
-    return Fraction(sum(a * b for a, b in zip(v.doubled, w.doubled)), 4)
-
-
-def cartan_integer(v: RootVector, w: RootVector) -> int:
-    """2(v,w)/(v,v), guaranteed integral for root pairs of a root system."""
-    vv = inner_product(v, v)
-    if vv == 0:
-        raise IsotropicRootError("isotropic vector has no Cartan pairing")
-    c = 2 * inner_product(v, w) / vv
-    if c.denominator != 1:
-        raise ValueError(f"non-integral Cartan pairing {c} for {v} , {w}")
-    return int(c)
-
-
-def reflect(v: RootVector, w: RootVector) -> RootVector:
-    """Image of w under the reflection through the hyperplane orthogonal to v.
-
-    s_v(w) = w - (2(v,w)/(v,v)) v, evaluated exactly.  For root pairs the
-    coefficient is the (integral) Cartan number, so the result stays in
-    doubled-integer coordinates.
-    """
-    vv = inner_product(v, v)
-    if vv == 0:
-        raise IsotropicRootError("cannot reflect through an isotropic vector")
-    coeff = 2 * inner_product(v, w) / vv
-    doubled = tuple(
-        dw - coeff * dv for dv, dw in zip(v.doubled, w.doubled)
-    )
-    out = []
-    for d in doubled:
-        if isinstance(d, Fraction):
-            if d.denominator != 1:
-                raise ValueError("reflection left the doubled-integer lattice")
-            d = int(d)
-        out.append(d)
-    return RootVector(tuple(out))
-
-
-def _vec(ambient: int, entries: dict[int, int]) -> RootVector:
+def _vec(ambient: int, entries: dict[int, int]) -> Root:
+    """The root of this width with the given nonzero doubled entries."""
     doubled = [0] * ambient
     for pos, val in entries.items():
         doubled[pos] = val
-    return RootVector(tuple(doubled))
+    return tuple(doubled)
 
 
-def _roots_a(n: int) -> tuple[list[RootVector], list[RootVector]]:
+def _roots_a(n: int) -> tuple[list[Root], list[Root]]:
     ambient = n + 1
     roots = [
         _vec(ambient, {i: 2, j: -2})
@@ -143,7 +60,7 @@ def _roots_a(n: int) -> tuple[list[RootVector], list[RootVector]]:
     return roots, simple
 
 
-def _roots_b(n: int) -> tuple[list[RootVector], list[RootVector]]:
+def _roots_b(n: int) -> tuple[list[Root], list[Root]]:
     roots = [_vec(n, {i: 2 * s}) for i in range(n) for s in (1, -1)]
     roots += [
         _vec(n, {i: 2 * si, j: 2 * sj})
@@ -156,7 +73,7 @@ def _roots_b(n: int) -> tuple[list[RootVector], list[RootVector]]:
     return roots, simple
 
 
-def _roots_d(n: int) -> tuple[list[RootVector], list[RootVector]]:
+def _roots_d(n: int) -> tuple[list[Root], list[Root]]:
     roots = [
         _vec(n, {i: 2 * si, j: 2 * sj})
         for i, j in combinations(range(n), 2)
@@ -168,7 +85,7 @@ def _roots_d(n: int) -> tuple[list[RootVector], list[RootVector]]:
     return roots, simple
 
 
-def _roots_e8() -> tuple[list[RootVector], list[RootVector]]:
+def _roots_e8() -> tuple[list[Root], list[Root]]:
     roots = [
         _vec(8, {i: 2 * si, j: 2 * sj})
         for i, j in combinations(range(8), 2)
@@ -177,9 +94,9 @@ def _roots_e8() -> tuple[list[RootVector], list[RootVector]]:
     ]
     for signs in product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
-            roots.append(RootVector(signs))
+            roots.append(signs)
     simple = [
-        RootVector((1, -1, -1, -1, -1, -1, -1, 1)),
+        (1, -1, -1, -1, -1, -1, -1, 1),
         _vec(8, {0: 2, 1: 2}),
         _vec(8, {1: 2, 0: -2}),
         _vec(8, {2: 2, 1: -2}),
@@ -191,25 +108,25 @@ def _roots_e8() -> tuple[list[RootVector], list[RootVector]]:
     return roots, simple
 
 
-def _roots_e7() -> tuple[list[RootVector], list[RootVector]]:
+def _roots_e7() -> tuple[list[Root], list[Root]]:
     all_e8, simple_e8 = _roots_e8()
     # E7 = roots of E8 orthogonal to e7 + e8 (doubled coords 6 and 7 sum to 0)
-    roots = [r for r in all_e8 if r.doubled[6] + r.doubled[7] == 0]
+    roots = [r for r in all_e8 if r[6] + r[7] == 0]
     return roots, simple_e8[:7]
 
 
-def _roots_e6() -> tuple[list[RootVector], list[RootVector]]:
+def _roots_e6() -> tuple[list[Root], list[Root]]:
     all_e8, simple_e8 = _roots_e8()
     # E6 = roots of E8 orthogonal to both e7 + e8 and e6 - e7
     roots = [
         r
         for r in all_e8
-        if r.doubled[6] + r.doubled[7] == 0 and r.doubled[5] == r.doubled[6]
+        if r[6] + r[7] == 0 and r[5] == r[6]
     ]
     return roots, simple_e8[:6]
 
 
-def _roots_f4() -> tuple[list[RootVector], list[RootVector]]:
+def _roots_f4() -> tuple[list[Root], list[Root]]:
     roots = [
         _vec(4, {i: 2 * si, j: 2 * sj})
         for i, j in combinations(range(4), 2)
@@ -217,12 +134,12 @@ def _roots_f4() -> tuple[list[RootVector], list[RootVector]]:
         for sj in (1, -1)
     ]
     roots += [_vec(4, {i: 2 * s}) for i in range(4) for s in (1, -1)]
-    roots += [RootVector(signs) for signs in product((1, -1), repeat=4)]
+    roots += list(product((1, -1), repeat=4))
     simple = [
         _vec(4, {1: 2, 2: -2}),
         _vec(4, {2: 2, 3: -2}),
         _vec(4, {3: 2}),
-        RootVector((1, -1, -1, -1)),
+        (1, -1, -1, -1),
     ]
     return roots, simple
 
@@ -233,7 +150,9 @@ class RootSystem:
     Attributes:
         type_label: one of A, B, D, E, F (C is aliased to B at build time).
         rank: Coxeter rank.
-        roots: tuple of RootVector, sorted lexicographically on doubled coords.
+        roots: tuple of roots, each a tuple of ints (its doubled
+            coordinates), sorted lexicographically.
+        index: root -> its position in roots.
         simple_indices: indices of a Bourbaki simple system.
         negation: negation[i] is the index of -roots[i].
         lines: indices of the sign-canonical root of each +- pair, ascending.
@@ -253,31 +172,24 @@ class RootSystem:
         self,
         type_label: str,
         rank: int,
-        roots: Iterable[RootVector],
-        simple: Iterable[RootVector],
+        roots: Iterable[Root],
+        simple: Iterable[Root],
         notes: tuple[str, ...] = (),
     ):
         self.type_label = type_label
         self.rank = rank
-        self.roots: tuple[RootVector, ...] = tuple(
-            sorted(roots, key=lambda r: r.doubled)
-        )
+        self.roots: tuple[Root, ...] = tuple(sorted(roots))
         self.notes = notes
-        self.index: dict[tuple[int, ...], int] = {
-            r.doubled: i for i, r in enumerate(self.roots)
-        }
+        self.index: dict[Root, int] = {r: i for i, r in enumerate(self.roots)}
         if len(self.index) != len(self.roots):
             raise ValueError("duplicate roots")
-        self.simple_indices: tuple[int, ...] = tuple(
-            self.index[s.doubled] for s in simple
-        )
+        self.simple_indices: tuple[int, ...] = tuple(self.index[s] for s in simple)
         self.negation: tuple[int, ...] = tuple(
-            self.index[(-r).doubled] for r in self.roots
+            self.index[tuple([-d for d in r])] for r in self.roots
         )
-        canonical = []
-        for i, r in enumerate(self.roots):
-            canonical.append(self.index[r.sign_canonical().doubled])
-        self.canonical_rep: tuple[int, ...] = tuple(canonical)
+        # r and -r first differ at r's first nonzero entry, so the later
+        # of the two in root order is the one whose entry there is positive
+        self.canonical_rep: tuple[int, ...] = tuple(map(max, enumerate(self.negation)))
         self.lines: tuple[int, ...] = tuple(
             i for i, c in enumerate(self.canonical_rep) if c == i
         )
@@ -308,16 +220,10 @@ class RootSystem:
         """Dot products of the doubled coordinates of roots[i] with every root."""
 
         def build():
-            vd = self.roots[i].doubled
-            return tuple([sum(map(mul, vd, w.doubled)) for w in self.roots])
+            vd = self.roots[i]
+            return tuple([sum(map(mul, vd, w)) for w in self.roots])
 
         return self.memo(("gram", i), build)
-
-    def root_index(self, v: RootVector) -> int:
-        try:
-            return self.index[v.doubled]
-        except KeyError:
-            raise ValueError(f"{v.render()} is not a root of {self!r}") from None
 
     def _validate(self) -> None:
         """Check that the roots form a crystallographic root system.
@@ -353,14 +259,13 @@ class RootSystem:
             j = self.negation[i]
             if j == i or self.negation[j] != i:
                 raise ValueError("negation is not a perfect matching")
-        doubles = [r.doubled for r in roots]
         index = self.index
         tables = []
         for s in self.simple_indices:
-            ad = doubles[s]
+            ad = roots[s]
             aa = sum(map(mul, ad, ad))
             table = []
-            for j, wd in enumerate(doubles):
+            for j, wd in enumerate(roots):
                 c, rem = divmod(2 * sum(map(mul, ad, wd)), aa)
                 if rem:
                     raise ValueError(
@@ -376,7 +281,7 @@ class RootSystem:
         reached = _bfs_orbits(self.simple_indices, lambda i: [t[i] for t in tables])
         seen = {i for orbit in reached for i in orbit}
         if len(seen) != n:
-            missing = next(d for i, d in enumerate(doubles) if i not in seen)
+            missing = next(d for i, d in enumerate(roots) if i not in seen)
             raise ValueError(
                 f"root {missing} is not reached from the simple roots"
             )
@@ -390,7 +295,7 @@ class RootSystem:
         """
 
         def build():
-            vd = self.roots[root_idx].doubled
+            vd = self.roots[root_idx]
             row = self.gram_row(root_idx)
             vv = row[root_idx]
             index = self.index
@@ -398,7 +303,7 @@ class RootSystem:
             for j, (w, g) in enumerate(zip(self.roots, row)):
                 if g:
                     c = 2 * g // vv
-                    j = index[tuple([b - c * a for a, b in zip(vd, w.doubled)])]
+                    j = index[tuple([b - c * a for a, b in zip(vd, w)])]
                 out.append(j)
             return tuple(out)
 
@@ -473,15 +378,3 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         raise UnsupportedSystemError(type_label)
     return RootSystem(label, rank, roots, simple, notes)
 
-
-def roots_to_json(sys_: RootSystem) -> str:
-    """Canonical JSON export of the root list (doubled integer coordinates)."""
-    payload = {
-        "type": sys_.type_label,
-        "rank": sys_.rank,
-        "count": len(sys_.roots),
-        "doubled_roots": [list(r.doubled) for r in sys_.roots],
-        "simple_indices": list(sys_.simple_indices),
-        "notes": list(sys_.notes),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

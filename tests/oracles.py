@@ -20,6 +20,9 @@ directly, and the tests check the direct form against it:
     coset's doubled-coordinate key, reflected densely and numbered in BFS
     order from the package's start vector; weylinv.cosets walks packed
     Dynkin labels and keeps no keys.
+  * reflect - a root's reflection in another computed from the real
+    inner product in Fraction; weylinv.roots builds reflection tables
+    from integer dot products of doubled coordinates.
   * unreduced_invariant_vector / cauchy_schwarz_label_width - the coset
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
@@ -313,13 +317,30 @@ def write_cache(path, doc: dict, **dumps) -> None:
 
 
 # ---------------------------------------------------------------------------
+# roots
+
+
+def reflect(v, w):
+    """s_v(w) = w - (2(v, w)/(v, v)) v for roots given as doubled
+    coordinate tuples.  (v, w) is the real inner product, the dot
+    product of the doubled tuples over 4, evaluated in Fraction; raises
+    ValueError when the image leaves the doubled-integer lattice."""
+    vv = Fraction(sum(map(mul, v, v)), 4)
+    coeff = 2 * Fraction(sum(map(mul, v, w)), 4) / vv
+    image = [b - coeff * a for a, b in zip(v, w)]
+    if any(x.denominator != 1 for x in image):
+        raise ValueError("reflection left the doubled-integer lattice")
+    return tuple(int(x) for x in image)
+
+
+# ---------------------------------------------------------------------------
 # coset keys
 
 
 def reflector(sys_, root):
     """(nonzero (coordinate, value) pairs of the doubled root, squared
     length x 4): the reflection oracle's view of a root."""
-    d = sys_.roots[root].doubled
+    d = sys_.roots[root]
     return tuple((i, a) for i, a in enumerate(d) if a), sum(a * a for a in d)
 
 
@@ -386,7 +407,7 @@ def unreduced_invariant_vector(sys_, images, domain_lines):
             pos
             for pos in range(len(sys_.lines))
             if sum(
-                a * b for a, b in zip(sys_.roots[sys_.lines[pos]].doubled, vec)
+                a * b for a, b in zip(sys_.roots[sys_.lines[pos]], vec)
             )
             == 0
         }

@@ -54,6 +54,53 @@ def test_roots_json(capsys):
     assert [2, 2] in doc["doubled_coordinates"]
 
 
+#: sha256 of the stdout of `roots X --json` and of `roots X`, pinning the
+#: root order and coordinates of every supported label
+_ROOTS_SHA256 = {
+    "A1": ("ce5fd1a56b73623023449d07a56e8788347c698b8c30df7a1d33e8309f7529f5", "454ccd75e5664e977b51a9bc882fe3ea3f1eb0f7cc6c2785e4ffc2b10a961028"),
+    "A2": ("dcfba83751221ad753253baf7d38d4f026bed7d608fde50738d80059d3bb9cdc", "1758832554b701fe1f4b1c21536765255e6a594ddb49f2334901b3f7b66e0c23"),
+    "A3": ("7d1d8fa7f31165397fa446d4c030ed199ff4840884074632f2f4e2820352ba1e", "bb08dc0f1d8c54c8655d167873afa10e20f6e4096ca5694351367d613cd19b50"),
+    "A4": ("73ca78b863c06182fc8df84fbf5e8c62984a15fd97482338058bd3588f0dd77a", "66c0ff044927d12c5b96250d04f4d5f6ff1ddd1e41002c4bce0799edba1c8787"),
+    "A5": ("f356663d621645e4831fd214d12308a333b66488034b4b7943d486319c46bc69", "220ef87d2cd6324e27ffa66e1e018db2b11d38f96a397a7508c07899a29fc610"),
+    "A6": ("0bc0292545e86b1cbd4a3e8d8c8346c4b5d0726afcbfe8c360119aaea816cc44", "a59f12ad56915fd2a6c5ad063a487b55aa10dae23ccb653db3ff58fb03f40495"),
+    "A7": ("1bfe7e8b5b1d8e747d21cfb292a8a95ab010b6ff7d32c87b5d49791a8349686c", "11208438ba617f1e01581759ee7e4e0b3f9d475fac9f873421030b68e3454efa"),
+    "A8": ("23c64239c7f89adf8ab6fffef26745190d4c99d1ecf2f2b1235786526957bc05", "fe7497610d70a5f73161bbdcd23b3b91d13f1bf22ba00bb90d49f5f0ca0abbf8"),
+    "B2": ("79fa9d1724b71918ffa49a53310565330bf89d39d5f1d0952cafb77a49823015", "db43d7a0750911baa36660de4ef2d63c61895e01fdf03e015e5d664661b631d7"),
+    "B3": ("2687588847e9df0cc3b026e15f7036c6c5d3a8f13534db76ba4614efe2b19829", "80958c3d5d12c098385009401599bfed0aa2867f233e09f969175289ccc6f482"),
+    "B4": ("ee063c3de7dd32419eee9c0321819a14eb0671cd33bfab1bb8067bad3e79a950", "c082cb028c44ff23ce1aaf1d0c33689430ddd8809787ebe75a775256b16af19b"),
+    "B5": ("18fb152daf54e32045980bef86e3ef0d92ada978219235c099f2a901ccc553d6", "80a0c8d8fec4f9ae65fac2f6e4d9e801eb27f393176aa3fdec3eef70f6ea55e6"),
+    "B6": ("7247c8c5ff19c6f377863aa143deebf16a1d4ebb6f5a9415f55025f1ef24e1a9", "0f31ade7a5df6ee469563c4899d0b4ecf9fe3cfec30b9e2c9a5afa4c4033c30f"),
+    "B7": ("f6e76fd74515f1824f0415edd6a23763cdb2b94034c30e344bd0902680d5b3ff", "bba3981d2ca786e362a6e68d19b60476a65c782a2da1343675cf9f7bb1aa4c0d"),
+    "B8": ("8bd0082c85623b2b8721f6a2ddbf420de3d71483688bdd115138942fd73f3194", "2d0d77df22682f4ba2fd8aaff4c9c40b76befa6d9f8e93c6020c78e0684858c0"),
+    "C2": ("79fa9d1724b71918ffa49a53310565330bf89d39d5f1d0952cafb77a49823015", "db43d7a0750911baa36660de4ef2d63c61895e01fdf03e015e5d664661b631d7"),
+    "C3": ("2687588847e9df0cc3b026e15f7036c6c5d3a8f13534db76ba4614efe2b19829", "80958c3d5d12c098385009401599bfed0aa2867f233e09f969175289ccc6f482"),
+    "C4": ("ee063c3de7dd32419eee9c0321819a14eb0671cd33bfab1bb8067bad3e79a950", "c082cb028c44ff23ce1aaf1d0c33689430ddd8809787ebe75a775256b16af19b"),
+    "C5": ("18fb152daf54e32045980bef86e3ef0d92ada978219235c099f2a901ccc553d6", "80a0c8d8fec4f9ae65fac2f6e4d9e801eb27f393176aa3fdec3eef70f6ea55e6"),
+    "C6": ("7247c8c5ff19c6f377863aa143deebf16a1d4ebb6f5a9415f55025f1ef24e1a9", "0f31ade7a5df6ee469563c4899d0b4ecf9fe3cfec30b9e2c9a5afa4c4033c30f"),
+    "C7": ("f6e76fd74515f1824f0415edd6a23763cdb2b94034c30e344bd0902680d5b3ff", "bba3981d2ca786e362a6e68d19b60476a65c782a2da1343675cf9f7bb1aa4c0d"),
+    "C8": ("8bd0082c85623b2b8721f6a2ddbf420de3d71483688bdd115138942fd73f3194", "2d0d77df22682f4ba2fd8aaff4c9c40b76befa6d9f8e93c6020c78e0684858c0"),
+    "D4": ("80982727ea13b72c92990a22690816d3f35bd570e4652151e1989b98489824d7", "bd5f3ee2404ddccb2d936907b446d03052e7948b412e41be7cc20d8a7164a717"),
+    "D5": ("5c3867a703870fd05dd71441849501bc5a35c5aebca1181e0dea555bac9088eb", "832ddb3ea918d8138b5461e2cf1516e90304f512bd7ba56ce458fa405c75041e"),
+    "D6": ("d5e8b2227158ebfc25b71c9940c95756d92f71ffb9410c6db6fc5bf9158c0547", "6dc2302d4f223fcf7e211eceb0a66696d5bd68ac8202a31869a64633006cf93f"),
+    "D7": ("0b7e74d7ac59ec760beac2732a5454d297230aa7d15b9a16a8f8943a1f3f4dae", "5a663b692209e8327ded32e854b528960613a6bde7fd55d03c7635f278868b8e"),
+    "D8": ("ccc5b1521af0693be5c403426ce49a3d27dc00819ccea5bc40598cd66ffeac8b", "5325318f340acc6435a6e463537255a58985b74deef17e206b7bda3082e9ce6f"),
+    "E6": ("280c0ce450f81e462345399c7140dd689e625144cb3f0549a7401c88c12ac17e", "d9cc9d1a0fe933ba00d6b218fcf6da399e3cdc3a98660eb05d731ec74c3903af"),
+    "E7": ("1baf6409dacd7afbb24b9b2fc23e3d5c15760114d97772f0a4df157e0b119bdf", "90bcba2801e5fd269f5ed6d021a93b24752eff6948dc1ab1f4adfae34ff0324c"),
+    "E8": ("101e7d6f9c8b9a94fb72507b1961e0158089a8e421a3599de312c969188f54db", "568794b9a76343df38fc243021e93c226030768fc0f526797236330ebbd8e283"),
+    "F4": ("5f145de64d0cd6d7f1993b1118258149ad1db5dcc6689725a40b32643efb0328", "c145ba64af9cc993659b143ca15dfbca29e65eb48d884f0dd1358123c98fbfee"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ROOTS_SHA256))
+def test_roots_output_digests(capsys, label):
+    got = []
+    for extra in (["--json"], []):
+        code, out, _ = run(capsys, "roots", label, *extra)
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == _ROOTS_SHA256[label]
+
+
 def test_order_enumerated_and_dihedral(capsys):
     code, out, _ = run(capsys, "order", "B4")
     assert code == 0 and "384" in out and "bfs" in out
@@ -87,6 +134,23 @@ def test_cosets_with_explicit_generators(capsys):
     assert code == 0 and out.startswith("8 cosets")
     code, _, err = run(capsys, "cosets", "D4", "--u-root", "1,1,1,1")
     assert code == 2 and "not a doubled root" in err
+
+
+def test_coset_space_past_the_element_cap_exits_3(capsys, tmp_path):
+    # D4 has 192 / 24 = 8 cosets of the standard U
+    for cmd in ("cosets", "fullcheck"):
+        code, out, err = run(capsys, cmd, "D4", "--max-elements", "4")
+        assert code == 3 and out == ""
+        assert "8 cosets, more than the element cap 4" in err
+        code, _, _ = run(capsys, cmd, "D4", "--max-elements", "8")
+        assert code == 0
+    # a cached space is held to the same cap
+    cache = ["--cache-dir", str(tmp_path)]
+    assert run(capsys, "cosets", "D4", *cache)[0] == 0
+    assert run(capsys, "cosets", "D4", "--max-elements", "4", *cache)[0] == 3
+    # the order of E8 counts its cosets without the cap
+    code, out, _ = run(capsys, "order", "E8", "--max-elements", "4")
+    assert code == 0 and "696729600" in out
 
 
 def test_fullcheck_non_orthogonal_roots_exits_2(capsys):

@@ -32,7 +32,12 @@ from weylinv.cosets import (
     p_orbits,
     standard_u_gens,
 )
-from weylinv.errors import CacheFormatError, CertificateError, CosetValidationError
+from weylinv.errors import (
+    CacheFormatError,
+    CapExceededError,
+    CertificateError,
+    CosetValidationError,
+)
 from weylinv.groups import (
     enumerate_subgroup,
     maximal_orthogonal_frames,
@@ -46,6 +51,7 @@ from oracles import (
     coset_vectors,
     dense_orbit,
     read_cache,
+    reflect,
     reflect_key,
     reflector,
     unreduced_invariant_vector,
@@ -161,7 +167,7 @@ def test_sparse_reflect_key_matches_dense(d4_space):
     vectors = coset_vectors(sys_)
     passed_through = 0
     for r in range(len(sys_.roots)):
-        d_r = sys_.roots[r].doubled
+        d_r = sys_.roots[r]
         rr4 = sum(a * a for a in d_r)
         for key in vectors:
             q = 2 * sum(a * b for a, b in zip(d_r, key)) // rr4
@@ -202,7 +208,7 @@ def test_count_only_coset_bfs_matches_the_full_one(system):
     size, edges, u_order = _coset_orbit(sys_, gens)
     assert len(edges) == size * sys_.rank
     assert _coset_orbit(sys_, gens, record=False) == (size, array("l"), u_order)
-    width = len(sys_.roots[0].doubled)
+    width = len(sys_.roots[0])
     with pytest.raises(CosetValidationError, match="weight lattice"):
         _label_bfs(sys_, (1,) + (0,) * (width - 1), False)
 
@@ -226,7 +232,7 @@ def test_e8_labels_inside_field_bound():
     sys_ = build_root_system("E", 8)
     vectors = coset_vectors(sys_)
     assert len(vectors) == build_coset_space(sys_).size
-    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
     width = _label_width(sys_, vectors[0])
     off = 1 << (width - 1)
     biggest = max(abs(c) for key in vectors for c in _labels(simple, key))
@@ -378,7 +384,7 @@ def _u_and_starts(label, rank, custom):
 def _unreduced_route(monkeypatch, sys_):
     """Make the package start its BFS from the unreduced vector with the
     Cauchy-Schwarz field width, as it did before the start was reduced."""
-    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
     monkeypatch.setattr(cosets, "_invariant_vector", unreduced_invariant_vector)
     monkeypatch.setattr(
         cosets, "_label_width", lambda _, vec: cauchy_schwarz_label_width(simple, vec)
@@ -392,7 +398,7 @@ def test_primitive_start_matches_the_unreduced_oracle(
     """The primitive start gives the oracle's space at 1/g of its scale:
     the same size, |U|, action tables and certificate."""
     sys_, u_gens, start, unreduced = _u_and_starts(label, rank, custom)
-    simple = [sys_.roots[i].doubled for i in sys_.simple_indices]
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
     assert gcd(*start, *_labels(simple, start)) == 1
     g = gcd(*unreduced, *_labels(simple, unreduced))
     assert tuple(g * x for x in start) == unreduced
@@ -414,7 +420,7 @@ def test_primitive_start_matches_the_unreduced_oracle(
     # the width the kernel takes for it
     bound = max(
         abs(2 * sum(map(mul, b, start)) // sum(map(mul, b, b)))
-        for b in (r.doubled for r in sys_.roots)
+        for b in sys_.roots
     )
     biggest = max(abs(c) for key in vectors for c in _labels(simple, key))
     assert bound == biggest
@@ -441,11 +447,21 @@ def test_unreduced_route_writes_the_same_file(tmp_path, monkeypatch, system):
     assert (loaded.size, loaded.u_order) == (fresh.size, fresh.u_order)
 
 
+def test_build_refuses_a_space_past_the_element_cap(monkeypatch):
+    """|W| / |U| is compared with the cap before the coset BFS starts."""
+    sys_ = build_root_system("D", 4)
+    one = (sys_.simple_indices[0],)  # |U| = 2, so 192 / 2 = 96 cosets
+    with monkeypatch.context() as m:
+        m.setattr(cosets, "_label_bfs", lambda *a: pytest.fail("the BFS ran"))
+        with pytest.raises(CapExceededError, match="has 96 cosets") as info:
+            build_coset_space(sys_, one, element_cap=95)
+    assert info.value.cap == 95
+    assert build_coset_space(sys_, one, element_cap=96).size == 96
+
+
 def test_closure_matches_mutual_reflection():
     """Sigma_U as an orbit equals the closure of the generators' roots
     under reflecting them in each other."""
-    from weylinv.roots import reflect
-
     for label, rank in (("D", 6), ("E", 7)):
         sys_ = build_root_system(label, rank)
         gens = standard_u_gens(sys_)
@@ -455,7 +471,7 @@ def test_closure_matches_mutual_reflection():
             if not more:
                 break
             closed |= more
-        assert sorted(sys_.root_index(r) for r in closed) == _sigma_u(sys_, gens)
+        assert sorted(sys_.index[r] for r in closed) == _sigma_u(sys_, gens)
 
 
 def _frames(sys_):
