@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatchError
-from .roots import _bfs_orbits
 
 __all__ = [
     "Monomial",
@@ -38,7 +37,6 @@ __all__ = [
     "linear_independence",
     "stacked_independence",
     "IndependenceResult",
-    "orbit_sums",
     "parse_terms",
 ]
 
@@ -362,34 +360,3 @@ def stacked_independence(
         vectors.append(bits)
     rows, dependency = _f2_eliminate(vectors)
     return IndependenceResult(dependency is None, len(rows), dependency)
-
-
-# ---------------------------------------------------------------------------
-# orbit sums
-
-
-def orbit_sums(
-    monomials: Iterable[int],
-    position_perms: Sequence[Sequence[int]],
-    labels: Sequence[str],
-) -> list[KInvariant]:
-    """One invariant per orbit of the coordinate action on a monomial set.
-
-    The permutations must map the given monomial set to itself (checked);
-    the orbit sums then span the subspace of invariant combinations
-    supported on that set.
-    """
-    labels = tuple(labels)
-    pool = set(monomials)
-    for m in pool:
-        for perm in position_perms:
-            if _moved(m, perm) not in pool:
-                raise ValueError(
-                    "the permutations do not preserve the monomial set"
-                )
-    # by degree, then coordinates, then {2}: orbit leaders in a fixed order
-    orbits = _bfs_orbits(
-        sorted(pool, key=lambda m: (m.bit_count(), m)),
-        lambda m: [_moved(m, perm) for perm in position_perms],
-    )
-    return [KInvariant(labels, frozenset(orbit)) for orbit in orbits]

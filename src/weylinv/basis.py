@@ -24,9 +24,9 @@ fixed order: the caller's first checks (closed-form expectations where
 one is on record), mod-s independence of the restrictions stacked over
 the frames, cardinality, invariance under the recorded normalizer
 elements, degree-by-degree dimension bounds, then the caller's last
-checks.  The bounds themselves come from normalizer orbit sums
-(computed for A/D, counted by pair/tail signature for B) together
-with, for B_n, cross-frame consistency equalities; for F4 and the E
+checks.  The bounds are closed counts of normalizer-orbit signatures
+for A, B/C, D and I2(4) (see upper_bound_dim), which the tests derive
+again by orbit sums and by linking the B_n frames; for F4 and the E
 types the constrained dimension lists are encoded and cross-checked
 against a machine computation of the torsor-element constraint on the
 upstream restriction span.
@@ -45,7 +45,6 @@ from .algebra import (
     Monomial,
     coordinate_mask,
     one,
-    orbit_sums,
     relabel,
     stacked_independence,
     two,
@@ -73,7 +72,7 @@ from .groups import (
     root_label,
     standard_frames,
 )
-from .roots import SUPPORTED, RootSystem, _bfs_orbits, build_root_system
+from .roots import SUPPORTED, RootSystem, build_root_system
 
 __all__ = [
     "FormSW",
@@ -376,6 +375,13 @@ def _fold_recipe(inv, labels, leaf) -> Optional[KInvariant]:
 
 # ---------------------------------------------------------------------------
 # closed-form expectations
+
+
+def _subset_monomials(k: int, d: int) -> list[int]:
+    return [
+        Monomial(sum(1 << p for p in subset))
+        for subset in combinations(range(k), d)
+    ]
 
 
 def lambda_sum(L: int, n: int, d: int, predicate=None) -> KInvariant:
@@ -820,55 +826,6 @@ def normalizer_families(
 # dimension bounds
 
 
-def _subset_monomials(k: int, d: int) -> list[int]:
-    return [
-        Monomial(sum(1 << p for p in subset))
-        for subset in combinations(range(k), d)
-    ]
-
-
-def _orbit_count(labels: Sequence[str], perms: Sequence[Sequence[int]], d: int) -> int:
-    if d == 0:
-        return 1
-    if d > len(labels):
-        return 0
-    return len(orbit_sums(_subset_monomials(len(labels), d), perms, labels))
-
-
-def _b_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
-    """One node (L, k, ell) per normalizer orbit of the degree-d monomials
-    at frame X_L of B_n: k full pairs, ell tail entries and d - 2k - ell
-    lone entries among the other L - k pairs.  The pair swaps, pair flips
-    and tail swaps move any monomial of a signature to any other."""
-    return [
-        (L, k, ell)
-        for L in range(n // 2 + 1)
-        for k in range(L + 1)
-        for ell in range(n - 2 * L + 1)
-        if 0 <= d - 2 * k - ell <= L - k
-    ]
-
-
-def _b_upper_bound(n: int, d: int) -> int:
-    nodes = _b_nodes(n, d)
-    present = set(nodes)
-    by_sig: dict = {}
-    for node in nodes:
-        by_sig.setdefault(node[1:], []).append(node)
-
-    def linked(node):
-        # the same signature restricts identically from every frame that
-        # carries it: the shared subgroup comparison pins the multiplier;
-        # the two-slot product subgroup trades a tail doubleton against a
-        # full pair one frame up, merging (k, ell) with (k+1, ell-2);
-        # linked both ways, as the orbit search follows links forward
-        L, k, ell = node
-        up, down = (L + 1, k + 1, ell - 2), (L - 1, k - 1, ell + 2)
-        return by_sig[(k, ell)] + [x for x in (up, down) if x in present]
-
-    return len(_bfs_orbits(nodes, linked))
-
-
 _ENCODED_BOUNDS = {
     ("F", 4): (1, 2, 2, 2, 1),
     ("E", 6): (1, 1, 1, 1, 1),
@@ -880,40 +837,49 @@ _ENCODED_BOUNDS = {
 def upper_bound_dim(type_label: str, rank: int, degree: int) -> int:
     """Upper bound for the degree component of the invariants' image.
 
-    A/B/D: the number of normalizer orbit sums on the frame monomials,
-    with the cross-frame consistency identifications for B (an orbit is
-    its pair/tail signature, orbits whose signature agrees restrict
-    compatibly from every frame, and a two-slot product subgroup
-    identifies the (k, ell) and (k+1, ell-2) signatures).  F4/E6/E7/E8:
-    the encoded constrained-dimension lists, cross-checkable against
-    constrained_dim.  Dihedral types: binomial coefficients of the free
-    x-context, I2(4) via its rank-2 coordinate realization.
+    A, B/C, D and I2(4) = W(B2): closed counts of the normalizer-orbit
+    signatures of the degree-d frame monomials, built from no root
+    system, from the type's least supported rank up.  A_n: [d <= f],
+    f = (n + 1) // 2, the GMS basis of S_(n+1); D_n: the (full pairs,
+    lone entries) count plus a parity split; both are derived again in
+    tests as orbit sums (orbit_sum_bound, and the full normalizer
+    action).  B_n: min(d, n - d) + 1, derived again by linking the
+    (L, k, ell) orbit nodes of every frame (b_linked_bound).  F4/E6/E7/
+    E8: the encoded constrained-dimension lists, cross-checkable against
+    constrained_dim.  Other dihedral types: binomials of the x-context.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    t = type_label
-    if t in ("A", "D"):
-        if degree == 0:
-            return 1
-        sys_ = build_root_system(t, rank)
-        frame_name, roots = standard_frames(sys_)[0]
-        perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
-        labels = tuple(root_label(sys_, r) for r in roots)
-        return _orbit_count(labels, perms, degree)
+    t, n, d = type_label, rank, degree
+    if t in _WEYL_RANKS and n < _WEYL_RANKS[t][0]:
+        raise UnsupportedSystemError(f"no dimension bound for {t}{n}")
+    if t == "A":
+        # the pair swaps permute the f = (n + 1) // 2 frame lines as S_f:
+        # one orbit of d-subsets for each d <= f
+        return int(d <= (n + 1) // 2)
     if t in ("B", "C"):
-        return _b_upper_bound(rank, degree)
-    if (t, rank) in _ENCODED_BOUNDS:
-        bounds = _ENCODED_BOUNDS[(t, rank)]
-        return bounds[degree] if degree < len(bounds) else 0
-    if t == "G" and rank == 2:
-        return comb(2, degree) if degree <= 2 else 0
+        # one class per j = 2k + ell, the degree on full pairs and tail
+        # entries: the frames link every (L, k, ell) orbit of one j, and
+        # d - j lone entries fit beside them when max(0, 2d - n) <= j <= d
+        return max(0, min(d, n - d) + 1)
+    if t == "D":
+        m = n // 2
+        # one orbit per count k of full pairs, the other d - 2k entries
+        # alone in their pairs; for n even and d = m only double flips
+        # act, so the all-alone orbit splits by the parity of its b entries
+        return len(range(max(0, d - m), d // 2 + 1)) + (n % 2 == 0 and d == m)
+    if (t, n) in _ENCODED_BOUNDS:
+        bounds = _ENCODED_BOUNDS[(t, n)]
+        return bounds[d] if d < len(bounds) else 0
+    if t == "G" and n == 2:
+        return comb(2, d) if d <= 2 else 0
     if t == "I2":
-        if rank == 4:
-            return _b_upper_bound(2, degree)
-        if rank % 2 == 1:
-            return comb(1, degree) if degree <= 1 else 0
-        if rank % 4 == 2:
-            return comb(2, degree) if degree <= 2 else 0
+        if n == 4:
+            return upper_bound_dim("B", 2, d)
+        if n % 2 == 1:
+            return comb(1, d) if d <= 1 else 0
+        if n % 4 == 2:
+            return comb(2, d) if d <= 2 else 0
     raise UnsupportedSystemError(f"no dimension bound for {type_label}{rank}")
 
 

@@ -183,10 +183,16 @@ class RootSystem:
         self.index: dict[Root, int] = {r: i for i, r in enumerate(self.roots)}
         if len(self.index) != len(self.roots):
             raise ValueError("duplicate roots")
+        simple = tuple(simple)
+        negatives = [tuple([-d for d in r]) for r in self.roots]
+        for s in simple:
+            if s not in self.index:
+                raise ValueError(f"simple root {s} is not among the roots")
+        for neg in negatives:
+            if neg not in self.index:
+                raise ValueError(f"negation is not a perfect matching: {neg} is missing")
         self.simple_indices: tuple[int, ...] = tuple(self.index[s] for s in simple)
-        self.negation: tuple[int, ...] = tuple(
-            self.index[tuple([-d for d in r])] for r in self.roots
-        )
+        self.negation: tuple[int, ...] = tuple(self.index[r] for r in negatives)
         # r and -r first differ at r's first nonzero entry, so the later
         # of the two in root order is the one whose entry there is positive
         self.canonical_rep: tuple[int, ...] = tuple(map(max, enumerate(self.negation)))

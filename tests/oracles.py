@@ -9,9 +9,18 @@ directly, and the tests check the direct form against it:
   * XIndex / x_basis / lambda_indices / lambda_sum - the B_n restriction
     basis indexed by set tuples (A, B, C, E); weylinv.basis.lambda_sum
     enumerates masks and reads their counts through BnContext.shape.
-  * b_orbit_nodes - the (L, k, ell) nodes of the B_n bound read off
-    normalizer orbit sums at every frame; weylinv.basis lists them
-    directly.
+  * orbit_sums / orbit_sum_bound - the A/D dimension bound as the
+    number of orbit sums of the recorded normalizer families on the
+    degree-d frame monomials; weylinv.basis.upper_bound_dim counts
+    the orbit signatures in closed form.
+  * b_nodes / b_linked_bound / b_orbit_nodes - the B_n bound as the
+    number of classes of (L, k, ell) orbit nodes linked across frames,
+    the nodes listed directly and read off orbit sums at every frame;
+    weylinv.basis.upper_bound_dim gives min(d, n - d) + 1.
+  * normalizer_action_full - the action of the frame's whole
+    stabiliser in W on its positions, from Schreier generators of a
+    search over the frame's W-orbit; weylinv.basis.normalizer_families
+    records a few elements by hand.
   * read_cache / write_cache - a coset cache file as one JSON document,
     its header with the int32 body put back as lists, unpacked and
     packed with struct; weylinv.cosets reads the header and the body on
@@ -38,22 +47,22 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from weylinv.algebra import (
     BnContext,
     KInvariant,
     Monomial,
+    _moved,
     coordinate_mask,
-    orbit_sums,
     zero,
 )
 from weylinv.basis import normalizer_families
 from weylinv import cosets
 from weylinv.cosets import _u_orbit_sums
 from weylinv.errors import ContextMismatchError, CosetValidationError
-from weylinv.groups import standard_frames
-from weylinv.roots import build_root_system
+from weylinv.groups import root_label, standard_frames
+from weylinv.roots import _bfs_orbits, build_root_system
 
 _ONE = 0
 
@@ -239,7 +248,98 @@ def lambda_sum(L: int, n: int, d: int, predicate=None) -> KInvariant:
 
 
 # ---------------------------------------------------------------------------
-# the B_n bound's nodes through orbit sums
+# dimension bounds by orbit sums
+
+
+def orbit_sums(
+    monomials: Iterable[int],
+    position_perms: Sequence[Sequence[int]],
+    labels: Sequence[str],
+) -> list[KInvariant]:
+    """One invariant per orbit of the coordinate action on a monomial set.
+
+    The permutations must map the given monomial set to itself (checked);
+    the orbit sums then span the subspace of invariant combinations
+    supported on that set.
+    """
+    labels = tuple(labels)
+    pool = set(monomials)
+    for m in pool:
+        for perm in position_perms:
+            if _moved(m, perm) not in pool:
+                raise ValueError(
+                    "the permutations do not preserve the monomial set"
+                )
+    # by degree, then coordinates, then {2}: orbit leaders in a fixed order
+    orbits = _bfs_orbits(
+        sorted(pool, key=lambda m: (m.bit_count(), m)),
+        lambda m: [_moved(m, perm) for perm in position_perms],
+    )
+    return [KInvariant(labels, frozenset(orbit)) for orbit in orbits]
+
+
+def _subset_monomials(k: int, d: int) -> list[int]:
+    return [
+        Monomial(sum(1 << p for p in subset))
+        for subset in combinations(range(k), d)
+    ]
+
+
+def orbit_count(labels: Sequence[str], perms: Sequence[Sequence[int]], d: int) -> int:
+    """The number of orbit sums of the degree-d monomials in labels."""
+    if d == 0:
+        return 1
+    if d > len(labels):
+        return 0
+    return len(orbit_sums(_subset_monomials(len(labels), d), perms, labels))
+
+
+def orbit_sum_bound(type_label: str, rank: int, degree: int) -> int:
+    """The A/D bound as the orbit sums of the recorded normalizer
+    families on the degree-d monomials at the standard frame."""
+    if degree == 0:
+        return 1
+    sys_ = build_root_system(type_label, rank)
+    frame_name, roots = standard_frames(sys_)[0]
+    perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
+    labels = tuple(root_label(sys_, r) for r in roots)
+    return orbit_count(labels, perms, degree)
+
+
+def b_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
+    """One node (L, k, ell) per normalizer orbit of the degree-d monomials
+    at frame X_L of B_n: k full pairs, ell tail entries and d - 2k - ell
+    lone entries among the other L - k pairs.  The pair swaps, pair flips
+    and tail swaps move any monomial of a signature to any other."""
+    return [
+        (L, k, ell)
+        for L in range(n // 2 + 1)
+        for k in range(L + 1)
+        for ell in range(n - 2 * L + 1)
+        if 0 <= d - 2 * k - ell <= L - k
+    ]
+
+
+def b_linked_bound(n: int, d: int) -> int:
+    """The B_n bound as the number of classes of b_nodes under the
+    cross-frame links."""
+    nodes = b_nodes(n, d)
+    present = set(nodes)
+    by_sig: dict = {}
+    for node in nodes:
+        by_sig.setdefault(node[1:], []).append(node)
+
+    def linked(node):
+        # the same signature restricts identically from every frame that
+        # carries it: the shared subgroup comparison pins the multiplier;
+        # the two-slot product subgroup trades a tail doubleton against a
+        # full pair one frame up, merging (k, ell) with (k+1, ell-2);
+        # linked both ways, as the orbit search follows links forward
+        L, k, ell = node
+        up, down = (L + 1, k + 1, ell - 2), (L - 1, k - 1, ell + 2)
+        return by_sig[(k, ell)] + [x for x in (up, down) if x in present]
+
+    return len(_bfs_orbits(nodes, linked))
 
 
 def _monomial_signature(mask: int, ctx: BnContext) -> tuple[int, int]:
@@ -261,9 +361,7 @@ def b_orbit_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
     when the signature names the orbit.
     """
     sys_ = build_root_system("B", n)
-    monomials = [
-        Monomial(sum(1 << p for p in subset)) for subset in combinations(range(n), d)
-    ]
+    monomials = _subset_monomials(n, d)
     nodes = []
     for frame_name, roots in standard_frames(sys_):
         ctx = BnContext(int(frame_name.split("_")[1]), n)
@@ -275,6 +373,38 @@ def b_orbit_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
                 raise AssertionError("duplicate orbit signature; family bug")
             nodes.append(node)
     return nodes
+
+
+def normalizer_action_full(sys_, frame) -> list[tuple[int, ...]]:
+    """Generators of the action of N_W(P) on the positions of frame, in
+    the convention of normalizer_action (position p goes to the position
+    holding the line of g(root_p)).
+
+    A search over the frame's W-orbit, each frame a set of lines, under
+    the simple reflections: w_F carries frame to F, stored as the roots
+    w_F(root_p), and each edge F -> s(F) = F' gives the Schreier
+    generator w_F'^-1 s w_F, which fixes the frame.  By Schreier's lemma
+    they generate the stabiliser of the frame's line set in W.
+    """
+    roots = tuple(frame)
+    line_of = sys_.line_of
+    simple = [sys_.reflection_images(s) for s in sys_.simple_indices]
+    start = frozenset(line_of[r] for r in roots)
+    images = {start: roots}
+    queue = [start]
+    gens = set()
+    for lines in queue:
+        w = images[lines]
+        for table in simple:
+            moved = tuple(table[r] for r in w)
+            target = frozenset(line_of[r] for r in moved)
+            if target not in images:
+                images[target] = moved
+                queue.append(target)
+                continue
+            position = {line_of[r]: p for p, r in enumerate(images[target])}
+            gens.add(tuple(position[line_of[r]] for r in moved))
+    return sorted(gens)
 
 
 # ---------------------------------------------------------------------------

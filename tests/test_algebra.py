@@ -7,7 +7,14 @@ from operator import xor
 
 import pytest
 
-from oracles import CoordinateMap, XIndex, lambda_indices, substitute, x_basis
+from oracles import (
+    CoordinateMap,
+    XIndex,
+    lambda_indices,
+    orbit_sums,
+    substitute,
+    x_basis,
+)
 from weylinv.algebra import (
     BnContext,
     KInvariant,
@@ -16,7 +23,6 @@ from weylinv.algebra import (
     kinv,
     linear_independence,
     one,
-    orbit_sums,
     parse_terms,
     relabel,
     stacked_independence,

@@ -3,12 +3,21 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
 
-from oracles import b_orbit_nodes, lambda_sum
+from oracles import (
+    b_linked_bound,
+    b_nodes,
+    b_orbit_nodes,
+    lambda_sum,
+    normalizer_action_full,
+    orbit_count,
+    orbit_sum_bound,
+)
 from weylinv import basis
 from weylinv.algebra import BnContext, parse_terms, relabel
 from weylinv.basis import (
@@ -32,7 +41,7 @@ from weylinv.basis import (
     verify_identity,
 )
 from weylinv.errors import UnsupportedEmbeddingError, UnsupportedSystemError
-from weylinv.groups import make_frame, standard_frames
+from weylinv.groups import enumerate_subgroup, make_frame, root_label, standard_frames
 from weylinv.roots import build_root_system
 
 
@@ -461,13 +470,18 @@ def test_unsupported_pairs_raise():
 # dimension bounds
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(2, 25))
 def test_b_bounds_match_interval_count(n):
+    # the closed count against the (L, k, ell) orbit nodes linked across
+    # the frames, B2-B24 (past the supported ranks: the count is
+    # arithmetic)
     for d in range(n + 2):
         expected = (
             len(range(max(0, 2 * d - n), d + 1)) if d <= n else 0
         )
+        assert b_linked_bound(n, d) == expected, (n, d)
         assert upper_bound_dim("B", n, d) == expected, (n, d)
+        assert upper_bound_dim("C", n, d) == expected, (n, d)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -475,19 +489,20 @@ def test_b_nodes_are_the_orbit_signatures(n):
     # the orbit-sum route asserts that no two orbits at one frame share a
     # signature, so each node it returns is one whole orbit
     for d in range(n + 2):
-        assert sorted(basis._b_nodes(n, d)) == sorted(b_orbit_nodes(n, d)), (n, d)
+        assert sorted(b_nodes(n, d)) == sorted(b_orbit_nodes(n, d)), (n, d)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_d_bounds_match_interval_count_with_parity_split(n):
     m = n // 2
-    for d in range(n + 2):
+    for d in range(n + 3):
         if d > n:
             expected = 0
         else:
             expected = len(range(max(0, d - m), d // 2 + 1))
-            if d == m:
+            if d == m and n % 2 == 0:
                 expected += 1
+        assert orbit_sum_bound("D", n, d) == expected, (n, d)
         assert upper_bound_dim("D", n, d) == expected, (n, d)
 
 
@@ -498,8 +513,21 @@ def test_d5_bounds_have_no_parity_split():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_a_bounds_are_flat(n):
     f = (n + 1) // 2
-    for d in range(f + 2):
+    for d in range(n + 3):
+        assert orbit_sum_bound("A", n, d) == (1 if d <= f else 0)
         assert upper_bound_dim("A", n, d) == (1 if d <= f else 0)
+
+
+def test_closed_bounds_build_no_root_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the bound reached for a root system")
+
+    systems = [("A", 8), ("B", 8), ("C", 8), ("D", 7), ("D", 8), ("I2", 4)]
+    expected = {(t, n): [upper_bound_dim(t, n, d) for d in range(n + 2)] for t, n in systems}
+    for name in ("build_root_system", "standard_frames", "normalizer_families"):
+        monkeypatch.setattr(basis, name, refuse)
+    for t, n in systems:
+        assert [upper_bound_dim(t, n, d) for d in range(n + 2)] == expected[t, n]
 
 
 @pytest.mark.parametrize(
@@ -521,6 +549,74 @@ def test_encoded_f4_bounds_match_constraint_computation():
     for d, b in enumerate([1, 2, 2, 2, 1, 0]):
         assert upper_bound_dim("F", 4, d) == b
         assert constrained_dim("F", 4, d) == b, d
+
+
+# ---------------------------------------------------------------------------
+# the full normalizer action
+
+
+_WEYL_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4)]
+)
+
+
+@lru_cache(maxsize=None)
+def _full_actions(type_label, rank):
+    """(frame name, frame roots, full action generators) per standard frame."""
+    sys_ = build_root_system(type_label, rank)
+    return [
+        (name, roots, normalizer_action_full(sys_, roots))
+        for name, roots in standard_frames(sys_)
+    ]
+
+
+def _generated(gens, size):
+    return set(enumerate_subgroup([tuple(range(size)), *gens]).elements)
+
+
+@pytest.mark.parametrize("type_label,rank", _WEYL_SYSTEMS)
+def test_recorded_families_generate_the_full_normalizer_action(type_label, rank):
+    sys_ = build_root_system(type_label, rank)
+    for name, roots, full in _full_actions(type_label, rank):
+        recorded = [p for _, p in normalizer_families(sys_, name, roots)]
+        full_group = _generated(full, len(roots))
+        recorded_group = _generated(recorded, len(roots))
+        assert recorded_group <= full_group, name
+        if (type_label, rank) == ("E", 6):
+            # three recorded elements miss a factor 3: 51840 / 135 frames / 2^4
+            assert (len(recorded_group), len(full_group)) == (8, 24)
+        else:
+            assert recorded_group == full_group, name
+
+
+@pytest.mark.parametrize("type_label,rank", _WEYL_SYSTEMS)
+def test_restrictions_are_invariant_under_the_full_normalizer_action(
+    type_label, rank
+):
+    sys_ = build_root_system(type_label, rank)
+    basis_ = generators_for(type_label, rank)
+    for name, roots, full in _full_actions(type_label, rank):
+        for inv in basis_:
+            restricted = restrict(inv, roots, sys_)
+            for g in full:
+                assert relabel(restricted, g) == restricted, (inv.name, name, g)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [s for s in _WEYL_SYSTEMS if s[0] in "AD"]
+)
+def test_full_normalizer_orbits_count_the_a_and_d_bounds(type_label, rank):
+    # a derivation of the A/D closed counts that reads no recorded family
+    sys_ = build_root_system(type_label, rank)
+    ((_, roots, full),) = _full_actions(type_label, rank)
+    labels = tuple(root_label(sys_, r) for r in roots)
+    degrees = range(rank + 3)
+    assert [orbit_count(labels, full, d) for d in degrees] == [
+        upper_bound_dim(type_label, rank, d) for d in degrees
+    ]
 
 
 # ---------------------------------------------------------------------------

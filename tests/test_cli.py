@@ -101,6 +101,56 @@ def test_roots_output_digests(capsys, label):
     assert tuple(got) == _ROOTS_SHA256[label]
 
 
+#: (exit code, sha256 of the stdout) of `verify X --json` for every
+#: supported label, and for I2(8), which has no recorded basis; most of
+#: these systems are not among the ones `verify --all` reports
+_VERIFY_SHA256 = {
+    "A1": (0, "aedf12d57a7b01f2959affaf4369853a6b48d4289b551fec851405f0054db1ce"),
+    "A2": (0, "4d0c34637b29af1c2269fcf6bf6fffc8783862d36edec23a01ade7aecd211618"),
+    "A3": (0, "e501c4eaab62d7ca30d384945066b0544d16095bb2e90dddc5207bb956553972"),
+    "A4": (0, "2fe4c043ccf0294000cb499304080a26b9b3d4257a501354d72c261399d64b57"),
+    "A5": (0, "4380e037536f9a37ce54da76a7c143796e795d3fb4806f8b8ed85a70f551274c"),
+    "A6": (0, "6d8f9aea88941305b103796f445a9b03ef80bb5f4b725c81f5302cec3bbf1437"),
+    "A7": (0, "d87b6a9449eedaf10aa7efcc4a3595ad2b8d5eea558ba8612f4e699e4800d4d0"),
+    "A8": (0, "ca545b303a3848b6d01c1bb41b69ecf61880eff1adcb48f2eb9214f3cfa6387f"),
+    "B2": (0, "4b44dc26d2aae62f314d14a7deddb85c7e4cc10ae2c36a53d227f122aab4e1c7"),
+    "B3": (0, "43f52f2834be271f8ea0c7ef00159684d5651b6edc417a91cd56300fd0ab094d"),
+    "B4": (0, "e9c76b07a6543795aad9f541edc46c49c2ea1ea571ee970bbceee8c83f198e51"),
+    "B5": (0, "e161dd113fcc40d376dec6fb494094c6417f8c1512aff517db47a6186877e6fe"),
+    "B6": (0, "9d1626d9d25e2766c7ecc1c5ab43b66cb8afb8fc97c3904ef9085b1cf3c46402"),
+    "B7": (0, "71b19cfebc3f139f4c577e57240cde6fdfb95e45894db1f78e4c4a2a6c85ebb2"),
+    "B8": (0, "10039db2395c748ea6e90814ad85b6df5bbbdc68f281ce95f968e99f42f21326"),
+    "C2": (0, "4b44dc26d2aae62f314d14a7deddb85c7e4cc10ae2c36a53d227f122aab4e1c7"),
+    "C3": (0, "43f52f2834be271f8ea0c7ef00159684d5651b6edc417a91cd56300fd0ab094d"),
+    "C4": (0, "e9c76b07a6543795aad9f541edc46c49c2ea1ea571ee970bbceee8c83f198e51"),
+    "C5": (0, "e161dd113fcc40d376dec6fb494094c6417f8c1512aff517db47a6186877e6fe"),
+    "C6": (0, "9d1626d9d25e2766c7ecc1c5ab43b66cb8afb8fc97c3904ef9085b1cf3c46402"),
+    "C7": (0, "71b19cfebc3f139f4c577e57240cde6fdfb95e45894db1f78e4c4a2a6c85ebb2"),
+    "C8": (0, "10039db2395c748ea6e90814ad85b6df5bbbdc68f281ce95f968e99f42f21326"),
+    "D4": (0, "7bb8f0611cc6e46cf8fbb8c07b7c7c56dc1e13fa62c2138d019d1110d393c6e4"),
+    "D5": (0, "8eb204b6285e7d9a489daa36775606e759ddd571803543866777f9b1ce5c6ed1"),
+    "D6": (0, "a609d8bb98028e29a545e30a144151bf0ca4270a4187ed2140361f667e7114df"),
+    "D7": (0, "c52dd3c1ce8b9f21b7ed2ce1fb71705d26984575eec61aab491ce77264697b9a"),
+    "D8": (0, "c357693a73cf85fe974eeed4e75dd98503b2bacf36b0c600c02ca08983a01e88"),
+    "E6": (0, "9ca223fe434f0e2e3a4b9b4aed11e997be0b1ac01244d0892debb3999eb84536"),
+    "E7": (0, "ac82d42597c087408c1b313b15e6cbea13d0066f4f14f61555cecf7a2147b908"),
+    "E8": (0, "051dbfb85e51e42d2c0d9525f1dd654bde9ccbbe2b0981f4bebe62d7cd17ffd1"),
+    "F4": (0, "518414db387a8b19f9e5a34ffd6ae5358f3dd7d2e15b7901d0338bccbf6a951e"),
+    "G2": (0, "6cfd250458f85a5614fb989a225cb97399e5f7ead956396790d83a47ce8d18c2"),
+    "I2(4)": (0, "cf3c4e0f379396e1404f5cb4f050c3a855ddbd04c08bb8374f9ccf69d527309a"),
+    "I2(5)": (0, "0bcf20e93bd0177d2115ee63cff45424eb02f95fcaa86ff5c3d7c482178c0737"),
+    "I2(6)": (0, "0b387ab64575967ede093aca53062386e03897c5d285232a81d034931ff8b64b"),
+    "I2(8)": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("label", list(_VERIFY_SHA256))
+def test_verify_output_digests(capsys, monkeypatch, label):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, out, _ = run(capsys, "verify", label, "--json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _VERIFY_SHA256[label]
+
+
 def test_order_enumerated_and_dihedral(capsys):
     code, out, _ = run(capsys, "order", "B4")
     assert code == 0 and "384" in out and "bfs" in out

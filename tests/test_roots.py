@@ -175,6 +175,17 @@ def test_validate_rejects_non_integral_pairing():
         RootSystem("A", 1, [a, neg(a), e1, neg(e1)], [a])
 
 
+def test_root_set_without_a_negative_names_it():
+    with pytest.raises(ValueError, match=r"not a perfect matching: \(-2, 2\) is missing"):
+        RootSystem("A", 1, [v(2, -2), v(2, 2), v(-2, -2)], [v(2, -2)])
+
+
+def test_simple_root_outside_the_roots_names_it():
+    alpha = v(2, -2)
+    with pytest.raises(ValueError, match=r"simple root \(2, 2\) is not among the roots"):
+        RootSystem("A", 1, [alpha, neg(alpha)], [v(2, 2)])
+
+
 def _components(n, gens):
     """The components of range(n) under gens, by union-find."""
     parent = list(range(n))
