@@ -17,9 +17,9 @@ and read a frame mask's pair and tail counts through BnContext.shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._records import record_eq, record_ne
 from .errors import ContextMismatchError
 
 __all__ = [
@@ -55,18 +55,29 @@ _ONE = 0
 _S = 1
 
 
-@dataclass(frozen=True)
 class KInvariant:
     """An F2 sum of monomials over a fixed tuple of coordinate labels."""
 
-    labels: tuple[str, ...]
-    terms: frozenset[int]
+    __slots__ = ("labels", "terms")
 
-    def __post_init__(self) -> None:
-        limit = 2 << len(self.labels)
-        for m in self.terms:
+    def __init__(self, labels: tuple[str, ...], terms: frozenset[int]) -> None:
+        limit = 2 << len(labels)
+        for m in terms:
             if not 0 <= m < limit:
                 raise ValueError("monomial references a coordinate outside the context")
+        self.labels = labels
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not KInvariant:
+            return NotImplemented
+        return self.labels == other.labels and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.terms))
+
+    def __repr__(self) -> str:
+        return f"KInvariant(labels={self.labels!r}, terms={self.terms!r})"
 
     def _check_context(self, other: "KInvariant") -> None:
         if self.labels != other.labels:
@@ -195,7 +206,6 @@ class _Shape(NamedTuple):
     E: int
 
 
-@dataclass(frozen=True)
 class BnContext:
     """Coordinate context of the frame X_L inside B_n (or its D_n/A_n cuts).
 
@@ -203,14 +213,24 @@ class BnContext:
     position of e_j is j - 1, which keeps tail masks independent of L.
     """
 
-    L: int
-    n: int
+    __slots__ = ("L", "n")
 
-    def __post_init__(self) -> None:
-        if not 0 <= 2 * self.L <= self.n:
-            raise ValueError(
-                f"no frame X_L at (L, n) = ({self.L}, {self.n}): need 0 <= 2L <= n"
-            )
+    def __init__(self, L: int, n: int) -> None:
+        if not 0 <= 2 * L <= n:
+            raise ValueError(f"no frame X_L at (L, n) = ({L}, {n}): need 0 <= 2L <= n")
+        self.L = L
+        self.n = n
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BnContext:
+            return NotImplemented
+        return self.L == other.L and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.L, self.n))
+
+    def __repr__(self) -> str:
+        return f"BnContext(L={self.L!r}, n={self.n!r})"
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -277,14 +297,15 @@ def relabel(
 # independence
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     """Verdict on a list of invariants; rank is the F2 rank of all inputs mod s."""
 
     independent: bool
     rank: int
     # non-trivial combination of input indices summing to 0 mod s, when dependent
     dependency: Optional[tuple[int, ...]] = None
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 def _f2_eliminate(

@@ -34,11 +34,11 @@ upstream restriction span.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
+from ._records import record_eq, record_ne
 from .algebra import (
     BnContext,
     KInvariant,
@@ -103,8 +103,7 @@ __all__ = [
 # recipes
 
 
-@dataclass(frozen=True)
-class FormSW:
+class FormSW(NamedTuple):
     """w_d of a frame form, of its <2>-twist when modified.
 
     action names the form: "linear" is the reflection representation,
@@ -121,45 +120,48 @@ class FormSW:
     action: str
     modified: bool
 
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class SignClass:
+
+class SignClass(NamedTuple):
     """The degree-one class of the sign character of one frame
     coordinate, named by its label."""
 
     label: str
 
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class FoldInvariant:
+
+class FoldInvariant(NamedTuple):
     """m-th elementary symmetric class of the certified fold data."""
 
     m: int
 
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class Product:
+
+class Product(NamedTuple):
     factors: tuple["NamedInvariant", ...]
 
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class Correction:
+
+class Correction(NamedTuple):
     """Sum of s^eps * (product of named factors) terms, all of one degree."""
 
     terms: tuple[tuple[int, tuple["NamedInvariant", ...]], ...]
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 Recipe = Union[FormSW, SignClass, FoldInvariant, Product, Correction]
 
 
-@dataclass(frozen=True)
 class NamedInvariant:
-    name: str
-    degree: int
-    recipe: Recipe
+    __slots__ = ("name", "degree", "recipe")
 
-    def __post_init__(self) -> None:
-        r = self.recipe
+    def __init__(self, name: str, degree: int, recipe: Recipe) -> None:
+        r = recipe
         if isinstance(r, FormSW):
             stated = r.d
         elif isinstance(r, SignClass):
@@ -170,12 +172,29 @@ class NamedInvariant:
             terms = r.terms if isinstance(r, Correction) else ((0, r.factors),)
             degs = {eps + sum(f.degree for f in fs) for eps, fs in terms}
             if len(degs) != 1:
-                raise ValueError(f"{self.name}: correction terms differ in degree")
+                raise ValueError(f"{name}: correction terms differ in degree")
             stated = degs.pop()
-        if stated != self.degree:
-            raise ValueError(
-                f"{self.name}: recipe degree {stated} != declared {self.degree}"
-            )
+        if stated != degree:
+            raise ValueError(f"{name}: recipe degree {stated} != declared {degree}")
+        self.name = name
+        self.degree = degree
+        self.recipe = recipe
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not NamedInvariant:
+            return NotImplemented
+        return (self.name, self.degree, self.recipe) == (
+            other.name, other.degree, other.recipe
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.degree, self.recipe))
+
+    def __repr__(self) -> str:
+        return (
+            f"NamedInvariant(name={self.name!r}, degree={self.degree!r}, "
+            f"recipe={self.recipe!r})"
+        )
 
 
 _ONE = NamedInvariant("1", 0, Product(()))
@@ -1025,15 +1044,15 @@ def _constrained_dims(
 # reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str
     witness: Optional[str] = None
 
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class BasisReport:
+
+class BasisReport(NamedTuple):
     """Verification record for one named basis.
 
     frames pairs each frame name with its coordinate labels;
@@ -1049,6 +1068,8 @@ class BasisReport:
     checks: tuple[CheckResult, ...]
     dims: tuple[tuple[int, int, int], ...]
     warnings: tuple[str, ...] = ()
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -33,7 +32,6 @@ from .errors import (
     CertificateError,
     CosetValidationError,
     UnsupportedSystemError,
-    WeylinvError,
 )
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -96,20 +94,50 @@ def _positive(token: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    command: str
-    type_label: Optional[str]
-    rank: Optional[int]
-    fmt: str  # "text" | "json"
-    cache_dir: Optional[str]
-    max_elements: int
-    max_frames: int
-    verbosity: int
+    __slots__ = (
+        "command", "type_label", "rank", "fmt", "cache_dir", "max_elements",
+        "max_frames", "verbosity",
+    )
 
-    def __post_init__(self) -> None:
-        if self.max_elements <= 0 or self.max_frames <= 0:
+    def __init__(
+        self,
+        command: str,
+        type_label: Optional[str],
+        rank: Optional[int],
+        fmt: str,  # "text" | "json"
+        cache_dir: Optional[str],
+        max_elements: int,
+        max_frames: int,
+        verbosity: int,
+    ) -> None:
+        if max_elements <= 0 or max_frames <= 0:
             raise ValueError("caps must be positive")
+        self.command = command
+        self.type_label = type_label
+        self.rank = rank
+        self.fmt = fmt
+        self.cache_dir = cache_dir
+        self.max_elements = max_elements
+        self.max_frames = max_frames
+        self.verbosity = verbosity
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in RunConfig.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in RunConfig.__slots__
+        )
+        return f"RunConfig({fields})"
 
 
 def _config(args: argparse.Namespace) -> RunConfig:

@@ -50,12 +50,12 @@ import os
 import re
 import sys
 from array import array
-from dataclasses import dataclass, replace
 from itertools import chain, islice
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ._records import record_eq, record_ne
 from .algebra import KInvariant
 from .errors import (
     CacheFormatError,
@@ -101,7 +101,6 @@ CACHE_FORMAT_VERSION = 3
 Key = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class CertOrbit:
     """One certified frame orbit: its members, ascending, and its active
     set, the increasing frame positions whose reflections move it.
@@ -110,8 +109,22 @@ class CertOrbit:
     1 << i for i in a_set, so both are read off a_set.
     """
 
-    members: tuple[int, ...]
-    a_set: tuple[int, ...]
+    __slots__ = ("members", "a_set")
+
+    def __init__(self, members: tuple[int, ...], a_set: tuple[int, ...]) -> None:
+        self.members = members
+        self.a_set = a_set
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CertOrbit:
+            return NotImplemented
+        return self.members == other.members and self.a_set == other.a_set
+
+    def __hash__(self) -> int:
+        return hash((self.members, self.a_set))
+
+    def __repr__(self) -> str:
+        return f"CertOrbit(members={self.members!r}, a_set={self.a_set!r})"
 
     @property
     def fold(self) -> int:
@@ -122,11 +135,12 @@ class CertOrbit:
         return tuple(1 << i for i in self.a_set)
 
 
-@dataclass(frozen=True)
-class FoldCertificate:
+class FoldCertificate(NamedTuple):
     frame_roots: tuple[int, ...]
     labels: tuple[str, ...]
     orbits: tuple[CertOrbit, ...]
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     @property
     def min_fold(self) -> int:
@@ -142,8 +156,7 @@ class FoldCertificate:
         )
 
 
-@dataclass(frozen=True)
-class CosetSpace:
+class CosetSpace(NamedTuple):
     """U\\W as its per-simple-reflection action tables.
 
     The cosets are 0..size-1, numbered in the coset BFS's discovery
@@ -159,6 +172,8 @@ class CosetSpace:
     size: int
     action_tables: tuple[tuple[int, ...], ...]
     certificate: Optional[FoldCertificate] = None
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 def standard_u_gens(sys_: RootSystem) -> tuple[int, ...]:
@@ -384,7 +399,7 @@ def build_coset_space(
             return space
     space = _build_space(sys_, u_gen_roots, element_cap)
     if cache_dir is not None:
-        space = replace(space, certificate=_canonical_certificate(sys_, space))
+        space = space._replace(certificate=_canonical_certificate(sys_, space))
         _write_space(space, path)
     return space
 

@@ -20,12 +20,11 @@ raises UnsupportedEmbeddingError instead of approximating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ._records import record_eq, record_ne
 from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, two, zero
 from .errors import CertificateError, UnsupportedEmbeddingError
 from .groups import _compose, root_label
@@ -34,9 +33,7 @@ __all__ = [
     "DiagonalForm",
     "OrbitPfister",
     "OrbitPfisterDecomp",
-    "form_of_involutions",
     "form_of_linear_action",
-    "reflection_matrix",
     "form_of_permutation_action",
     "expand_to_diagonal",
     "total_sw",
@@ -48,20 +45,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DiagonalForm:
     """<2^a * prod(coords), ...> over a fixed coordinate context."""
 
-    labels: tuple[str, ...]
-    entries: tuple[tuple[int, int], ...]  # (two_exponent, var_mask)
+    __slots__ = ("labels", "entries")
 
-    def __post_init__(self) -> None:
-        limit = 1 << len(self.labels)
-        for a, mask in self.entries:
+    def __init__(
+        self, labels: tuple[str, ...], entries: tuple[tuple[int, int], ...]
+    ) -> None:
+        limit = 1 << len(labels)
+        for a, mask in entries:  # (two_exponent, var_mask)
             if a < 0:
                 raise ValueError("negative 2-exponent")
             if not 0 <= mask < limit:
                 raise ValueError("entry references a coordinate outside the context")
+        self.labels = labels
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DiagonalForm:
+            return NotImplemented
+        return self.labels == other.labels and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.entries))
+
+    def __repr__(self) -> str:
+        return f"DiagonalForm(labels={self.labels!r}, entries={self.entries!r})"
 
     @property
     def dim(self) -> int:
@@ -144,11 +154,15 @@ def _orthogonalize(basis: list[list[int]]) -> list[list[int]]:
     return ortho
 
 
-def _square_free_two_part(x: Fraction) -> Optional[int]:
-    """x = 2^a * square -> a mod 2; None when the odd square-free part != 1."""
+def _square_free_two_part(x: int) -> Optional[int]:
+    """x = 2^a * square -> a mod 2; None when the odd square-free part != 1.
+
+    A rational x works too: x.numerator * x.denominator is x times the
+    square of its denominator, and for an int it is x itself.
+    """
     if x <= 0:
         return None
-    n = x.numerator * x.denominator  # x times the square of its denominator
+    n = x.numerator * x.denominator
     a = 0
     while n % 2 == 0:
         n //= 2
@@ -164,40 +178,22 @@ def _square_free_two_part(x: Fraction) -> Optional[int]:
     return a % 2
 
 
-def form_of_involutions(
-    matrices: Sequence[Sequence[Sequence]],
-    labels: Sequence[str],
-) -> DiagonalForm:
-    """Diagonal form of the torsor twist for commuting orthogonal involutions.
-
-    The matrices act on the standard inner-product space.  The
-    involution, orthogonality and commutation checks run on integer
-    numerators: with M = A / den (den the lcm of M's denominators), M is
-    an orthogonal involution exactly when A.A = A^T.A = den^2 * I, and
-    M_i, M_j commute exactly when A_i.A_j = A_j.A_i.  A common
-    orthogonal eigenbasis is then computed on integer vectors; a vector
-    u with character chi and squared norm 2^a * (square) yields the
-    entry 2^a * prod_{i in chi} c_i.  Each vector is a nonzero rational
-    multiple of the one that the same eliminations in rational
-    arithmetic build, so its norm differs by a square and the entry is
-    the same.
-    """
-    numerators = []
-    for m in matrices:
-        m = [[Fraction(x) for x in row] for row in m]
-        den = lcm(*(x.denominator for row in m for x in row))
-        a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-        numerators.append((a, den))
-    return _form_of_numerators(numerators, labels)
-
-
 def _form_of_numerators(
     numerators: Sequence[tuple[list[list[int]], int]], labels: Sequence[str]
 ) -> DiagonalForm:
-    """form_of_involutions on the pairs (A, den) with M = A / den, den > 0.
+    """Diagonal form of the torsor twist for commuting orthogonal
+    involutions M = A / den, given as the pairs (A, den), den > 0.
 
-    Any common denominator of M will do for den: the checks and the
-    character spaces below scale with it.
+    The involution, orthogonality and commutation checks run on the
+    integer numerators: M is an orthogonal involution exactly when
+    A.A = A^T.A = den^2 * I, and M_i, M_j commute exactly when
+    A_i.A_j = A_j.A_i.  A common orthogonal eigenbasis is then computed
+    on integer vectors; a vector u with character chi and squared norm
+    2^a * (square) yields the entry 2^a * prod_{i in chi} c_i.  Each
+    vector is a nonzero rational multiple of the one that the same
+    eliminations in rational arithmetic build, so its norm differs by a
+    square and the entry is the same.  Any common denominator of M will
+    do for den: the checks and the character spaces scale with it.
     """
     k = len(numerators)
     if k != len(labels):
@@ -259,27 +255,13 @@ def _form_of_numerators(
     return DiagonalForm(tuple(labels), tuple(entries))
 
 
-def reflection_matrix(sys_, root_idx: int) -> list[list[Fraction]]:
-    """Exact ambient matrix of the reflection at a root."""
-    d = sys_.roots[root_idx]
-    dd = sum(x * x for x in d)
-    n = len(d)
-    return [
-        [
-            Fraction(int(i == j)) - Fraction(2 * d[i] * d[j], dd)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def form_of_linear_action(
     sys_, frame_roots: Sequence[int], labels: Optional[Sequence[str]] = None
 ) -> DiagonalForm:
     """Diagonal form of a frame acting on the root system's ambient space."""
     if labels is None:
         labels = [root_label(sys_, r) for r in frame_roots]
-    # reflection_matrix(sys_, r) is A / dd with A = dd I - 2 d d^T
+    # the reflection at d is A / dd with A = dd I - 2 d d^T
     numerators = []
     for r in frame_roots:
         d = sys_.roots[r]
@@ -295,20 +277,32 @@ def form_of_linear_action(
 # permutation route
 
 
-@dataclass(frozen=True)
 class OrbitPfister:
-    fold: int
-    delta_masks: tuple[int, ...]
+    __slots__ = ("fold", "delta_masks")
 
-    def __post_init__(self) -> None:
-        if len(self.delta_masks) != self.fold:
+    def __init__(self, fold: int, delta_masks: tuple[int, ...]) -> None:
+        if len(delta_masks) != fold:
             raise ValueError("need one delta per fold")
+        self.fold = fold
+        self.delta_masks = delta_masks
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not OrbitPfister:
+            return NotImplemented
+        return self.fold == other.fold and self.delta_masks == other.delta_masks
+
+    def __hash__(self) -> int:
+        return hash((self.fold, self.delta_masks))
+
+    def __repr__(self) -> str:
+        return f"OrbitPfister(fold={self.fold!r}, delta_masks={self.delta_masks!r})"
 
 
-@dataclass(frozen=True)
-class OrbitPfisterDecomp:
+class OrbitPfisterDecomp(NamedTuple):
     labels: tuple[str, ...]
     orbits: tuple[OrbitPfister, ...]
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     @property
     def ambient_dim(self) -> int:

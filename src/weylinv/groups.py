@@ -16,18 +16,17 @@ root geometry here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from math import factorial, inf
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CapExceededError,
     NormalizerError,
     UnsupportedSystemError,
 )
-from .roots import RootSystem, _bfs_orbits, _vec, build_root_system
+from ._records import record_eq, record_ne
+from .roots import RootSystem, _bfs_orbits, _vec
 
 __all__ = [
     "GeneratedGroup",
@@ -90,17 +89,22 @@ def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class GeneratedGroup:
+class GeneratedGroup(NamedTuple):
     """A subgroup given by generators, enumerated by enumerate_subgroup.
 
     elements[k] is the k-th element found, as the bytes of its image
     sequence (elements[k][r] is the image of point r), identity first;
-    with points, the bytes of the images of those points only.
+    with points, the bytes of the images of those points only.  The
+    repr leaves the elements out.
     """
 
-    elements: tuple[bytes, ...] = field(repr=False)
+    elements: tuple[bytes, ...]
     order: int
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"GeneratedGroup(order={self.order!r})"
 
 
 def enumerate_subgroup(
@@ -326,22 +330,36 @@ def _maximal_cliques(adj: Sequence[int], cap: Optional[int] = None) -> list[int]
 # Omega classification
 
 
-@dataclass(frozen=True)
-class OmegaClasses:
+class OmegaClasses(NamedTuple):
     """Conjugacy classes of maximal frames.
 
     method is "bfs" (full set-orbit enumeration; orbit_sizes populated and
     summing to the total frame count) or "inductive" (cap fallback:
     representatives classified by invariants without enumeration, so
-    orbit_sizes is None).
+    orbit_sizes is None).  class_of, the class of each frame when known,
+    is derived from the rest: equality, the hash and the repr leave it
+    out.
     """
 
     representatives: tuple[tuple[int, ...], ...]
     orbit_sizes: Optional[tuple[int, ...]]
     method: str
-    class_of: Optional[dict[tuple[int, ...], int]] = field(
-        default=None, repr=False, compare=False
-    )
+    class_of: Optional[dict[tuple[int, ...], int]] = None
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is OmegaClasses and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return (
+            f"OmegaClasses(representatives={self.representatives!r}, "
+            f"orbit_sizes={self.orbit_sizes!r}, method={self.method!r})"
+        )
 
 
 def omega_classes(
@@ -555,26 +573,47 @@ def normalizer_action(
 # dihedral groups
 
 
-@dataclass(frozen=True)
 class DihedralGroup:
     """The dihedral group of order 2n in its natural degree-n representation.
 
     elements[k] for k < n is the rotation i -> i + k (mod n); element
     n + k is the reflection sigma^k tau where tau(i) = n - 1 - i.
-    reflection_ids marks the n reflections.
+    reflection_ids marks the n reflections.  _index, each element's
+    position, is derived from elements and left out of equality.
     """
 
-    n: int
-    elements: tuple[tuple[int, ...], ...]
-    reflection_ids: tuple[int, ...]
+    __slots__ = ("n", "elements", "reflection_ids", "_index")
+
+    def __init__(
+        self,
+        n: int,
+        elements: tuple[tuple[int, ...], ...],
+        reflection_ids: tuple[int, ...],
+    ) -> None:
+        self.n = n
+        self.elements = elements
+        self.reflection_ids = reflection_ids
+        self._index = {p: i for i, p in enumerate(elements)}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DihedralGroup:
+            return NotImplemented
+        return (self.n, self.elements, self.reflection_ids) == (
+            other.n, other.elements, other.reflection_ids
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.elements, self.reflection_ids))
+
+    def __repr__(self) -> str:
+        return (
+            f"DihedralGroup(n={self.n!r}, elements={self.elements!r}, "
+            f"reflection_ids={self.reflection_ids!r})"
+        )
 
     @property
     def order(self) -> int:
         return 2 * self.n
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {p: i for i, p in enumerate(self.elements)}
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] followed by elements[j]."""

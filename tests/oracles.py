@@ -32,6 +32,10 @@ directly, and the tests check the direct form against it:
   * reflect - a root's reflection in another computed from the real
     inner product in Fraction; weylinv.roots builds reflection tables
     from integer dot products of doubled coordinates.
+  * reflection_matrix / form_of_involutions - a reflection as its
+    Fraction matrix, and the diagonal form of any commuting orthogonal
+    involutions given as rational matrices; weylinv.forms builds the
+    integer numerators of the frame reflections directly.
   * unreduced_invariant_vector / cauchy_schwarz_label_width - the coset
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -61,6 +65,7 @@ from weylinv.basis import normalizer_families
 from weylinv import cosets
 from weylinv.cosets import _u_orbit_sums
 from weylinv.errors import ContextMismatchError, CosetValidationError
+from weylinv.forms import DiagonalForm, _form_of_numerators
 from weylinv.groups import root_label, standard_frames
 from weylinv.roots import _bfs_orbits, build_root_system
 
@@ -461,6 +466,41 @@ def reflect(v, w):
     if any(x.denominator != 1 for x in image):
         raise ValueError("reflection left the doubled-integer lattice")
     return tuple(int(x) for x in image)
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+
+def reflection_matrix(sys_, root_idx: int) -> list[list[Fraction]]:
+    """Exact ambient matrix of the reflection at a root."""
+    d = sys_.roots[root_idx]
+    dd = sum(x * x for x in d)
+    n = len(d)
+    return [
+        [
+            Fraction(int(i == j)) - Fraction(2 * d[i] * d[j], dd)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def form_of_involutions(
+    matrices: Sequence[Sequence[Sequence]],
+    labels: Sequence[str],
+) -> DiagonalForm:
+    """Diagonal form of the torsor twist for commuting orthogonal
+    involutions given as rational matrices on the standard
+    inner-product space: weylinv.forms._form_of_numerators on the pairs
+    (A, den) with M = A / den, den the lcm of M's denominators."""
+    numerators = []
+    for m in matrices:
+        m = [[Fraction(x) for x in row] for row in m]
+        den = lcm(*(x.denominator for row in m for x in row))
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+        numerators.append((a, den))
+    return _form_of_numerators(numerators, labels)
 
 
 # ---------------------------------------------------------------------------

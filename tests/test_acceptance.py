@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import lambda_sum
+from oracles import form_of_involutions, lambda_sum
 from weylinv import cli, cosets
 from weylinv.algebra import parse_terms
 from weylinv.basis import (
@@ -34,7 +34,7 @@ from weylinv.cosets import (
     full_check,
     standard_u_gens,
 )
-from weylinv.forms import form_of_involutions, pfister_gram_check
+from weylinv.forms import pfister_gram_check
 from weylinv.groups import (
     omega_classes,
     root_label,

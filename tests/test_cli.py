@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,26 @@ def test_parse_system_forms():
     assert cli.parse_system("g2") == ("G", 2)
     with pytest.raises(Exception):
         cli.parse_system("8E")
+
+
+def test_import_loads_no_dataclasses():
+    """Every command pays for its import before it computes anything.
+    dataclasses pulls in inspect (and with it ast, dis and tokenize),
+    and only the test oracles use fractions, so a fresh interpreter
+    without site hooks must import the CLI without them."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, weylinv.cli; "
+        "print(*(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []
 
 
 def test_system_name_round_trip():

@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from dataclasses import replace
 from math import gcd
 from operator import mul
 
@@ -343,7 +342,7 @@ def test_coset_space_matches_brute_force(label, rank, custom):
     u_order, tables, table = _brute_force_cosets(sys_, u_gens)
     assert (space.size, space.u_order) == (len(tables[0]), u_order)
     assert list(space.action_tables) == tables
-    brute = replace(space, action_tables=tuple(tables))
+    brute = space._replace(action_tables=tuple(tables))
     frames = maximal_orthogonal_frames(sys_)
     assert frames
     for frame in frames:
@@ -596,7 +595,7 @@ def test_fold_failure_reported():
         full_check(sys_, space, pair)
     # a stored table that is a permutation but not an involution
     rotated = tuple((k + 1) % space.size for k in range(space.size))
-    broken = replace(space, action_tables=(rotated,) * len(space.action_tables))
+    broken = space._replace(action_tables=(rotated,) * len(space.action_tables))
     with pytest.raises(CertificateError, match="not an involution"):
         full_check(sys_, broken, frame)
 
@@ -719,7 +718,7 @@ def test_loaded_space_equals_fresh_build(tmp_path, system):
     sys_ = build_root_system(*system)
     fresh = build_coset_space(sys_)
     (_, frame), = standard_frames(sys_)
-    fresh = replace(fresh, certificate=full_check(sys_, fresh, frame))
+    fresh = fresh._replace(certificate=full_check(sys_, fresh, frame))
     build_coset_space(sys_, cache_dir=str(tmp_path))
     path = cache_path(sys_, standard_u_gens(sys_), str(tmp_path))
     loaded = cosets._load_space(sys_, standard_u_gens(sys_), path)

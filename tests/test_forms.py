@@ -15,12 +15,10 @@ from weylinv.forms import (
     OrbitPfisterDecomp,
     e_fold,
     expand_to_diagonal,
-    form_of_involutions,
     form_of_linear_action,
     form_of_permutation_action,
     modified_sw,
     pfister_gram_check,
-    reflection_matrix,
     sw_class,
     total_sw,
     twist_by_two,
@@ -35,6 +33,8 @@ from weylinv.forms import (
 )
 from weylinv.groups import maximal_orthogonal_frames, root_label, standard_frames
 from weylinv.roots import SUPPORTED, build_root_system
+
+from oracles import form_of_involutions, reflection_matrix
 
 SWAP = ((0, 1), (1, 0))
 NEG_SWAP = ((0, -1), (-1, 0))

@@ -1,0 +1,195 @@
+"""Value semantics of the package's value types.
+
+The records are NamedTuples and the types built in hot loops, or checked
+on construction, are __slots__ classes.  Either way an instance equals
+exactly the instances of its own type with equal fields, hashes like
+them, keeps its construction checks, defaults and a dataclass-style repr.
+"""
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from weylinv.algebra import BnContext, IndependenceResult, KInvariant
+from weylinv.basis import (
+    BasisReport,
+    CheckResult,
+    Correction,
+    FoldInvariant,
+    FormSW,
+    NamedInvariant,
+    Product,
+    SignClass,
+)
+from weylinv.cli import RunConfig
+from weylinv.cosets import CertOrbit, CosetSpace, FoldCertificate
+from weylinv.forms import DiagonalForm, OrbitPfister, OrbitPfisterDecomp
+from weylinv.groups import DihedralGroup, GeneratedGroup, OmegaClasses, build_dihedral
+
+_ONE = NamedInvariant("1", 0, Product(()))
+_D3, _D4 = build_dihedral(3), build_dihedral(4)
+
+#: each type with its fields in declaration order, and for some fields a
+#: different value that still passes the type's construction check
+CASES = [
+    (KInvariant, dict(labels=("a", "b"), terms=frozenset({0, 2})),
+     dict(labels=("a", "c"), terms=frozenset({4}))),
+    (BnContext, dict(L=1, n=3), dict(L=0, n=4)),
+    (IndependenceResult, dict(independent=False, rank=2, dependency=(0, 1)),
+     dict(independent=True, rank=3, dependency=None)),
+    (DiagonalForm, dict(labels=("a",), entries=((1, 1),)),
+     dict(labels=("b",), entries=((0, 1),))),
+    (OrbitPfister, dict(fold=1, delta_masks=(1,)), dict(delta_masks=(2,))),
+    (OrbitPfisterDecomp, dict(labels=("a",), orbits=(OrbitPfister(1, (1,)),)),
+     dict(labels=("b",), orbits=())),
+    (CertOrbit, dict(members=(0, 1), a_set=(0,)),
+     dict(members=(2, 3), a_set=(1,))),
+    (FoldCertificate,
+     dict(frame_roots=(0,), labels=("a",), orbits=(CertOrbit((0, 1), (0,)),)),
+     dict(frame_roots=(1,), labels=("b",), orbits=())),
+    (CosetSpace,
+     dict(type_label="A", rank=1, u_gen_roots=(), u_order=1, size=2,
+          action_tables=((1, 0),), certificate=None),
+     dict(type_label="B", rank=2, u_gen_roots=((2, 0),), u_order=2, size=1,
+          action_tables=((0,),), certificate=FoldCertificate((), (), ()))),
+    (GeneratedGroup, dict(elements=(b"\0\1", b"\1\0"), order=2),
+     dict(elements=(b"\0\1",), order=1)),
+    (OmegaClasses,
+     dict(representatives=((0,),), orbit_sizes=(1,), method="bfs",
+          class_of={(0,): 0}),
+     dict(representatives=((1,),), orbit_sizes=None, method="inductive",
+          class_of=None)),
+    (DihedralGroup,
+     dict(n=3, elements=_D3.elements, reflection_ids=_D3.reflection_ids),
+     dict(n=4, elements=_D4.elements, reflection_ids=_D4.reflection_ids)),
+    (FormSW, dict(d=1, action="linear", modified=False),
+     dict(d=2, action="signed", modified=True)),
+    (SignClass, dict(label="a"), dict(label="b")),
+    (FoldInvariant, dict(m=3), dict(m=2)),
+    (Product, dict(factors=()), dict(factors=(_ONE,))),
+    (Correction, dict(terms=()), dict(terms=((1, ()),))),
+    (NamedInvariant, dict(name="x", degree=1, recipe=SignClass("a")),
+     dict(name="y", recipe=SignClass("b"))),
+    (CheckResult, dict(check_id="c", status="pass", witness=None),
+     dict(check_id="d", status="fail", witness="w")),
+    (BasisReport,
+     dict(type_label="A", rank=1, basis=(), frames=(), restrictions=(),
+          checks=(), dims=(), warnings=()),
+     dict(type_label="B", rank=2, basis=(_ONE,), frames=(("P_0", ()),),
+          restrictions=((),), checks=(CheckResult("c", "pass"),),
+          dims=((0, 1, 1),), warnings=("w",))),
+    (RunConfig,
+     dict(command="verify", type_label="A", rank=1, fmt="text", cache_dir=None,
+          max_elements=10, max_frames=10, verbosity=0),
+     dict(command="order", type_label="B", rank=2, fmt="json", cache_dir="c",
+          max_elements=11, max_frames=11, verbosity=1)),
+]
+
+#: fields that are derived data: left out of equality, or of the repr
+NOT_COMPARED = {OmegaClasses: {"class_of"}}
+NOT_IN_REPR = {OmegaClasses: {"class_of"}, GeneratedGroup: {"elements"}}
+
+_IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+def test_every_value_type_is_covered():
+    assert len(CASES) == 21 == len(set(_IDS))
+
+
+@pytest.mark.parametrize("cls,fields,alternates", CASES, ids=_IDS)
+def test_equal_fields_are_equal_and_hash_alike(cls, fields, alternates):
+    a, b = cls(**fields), cls(*fields.values())
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("cls,fields,alternates", CASES, ids=_IDS)
+def test_changing_one_field_breaks_equality(cls, fields, alternates):
+    a = cls(**fields)
+    for name, value in alternates.items():
+        c = cls(**{**fields, name: value})
+        if name in NOT_COMPARED.get(cls, ()):
+            assert a == c and hash(a) == hash(c), name
+        else:
+            assert a != c and not a == c, name
+
+
+@pytest.mark.parametrize("cls,fields,alternates", CASES, ids=_IDS)
+def test_never_equal_to_a_tuple_or_another_type(cls, fields, alternates):
+    a = cls(**fields)
+    values = tuple(fields.values())
+    assert a != values and values != a
+    assert not a == values and not values == a
+    met = 0
+    for other, other_fields, _ in CASES:
+        if other is cls or len(other_fields) != len(values):
+            continue
+        try:
+            b = other(*values)
+        except Exception:
+            continue  # other's construction refuses these fields
+        met += 1
+        assert a != b and b != a and not a == b, other.__name__
+    if cls in (Product, Correction):
+        assert met, "Product(()) and Correction(()) hold the same fields"
+
+
+def test_omega_classes_hash_with_a_class_map():
+    a = OmegaClasses(((0,),), (1,), "bfs", {(0,): 0})
+    b = OmegaClasses(((0,),), (1,), "bfs", None)
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("cls,fields,alternates", CASES, ids=_IDS)
+def test_repr_names_the_fields(cls, fields, alternates):
+    hidden = NOT_IN_REPR.get(cls, set())
+    shown = ", ".join(f"{k}={v!r}" for k, v in fields.items() if k not in hidden)
+    assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+def test_defaults():
+    assert IndependenceResult(True, 0).dependency is None
+    assert CheckResult("c", "pass").witness is None
+    assert BasisReport("A", 1, (), (), (), (), ()).warnings == ()
+    assert CosetSpace("A", 1, (), 1, 1, ((0,),)).certificate is None
+    assert OmegaClasses((), None, "inductive").class_of is None
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: KInvariant(("a",), frozenset({4})),
+         "monomial references a coordinate outside the context"),
+        (lambda: KInvariant(("a",), frozenset({-1})),
+         "monomial references a coordinate outside the context"),
+        (lambda: BnContext(2, 3),
+         "no frame X_L at (L, n) = (2, 3): need 0 <= 2L <= n"),
+        (lambda: BnContext(-1, 3),
+         "no frame X_L at (L, n) = (-1, 3): need 0 <= 2L <= n"),
+        (lambda: DiagonalForm(("a",), ((-1, 0),)), "negative 2-exponent"),
+        (lambda: DiagonalForm(("a",), ((0, 2),)),
+         "entry references a coordinate outside the context"),
+        (lambda: OrbitPfister(2, (1,)), "need one delta per fold"),
+        (lambda: NamedInvariant("x", 2, SignClass("a")),
+         "x: recipe degree 1 != declared 2"),
+        (lambda: NamedInvariant("x", 3, FormSW(2, "linear", False)),
+         "x: recipe degree 2 != declared 3"),
+        (lambda: NamedInvariant("y", 1, Correction(((0, (_ONE,)), (1, ())))),
+         "y: correction terms differ in degree"),
+        (lambda: RunConfig("verify", None, None, "text", None, 0, 1, 0),
+         "caps must be positive"),
+        (lambda: RunConfig("verify", None, None, "text", None, 1, 0, 0),
+         "caps must be positive"),
+    ],
+)
+def test_construction_checks_keep_their_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_dihedral_group_index():
+    g = build_dihedral(4)
+    assert g.order == 8
+    assert all(g.mul(i, g.inverse(i)) == 0 for i in range(g.order))
