@@ -34,10 +34,8 @@ __all__ = [
     "var",
     "x_monomial",
     "relabel",
-    "linear_independence",
     "stacked_independence",
     "IndependenceResult",
-    "parse_terms",
 ]
 
 
@@ -173,24 +171,6 @@ def x_monomial(labels: Sequence[str], names: Iterable[str], two_flag: bool = Fal
     for name in names:
         mask |= 1 << labels.index(name)
     return KInvariant(labels, frozenset((Monomial(mask, two_flag),)))
-
-
-def parse_terms(labels: Sequence[str], text: str) -> KInvariant:
-    """Inverse of render for test fixtures: "{2}{a1}{b2} + {e3}" etc."""
-    labels = tuple(labels)
-    result = zero(labels)
-    for part in text.split("+"):
-        part = part.strip()
-        if part == "0":
-            continue
-        if part == "1":
-            result = result + one(labels)
-            continue
-        names = [p for p in part.replace("}", "").split("{") if p]
-        flag = "2" in names
-        names = [p for p in names if p != "2"]
-        result = result + x_monomial(labels, names, flag)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +315,6 @@ def _f2_eliminate(
     return rows, first
 
 
-def linear_independence(vs: Sequence[KInvariant]) -> IndependenceResult:
-    """Independence of the s-reductions over F2.
-
-    Independence mod s implies independence over F2[s]/(s^2): if some
-    non-trivial combination Sum (c_i + d_i s) v_i = 0 with not all c_i
-    zero, reducing mod s gives a dependency; if all c_i = 0, dividing by
-    s (s annihilates only s-multiples) gives Sum d_i (v_i mod s) = 0, a
-    dependency again.  So mod-s rank is conclusive for verdicts of
-    independence; a mod-s dependency is reported with its combination.
-    The invariants form the one-column case of stacked_independence.
-    """
-    return stacked_independence([(v,) for v in vs])
-
-
 def stacked_independence(
     rows: Sequence[Sequence[KInvariant]],
 ) -> IndependenceResult:
@@ -356,7 +322,15 @@ def stacked_independence(
 
     Row j is (v_{j,1}, ..., v_{j,r}) with column c in a fixed context;
     this is the direct-sum vector used when stacking restrictions over
-    several frames.  Reduction mod s and F2 rank as above.
+    several frames, and one column is a plain list of invariants.
+
+    The rows are reduced mod s and ranked over F2.  Independence mod s
+    implies independence over F2[s]/(s^2): if some non-trivial
+    combination Sum (c_j + d_j s) v_j = 0 with not all c_j zero,
+    reducing mod s gives a dependency; if all c_j = 0, dividing by s
+    (s annihilates only s-multiples) gives Sum d_j (v_j mod s) = 0, a
+    dependency again.  So mod-s rank is conclusive for verdicts of
+    independence; a mod-s dependency is reported with its combination.
     """
     if not rows:
         return IndependenceResult(True, 0, None)

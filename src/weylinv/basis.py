@@ -1,10 +1,9 @@
 """Named invariant bases and their verification reports.
 
 Every supported reflection group carries a finite list of named
-invariants (u_d, v_d, w_d, the twisted wt_d, hat-corrected wh_d, fold
-invariants e_m / f_3 / f_4, x_I pullbacks, and products of these), each
-with a recipe the restriction engine can evaluate at a maximal
-orthogonal frame:
+invariants (u_d, v_d, w_d, the twisted wt_d, fold invariants e_m / f_3 /
+f_4, x_I pullbacks, and products of these), each with a recipe the
+restriction engine can evaluate at a maximal orthogonal frame:
 
   * FormSW          - Stiefel-Whitney classes of one frame form, plain or
                       2-twisted: the reflection representation, or a
@@ -89,13 +88,10 @@ __all__ = [
     "stated_formula",
     "normalizer_families",
     "upper_bound_dim",
-    "constrained_dim",
     "upstream_table",
-    "verify_identity",
     "verify_basis",
     "tensor_basis",
     "abelian_x_report",
-    "f4_hat",
 ]
 
 
@@ -700,34 +696,6 @@ def _x_subset_basis(labels: tuple[str, ...]) -> tuple[NamedInvariant, ...]:
     return tuple(out)
 
 
-def f4_hat(d: int) -> NamedInvariant:
-    """The hat-corrected degree-d class of the F4 list (d in 1..4)."""
-    gens = {g.name: g for g in generators_for("F", 4)}
-    w1, v1 = gens["w1"], gens["v1"]
-    if d == 1:
-        return w1
-    if d == 2:
-        return NamedInvariant(
-            "wh2",
-            2,
-            Correction(((0, (gens["w2"],)), (1, (w1,)), (1, (v1,)))),
-        )
-    if d == 3:
-        return NamedInvariant(
-            "wh3",
-            3,
-            Correction(((0, (gens["w3"],)), (1, (w1, v1)), (1, (v1, v1)))),
-        )
-    if d == 4:
-        wh2 = f4_hat(2)
-        return NamedInvariant(
-            "wh4",
-            4,
-            Correction(((0, (gens["w4"],)), (1, (wh2, w1)), (1, (wh2, v1)))),
-        )
-    raise ValueError("hat classes exist for degrees 1 through 4")
-
-
 # ---------------------------------------------------------------------------
 # normalizer families
 
@@ -865,7 +833,7 @@ def upper_bound_dim(type_label: str, rank: int, degree: int) -> int:
     action).  B_n: min(d, n - d) + 1, derived again by linking the
     (L, k, ell) orbit nodes of every frame (b_linked_bound).  F4/E6/E7/
     E8: the encoded constrained-dimension lists, cross-checkable against
-    constrained_dim.  Other dihedral types: binomials of the x-context.
+    _constrained_dims.  Other dihedral types: binomials of the x-context.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -982,28 +950,19 @@ _E_TABLES = {
 }
 
 
-def constrained_dim(
-    type_label: str, rank: int, degree: int, cache_dir: Optional[str] = None
-) -> int:
-    """Machine computation behind the encoded F4/E6/E7/E8 bounds.
-
-    Counts the combinations of upstream degree-d restrictions fixed by
-    the extra normalizer element (mod s): the nullity of the stacked
-    g-plus-identity images.  F4 constrains the B_4 basis at its pair
-    frame; the E types constrain their upstream tables.
-    """
-    return _constrained_dims(type_label, rank, cache_dir).get(degree, 0)
-
-
 def _constrained_dims(
     type_label: str,
     rank: int,
     cache_dir: Optional[str],
     upstream: Optional[list[tuple[str, int, KInvariant]]] = None,
 ) -> dict[int, int]:
-    """constrained_dim for every degree that has upstream vectors.
+    """Machine computation behind the encoded F4/E6/E7/E8 bounds, by degree.
 
-    E types read their vectors from upstream, the upstream_table of the
+    For every degree that has upstream vectors, counts the combinations
+    of upstream degree-d restrictions fixed by the extra normalizer
+    element (mod s): the nullity of the stacked g-plus-identity images.
+    F4 constrains the B_4 basis at its pair frame; the E types constrain
+    their upstream tables, read from upstream, the upstream_table of the
     same system and cache_dir, which is built here when not given.
     """
     if (type_label, rank) == ("F", 4):
@@ -1185,40 +1144,6 @@ def _report(
         dims=dims,
         warnings=tuple(warnings),
     )
-
-
-def verify_identity(
-    lhs,
-    rhs,
-    sys_: RootSystem,
-    cache_dir: Optional[str] = None,
-    check_id: Optional[str] = None,
-) -> CheckResult:
-    """Compare two invariants on every frame class.
-
-    Either side may be a NamedInvariant or a mapping frame-name ->
-    expected value; agreement on all classes is what equality of
-    invariants means here.
-    """
-
-    def side(x, name, roots, labels):
-        if isinstance(x, NamedInvariant):
-            return _restrict(x, tuple(roots), labels, sys_, cache_dir)
-        return x[name]
-
-    def describe(x):
-        return x.name if isinstance(x, NamedInvariant) else "table"
-
-    cid = check_id or f"identity:{describe(lhs)}={describe(rhs)}"
-    for name, roots in standard_frames(sys_):
-        labels = tuple(root_label(sys_, r) for r in roots)
-        lv = side(lhs, name, roots, labels)
-        rv = side(rhs, name, roots, labels)
-        if lv != rv:
-            return _check(
-                cid, False, f"differs at {name}: {lv.render()} != {rv.render()}"
-            )
-    return _check(cid, True)
 
 
 _PINNED_COUNTS = {

@@ -44,7 +44,6 @@ clear` removes them.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -68,7 +67,6 @@ from .forms import (
     OrbitPfisterDecomp,
     _commuting_involution_failure,
     _orbit_pfister,
-    _symbol_product,
     e_fold,
 )
 from .groups import (
@@ -87,9 +85,7 @@ __all__ = [
     "CertOrbit",
     "standard_u_gens",
     "build_coset_space",
-    "p_orbits",
     "full_check",
-    "compare_support",
     "f_restriction",
     "cache_path",
     "clear_cache",
@@ -526,15 +522,6 @@ def _frame_tables(
     return tables
 
 
-def p_orbits(
-    sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Orbit partition of the coset indices under the frame generators."""
-    tables = _frame_tables(sys_, space, frame_roots)
-    orbits = _bfs_orbits(range(space.size), lambda p: [t[p] for t in tables])
-    return [tuple(sorted(orbit)) for orbit in orbits]
-
-
 def full_check(
     sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
 ) -> FoldCertificate:
@@ -607,30 +594,6 @@ def _canonical_certificate(
 # certificate consumers
 
 
-def compare_support(cert: FoldCertificate, expected: KInvariant) -> bool:
-    """Do the fold-m orbit products biject onto the expected monomials?
-
-    m is the minimal fold and also the uniform degree of `expected`.
-    Each fold-m orbit contributes the product of its delta symbols; the
-    comparison demands that these products are single monomials hitting
-    each expected term exactly once.
-    """
-    if not cert.orbits:
-        return expected.is_zero()
-    m = cert.min_fold
-    products = [
-        frozenset(_symbol_product(cert.labels, o.delta_masks).terms)
-        for o in cert.orbits
-        if o.fold == m
-    ]
-    if expected.labels != cert.labels:
-        raise ValueError("expected invariant uses a different context")
-    targets = {frozenset((t,)) for t in expected.terms}
-    if len(products) != len(expected.terms):
-        return False
-    return sorted(products, key=sorted) == sorted(targets, key=sorted)
-
-
 def f_restriction(cert: FoldCertificate, m: int) -> KInvariant:
     """e_m of the certified decomposition (the f_m restriction values)."""
     return e_fold(cert.decomp(), m)
@@ -643,6 +606,9 @@ def f_restriction(cert: FoldCertificate, m: int) -> KInvariant:
 def cache_path(
     sys_: RootSystem, u_gen_roots: Sequence[int], cache_dir: str
 ) -> str:
+    # imported here: hashlib loads OpenSSL, and only cached builds need it
+    import hashlib
+
     payload = json.dumps(
         {
             "format_version": CACHE_FORMAT_VERSION,

@@ -37,11 +37,8 @@ __all__ = [
     "form_of_permutation_action",
     "expand_to_diagonal",
     "total_sw",
-    "sw_class",
     "twist_by_two",
-    "modified_sw",
     "e_fold",
-    "pfister_gram_check",
 ]
 
 
@@ -87,15 +84,6 @@ class DiagonalForm:
             text = prefix + names
             parts.append(text if text else "1")
         return "<" + ", ".join(parts) + ">"
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for a, mask in self.entries:
-            names = [
-                name for i, name in enumerate(self.labels) if (mask >> i) & 1
-            ]
-            out.append({"two_exponent": a, "vars": names})
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,36 +464,22 @@ def total_sw(form: DiagonalForm) -> KInvariant:
     return acc
 
 
-def sw_class(form: DiagonalForm, d: int) -> KInvariant:
-    return total_sw(form).degree_part(d)
-
-
 def twist_by_two(form: DiagonalForm) -> DiagonalForm:
     return DiagonalForm(
         form.labels, tuple((a + 1, mask) for a, mask in form.entries)
     )
 
 
-def modified_sw(
-    form: DiagonalForm, d: int, ambient_parity: Optional[int] = None
-) -> KInvariant:
-    """The d-th modified Stiefel-Whitney class of the form.
-
-    Even ambient dimension: w_d of the <2>-twisted form.  Odd: the
-    recursion starting at 1 that subtracts the {2}-multiple of the
-    previous class at each step.  The parity defaults to the entry
-    count; callers whose form sits in a larger ambient space than the
-    listed entries pass the true parity explicitly.
-    """
-    parity = (form.dim if ambient_parity is None else ambient_parity) % 2
-    return _modified_from_twisted(total_sw(twist_by_two(form)), d, parity)
-
-
 def _modified_from_twisted(twisted: KInvariant, d: int, parity: int) -> KInvariant:
-    """modified_sw read off twisted = total_sw(twist_by_two(form)).
+    """The d-th modified Stiefel-Whitney class of a form, read off
+    twisted = total_sw(twist_by_two(form)).
 
-    Callers that need several degrees of one form multiply the total
-    class out once and read every degree off it here.
+    Even ambient dimension (parity 0): w_d of the <2>-twisted form.  Odd:
+    the recursion starting at 1 that subtracts the {2}-multiple of the
+    previous class at each step.  The parity is that of the ambient
+    space, which can exceed the form's entry count.  Callers that need
+    several degrees of one form multiply the total class out once and
+    read every degree off it here.
     """
     if parity % 2 == 0:
         return twisted.degree_part(d)
@@ -533,41 +507,3 @@ def e_fold(decomp: OrbitPfisterDecomp, m: int) -> KInvariant:
         if o.fold == m:
             acc = acc + _symbol_product(decomp.labels, o.delta_masks)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# the symbolic Gram check
-
-
-def pfister_gram_check(n: int) -> bool:
-    """Brute-force the 2^n-point embedding's Gram identities symbolically.
-
-    Vectors v_p have entries (-1)^{|b(p) & b(l)|} prod_{i in b(p)} sqrt(e_i);
-    the check confirms pairwise orthogonality and |v_p|^2 = 2^n prod e_i.
-    Exponential in n, so capped at 4.
-    """
-    if not 0 <= n <= 4:
-        raise ValueError("symbolic check is limited to n <= 4")
-    size = 1 << n
-
-    def bilinear(p: int, q: int) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for ell in range(size):
-            sign = (-1) ** (((p & ell).bit_count() + (q & ell).bit_count()) % 2)
-            exps = tuple(
-                ((p >> i) & 1) + ((q >> i) & 1) for i in range(n)
-            )
-            out[exps] = out.get(exps, 0) + sign
-        return {k: v for k, v in out.items() if v}
-
-    for p in range(size):
-        for q in range(size):
-            val = bilinear(p, q)
-            if p != q:
-                if val:
-                    return False
-            else:
-                expected = {tuple(2 * ((p >> i) & 1) for i in range(n)): size}
-                if val != expected:
-                    return False
-    return True

@@ -38,7 +38,6 @@ __all__ = [
     "maximal_orthogonal_frames",
     "make_frame",
     "omega_classes",
-    "classify_frame",
     "normalizer_action",
     "standard_frames",
     "root_label",
@@ -57,36 +56,6 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """The table k -> a[b[k]]: b first, then a."""
     return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
-
-
-def validate_root_permutation(sys_: RootSystem, images: Sequence[int]) -> None:
-    """Raise ValueError unless images defines a sign-equivariant isometry.
-
-    Inner products are checked only between the simple roots b and all
-    roots j: gram[b][j] == gram[pi b][pi j].  That suffices.  Taking j
-    simple shows that the images pi b have the simple roots' Gram
-    matrix, which is nondegenerate, so they form a basis of the roots'
-    span and b -> pi b extends to a linear isometry T of it.  Each pi j
-    is then fixed by its inner products with that basis, which equal
-    those of T j, so pi j = T j: pi is the restriction of the isometry T
-    and preserves every pairwise inner product.  The cost is
-    O(rank x roots) instead of O(roots^2).  The tests use it as an
-    independent check of the tables that RootSystem._validate proves.
-    """
-    n = len(sys_.roots)
-    if len(images) != n or sorted(images) != list(range(n)):
-        raise ValueError("images is not a bijection of root indices")
-    neg = sys_.negation
-    for i in range(n):
-        if images[neg[i]] != neg[images[i]]:
-            raise ValueError(f"not sign-equivariant at root {i}")
-    for b in sys_.simple_indices:
-        gb, gpb = sys_.gram_row(b), sys_.gram_row(images[b])
-        for j in range(n):
-            if gb[j] != gpb[images[j]]:
-                raise ValueError(
-                    f"inner product not preserved on roots ({b}, {j})"
-                )
 
 
 class GeneratedGroup(NamedTuple):
@@ -334,32 +303,16 @@ class OmegaClasses(NamedTuple):
     """Conjugacy classes of maximal frames.
 
     method is "bfs" (full set-orbit enumeration; orbit_sizes populated and
-    summing to the total frame count) or "inductive" (cap fallback:
-    representatives classified by invariants without enumeration, so
-    orbit_sizes is None).  class_of, the class of each frame when known,
-    is derived from the rest: equality, the hash and the repr leave it
-    out.
+    summing to the total frame count) or "inductive" (cap fallback: the
+    standard frames as representatives, without enumeration, so
+    orbit_sizes is None).
     """
 
     representatives: tuple[tuple[int, ...], ...]
     orbit_sizes: Optional[tuple[int, ...]]
     method: str
-    class_of: Optional[dict[tuple[int, ...], int]] = None
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is OmegaClasses and self[:3] == other[:3]
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
-
-    def __repr__(self) -> str:
-        return (
-            f"OmegaClasses(representatives={self.representatives!r}, "
-            f"orbit_sizes={self.orbit_sizes!r}, method={self.method!r})"
-        )
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 def omega_classes(
@@ -373,7 +326,7 @@ def omega_classes(
     the full frame list; representatives are the lexicographically least
     member of each orbit.  If there are more than max_frames frames, the
     clique search stops at the (max_frames + 1)-th and the inductive
-    fallback classifies by invariants instead (see _omega_inductive).
+    fallback returns the standard frames instead (see _omega_inductive).
     """
     return sys_.memo(("omega", max_frames), lambda: _omega_classes(sys_, max_frames))
 
@@ -401,7 +354,6 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
         raise AssertionError(
             "orbit left the maximal-frame set; clique enumeration is incomplete"
         )
-    class_of = {tuple(key): cls for cls, orbit in enumerate(orbits) for key in orbit}
     reps = [tuple(min(orbit)) for orbit in orbits]
     sizes = [len(orbit) for orbit in orbits]
     if sum(sizes) != len(frames):
@@ -410,53 +362,18 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
         representatives=tuple(reps),
         orbit_sizes=tuple(sizes),
         method="bfs",
-        class_of=class_of,
     )
 
 
 def _omega_inductive(sys_: RootSystem) -> OmegaClasses:
-    """Cap fallback: classify by complete invariants instead of enumerating.
-
-    For B/F frames the number of norm-2 root pairs (a_i, b_i sharing a
-    coordinate pair) is a complete conjugacy invariant; A/D/E types have
-    a single class.  Representatives are the standard frames.
+    """Cap fallback: the standard frames as representatives, without
+    enumerating.  standard_frames lists one frame per class, which the
+    tests check against the bfs classes; only the orbit sizes are lost.
     """
     reps = tuple(
         make_frame(sys_, roots) for _, roots in standard_frames(sys_)
     )
-    return OmegaClasses(
-        representatives=reps, orbit_sizes=None, method="inductive", class_of=None
-    )
-
-
-def classify_frame(
-    sys_: RootSystem, omega: OmegaClasses, frame: Sequence[int]
-) -> int:
-    """Index of the Omega class containing the given frame."""
-    key = make_frame(sys_, frame)
-    if omega.class_of is not None:
-        try:
-            return omega.class_of[key]
-        except KeyError:
-            raise ValueError("not a maximal frame of this system") from None
-    # inductive fallback: match by the long-pair-count invariant
-    count = _pair_count(sys_, key)
-    for i, rep in enumerate(omega.representatives):
-        if len(rep) == len(key) and _pair_count(sys_, rep) == count:
-            return i
-    raise ValueError("no class matches the frame invariants")
-
-
-def _pair_count(sys_: RootSystem, roots: tuple[int, ...]) -> int:
-    """Number of (e_i - e_j, e_i + e_j) coordinate pairs inside the frame."""
-    supports = []
-    for idx in roots:
-        d = sys_.roots[idx]
-        supports.append(frozenset(i for i, v in enumerate(d) if v))
-    from collections import Counter
-
-    counts = Counter(supports)
-    return sum(1 for s, c in counts.items() if len(s) == 2 and c == 2)
+    return OmegaClasses(representatives=reps, orbit_sizes=None, method="inductive")
 
 
 # ---------------------------------------------------------------------------

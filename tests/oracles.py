@@ -40,6 +40,27 @@ directly, and the tests check the direct form against it:
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
     start down to a primitive vector and takes the exact largest label.
+
+Others check a claim of the paper, or a table the package builds, by a
+route no command takes:
+
+  * parse_terms - an invariant from its rendered text, for fixtures;
+    the inverse of KInvariant.render.
+  * validate_root_permutation - a sign-equivariant isometry test from
+    the Gram rows of the simple roots, an independent check of the
+    tables that weylinv.roots.RootSystem._validate proves.
+  * frame_class - a frame's Omega class, by searching the frame's
+    W-orbit for a representative; weylinv.groups.omega_classes
+    partitions all maximal frames at once.
+  * modified_sw / pfister_gram_check - the modified Stiefel-Whitney
+    class of one degree, and the Gram identities of the 2^n-point
+    Pfister embedding checked symbolically for n <= 4.
+  * p_orbits / compare_support - the frame orbits on the cosets by a
+    plain orbit search, and the E7/E8 fold supports compared with the
+    expected monomials; weylinv.cosets.full_check reads the orbits off
+    forms._orbit_pfister.
+  * f4_hat / verify_identity - the hat-corrected F4 classes wh_d, and
+    the equality of two invariants at every standard frame.
 """
 from __future__ import annotations
 
@@ -59,13 +80,30 @@ from weylinv.algebra import (
     Monomial,
     _moved,
     coordinate_mask,
+    one,
+    x_monomial,
     zero,
 )
-from weylinv.basis import normalizer_families
+from weylinv.basis import (
+    CheckResult,
+    Correction,
+    NamedInvariant,
+    _check,
+    _restrict,
+    generators_for,
+    normalizer_families,
+)
 from weylinv import cosets
 from weylinv.cosets import _u_orbit_sums
 from weylinv.errors import ContextMismatchError, CosetValidationError
-from weylinv.forms import DiagonalForm, _form_of_numerators
+from weylinv.forms import (
+    DiagonalForm,
+    _form_of_numerators,
+    _modified_from_twisted,
+    _symbol_product,
+    total_sw,
+    twist_by_two,
+)
 from weylinv.groups import root_label, standard_frames
 from weylinv.roots import _bfs_orbits, build_root_system
 
@@ -146,6 +184,24 @@ class CoordinateMap:
 
 def substitute(inv: KInvariant, cmap: CoordinateMap) -> KInvariant:
     return cmap.apply(inv)
+
+
+def parse_terms(labels: Sequence[str], text: str) -> KInvariant:
+    """Inverse of render for test fixtures: "{2}{a1}{b2} + {e3}" etc."""
+    labels = tuple(labels)
+    result = zero(labels)
+    for part in text.split("+"):
+        part = part.strip()
+        if part == "0":
+            continue
+        if part == "1":
+            result = result + one(labels)
+            continue
+        names = [p for p in part.replace("}", "").split("{") if p]
+        flag = "2" in names
+        names = [p for p in names if p != "2"]
+        result = result + x_monomial(labels, names, flag)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +525,59 @@ def reflect(v, w):
 
 
 # ---------------------------------------------------------------------------
+# groups
+
+
+def validate_root_permutation(sys_, images: Sequence[int]) -> None:
+    """Raise ValueError unless images defines a sign-equivariant isometry.
+
+    Inner products are checked only between the simple roots b and all
+    roots j: gram[b][j] == gram[pi b][pi j].  That suffices.  Taking j
+    simple shows that the images pi b have the simple roots' Gram
+    matrix, which is nondegenerate, so they form a basis of the roots'
+    span and b -> pi b extends to a linear isometry T of it.  Each pi j
+    is then fixed by its inner products with that basis, which equal
+    those of T j, so pi j = T j: pi is the restriction of the isometry T
+    and preserves every pairwise inner product.  The cost is
+    O(rank x roots) instead of O(roots^2).
+    """
+    n = len(sys_.roots)
+    if len(images) != n or sorted(images) != list(range(n)):
+        raise ValueError("images is not a bijection of root indices")
+    neg = sys_.negation
+    for i in range(n):
+        if images[neg[i]] != neg[images[i]]:
+            raise ValueError(f"not sign-equivariant at root {i}")
+    for b in sys_.simple_indices:
+        gb, gpb = sys_.gram_row(b), sys_.gram_row(images[b])
+        for j in range(n):
+            if gb[j] != gpb[images[j]]:
+                raise ValueError(
+                    f"inner product not preserved on roots ({b}, {j})"
+                )
+
+
+def frame_class(sys_, omega, frame) -> int:
+    """The index of the representative of omega in frame's W-orbit: a
+    search over the orbit, frames as make_frame tuples, under the simple
+    reflections, until it meets a representative."""
+    reps = {rep: i for i, rep in enumerate(omega.representatives)}
+    canonical = sys_.canonical_rep
+    simple = [sys_.reflection_images(s) for s in sys_.simple_indices]
+    queue = [tuple(frame)]
+    seen = set(queue)
+    for key in queue:
+        if key in reps:
+            return reps[key]
+        for table in simple:
+            image = tuple(sorted(canonical[table[r]] for r in key))
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    raise ValueError("no representative lies in the frame's orbit")
+
+
+# ---------------------------------------------------------------------------
 # forms
 
 
@@ -501,6 +610,49 @@ def form_of_involutions(
         a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
         numerators.append((a, den))
     return _form_of_numerators(numerators, labels)
+
+
+def modified_sw(form: DiagonalForm, d: int, ambient_parity: int | None = None):
+    """The d-th modified Stiefel-Whitney class of the form, multiplied out
+    for one degree.  The parity defaults to the entry count; a form that
+    sits in a larger ambient space than its entries passes the true
+    parity.  weylinv.forms reads every degree off one total class."""
+    parity = (form.dim if ambient_parity is None else ambient_parity) % 2
+    return _modified_from_twisted(total_sw(twist_by_two(form)), d, parity)
+
+
+def pfister_gram_check(n: int) -> bool:
+    """Brute-force the 2^n-point embedding's Gram identities symbolically.
+
+    Vectors v_p have entries (-1)^{|b(p) & b(l)|} prod_{i in b(p)} sqrt(e_i);
+    the check confirms pairwise orthogonality and |v_p|^2 = 2^n prod e_i.
+    Exponential in n, so capped at 4.
+    """
+    if not 0 <= n <= 4:
+        raise ValueError("symbolic check is limited to n <= 4")
+    size = 1 << n
+
+    def bilinear(p: int, q: int) -> dict[tuple[int, ...], int]:
+        out: dict[tuple[int, ...], int] = {}
+        for ell in range(size):
+            sign = (-1) ** (((p & ell).bit_count() + (q & ell).bit_count()) % 2)
+            exps = tuple(
+                ((p >> i) & 1) + ((q >> i) & 1) for i in range(n)
+            )
+            out[exps] = out.get(exps, 0) + sign
+        return {k: v for k, v in out.items() if v}
+
+    for p in range(size):
+        for q in range(size):
+            val = bilinear(p, q)
+            if p != q:
+                if val:
+                    return False
+            else:
+                expected = {tuple(2 * ((p >> i) & 1) for i in range(n)): size}
+                if val != expected:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +708,41 @@ def coset_vectors(sys_, u_gens=None):
 
 
 # ---------------------------------------------------------------------------
+# fold certificates
+
+
+def p_orbits(sys_, space, frame_roots: Sequence[int]) -> list[tuple[int, ...]]:
+    """Orbit partition of the coset indices under the frame generators."""
+    tables = cosets._frame_tables(sys_, space, frame_roots)
+    orbits = _bfs_orbits(range(space.size), lambda p: [t[p] for t in tables])
+    return [tuple(sorted(orbit)) for orbit in orbits]
+
+
+def compare_support(cert, expected: KInvariant) -> bool:
+    """Do the fold-m orbit products biject onto the expected monomials?
+
+    m is the minimal fold and also the uniform degree of `expected`.
+    Each fold-m orbit contributes the product of its delta symbols; the
+    comparison demands that these products are single monomials hitting
+    each expected term exactly once.
+    """
+    if not cert.orbits:
+        return expected.is_zero()
+    m = cert.min_fold
+    products = [
+        frozenset(_symbol_product(cert.labels, o.delta_masks).terms)
+        for o in cert.orbits
+        if o.fold == m
+    ]
+    if expected.labels != cert.labels:
+        raise ValueError("expected invariant uses a different context")
+    targets = {frozenset((t,)) for t in expected.terms}
+    if len(products) != len(expected.terms):
+        return False
+    return sorted(products, key=sorted) == sorted(targets, key=sorted)
+
+
+# ---------------------------------------------------------------------------
 # coset BFS start and label width
 
 
@@ -592,3 +779,69 @@ def cauchy_schwarz_label_width(simple, vec) -> int:
     vv = sum(map(mul, vec, vec))
     bound = max(isqrt(4 * vv // sum(map(mul, a, a))) for a in simple)
     return bound.bit_length() + 1
+
+
+# ---------------------------------------------------------------------------
+# identities between invariants
+
+
+def f4_hat(d: int) -> NamedInvariant:
+    """The hat-corrected degree-d class of the F4 list (d in 1..4)."""
+    gens = {g.name: g for g in generators_for("F", 4)}
+    w1, v1 = gens["w1"], gens["v1"]
+    if d == 1:
+        return w1
+    if d == 2:
+        return NamedInvariant(
+            "wh2",
+            2,
+            Correction(((0, (gens["w2"],)), (1, (w1,)), (1, (v1,)))),
+        )
+    if d == 3:
+        return NamedInvariant(
+            "wh3",
+            3,
+            Correction(((0, (gens["w3"],)), (1, (w1, v1)), (1, (v1, v1)))),
+        )
+    if d == 4:
+        wh2 = f4_hat(2)
+        return NamedInvariant(
+            "wh4",
+            4,
+            Correction(((0, (gens["w4"],)), (1, (wh2, w1)), (1, (wh2, v1)))),
+        )
+    raise ValueError("hat classes exist for degrees 1 through 4")
+
+
+def verify_identity(
+    lhs,
+    rhs,
+    sys_,
+    cache_dir: str | None = None,
+    check_id: str | None = None,
+) -> CheckResult:
+    """Compare two invariants on every frame class.
+
+    Either side may be a NamedInvariant or a mapping frame-name ->
+    expected value; agreement on all classes is what equality of
+    invariants means here.
+    """
+
+    def side(x, name, roots, labels):
+        if isinstance(x, NamedInvariant):
+            return _restrict(x, tuple(roots), labels, sys_, cache_dir)
+        return x[name]
+
+    def describe(x):
+        return x.name if isinstance(x, NamedInvariant) else "table"
+
+    cid = check_id or f"identity:{describe(lhs)}={describe(rhs)}"
+    for name, roots in standard_frames(sys_):
+        labels = tuple(root_label(sys_, r) for r in roots)
+        lv = side(lhs, name, roots, labels)
+        rv = side(rhs, name, roots, labels)
+        if lv != rv:
+            return _check(
+                cid, False, f"differs at {name}: {lv.render()} != {rv.render()}"
+            )
+    return _check(cid, True)

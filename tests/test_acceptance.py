@@ -11,30 +11,33 @@ from itertools import combinations
 
 import pytest
 
-from oracles import form_of_involutions, lambda_sum
+from oracles import (
+    compare_support,
+    f4_hat,
+    form_of_involutions,
+    lambda_sum,
+    parse_terms,
+    pfister_gram_check,
+    verify_identity,
+)
 from weylinv import cli, cosets
-from weylinv.algebra import parse_terms
 from weylinv.basis import (
     FoldInvariant,
     FormSW,
     NamedInvariant,
     Product,
-    f4_hat,
     generators_for,
     restrict,
     upper_bound_dim,
     upstream_table,
     verify_basis,
-    verify_identity,
 )
 from weylinv.cosets import (
     build_coset_space,
-    compare_support,
     f_restriction,
     full_check,
     standard_u_gens,
 )
-from weylinv.forms import pfister_gram_check
 from weylinv.groups import (
     omega_classes,
     root_label,

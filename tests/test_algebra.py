@@ -12,6 +12,7 @@ from oracles import (
     XIndex,
     lambda_indices,
     orbit_sums,
+    parse_terms,
     substitute,
     x_basis,
 )
@@ -21,9 +22,7 @@ from weylinv.algebra import (
     Monomial,
     coordinate_mask,
     kinv,
-    linear_independence,
     one,
-    parse_terms,
     relabel,
     stacked_independence,
     two,
@@ -243,13 +242,13 @@ def test_lambda_indices_counts():
 def test_independence_examples():
     t1, t2 = var(L2, "a1"), var(L2, "b1")
     t3 = var(L2, "a2")
-    res = linear_independence([one(L2), t1, t1 * t2])
+    res = stacked_independence([(one(L2),), (t1,), (t1 * t2,)])
     assert res.independent and res.rank == 3
-    res = linear_independence([t1 + t2, t2 + t3, t1 + t3])
+    res = stacked_independence([(t1 + t2,), (t2 + t3,), (t1 + t3,)])
     assert not res.independent
     assert res.dependency == (0, 1, 2)
     # the rank counts every input, not only those before the first dependency
-    res = linear_independence([t1 + t2, t2 + t3, t1 + t3, t1])
+    res = stacked_independence([(t1 + t2,), (t2 + t3,), (t1 + t3,), (t1,)])
     assert not res.independent and res.rank == 3
     assert res.dependency == (0, 1, 2)
 
@@ -260,7 +259,7 @@ def test_independence_mod_s_reduction():
     # ring the dependency is s * t1 + 1 * (s t1) = 0
     t1 = var(L2, "a1")
     st1 = two(L2) * t1
-    res = linear_independence([t1, st1])
+    res = stacked_independence([(t1,), (st1,)])
     assert not res.independent
     assert res.dependency == (1,)
 

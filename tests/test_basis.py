@@ -13,13 +13,16 @@ from oracles import (
     b_linked_bound,
     b_nodes,
     b_orbit_nodes,
+    f4_hat,
     lambda_sum,
     normalizer_action_full,
     orbit_count,
     orbit_sum_bound,
+    parse_terms,
+    verify_identity,
 )
 from weylinv import basis
-from weylinv.algebra import BnContext, parse_terms, relabel
+from weylinv.algebra import BnContext, relabel
 from weylinv.basis import (
     BasisReport,
     Correction,
@@ -28,9 +31,8 @@ from weylinv.basis import (
     NamedInvariant,
     Product,
     SignClass,
+    _constrained_dims,
     abelian_x_report,
-    constrained_dim,
-    f4_hat,
     generators_for,
     normalizer_families,
     restrict,
@@ -38,7 +40,6 @@ from weylinv.basis import (
     upper_bound_dim,
     upstream_table,
     verify_basis,
-    verify_identity,
 )
 from weylinv.errors import UnsupportedEmbeddingError, UnsupportedSystemError
 from weylinv.groups import enumerate_subgroup, make_frame, root_label, standard_frames
@@ -542,13 +543,13 @@ def test_encoded_e_bounds_match_constraint_computation(rank, bounds, tmp_path):
     # one degree past the top: no upstream vectors, so both read 0
     for d, b in enumerate(bounds + [0]):
         assert upper_bound_dim("E", rank, d) == b
-        assert constrained_dim("E", rank, d, str(tmp_path)) == b, d
+        assert _constrained_dims("E", rank, str(tmp_path)).get(d, 0) == b, d
 
 
 def test_encoded_f4_bounds_match_constraint_computation():
     for d, b in enumerate([1, 2, 2, 2, 1, 0]):
         assert upper_bound_dim("F", 4, d) == b
-        assert constrained_dim("F", 4, d) == b, d
+        assert _constrained_dims("F", 4, None).get(d, 0) == b, d
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +639,11 @@ def test_verify_basis_passes(type_label, rank, tmp_path):
     assert report.passed(), failing
     assert all(a == b for _, a, b in report.dims), report.dims
     if (type_label, rank) in (("F", 4), ("E", 6), ("E", 7), ("E", 8)):
-        # the report shares one constraint pass; the public entry point
-        # recomputes it per degree
+        # the report shares one constraint pass with its upstream table;
+        # recompute it here without one
+        dims = _constrained_dims(type_label, rank, str(tmp_path))
         for d, _, bound in report.dims:
-            got = constrained_dim(type_label, rank, d, str(tmp_path))
+            got = dims.get(d, 0)
             assert got == bound, (d, got, bound)
 
 

@@ -37,12 +37,14 @@ def test_parse_system_forms():
 def test_import_loads_no_dataclasses():
     """Every command pays for its import before it computes anything.
     dataclasses pulls in inspect (and with it ast, dis and tokenize),
-    and only the test oracles use fractions, so a fresh interpreter
-    without site hooks must import the CLI without them."""
+    only the test oracles use fractions, and only a cached coset build
+    needs hashlib (and with it OpenSSL), so a fresh interpreter without
+    site hooks must import the CLI without them."""
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
         "import sys, weylinv.cli; "
-        "print(*(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))"
+        "print(*(m for m in ('dataclasses', 'inspect', 'fractions', 'hashlib')"
+        " if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],

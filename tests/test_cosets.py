@@ -25,10 +25,8 @@ from weylinv.cosets import (
     build_coset_space,
     cache_path,
     clear_cache,
-    compare_support,
     f_restriction,
     full_check,
-    p_orbits,
     standard_u_gens,
 )
 from weylinv.errors import (
@@ -47,8 +45,10 @@ from weylinv.roots import _bfs_orbits, build_root_system
 
 from oracles import (
     cauchy_schwarz_label_width,
+    compare_support,
     coset_vectors,
     dense_orbit,
+    p_orbits,
     read_cache,
     reflect,
     reflect_key,
@@ -236,8 +236,12 @@ def test_e8_labels_inside_field_bound():
     off = 1 << (width - 1)
     biggest = max(abs(c) for key in vectors for c in _labels(simple, key))
     assert 0 < biggest < off
-    # the bound is W-invariant: every coset key gives the same width
-    assert {_label_width(sys_, key) for key in vectors} == {width}
+    # the labels over the orbit are 2(v, b)/(b, b) for v = vectors[0] and
+    # b running over every root, so the width read at any key is the same
+    v = vectors[0]
+    assert biggest == max(
+        abs(2 * sum(map(mul, b, v)) // sum(map(mul, b, b))) for b in sys_.roots
+    )
 
 
 def _sigma_u(sys_, u_gens):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from weylinv.algebra import kinv, one, parse_terms, two, var, zero
+from weylinv.algebra import kinv, one, two, var, zero
 from weylinv.errors import CertificateError, UnsupportedEmbeddingError
 from weylinv.forms import (
     DiagonalForm,
@@ -17,9 +17,6 @@ from weylinv.forms import (
     expand_to_diagonal,
     form_of_linear_action,
     form_of_permutation_action,
-    modified_sw,
-    pfister_gram_check,
-    sw_class,
     total_sw,
     twist_by_two,
 )
@@ -34,7 +31,12 @@ from weylinv.forms import (
 from weylinv.groups import maximal_orthogonal_frames, root_label, standard_frames
 from weylinv.roots import SUPPORTED, build_root_system
 
-from oracles import form_of_involutions, reflection_matrix
+from oracles import (
+    form_of_involutions,
+    modified_sw,
+    pfister_gram_check,
+    reflection_matrix,
+)
 
 SWAP = ((0, 1), (1, 0))
 NEG_SWAP = ((0, -1), (-1, 0))
@@ -130,8 +132,8 @@ def test_total_sw_examples():
     ta, tb, s = var(labels, "a"), var(labels, "b"), two(labels)
     expected = one(labels) + (ta + tb) + (ta * tb + s * (ta + tb))
     assert total_sw(form) == expected
-    assert sw_class(form, 1) == ta + tb
-    assert sw_class(form, 2) == ta * tb + s * (ta + tb)
+    assert total_sw(form).degree_part(1) == ta + tb
+    assert total_sw(form).degree_part(2) == ta * tb + s * (ta + tb)
 
     trivial = DiagonalForm(labels, ((0, 0),) * 5)
     assert total_sw(trivial) == one(labels)
@@ -364,7 +366,7 @@ def test_linear_vs_permutation_agreement_b2():
     frames = dict(standard_frames(sys_))
     linear = form_of_linear_action(sys_, frames["P_0"])
     labels = ("e1", "e2")
-    assert sw_class(linear, 1) == var(labels, "e1") + var(labels, "e2")
+    assert total_sw(linear).degree_part(1) == var(labels, "e1") + var(labels, "e2")
     # S_4 images of s_{e1}, s_{e2}
     perm = form_of_permutation_action([(2, 1, 0, 3), (0, 3, 2, 1)], labels)
     vform = expand_to_diagonal(perm)
