@@ -54,7 +54,6 @@ from .cosets import build_coset_space, f_restriction, full_check, standard_u_gen
 from .errors import UnsupportedEmbeddingError, UnsupportedSystemError
 from .forms import (
     DiagonalForm,
-    expand_to_diagonal,
     form_of_linear_action,
     form_of_permutation_action,
     _modified_from_twisted,
@@ -351,7 +350,7 @@ def _frame_form(sys_, action, roots, labels) -> DiagonalForm:
         raise ValueError(f"unknown point action {action!r}")
     npts = len(sys_.roots[0])
     gens = [build(sys_, idx, npts) for idx in roots]
-    return expand_to_diagonal(form_of_permutation_action(gens, labels))
+    return form_of_permutation_action(gens, labels)
 
 
 def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvariant:

@@ -344,23 +344,23 @@ def cmd_fullcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     fname, frame_roots = _frame_for(sys_, args)
     cert = full_check(sys_, space, frame_roots)
     m = cert.min_fold
-    folds = sorted({o.fold for o in cert.orbits})
+    folds = sorted(set(map(len, cert.a_sets)))
     fold_counts = {str(f): cert.fold_count(f) for f in folds}
     payload = {
         "type": sys_.type_label,
         "rank": sys_.rank,
         "cosets": space.size,
         "frame": fname,
-        "orbits": len(cert.orbits),
+        "orbits": len(cert.a_sets),
         "min_fold": m,
         "fold_counts": fold_counts,
     }
     lines = [f"{space.size} cosets; min fold {m}; {cert.fold_count(m)} fold-{m} orbits"]
     if len(folds) == 1:
-        lines.append(f"{len(cert.orbits)} orbits; fold {folds[0]}")
+        lines.append(f"{len(cert.a_sets)} orbits; fold {folds[0]}")
     else:
         lines.append(
-            f"{len(cert.orbits)} orbits; folds "
+            f"{len(cert.a_sets)} orbits; folds "
             + ", ".join(f"{fold_counts[str(f)]} of fold {f}" for f in folds)
         )
     _emit(cfg, payload, lines)

@@ -22,25 +22,28 @@ is still re-checked at build time.
 Frame actions on the cosets decompose into orbits whose sizes are powers
 of two; the fold certificate records, per orbit, the generator subset
 that acts simply transitively, which is exactly the datum needed to
-place the associated form in a power of the fundamental ideal.  Once the
-frame tables are checked to be commuting involutions, each orbit and
-its active subset come from the permutation route's kernel,
-forms._orbit_pfister; the fold and delta masks follow from the active
-subset (see full_check).
+place the associated form in a power of the fundamental ideal.  A
+certified orbit is its active set A: its size is 2^|A|, its fold |A|,
+and its Pfister symbol prod_{i in A} t_i (Garibaldi-Merkurjev-Serre,
+Cohomological Invariants in Galois Cohomology, Ch. VII), so a
+certificate is its orbits' active sets, in order of least coset.  Once
+the frame tables are checked to be commuting involutions, each active
+set comes from the permutation route's kernel, forms._orbit_pfister
+(see full_check).
 
-A cache file (format_version 3) is one line of compact JSON with sorted
+A cache file (format_version 4) is one line of compact JSON with sorted
 keys, the header, then a little-endian int32 body.  The header holds
-type, rank, u_gens, u_order, size and the certificate as the list of
-its orbits' a_sets, or null.  A certificate is only ever stored for the
-system's one standard frame, so its frame roots and labels are taken
-from standard_frames on load.  The body holds, in order, the rank action
-tables and each certificate orbit's 2^|a_set| members; every entry is a
-coset number below size.  The header thus fixes the body's length,
-which the loader checks against the file before it reads the body, as
-it checks the stored u_order against |U| from the requested generators.
-The file name hashes the format version, so files of an older version
-are never opened by a build; `cache inspect` lists them and `cache
-clear` removes them.
+type, rank, u_gens, u_order, size and the certificate as its list of
+a_sets, or null.  A certificate is only ever stored for the system's
+one standard frame, so its frame roots and labels are taken from
+standard_frames on load.  The body holds the rank action tables, every
+entry a coset number below size, and nothing else.  The header thus
+fixes the body's length, which the loader checks against the file
+before it reads the body, as it checks the stored u_order against |U|
+from the requested generators and that the a_sets' orbits, 2^|a| cosets
+each, add up to size.  The file name hashes the format version, so
+files of an older version (1 to 3) are never opened by a build; `cache
+inspect` lists them and `cache clear` removes them.
 """
 from __future__ import annotations
 
@@ -49,26 +52,20 @@ import os
 import re
 import sys
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from ._records import record_eq, record_ne
-from .algebra import KInvariant
+from .algebra import KInvariant, Monomial, kinv
 from .errors import (
     CacheFormatError,
     CapExceededError,
     CertificateError,
     CosetValidationError,
 )
-from .forms import (
-    OrbitPfister,
-    OrbitPfisterDecomp,
-    _commuting_involution_failure,
-    _orbit_pfister,
-    e_fold,
-)
+from .forms import _commuting_involution_failure, _orbit_pfister
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     _compose,
@@ -82,7 +79,6 @@ from .roots import RootSystem, _bfs_orbits
 __all__ = [
     "CosetSpace",
     "FoldCertificate",
-    "CertOrbit",
     "standard_u_gens",
     "build_coset_space",
     "full_check",
@@ -92,64 +88,28 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
 ]
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 Key = tuple[int, ...]
 
 
-class CertOrbit:
-    """One certified frame orbit: its members, ascending, and its active
-    set, the increasing frame positions whose reflections move it.
-
-    full_check certifies fold = |a_set|, and then the delta masks are
-    1 << i for i in a_set, so both are read off a_set.
-    """
-
-    __slots__ = ("members", "a_set")
-
-    def __init__(self, members: tuple[int, ...], a_set: tuple[int, ...]) -> None:
-        self.members = members
-        self.a_set = a_set
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CertOrbit:
-            return NotImplemented
-        return self.members == other.members and self.a_set == other.a_set
-
-    def __hash__(self) -> int:
-        return hash((self.members, self.a_set))
-
-    def __repr__(self) -> str:
-        return f"CertOrbit(members={self.members!r}, a_set={self.a_set!r})"
-
-    @property
-    def fold(self) -> int:
-        return len(self.a_set)
-
-    @property
-    def delta_masks(self) -> tuple[int, ...]:
-        return tuple(1 << i for i in self.a_set)
-
-
 class FoldCertificate(NamedTuple):
+    """A frame's certified orbits on the cosets, each as its active set:
+    the increasing frame positions whose reflections move it, in order of
+    the orbit's least coset.  The orbit has 2^|a| cosets and fold |a|."""
+
     frame_roots: tuple[int, ...]
     labels: tuple[str, ...]
-    orbits: tuple[CertOrbit, ...]
+    a_sets: tuple[tuple[int, ...], ...]
 
     __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     @property
     def min_fold(self) -> int:
-        return min((o.fold for o in self.orbits), default=0)
+        return min(map(len, self.a_sets), default=0)
 
     def fold_count(self, m: int) -> int:
-        return sum(1 for o in self.orbits if o.fold == m)
-
-    def decomp(self) -> OrbitPfisterDecomp:
-        return OrbitPfisterDecomp(
-            self.labels,
-            tuple(OrbitPfister(o.fold, o.delta_masks) for o in self.orbits),
-        )
+        return sum(1 for a in self.a_sets if len(a) == m)
 
 
 class CosetSpace(NamedTuple):
@@ -535,13 +495,13 @@ def full_check(
     The frame tables are checked once to be commuting involutive
     permutations, so they generate an elementary abelian 2-group G, and
     forms._orbit_pfister, the permutation route's kernel, gives each
-    orbit's members, A_k (read off the orbit's least point: an abelian
-    transitive action has one stabiliser, so a generator fixing one
-    point of the orbit fixes all of it), fold and delta masks.  The
-    certificate condition is fold = |A_k|.  Then the active generators
-    stay independent on the orbit, the kernel in F2^frame is spanned by
-    the inactive ones, and the delta masks are 1 << i for i in A_k, so
-    each CertOrbit keeps only its members and A_k.
+    orbit's A_k (read off the orbit's least point: an abelian transitive
+    action has one stabiliser, so a generator fixing one point of the
+    orbit fixes all of it) and fold.  The certificate condition is
+    fold = |A_k|.  Then the active generators stay independent on the
+    orbit, the kernel in F2^frame is spanned by the inactive ones, and
+    the delta masks are 1 << i for i in A_k: a certified orbit is its
+    active set, and the certificate keeps A_k alone.
     """
     frame_roots = tuple(frame_roots)
     if space.certificate is not None and _same_frame(
@@ -560,17 +520,15 @@ def full_check(
             f"the reflections in {labels[bad[0]]} and {labels[bad[1]]} do not "
             "commute on the cosets: the roots are not orthogonal"
         )
-    cert_orbits = []
-    for oi, (members, a_set, fold, _) in enumerate(_orbit_pfister(tables, space.size)):
+    a_sets = []
+    for oi, (a_set, fold, _) in enumerate(_orbit_pfister(tables, space.size)):
         if fold != len(a_set):
             raise CertificateError(
-                f"orbit {oi} (size {len(members)}) is not simply transitive "
+                f"orbit {oi} (size {1 << fold}) is not simply transitive "
                 f"under its {len(a_set)} active generators"
             )
-        cert_orbits.append(CertOrbit(members, a_set))
-    return FoldCertificate(
-        frame_roots=frame_roots, labels=labels, orbits=tuple(cert_orbits)
-    )
+        a_sets.append(a_set)
+    return FoldCertificate(frame_roots=frame_roots, labels=labels, a_sets=tuple(a_sets))
 
 
 def _same_frame(
@@ -595,8 +553,23 @@ def _canonical_certificate(
 
 
 def f_restriction(cert: FoldCertificate, m: int) -> KInvariant:
-    """e_m of the certified decomposition (the f_m restriction values)."""
-    return e_fold(cert.decomp(), m)
+    """e_m of the certified decomposition (the f_m restriction values).
+
+    Requires every fold >= m (the I^m membership certificate).  An orbit
+    of fold m with active set A contributes its Pfister symbol
+    prod_{i in A} t_i; orbits of larger fold lie in I^{m+1} and
+    contribute nothing.  The 2-power scales are dropped: the graded Witt
+    ring here is an F2 algebra and the <2^m> normalization of the
+    defining invariants absorbs them.
+    """
+    if cert.a_sets and cert.min_fold < m:
+        raise CertificateError(
+            f"certificate has fold {cert.min_fold} < {m}: not in I^{m}"
+        )
+    return kinv(
+        cert.labels,
+        (Monomial(sum(1 << i for i in a)) for a in cert.a_sets if len(a) == m),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +600,7 @@ def _write_space(space: CosetSpace, path: str) -> None:
     """Write the header line, then the int32 body (see the module
     docstring)."""
     cert = space.certificate
-    orbits = cert.orbits if cert is not None else ()
-    rows = chain(space.action_tables, (o.members for o in orbits))
-    body = array("i", chain.from_iterable(rows))
+    body = array("i", chain.from_iterable(space.action_tables))
     if sys.byteorder == "big":
         body.byteswap()
     doc = {
@@ -640,7 +611,7 @@ def _write_space(space: CosetSpace, path: str) -> None:
         "u_order": space.u_order,
         "size": space.size,
         # tuples encode as JSON arrays, so they go in uncopied
-        "certificate": None if cert is None else [o.a_set for o in orbits],
+        "certificate": None if cert is None else cert.a_sets,
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # unique per writer: concurrent builders of the same space must not
@@ -703,19 +674,18 @@ def _load_space(
                     f"give |U| = {true_order}"
                 )
             frames = standard_frames(sys_)
-            problem = _a_set_problem(frames, a_sets)
+            problem = _a_set_problem(frames, a_sets, size)
             if problem:
                 raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
-            ngen = len(sys_.simple_indices)
-            spans = [ngen * size] + [1 << len(a) for a in a_sets or ()]
+            count = len(sys_.simple_indices) * size
             body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-            if body_bytes != 4 * sum(spans):
+            if body_bytes != 4 * count:
                 raise CacheFormatError(
                     f"cache file {path} has a {body_bytes}-byte body; its header "
-                    f"calls for {4 * sum(spans)}"
+                    f"calls for {4 * count}"
                 )
             body = array("i")
-            body.fromfile(fh, sum(spans))
+            body.fromfile(fh, count)
             if fh.read(1):
                 raise CacheFormatError(f"cache file {path} has bytes past its body")
         except (KeyError, TypeError) as bad:
@@ -726,18 +696,14 @@ def _load_space(
             raise CacheFormatError(f"cache file {path} ends inside its body") from None
     if sys.byteorder == "big":
         body.byteswap()
-    it = iter(body)
-    tables = tuple(zip(*[islice(it, spans[0])] * size))
+    tables = tuple(zip(*[iter(body)] * size))
     cert = None
     if a_sets is not None:
         (_, frame_roots), = frames
         cert = FoldCertificate(
             frame_roots=frame_roots,
             labels=tuple(root_label(sys_, r) for r in frame_roots),
-            orbits=tuple(
-                CertOrbit(tuple(islice(it, n)), tuple(a))
-                for a, n in zip(a_sets, spans[1:])
-            ),
+            a_sets=tuple(map(tuple, a_sets)),
         )
     space = CosetSpace(
         type_label=sys_.type_label,
@@ -754,10 +720,11 @@ def _load_space(
     return space
 
 
-def _a_set_problem(frames: list, a_sets) -> Optional[str]:
+def _a_set_problem(frames: list, a_sets, size: int) -> Optional[str]:
     """What makes a stored certificate, a list of a_sets or None,
     unusable, or None.  A certificate is for the system's one standard
-    frame, and each a_set is increasing positions of its roots."""
+    frame, each a_set is increasing positions of its roots, and the
+    orbits, 2^|a_set| cosets each, add up to the size cosets."""
     if a_sets is None:
         return None
     if len(frames) != 1:
@@ -775,24 +742,19 @@ def _a_set_problem(frames: list, a_sets) -> Optional[str]:
                 f"certificate orbit {oi} has a_set {a!r}, not increasing "
                 f"positions of its {len(positions)} frame roots"
             )
+    total = sum(1 << len(a) for a in a_sets)
+    if total != size:
+        return f"certificate orbits hold {total} cosets, not {size}"
     return None
 
 
 def _structural_problem(space: CosetSpace) -> Optional[str]:
-    """What makes a loaded space unusable, or None.
-
-    Frame tables are composed from the stored action tables, so each
-    must be an involutive permutation, and the certificate's orbits must
-    partition the cosets.
-    """
+    """What makes a loaded space unusable, or None: frame tables are
+    composed from the stored action tables, so each must be an
+    involutive permutation."""
     for i, t in enumerate(space.action_tables):
         if _commuting_involution_failure((t,), space.size):
             return f"action table {i} is not an involutive permutation of range({space.size})"
-    cert = space.certificate
-    if cert is not None:
-        members = sorted(m for o in cert.orbits for m in o.members)
-        if members != list(range(space.size)):
-            return "certificate orbits do not partition the cosets"
     return None
 
 

@@ -22,23 +22,18 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from ._records import record_eq, record_ne
-from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, two, zero
-from .errors import CertificateError, UnsupportedEmbeddingError
+from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, two
+from .errors import UnsupportedEmbeddingError
 from .groups import _compose, root_label
 
 __all__ = [
     "DiagonalForm",
-    "OrbitPfister",
-    "OrbitPfisterDecomp",
     "form_of_linear_action",
     "form_of_permutation_action",
-    "expand_to_diagonal",
     "total_sw",
     "twist_by_two",
-    "e_fold",
 ]
 
 
@@ -265,42 +260,6 @@ def form_of_linear_action(
 # permutation route
 
 
-class OrbitPfister:
-    __slots__ = ("fold", "delta_masks")
-
-    def __init__(self, fold: int, delta_masks: tuple[int, ...]) -> None:
-        if len(delta_masks) != fold:
-            raise ValueError("need one delta per fold")
-        self.fold = fold
-        self.delta_masks = delta_masks
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not OrbitPfister:
-            return NotImplemented
-        return self.fold == other.fold and self.delta_masks == other.delta_masks
-
-    def __hash__(self) -> int:
-        return hash((self.fold, self.delta_masks))
-
-    def __repr__(self) -> str:
-        return f"OrbitPfister(fold={self.fold!r}, delta_masks={self.delta_masks!r})"
-
-
-class OrbitPfisterDecomp(NamedTuple):
-    labels: tuple[str, ...]
-    orbits: tuple[OrbitPfister, ...]
-
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
-
-    @property
-    def ambient_dim(self) -> int:
-        return sum(1 << o.fold for o in self.orbits)
-
-    @property
-    def min_fold(self) -> int:
-        return min((o.fold for o in self.orbits), default=0)
-
-
 def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
     """Deterministic basis of {x : x . v = 0 for all v} in F2^width."""
     # row-reduce the constraint matrix, then solve back from each free variable
@@ -340,14 +299,16 @@ def _commuting_involution_failure(
 
 def _orbit_pfister(
     tables: Sequence[Sequence[int]], size: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """Orbits of commuting involutive permutations with their Pfister data.
 
     The tables must pass _commuting_involution_failure.  For each orbit,
-    in order of its least point (the base), returns (members, a_set,
-    fold, delta_masks): the sorted members, the generators moving the
-    base, the orbit's 2^fold = |orbit|, and the annihilator basis of the
-    kernel of F2^k on the orbit.
+    in order of its least point (the base), returns (a_set, fold,
+    delta_masks): the active set, the increasing positions of the
+    generators moving the base, the orbit's 2^fold = |orbit|, and the
+    annihilator basis of the kernel of F2^k on the orbit.  When fold =
+    |a_set| the orbit is certified and is its active set: its deltas are
+    1 << i for i in a_set (see cosets.full_check).
 
     The orbit is found by doubling from the base, labelling each point
     with an exponent vector that carries the base to it.  Once generators
@@ -381,20 +342,24 @@ def _orbit_pfister(
                 label[q] = label[p] | 1 << i
             points += images
         fold = len(points).bit_length() - 1
-        deltas = tuple(_f2_kernel_basis(kernel, k))
-        out.append((tuple(sorted(points)), tuple(a_set), fold, deltas))
+        out.append((tuple(a_set), fold, tuple(_f2_kernel_basis(kernel, k))))
     return out
 
 
 def form_of_permutation_action(
     gens: Sequence[Sequence[int]], labels: Sequence[str]
-) -> OrbitPfisterDecomp:
-    """Orbit-by-orbit Pfister decomposition of a permutation embedding.
+) -> DiagonalForm:
+    """Diagonal form of a permutation embedding, orbit by orbit.
 
     gens[i] is the point-image tuple of the i-th frame generator.  Every
     orbit of the generated abelian 2-group has 2^f points on which the
-    quotient by the kernel acts simply transitively; the delta masks are
-    the kernel's annihilator basis (see _orbit_pfister).
+    quotient by the kernel acts simply transitively, so it is the scaled
+    Pfister form <2^f> <<-d_1, ..., -d_f>>, the d_j the kernel's
+    annihilator basis (see _orbit_pfister).  Its entries are the
+    products of the d_j over all subsets (signs vanish since {-1} = 0,
+    and square classes multiply by XOR of coordinate masks), each scaled
+    by 2^f.  A certified orbit (fold = |a_set|, as on the cosets) is its
+    active set: its d_j are the t_i for i in a_set.
     """
     if len(gens) != len(labels):
         raise ValueError("one label per generator required")
@@ -406,30 +371,15 @@ def form_of_permutation_action(
         )
     if bad is not None:
         raise ValueError(f"generators {bad[0]} and {bad[1]} do not commute")
-    orbits = tuple(
-        OrbitPfister(fold=fold, delta_masks=masks)
-        for _, _, fold, masks in _orbit_pfister(gens, size)
-    )
-    return OrbitPfisterDecomp(tuple(labels), orbits)
-
-
-def expand_to_diagonal(decomp: OrbitPfisterDecomp) -> DiagonalForm:
-    """Multiply out every orbit's scaled Pfister factor.
-
-    <<-d_1, ..., -d_f>> has diagonal entries prod_{j in S} d_j over all
-    subsets S (signs vanish since {-1} = 0 and entries are square
-    classes, which multiply by XOR of coordinate masks); an orbit of
-    fold f scales each of its entries by 2^f.
-    """
     entries = []
-    for o in decomp.orbits:
-        for s in range(1 << o.fold):
+    for _, fold, deltas in _orbit_pfister(gens, size):
+        for s in range(1 << fold):
             mask = 0
-            for j in range(o.fold):
+            for j, d in enumerate(deltas):
                 if (s >> j) & 1:
-                    mask ^= o.delta_masks[j]
-            entries.append((o.fold, mask))
-    return DiagonalForm(decomp.labels, tuple(entries))
+                    mask ^= d
+            entries.append((fold, mask))
+    return DiagonalForm(tuple(labels), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +396,6 @@ def _entry_class(labels: tuple[str, ...], a: int, mask: int) -> KInvariant:
         v ^= low
         terms.append(Monomial(low))
     return kinv(labels, terms)
-
-
-def _symbol_product(labels: tuple[str, ...], masks: Sequence[int]) -> KInvariant:
-    """The product of the symbols {mask}: an orbit's Pfister symbol."""
-    term = one(labels)
-    for mask in masks:
-        term = term * _entry_class(labels, 0, mask)
-    return term
 
 
 def total_sw(form: DiagonalForm) -> KInvariant:
@@ -488,22 +430,3 @@ def _modified_from_twisted(twisted: KInvariant, d: int, parity: int) -> KInvaria
     for deg in range(1, d + 1):
         current = twisted.degree_part(deg) + s * current
     return current
-
-
-def e_fold(decomp: OrbitPfisterDecomp, m: int) -> KInvariant:
-    """e_m of the decomposition: fold-m orbits contribute their symbol products.
-
-    Requires every fold >= m (the I^m membership certificate); orbits of
-    larger fold lie in I^{m+1} and contribute nothing.  The 2-power
-    scales are dropped: the graded Witt ring here is an F2 algebra and
-    the <2^m> normalization of the defining invariants absorbs them.
-    """
-    if decomp.orbits and decomp.min_fold < m:
-        raise CertificateError(
-            f"decomposition has fold {decomp.min_fold} < {m}: not in I^{m}"
-        )
-    acc = zero(decomp.labels)
-    for o in decomp.orbits:
-        if o.fold == m:
-            acc = acc + _symbol_product(decomp.labels, o.delta_masks)
-    return acc

@@ -22,9 +22,9 @@ directly, and the tests check the direct form against it:
     search over the frame's W-orbit; weylinv.basis.normalizer_families
     records a few elements by hand.
   * read_cache / write_cache - a coset cache file as one JSON document,
-    its header with the int32 body put back as lists, unpacked and
-    packed with struct; weylinv.cosets reads the header and the body on
-    its own.
+    its header with the int32 body of action tables put back as lists,
+    unpacked and packed with struct; weylinv.cosets reads the header and
+    the body on its own.
   * reflector / reflect_key / dense_orbit / coset_vectors - each
     coset's doubled-coordinate key, reflected densely and numbered in BFS
     order from the package's start vector; weylinv.cosets walks packed
@@ -56,9 +56,11 @@ route no command takes:
     class of one degree, and the Gram identities of the 2^n-point
     Pfister embedding checked symbolically for n <= 4.
   * p_orbits / compare_support - the frame orbits on the cosets by a
-    plain orbit search, and the E7/E8 fold supports compared with the
-    expected monomials; weylinv.cosets.full_check reads the orbits off
-    forms._orbit_pfister.
+    plain orbit search, and the E7/E8 fold supports, each multiplied out
+    from an active set's symbols, compared with the expected monomials;
+    weylinv.cosets.full_check reads the active sets off
+    forms._orbit_pfister, and f_restriction reads each symbol as one
+    monomial.
   * f4_hat / verify_identity - the hat-corrected F4 classes wh_d, and
     the equality of two invariants at every standard frame.
 """
@@ -81,6 +83,7 @@ from weylinv.algebra import (
     _moved,
     coordinate_mask,
     one,
+    var,
     x_monomial,
     zero,
 )
@@ -100,7 +103,6 @@ from weylinv.forms import (
     DiagonalForm,
     _form_of_numerators,
     _modified_from_twisted,
-    _symbol_product,
     total_sw,
     twist_by_two,
 )
@@ -471,14 +473,13 @@ def normalizer_action_full(sys_, frame) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # coset cache files
 
-_BODY_FIELDS = ("action_tables", "members")
+_BODY_FIELDS = ("action_tables",)
 
 
 def read_cache(path) -> dict:
     """The cache file at path as one document: its header line, with the
-    little-endian int32 body put back as "action_tables" (rank rows of
-    size) and "members", one row of 2^|a_set| per a_set of the
-    certificate (none without one)."""
+    little-endian int32 body put back as "action_tables", rank rows of
+    size."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.readline())
         body = fh.read()
@@ -488,7 +489,6 @@ def read_cache(path) -> dict:
         return [next(values) for _ in range(length)]
 
     doc["action_tables"] = [row(doc["size"]) for _ in range(doc["rank"])]
-    doc["members"] = [row(1 << len(a)) for a in doc["certificate"] or ()]
     assert next(values, None) is None, "body longer than its header says"
     return doc
 
@@ -722,18 +722,21 @@ def compare_support(cert, expected: KInvariant) -> bool:
     """Do the fold-m orbit products biject onto the expected monomials?
 
     m is the minimal fold and also the uniform degree of `expected`.
-    Each fold-m orbit contributes the product of its delta symbols; the
-    comparison demands that these products are single monomials hitting
-    each expected term exactly once.
+    Each fold-m orbit contributes the product of the degree-one symbols
+    of its active set, multiplied out in the algebra; the comparison
+    demands that these products are single monomials hitting each
+    expected term exactly once.
     """
-    if not cert.orbits:
+    if not cert.a_sets:
         return expected.is_zero()
     m = cert.min_fold
-    products = [
-        frozenset(_symbol_product(cert.labels, o.delta_masks).terms)
-        for o in cert.orbits
-        if o.fold == m
-    ]
+    products = []
+    for a in cert.a_sets:
+        if len(a) == m:
+            term = one(cert.labels)
+            for i in a:
+                term = term * var(cert.labels, cert.labels[i])
+            products.append(frozenset(term.terms))
     if expected.labels != cert.labels:
         raise ValueError("expected invariant uses a different context")
     targets = {frozenset((t,)) for t in expected.terms}

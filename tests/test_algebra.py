@@ -18,7 +18,6 @@ from oracles import (
 )
 from weylinv.algebra import (
     BnContext,
-    KInvariant,
     Monomial,
     coordinate_mask,
     kinv,

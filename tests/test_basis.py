@@ -24,7 +24,6 @@ from oracles import (
 from weylinv import basis
 from weylinv.algebra import BnContext, relabel
 from weylinv.basis import (
-    BasisReport,
     Correction,
     FoldInvariant,
     FormSW,

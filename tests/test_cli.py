@@ -491,7 +491,7 @@ def _wrong_size(doc):
 
 
 def _a_set_past_frame(doc):
-    """Well-formed but wrong: the orbit keeps its members, and its last
+    """Well-formed but wrong: the orbit keeps its size, and its last
     active position lies past the six frame roots."""
     doc["certificate"][0][-1] = 99
 
@@ -539,6 +539,11 @@ def _not_utf8(path):
         pytest.param(_header_edit(size=10**12), id="size_10_12"),
         pytest.param(_header_edit(size=33), id="size_times_u_order_not_W"),
         pytest.param(_header_edit(u_order=1), id="u_order_not_W_over_size"),
+        # valid frame positions, but three orbits of 2^3 cover 24 of the
+        # 32 cosets
+        pytest.param(
+            _header_edit(certificate=[[0, 2, 4]] * 3), id="a_sets_miss_cosets"
+        ),
         _not_utf8,
     ],
 )
@@ -567,27 +572,10 @@ def test_forged_u_order_exits_2(capsys, tmp_path):
     doc = read_cache(path)
     doc.update(size=4, u_order=48, certificate=[[]] * 4)
     doc["action_tables"] = [list(range(4))] * 4
-    doc["members"] = [[k] for k in range(4)]
     write_cache(path, doc)
     code, out, err = run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
     assert str(path) in err and "u_order 48" in err and "Traceback" not in err
-
-
-# the D4 file a format_version 1 build wrote: one line of JSON
-_V1_D4_NAME = "cosets-D4-e90f96221d20d8ac.json"
-_V1_D4 = (
-    '{"action_tables":[[0,1,4,5,2,3,6,7],[0,2,1,3,4,6,5,7],[0,1,3,2,5,4,6,'
-    '7],[1,0,2,3,4,5,7,6]],"certificate":{"frame_roots":[18,23,12,13],'
-    '"labels":["a1","b1","a2","b2"],"orbits":[{"a_set":[1,3],'
-    '"delta_masks":[2,8],"fold":2,"members":[0,1,6,7]},{"a_set":[0,2],'
-    '"delta_masks":[1,4],"fold":2,"members":[2,3,4,5]}]},'
-    '"format_version":1,"rank":4,"representatives":[[-18,-18,-18,-18],[-18,'
-    '-18,18,18],[-18,18,-18,18],[-18,18,18,-18],[18,-18,-18,18],[18,-18,18,'
-    '-18],[18,18,-18,-18],[18,18,18,18]],"size":8,"type":"D","u_gens":[[2,'
-    '-2,0,0],[0,2,-2,0],[0,0,2,-2]],"u_order":24}'
-    "\n"
-)
 
 
 def test_forged_certificate_frame_exits_2(capsys, tmp_path):
@@ -675,6 +663,26 @@ _V2_D4 = (
 def test_format_2_file_is_ignored_listed_and_cleared(capsys, tmp_path):
     _old_format_file_is_ignored_listed_and_cleared(
         capsys, tmp_path, _V2_D4_NAME, _V2_D4, 2
+    )
+
+
+# the D4 file a format_version 3 build wrote: its header line, then the
+# int32 body of action tables and orbit members
+_V3_D4_NAME = "cosets-D4-fe3e9cd46297b84c.json"
+_V3_D4 = (
+    b'{"certificate":[[1,3],[0,2]],"format_version":3,"rank":4,"size":8,'
+    b'"type":"D","u_gens":[[2,-2,0,0],[0,2,-2,0],[0,0,2,-2]],"u_order":24}\n'
+) + struct.pack(
+    "<40i",
+    0, 1, 3, 2, 5, 4, 6, 7, 0, 2, 1, 3, 4, 6, 5, 7,
+    0, 1, 4, 5, 2, 3, 6, 7, 1, 0, 2, 3, 4, 5, 7, 6,
+    0, 1, 6, 7, 2, 3, 4, 5,
+)
+
+
+def test_format_3_file_is_ignored_listed_and_cleared(capsys, tmp_path):
+    _old_format_file_is_ignored_listed_and_cleared(
+        capsys, tmp_path, _V3_D4_NAME, _V3_D4, 3
     )
 
 

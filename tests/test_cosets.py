@@ -10,10 +10,9 @@ from operator import mul
 import pytest
 
 from weylinv import cosets
-from weylinv.algebra import x_monomial, zero
+from weylinv.algebra import one, var, x_monomial, zero
 from weylinv.cosets import (
     CACHE_FORMAT_VERSION,
-    CertOrbit,
     CosetSpace,
     FoldCertificate,
     _frame_tables,
@@ -434,8 +433,8 @@ def test_primitive_start_matches_the_unreduced_oracle(
 @pytest.mark.parametrize("system", [("D", 4), ("D", 8), ("E", 7), ("E", 8)])
 def test_unreduced_route_writes_the_same_file(tmp_path, monkeypatch, system):
     """A build from the unreduced start writes the primitive start's
-    cache file byte for byte: the file holds only tables, orbit members
-    and a_sets, none of which depends on the start's scale."""
+    cache file byte for byte: the file holds only tables and a_sets,
+    neither of which depends on the start's scale."""
     sys_, u_gens, _, _ = _u_and_starts(*system, False)
     fresh = build_coset_space(sys_, cache_dir=str(tmp_path))
     path = cache_path(sys_, u_gens, str(tmp_path))
@@ -486,16 +485,20 @@ def _frames(sys_):
 
 @pytest.mark.parametrize("label,rank", [("D", 4), ("D", 6), ("E", 7)])
 def test_full_check_matches_permutation_forms(label, rank):
-    """Each certificate orbit equals the exponent-walk oracle's: it walks
-    the group instead of sharing full_check's orbit kernel."""
+    """Each certificate orbit's active set equals the exponent-walk
+    oracle's: it walks the group instead of sharing full_check's orbit
+    kernel.  Every orbit the walk finds is certified, and its deltas are
+    the t_i of its active set, so the active set is all a certificate
+    needs."""
     sys_ = build_root_system(label, rank)
     space = build_coset_space(sys_)
     for frame in _frames(sys_):
         cert = full_check(sys_, space, frame)
-        tables = _frame_tables(sys_, space, frame)
-        assert [
-            (o.members, o.a_set, o.fold, o.delta_masks) for o in cert.orbits
-        ] == _exponent_walk(tables, space.size)
+        walk = _exponent_walk(_frame_tables(sys_, space, frame), space.size)
+        assert list(cert.a_sets) == [a_set for _, a_set, _, _ in walk]
+        for _, a_set, fold, deltas in walk:
+            assert fold == len(a_set)
+            assert deltas == tuple(1 << i for i in a_set)
 
 
 def test_full_check_orbits_match_p_orbits():
@@ -503,7 +506,12 @@ def test_full_check_orbits_match_p_orbits():
     space = build_coset_space(sys_)
     (_, frame), = standard_frames(sys_)
     cert = full_check(sys_, space, frame)
-    assert [o.members for o in cert.orbits] == p_orbits(sys_, space, frame)
+    tables = _frame_tables(sys_, space, frame)
+    orbits = p_orbits(sys_, space, frame)
+    assert [len(o) for o in orbits] == [1 << len(a) for a in cert.a_sets]
+    assert [
+        tuple(i for i, t in enumerate(tables) if t[o[0]] != o[0]) for o in orbits
+    ] == list(cert.a_sets)
 
 
 def test_d4_orbits(d4_space):
@@ -521,15 +529,12 @@ def test_d4_certificate(d4_space):
     (_, frame), = standard_frames(sys_)
     cert = full_check(sys_, space, frame)
     assert cert.labels == D4_LABELS
-    assert len(cert.orbits) == 2
-    assert all(o.fold == 2 for o in cert.orbits)
+    assert len(cert.a_sets) == 2
+    assert all(len(a) == 2 for a in cert.a_sets)
     assert cert.min_fold == 2
     # Each orbit activates one of a_i/b_i per coordinate pair, with an
     # even number of a-choices: {a1, a2} and {b1, b2}.
-    a_sets = sorted(o.a_set for o in cert.orbits)
-    assert a_sets == [(0, 2), (1, 3)]
-    for o in cert.orbits:
-        assert o.delta_masks == tuple(1 << p for p in o.a_set)
+    assert sorted(cert.a_sets) == [(0, 2), (1, 3)]
 
 
 def test_d4_e2_restriction(d4_space):
@@ -553,21 +558,19 @@ def test_d6_certificate_pattern():
     assert space.size == 32
     (_, frame), = standard_frames(sys_)
     cert = full_check(sys_, space, frame)
-    assert len(cert.orbits) == 4  # 2^(m-1) with m = 3
-    assert all(o.fold == 3 for o in cert.orbits)
+    assert len(cert.a_sets) == 4  # 2^(m-1) with m = 3
+    assert all(len(a) == 3 for a in cert.a_sets)
     # pattern: one generator per pair, even number of a-slots
     labels = cert.labels
     a_choice_sets = []
-    for o in cert.orbits:
-        names = [labels[p] for p in o.a_set]
+    for a in cert.a_sets:
+        names = [labels[p] for p in a]
         pairs = {n[1] for n in names}
         assert pairs == {"1", "2", "3"}
         a_choice_sets.append(frozenset(n for n in names if n[0] == "a"))
     assert sorted(len(s) for s in a_choice_sets) == [0, 2, 2, 2]
     # res e_3 = sum over even-|A| patterns
     expected = zero(labels)
-    import itertools
-
     for a_part in [(), (1, 2), (1, 3), (2, 3)]:
         names = [f"a{i}" if i in a_part else f"b{i}" for i in (1, 2, 3)]
         expected = expected + x_monomial(labels, names)
@@ -576,12 +579,34 @@ def test_d6_certificate_pattern():
 
 
 def test_f_restriction_degree_zero():
-    cert = FoldCertificate(frame_roots=(), labels=(), orbits=())
+    cert = FoldCertificate(frame_roots=(), labels=(), a_sets=())
     assert compare_support(cert, zero(()))
     # 8 fold-0 orbits have even parity
-    orbits = tuple(CertOrbit(members=(i,), a_set=()) for i in range(8))
-    cert8 = FoldCertificate(frame_roots=(), labels=(), orbits=orbits)
+    cert8 = FoldCertificate(frame_roots=(), labels=(), a_sets=((),) * 8)
     assert f_restriction(cert8, 0).is_zero()
+
+
+def test_f_restriction_zero_counts_orbits():
+    three_points = FoldCertificate((), ("a",), ((),) * 3)
+    assert f_restriction(three_points, 0) == one(("a",))  # 3 is odd
+
+
+def test_f_restriction_examples():
+    ab = ("a", "b")
+    single = FoldCertificate((), ab, ((0, 1),))
+    assert f_restriction(single, 2) == var(ab, "a") * var(ab, "b")
+    # higher folds contribute nothing
+    mixed = FoldCertificate((), ab, ((0,), (0, 1)))
+    assert f_restriction(mixed, 1) == var(ab, "a")
+    with pytest.raises(CertificateError, match="fold 1 < 2: not in I"):
+        f_restriction(mixed, 2)
+
+
+def test_f_restriction_additive_over_concatenation():
+    ab = ("a", "b")
+    c1, c2 = FoldCertificate((), ab, ((0,),)), FoldCertificate((), ab, ((1,),))
+    both = FoldCertificate((), ab, c1.a_sets + c2.a_sets)
+    assert f_restriction(both, 1) == f_restriction(c1, 1) + f_restriction(c2, 1)
 
 
 def test_fold_failure_reported():
@@ -613,8 +638,8 @@ def test_e7_coset_space():
     (_, frame), = standard_frames(sys_)
     cert = full_check(sys_, space, frame)
     hist = {}
-    for o in cert.orbits:
-        hist[o.fold] = hist.get(o.fold, 0) + 1
+    for a in cert.a_sets:
+        hist[len(a)] = hist.get(len(a), 0) + 1
     assert hist == {3: 28, 4: 28, 6: 21}
 
 
@@ -627,8 +652,8 @@ def test_e8_coset_space():
     (_, frame), = standard_frames(sys_)
     cert = full_check(sys_, space, frame)
     hist = {}
-    for o in cert.orbits:
-        hist[o.fold] = hist.get(o.fold, 0) + 1
+    for a in cert.a_sets:
+        hist[len(a)] = hist.get(len(a), 0) + 1
     assert hist == {4: 56, 5: 224, 7: 56, 8: 8}
 
 
@@ -638,8 +663,8 @@ def test_d8_certificate_fold_pattern():
     assert space.size == 128
     (_, frame), = standard_frames(sys_)
     cert = full_check(sys_, space, frame)
-    assert len(cert.orbits) == 8
-    assert all(o.fold == 4 for o in cert.orbits)
+    assert len(cert.a_sets) == 8
+    assert all(len(a) == 4 for a in cert.a_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +730,7 @@ def test_cache_oracle_round_trips_the_bytes(tmp_path):
     written = open(path, "rb").read()
     doc = read_cache(path)
     assert doc["action_tables"] == [list(t) for t in space.action_tables]
-    assert doc["certificate"] == [list(o.a_set) for o in space.certificate.orbits]
-    assert doc["members"] == [list(o.members) for o in space.certificate.orbits]
+    assert doc["certificate"] == [list(a) for a in space.certificate.a_sets]
     write_cache(path, doc)
     assert open(path, "rb").read() == written
     header = written.split(b"\n", 1)[0]

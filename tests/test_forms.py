@@ -7,14 +7,10 @@ from math import comb
 
 import pytest
 
-from weylinv.algebra import kinv, one, two, var, zero
-from weylinv.errors import CertificateError, UnsupportedEmbeddingError
+from weylinv.algebra import one, two, var
+from weylinv.errors import UnsupportedEmbeddingError
 from weylinv.forms import (
     DiagonalForm,
-    OrbitPfister,
-    OrbitPfisterDecomp,
-    e_fold,
-    expand_to_diagonal,
     form_of_linear_action,
     form_of_permutation_action,
     total_sw,
@@ -168,41 +164,31 @@ def test_modified_sw_parity_override():
 
 def test_permutation_action_simply_transitive():
     gens = [(1, 0, 3, 2), (2, 3, 0, 1)]
-    decomp = form_of_permutation_action(gens, AB)
-    assert len(decomp.orbits) == 1
-    (orbit,) = decomp.orbits
-    assert orbit.fold == 2
-    assert orbit.delta_masks == (0b01, 0b10)
-    # the orbit's 4 points scale each entry by 2^2
-    assert {a for a, _ in expand_to_diagonal(decomp).entries} == {2}
-    assert decomp.ambient_dim == 4
+    form = form_of_permutation_action(gens, AB)
+    # one orbit of 2^2 points: <4, 4a, 4b, 4ab>
+    assert form.entries == ((2, 0b00), (2, 0b01), (2, 0b10), (2, 0b11))
+    assert form.labels == AB and form.dim == 4
 
 
 def test_permutation_action_trivial():
-    decomp = form_of_permutation_action([(0, 1, 2)], ("a",))
-    assert [o.fold for o in decomp.orbits] == [0, 0, 0]
+    form = form_of_permutation_action([(0, 1, 2)], ("a",))
+    assert form.entries == ((0, 0),) * 3  # three fixed points
 
 
 def test_permutation_action_sign_flip_slot():
     # s_{e_1} inside W(B_2) -> S_4: the transposition (1,3) on {1,2,3,4}
     gens = [(2, 1, 0, 3)]
-    decomp = form_of_permutation_action(gens, ("e1",))
-    folds = sorted(o.fold for o in decomp.orbits)
-    assert folds == [0, 0, 1]
-    pair = [o for o in decomp.orbits if o.fold == 1][0]
-    assert pair.delta_masks == (0b1,)
-    diag = expand_to_diagonal(decomp)
-    assert sorted(diag.entries) == [(0, 0), (0, 0), (1, 0), (1, 1)]
+    form = form_of_permutation_action(gens, ("e1",))
+    # the pair {1, 3} gives <2, 2e1>, the fixed points 2 and 4 give <1> each
+    assert form.entries == ((1, 0), (1, 1), (0, 0), (0, 0))
 
 
 def test_permutation_action_kernel_delta():
     # both generators act by the same transposition: kernel {00, 11},
     # so the single delta is the product coordinate ab
     gens = [(1, 0), (1, 0)]
-    decomp = form_of_permutation_action(gens, AB)
-    (orbit,) = decomp.orbits
-    assert orbit.fold == 1
-    assert orbit.delta_masks == (0b11,)
+    form = form_of_permutation_action(gens, AB)
+    assert form.entries == ((1, 0b00), (1, 0b11))
 
 
 def test_permutation_action_validation():
@@ -277,15 +263,25 @@ def test_orbit_pfister_matches_exponent_walk():
         gens, size = _random_commuting_involutions(random.Random(seed))
         assert _commuting_involution_failure(gens, size) is None
         got = _orbit_pfister(gens, size)
-        assert got == _exponent_walk(gens, size), seed
-        not_regular += sum(fold != len(a_set) for _, a_set, fold, _ in got)
+        walk = _exponent_walk(gens, size)
+        assert got == [(a_set, fold, deltas) for _, a_set, fold, deltas in walk], seed
+        not_regular += sum(fold != len(a_set) for a_set, fold, _ in got)
+        # each orbit's entries are <2^fold> times the span of its deltas
         labels = tuple(f"c{i}" for i in range(len(gens)))
-        decomp = form_of_permutation_action(gens, labels)
-        assert [(o.fold, o.delta_masks) for o in decomp.orbits] == [
-            (fold, deltas) for _, _, fold, deltas in got
-        ]
+        entries = form_of_permutation_action(gens, labels).entries
+        assert sorted(entries) == sorted(
+            (fold, mask) for _, _, fold, deltas in walk for mask in _span(deltas)
+        ), seed
     # some orbits are not simply transitive under their active generators
     assert not_regular > 0
+
+
+def _span(vectors):
+    """The F2 span of bitmask vectors, as a set of masks."""
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return span
 
 
 def test_commuting_involution_failure_names_the_first():
@@ -296,43 +292,6 @@ def test_commuting_involution_failure_names_the_first():
     assert _commuting_involution_failure([swap, (1, 0)], 3) == (1,)
     assert _commuting_involution_failure([swap, (0, 2, 1), cycle], 3) == (0, 1)
     assert _commuting_involution_failure([()], 0) is None
-
-
-def test_expand_to_diagonal_fold2():
-    decomp = OrbitPfisterDecomp(AB, (OrbitPfister(2, (0b01, 0b10)),))
-    diag = expand_to_diagonal(decomp)
-    assert sorted(diag.entries) == [(2, 0b00), (2, 0b01), (2, 0b10), (2, 0b11)]
-
-
-def test_e_fold_examples():
-    labels = AB
-    single = OrbitPfisterDecomp(labels, (OrbitPfister(2, (0b01, 0b10)),))
-    assert e_fold(single, 2) == var(labels, "a") * var(labels, "b")
-    # non-basis deltas give the same symbol product: (a+b)*b = ab
-    skew = OrbitPfisterDecomp(labels, (OrbitPfister(2, (0b11, 0b10)),))
-    assert e_fold(skew, 2) == var(labels, "a") * var(labels, "b")
-    # higher folds contribute nothing
-    mixed = OrbitPfisterDecomp(
-        labels,
-        (OrbitPfister(1, (0b01,)), OrbitPfister(2, (0b01, 0b10))),
-    )
-    assert e_fold(mixed, 1) == var(labels, "a")
-    with pytest.raises(CertificateError):
-        e_fold(mixed, 2)
-
-
-def test_e_fold_zero_counts_orbits():
-    labels = ("a",)
-    three_points = OrbitPfisterDecomp(labels, (OrbitPfister(0, ()),) * 3)
-    assert e_fold(three_points, 0) == one(labels)  # 3 is odd
-
-
-def test_e_fold_additive_over_concatenation():
-    labels = AB
-    d1 = OrbitPfisterDecomp(labels, (OrbitPfister(1, (0b01,)),))
-    d2 = OrbitPfisterDecomp(labels, (OrbitPfister(1, (0b10,)),))
-    both = OrbitPfisterDecomp(labels, d1.orbits + d2.orbits)
-    assert e_fold(both, 1) == e_fold(d1, 1) + e_fold(d2, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -368,8 +327,7 @@ def test_linear_vs_permutation_agreement_b2():
     labels = ("e1", "e2")
     assert total_sw(linear).degree_part(1) == var(labels, "e1") + var(labels, "e2")
     # S_4 images of s_{e1}, s_{e2}
-    perm = form_of_permutation_action([(2, 1, 0, 3), (0, 3, 2, 1)], labels)
-    vform = expand_to_diagonal(perm)
+    vform = form_of_permutation_action([(2, 1, 0, 3), (0, 3, 2, 1)], labels)
     assert modified_sw(vform, 1) == var(labels, "e1") + var(labels, "e2")
     assert modified_sw(vform, 2) == var(labels, "e1") * var(labels, "e2")
 

@@ -10,7 +10,6 @@ from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
     _compose,
     _maximal_cliques,
-    DihedralGroup,
     build_dihedral,
     dihedral_omega,
     enumerate_subgroup,

@@ -23,8 +23,8 @@ from weylinv.basis import (
     SignClass,
 )
 from weylinv.cli import RunConfig
-from weylinv.cosets import CertOrbit, CosetSpace, FoldCertificate
-from weylinv.forms import DiagonalForm, OrbitPfister, OrbitPfisterDecomp
+from weylinv.cosets import CosetSpace, FoldCertificate
+from weylinv.forms import DiagonalForm
 from weylinv.groups import DihedralGroup, GeneratedGroup, OmegaClasses, build_dihedral
 
 _ONE = NamedInvariant("1", 0, Product(()))
@@ -40,14 +40,9 @@ CASES = [
      dict(independent=True, rank=3, dependency=None)),
     (DiagonalForm, dict(labels=("a",), entries=((1, 1),)),
      dict(labels=("b",), entries=((0, 1),))),
-    (OrbitPfister, dict(fold=1, delta_masks=(1,)), dict(delta_masks=(2,))),
-    (OrbitPfisterDecomp, dict(labels=("a",), orbits=(OrbitPfister(1, (1,)),)),
-     dict(labels=("b",), orbits=())),
-    (CertOrbit, dict(members=(0, 1), a_set=(0,)),
-     dict(members=(2, 3), a_set=(1,))),
     (FoldCertificate,
-     dict(frame_roots=(0,), labels=("a",), orbits=(CertOrbit((0, 1), (0,)),)),
-     dict(frame_roots=(1,), labels=("b",), orbits=())),
+     dict(frame_roots=(0,), labels=("a",), a_sets=((0,),)),
+     dict(frame_roots=(1,), labels=("b",), a_sets=())),
     (CosetSpace,
      dict(type_label="A", rank=1, u_gen_roots=(), u_order=1, size=2,
           action_tables=((1, 0),), certificate=None),
@@ -91,7 +86,7 @@ _IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 21 == len(set(_IDS))
+    assert len(CASES) == 18 == len(set(_IDS))
 
 
 @pytest.mark.parametrize("cls,fields,alternates", CASES, ids=_IDS)
@@ -158,7 +153,6 @@ def test_defaults():
         (lambda: DiagonalForm(("a",), ((-1, 0),)), "negative 2-exponent"),
         (lambda: DiagonalForm(("a",), ((0, 2),)),
          "entry references a coordinate outside the context"),
-        (lambda: OrbitPfister(2, (1,)), "need one delta per fold"),
         (lambda: NamedInvariant("x", 2, SignClass("a")),
          "x: recipe degree 1 != declared 2"),
         (lambda: NamedInvariant("x", 3, FormSW(2, "linear", False)),
