@@ -41,9 +41,11 @@ entry a coset number below size, and nothing else.  The header thus
 fixes the body's length, which the loader checks against the file
 before it reads the body, as it checks the stored u_order against |U|
 from the requested generators and that the a_sets' orbits, 2^|a| cosets
-each, add up to size.  The file name hashes the format version, so
-files of an older version (1 to 3) are never opened by a build; `cache
-inspect` lists them and `cache clear` removes them.
+each, add up to size.  The body is read unsigned, so a negative int32
+lies past size and fails the table check like any entry out of range
+(_shared_tables).  The file name hashes the format version, so files of
+an older version (1 to 3) are never opened by a build; `cache inspect`
+lists them and `cache clear` removes them.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from array import array
 from itertools import chain
 from math import gcd
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._records import record_eq, record_ne
 from .algebra import KInvariant, Monomial, kinv
@@ -256,9 +258,9 @@ def _label_bfs(
                 if q and (img := key - q * row) not in seen:
                     seen.add(img)
                     keys.append(img)
-        return len(keys), array("l")
+        return len(keys), array("i")
     ids = {first: 0}
-    edges = array("l")
+    edges = array("i")  # coset ids stay below 2^31, as the cache body needs
     for k, key in enumerate(keys):  # FIFO: the loop reaches appended keys
         for shift, row in steps:
             q = ((key >> shift) & mask) - off
@@ -422,18 +424,42 @@ def _build_space(
     column i."""
     size, edges, u_order = _coset_orbit(sys_, u_gen_roots, element_cap=element_cap)
     ngen = len(sys_.simple_indices)
-    ids = list(range(size))  # one int object per coset, shared by the tables
-    tables = tuple(_compose(ids, edges[g::ngen]) for g in range(ngen))
-    if any(sorted(t) != list(range(size)) for t in tables):
-        raise CosetValidationError("action table is not a bijection")
     return CosetSpace(
         type_label=sys_.type_label,
         rank=sys_.rank,
         u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
         u_order=u_order,
         size=size,
-        action_tables=tables,
+        action_tables=_shared_tables((edges[g::ngen] for g in range(ngen)), size),
     )
+
+
+def _shared_tables(
+    columns: Iterable[Sequence[int]], size: int
+) -> tuple[tuple[int, ...], ...]:
+    """The columns, non-negative coset numbers, as action tables that
+    share one int object per coset.
+
+    Each column is read through the list of coset numbers, so an entry
+    past size fails the lookup, and a table t in range with t o t the
+    identity is an involutive permutation, as the frame tables composed
+    from it need.  Raises CosetValidationError naming the first table
+    that is not.  Built and loaded spaces both pass this check.
+    """
+    ids = list(range(size))
+    identity = tuple(ids)
+    tables = []
+    for i, column in enumerate(columns):
+        try:
+            t = _compose(ids, column)
+        except IndexError:
+            t = None
+        if t is None or _compose(t, t) != identity:
+            raise CosetValidationError(
+                f"action table {i} is not an involutive permutation of range({size})"
+            )
+        tables.append(t)
+    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +710,7 @@ def _load_space(
                     f"cache file {path} has a {body_bytes}-byte body; its header "
                     f"calls for {4 * count}"
                 )
-            body = array("i")
+            body = array("I")  # unsigned: a negative int32 reads as >= 2^31
             body.fromfile(fh, count)
             if fh.read(1):
                 raise CacheFormatError(f"cache file {path} has bytes past its body")
@@ -696,7 +722,12 @@ def _load_space(
             raise CacheFormatError(f"cache file {path} ends inside its body") from None
     if sys.byteorder == "big":
         body.byteswap()
-    tables = tuple(zip(*[iter(body)] * size))
+    try:
+        tables = _shared_tables(
+            (body[k : k + size] for k in range(0, count, size)), size
+        )
+    except CosetValidationError as bad:
+        raise CacheFormatError(f"cache file {path} is inconsistent: {bad}") from None
     cert = None
     if a_sets is not None:
         (_, frame_roots), = frames
@@ -705,7 +736,7 @@ def _load_space(
             labels=tuple(root_label(sys_, r) for r in frame_roots),
             a_sets=tuple(map(tuple, a_sets)),
         )
-    space = CosetSpace(
+    return CosetSpace(
         type_label=sys_.type_label,
         rank=sys_.rank,
         u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
@@ -714,10 +745,6 @@ def _load_space(
         action_tables=tables,
         certificate=cert,
     )
-    problem = _structural_problem(space)
-    if problem:
-        raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
-    return space
 
 
 def _a_set_problem(frames: list, a_sets, size: int) -> Optional[str]:
@@ -745,16 +772,6 @@ def _a_set_problem(frames: list, a_sets, size: int) -> Optional[str]:
     total = sum(1 << len(a) for a in a_sets)
     if total != size:
         return f"certificate orbits hold {total} cosets, not {size}"
-    return None
-
-
-def _structural_problem(space: CosetSpace) -> Optional[str]:
-    """What makes a loaded space unusable, or None: frame tables are
-    composed from the stored action tables, so each must be an
-    involutive permutation."""
-    for i, t in enumerate(space.action_tables):
-        if _commuting_involution_failure((t,), space.size):
-            return f"action table {i} is not an involutive permutation of range({space.size})"
     return None
 
 

@@ -299,16 +299,17 @@ def _commuting_involution_failure(
 
 def _orbit_pfister(
     tables: Sequence[Sequence[int]], size: int
-) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], int, list[int]]]:
     """Orbits of commuting involutive permutations with their Pfister data.
 
     The tables must pass _commuting_involution_failure.  For each orbit,
     in order of its least point (the base), returns (a_set, fold,
-    delta_masks): the active set, the increasing positions of the
-    generators moving the base, the orbit's 2^fold = |orbit|, and the
-    annihilator basis of the kernel of F2^k on the orbit.  When fold =
-    |a_set| the orbit is certified and is its active set: its deltas are
-    1 << i for i in a_set (see cosets.full_check).
+    kernel): the active set, the increasing positions of the generators
+    moving the base, the orbit's 2^fold = |orbit|, and k - fold vectors
+    spanning the kernel of F2^k on the orbit.  When fold = |a_set| the
+    orbit is certified and is its active set: the kernel's annihilator
+    is spanned by 1 << i for i in a_set (see cosets.full_check), so only
+    form_of_permutation_action solves for it.
 
     The orbit is found by doubling from the base, labelling each point
     with an exponent vector that carries the base to it.  Once generators
@@ -322,7 +323,6 @@ def _orbit_pfister(
     This search labels points with group elements, so it is not
     roots._bfs_orbits.
     """
-    k = len(tables)
     label = [-1] * size
     out = []
     for base in range(size):
@@ -342,7 +342,7 @@ def _orbit_pfister(
                 label[q] = label[p] | 1 << i
             points += images
         fold = len(points).bit_length() - 1
-        out.append((tuple(a_set), fold, tuple(_f2_kernel_basis(kernel, k))))
+        out.append((tuple(a_set), fold, kernel))
     return out
 
 
@@ -372,7 +372,8 @@ def form_of_permutation_action(
     if bad is not None:
         raise ValueError(f"generators {bad[0]} and {bad[1]} do not commute")
     entries = []
-    for _, fold, deltas in _orbit_pfister(gens, size):
+    for _, fold, kernel in _orbit_pfister(gens, size):
+        deltas = _f2_kernel_basis(kernel, len(gens))
         for s in range(1 << fold):
             mask = 0
             for j, d in enumerate(deltas):

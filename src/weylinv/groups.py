@@ -16,6 +16,7 @@ root geometry here.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial, inf
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -29,9 +30,7 @@ from ._records import record_eq, record_ne
 from .roots import RootSystem, _bfs_orbits, _vec
 
 __all__ = [
-    "GeneratedGroup",
     "OmegaClasses",
-    "enumerate_subgroup",
     "group_order",
     "order_method",
     "weyl_order",
@@ -56,77 +55,6 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """The table k -> a[b[k]]: b first, then a."""
     return itemgetter(*b)(a) if len(b) > 1 else tuple(a[k] for k in b)
-
-
-class GeneratedGroup(NamedTuple):
-    """A subgroup given by generators, enumerated by enumerate_subgroup.
-
-    elements[k] is the k-th element found, as the bytes of its image
-    sequence (elements[k][r] is the image of point r), identity first;
-    with points, the bytes of the images of those points only.  The
-    repr leaves the elements out.
-    """
-
-    elements: tuple[bytes, ...]
-    order: int
-
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
-
-    def __repr__(self) -> str:
-        return f"GeneratedGroup(order={self.order!r})"
-
-
-def enumerate_subgroup(
-    gens: Sequence[Sequence[int]],
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    points: Optional[Sequence[int]] = None,
-) -> GeneratedGroup:
-    """Breadth-first closure of the generated subgroup.
-
-    The package's one permutation BFS, kept apart from
-    roots._bfs_orbits as a packed kernel.  Each generator becomes a
-    256-byte bytes.translate table and each element the bytes of its
-    images, so a product is one translate call; the degree is therefore
-    at most 256.  Deterministic: elements appear in discovery order
-    (identity first, frontier processed FIFO, generators applied in the
-    given order).  Raises CapExceededError beyond element_cap, which
-    signals that an index-based order computation should be used
-    instead.
-
-    With points given, an element is recorded by the images of points
-    only (elements[k][i] is the image of points[i]): the BFS enumerates
-    the orbit of that tuple, of the group's order exactly when those
-    images determine the element.
-    """
-    if not gens:
-        raise ValueError("need at least one generator")
-    if element_cap <= 0:
-        raise ValueError("element_cap must be positive")
-    degree = len(gens[0])
-    if any(len(g) != degree for g in gens):
-        raise ValueError("generator degrees differ")
-    if degree > 256:
-        raise ValueError(f"degree {degree} exceeds 256, the bytes-image limit")
-    tables = [bytes(g).ljust(256, b"\0") for g in gens]
-    if points is not None and not all(0 <= i < degree for i in points):
-        raise ValueError(f"points must be indices below the degree {degree}")
-    identity = bytes(range(degree) if points is None else points)
-    seen = {identity}
-    ordered = [identity]
-    # ordered is also the FIFO queue: the loop reaches appended elements
-    for p in ordered:
-        for t in tables:
-            # q = p followed by the generator: q[r] = t[p[r]]
-            q = p.translate(t)
-            if q not in seen:
-                if len(seen) >= element_cap:
-                    raise CapExceededError(
-                        f"subgroup exceeds element cap {element_cap}",
-                        element_cap,
-                    )
-                seen.add(q)
-                ordered.append(q)
-    return GeneratedGroup(elements=tuple(ordered), order=len(ordered))
 
 
 def weyl_order(sys_: RootSystem) -> int:
@@ -165,13 +93,14 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
     """Order of W(Sigma), by the method order_method names.
 
     "bfs" visits every element of W as the orbit of the simple-root
-    tuple (a_1, ..., a_n) under the simple reflections.  An element w
-    is linear and the simple roots span, so w is determined by
-    (w a_1, ..., w a_n): the orbit map is injective and the orbit has
-    |W| elements.  "coset-product" multiplies the coset count |U\\W| by
-    |U| (see weylinv.cosets); that BFS only counts the cosets, so no
-    coset vector, edge or table is built.  "formula" is the product
-    formula, which the enumerated ranks validate.
+    tuple (a_1, ..., a_n) under the simple reflections, one BFS layer
+    at a time (_layered_order).  An element w is linear and the simple
+    roots span, so w is determined by (w a_1, ..., w a_n): the orbit
+    map is injective and the orbit has |W| elements.  "coset-product"
+    multiplies the coset count |U\\W| by |U| (see weylinv.cosets); that
+    BFS only counts the cosets, so no coset vector, edge or table is
+    built.  "formula" is the product formula, which the enumerated
+    ranks validate.
     """
     method = order_method(sys_)
     if method == "coset-product":
@@ -181,10 +110,41 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
         size, _, u_order = cosets._coset_orbit(sys_, gens, record=False)
         return size * u_order
     if method == "bfs":
-        gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
-        orbit = enumerate_subgroup(gens, element_cap, points=sys_.simple_indices)
-        return orbit.order
+        return _layered_order(sys_, element_cap)
     return weyl_order(sys_)
+
+
+def _layered_order(sys_: RootSystem, element_cap: int) -> int:
+    """The size of the simple-root tuple's orbit under the simple
+    reflections, holding two BFS layers of it at a time.
+
+    An element is the bytes of its simple-root images, and a simple
+    reflection maps it by one 256-byte bytes.translate table.  Layer k
+    is the elements of length k.  The sign character makes the Cayley
+    graph of (W, S) bipartite, so a neighbour of layer k lies in layer
+    k - 1 or k + 1: the next layer is the current one's images minus
+    the previous layer.  Every element is visited once.  Raises
+    CapExceededError once the orbit has more than element_cap elements.
+    A packed kernel, so not roots._bfs_orbits.
+    """
+    tables = [
+        bytes(sys_.reflection_images(i)).ljust(256, b"\0")
+        for i in sys_.simple_indices
+    ]
+    prev, level = set(), {bytes(sys_.simple_indices)}
+    order = 0
+    while level:
+        order += len(level)
+        if order > element_cap:
+            raise CapExceededError(
+                f"subgroup exceeds element cap {element_cap}", element_cap
+            )
+        nxt = set()
+        for t in tables:
+            nxt.update(map(bytes.translate, level, repeat(t)))
+        nxt -= prev
+        prev, level = level, nxt
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +298,7 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
         return _omega_inductive(sys_)
     # a frame is the bytes of its sorted root indices, and a simple
     # reflection maps it by one line table, r -> canonical_rep[s(r)]
-    # (root indices stay below 256, as in enumerate_subgroup); bytes
+    # (root indices stay below 256, as in _layered_order); bytes
     # order like the index tuples, so orbits and least members agree
     keys = [bytes(frame) for frame in frames]
     all_keys = set(keys)

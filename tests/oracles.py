@@ -36,6 +36,10 @@ directly, and the tests check the direct form against it:
     Fraction matrix, and the diagonal form of any commuting orthogonal
     involutions given as rational matrices; weylinv.forms builds the
     integer numerators of the frame reflections directly.
+  * GeneratedGroup / enumerate_subgroup - a subgroup listed element by
+    element from permutation generators, each element the bytes of its
+    images; weylinv.groups.group_order counts W two BFS layers at a
+    time and keeps no element list.
   * unreduced_invariant_vector / cauchy_schwarz_label_width - the coset
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
@@ -74,7 +78,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from weylinv.algebra import (
     BnContext,
@@ -98,7 +102,11 @@ from weylinv.basis import (
 )
 from weylinv import cosets
 from weylinv.cosets import _u_orbit_sums
-from weylinv.errors import ContextMismatchError, CosetValidationError
+from weylinv.errors import (
+    CapExceededError,
+    ContextMismatchError,
+    CosetValidationError,
+)
 from weylinv.forms import (
     DiagonalForm,
     _form_of_numerators,
@@ -106,7 +114,8 @@ from weylinv.forms import (
     total_sw,
     twist_by_two,
 )
-from weylinv.groups import root_label, standard_frames
+from weylinv.groups import DEFAULT_ELEMENT_CAP, root_label, standard_frames
+from weylinv._records import record_eq, record_ne
 from weylinv.roots import _bfs_orbits, build_root_system
 
 _ONE = 0
@@ -505,6 +514,78 @@ def write_cache(path, doc: dict, **dumps) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, **dumps).encode() + b"\n")
         fh.write(struct.pack(f"<{len(values)}i", *values))
+
+
+# ---------------------------------------------------------------------------
+# subgroup enumeration
+
+
+class GeneratedGroup(NamedTuple):
+    """A subgroup given by generators, enumerated by enumerate_subgroup.
+
+    elements[k] is the k-th element found, as the bytes of its image
+    sequence (elements[k][r] is the image of point r), identity first;
+    with points, the bytes of the images of those points only.  The
+    repr leaves the elements out.
+    """
+
+    elements: tuple[bytes, ...]
+    order: int
+
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"GeneratedGroup(order={self.order!r})"
+
+
+def enumerate_subgroup(
+    gens: Sequence[Sequence[int]],
+    element_cap: int = DEFAULT_ELEMENT_CAP,
+    points: Optional[Sequence[int]] = None,
+) -> GeneratedGroup:
+    """Breadth-first closure of the generated subgroup.
+
+    Each generator becomes a 256-byte bytes.translate table and each
+    element the bytes of its images, so a product is one translate
+    call; the degree is therefore at most 256.  Deterministic: elements
+    appear in discovery order (identity first, frontier processed FIFO,
+    generators applied in the given order).  Raises CapExceededError
+    beyond element_cap.
+
+    With points given, an element is recorded by the images of points
+    only (elements[k][i] is the image of points[i]): the BFS enumerates
+    the orbit of that tuple, of the group's order exactly when those
+    images determine the element.
+    """
+    if not gens:
+        raise ValueError("need at least one generator")
+    if element_cap <= 0:
+        raise ValueError("element_cap must be positive")
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generator degrees differ")
+    if degree > 256:
+        raise ValueError(f"degree {degree} exceeds 256, the bytes-image limit")
+    tables = [bytes(g).ljust(256, b"\0") for g in gens]
+    if points is not None and not all(0 <= i < degree for i in points):
+        raise ValueError(f"points must be indices below the degree {degree}")
+    identity = bytes(range(degree) if points is None else points)
+    seen = {identity}
+    ordered = [identity]
+    # ordered is also the FIFO queue: the loop reaches appended elements
+    for p in ordered:
+        for t in tables:
+            # q = p followed by the generator: q[r] = t[p[r]]
+            q = p.translate(t)
+            if q not in seen:
+                if len(seen) >= element_cap:
+                    raise CapExceededError(
+                        f"subgroup exceeds element cap {element_cap}",
+                        element_cap,
+                    )
+                seen.add(q)
+                ordered.append(q)
+    return GeneratedGroup(elements=tuple(ordered), order=len(ordered))
 
 
 # ---------------------------------------------------------------------------

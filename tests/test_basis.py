@@ -13,6 +13,7 @@ from oracles import (
     b_linked_bound,
     b_nodes,
     b_orbit_nodes,
+    enumerate_subgroup,
     f4_hat,
     lambda_sum,
     normalizer_action_full,
@@ -41,7 +42,7 @@ from weylinv.basis import (
     verify_basis,
 )
 from weylinv.errors import UnsupportedEmbeddingError, UnsupportedSystemError
-from weylinv.groups import enumerate_subgroup, make_frame, root_label, standard_frames
+from weylinv.groups import make_frame, root_label, standard_frames
 from weylinv.roots import build_root_system
 
 

@@ -510,6 +510,24 @@ def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["size", "int32_minus_one"])
+def test_out_of_range_table_entry_exits_2(capsys, tmp_path, entry):
+    """Table 0's entry that names the last coset, size - 1, becomes size
+    or int32 -1.  Read signed, -1 would index the coset list from the
+    end and give back the very table that was written, so the body is
+    read unsigned and both entries fall outside range(size)."""
+    assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    doc = read_cache(path)
+    size, table = doc["size"], doc["action_tables"][0]
+    table[table.index(size - 1)] = size if entry == "size" else -1
+    write_cache(path, doc)
+    code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "Traceback" not in err
+    assert "action table 0 is not an involutive permutation" in err
+
+
 def _cut_body(path):
     path.write_bytes(path.read_bytes()[:-4])
 

@@ -35,7 +35,6 @@ from weylinv.errors import (
     CosetValidationError,
 )
 from weylinv.groups import (
-    enumerate_subgroup,
     maximal_orthogonal_frames,
     standard_frames,
     weyl_order,
@@ -47,6 +46,7 @@ from oracles import (
     compare_support,
     coset_vectors,
     dense_orbit,
+    enumerate_subgroup,
     p_orbits,
     read_cache,
     reflect,
@@ -752,6 +752,19 @@ def test_loaded_space_equals_fresh_build(tmp_path, system):
     loaded = cosets._load_space(sys_, standard_u_gens(sys_), path)
     assert loaded == fresh
     assert loaded.certificate is not None
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_tables_hold_one_int_per_coset(tmp_path, rank):
+    """Built and warm-loaded tables read their entries from one list of
+    coset numbers, so all rank tables together hold size int objects."""
+    sys_ = build_root_system("E", rank)
+    built = build_coset_space(sys_, cache_dir=str(tmp_path))
+    loaded = build_coset_space(sys_, cache_dir=str(tmp_path))
+    assert loaded is not built and loaded.action_tables == built.action_tables
+    for space in (built, loaded):
+        held = {id(k) for t in space.action_tables for k in t}
+        assert len(held) == space.size
 
 
 @pytest.mark.parametrize("extra", [-4, 1])

@@ -262,7 +262,10 @@ def test_orbit_pfister_matches_exponent_walk():
     for seed in range(80):
         gens, size = _random_commuting_involutions(random.Random(seed))
         assert _commuting_involution_failure(gens, size) is None
-        got = _orbit_pfister(gens, size)
+        got = [
+            (a_set, fold, tuple(_f2_kernel_basis(kernel, len(gens))))
+            for a_set, fold, kernel in _orbit_pfister(gens, size)
+        ]
         walk = _exponent_walk(gens, size)
         assert got == [(a_set, fold, deltas) for _, a_set, fold, deltas in walk], seed
         not_regular += sum(fold != len(a_set) for a_set, fold, _ in got)

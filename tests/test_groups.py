@@ -1,6 +1,7 @@
 """Permutation-group layer: orders, frames, Omega classes, dihedral groups."""
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,6 @@ from weylinv.groups import (
     _maximal_cliques,
     build_dihedral,
     dihedral_omega,
-    enumerate_subgroup,
     g2_split_check,
     group_order,
     make_frame,
@@ -26,7 +26,12 @@ from weylinv.groups import (
 )
 from weylinv.roots import SUPPORTED, build_root_system
 
-from oracles import frame_class, reflect, validate_root_permutation
+from oracles import (
+    enumerate_subgroup,
+    frame_class,
+    reflect,
+    validate_root_permutation,
+)
 
 
 def _root_idx(sys_, doubled):
@@ -135,6 +140,7 @@ def test_compose_against_after():
 
 
 ENUMERATED_ORDERS = [
+    ("A", 1, 2),
     ("A", 2, 6),
     ("A", 3, 24),
     ("B", 2, 8),
@@ -145,6 +151,11 @@ ENUMERATED_ORDERS = [
     ("A", 6, 5040),
     ("B", 5, 3840),
     ("B", 6, 46080),
+    ("C", 2, 8),
+    ("C", 3, 48),
+    ("C", 4, 384),
+    ("C", 5, 3840),
+    ("C", 6, 46080),
     ("D", 4, 192),
     ("D", 5, 1920),
     ("D", 6, 23040),
@@ -155,8 +166,9 @@ ENUMERATED_ORDERS = [
 
 @pytest.mark.parametrize("label,rank,expected", ENUMERATED_ORDERS)
 def test_enumerated_orders(label, rank, expected):
-    """Four derivations of |W| agree: the full-image enumeration, the
-    orbit of the simple-root tuple, the formula table and the root-orbit
+    """Five derivations of |W| agree: the full-image enumeration, the
+    orbit of the simple-root tuple listed whole and counted two BFS
+    layers at a time (group_order), the formula table and the root-orbit
     chain over all of Phi."""
     sys_ = build_root_system(label, rank)
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
@@ -194,6 +206,43 @@ def test_formula_orders_match_root_orbit_chain(label, rank):
     sys_ = build_root_system(label, rank)
     chain = _reflection_group_order(sys_, range(len(sys_.roots)))
     assert group_order(sys_) == chain
+
+
+def test_every_bfs_order_is_enumerated():
+    """test_enumerated_orders checks group_order's two-layer count
+    against the element lists at every system it counts."""
+    bfs = [
+        (t, n)
+        for t, lo, hi in SUPPORTED
+        for n in range(lo, hi + 1)
+        if order_method(build_root_system(t, n)) == "bfs"
+    ]
+    assert sorted(bfs) == sorted((t, n) for t, n, _ in ENUMERATED_ORDERS)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 4), ("E", 6)])
+def test_group_order_cap_boundary(label, rank):
+    """A cap equal to |W| admits every element; one less does not."""
+    sys_ = build_root_system(label, rank)
+    order = weyl_order(sys_)
+    assert group_order(sys_, element_cap=order) == order
+    with pytest.raises(CapExceededError, match=f"exceeds element cap {order - 1}$"):
+        group_order(sys_, element_cap=order - 1)
+
+
+def test_group_order_holds_two_layers():
+    """group_order(E6) visits 51,840 elements but holds only two BFS
+    layers of them: its traced peak is about 2.1 MiB, against 4.7 MiB
+    for a search that keeps them all.  The ceiling leaves room for the
+    set and bytes sizes of Python 3.10 to 3.13."""
+    sys_ = build_root_system("E", 6)
+    tracemalloc.start()
+    try:
+        assert group_order(sys_) == 51840
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def test_group_order_dispatch_small():

@@ -4,6 +4,8 @@ The records are NamedTuples and the types built in hot loops, or checked
 on construction, are __slots__ classes.  Either way an instance equals
 exactly the instances of its own type with equal fields, hashes like
 them, keeps its construction checks, defaults and a dataclass-style repr.
+GeneratedGroup, the record of the enumerate_subgroup oracle in
+tests/oracles.py, is held to the same semantics.
 """
 from __future__ import annotations
 
@@ -25,7 +27,9 @@ from weylinv.basis import (
 from weylinv.cli import RunConfig
 from weylinv.cosets import CosetSpace, FoldCertificate
 from weylinv.forms import DiagonalForm
-from weylinv.groups import DihedralGroup, GeneratedGroup, OmegaClasses, build_dihedral
+from weylinv.groups import DihedralGroup, OmegaClasses, build_dihedral
+
+from oracles import GeneratedGroup
 
 _ONE = NamedInvariant("1", 0, Product(()))
 _D3, _D4 = build_dihedral(3), build_dihedral(4)
