@@ -11,7 +11,7 @@ vanishes exactly when they share a generator.
 A monomial is one int, the set of its generators: bit 0 is s = {2} and
 bit i + 1 is t_i, the coordinate at label position i.  Sums are term
 sets with XOR semantics.  No other module reads or shifts these bits:
-they build monomials through Monomial, one, two, var and x_monomial,
+they build monomials through Monomial, one, two and x_monomial,
 move coordinates through relabel, which takes a tuple of positions,
 and read a frame mask's pair and tail counts through BnContext.shape.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "zero",
     "one",
     "two",
-    "var",
     "x_monomial",
     "relabel",
     "stacked_independence",
@@ -100,9 +99,6 @@ class KInvariant:
                     acc ^= {m1 | m2}
         return KInvariant(self.labels, frozenset(acc))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree_part(self, d: int) -> "KInvariant":
         return KInvariant(
             self.labels, frozenset(m for m in self.terms if m.bit_count() == d)
@@ -133,11 +129,6 @@ class KInvariant:
             parts.append(text + "".join("{" + name + "}" for name in self._names(m)))
         return " + ".join(parts)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"vars": self._names(m), "two": bool(m & 1)} for m in self.sorted_terms()
-        ]
-
 
 def kinv(labels: Sequence[str], terms: Iterable[int] = ()) -> KInvariant:
     acc: set[int] = set()
@@ -157,12 +148,6 @@ def one(labels: Sequence[str]) -> KInvariant:
 def two(labels: Sequence[str]) -> KInvariant:
     """The symbol {2}."""
     return KInvariant(tuple(labels), frozenset((_S,)))
-
-
-def var(labels: Sequence[str], name: str) -> KInvariant:
-    """The degree-1 symbol of one coordinate, looked up by label."""
-    idx = list(labels).index(name)
-    return KInvariant(tuple(labels), frozenset((Monomial(1 << idx),)))
 
 
 def x_monomial(labels: Sequence[str], names: Iterable[str], two_flag: bool = False) -> KInvariant:

@@ -10,54 +10,48 @@ found by a BFS over the simple reflections instead of walking 7 x 10^8
 group elements.  The BFS runs on each key's Dynkin labels packed into
 one int, where a simple reflection is a field read and one subtraction
 (_label_bfs); each label field is as wide as the largest label on the
-orbit needs, which is 3 bits for E8, so an E8 key is a 24-bit int.
-Cosets are numbered in the BFS's discovery order, and a space is its
-action tables: table i sends coset k to the coset of s_i applied to
-k's key, that is Ug to Ugs_i.  The keys themselves are dropped once the
-BFS is done.  |U| is never enumerated either: a chain of root orbits
-gives it as |U r| x |Stab_U(r)|, the stabiliser again a reflection
-group by Steinberg's theorem.  The order identity |orbit| x |U| = |W|
-is still re-checked at build time.
+orbit needs, which is 3 bits for E8, so an E8 key is a 24-bit int.  A
+space is its size, |U| and a fold certificate: the BFS counts the keys
+and keeps none of them.  |U| is never enumerated either: a chain of
+root orbits gives it as |U r| x |Stab_U(r)|, the stabiliser again a
+reflection group by Steinberg's theorem.  The order identity
+|orbit| x |U| = |W| is still re-checked at build time.
 
-Frame actions on the cosets decompose into orbits whose sizes are powers
-of two; the fold certificate records, per orbit, the generator subset
-that acts simply transitively, which is exactly the datum needed to
-place the associated form in a power of the fundamental ideal.  A
-certified orbit is its active set A: its size is 2^|A|, its fold |A|,
-and its Pfister symbol prod_{i in A} t_i (Garibaldi-Merkurjev-Serre,
-Cohomological Invariants in Galois Cohomology, Ch. VII), so a
-certificate is its orbits' active sets, in order of least coset.  Once
-the frame tables are checked to be commuting involutions, each active
-set comes from the permutation route's kernel, forms._orbit_pfister
-(see full_check).
+Frame reflections act on the keys linearly.  For orthogonal frame roots
+b_1, ..., b_k, the element e = prod_{i in S} s_{b_i} sends x to
+x - sum_{i in S} <x, b_i^v> b_i, with <x, b^v> = 2(x, b)/(b, b), and
+the b_i are independent, so e fixes x exactly when <x, b_i^v> = 0 for
+every i in S.  The frame's orbit of x therefore has 2^|A(x)| points,
+A(x) = {i : <x, b_i^v> != 0} its active set, and the active reflections
+act on it simply transitively: every orbit is certified, with fold
+|A(x)| and Pfister symbol prod_{i in A} t_i (Garibaldi-Merkurjev-Serre,
+Cohomological Invariants in Galois Cohomology, Ch. VII).  s_{b_i}
+negates the i-th pairing and keeps the others, so each orbit holds
+exactly one point whose pairings are all >= 0.  A certificate is the
+sorted active sets of those points, which the coset BFS reads off k
+more packed fields holding the pairings (_label_bfs).
 
-A cache file (format_version 4) is one line of compact JSON with sorted
-keys, the header, then a little-endian int32 body.  The header holds
-type, rank, u_gens, u_order, size and the certificate as its list of
-a_sets, or null.  A certificate is only ever stored for the system's
-one standard frame, so its frame roots and labels are taken from
-standard_frames on load.  The body holds the rank action tables, every
-entry a coset number below size, and nothing else.  The header thus
-fixes the body's length, which the loader checks against the file
-before it reads the body, as it checks the stored u_order against |U|
-from the requested generators and that the a_sets' orbits, 2^|a| cosets
-each, add up to size.  The body is read unsigned, so a negative int32
-lies past size and fails the table check like any entry out of range
-(_shared_tables).  The file name hashes the format version, so files of
-an older version (1 to 3) are never opened by a build; `cache inspect`
-lists them and `cache clear` removes them.
+A cache file (format_version 5) is one line of compact JSON with sorted
+keys and nothing after it: type, rank, u_gens, u_order, size and the
+certificate as its list of a_sets, or null.  A certificate is only ever
+stored for the system's one standard frame, so its frame roots and
+labels are taken from standard_frames on load.  The loader checks the
+stored u_order against |U| from the requested generators, size x
+u_order against |W|, and that the a_sets are increasing frame positions
+whose orbits, 2^|a| cosets each, add up to size; the a_sets themselves
+are believed, not recomputed.  The file name hashes the format version,
+so files of an older version (1 to 4) are never opened by a build;
+`cache inspect` lists them and `cache clear` removes them.
 """
 from __future__ import annotations
 
 import json
 import os
 import re
-import sys
-from array import array
-from itertools import chain
+from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._records import record_eq, record_ne
 from .algebra import KInvariant, Monomial, kinv
@@ -67,10 +61,8 @@ from .errors import (
     CertificateError,
     CosetValidationError,
 )
-from .forms import _commuting_involution_failure, _orbit_pfister
 from .groups import (
     DEFAULT_ELEMENT_CAP,
-    _compose,
     _find_root,
     root_label,
     standard_frames,
@@ -90,19 +82,20 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
 ]
 
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 Key = tuple[int, ...]
+ASets = tuple[tuple[int, ...], ...]
 
 
 class FoldCertificate(NamedTuple):
     """A frame's certified orbits on the cosets, each as its active set:
-    the increasing frame positions whose reflections move it, in order of
-    the orbit's least coset.  The orbit has 2^|a| cosets and fold |a|."""
+    the increasing frame positions whose reflections move it, the sets
+    in sorted order.  The orbit has 2^|a| cosets and fold |a|."""
 
     frame_roots: tuple[int, ...]
     labels: tuple[str, ...]
-    a_sets: tuple[tuple[int, ...], ...]
+    a_sets: ASets
 
     __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
@@ -115,20 +108,14 @@ class FoldCertificate(NamedTuple):
 
 
 class CosetSpace(NamedTuple):
-    """U\\W as its per-simple-reflection action tables.
-
-    The cosets are 0..size-1, numbered in the coset BFS's discovery
-    order (coset 0 is U itself), and action_tables[i][k] is the coset
-    that s_i sends coset k to.  The BFS is deterministic, so rebuilt
-    and cached spaces agree table for table.
-    """
+    """U\\W as its size and |U|, with the fold certificate of the
+    system's one standard frame (None when it has several)."""
 
     type_label: str
     rank: int
     u_gen_roots: tuple[tuple[int, ...], ...]  # doubled coordinates
     u_order: int
     size: int
-    action_tables: tuple[tuple[int, ...], ...]
     certificate: Optional[FoldCertificate] = None
 
     __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
@@ -214,13 +201,11 @@ def _label_width(sys_: RootSystem, vec: Key) -> int:
 
 
 def _label_bfs(
-    sys_: RootSystem, start: Key, record: bool = True
-) -> tuple[int, array]:
-    """The W-orbit of start by BFS over the simple reflections.
-
-    Returns the orbit's size and the BFS edges: edges[k * rank + i] is
-    the id, in discovery order, of s_i applied to vector k.  With record
-    False only the keys are walked, and the edges come back empty.
+    sys_: RootSystem, start: Key, frame_roots: Optional[Sequence[int]] = None
+) -> tuple[int, Optional[ASets]]:
+    """The size of the W-orbit of start, by BFS over the simple
+    reflections, and with frame_roots the sorted active sets of the
+    frame's orbits on it (None without: the BFS only counts).
 
     The BFS runs on packed Dynkin labels.  A vector v with labels c_j is
     the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels of
@@ -237,43 +222,46 @@ def _label_bfs(
     the vectors do.  Integer labels stay integral under integer Cartan
     rows, so the lattice check on start, made before M is taken, covers
     the orbit.  _coset_orbit hands in a primitive start (see
-    _invariant_vector): for E8, M is 3 and a key is 24 bits.  A packed
-    kernel that records edges, so not roots._bfs_orbits.
+    _invariant_vector): for E8, M is 3 and a key is 24 bits.
+
+    Frame roots b_1, ..., b_k add k fields after the labels, holding
+    <v, b_j^v> + off.  s_i lowers <v, b_j^v> by c_i <a_i, b_j^v>, so
+    row_i carries <a_i, b_j^v> in field rank + j and the same
+    subtraction updates them.  A pairing is 2(v, b)/(b, b) for a root b,
+    so M bounds it too and the width holds it.  A field has its top bit
+    set exactly when its pairing is >= 0; the one vector of each frame
+    orbit with every frame field so gives the orbit's active set, the
+    fields not equal to off (see the module docstring).  A packed
+    kernel, so not roots._bfs_orbits.
     """
     simple = [sys_.roots[i] for i in sys_.simple_indices]
+    frame = [sys_.roots[b] for b in frame_roots or ()]
     labels = _labels(simple, start)
     width = _label_width(sys_, start)
     off, mask = 1 << (width - 1), (1 << width) - 1
-    steps = [
-        (width * i, sum(c << (width * j) for j, c in enumerate(_labels(simple, a))))
-        for i, a in enumerate(simple)
-    ]
-    first = sum((c + off) << (width * j) for j, c in enumerate(labels))
+
+    def pack(fields: Sequence[int]) -> int:
+        return sum(c << (width * j) for j, c in enumerate(fields))
+
+    steps = [(width * i, pack(_labels(simple + frame, a))) for i, a in enumerate(simple)]
+    first = pack([c + off for c in labels + _labels(frame, start)])
     keys = [first]
-    if not record:
-        seen = {first}
-        for key in keys:
-            for shift, row in steps:
-                q = ((key >> shift) & mask) - off
-                if q and (img := key - q * row) not in seen:
-                    seen.add(img)
-                    keys.append(img)
-        return len(keys), array("i")
-    ids = {first: 0}
-    edges = array("i")  # coset ids stay below 2^31, as the cache body needs
-    for k, key in enumerate(keys):  # FIFO: the loop reaches appended keys
+    seen = {first}
+    for key in keys:  # FIFO: the loop reaches appended keys
         for shift, row in steps:
             q = ((key >> shift) & mask) - off
-            if not q:
-                edges.append(k)
-                continue
-            img = key - q * row
-            j = ids.get(img)
-            if j is None:
-                j = ids[img] = len(keys)
+            if q and (img := key - q * row) not in seen:
+                seen.add(img)
                 keys.append(img)
-            edges.append(j)
-    return len(keys), edges
+    if frame_roots is None:
+        return len(keys), None
+    tail, top = width * len(simple), pack([off] * len(frame))
+    a_sets = [
+        tuple(j for j in range(len(frame)) if (f >> (width * j)) & mask != off)
+        for f in (key >> tail for key in keys)
+        if f & top == top
+    ]
+    return len(keys), tuple(sorted(a_sets))
 
 
 def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
@@ -337,29 +325,53 @@ def build_coset_space(
     cache_dir: Optional[str] = None,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> CosetSpace:
-    """Enumerate U\\W(sys) and validate the order identity.
+    """Count U\\W(sys) and validate the order identity.
 
-    With cache_dir set, a previously built space for the same
-    (type, rank, generators, format version) is loaded instead, and a
-    fresh build is written back together with the canonical frame's
-    fold certificate in a single pass.  A space of more than
-    element_cap cosets raises CapExceededError, built or loaded; a
-    build refuses it before the first coset is enumerated.
+    When the system has one standard frame, the same coset BFS reads
+    off that frame's fold certificate.  With cache_dir set, a previously
+    built space for the same (type, rank, generators, format version)
+    is loaded instead, and a fresh build is written back.  A space of
+    more than element_cap cosets raises CapExceededError, built or
+    loaded; a build refuses it before the first coset is enumerated.
     """
     if u_gen_roots is None:
         u_gen_roots = standard_u_gens(sys_)
     u_gen_roots = tuple(u_gen_roots)
     if cache_dir is not None:
         path = cache_path(sys_, u_gen_roots, cache_dir)
-        if os.path.exists(path):
+        if _is_cache_dir(cache_dir) and os.path.exists(path):
             space = _load_space(sys_, u_gen_roots, path)
             _check_cap(sys_, space.size, space.u_order, element_cap)
             return space
-    space = _build_space(sys_, u_gen_roots, element_cap)
+    frames = standard_frames(sys_)
+    frame_roots = frames[0][1] if len(frames) == 1 else None
+    size, a_sets, u_order = _coset_orbit(sys_, u_gen_roots, frame_roots, element_cap)
+    space = _space(sys_, u_gen_roots, u_order, size, frame_roots, a_sets)
     if cache_dir is not None:
-        space = space._replace(certificate=_canonical_certificate(sys_, space))
         _write_space(space, path)
     return space
+
+
+def _space(
+    sys_: RootSystem,
+    u_gen_roots: Sequence[int],
+    u_order: int,
+    size: int,
+    frame_roots: Optional[tuple[int, ...]],
+    a_sets: Optional[ASets],
+) -> CosetSpace:
+    cert = None
+    if a_sets is not None:
+        labels = tuple(root_label(sys_, r) for r in frame_roots)
+        cert = FoldCertificate(frame_roots=frame_roots, labels=labels, a_sets=a_sets)
+    return CosetSpace(
+        type_label=sys_.type_label,
+        rank=sys_.rank,
+        u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
+        u_order=u_order,
+        size=size,
+        certificate=cert,
+    )
 
 
 def _sigma_u(sys_: RootSystem, u_gen_roots: Sequence[int]) -> list[int]:
@@ -395,139 +407,50 @@ def _check_cap(
 def _coset_orbit(
     sys_: RootSystem,
     u_gen_roots: Sequence[int],
-    record: bool = True,
+    frame_roots: Optional[Sequence[int]] = None,
     element_cap: Optional[int] = None,
-) -> tuple[int, array, int]:
-    """|U\\W|, the BFS edges (see _label_bfs; empty with record False)
-    and |U|, after checking the order identity |orbit| x |U| = |W|.
-    |W| / |U| is known before the BFS, which does not start when it is
-    above element_cap (None: no cap)."""
+) -> tuple[int, Optional[ASets], int]:
+    """|U\\W|, the frame's sorted active sets (see _label_bfs; None
+    without frame_roots) and |U|, after checking the order identity
+    |orbit| x |U| = |W|.  |W| / |U| is known before the BFS, which does
+    not start when it is above element_cap (None: no cap)."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
     sigma_u = _sigma_u(sys_, u_gen_roots)
     u_order = _reflection_group_order(sys_, sigma_u)
     expected = weyl_order(sys_)
     _check_cap(sys_, expected // u_order, u_order, element_cap)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
-    size, edges = _label_bfs(sys_, start, record)
+    size, a_sets = _label_bfs(sys_, start, frame_roots)
     if size * u_order != expected:
         raise CosetValidationError(
             f"|orbit| x |U| = {size} x {u_order} != |W| = {expected}: "
             "the coset enumeration is inconsistent with the group order"
         )
-    return size, edges, u_order
-
-
-def _build_space(
-    sys_: RootSystem, u_gen_roots: tuple[int, ...], element_cap: int
-) -> CosetSpace:
-    """The space with the cosets in BFS order: table i is the BFS edges'
-    column i."""
-    size, edges, u_order = _coset_orbit(sys_, u_gen_roots, element_cap=element_cap)
-    ngen = len(sys_.simple_indices)
-    return CosetSpace(
-        type_label=sys_.type_label,
-        rank=sys_.rank,
-        u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
-        u_order=u_order,
-        size=size,
-        action_tables=_shared_tables((edges[g::ngen] for g in range(ngen)), size),
-    )
-
-
-def _shared_tables(
-    columns: Iterable[Sequence[int]], size: int
-) -> tuple[tuple[int, ...], ...]:
-    """The columns, non-negative coset numbers, as action tables that
-    share one int object per coset.
-
-    Each column is read through the list of coset numbers, so an entry
-    past size fails the lookup, and a table t in range with t o t the
-    identity is an involutive permutation, as the frame tables composed
-    from it need.  Raises CosetValidationError naming the first table
-    that is not.  Built and loaded spaces both pass this check.
-    """
-    ids = list(range(size))
-    identity = tuple(ids)
-    tables = []
-    for i, column in enumerate(columns):
-        try:
-            t = _compose(ids, column)
-        except IndexError:
-            t = None
-        if t is None or _compose(t, t) != identity:
-            raise CosetValidationError(
-                f"action table {i} is not an involutive permutation of range({size})"
-            )
-        tables.append(t)
-    return tuple(tables)
+    return size, a_sets, u_order
 
 
 # ---------------------------------------------------------------------------
 # frame actions
 
 
-def _frame_tables(
-    sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Coset action tables of the reflections in the frame roots.
-
-    They are composed from the stored simple-reflection tables t_i: if
-    x = s_i(y) then s_x = s_i s_y s_i, so T_x[k] = t_i[T_y[t_i[k]]].  A
-    BFS over the roots from the simple roots records one such parent
-    (i, y) per root; each frame root's table is its chain conjugated
-    outwards from a simple reflection's table.
-    """
-    simple = sys_.simple_indices
-    images = [sys_.reflection_images(a) for a in simple]
-    parent: dict[int, tuple[int, int]] = {}
-    start: dict[int, int] = {}
-    for i, a in enumerate(simple):
-        start[a] = start[sys_.negation[a]] = i
-    # its own search: roots._bfs_orbits does not record parents
-    frontier = list(start)
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for i, img in enumerate(images):
-                x = img[y]
-                if x not in start and x not in parent:
-                    parent[x] = (i, y)
-                    nxt.append(x)
-        frontier = nxt
-    t = space.action_tables
-    tables = []
-    for x in frame_roots:
-        chain = []
-        while x not in start:
-            i, x = parent[x]
-            chain.append(i)
-        table = t[start[x]]
-        for i in reversed(chain):
-            table = _compose(t[i], _compose(table, t[i]))
-        tables.append(table)
-    return tables
-
-
 def full_check(
     sys_: RootSystem, space: CosetSpace, frame_roots: Sequence[int]
 ) -> FoldCertificate:
-    """Certify that every frame orbit is simply transitive for its A_k.
+    """The frame's fold certificate on the cosets: each orbit's active
+    set A_k, the generators that move it, with |O_k| = 2^|A_k|, which
+    pins the orbit's form to an |A_k|-fold Pfister class.
 
-    A_k is the set of generators moving some point of the orbit; the
-    certificate requires |O_k| = 2^|A_k|, which pins the orbit's form to
-    an |A_k|-fold Pfister class.  There is no a-priori reason for this
-    to hold; failure raises CertificateError naming the orbit.
+    Every orbit of a frame of orthogonal roots is certified: the frame
+    reflections commute, e = prod_{i in S} s_{b_i} sends a coset key x
+    to x - sum_{i in S} <x, b_i^v> b_i, and the b_i are independent, so
+    the inactive reflections, those with <x, b_i^v> = 0, span the
+    stabiliser of every point of the orbit and the active ones act
+    simply transitively (see the module docstring).  Repeated or
+    non-orthogonal roots raise CertificateError naming the pair.
 
-    The frame tables are checked once to be commuting involutive
-    permutations, so they generate an elementary abelian 2-group G, and
-    forms._orbit_pfister, the permutation route's kernel, gives each
-    orbit's A_k (read off the orbit's least point: an abelian transitive
-    action has one stabiliser, so a generator fixing one point of the
-    orbit fixes all of it) and fold.  The certificate condition is
-    fold = |A_k|.  Then the active generators stay independent on the
-    orbit, the kernel in F2^frame is spanned by the inactive ones, and
-    the delta masks are 1 << i for i in A_k: a certified orbit is its
-    active set, and the certificate keeps A_k alone.
+    The space's stored certificate is returned for the frame it was
+    made for.  Any other frame is read off one coset BFS that carries
+    the frame pairings (_label_bfs).
     """
     frame_roots = tuple(frame_roots)
     if space.certificate is not None and _same_frame(
@@ -535,26 +458,19 @@ def full_check(
     ):
         return space.certificate
     labels = tuple(root_label(sys_, r) for r in frame_roots)
-    tables = _frame_tables(sys_, space, frame_roots)
-    bad = _commuting_involution_failure(tables, space.size)
-    if bad is not None and len(bad) == 1:
-        raise CertificateError(
-            f"the reflection in {labels[bad[0]]} is not an involution on the cosets"
-        )
-    if bad is not None:
-        raise CertificateError(
-            f"the reflections in {labels[bad[0]]} and {labels[bad[1]]} do not "
-            "commute on the cosets: the roots are not orthogonal"
-        )
-    a_sets = []
-    for oi, (a_set, fold, _) in enumerate(_orbit_pfister(tables, space.size)):
-        if fold != len(a_set):
+    for (i, r), (j, s) in combinations(enumerate(frame_roots), 2):
+        if sys_.line_of[r] == sys_.line_of[s]:
             raise CertificateError(
-                f"orbit {oi} (size {1 << fold}) is not simply transitive "
-                f"under its {len(a_set)} active generators"
+                f"the frame roots {labels[i]} and {labels[j]} lie on one line"
             )
-        a_sets.append(a_set)
-    return FoldCertificate(frame_roots=frame_roots, labels=labels, a_sets=tuple(a_sets))
+        if sys_.gram_row(r)[s]:
+            raise CertificateError(
+                f"the reflections in {labels[i]} and {labels[j]} do not "
+                "commute on the cosets: the roots are not orthogonal"
+            )
+    gens = [sys_.index[g] for g in space.u_gen_roots]
+    _, a_sets, _ = _coset_orbit(sys_, gens, frame_roots)
+    return FoldCertificate(frame_roots=frame_roots, labels=labels, a_sets=a_sets)
 
 
 def _same_frame(
@@ -562,16 +478,6 @@ def _same_frame(
 ) -> bool:
     canon = sys_.canonical_rep
     return [canon[r] for r in a] == [canon[r] for r in b]
-
-
-def _canonical_certificate(
-    sys_: RootSystem, space: CosetSpace
-) -> Optional[FoldCertificate]:
-    frames = standard_frames(sys_)
-    if len(frames) != 1:
-        return None
-    _, frame_roots = frames[0]
-    return full_check(sys_, space, frame_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +529,9 @@ def cache_path(
 
 
 def _write_space(space: CosetSpace, path: str) -> None:
-    """Write the header line, then the int32 body (see the module
+    """Write the header line, which is the whole file (see the module
     docstring)."""
     cert = space.certificate
-    body = array("i", chain.from_iterable(space.action_tables))
-    if sys.byteorder == "big":
-        body.byteswap()
     doc = {
         "format_version": CACHE_FORMAT_VERSION,
         "type": space.type_label,
@@ -646,13 +549,12 @@ def _write_space(space: CosetSpace, path: str) -> None:
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
         fh.write(b"\n")
-        body.tofile(fh)
     os.replace(tmp, path)
 
 
 def _read_header(fh, path: str) -> dict:
     """The first line of a cache file, a JSON object in every format
-    version (a version 1 file is that one line)."""
+    version (a version 1 or 5 file is that one line)."""
     try:
         doc = json.loads(fh.readline().decode())
     except ValueError as bad:  # UnicodeDecodeError is one
@@ -667,83 +569,53 @@ def _read_header(fh, path: str) -> dict:
 def _load_space(
     sys_: RootSystem, u_gen_roots: tuple[int, ...], path: str
 ) -> CosetSpace:
-    """The space stored at path.  The header alone fixes the body's
-    length, which is checked against the file before a byte of the body
-    is read, so a lying header never makes the loader allocate."""
+    """The space stored at path, read from its header line; a byte
+    after that line is an error."""
     with open(path, "rb") as fh:
         doc = _read_header(fh, path)
-        try:
-            version = doc.get("format_version")
-            if version != CACHE_FORMAT_VERSION:
-                raise CacheFormatError(
-                    f"cache file {path} has format_version {version!r}; "
-                    f"expected {CACHE_FORMAT_VERSION}"
-                )
-            if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
-                raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
-            expected_gens = sorted(sys_.roots[g] for g in u_gen_roots)
-            if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
-                raise CacheFormatError(f"cache file {path} was built from different generators")
-            size, u_order, a_sets = doc["size"], doc["u_order"], doc["certificate"]
-            order = weyl_order(sys_)
-            if not all(type(n) is int and n > 0 for n in (size, u_order)) or (
-                size * u_order != order
-            ):
-                raise CacheFormatError(
-                    f"cache file {path} is inconsistent: size x |U| = "
-                    f"{size!r} x {u_order!r} != |W| = {order}"
-                )
-            true_order = _reflection_group_order(sys_, _sigma_u(sys_, u_gen_roots))
-            if u_order != true_order:
-                raise CacheFormatError(
-                    f"cache file {path} has u_order {u_order}; its generators "
-                    f"give |U| = {true_order}"
-                )
-            frames = standard_frames(sys_)
-            problem = _a_set_problem(frames, a_sets, size)
-            if problem:
-                raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
-            count = len(sys_.simple_indices) * size
-            body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-            if body_bytes != 4 * count:
-                raise CacheFormatError(
-                    f"cache file {path} has a {body_bytes}-byte body; its header "
-                    f"calls for {4 * count}"
-                )
-            body = array("I")  # unsigned: a negative int32 reads as >= 2^31
-            body.fromfile(fh, count)
-            if fh.read(1):
-                raise CacheFormatError(f"cache file {path} has bytes past its body")
-        except (KeyError, TypeError) as bad:
-            raise CacheFormatError(
-                f"cache file {path} has a missing or malformed entry: {bad!r}"
-            ) from None
-        except EOFError:
-            raise CacheFormatError(f"cache file {path} ends inside its body") from None
-    if sys.byteorder == "big":
-        body.byteswap()
+        past = fh.read(1)
     try:
-        tables = _shared_tables(
-            (body[k : k + size] for k in range(0, count, size)), size
-        )
-    except CosetValidationError as bad:
-        raise CacheFormatError(f"cache file {path} is inconsistent: {bad}") from None
-    cert = None
-    if a_sets is not None:
-        (_, frame_roots), = frames
-        cert = FoldCertificate(
-            frame_roots=frame_roots,
-            labels=tuple(root_label(sys_, r) for r in frame_roots),
-            a_sets=tuple(map(tuple, a_sets)),
-        )
-    return CosetSpace(
-        type_label=sys_.type_label,
-        rank=sys_.rank,
-        u_gen_roots=tuple(sys_.roots[g] for g in u_gen_roots),
-        u_order=u_order,
-        size=size,
-        action_tables=tables,
-        certificate=cert,
+        version = doc.get("format_version")
+        if version != CACHE_FORMAT_VERSION:
+            raise CacheFormatError(
+                f"cache file {path} has format_version {version!r}; "
+                f"expected {CACHE_FORMAT_VERSION}"
+            )
+        if past:
+            raise CacheFormatError(f"cache file {path} has bytes past its header line")
+        if doc["type"] != sys_.type_label or doc["rank"] != sys_.rank:
+            raise CacheFormatError(f"cache file {path} is for {doc['type']}{doc['rank']}")
+        expected_gens = sorted(sys_.roots[g] for g in u_gen_roots)
+        if sorted(tuple(g) for g in doc["u_gens"]) != expected_gens:
+            raise CacheFormatError(f"cache file {path} was built from different generators")
+        size, u_order, a_sets = doc["size"], doc["u_order"], doc["certificate"]
+        order = weyl_order(sys_)
+        if not all(type(n) is int and n > 0 for n in (size, u_order)) or (
+            size * u_order != order
+        ):
+            raise CacheFormatError(
+                f"cache file {path} is inconsistent: size x |U| = "
+                f"{size!r} x {u_order!r} != |W| = {order}"
+            )
+        true_order = _reflection_group_order(sys_, _sigma_u(sys_, u_gen_roots))
+        if u_order != true_order:
+            raise CacheFormatError(
+                f"cache file {path} has u_order {u_order}; its generators "
+                f"give |U| = {true_order}"
+            )
+        frames = standard_frames(sys_)
+        problem = _a_set_problem(frames, a_sets, size)
+        if problem:
+            raise CacheFormatError(f"cache file {path} is inconsistent: {problem}")
+    except (KeyError, TypeError) as bad:
+        raise CacheFormatError(
+            f"cache file {path} has a missing or malformed entry: {bad!r}"
+        ) from None
+    if a_sets is None:
+        return _space(sys_, u_gen_roots, u_order, size, None, None)
+    (_, frame_roots), = frames
+    return _space(
+        sys_, u_gen_roots, u_order, size, frame_roots, tuple(map(tuple, a_sets))
     )
 
 
@@ -778,12 +650,21 @@ def _a_set_problem(frames: list, a_sets, size: int) -> Optional[str]:
 _CACHE_NAME = re.compile(r"cosets-.*\.json(\.tmp\d+)?")
 
 
+def _is_cache_dir(cache_dir: str) -> bool:
+    """Whether cache_dir exists.  One that is not a directory raises
+    NotADirectoryError naming it."""
+    if os.path.isdir(cache_dir):
+        return True
+    if os.path.exists(cache_dir):
+        raise NotADirectoryError(f"cache dir {cache_dir} is not a directory")
+    return False
+
+
 def _cache_names(cache_dir: str) -> list[str]:
     """The sorted names of cache files of any format version and of
-    scratch files of interrupted writes in cache_dir.  A cache_dir that
-    does not exist holds none; one that is not a directory raises
-    NotADirectoryError."""
-    if not os.path.exists(cache_dir):
+    scratch files of interrupted writes in cache_dir (see
+    _is_cache_dir)."""
+    if not _is_cache_dir(cache_dir):
         return []
     return [n for n in sorted(os.listdir(cache_dir)) if _CACHE_NAME.fullmatch(n)]
 

@@ -11,8 +11,9 @@ diagonal form over the torsor coordinates:
    orbits; each orbit of size 2^f is a scaled f-fold Pfister form whose
    slots are pullbacks of the dual basis of P/kernel.  One kernel,
    _orbit_pfister, finds each orbit by doubling from its least point and
-   reads the kernel off the same pass, in O(k + 2^f) table reads; the
-   coset fold certificate (cosets.full_check) is computed by it too.
+   reads the kernel off the same pass, in O(k + 2^f) table reads.  The
+   coset fold certificate does not need it: cosets reads each orbit's
+   active set off the frame pairings of a coset key.
 
 Entries are square classes: only 2-power scales times coordinate
 monomials occur for the embeddings treated here, and anything else
@@ -68,17 +69,6 @@ class DiagonalForm:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def render(self) -> str:
-        parts = []
-        for a, mask in self.entries:
-            prefix = "" if a == 0 else "2" if a == 1 else f"2^{a}"
-            names = "".join(
-                name for i, name in enumerate(self.labels) if (mask >> i) & 1
-            )
-            text = prefix + names
-            parts.append(text if text else "1")
-        return "<" + ", ".join(parts) + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +298,8 @@ def _orbit_pfister(
     moving the base, the orbit's 2^fold = |orbit|, and k - fold vectors
     spanning the kernel of F2^k on the orbit.  When fold = |a_set| the
     orbit is certified and is its active set: the kernel's annihilator
-    is spanned by 1 << i for i in a_set (see cosets.full_check), so only
-    form_of_permutation_action solves for it.
+    is spanned by 1 << i for i in a_set, so only form_of_permutation_action
+    solves for it.
 
     The orbit is found by doubling from the base, labelling each point
     with an exponent vector that carries the base to it.  Once generators

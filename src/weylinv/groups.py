@@ -98,16 +98,15 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
     roots span, so w is determined by (w a_1, ..., w a_n): the orbit
     map is injective and the orbit has |W| elements.  "coset-product"
     multiplies the coset count |U\\W| by |U| (see weylinv.cosets); that
-    BFS only counts the cosets, so no coset vector, edge or table is
-    built.  "formula" is the product formula, which the enumerated
-    ranks validate.
+    BFS only counts the cosets and reads no frame.  "formula" is the
+    product formula, which the enumerated ranks validate.
     """
     method = order_method(sys_)
     if method == "coset-product":
         from . import cosets  # local import: cosets depends on this module
 
         gens = cosets.standard_u_gens(sys_)
-        size, _, u_order = cosets._coset_orbit(sys_, gens, record=False)
+        size, _, u_order = cosets._coset_orbit(sys_, gens)
         return size * u_order
     if method == "bfs":
         return _layered_order(sys_, element_cap)
@@ -487,10 +486,6 @@ class DihedralGroup:
             f"DihedralGroup(n={self.n!r}, elements={self.elements!r}, "
             f"reflection_ids={self.reflection_ids!r})"
         )
-
-    @property
-    def order(self) -> int:
-        return 2 * self.n
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] followed by elements[j]."""

@@ -21,14 +21,19 @@ directly, and the tests check the direct form against it:
     stabiliser in W on its positions, from Schreier generators of a
     search over the frame's W-orbit; weylinv.basis.normalizer_families
     records a few elements by hand.
-  * read_cache / write_cache - a coset cache file as one JSON document,
-    its header with the int32 body of action tables put back as lists,
-    unpacked and packed with struct; weylinv.cosets reads the header and
-    the body on its own.
+  * read_cache / write_cache - a coset cache file's header line as a
+    JSON document; weylinv.cosets reads and writes it on its own.
   * reflector / reflect_key / dense_orbit / coset_vectors - each
     coset's doubled-coordinate key, reflected densely and numbered in BFS
     order from the package's start vector; weylinv.cosets walks packed
     Dynkin labels and keeps no keys.
+  * record_label_bfs / coset_action_tables / frame_tables /
+    table_certificate - the table route to a fold certificate: the coset
+    BFS recording its edges as one action table per simple reflection,
+    each frame reflection's table composed from them, and the active
+    sets found by weylinv.forms._orbit_pfister, the permutation route's
+    kernel, after its commuting-involution check; weylinv.cosets reads
+    the active sets off the frame pairings of the coset keys.
   * reflect - a root's reflection in another computed from the real
     inner product in Fraction; weylinv.roots builds reflection tables
     from integer dot products of doubled coordinates.
@@ -60,18 +65,22 @@ route no command takes:
     class of one degree, and the Gram identities of the 2^n-point
     Pfister embedding checked symbolically for n <= 4.
   * p_orbits / compare_support - the frame orbits on the cosets by a
-    plain orbit search, and the E7/E8 fold supports, each multiplied out
-    from an active set's symbols, compared with the expected monomials;
-    weylinv.cosets.full_check reads the active sets off
-    forms._orbit_pfister, and f_restriction reads each symbol as one
-    monomial.
+    plain orbit search over the frame tables, and the E7/E8 fold
+    supports, each multiplied out from an active set's symbols, compared
+    with the expected monomials; weylinv.cosets.f_restriction reads each
+    symbol as one monomial.
   * f4_hat / verify_identity - the hat-corrected F4 classes wh_d, and
     the equality of two invariants at every standard frame.
+
+The last few are readers and builders that only tests call, kept out of
+the package: is_zero, var (one coordinate's degree-one symbol),
+kinv_json (an invariant's terms as plain data) and render_form (a
+diagonal form as text).
 """
 from __future__ import annotations
 
 import json
-import struct
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,7 +96,6 @@ from weylinv.algebra import (
     _moved,
     coordinate_mask,
     one,
-    var,
     x_monomial,
     zero,
 )
@@ -104,21 +112,53 @@ from weylinv import cosets
 from weylinv.cosets import _u_orbit_sums
 from weylinv.errors import (
     CapExceededError,
+    CertificateError,
     ContextMismatchError,
     CosetValidationError,
 )
 from weylinv.forms import (
     DiagonalForm,
+    _commuting_involution_failure,
     _form_of_numerators,
     _modified_from_twisted,
+    _orbit_pfister,
     total_sw,
     twist_by_two,
 )
-from weylinv.groups import DEFAULT_ELEMENT_CAP, root_label, standard_frames
+from weylinv.groups import DEFAULT_ELEMENT_CAP, _compose, root_label, standard_frames
 from weylinv._records import record_eq, record_ne
 from weylinv.roots import _bfs_orbits, build_root_system
 
 _ONE = 0
+
+
+# ---------------------------------------------------------------------------
+# test-side readers and builders
+
+
+def is_zero(inv: KInvariant) -> bool:
+    return not inv.terms
+
+
+def var(labels: Sequence[str], name: str) -> KInvariant:
+    """The degree-1 symbol of one coordinate, looked up by label."""
+    return x_monomial(labels, [name])
+
+
+def kinv_json(inv: KInvariant) -> list[dict]:
+    """The terms in sorted_terms order, each as its coordinate names and
+    its {2} flag."""
+    return [{"vars": inv._names(m), "two": bool(m & 1)} for m in inv.sorted_terms()]
+
+
+def render_form(form: DiagonalForm) -> str:
+    """<2^a * coordinates, ...>, an entry with neither written 1."""
+    parts = []
+    for a, mask in form.entries:
+        prefix = "" if a == 0 else "2" if a == 1 else f"2^{a}"
+        names = "".join(name for i, name in enumerate(form.labels) if (mask >> i) & 1)
+        parts.append(prefix + names or "1")
+    return "<" + ", ".join(parts) + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -482,23 +522,13 @@ def normalizer_action_full(sys_, frame) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # coset cache files
 
-_BODY_FIELDS = ("action_tables",)
-
 
 def read_cache(path) -> dict:
-    """The cache file at path as one document: its header line, with the
-    little-endian int32 body put back as "action_tables", rank rows of
-    size."""
+    """The cache file at path, its header line, as one document; the
+    file must hold nothing after that line."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.readline())
-        body = fh.read()
-    values = iter(struct.unpack(f"<{len(body) // 4}i", body))
-
-    def row(length):
-        return [next(values) for _ in range(length)]
-
-    doc["action_tables"] = [row(doc["size"]) for _ in range(doc["rank"])]
-    assert next(values, None) is None, "body longer than its header says"
+        assert fh.read() == b"", "bytes past the header line"
     return doc
 
 
@@ -508,12 +538,9 @@ def write_cache(path, doc: dict, **dumps) -> None:
     dumps go to json.dumps for the header line; by default it is compact
     with sorted keys, as the package writes it.
     """
-    header = {k: v for k, v in doc.items() if k not in _BODY_FIELDS}
-    values = [x for field in _BODY_FIELDS for row in doc[field] for x in row]
     dumps = {"sort_keys": True, "separators": (",", ":"), **dumps}
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, **dumps).encode() + b"\n")
-        fh.write(struct.pack(f"<{len(values)}i", *values))
+        fh.write(json.dumps(doc, **dumps).encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -777,25 +804,146 @@ def dense_orbit(sys_, start):
     return keys
 
 
-def coset_vectors(sys_, u_gens=None):
-    """The coset keys of U\\W (U the standard subgroup by default) from
-    the package's start vector, cosets._invariant_vector: vector k is
-    the key of coset k of build_coset_space."""
+def coset_start(sys_, u_gens=None):
+    """The package's coset BFS start, cosets._invariant_vector, for U
+    (the standard subgroup by default)."""
     if u_gens is None:
         u_gens = cosets.standard_u_gens(sys_)
     images = [sys_.reflection_images(g) for g in u_gens]
     lines = {sys_.line_of[r] for r in cosets._sigma_u(sys_, u_gens)}
-    return dense_orbit(sys_, cosets._invariant_vector(sys_, images, lines))
+    return cosets._invariant_vector(sys_, images, lines)
+
+
+def coset_vectors(sys_, u_gens=None):
+    """The coset keys of U\\W (U the standard subgroup by default) from
+    the package's start vector: vector k is the key of coset k of
+    coset_action_tables."""
+    return dense_orbit(sys_, coset_start(sys_, u_gens))
 
 
 # ---------------------------------------------------------------------------
-# fold certificates
+# the table route to fold certificates
 
 
-def p_orbits(sys_, space, frame_roots: Sequence[int]) -> list[tuple[int, ...]]:
-    """Orbit partition of the coset indices under the frame generators."""
-    tables = cosets._frame_tables(sys_, space, frame_roots)
-    orbits = _bfs_orbits(range(space.size), lambda p: [t[p] for t in tables])
+def record_label_bfs(sys_, start) -> tuple[int, array]:
+    """The packed-label coset BFS of cosets._label_bfs, without frame
+    fields, recording its edges: returns the orbit's size and edges,
+    where edges[k * rank + i] is the id, in discovery order, of s_i
+    applied to vector k."""
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    labels = cosets._labels(simple, start)
+    width = cosets._label_width(sys_, start)
+    off, mask = 1 << (width - 1), (1 << width) - 1
+    steps = [
+        (width * i, sum(c << (width * j) for j, c in enumerate(cosets._labels(simple, a))))
+        for i, a in enumerate(simple)
+    ]
+    first = sum((c + off) << (width * j) for j, c in enumerate(labels))
+    keys = [first]
+    ids = {first: 0}
+    edges = array("i")
+    for k, key in enumerate(keys):  # FIFO: the loop reaches appended keys
+        for shift, row in steps:
+            q = ((key >> shift) & mask) - off
+            if not q:
+                edges.append(k)
+                continue
+            img = key - q * row
+            j = ids.get(img)
+            if j is None:
+                j = ids[img] = len(keys)
+                keys.append(img)
+            edges.append(j)
+    return len(keys), edges
+
+
+def coset_action_tables(sys_, u_gens=None) -> list[tuple[int, ...]]:
+    """U\\W's action tables, the cosets numbered in the coset BFS's
+    discovery order (coset 0 is U itself): table i sends coset k to
+    the coset of s_i applied to k's key, that is Ug to Ugs_i.  Table i
+    is the BFS edges' column i."""
+    _, edges = record_label_bfs(sys_, coset_start(sys_, u_gens))
+    ngen = len(sys_.simple_indices)
+    return [tuple(edges[g::ngen]) for g in range(ngen)]
+
+
+def frame_tables(sys_, tables, frame_roots: Sequence[int]) -> list[tuple[int, ...]]:
+    """Coset action tables of the reflections in the frame roots.
+
+    They are composed from the simple-reflection tables t_i: if
+    x = s_i(y) then s_x = s_i s_y s_i, so T_x[k] = t_i[T_y[t_i[k]]].  A
+    BFS over the roots from the simple roots records one such parent
+    (i, y) per root; each frame root's table is its chain conjugated
+    outwards from a simple reflection's table.
+    """
+    simple = sys_.simple_indices
+    images = [sys_.reflection_images(a) for a in simple]
+    parent: dict[int, tuple[int, int]] = {}
+    start: dict[int, int] = {}
+    for i, a in enumerate(simple):
+        start[a] = start[sys_.negation[a]] = i
+    frontier = list(start)
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for i, img in enumerate(images):
+                x = img[y]
+                if x not in start and x not in parent:
+                    parent[x] = (i, y)
+                    nxt.append(x)
+        frontier = nxt
+    out = []
+    for x in frame_roots:
+        chain = []
+        while x not in start:
+            i, x = parent[x]
+            chain.append(i)
+        table = tables[start[x]]
+        for i in reversed(chain):
+            table = _compose(tables[i], _compose(table, tables[i]))
+        out.append(table)
+    return out
+
+
+def table_certificate(sys_, tables, frame_roots: Sequence[int]):
+    """The frame's sorted active sets on the cosets, from action tables.
+
+    The frame tables must be commuting involutive permutations, so they
+    generate an elementary abelian 2-group, and forms._orbit_pfister
+    gives each orbit's active set and fold; the certificate condition is
+    fold = |active set|.  Raises CertificateError naming the first
+    failure.
+    """
+    labels = [root_label(sys_, r) for r in frame_roots]
+    ftables = frame_tables(sys_, tables, frame_roots)
+    size = len(tables[0])
+    bad = _commuting_involution_failure(ftables, size)
+    if bad is not None and len(bad) == 1:
+        raise CertificateError(
+            f"the reflection in {labels[bad[0]]} is not an involution on the cosets"
+        )
+    if bad is not None:
+        raise CertificateError(
+            f"the reflections in {labels[bad[0]]} and {labels[bad[1]]} do not "
+            "commute on the cosets"
+        )
+    a_sets = []
+    for oi, (a_set, fold, _) in enumerate(_orbit_pfister(ftables, size)):
+        if fold != len(a_set):
+            raise CertificateError(
+                f"orbit {oi} (size {1 << fold}) is not simply transitive "
+                f"under its {len(a_set)} active generators"
+            )
+        a_sets.append(a_set)
+    return tuple(sorted(a_sets))
+
+
+def p_orbits(sys_, frame_roots: Sequence[int], u_gens=None) -> list[tuple[int, ...]]:
+    """Orbit partition of the coset numbers of coset_action_tables under
+    the frame generators."""
+    action = coset_action_tables(sys_, u_gens)
+    tables = frame_tables(sys_, action, frame_roots)
+    orbits = _bfs_orbits(range(len(action[0])), lambda p: [t[p] for t in tables])
     return [tuple(sorted(orbit)) for orbit in orbits]
 
 
@@ -809,7 +957,7 @@ def compare_support(cert, expected: KInvariant) -> bool:
     expected term exactly once.
     """
     if not cert.a_sets:
-        return expected.is_zero()
+        return is_zero(expected)
     m = cert.min_fold
     products = []
     for a in cert.a_sets:

@@ -393,7 +393,7 @@ def test_verify_all_reuses_the_systems_memos(capsys, monkeypatch):
     counted_names = (
         (basis, "form_of_linear_action"),
         (basis, "form_of_permutation_action"),
-        (cosets, "_build_space"),
+        (cosets, "_coset_orbit"),
     )
     build_root_system.cache_clear()
     outs, calls = [], []
@@ -454,36 +454,26 @@ def test_cache_inspect_rejects_malformed_file(capsys, tmp_path, content):
 
 
 @pytest.mark.parametrize(
-    "command", [("cosets", "D4"), ("cache", "inspect"), ("cache", "clear")]
+    "command",
+    [("cosets", "D4"), ("verify", "D4"), ("fullcheck", "D4"), ("cache", "inspect"),
+     ("cache", "clear")],
 )
 def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, command):
     path = tmp_path / "not-a-dir"
     path.write_text("x")
     code, out, err = run(capsys, *command, "--cache-dir", str(path))
     assert code == 2 and out == ""
-    assert str(path) in err and "Traceback" not in err
+    assert f"cache dir {path} is not a directory" in err and "Traceback" not in err
     assert path.read_text() == "x"
 
 
 def test_truncated_cache_file_exits_2(capsys, tmp_path):
     assert run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()
-    path.write_bytes(path.read_bytes()[:200])
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
     code, _, err = run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
     assert code == 2 and path.name in err
-
-
-def _swap_with_fixed_point(doc):
-    """Turn a 2-cycle of an action table into a 3-cycle through a fixed
-    point: the table stays a permutation but is no longer an involution."""
-    for table in doc["action_tables"]:
-        fixed = [k for k, j in enumerate(table) if j == k]
-        moved = [k for k, j in enumerate(table) if j != k]
-        if fixed and moved:
-            a, c = moved[0], fixed[0]
-            table[a], table[c] = table[c], table[a]
-            return
-    raise AssertionError("no table with both a 2-cycle and a fixed point")
 
 
 def _wrong_size(doc):
@@ -496,9 +486,7 @@ def _a_set_past_frame(doc):
     doc["certificate"][0][-1] = 99
 
 
-@pytest.mark.parametrize(
-    "corrupt", [_swap_with_fixed_point, _wrong_size, _a_set_past_frame]
-)
+@pytest.mark.parametrize("corrupt", [_wrong_size, _a_set_past_frame])
 def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()
@@ -510,37 +498,14 @@ def test_inconsistent_cache_file_exits_2(capsys, tmp_path, corrupt):
     assert str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("entry", ["size", "int32_minus_one"])
-def test_out_of_range_table_entry_exits_2(capsys, tmp_path, entry):
-    """Table 0's entry that names the last coset, size - 1, becomes size
-    or int32 -1.  Read signed, -1 would index the coset list from the
-    end and give back the very table that was written, so the body is
-    read unsigned and both entries fall outside range(size)."""
-    assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
-    (path,) = tmp_path.iterdir()
-    doc = read_cache(path)
-    size, table = doc["size"], doc["action_tables"][0]
-    table[table.index(size - 1)] = size if entry == "size" else -1
-    write_cache(path, doc)
-    code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
-    assert code == 2 and out == ""
-    assert str(path) in err and "Traceback" not in err
-    assert "action table 0 is not an involutive permutation" in err
-
-
-def _cut_body(path):
-    path.write_bytes(path.read_bytes()[:-4])
-
-
 def _extra_byte(path):
     path.write_bytes(path.read_bytes() + b"\0")
 
 
 def _header_edit(**fields):
     def edit(path):
-        header, body = path.read_bytes().split(b"\n", 1)
-        doc = dict(json.loads(header), **fields)
-        path.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        doc = dict(json.loads(path.read_bytes()), **fields)
+        path.write_bytes(json.dumps(doc).encode() + b"\n")
 
     return edit
 
@@ -552,7 +517,6 @@ def _not_utf8(path):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _cut_body,
         _extra_byte,
         pytest.param(_header_edit(size=10**12), id="size_10_12"),
         pytest.param(_header_edit(size=33), id="size_times_u_order_not_W"),
@@ -568,28 +532,26 @@ def _not_utf8(path):
 def test_bad_cache_layout_exits_2_before_reading_the_body(
     capsys, tmp_path, monkeypatch, corrupt
 ):
-    """The header and the file's length are checked before any body byte
-    is read, so a lying header never makes the loader allocate."""
+    """A file is its header line: one that fails a header check, or has
+    a byte after that line, exits 2 naming the file, and no coset walk
+    starts, so a lying header neither allocates nor gets rebuilt over."""
     assert run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()
     corrupt(path)
-    arrays = []
-    monkeypatch.setattr(cosets, "array", lambda *a: arrays.append(a))
+    monkeypatch.setattr(cosets, "_label_bfs", lambda *a: pytest.fail("the BFS ran"))
     code, out, err = run(capsys, "cosets", "D6", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
     assert str(path) in err and "Traceback" not in err
-    assert arrays == []
 
 
 def test_forged_u_order_exits_2(capsys, tmp_path):
-    """A D4 file claiming 4 cosets and |U| = 48 is consistent with |W|,
-    its tables and its certificate, but not with its generators, which
-    give |U| = 24."""
+    """A D4 file claiming 4 cosets and |U| = 48 is consistent with |W|
+    and its certificate, but not with its generators, which give
+    |U| = 24."""
     assert run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))[0] == 0
     (path,) = tmp_path.iterdir()
     doc = read_cache(path)
     doc.update(size=4, u_order=48, certificate=[[]] * 4)
-    doc["action_tables"] = [list(range(4))] * 4
     write_cache(path, doc)
     code, out, err = run(capsys, "cosets", "D4", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
@@ -701,6 +663,25 @@ _V3_D4 = (
 def test_format_3_file_is_ignored_listed_and_cleared(capsys, tmp_path):
     _old_format_file_is_ignored_listed_and_cleared(
         capsys, tmp_path, _V3_D4_NAME, _V3_D4, 3
+    )
+
+
+# the D4 file a format_version 4 build wrote: its header line, then the
+# int32 body of action tables
+_V4_D4_NAME = "cosets-D4-cc564d49f1d2ca12.json"
+_V4_D4 = (
+    b'{"certificate":[[1,3],[0,2]],"format_version":4,"rank":4,"size":8,'
+    b'"type":"D","u_gens":[[2,-2,0,0],[0,2,-2,0],[0,0,2,-2]],"u_order":24}\n'
+) + struct.pack(
+    "<32i",
+    0, 1, 3, 2, 5, 4, 6, 7, 0, 2, 1, 3, 4, 6, 5, 7,
+    0, 1, 4, 5, 2, 3, 6, 7, 1, 0, 2, 3, 4, 5, 7, 6,
+)
+
+
+def test_format_4_file_is_ignored_listed_and_cleared(capsys, tmp_path):
+    _old_format_file_is_ignored_listed_and_cleared(
+        capsys, tmp_path, _V4_D4_NAME, _V4_D4, 4
     )
 
 

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from weylinv.algebra import one, two, var
+from weylinv.algebra import one, two
 from weylinv.errors import UnsupportedEmbeddingError
 from weylinv.forms import (
     DiagonalForm,
@@ -29,9 +29,12 @@ from weylinv.roots import SUPPORTED, build_root_system
 
 from oracles import (
     form_of_involutions,
+    is_zero,
     modified_sw,
     pfister_gram_check,
     reflection_matrix,
+    render_form,
+    var,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -42,19 +45,19 @@ AB = ("a", "b")
 def test_swap_negswap_embedding():
     form = form_of_involutions([SWAP, NEG_SWAP], AB)
     assert form.entries == ((1, 0b01), (1, 0b10))
-    assert form.render() == "<2a, 2b>"
+    assert render_form(form) == "<2a, 2b>"
 
 
 def test_single_swap_embedding():
     form = form_of_involutions([SWAP], ("a",))
     assert form.entries == ((1, 0b1), (1, 0b0))
-    assert form.render() == "<2a, 2>"
+    assert render_form(form) == "<2a, 2>"
 
 
 def test_doubled_swap_embedding():
     form = form_of_involutions([SWAP, SWAP], AB)
     assert form.entries == ((1, 0b11), (1, 0b00))
-    assert form.render() == "<2ab, 2>"
+    assert render_form(form) == "<2ab, 2>"
 
 
 def test_norm_with_odd_part_rejected():
@@ -102,24 +105,24 @@ def test_linear_action_f4_frames():
     sys_ = build_root_system("F", 4)
     frames = dict(standard_frames(sys_))
     f0 = form_of_linear_action(sys_, frames["P_0"])
-    assert f0.render() == "<e1, e2, e3, e4>"
+    assert render_form(f0) == "<e1, e2, e3, e4>"
     f1 = form_of_linear_action(sys_, frames["P_1"])
-    assert f1.render() == "<2a1, 2b1, e3, e4>"
+    assert render_form(f1) == "<2a1, 2b1, e3, e4>"
     f2 = form_of_linear_action(sys_, frames["P_2"])
-    assert f2.render() == "<2a1, 2b1, 2a2, 2b2>"
+    assert render_form(f2) == "<2a1, 2b1, 2a2, 2b2>"
     # four orthogonal short roots: reflection matrices with entries +-1/2
     short = [
         sys_.index[r]
         for r in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
     ]
-    assert form_of_linear_action(sys_, short, "abcd").render() == "<a, b, c, d>"
+    assert render_form(form_of_linear_action(sys_, short, "abcd")) == "<a, b, c, d>"
 
 
 def test_linear_action_e6_frame():
     sys_ = build_root_system("E", 6)
     (_, frame), = standard_frames(sys_)
     form = form_of_linear_action(sys_, frame)
-    assert form.render() == "<2a1, 2b1, 2a2, 2b2, 1, 1, 1, 1>"
+    assert render_form(form) == "<2a1, 2b1, 2a2, 2b2, 1, 1, 1, 1>"
 
 
 def test_total_sw_examples():
@@ -150,7 +153,7 @@ def test_modified_sw_even_and_odd():
     form_odd = DiagonalForm(labels, ((1, 0b01), (1, 0b10), (0, 0)))
     assert modified_sw(form_odd, 1) == t1 + t2
     assert modified_sw(form_odd, 2) == t1 * t2
-    assert modified_sw(form_odd, 3).is_zero()
+    assert is_zero(modified_sw(form_odd, 3))
 
 
 def test_modified_sw_parity_override():
@@ -319,7 +322,7 @@ def test_sw_product_shadow():
                 if comb(r + s_, r) % 2:
                     assert prod == sw.degree_part(r + s_), (n, r, s_)
                 else:
-                    assert prod.is_zero(), (n, r, s_)
+                    assert is_zero(prod), (n, r, s_)
 
 
 def test_linear_vs_permutation_agreement_b2():
@@ -344,7 +347,7 @@ def test_twist_involutive_on_classes():
 
 def test_render_scales():
     form = DiagonalForm(AB, ((3, 0b01), (0, 0)))
-    assert form.render() == "<2^3a, 1>"
+    assert render_form(form) == "<2^3a, 1>"
 
 
 # ---------------------------------------------------------------------------

@@ -662,13 +662,13 @@ def test_double_flip_normalizer_element_d4():
 
 def test_dihedral_basics():
     g = build_dihedral(5)
-    assert g.order == 10
+    assert g.n == 5
     assert len(g.elements) == 10
     assert len(set(g.elements)) == 10
     for r in g.reflection_ids:
         assert g.mul(r, r) == 0
         assert g.inverse(r) == r
-    for i in range(g.order):
+    for i in range(len(g.elements)):
         assert g.mul(i, g.inverse(i)) == 0 == g.mul(g.inverse(i), i)
     assert g.inverse(1) == 4  # rotation by 1 undoes rotation by 4
 
@@ -712,6 +712,6 @@ def test_b2_matches_dihedral_of_order_8():
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     dih = build_dihedral(4)
-    assert group.order == dih.order
+    assert group.order == len(dih.elements)
     # same number of reflections: one per root line
     assert len(sys_.lines) == len(dih.reflection_ids)
