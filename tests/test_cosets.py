@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tracemalloc
 from math import gcd
 from operator import mul
@@ -811,12 +812,16 @@ def test_loaded_space_equals_fresh_build(tmp_path, system):
     assert loaded.certificate is not None
 
 
-def test_loaded_e8_space_stays_small(tmp_path):
-    """A warm E8 load reads one header line: its tracemalloc peak stays
-    under 256 KiB, and what it keeps under 128 KiB.  Measured with
-    Python 3.11: 67 KiB peak and 31 KiB kept; a format 4 load, which
-    read the action tables, peaked at 3.09 MiB and kept 1.61 MiB."""
-    sys_ = build_root_system("E", 8)
+@pytest.mark.parametrize("rank", [7, 8])
+def test_tables_hold_one_int_per_coset(tmp_path, rank):
+    """A warm load reads one header line and keeps no action tables, so
+    the loaded space holds less than one int object per coset.  Its
+    tracemalloc peak and kept memory stay under fixed ceilings, measured
+    with Python 3.11 at 12 KiB peak and 4 KiB kept for E7, 67 KiB and
+    31 KiB for E8; a format 4 E8 load, which read the action tables,
+    peaked at 3.09 MiB and kept 1.61 MiB."""
+    peak_cap, kept_cap = {7: (64 << 10, 32 << 10), 8: (256 << 10, 128 << 10)}[rank]
+    sys_ = build_root_system("E", rank)
     built = build_coset_space(sys_, cache_dir=str(tmp_path))
     tracemalloc.start()
     try:
@@ -825,8 +830,9 @@ def test_loaded_e8_space_stays_small(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded == built and loaded is not built
-    assert peak < 256 << 10, peak
-    assert kept < 128 << 10, kept
+    assert kept < loaded.size * sys.getsizeof(loaded.size), kept
+    assert peak < peak_cap, peak
+    assert kept < kept_cap, kept
 
 
 def test_space_past_int32_is_cached(tmp_path):
