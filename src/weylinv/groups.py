@@ -17,7 +17,7 @@ root geometry here.
 from __future__ import annotations
 
 from itertools import repeat
-from math import factorial, inf
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -34,7 +34,6 @@ __all__ = [
     "group_order",
     "order_method",
     "weyl_order",
-    "maximal_orthogonal_frames",
     "make_frame",
     "omega_classes",
     "normalizer_action",
@@ -154,104 +153,28 @@ def make_frame(
     sys_: RootSystem, roots: Iterable[int], require_maximal: bool = True
 ) -> tuple[int, ...]:
     """Canonicalize and validate a frame given by arbitrary root indices:
-    the sorted sign-canonical representatives of its lines."""
+    the sorted sign-canonical representatives of its lines.
+
+    Both checks read only the members' Gram rows: the Gram matrix is
+    symmetric, so a line is orthogonal to every member exactly when
+    each member's row is 0 at that line.
+    """
     canon = sorted({sys_.canonical_rep[i] for i in roots})
+    rows = [sys_.gram_row(m) for m in canon]
     for a in range(len(canon)):
         for b in range(a + 1, len(canon)):
-            if sys_.gram_row(canon[a])[canon[b]] != 0:
+            if rows[a][canon[b]] != 0:
                 raise ValueError(
                     f"roots {canon[a]} and {canon[b]} are not orthogonal"
                 )
     if require_maximal:
         members = set(canon)
         for line in sys_.lines:
-            if line in members:
-                continue
-            row = sys_.gram_row(line)
-            if all(row[m] == 0 for m in canon):
+            if line not in members and all(row[line] == 0 for row in rows):
                 raise ValueError(
                     f"frame not maximal: root {line} is orthogonal to all members"
                 )
     return tuple(canon)
-
-
-def maximal_orthogonal_frames(
-    sys_: RootSystem, cap: Optional[int] = None
-) -> list[tuple[int, ...]]:
-    """All maximal cliques of the orthogonality graph on root lines.
-
-    Output sorted by the root-index tuple, so the listing is
-    deterministic.  With cap set, raises CapExceededError as soon as
-    the search finds a (cap + 1)-th frame.
-    """
-    lines = sys_.lines
-    nlines = len(lines)
-    adj = []
-    for a in range(nlines):
-        mask = 0
-        ga = sys_.gram_row(lines[a])
-        for b in range(nlines):
-            if b != a and ga[lines[b]] == 0:
-                mask |= 1 << b
-        adj.append(mask)
-    frames = []
-    for mask in _maximal_cliques(adj, cap):
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(lines[low.bit_length() - 1])
-            mask ^= low
-        frames.append(tuple(members))
-    frames.sort()
-    return frames
-
-
-def _maximal_cliques(adj: Sequence[int], cap: Optional[int] = None) -> list[int]:
-    """Maximal cliques of the graph with neighbour bitmasks adj, as
-    bitmasks, by Bron-Kerbosch with Tomita's pivot.
-
-    The pivot is a vertex of P | X with the most neighbours in P; no
-    vertex of P has more than |P| - 1 (adj has no loops), so the scan
-    stops at the first that has.  A vertex of X with all of P as
-    neighbours extends every clique below, so none of them is maximal
-    and the call returns at once.  Raises CapExceededError on finding
-    a (cap + 1)-th clique.
-    """
-    cliques: list[int] = []
-    limit = inf if cap is None else cap
-
-    def bk(r: int, p: int, x: int) -> None:
-        if not p:
-            if not x:
-                cliques.append(r)
-                if len(cliques) > limit:
-                    raise CapExceededError(f"more than {cap} maximal cliques", cap)
-            return
-        need = p.bit_count() - 1
-        best, pivot = -1, 0
-        scan = p | x
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            nb = adj[low.bit_length() - 1]
-            count = (p & nb).bit_count()
-            if count > best:
-                best, pivot = count, nb
-                if count >= need:
-                    if count > need:
-                        return
-                    break
-        candidates = p & ~pivot
-        while candidates:
-            low = candidates & -candidates
-            nb = adj[low.bit_length() - 1]
-            bk(r | low, p & nb, x & nb)
-            candidates ^= low
-            p ^= low
-            x |= low
-
-    bk(0, (1 << len(adj)) - 1, 0)
-    return cliques
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +185,8 @@ class OmegaClasses(NamedTuple):
     """Conjugacy classes of maximal frames.
 
     method is "bfs" (full set-orbit enumeration; orbit_sizes populated and
-    summing to the total frame count) or "inductive" (cap fallback: the
-    standard frames as representatives, without enumeration, so
-    orbit_sizes is None).
+    summing to the total frame count) or "inductive" (frame cap fallback:
+    the standard frames as representatives and orbit_sizes None).
     """
 
     representatives: tuple[tuple[int, ...], ...]
@@ -279,60 +201,45 @@ def omega_classes(
 ) -> OmegaClasses:
     """Classify maximal frames up to W-conjugacy.
 
-    Primary path: enumerate every maximal frame, then BFS set-orbits
-    under the simple reflections (which generate W).  Frames map to
-    frames because reflections are isometries, so the orbits partition
-    the full frame list; representatives are the lexicographically least
-    member of each orbit.  If there are more than max_frames frames, the
-    clique search stops at the (max_frames + 1)-th and the inductive
-    fallback returns the standard frames instead (see _omega_inductive).
+    Primary path: the set-orbits of the standard frames under the simple
+    reflections (which generate W).  Reflections are isometries, so every
+    orbit member is a maximal frame, and standard_frames meets every
+    class (the tests check both against a listing of all maximal frames),
+    so the orbits partition the maximal frames.  Orbits come in order of
+    their lexicographically least member, which represents each.  If the
+    orbits hold more than max_frames frames in all, the result is the
+    inductive fallback instead: the standard frames as representatives,
+    one per class, with orbit_sizes None.  No supported system has more
+    than 2,025 maximal frames (E8), so the search itself needs no cap.
     """
     return sys_.memo(("omega", max_frames), lambda: _omega_classes(sys_, max_frames))
 
 
 def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
-    try:
-        frames = maximal_orthogonal_frames(sys_, max_frames)
-    except CapExceededError:
-        return _omega_inductive(sys_)
+    frames = [make_frame(sys_, roots) for _, roots in standard_frames(sys_)]
     # a frame is the bytes of its sorted root indices, and a simple
     # reflection maps it by one line table, r -> canonical_rep[s(r)]
     # (root indices stay below 256, as in _layered_order); bytes
     # order like the index tuples, so orbits and least members agree
-    keys = [bytes(frame) for frame in frames]
-    all_keys = set(keys)
     canonical = sys_.canonical_rep
     lines = [
         bytes(canonical[r] for r in sys_.reflection_images(i)).ljust(256, b"\0")
         for i in sys_.simple_indices
     ]
     orbits = _bfs_orbits(
-        keys, lambda key: [bytes(sorted(key.translate(t))) for t in lines]
+        map(bytes, frames),
+        lambda key: [bytes(sorted(key.translate(t))) for t in lines],
     )
-    if not all(all_keys.issuperset(orbit) for orbit in orbits):
-        raise AssertionError(
-            "orbit left the maximal-frame set; clique enumeration is incomplete"
+    if sum(map(len, orbits)) > max_frames:
+        return OmegaClasses(
+            representatives=tuple(frames), orbit_sizes=None, method="inductive"
         )
-    reps = [tuple(min(orbit)) for orbit in orbits]
-    sizes = [len(orbit) for orbit in orbits]
-    if sum(sizes) != len(frames):
-        raise AssertionError("orbit sizes do not sum to the frame count")
+    classes = sorted((min(orbit), len(orbit)) for orbit in orbits)
     return OmegaClasses(
-        representatives=tuple(reps),
-        orbit_sizes=tuple(sizes),
+        representatives=tuple(tuple(rep) for rep, _ in classes),
+        orbit_sizes=tuple(size for _, size in classes),
         method="bfs",
     )
-
-
-def _omega_inductive(sys_: RootSystem) -> OmegaClasses:
-    """Cap fallback: the standard frames as representatives, without
-    enumerating.  standard_frames lists one frame per class, which the
-    tests check against the bfs classes; only the orbit sizes are lost.
-    """
-    reps = tuple(
-        make_frame(sys_, roots) for _, roots in standard_frames(sys_)
-    )
-    return OmegaClasses(representatives=reps, orbit_sizes=None, method="inductive")
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,11 @@ route no command takes:
   * validate_root_permutation - a sign-equivariant isometry test from
     the Gram rows of the simple roots, an independent check of the
     tables that weylinv.roots.RootSystem._validate proves.
+  * maximal_orthogonal_frames / _maximal_cliques / clique_seeded_orbits
+    - every maximal frame, as a maximal clique of the orthogonality
+    graph on root lines (Bron-Kerbosch with Tomita's pivot), and the
+    W-orbits searched from that whole listing; weylinv.groups.omega_classes
+    searches the orbits of the standard frames only.
   * frame_class - a frame's Omega class, by searching the frame's
     W-orbit for a representative; weylinv.groups.omega_classes
     partitions all maximal frames at once.
@@ -85,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -683,6 +688,98 @@ def frame_class(sys_, omega, frame) -> int:
                 seen.add(image)
                 queue.append(image)
     raise ValueError("no representative lies in the frame's orbit")
+
+
+def maximal_orthogonal_frames(
+    sys_, cap: Optional[int] = None
+) -> list[tuple[int, ...]]:
+    """All maximal cliques of the orthogonality graph on root lines.
+
+    Output sorted by the root-index tuple, so the listing is
+    deterministic.  With cap set, raises CapExceededError as soon as
+    the search finds a (cap + 1)-th frame.
+    """
+    lines = sys_.lines
+    nlines = len(lines)
+    adj = []
+    for a in range(nlines):
+        mask = 0
+        ga = sys_.gram_row(lines[a])
+        for b in range(nlines):
+            if b != a and ga[lines[b]] == 0:
+                mask |= 1 << b
+        adj.append(mask)
+    frames = []
+    for mask in _maximal_cliques(adj, cap):
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(lines[low.bit_length() - 1])
+            mask ^= low
+        frames.append(tuple(members))
+    frames.sort()
+    return frames
+
+
+def _maximal_cliques(adj: Sequence[int], cap: Optional[int] = None) -> list[int]:
+    """Maximal cliques of the graph with neighbour bitmasks adj, as
+    bitmasks, by Bron-Kerbosch with Tomita's pivot.
+
+    The pivot is a vertex of P | X with the most neighbours in P; no
+    vertex of P has more than |P| - 1 (adj has no loops), so the scan
+    stops at the first that has.  A vertex of X with all of P as
+    neighbours extends every clique below, so none of them is maximal
+    and the call returns at once.  Raises CapExceededError on finding
+    a (cap + 1)-th clique.
+    """
+    cliques: list[int] = []
+    limit = inf if cap is None else cap
+
+    def bk(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                cliques.append(r)
+                if len(cliques) > limit:
+                    raise CapExceededError(f"more than {cap} maximal cliques", cap)
+            return
+        need = p.bit_count() - 1
+        best, pivot = -1, 0
+        scan = p | x
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            nb = adj[low.bit_length() - 1]
+            count = (p & nb).bit_count()
+            if count > best:
+                best, pivot = count, nb
+                if count >= need:
+                    if count > need:
+                        return
+                    break
+        candidates = p & ~pivot
+        while candidates:
+            low = candidates & -candidates
+            nb = adj[low.bit_length() - 1]
+            bk(r | low, p & nb, x & nb)
+            candidates ^= low
+            p ^= low
+            x |= low
+
+    bk(0, (1 << len(adj)) - 1, 0)
+    return cliques
+
+
+def clique_seeded_orbits(sys_, frames) -> list[list[tuple[int, ...]]]:
+    """The orbits of frames (make_frame tuples) under the simple
+    reflections, led by the first of frames each contains and in that
+    order.  Seeded with the sorted maximal_orthogonal_frames listing,
+    each orbit is led by its least member."""
+    canonical = sys_.canonical_rep
+    simple = [sys_.reflection_images(s) for s in sys_.simple_indices]
+    return _bfs_orbits(
+        frames,
+        lambda key: [tuple(sorted(canonical[t[r]] for r in key)) for t in simple],
+    )
 
 
 # ---------------------------------------------------------------------------

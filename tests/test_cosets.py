@@ -34,11 +34,7 @@ from weylinv.errors import (
     CertificateError,
     CosetValidationError,
 )
-from weylinv.groups import (
-    maximal_orthogonal_frames,
-    standard_frames,
-    weyl_order,
-)
+from weylinv.groups import standard_frames, weyl_order
 from weylinv.roots import _bfs_orbits, build_root_system
 
 from oracles import (
@@ -51,6 +47,7 @@ from oracles import (
     enumerate_subgroup,
     frame_tables,
     is_zero,
+    maximal_orthogonal_frames,
     p_orbits,
     read_cache,
     record_label_bfs,

@@ -24,12 +24,13 @@ from weylinv.forms import (
     _orthogonalize,
     _square_free_two_part,
 )
-from weylinv.groups import maximal_orthogonal_frames, root_label, standard_frames
+from weylinv.groups import root_label, standard_frames
 from weylinv.roots import SUPPORTED, build_root_system
 
 from oracles import (
     form_of_involutions,
     is_zero,
+    maximal_orthogonal_frames,
     modified_sw,
     pfister_gram_check,
     reflection_matrix,

@@ -6,17 +6,16 @@ from itertools import combinations
 
 import pytest
 
+from weylinv import groups
 from weylinv.cosets import _reflection_group_order
 from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
     _compose,
-    _maximal_cliques,
     build_dihedral,
     dihedral_omega,
     g2_split_check,
     group_order,
     make_frame,
-    maximal_orthogonal_frames,
     normalizer_action,
     omega_classes,
     order_method,
@@ -27,8 +26,11 @@ from weylinv.groups import (
 from weylinv.roots import SUPPORTED, build_root_system
 
 from oracles import (
+    _maximal_cliques,
+    clique_seeded_orbits,
     enumerate_subgroup,
     frame_class,
+    maximal_orthogonal_frames,
     reflect,
     validate_root_permutation,
 )
@@ -109,10 +111,10 @@ def test_validate_accepts_reflections_and_products():
     validate_root_permutation(sys_, _product(s0, s1, s0))
 
 
-@pytest.mark.parametrize(
-    "label,rank",
-    [(t, n) for t, lo, hi in SUPPORTED for n in range(lo, hi + 1)],
-)
+SUPPORTED_SYSTEMS = [(t, n) for t, lo, hi in SUPPORTED for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED_SYSTEMS)
 def test_every_reflection_table_is_an_involutive_isometry(label, rank):
     sys_ = build_root_system(label, rank)
     for r in sys_.lines:
@@ -483,6 +485,58 @@ def test_a_type_frame_size():
     assert sizes == {2}  # floor(5/2)
 
 
+def _all_lines_failure(sys_, roots):
+    """The ValueError text make_frame gave when its maximality check
+    built every line's Gram row, or None for a maximal frame."""
+    canon = sorted({sys_.canonical_rep[i] for i in roots})
+    for a in range(len(canon)):
+        for b in range(a + 1, len(canon)):
+            if sys_.gram_row(canon[a])[canon[b]] != 0:
+                return f"roots {canon[a]} and {canon[b]} are not orthogonal"
+    members = set(canon)
+    for line in sys_.lines:
+        if line in members:
+            continue
+        row = sys_.gram_row(line)
+        if all(row[m] == 0 for m in canon):
+            return f"frame not maximal: root {line} is orthogonal to all members"
+    return None
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED_SYSTEMS)
+def test_make_frame_errors_match_the_all_lines_check(label, rank):
+    """Each standard frame with one member dropped is not maximal, and
+    make_frame names the root the all-lines check names; a member's
+    non-orthogonal neighbour added raises on the same pair."""
+    sys_ = build_root_system(label, rank)
+    for _, roots in standard_frames(sys_):
+        assert _all_lines_failure(sys_, roots) is None
+        assert make_frame(sys_, roots) == tuple(sorted(roots))
+        for k in range(len(roots)):
+            rest = roots[:k] + roots[k + 1:]
+            want = _all_lines_failure(sys_, rest)
+            assert want is not None and want.startswith("frame not maximal")
+            with pytest.raises(ValueError) as err:
+                make_frame(sys_, rest)
+            assert str(err.value) == want
+            assert make_frame(sys_, rest, require_maximal=False) == tuple(
+                sorted(rest)
+            )
+        row = sys_.gram_row(roots[0])
+        bad = next(
+            (r for r in sys_.lines if row[r] != 0 and r != roots[0]), None
+        )
+        if bad is None:  # A1 has one line
+            assert len(sys_.lines) == 1
+            continue
+        want = _all_lines_failure(sys_, roots + (bad,))
+        assert want is not None and want.endswith("are not orthogonal")
+        for maximal in (True, False):
+            with pytest.raises(ValueError) as err:
+                make_frame(sys_, roots + (bad,), require_maximal=maximal)
+            assert str(err.value) == want
+
+
 def test_make_frame_validates():
     sys_ = build_root_system("B", 2)
     e1 = _root_idx(sys_, (2, 0))
@@ -522,8 +576,37 @@ def test_omega_class_counts(label, rank, expected):
     assert total == len(maximal_orthogonal_frames(sys_))
 
 
+@pytest.mark.parametrize("label,rank", SUPPORTED_SYSTEMS)
+def test_omega_orbits_match_the_clique_search(label, rank):
+    """omega_classes seeds its orbit search with the standard frames.
+    Seeded with every maximal frame instead, the search reaches no
+    other frame, and gives the same representatives, sizes and order."""
+    sys_ = build_root_system(label, rank)
+    frames = maximal_orthogonal_frames(sys_)
+    orbits = clique_seeded_orbits(sys_, frames)
+    assert {f for orbit in orbits for f in orbit} == set(frames)
+    assert sum(map(len, orbits)) == len(frames)
+    assert [orbit[0] for orbit in orbits] == [min(orbit) for orbit in orbits]
+    omega = omega_classes(sys_)
+    assert omega.method == "bfs"
+    assert omega.representatives == tuple(orbit[0] for orbit in orbits)
+    assert omega.orbit_sizes == tuple(map(len, orbits))
+
+
+@pytest.mark.parametrize("label,rank", [("B", 8), ("C", 5), ("F", 4)])
+def test_omega_does_not_follow_the_seed_order(label, rank, monkeypatch):
+    """Orbits come in order of their least member, whatever order
+    standard_frames lists the seeds in (the unmemoized search is called,
+    as build_root_system caches the system and its omega memo)."""
+    sys_ = build_root_system(label, rank)
+    want = omega_classes(sys_)
+    reversed_frames = standard_frames(sys_)[::-1]
+    monkeypatch.setattr(groups, "standard_frames", lambda _: reversed_frames)
+    assert groups._omega_classes(sys_, groups.DEFAULT_FRAME_CAP) == want
+
+
 def test_omega_standard_frames_hit_distinct_classes():
-    for label, rank in [("B", 4), ("F", 4), ("E", 6)]:
+    for label, rank in SUPPORTED_SYSTEMS:
         sys_ = build_root_system(label, rank)
         omega = omega_classes(sys_)
         seen = set()
