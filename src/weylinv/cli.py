@@ -420,6 +420,11 @@ def _report_lines(doc: dict, verbose: int) -> list[str]:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.all and cfg.type_label is not None:
+        name = system_name(cfg.type_label, cfg.rank)
+        raise UnsupportedSystemError(
+            f"verify takes a system or --all, not {name} and --all"
+        )
     if args.all:
         tasks = VERIFY_TASKS
     elif cfg.type_label is not None:

@@ -3,10 +3,11 @@
 Two routes from an embedding of (Z/2)^k into an orthogonal group to a
 diagonal form over the torsor coordinates:
 
- * linear route: simultaneous exact eigenspace splitting of the
-   commuting involution matrices; each twisted basis vector contributes
-   one diagonal entry 2^a * (product of coordinates where the character
-   is -1).
+ * linear route: each line of the frame is one character space, and
+   the lines' orthogonal complement is fixed; each vector of an
+   orthogonal basis of the lines and the complement contributes one
+   diagonal entry 2^a * (product of coordinates where the character is
+   -1).
  * permutation route: the action on a finite point set decomposes into
    orbits; each orbit of size 2^f is a scaled f-fold Pfister form whose
    slots are pullbacks of the dual basis of P/kernel.  One kernel,
@@ -81,40 +82,14 @@ def _primitive(v: list[int]) -> list[int]:
     return v if g == 1 else [x // g for x in v]
 
 
-def _echelon(rows: list[list[int]]) -> list[list[int]]:
-    """Primitive echelon basis of the rows' span, in ascending pivot order.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): a row is
-    reduced at each earlier pivot p by row <- b[p] row - row[p] b.  If
-    the inputs are nonzero rational multiples of rows r_k, every row
-    kept is a nonzero multiple of the one that rational elimination
-    row <- row - (row[p] / b[p]) b builds from the r_k with the same
-    pivot order, because the update is bilinear in (row, b) and b[p]
-    is nonzero; so the zero tests and pivots are the same too.
-    """
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        for piv, b in zip(pivots, basis):
-            c = row[piv]
-            if c:
-                bp = b[piv]
-                row = [bp * x - c * y for x, y in zip(row, b)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        basis.append(_primitive(row))
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=pivots.__getitem__)
-    return [basis[i] for i in order]
-
-
 def _orthogonalize(basis: list[list[int]]) -> list[list[int]]:
-    """Unnormalized Gram-Schmidt on integer vectors, in basis order.
+    """Unnormalized Gram-Schmidt on nonzero integer vectors, in basis
+    order; a vector in the span of the ones before it is dropped.
 
     w <- (u.u) w - (u.w) u is (u.u) times w - (u.w / u.u) u, and it is
     bilinear in (w, u) again, so each vector stays a nonzero multiple of
-    the one rational Gram-Schmidt builds from the same inputs.
+    the one rational Gram-Schmidt builds from the same inputs, and is 0
+    exactly when that one is.
     """
     ortho: list[list[int]] = []
     for w in basis:
@@ -122,8 +97,12 @@ def _orthogonalize(basis: list[list[int]]) -> list[list[int]]:
             uw = sum(map(mul, u, w))
             if uw:
                 uu = sum(map(mul, u, u))
-                w = _primitive([uu * x - uw * y for x, y in zip(w, u)])
-        ortho.append(w)
+                w = [uu * x - uw * y for x, y in zip(w, u)]
+                if not any(w):
+                    break
+                w = _primitive(w)
+        else:
+            ortho.append(w)
     return ortho
 
 
@@ -151,79 +130,44 @@ def _square_free_two_part(x: int) -> Optional[int]:
     return a % 2
 
 
-def _form_of_numerators(
-    numerators: Sequence[tuple[list[list[int]], int]], labels: Sequence[str]
+def _form_of_lines(
+    roots: Sequence[Sequence[int]], labels: Sequence[str]
 ) -> DiagonalForm:
-    """Diagonal form of the torsor twist for commuting orthogonal
-    involutions M = A / den, given as the pairs (A, den), den > 0.
+    """Diagonal form of the torsor twist for the reflections at the
+    integer vectors roots[i] of the standard inner-product space.
 
-    The involution, orthogonality and commutation checks run on the
-    integer numerators: M is an orthogonal involution exactly when
-    A.A = A^T.A = den^2 * I, and M_i, M_j commute exactly when
-    A_i.A_j = A_j.A_i.  A common orthogonal eigenbasis is then computed
-    on integer vectors; a vector u with character chi and squared norm
-    2^a * (square) yields the entry 2^a * prod_{i in chi} c_i.  Each
-    vector is a nonzero rational multiple of the one that the same
-    eliminations in rational arithmetic build, so its norm differs by a
-    square and the entry is the same.  Any common denominator of M will
-    do for den: the checks and the character spaces scale with it.
+    Two reflections commute exactly when their vectors are parallel or
+    orthogonal.  Each line is then one character space, with bit i for
+    every vector on it, and the lines' orthogonal complement is fixed.
+    Gram-Schmidt on the lines, then e_1, ..., e_N, gives the complement
+    an orthogonal basis; a vector u with character chi and squared norm
+    2^a * (square) yields the entry 2^a * prod_{i in chi} c_i.
     """
-    k = len(numerators)
-    if k != len(labels):
+    if len(roots) != len(labels):
         raise ValueError("one label per generator required")
-    dim = len(numerators[0][0]) if numerators else 0
-
-    def int_mul(a, b):
-        cols = list(zip(*b))
-        return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-    for a, den in numerators:
-        if len(a) != dim or any(len(row) != dim for row in a):
-            raise ValueError("matrices must be square of equal size")
-        scaled_ident = [[den * den * (i == j) for j in range(dim)] for i in range(dim)]
-        if int_mul(a, a) != scaled_ident:
-            raise ValueError("generator is not an involution")
-        if int_mul(list(zip(*a)), a) != scaled_ident:
-            raise ValueError("generator is not orthogonal")
-    for i in range(k):
-        for j in range(i + 1, k):
-            ai, aj = numerators[i][0], numerators[j][0]
-            if int_mul(ai, aj) != int_mul(aj, ai):
-                raise ValueError("generators do not commute")
-
-    # split into simultaneous character spaces: with v in a space, the
-    # (+1)- and (-1)-parts of v under M = A / den are positive multiples
-    # of den v + A v and den v - A v
-    spaces: list[tuple[int, list[list[int]]]] = [
-        (0, [[int(i == j) for j in range(dim)] for i in range(dim)])
-    ]
-    for gi, (a, den) in enumerate(numerators):
-        nxt = []
-        for chi, basis in spaces:
-            plus, minus = [], []
-            for v in basis:
-                av = [sum(map(mul, row, v)) for row in a]
-                plus.append([den * x + y for x, y in zip(v, av)])
-                minus.append([den * x - y for x, y in zip(v, av)])
-            pb, mb = _echelon(plus), _echelon(minus)
-            if pb:
-                nxt.append((chi, pb))
-            if mb:
-                nxt.append((chi | (1 << gi), mb))
-        spaces = nxt
-    if sum(len(b) for _, b in spaces) != dim:
-        raise AssertionError("character spaces do not fill the ambient space")
-
+    lines: list[list[int]] = []
+    chars: list[int] = []
+    for i, r in enumerate(roots):
+        v = _primitive(list(r))
+        j = next((j for j, u in enumerate(lines) if sum(map(mul, u, v))), None)
+        if j is None:
+            lines.append(v)
+            chars.append(1 << i)
+        elif lines[j] in (v, [-x for x in v]):
+            chars[j] |= 1 << i
+        else:
+            raise ValueError("generators do not commute")
+    dim = len(roots[0]) if roots else 0
+    unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
     entries = []
-    for chi, basis in spaces:
-        for u in _orthogonalize(basis):
-            norm = sum(map(mul, u, u))
-            a = _square_free_two_part(norm)
-            if a is None:
-                raise UnsupportedEmbeddingError(
-                    f"eigenvector norm {norm} is not 2^a times a square"
-                )
-            entries.append((a, chi))
+    for chi, u in zip(chars + [0] * dim, _orthogonalize(lines + unit)):
+        norm = sum(map(mul, u, u))
+        a = _square_free_two_part(norm)
+        if a is None:
+            raise UnsupportedEmbeddingError(
+                f"eigenvector norm {norm} is not 2^a times a square"
+            )
+        entries.append((a, chi))
     entries.sort(key=lambda e: (e[1] == 0, e[1], e[0]))
     return DiagonalForm(tuple(labels), tuple(entries))
 
@@ -234,16 +178,7 @@ def form_of_linear_action(
     """Diagonal form of a frame acting on the root system's ambient space."""
     if labels is None:
         labels = [root_label(sys_, r) for r in frame_roots]
-    # the reflection at d is A / dd with A = dd I - 2 d d^T
-    numerators = []
-    for r in frame_roots:
-        d = sys_.roots[r]
-        dd = sum(map(mul, d, d))
-        a = [[-2 * x * y for y in d] for x in d]
-        for i in range(len(d)):
-            a[i][i] += dd
-        numerators.append((a, dd))
-    return _form_of_numerators(numerators, labels)
+    return _form_of_lines([sys_.roots[r] for r in frame_roots], labels)
 
 
 # ---------------------------------------------------------------------------

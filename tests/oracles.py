@@ -38,9 +38,9 @@ directly, and the tests check the direct form against it:
     inner product in Fraction; weylinv.roots builds reflection tables
     from integer dot products of doubled coordinates.
   * reflection_matrix / form_of_involutions - a reflection as its
-    Fraction matrix, and the diagonal form of any commuting orthogonal
-    involutions given as rational matrices; weylinv.forms builds the
-    integer numerators of the frame reflections directly.
+    Fraction matrix, and the diagonal form of commuting reflections
+    given as rational matrices, each root read off its matrix;
+    weylinv.forms reads the frame's lines off the roots directly.
   * GeneratedGroup / enumerate_subgroup - a subgroup listed element by
     element from permutation generators, each element the bytes of its
     images; weylinv.groups.group_order counts W two BFS layers at a
@@ -124,7 +124,7 @@ from weylinv.errors import (
 from weylinv.forms import (
     DiagonalForm,
     _commuting_involution_failure,
-    _form_of_numerators,
+    _form_of_lines,
     _modified_from_twisted,
     _orbit_pfister,
     total_sw,
@@ -804,17 +804,40 @@ def form_of_involutions(
     matrices: Sequence[Sequence[Sequence]],
     labels: Sequence[str],
 ) -> DiagonalForm:
-    """Diagonal form of the torsor twist for commuting orthogonal
-    involutions given as rational matrices on the standard
-    inner-product space: weylinv.forms._form_of_numerators on the pairs
-    (A, den) with M = A / den, den the lcm of M's denominators."""
-    numerators = []
+    """Diagonal form of the torsor twist for commuting reflections given
+    as rational matrices on the standard inner-product space.  Each
+    matrix M must be an orthogonal involution; its root is read off a
+    nonzero column of I - M, scaled to integers, and M must be the
+    reflection at it.  weylinv.forms._form_of_lines then takes the
+    roots."""
+    roots = []
     for m in matrices:
         m = [[Fraction(x) for x in row] for row in m]
-        den = lcm(*(x.denominator for row in m for x in row))
-        a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-        numerators.append((a, den))
-    return _form_of_numerators(numerators, labels)
+        n = len(m)
+        if any(len(row) != n for row in m):
+            raise ValueError("generator is not a square matrix")
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        if _mat_mul(m, m) != ident:
+            raise ValueError("generator is not an involution")
+        if _mat_mul([list(col) for col in zip(*m)], m) != ident:
+            raise ValueError("generator is not orthogonal")
+        cols = [[ident[i][j] - m[i][j] for i in range(n)] for j in range(n)]
+        col = next((c for c in cols if any(c)), None)  # a column of I - M
+        if col is None:
+            raise ValueError("generator is the identity, not a reflection")
+        den = lcm(*(x.denominator for x in col))
+        root = [int(x * den) for x in col]
+        dd = sum(x * x for x in root)
+        if m != [[ident[i][j] - Fraction(2 * root[i] * root[j], dd)
+                  for j in range(n)] for i in range(n)]:
+            raise ValueError("generator is not a reflection")
+        roots.append(root)
+    return _form_of_lines(roots, labels)
+
+
+def _mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def modified_sw(form: DiagonalForm, d: int, ambient_parity: int | None = None):

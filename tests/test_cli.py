@@ -350,6 +350,18 @@ def test_restrict_by_explicit_frame_roots(capsys):
     assert code == 0 and out.strip() == "res^(custom)(w1) = {e1} + {e2}"
 
 
+def test_restrict_e6_frame_without_a_two_power_form_exits_2(capsys):
+    """One of the 120 maximal E6 frames whose reflection representation
+    has no 2-power diagonalization: the complement of its lines holds a
+    vector of squared norm 12."""
+    roots = ("0,0,0,2,-2,0,0,0", "0,2,-2,0,0,0,0,0",
+             "1,-1,-1,-1,-1,-1,-1,1", "1,1,1,1,1,-1,-1,1")
+    argv = [tok for r in roots for tok in ("--root", r)]
+    code, out, err = run(capsys, "restrict", "E6", "wt1", *argv)
+    assert code == 2 and out == "", err
+    assert "eigenvector norm 12 is not 2^a times a square" in err, err
+
+
 def test_restrict_rejects_unknown_name(capsys):
     code, _, err = run(capsys, "restrict", "B2", "w9")
     assert code == 2 and "choices" in err
@@ -373,6 +385,15 @@ def test_verify_json_single(capsys):
 def test_verify_requires_target(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "--all" in err
+
+
+def test_verify_system_and_all_is_a_usage_error(capsys):
+    """verify with both a system and --all names both and verifies
+    nothing, where --all once dropped the system silently."""
+    for system in ("B4", "I2(4)"):
+        code, out, err = run(capsys, "verify", system, "--all")
+        assert code == 2 and out == "", err
+        assert f"{system} and --all" in err, err
 
 
 def test_verify_all_task_order_and_determinism(capsys, tmp_path):

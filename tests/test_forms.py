@@ -18,7 +18,6 @@ from weylinv.forms import (
 )
 from weylinv.forms import (
     _commuting_involution_failure,
-    _echelon,
     _f2_kernel_basis,
     _orbit_pfister,
     _orthogonalize,
@@ -381,7 +380,8 @@ def _gram_schmidt(basis):
             uv = sum(x * y for x, y in zip(u, w))
             if uv:
                 w = [x - (uv / uu) * y for x, y in zip(w, u)]
-        ortho.append(w)
+        if any(w):
+            ortho.append(w)
     return ortho
 
 
@@ -414,12 +414,22 @@ def fraction_form_of_involutions(matrices, labels):
     return DiagonalForm(tuple(labels), tuple(entries))
 
 
+# every maximal frame at these; elsewhere the standard frames, and at E7
+# three more and every frame with one member dropped
+_ALL_FRAMES = {("B", 4), ("B", 5), ("D", 4), ("D", 6), ("F", 4), ("E", 6)}
+
+
 def _oracle_frames(label, rank):
     sys_ = build_root_system(label, rank)
+    if (label, rank) in _ALL_FRAMES:
+        return sys_, maximal_orthogonal_frames(sys_)
     frames = [f for _, f in standard_frames(sys_)]
-    if (label, rank) in (("D", 4), ("D", 6), ("E", 7)):
+    if (label, rank) == ("E", 7):
         found = maximal_orthogonal_frames(sys_)
         frames += [found[0], found[len(found) // 2], found[-1]]
+        # with a member dropped, the order of the Gram-Schmidt on the
+        # complement decides some entries (<1, 1> and <2, 2> are isometric)
+        frames += [f[:i] + f[i + 1:] for f in frames for i in range(len(f))]
     return sys_, frames
 
 
@@ -430,13 +440,56 @@ SYSTEMS = [
 
 @pytest.mark.parametrize("label,rank", SYSTEMS)
 def test_linear_forms_match_fraction_oracle(label, rank):
+    """On every frame both routes give the same form, or both raise
+    UnsupportedEmbeddingError: E6 has one class of 135 maximal frames,
+    and 120 of them have no 2-power diagonalization."""
     sys_, frames = _oracle_frames(label, rank)
+    if (label, rank) == ("E", 6):
+        # the oracle takes about 20 ms a frame here: every frame where the
+        # route returns, and the first 10 where it raises
+        returns = []
+        for frame in frames:
+            try:
+                form_of_linear_action(sys_, frame)
+            except UnsupportedEmbeddingError:
+                continue
+            returns.append(frame)
+        assert (len(frames), len(returns)) == (135, 15)
+        frames = returns + [f for f in frames if f not in returns][:10]
+    raised = 0
     for frame in frames:
         labels = [root_label(sys_, r) for r in frame]
-        oracle = fraction_form_of_involutions(
-            [reflection_matrix(sys_, r) for r in frame], labels
-        )
+        matrices = [reflection_matrix(sys_, r) for r in frame]
+        try:
+            oracle = fraction_form_of_involutions(matrices, labels)
+        except UnsupportedEmbeddingError:
+            raised += 1
+            with pytest.raises(UnsupportedEmbeddingError):
+                form_of_linear_action(sys_, frame)
+            continue
         assert form_of_linear_action(sys_, frame) == oracle, frame
+    assert raised == (10 if (label, rank) == ("E", 6) else 0)
+
+
+def test_linear_action_repeated_and_non_commuting_roots():
+    """A root and its negative are one line, so one entry carries both
+    bits; two roots neither parallel nor orthogonal do not commute."""
+    sys_ = build_root_system("B", 4)
+    frame = dict(standard_frames(sys_))["P_0"]
+    r = frame[0]
+    neg = sys_.index[tuple(-x for x in sys_.roots[r])]
+    form = form_of_linear_action(sys_, (r, neg), "ab")
+    assert render_form(form) == "<ab, 1, 1, 1>"
+    assert form == form_of_involutions(
+        [reflection_matrix(sys_, i) for i in (r, neg)], "ab"
+    )
+    again = form_of_linear_action(sys_, frame + (r,))
+    assert [chi for _, chi in again.entries].count(0b10001) == 1
+    assert again.dim == len(frame)
+    f4 = build_root_system("F", 4)
+    near = [f4.index[v] for v in ((1, 1, 1, 1), (1, 1, 1, -1))]
+    with pytest.raises(ValueError, match="do not commute"):
+        form_of_linear_action(f4, near, AB)
 
 
 def _parallel(v, w):
@@ -449,20 +502,20 @@ def _parallel(v, w):
 
 
 def test_integer_elimination_matches_fraction_oracle():
-    """Every vector of the fraction-free echelon and Gram-Schmidt steps
-    is a nonzero multiple of the rational oracle's.  Root-system frames
-    never reach the Gram-Schmidt update (their echelon bases are
-    already orthogonal), so random rows exercise it here."""
+    """Every vector of the fraction-free Gram-Schmidt is a nonzero
+    multiple of the rational oracle's, and a vector in the span of the
+    ones before it is dropped by both.  Root-system frames reach the
+    update only in the complement of their lines, so random rows,
+    dependent ones among them, exercise it here."""
     rng = random.Random(5)
     for _ in range(200):
         width = rng.randint(2, 6)
         rows = [[rng.randint(-3, 3) for _ in range(width)]
                 for _ in range(rng.randint(1, width + 1))]
-        got = _echelon(rows)
-        want = _rref([[Fraction(x) for x in row] for row in rows])
+        rows = [row for row in rows if any(row)]
+        got = _orthogonalize(rows)
+        want = _gram_schmidt([[Fraction(x) for x in row] for row in rows])
         assert len(got) == len(want)
-        assert all(map(_parallel, got, want)), rows
-        got, want = _orthogonalize(got), _gram_schmidt(want)
         assert all(map(_parallel, got, want)), rows
 
 
