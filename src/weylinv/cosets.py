@@ -6,15 +6,16 @@ outside the subsystem Sigma_U.  The stabiliser of a vector in a
 reflection group is generated by the reflections fixing it, so that
 orthogonality condition makes the stabiliser exactly U and the key map
 injective on cosets.  This keeps E8 tractable: the 17280 cosets are
-found by a BFS over the simple reflections instead of walking 7 x 10^8
-group elements.  The BFS runs on each key's Dynkin labels packed into
-one int, where a simple reflection is a field read and one subtraction
-(_label_bfs); each label field is as wide as the largest label on the
-orbit needs, which is 3 bits for E8, so an E8 key is a 24-bit int.  A
-space is its size, |U| and a fold certificate: the BFS counts the keys
-and keeps none of them.  |U| is never enumerated either: a chain of
-root orbits gives it as |U r| x |Stab_U(r)|, the stabiliser again a
-reflection group by Steinberg's theorem.  The order identity
+found by a walk over the simple reflections instead of listing 7 x 10^8
+group elements.  The walk runs on each key's Dynkin labels packed into
+one int, where a simple reflection is a field read and one subtraction;
+each label field is as wide as the largest label on the orbit needs,
+which is 3 bits for E8, so an E8 key is a 24-bit int.  It walks a tree
+rooted at the orbit's dominant point, meeting each key from its one
+canonical parent (_label_bfs), so it keeps no set of keys: a space is
+its size, |U| and a fold certificate.  |U| is never enumerated either:
+a chain of root orbits gives it as |U r| x |Stab_U(r)|, the stabiliser
+again a reflection group by Steinberg's theorem.  The order identity
 |orbit| x |U| = |W| is still re-checked at build time.
 
 Frame reflections act on the keys linearly.  For orthogonal frame roots
@@ -28,7 +29,7 @@ act on it simply transitively: every orbit is certified, with fold
 Cohomological Invariants in Galois Cohomology, Ch. VII).  s_{b_i}
 negates the i-th pairing and keeps the others, so each orbit holds
 exactly one point whose pairings are all >= 0.  A certificate is the
-sorted active sets of those points, which the coset BFS reads off k
+sorted active sets of those points, which the coset walk reads off k
 more packed fields holding the pairings (_label_bfs).
 
 A cache file (format_version 5) is one line of compact JSON with sorted
@@ -203,14 +204,14 @@ def _label_width(sys_: RootSystem, vec: Key) -> int:
 def _label_bfs(
     sys_: RootSystem, start: Key, frame_roots: Optional[Sequence[int]] = None
 ) -> tuple[int, Optional[ASets]]:
-    """The size of the W-orbit of start, by BFS over the simple
+    """The size of the W-orbit of start, by a walk over the simple
     reflections, and with frame_roots the sorted active sets of the
-    frame's orbits on it (None without: the BFS only counts).
+    frame's orbits on it (None without: the walk only counts).
 
-    The BFS runs on packed Dynkin labels.  A vector v with labels c_j is
-    the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels of
-    s_i(v) are c_j - c_i A_ij, where A_ij = 2(a_i, a_j)/(a_j, a_j), so
-    the image key is key - c_i row_i, row_i = sum_j A_ij 2^(w j), and
+    The walk runs on packed Dynkin labels.  A vector v with labels c_j
+    is the int sum_j (c_j + off) 2^(w j) with off = 2^(w-1).  The labels
+    of s_i(v) are c_j - c_i A_ij, where A_ij = 2(a_i, a_j)/(a_j, a_j),
+    so the image key is key - c_i row_i, row_i = sum_j A_ij 2^(w j), and
     c_i is read off field i.  This is exact: the labels of w(v) are
     2(v, b)/(b, b) with b = w^-1(a_j), a root, and every root is
     W-conjugate to a simple one, so the largest |label| on the orbit is
@@ -224,15 +225,24 @@ def _label_bfs(
     the orbit.  _coset_orbit hands in a primitive start (see
     _invariant_vector): for E8, M is 3 and a key is 24 bits.
 
+    The orbit is walked as a tree, so no set of met keys is kept
+    (reverse search, Avis-Fukuda 1996).  Its root is the orbit's one
+    dominant point, all c_j >= 0 (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.12), reached by applying s_j while some c_j < 0.
+    The parent of any other y is s_i y for the least i with c_i(y) < 0,
+    so from x the walk steps to y = s_i x exactly when c_i(x) > 0 and
+    c_j(y) >= 0 for all j < i.  A field's top bit is set exactly when
+    its value is >= 0, so that is one mask test, and
+    ((key & lows) + lows) & key & tops marks the fields with c_i > 0.
+
     Frame roots b_1, ..., b_k add k fields after the labels, holding
     <v, b_j^v> + off.  s_i lowers <v, b_j^v> by c_i <a_i, b_j^v>, so
     row_i carries <a_i, b_j^v> in field rank + j and the same
     subtraction updates them.  A pairing is 2(v, b)/(b, b) for a root b,
-    so M bounds it too and the width holds it.  A field has its top bit
-    set exactly when its pairing is >= 0; the one vector of each frame
-    orbit with every frame field so gives the orbit's active set, the
-    fields not equal to off (see the module docstring).  A packed
-    kernel, so not roots._bfs_orbits.
+    so M bounds it too and the width holds it.  The one vector of each
+    frame orbit with every frame field's top bit set gives the orbit's
+    active set, the fields not equal to off (see the module docstring).
+    A packed kernel, so not roots._bfs_orbits.
     """
     simple = [sys_.roots[i] for i in sys_.simple_indices]
     frame = [sys_.roots[b] for b in frame_roots or ()]
@@ -243,25 +253,37 @@ def _label_bfs(
     def pack(fields: Sequence[int]) -> int:
         return sum(c << (width * j) for j, c in enumerate(fields))
 
-    steps = [(width * i, pack(_labels(simple + frame, a))) for i, a in enumerate(simple)]
-    first = pack([c + off for c in labels + _labels(frame, start)])
-    keys = [first]
-    seen = {first}
-    for key in keys:  # FIFO: the loop reaches appended keys
-        for shift, row in steps:
-            q = ((key >> shift) & mask) - off
-            if q and (img := key - q * row) not in seen:
-                seen.add(img)
-                keys.append(img)
+    tail = width * len(simple)
+    tops, lows = pack([off] * len(simple)), pack([off - 1] * len(simple))
+    # a set of label top bits -> the steps (shift, row, top bits below)
+    # of its fields; rank <= 8, so there are at most 256 sets
+    kids = {0: ()}
+    for i, a in enumerate(simple):
+        step = (width * i, pack(_labels(simple + frame, a)), pack([off] * i))
+        kids.update({p | off << step[0]: ks + (step,) for p, ks in kids.items()})
+    key = pack([c + off for c in labels + _labels(frame, start)])
+    while neg := tops & ~key:  # some c_j < 0: raise towards the root
+        shift, row, _ = kids[neg & -neg][0]
+        key -= (((key >> shift) & mask) - off) * row
+    # the top bits of the frame fields; without a frame, a bit no key has
+    fdom = 1 << tail if frame_roots is None else pack([off] * len(frame)) << tail
+    size, found, stack = 0, [], [key]
+    while stack:
+        key = stack.pop()
+        size += 1
+        if key & fdom == fdom:
+            found.append(key >> tail)
+        for shift, row, below in kids[((key & lows) + lows) & key & tops]:
+            img = key - ((key >> shift) & (off - 1)) * row  # c_i > 0: its low bits
+            if img & below == below:
+                stack.append(img)
     if frame_roots is None:
-        return len(keys), None
-    tail, top = width * len(simple), pack([off] * len(frame))
+        return size, None
     a_sets = [
         tuple(j for j in range(len(frame)) if (f >> (width * j)) & mask != off)
-        for f in (key >> tail for key in keys)
-        if f & top == top
+        for f in found
     ]
-    return len(keys), tuple(sorted(a_sets))
+    return size, tuple(sorted(a_sets))
 
 
 def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
@@ -327,7 +349,7 @@ def build_coset_space(
 ) -> CosetSpace:
     """Count U\\W(sys) and validate the order identity.
 
-    When the system has one standard frame, the same coset BFS reads
+    When the system has one standard frame, the same coset walk reads
     off that frame's fold certificate.  With cache_dir set, a previously
     built space for the same (type, rank, generators, format version)
     is loaded instead, and a fresh build is written back.  A space of
@@ -412,7 +434,7 @@ def _coset_orbit(
 ) -> tuple[int, Optional[ASets], int]:
     """|U\\W|, the frame's sorted active sets (see _label_bfs; None
     without frame_roots) and |U|, after checking the order identity
-    |orbit| x |U| = |W|.  |W| / |U| is known before the BFS, which does
+    |orbit| x |U| = |W|.  |W| / |U| is known before the walk, which does
     not start when it is above element_cap (None: no cap)."""
     images = [sys_.reflection_images(g) for g in u_gen_roots]
     sigma_u = _sigma_u(sys_, u_gen_roots)
@@ -449,7 +471,7 @@ def full_check(
     non-orthogonal roots raise CertificateError naming the pair.
 
     The space's stored certificate is returned for the frame it was
-    made for.  Any other frame is read off one coset BFS that carries
+    made for.  Any other frame is read off one coset walk that carries
     the frame pairings (_label_bfs).
     """
     frame_roots = tuple(frame_roots)

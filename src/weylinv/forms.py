@@ -131,10 +131,11 @@ def _square_free_two_part(x: int) -> Optional[int]:
 
 
 def _form_of_lines(
-    roots: Sequence[Sequence[int]], labels: Sequence[str]
+    roots: Sequence[Sequence[int]], labels: Sequence[str], dim: int
 ) -> DiagonalForm:
     """Diagonal form of the torsor twist for the reflections at the
-    integer vectors roots[i] of the standard inner-product space.
+    integer vectors roots[i] of the standard inner-product space of
+    dimension dim (given, since roots may be empty).
 
     Two reflections commute exactly when their vectors are parallel or
     orthogonal.  Each line is then one character space, with bit i for
@@ -157,7 +158,6 @@ def _form_of_lines(
             chars[j] |= 1 << i
         else:
             raise ValueError("generators do not commute")
-    dim = len(roots[0]) if roots else 0
     unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
     entries = []
     for chi, u in zip(chars + [0] * dim, _orthogonalize(lines + unit)):
@@ -178,7 +178,8 @@ def form_of_linear_action(
     """Diagonal form of a frame acting on the root system's ambient space."""
     if labels is None:
         labels = [root_label(sys_, r) for r in frame_roots]
-    return _form_of_lines([sys_.roots[r] for r in frame_roots], labels)
+    roots = [sys_.roots[r] for r in frame_roots]
+    return _form_of_lines(roots, labels, len(sys_.roots[0]))
 
 
 # ---------------------------------------------------------------------------

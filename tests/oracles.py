@@ -803,25 +803,30 @@ def reflection_matrix(sys_, root_idx: int) -> list[list[Fraction]]:
 def form_of_involutions(
     matrices: Sequence[Sequence[Sequence]],
     labels: Sequence[str],
+    dim: Optional[int] = None,
 ) -> DiagonalForm:
     """Diagonal form of the torsor twist for commuting reflections given
-    as rational matrices on the standard inner-product space.  Each
-    matrix M must be an orthogonal involution; its root is read off a
-    nonzero column of I - M, scaled to integers, and M must be the
-    reflection at it.  weylinv.forms._form_of_lines then takes the
-    roots."""
+    as rational matrices on the standard inner-product space of
+    dimension dim, read off the matrices when None (an empty list needs
+    it given).  Each matrix M must be an orthogonal involution; its root
+    is read off a nonzero column of I - M, scaled to integers, and M
+    must be the reflection at it.  weylinv.forms._form_of_lines then
+    takes the roots."""
+    if dim is None:
+        if not matrices:
+            raise ValueError("no generators, so the dimension must be given")
+        dim = len(matrices[0])
     roots = []
     for m in matrices:
         m = [[Fraction(x) for x in row] for row in m]
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise ValueError("generator is not a square matrix")
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise ValueError(f"generator is not a {dim} x {dim} matrix")
+        ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
         if _mat_mul(m, m) != ident:
             raise ValueError("generator is not an involution")
         if _mat_mul([list(col) for col in zip(*m)], m) != ident:
             raise ValueError("generator is not orthogonal")
-        cols = [[ident[i][j] - m[i][j] for i in range(n)] for j in range(n)]
+        cols = [[ident[i][j] - m[i][j] for i in range(dim)] for j in range(dim)]
         col = next((c for c in cols if any(c)), None)  # a column of I - M
         if col is None:
             raise ValueError("generator is the identity, not a reflection")
@@ -829,10 +834,10 @@ def form_of_involutions(
         root = [int(x * den) for x in col]
         dd = sum(x * x for x in root)
         if m != [[ident[i][j] - Fraction(2 * root[i] * root[j], dd)
-                  for j in range(n)] for i in range(n)]:
+                  for j in range(dim)] for i in range(dim)]:
             raise ValueError("generator is not a reflection")
         roots.append(root)
-    return _form_of_lines(roots, labels)
+    return _form_of_lines(roots, labels, dim)
 
 
 def _mat_mul(a, b):

@@ -492,6 +492,20 @@ def test_linear_action_repeated_and_non_commuting_roots():
         form_of_linear_action(f4, near, AB)
 
 
+@pytest.mark.parametrize("label,rank", [("B", 4), ("E", 8)])
+def test_empty_frame_fixes_the_ambient_space(label, rank):
+    """With no frame roots the trivial group acts on all of R^N, so the
+    form has one (0, 0) entry per ambient coordinate, through the
+    package route and through the matrix oracle given the dimension."""
+    sys_ = build_root_system(label, rank)
+    form = form_of_linear_action(sys_, ())
+    assert form == DiagonalForm(labels=(), entries=((0, 0),) * len(sys_.roots[0]))
+    assert form.dim == {"B": 4, "E": 8}[label]
+    assert form == form_of_involutions([], (), form.dim)
+    with pytest.raises(ValueError, match="dimension must be given"):
+        form_of_involutions([], ())
+
+
 def _parallel(v, w):
     """v and w are nonzero multiples of each other."""
     p = next((i for i, x in enumerate(v) if x), None)
