@@ -65,6 +65,7 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     _find_root,
+    _reflection_group_order,
     root_label,
     standard_frames,
     weyl_order,
@@ -139,37 +140,6 @@ def standard_u_gens(sys_: RootSystem) -> tuple[int, ...]:
     head = [_find_root(sys_, {0: 2, 1: 2})] if label == "E" else []
     # tail entry i stands for the root e_{i+1} - e_{i+2}
     return tuple(head + [_find_root(sys_, {i: 2, i + 1: -2}) for i in tail])
-
-
-def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
-    """|W(Sigma)| for a reflection-closed set of roots, without
-    enumerating the group.
-
-    Orbit-stabiliser on a root r gives |W| = |W r| x |Stab(r)|, and by
-    Steinberg's theorem Stab(r) is generated by the reflections fixing
-    r, i.e. it is the reflection group of the roots of Sigma orthogonal
-    to r, again reflection-closed.  Repeat until no roots are left; for
-    the S8 inside E8 the chain is 56 x 30 x 12 x 2.  W r is the set of
-    roots of r's length in r's irreducible component (Humphreys,
-    Introduction to Lie Algebras, 10.4 Lemma C), and that component is
-    r's class under the chains of non-orthogonal roots, so only the
-    inner products within Sigma are read.
-    """
-    order = 1
-    left = [sys_.roots[r] for r in roots]
-    while left:
-        first, rest = left[0], set(left[1:])
-
-        def near(v: Key) -> list[Key]:
-            found = [w for w in rest if sum(map(mul, v, w))]
-            rest.difference_update(found)
-            return found
-
-        length = sum(map(mul, first, first))
-        component = _bfs_orbits([first], near)[0]
-        order *= sum(1 for v in component if sum(map(mul, v, v)) == length)
-        left = [v for v in left if not sum(map(mul, v, first))]
-    return order
 
 
 def _labels(simple: Sequence[Key], vec: Key) -> list[int]:

@@ -9,6 +9,9 @@ revalidated.  A frame is the sorted tuple of the canonical root indices
 of its lines (make_frame), so frames are hashable and orbit searches key
 dictionaries by them directly.
 
+group_order never lists the elements of W: its "bfs" route is the
+orbit-stabiliser chain of root orbits (_reflection_group_order).
+
 The module also classifies Omega(G), the conjugacy classes of maximal
 frames (pairwise-orthogonal root sets generating elementary abelian
 2-subgroups of reflections), and builds the dihedral groups that have no
@@ -16,9 +19,8 @@ root geometry here.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -77,9 +79,41 @@ def weyl_order(sys_: RootSystem) -> int:
     raise UnsupportedSystemError(label)
 
 
+def _reflection_group_order(sys_: RootSystem, roots: Sequence[int]) -> int:
+    """|W(Sigma)| for a reflection-closed set of roots, without
+    enumerating the group.
+
+    Orbit-stabiliser on a root r gives |W| = |W r| x |Stab(r)|, and by
+    Steinberg's theorem Stab(r) is generated by the reflections fixing
+    r, i.e. it is the reflection group of the roots of Sigma orthogonal
+    to r, again reflection-closed.  Repeat until no roots are left; for
+    the S8 inside E8 the chain is 56 x 30 x 12 x 2.  W r is the set of
+    roots of r's length in r's irreducible component (Humphreys,
+    Introduction to Lie Algebras, 10.4 Lemma C), and that component is
+    r's class under the chains of non-orthogonal roots, so only the
+    inner products within Sigma are read.
+    """
+    order = 1
+    left = [sys_.roots[r] for r in roots]
+    while left:
+        first, rest = left[0], set(left[1:])
+
+        def near(v: tuple[int, ...]) -> list[tuple[int, ...]]:
+            found = [w for w in rest if sum(map(mul, v, w))]
+            rest.difference_update(found)
+            return found
+
+        length = sum(map(mul, first, first))
+        component = _bfs_orbits([first], near)[0]
+        order *= sum(1 for v in component if sum(map(mul, v, v)) == length)
+        left = [v for v in left if not sum(map(mul, v, first))]
+    return order
+
+
 def order_method(sys_: RootSystem) -> str:
     """How group_order computes |W(Sigma)|: "coset-product" (E7/E8),
-    "bfs" (rank <= 6 and F4) or "formula" (the other ranks)."""
+    "bfs" (rank <= 6 and F4: the root-orbit chain, whose orbits are
+    breadth-first searches) or "formula" (the other ranks)."""
     label, n = sys_.type_label, sys_.rank
     if label == "E" and n in (7, 8):
         return "coset-product"
@@ -91,14 +125,14 @@ def order_method(sys_: RootSystem) -> str:
 def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Order of W(Sigma), by the method order_method names.
 
-    "bfs" visits every element of W as the orbit of the simple-root
-    tuple (a_1, ..., a_n) under the simple reflections, one BFS layer
-    at a time (_layered_order).  An element w is linear and the simple
-    roots span, so w is determined by (w a_1, ..., w a_n): the orbit
-    map is injective and the orbit has |W| elements.  "coset-product"
-    multiplies the coset count |U\\W| by |U| (see weylinv.cosets); that
-    BFS only counts the cosets and reads no frame.  "formula" is the
-    product formula, which the enumerated ranks validate.
+    "bfs" is the root-orbit chain over all of Phi
+    (_reflection_group_order), whose root orbits are breadth-first
+    searches (roots._bfs_orbits); it lists no element of W and reads no
+    formula.  Past element_cap it raises CapExceededError, as a listing
+    of that many elements would.  "coset-product" multiplies the coset
+    count |U\\W| by |U| (see weylinv.cosets); that walk only counts the
+    cosets and reads no frame.  "formula" is the product formula, which
+    the other two methods validate.
     """
     method = order_method(sys_)
     if method == "coset-product":
@@ -108,41 +142,13 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
         size, _, u_order = cosets._coset_orbit(sys_, gens)
         return size * u_order
     if method == "bfs":
-        return _layered_order(sys_, element_cap)
-    return weyl_order(sys_)
-
-
-def _layered_order(sys_: RootSystem, element_cap: int) -> int:
-    """The size of the simple-root tuple's orbit under the simple
-    reflections, holding two BFS layers of it at a time.
-
-    An element is the bytes of its simple-root images, and a simple
-    reflection maps it by one 256-byte bytes.translate table.  Layer k
-    is the elements of length k.  The sign character makes the Cayley
-    graph of (W, S) bipartite, so a neighbour of layer k lies in layer
-    k - 1 or k + 1: the next layer is the current one's images minus
-    the previous layer.  Every element is visited once.  Raises
-    CapExceededError once the orbit has more than element_cap elements.
-    A packed kernel, so not roots._bfs_orbits.
-    """
-    tables = [
-        bytes(sys_.reflection_images(i)).ljust(256, b"\0")
-        for i in sys_.simple_indices
-    ]
-    prev, level = set(), {bytes(sys_.simple_indices)}
-    order = 0
-    while level:
-        order += len(level)
+        order = _reflection_group_order(sys_, range(len(sys_.roots)))
         if order > element_cap:
             raise CapExceededError(
                 f"subgroup exceeds element cap {element_cap}", element_cap
             )
-        nxt = set()
-        for t in tables:
-            nxt.update(map(bytes.translate, level, repeat(t)))
-        nxt -= prev
-        prev, level = level, nxt
-    return order
+        return order
+    return weyl_order(sys_)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,7 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
     frames = [make_frame(sys_, roots) for _, roots in standard_frames(sys_)]
     # a frame is the bytes of its sorted root indices, and a simple
     # reflection maps it by one line table, r -> canonical_rep[s(r)]
-    # (root indices stay below 256, as in _layered_order); bytes
+    # (root indices stay below 256: E8 has 240 roots); bytes
     # order like the index tuples, so orbits and least members agree
     canonical = sys_.canonical_rep
     lines = [

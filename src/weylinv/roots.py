@@ -323,8 +323,8 @@ def _bfs_orbits(points: Iterable, step: Callable[..., Iterable]) -> list[list]:
     Each orbit is a list in breadth-first discovery order, led by the
     first of points it contains; orbits come in the order of those
     leading points, and a point already reached is skipped.  The
-    package's one orbit search; groups._layered_order and the
-    cosets._label_bfs tree walk are packed kernels kept apart for speed.
+    package's one orbit search; the cosets._label_bfs tree walk is a
+    packed kernel kept apart for speed.
     """
     seen = set()
     orbits = []

@@ -20,7 +20,6 @@ from weylinv.cosets import (
     _coset_orbit,
     _label_width,
     _labels,
-    _reflection_group_order,
     build_coset_space,
     cache_path,
     clear_cache,
@@ -34,7 +33,7 @@ from weylinv.errors import (
     CertificateError,
     CosetValidationError,
 )
-from weylinv.groups import standard_frames, weyl_order
+from weylinv.groups import _reflection_group_order, standard_frames, weyl_order
 from weylinv.roots import _bfs_orbits, build_root_system
 
 from oracles import (

@@ -6,11 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from weylinv import groups
-from weylinv.cosets import _reflection_group_order
+from weylinv import cosets, groups
 from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
     _compose,
+    _reflection_group_order,
     build_dihedral,
     dihedral_omega,
     g2_split_check,
@@ -168,10 +168,10 @@ ENUMERATED_ORDERS = [
 
 @pytest.mark.parametrize("label,rank,expected", ENUMERATED_ORDERS)
 def test_enumerated_orders(label, rank, expected):
-    """Five derivations of |W| agree: the full-image enumeration, the
-    orbit of the simple-root tuple listed whole and counted two BFS
-    layers at a time (group_order), the formula table and the root-orbit
-    chain over all of Phi."""
+    """Four derivations of |W| agree: two element-by-element listings
+    (the full-image enumeration and the orbit of the simple-root tuple),
+    the formula table and the root-orbit chain over all of Phi, which is
+    what group_order's "bfs" method computes."""
     sys_ = build_root_system(label, rank)
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
@@ -211,7 +211,7 @@ def test_formula_orders_match_root_orbit_chain(label, rank):
 
 
 def test_every_bfs_order_is_enumerated():
-    """test_enumerated_orders checks group_order's two-layer count
+    """test_enumerated_orders checks group_order's root-orbit chain
     against the element lists at every system it counts."""
     bfs = [
         (t, n)
@@ -222,21 +222,41 @@ def test_every_bfs_order_is_enumerated():
     assert sorted(bfs) == sorted((t, n) for t, n, _ in ENUMERATED_ORDERS)
 
 
-@pytest.mark.parametrize("label,rank", [("B", 4), ("E", 6)])
-def test_group_order_cap_boundary(label, rank):
-    """A cap equal to |W| admits every element; one less does not."""
+@pytest.mark.parametrize(
+    "label,rank,expected",
+    ENUMERATED_ORDERS,
+    ids=[f"{t}-{n}" for t, n, _ in ENUMERATED_ORDERS],
+)
+def test_group_order_cap_boundary(label, rank, expected):
+    """A cap equal to |W| admits the order; one less raises, as a
+    listing of W would."""
     sys_ = build_root_system(label, rank)
-    order = weyl_order(sys_)
-    assert group_order(sys_, element_cap=order) == order
-    with pytest.raises(CapExceededError, match=f"exceeds element cap {order - 1}$"):
-        group_order(sys_, element_cap=order - 1)
+    assert group_order(sys_, element_cap=expected) == expected
+    with pytest.raises(
+        CapExceededError, match=f"^subgroup exceeds element cap {expected - 1}$"
+    ):
+        group_order(sys_, element_cap=expected - 1)
+
+
+def test_bfs_orders_read_no_formula(monkeypatch):
+    """The "bfs" order is a derivation of its own: with the formula
+    table made to raise, group_order still gives every enumerated
+    order."""
+
+    def refuse(sys_):
+        raise AssertionError("the formula table was read")
+
+    monkeypatch.setattr(groups, "weyl_order", refuse)
+    monkeypatch.setattr(cosets, "weyl_order", refuse)
+    for label, rank, expected in ENUMERATED_ORDERS:
+        assert group_order(build_root_system(label, rank)) == expected
 
 
 def test_group_order_holds_two_layers():
-    """group_order(E6) visits 51,840 elements but holds only two BFS
-    layers of them: its traced peak is about 2.1 MiB, against 4.7 MiB
-    for a search that keeps them all.  The ceiling leaves room for the
-    set and bytes sizes of Python 3.10 to 3.13."""
+    """group_order(E6) lists no element of W: the root-orbit chain holds
+    at most the 72 roots, and its traced peak is about 7 KiB, against
+    2.1 MiB when it held two BFS layers of W.  The ceiling leaves room
+    for the object sizes of Python 3.10 to 3.13."""
     sys_ = build_root_system("E", 6)
     tracemalloc.start()
     try:
@@ -244,7 +264,7 @@ def test_group_order_holds_two_layers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20, peak
+    assert peak < 64 * 2**10, peak
 
 
 def test_group_order_dispatch_small():
