@@ -150,12 +150,12 @@ def two(labels: Sequence[str]) -> KInvariant:
     return KInvariant(tuple(labels), frozenset((_S,)))
 
 
-def x_monomial(labels: Sequence[str], names: Iterable[str], two_flag: bool = False) -> KInvariant:
+def x_monomial(labels: Sequence[str], names: Iterable[str]) -> KInvariant:
     mask = 0
     labels = tuple(labels)
     for name in names:
         mask |= 1 << labels.index(name)
-    return KInvariant(labels, frozenset((Monomial(mask, two_flag),)))
+    return KInvariant(labels, frozenset((Monomial(mask),)))
 
 
 # ---------------------------------------------------------------------------

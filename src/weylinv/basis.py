@@ -62,6 +62,7 @@ from .forms import (
 )
 from .groups import (
     _compose,
+    _conjugate,
     _find_root,
     build_dihedral,
     dihedral_omega,
@@ -1342,9 +1343,8 @@ def _dihedral_report(out_type: str, out_rank: int, n: int) -> BasisReport:
 def _dihedral_stabilizer_perms(group, frame) -> list[tuple[int, ...]]:
     perms = set()
     members = list(frame)
-    for g in range(len(group.elements)):
-        ginv = group.inverse(g)
-        images = [group.mul(group.mul(ginv, r), g) for r in members]
+    for g in group:
+        images = [_conjugate(g, r) for r in members]
         if set(images) == set(members):
             perms.add(tuple(members.index(i) for i in images))
     return sorted(perms)

@@ -46,7 +46,7 @@ from .groups import (
 )
 from .roots import build_root_system
 
-__all__ = ["RunConfig", "main", "parse_system", "system_name", "VERIFY_TASKS"]
+__all__ = ["main", "parse_system", "system_name", "VERIFY_TASKS"]
 
 CACHE_ENV = "WEYLINV_CACHE_DIR"
 
@@ -94,78 +94,17 @@ def _positive(token: str) -> int:
     return value
 
 
-class RunConfig:
-    __slots__ = (
-        "command", "type_label", "rank", "fmt", "cache_dir", "max_elements",
-        "max_frames", "verbosity",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        type_label: Optional[str],
-        rank: Optional[int],
-        fmt: str,  # "text" | "json"
-        cache_dir: Optional[str],
-        max_elements: int,
-        max_frames: int,
-        verbosity: int,
-    ) -> None:
-        if max_elements <= 0 or max_frames <= 0:
-            raise ValueError("caps must be positive")
-        self.command = command
-        self.type_label = type_label
-        self.rank = rank
-        self.fmt = fmt
-        self.cache_dir = cache_dir
-        self.max_elements = max_elements
-        self.max_frames = max_frames
-        self.verbosity = verbosity
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in RunConfig.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RunConfig:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in RunConfig.__slots__
-        )
-        return f"RunConfig({fields})"
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    system = getattr(args, "system", None)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
-    return RunConfig(
-        command=args.command,
-        type_label=system[0] if system else None,
-        rank=system[1] if system else None,
-        fmt="json" if args.json else "text",
-        cache_dir=cache_dir,
-        max_elements=args.max_elements,
-        max_frames=args.max_frames,
-        verbosity=args.verbose,
-    )
-
-
-def _emit(cfg: RunConfig, payload: dict, lines: Sequence[str]) -> None:
-    if cfg.fmt == "json":
+def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
 
 
-def _weyl_system(cfg: RunConfig):
+def _weyl_system(args: argparse.Namespace):
     """The root system carrying this label, or None for dihedral-only."""
-    label, rank = cfg.type_label, cfg.rank
+    label, rank = args.system
     if label == "I2":
         if rank == 4:
             return build_root_system("B", 2)
@@ -175,9 +114,9 @@ def _weyl_system(cfg: RunConfig):
     return build_root_system(label, rank)
 
 
-def _dihedral_parameter(cfg: RunConfig) -> int:
+def _dihedral_parameter(args: argparse.Namespace) -> int:
     """n for the dihedral group I2(n) that G2 or I2(n) names."""
-    label, rank = cfg.type_label, cfg.rank
+    label, rank = args.system
     if label == "G" and rank == 2:
         return 6
     if label == "I2" and rank >= 3:
@@ -185,12 +124,12 @@ def _dihedral_parameter(cfg: RunConfig) -> int:
     raise UnsupportedSystemError(f"unsupported system {system_name(label, rank)}")
 
 
-def _require_weyl(cfg: RunConfig):
-    sys_ = _weyl_system(cfg)
+def _require_weyl(args: argparse.Namespace):
+    sys_ = _weyl_system(args)
     if sys_ is None:
-        _dihedral_parameter(cfg)  # G3, I2(2), ...: unsupported outright
+        _dihedral_parameter(args)  # G3, I2(2), ...: unsupported outright
         raise UnsupportedSystemError(
-            f"{system_name(cfg.type_label, cfg.rank)} has no crystallographic "
+            f"{system_name(*args.system)} has no crystallographic "
             "root system here; its checks run under 'verify'"
         )
     return sys_
@@ -200,15 +139,15 @@ def _require_weyl(cfg: RunConfig):
 # commands
 
 
-def cmd_roots(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(cfg)
+def cmd_roots(args: argparse.Namespace) -> int:
+    sys_ = _require_weyl(args)
     coords = [list(r) for r in sys_.roots]
     lines = [f"{len(coords)} roots"]
     lines += [
         f"  {i:3d}  ({', '.join(str(c) for c in r)})" for i, r in enumerate(coords)
     ]
     _emit(
-        cfg,
+        args,
         {
             "type": sys_.type_label,
             "rank": sys_.rank,
@@ -220,26 +159,26 @@ def cmd_roots(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_order(cfg: RunConfig, args: argparse.Namespace) -> int:
-    label, rank = cfg.type_label, cfg.rank
-    if label in ("G", "I2") and _weyl_system(cfg) is None:
-        order, method = 2 * _dihedral_parameter(cfg), "dihedral"
+def cmd_order(args: argparse.Namespace) -> int:
+    label, rank = args.system
+    if label in ("G", "I2") and _weyl_system(args) is None:
+        order, method = 2 * _dihedral_parameter(args), "dihedral"
     else:
-        sys_ = _require_weyl(cfg)
-        order = group_order(sys_, element_cap=cfg.max_elements)
+        sys_ = _require_weyl(args)
+        order = group_order(sys_, element_cap=args.max_elements)
         method = order_method(sys_)
     _emit(
-        cfg,
+        args,
         {"type": label, "rank": rank, "order": order, "method": method},
         [f"|W({system_name(label, rank)})| = {order}  ({method})"],
     )
     return 0
 
 
-def cmd_omega(cfg: RunConfig, args: argparse.Namespace) -> int:
-    label, rank = cfg.type_label, cfg.rank
-    if label in ("G", "I2") and _weyl_system(cfg) is None:
-        classes = dihedral_omega(build_dihedral(_dihedral_parameter(cfg)))
+def cmd_omega(args: argparse.Namespace) -> int:
+    label, rank = args.system
+    if label in ("G", "I2") and _weyl_system(args) is None:
+        classes = dihedral_omega(build_dihedral(_dihedral_parameter(args)))
         payload = {
             "type": label,
             "rank": rank,
@@ -250,29 +189,29 @@ def cmd_omega(cfg: RunConfig, args: argparse.Namespace) -> int:
         lines = [f"{len(classes)} classes"] + [
             f"  class {i}: {len(c)} frames" for i, c in enumerate(classes)
         ]
-        _emit(cfg, payload, lines)
+        _emit(args, payload, lines)
         return 0
-    sys_ = _require_weyl(cfg)
-    omega = omega_classes(sys_, max_frames=cfg.max_frames)
-    reps = [[root_label(sys_, r) for r in rep] for rep in omega.representatives]
-    sizes = list(omega.orbit_sizes) if omega.orbit_sizes else None
+    sys_ = _require_weyl(args)
+    classes = omega_classes(sys_, max_frames=args.max_frames)
+    reps = [[root_label(sys_, r) for r in rep] for rep, _ in classes]
+    sizes = [size for _, size in classes]
     payload = {
         "type": sys_.type_label,
         "rank": sys_.rank,
         "classes": len(reps),
         "representatives": reps,
         "orbit_sizes": sizes,
-        "method": omega.method,
+        "method": "bfs",
     }
-    lines = [f"{len(reps)} classes"]
-    for i, labels in enumerate(reps):
-        size = f"{sizes[i]} frames" if sizes else "size not enumerated"
-        lines.append(f"  class {i}: [{' '.join(labels)}]  {size}")
-    _emit(cfg, payload, lines)
+    lines = [f"{len(reps)} classes"] + [
+        f"  class {i}: [{' '.join(labels)}]  {size} frames"
+        for i, (labels, size) in enumerate(zip(reps, sizes))
+    ]
+    _emit(args, payload, lines)
     return 0
 
 
-def _u_generators(cfg: RunConfig, sys_, args: argparse.Namespace) -> tuple[int, ...]:
+def _u_generators(sys_, args: argparse.Namespace) -> tuple[int, ...]:
     if args.u_root:
         try:
             return tuple(sys_.index[c] for c in args.u_root)
@@ -285,14 +224,14 @@ def _u_generators(cfg: RunConfig, sys_, args: argparse.Namespace) -> tuple[int, 
     except ValueError:  # it names sys_, not the label as typed
         raise UnsupportedSystemError(
             "no standard coset subgroup recorded for "
-            f"{system_name(cfg.type_label, cfg.rank)}; give one with --u-root"
+            f"{system_name(*args.system)}; give one with --u-root"
         ) from None
 
 
-def cmd_cosets(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(cfg)
+def cmd_cosets(args: argparse.Namespace) -> int:
+    sys_ = _require_weyl(args)
     space = build_coset_space(
-        sys_, _u_generators(cfg, sys_, args), cfg.cache_dir, cfg.max_elements
+        sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
     )
     product = space.size * space.u_order
     payload = {
@@ -307,7 +246,7 @@ def cmd_cosets(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"{space.size} cosets; |U| = {space.u_order}; "
         f"{space.size} * {space.u_order} = {product}"
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -336,10 +275,10 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
     return name, frames[name]
 
 
-def cmd_fullcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(cfg)
+def cmd_fullcheck(args: argparse.Namespace) -> int:
+    sys_ = _require_weyl(args)
     space = build_coset_space(
-        sys_, _u_generators(cfg, sys_, args), cfg.cache_dir, cfg.max_elements
+        sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
     )
     fname, frame_roots = _frame_for(sys_, args)
     cert = full_check(sys_, space, frame_roots)
@@ -363,13 +302,14 @@ def cmd_fullcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{len(cert.a_sets)} orbits; folds "
             + ", ".join(f"{fold_counts[str(f)]} of fold {f}" for f in folds)
         )
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_restrict(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(cfg)
-    named = {g.name: g for g in generators_for(cfg.type_label, cfg.rank)}
+def cmd_restrict(args: argparse.Namespace) -> int:
+    sys_ = _require_weyl(args)
+    label, rank = args.system
+    named = {g.name: g for g in generators_for(label, rank)}
     if args.name not in named:
         raise UnsupportedSystemError(
             f"no basis element {args.name!r}; choices: {', '.join(named)}"
@@ -380,18 +320,18 @@ def cmd_restrict(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         targets = standard_frames(sys_)
     values = {
-        fname: restrict(inv, roots, sys_, cfg.cache_dir).render()
+        fname: restrict(inv, roots, sys_, args.cache_dir).render()
         for fname, roots in targets
     }
     payload = {
-        "type": cfg.type_label,
-        "rank": cfg.rank,
+        "type": label,
+        "rank": rank,
         "name": inv.name,
         "degree": inv.degree,
         "values": values,
     }
     lines = [f"res^{fname}({inv.name}) = {v}" for fname, v in values.items()]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -419,52 +359,51 @@ def _report_lines(doc: dict, verbose: int) -> list[str]:
     return lines
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.all and cfg.type_label is not None:
-        name = system_name(cfg.type_label, cfg.rank)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.all and args.system is not None:
         raise UnsupportedSystemError(
-            f"verify takes a system or --all, not {name} and --all"
+            f"verify takes a system or --all, not {system_name(*args.system)} and --all"
         )
     if args.all:
         tasks = VERIFY_TASKS
-    elif cfg.type_label is not None:
-        tasks = ((cfg.type_label, cfg.rank),)
+    elif args.system is not None:
+        tasks = (args.system,)
     else:
         raise UnsupportedSystemError("verify needs a system argument or --all")
-    docs = [verify_basis(t, r, cfg.cache_dir)._payload() for t, r in tasks]
+    docs = [verify_basis(t, r, args.cache_dir)._payload() for t, r in tasks]
     ok = all(c["status"] == "pass" for d in docs for c in d["checks"])
-    if cfg.fmt == "json":
+    if args.json:
         print(json.dumps({"pass": ok, "reports": docs}, indent=2, sort_keys=True))
     else:
         for doc in docs:
-            for line in _report_lines(doc, cfg.verbosity):
+            for line in _report_lines(doc, args.verbose):
                 print(line)
         print("all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 1
 
 
-def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if cfg.cache_dir is None:
+def cmd_cache(args: argparse.Namespace) -> int:
+    if args.cache_dir is None:
         raise UnsupportedSystemError(
             f"cache commands need --cache-dir or ${CACHE_ENV}"
         )
     if args.action == "clear":
-        removed = clear_cache(cfg.cache_dir)
+        removed = clear_cache(args.cache_dir)
         _emit(
-            cfg,
-            {"cache_dir": cfg.cache_dir, "removed": removed},
+            args,
+            {"cache_dir": args.cache_dir, "removed": removed},
             [f"removed {len(removed)} file(s)"] + [f"  {n}" for n in removed],
         )
         return 0
-    entries = _inspect_entries(cfg.cache_dir)
-    lines = [f"{len(entries)} cached space(s) in {cfg.cache_dir}"]
+    entries = _inspect_entries(args.cache_dir)
+    lines = [f"{len(entries)} cached space(s) in {args.cache_dir}"]
     for e in entries:
         cert = "certified" if e["certified"] else "no certificate"
         lines.append(
             f"  {e['file']}: {e['type']}{e['rank']}, {e['cosets']} cosets, "
             f"{e['bytes']} bytes, {cert}"
         )
-    _emit(cfg, {"cache_dir": cfg.cache_dir, "spaces": entries}, lines)
+    _emit(args, {"cache_dir": args.cache_dir, "spaces": entries}, lines)
     return 0
 
 
@@ -579,13 +518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser.parse_args(_attach_coords(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
     try:
-        cfg = _config(args)
-    except ValueError as bad:
-        print(f"weylinv: {bad}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[args.command](cfg, args)
+        return _DISPATCH[args.command](args)
     except CapExceededError as cap:
         print(f"weylinv: resource cap: {cap}", file=sys.stderr)
         return 3

@@ -14,25 +14,24 @@ orbit-stabiliser chain of root orbits (_reflection_group_order).
 
 The module also classifies Omega(G), the conjugacy classes of maximal
 frames (pairwise-orthogonal root sets generating elementary abelian
-2-subgroups of reflections), and builds the dihedral groups that have no
-root geometry here.
+2-subgroups of reflections), as sorted (representative, orbit size)
+pairs, and builds the dihedral groups that have no root geometry here,
+each as the tuple of its elements' image tuples.
 """
 from __future__ import annotations
 
 from math import factorial
 from operator import itemgetter, mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CapExceededError,
     NormalizerError,
     UnsupportedSystemError,
 )
-from ._records import record_eq, record_ne
 from .roots import RootSystem, _bfs_orbits, _vec
 
 __all__ = [
-    "OmegaClasses",
     "group_order",
     "order_method",
     "weyl_order",
@@ -41,7 +40,6 @@ __all__ = [
     "normalizer_action",
     "standard_frames",
     "root_label",
-    "DihedralGroup",
     "build_dihedral",
     "dihedral_omega",
     "g2_split_check",
@@ -127,27 +125,23 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
 
     "bfs" is the root-orbit chain over all of Phi
     (_reflection_group_order), whose root orbits are breadth-first
-    searches (roots._bfs_orbits); it lists no element of W and reads no
-    formula.  Past element_cap it raises CapExceededError, as a listing
-    of that many elements would.  "coset-product" multiplies the coset
-    count |U\\W| by |U| (see weylinv.cosets); that walk only counts the
-    cosets and reads no frame.  "formula" is the product formula, which
-    the other two methods validate.
+    searches (roots._bfs_orbits); it lists no element of W, reads no
+    formula and so has no element cap.  "coset-product" multiplies the
+    coset count |U\\W| by |U| (see weylinv.cosets); that walk only counts
+    the cosets, reads no frame and is refused before it starts when
+    there are more than element_cap cosets (CapExceededError).
+    "formula" is the product formula, which the other two methods
+    validate.
     """
     method = order_method(sys_)
     if method == "coset-product":
         from . import cosets  # local import: cosets depends on this module
 
         gens = cosets.standard_u_gens(sys_)
-        size, _, u_order = cosets._coset_orbit(sys_, gens)
+        size, _, u_order = cosets._coset_orbit(sys_, gens, element_cap=element_cap)
         return size * u_order
     if method == "bfs":
-        order = _reflection_group_order(sys_, range(len(sys_.roots)))
-        if order > element_cap:
-            raise CapExceededError(
-                f"subgroup exceeds element cap {element_cap}", element_cap
-            )
-        return order
+        return _reflection_group_order(sys_, range(len(sys_.roots)))
     return weyl_order(sys_)
 
 
@@ -187,41 +181,21 @@ def make_frame(
 # Omega classification
 
 
-class OmegaClasses(NamedTuple):
-    """Conjugacy classes of maximal frames.
-
-    method is "bfs" (full set-orbit enumeration; orbit_sizes populated and
-    summing to the total frame count) or "inductive" (frame cap fallback:
-    the standard frames as representatives and orbit_sizes None).
-    """
-
-    representatives: tuple[tuple[int, ...], ...]
-    orbit_sizes: Optional[tuple[int, ...]]
-    method: str
-
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
-
-
 def omega_classes(
     sys_: RootSystem, max_frames: int = DEFAULT_FRAME_CAP
-) -> OmegaClasses:
-    """Classify maximal frames up to W-conjugacy.
+) -> list[tuple[tuple[int, ...], int]]:
+    """Classify maximal frames up to W-conjugacy: the sorted
+    (representative, orbit size) pairs.
 
-    Primary path: the set-orbits of the standard frames under the simple
-    reflections (which generate W).  Reflections are isometries, so every
-    orbit member is a maximal frame, and standard_frames meets every
-    class (the tests check both against a listing of all maximal frames),
-    so the orbits partition the maximal frames.  Orbits come in order of
-    their lexicographically least member, which represents each.  If the
-    orbits hold more than max_frames frames in all, the result is the
-    inductive fallback instead: the standard frames as representatives,
-    one per class, with orbit_sizes None.  No supported system has more
-    than 2,025 maximal frames (E8), so the search itself needs no cap.
+    The classes are the set-orbits of the standard frames under the
+    simple reflections (which generate W).  Reflections are isometries,
+    so every orbit member is a maximal frame, and standard_frames meets
+    every class (the tests check both against a listing of all maximal
+    frames), so the orbits partition the maximal frames.  Each orbit is
+    represented by its lexicographically least member.  The walk raises
+    CapExceededError when it expands frame max_frames + 1; no supported
+    system has more than 2,025 maximal frames (E8).
     """
-    return sys_.memo(("omega", max_frames), lambda: _omega_classes(sys_, max_frames))
-
-
-def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
     frames = [make_frame(sys_, roots) for _, roots in standard_frames(sys_)]
     # a frame is the bytes of its sorted root indices, and a simple
     # reflection maps it by one line table, r -> canonical_rep[s(r)]
@@ -232,20 +206,21 @@ def _omega_classes(sys_: RootSystem, max_frames: int) -> OmegaClasses:
         bytes(canonical[r] for r in sys_.reflection_images(i)).ljust(256, b"\0")
         for i in sys_.simple_indices
     ]
-    orbits = _bfs_orbits(
-        map(bytes, frames),
-        lambda key: [bytes(sorted(key.translate(t))) for t in lines],
-    )
-    if sum(map(len, orbits)) > max_frames:
-        return OmegaClasses(
-            representatives=tuple(frames), orbit_sizes=None, method="inductive"
-        )
-    classes = sorted((min(orbit), len(orbit)) for orbit in orbits)
-    return OmegaClasses(
-        representatives=tuple(tuple(rep) for rep, _ in classes),
-        orbit_sizes=tuple(size for _, size in classes),
-        method="bfs",
-    )
+    expanded = 0
+
+    def step(key: bytes) -> list[bytes]:
+        nonlocal expanded
+        expanded += 1
+        if expanded > max_frames:
+            raise CapExceededError(
+                f"{sys_.type_label}{sys_.rank} has more than {max_frames} "
+                "maximal frames (the frame cap)",
+                max_frames,
+            )
+        return [bytes(sorted(key.translate(t))) for t in lines]
+
+    orbits = _bfs_orbits(map(bytes, frames), step)
+    return sorted((tuple(min(orbit)), len(orbit)) for orbit in orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -362,55 +337,11 @@ def normalizer_action(
 # dihedral groups
 
 
-class DihedralGroup:
-    """The dihedral group of order 2n in its natural degree-n representation.
-
-    elements[k] for k < n is the rotation i -> i + k (mod n); element
-    n + k is the reflection sigma^k tau where tau(i) = n - 1 - i.
-    reflection_ids marks the n reflections.  _index, each element's
-    position, is derived from elements and left out of equality.
-    """
-
-    __slots__ = ("n", "elements", "reflection_ids", "_index")
-
-    def __init__(
-        self,
-        n: int,
-        elements: tuple[tuple[int, ...], ...],
-        reflection_ids: tuple[int, ...],
-    ) -> None:
-        self.n = n
-        self.elements = elements
-        self.reflection_ids = reflection_ids
-        self._index = {p: i for i, p in enumerate(elements)}
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not DihedralGroup:
-            return NotImplemented
-        return (self.n, self.elements, self.reflection_ids) == (
-            other.n, other.elements, other.reflection_ids
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.elements, self.reflection_ids))
-
-    def __repr__(self) -> str:
-        return (
-            f"DihedralGroup(n={self.n!r}, elements={self.elements!r}, "
-            f"reflection_ids={self.reflection_ids!r})"
-        )
-
-    def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] followed by elements[j]."""
-        return self._index[_compose(self.elements[j], self.elements[i])]
-
-    def inverse(self, i: int) -> int:
-        """Index of the inverse of elements[i]."""
-        # rotation by k undoes rotation by n - k; reflections are involutions
-        return i if i >= self.n else -i % self.n
-
-
-def build_dihedral(n: int) -> DihedralGroup:
+def build_dihedral(n: int) -> tuple[tuple[int, ...], ...]:
+    """The dihedral group of order 2n in its natural degree-n
+    representation, as the image tuples of its elements: element k < n
+    is the rotation i -> i + k (mod n), element n + k the reflection
+    sigma^k tau where tau(i) = n - 1 - i."""
     if n < 3:
         raise UnsupportedSystemError("dihedral parameter must be >= 3")
     rotations = [
@@ -419,74 +350,73 @@ def build_dihedral(n: int) -> DihedralGroup:
     reflections = [
         tuple((n - 1 - i + k) % n for i in range(n)) for k in range(n)
     ]
-    elements = tuple(rotations + reflections)
-    return DihedralGroup(
-        n=n,
-        elements=elements,
-        reflection_ids=tuple(range(n, 2 * n)),
-    )
+    return tuple(rotations + reflections)
 
 
-def dihedral_omega(group: DihedralGroup) -> list[list[tuple[int, ...]]]:
-    """Conjugacy classes of maximal commuting reflection sets.
+def _conjugate(g: Sequence[int], r: Sequence[int]) -> tuple[int, ...]:
+    """g r g^-1: the table g[i] -> g[r[i]]."""
+    out = [0] * len(g)
+    for i, gi in enumerate(g):
+        out[gi] = g[r[i]]
+    return tuple(out)
+
+
+def dihedral_omega(
+    group: Sequence[tuple[int, ...]],
+) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """Conjugacy classes of maximal commuting reflection sets of a
+    build_dihedral group.
 
     Returns a list of classes; each class is the list of its frames and
-    each frame is a tuple of element indices.  Odd n: singleton frames,
-    one class.  n = 2m: frames {f_k, f_{k+m}}; one class when m is odd,
-    two (k even / k odd) when 4 | n.
+    each frame is the sorted tuple of its reflections.  Odd n: singleton
+    frames, one class.  n = 2m: frames {f_k, f_{k+m}}; one class when m
+    is odd, two (k even / k odd) when 4 | n.
     """
-    n = group.n
-    refl = list(group.reflection_ids)
+    n = len(group) // 2
+    refl = group[n:]
     if n % 2 == 1:
         frames = [(r,) for r in refl]
     else:
         m = n // 2
-        frames = [(refl[k], refl[k + m]) for k in range(m)]
-    # orbit BFS under conjugation by the full group
-    mul = group.mul
-
-    def conj_frame(frame: tuple[int, ...], g: int) -> tuple[int, ...]:
-        # g^-1 r g as a permutation product (apply g, then r, then g^-1)
-        ginv = group.inverse(g)
-        return tuple(sorted(mul(mul(g, r), ginv) for r in frame))
-
-    frames = [tuple(sorted(f)) for f in frames]
-    orbits = _bfs_orbits(frames, lambda f: [conj_frame(f, g) for g in range(2 * n)])
+        frames = [tuple(sorted((refl[k], refl[k + m]))) for k in range(m)]
+    orbits = _bfs_orbits(
+        frames,
+        lambda f: [tuple(sorted(_conjugate(g, r) for r in f)) for g in group],
+    )
     return [sorted(orbit) for orbit in orbits]
 
 
-def g2_split_check(group: DihedralGroup) -> dict[str, bool]:
+def g2_split_check(group: Sequence[tuple[int, ...]]) -> dict[str, bool]:
     """Structural facts used for the order-12 dihedral group (G2's Weyl group).
 
     Checks by enumeration: there is exactly one subgroup of order 3, it
     is normal, and together with a maximal reflection frame P it gives a
     semidirect decomposition |P| * 3 = 12 with trivial intersection.
     """
-    if group.n != 6:
+    if len(group) != 12:
         raise ValueError("split check is specific to the order-12 group")
-    elements = group.elements
+    one = group[0]
     order3 = [
-        i
-        for i, p in enumerate(elements)
-        if p != elements[0]
-        and _compose(p, _compose(p, p)) == elements[0]
+        p
+        for p in group
+        if p != one
+        and _compose(p, _compose(p, p)) == one
     ]
     # each order-3 subgroup contains two order-3 elements
     unique = len(order3) == 2
-    subgroup = {0, *order3}
+    subgroup = {one, *order3}
     normal = True
-    for g in range(12):
+    for g in group:
         for u in subgroup:
-            conj = group.mul(group.mul(group.inverse(g), u), g)
-            if conj not in subgroup:
+            if _conjugate(g, u) not in subgroup:
                 normal = False
     classes = dihedral_omega(group)
     frame = classes[0][0]
-    p_elems = {0}
+    p_elems = {one}
     for r in frame:
-        p_elems |= {group.mul(x, r) for x in p_elems}
+        p_elems |= {_compose(r, x) for x in p_elems}
     splits = (
-        len(p_elems) * len(subgroup) == 12 and p_elems & subgroup == {0}
+        len(p_elems) * len(subgroup) == 12 and p_elems & subgroup == {one}
     )
     return {
         "unique_normal_order3": unique and normal,

@@ -214,9 +214,9 @@ class RootSystem:
         first request, the stored value after that.
 
         Keys are tuples led by the kind of value: ("gram", i),
-        ("reflection", i), ("omega", max_frames), ("cosets", cache_dir),
-        ("certificate", cache_dir, frame) and, in basis, a recipe kind
-        with a frame's roots for its forms and total SW classes.
+        ("reflection", i), ("cosets", cache_dir), ("certificate",
+        cache_dir, frame) and, in basis, a recipe kind with a frame's
+        roots for its forms and total SW classes.
         """
         if key not in self._memo:
             self._memo[key] = build()

@@ -101,6 +101,7 @@ from weylinv.algebra import (
     _moved,
     coordinate_mask,
     one,
+    two,
     x_monomial,
     zero,
 )
@@ -254,9 +255,8 @@ def parse_terms(labels: Sequence[str], text: str) -> KInvariant:
             result = result + one(labels)
             continue
         names = [p for p in part.replace("}", "").split("{") if p]
-        flag = "2" in names
-        names = [p for p in names if p != "2"]
-        result = result + x_monomial(labels, names, flag)
+        term = x_monomial(labels, [p for p in names if p != "2"])
+        result = result + (two(labels) * term if "2" in names else term)
     return result
 
 
@@ -671,10 +671,11 @@ def validate_root_permutation(sys_, images: Sequence[int]) -> None:
 
 
 def frame_class(sys_, omega, frame) -> int:
-    """The index of the representative of omega in frame's W-orbit: a
-    search over the orbit, frames as make_frame tuples, under the simple
-    reflections, until it meets a representative."""
-    reps = {rep: i for i, rep in enumerate(omega.representatives)}
+    """The index of the omega_classes pair whose representative lies in
+    frame's W-orbit: a search over the orbit, frames as make_frame
+    tuples, under the simple reflections, until it meets a
+    representative."""
+    reps = {rep: i for i, (rep, _) in enumerate(omega)}
     canonical = sys_.canonical_rep
     simple = [sys_.reflection_images(s) for s in sys_.simple_indices]
     queue = [tuple(frame)]

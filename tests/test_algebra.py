@@ -172,7 +172,7 @@ def test_substitute_handles_s_offsets():
     rows = [Monomial(0b0001, True), Monomial(0b0010), Monomial(0b0100), Monomial(0b1000)]
     cmap = CoordinateMap(L2, L2, tuple(rows))
     img = substitute(x_monomial(L2, ["a1", "b1"]), cmap)
-    expected = x_monomial(L2, ["a1", "b1"]) + x_monomial(L2, ["b1"], two_flag=True)
+    expected = x_monomial(L2, ["a1", "b1"]) + two(L2) * x_monomial(L2, ["b1"])
     assert img == expected
 
 

@@ -222,9 +222,10 @@ def test_coset_space_past_the_element_cap_exits_3(capsys, tmp_path):
     cache = ["--cache-dir", str(tmp_path)]
     assert run(capsys, "cosets", "D4", *cache)[0] == 0
     assert run(capsys, "cosets", "D4", "--max-elements", "4", *cache)[0] == 3
-    # the order of E8 counts its cosets without the cap
-    code, out, _ = run(capsys, "order", "E8", "--max-elements", "4")
-    assert code == 0 and "696729600" in out
+    # the order of E8 counts its cosets under the same cap
+    code, out, err = run(capsys, "order", "E8", "--max-elements", "4")
+    assert code == 3 and out == ""
+    assert "17280 cosets, more than the element cap 4" in err
 
 
 def test_fullcheck_non_orthogonal_roots_exits_2(capsys):
@@ -796,8 +797,31 @@ def test_missing_standard_coset_subgroup_names_the_label_as_typed(capsys):
 
 
 def test_element_cap_exits_3(capsys):
-    code, _, err = run(capsys, "order", "E6", "--max-elements", "10")
-    assert code == 3 and "resource cap" in err
+    # the root-orbit chain lists no element, so the cap does not bound it
+    code, out, _ = run(capsys, "order", "E6", "--max-elements", "10")
+    assert code == 0 and "51840" in out
+    # E7's order walks its 2016 cosets, which the cap does bound
+    code, out, err = run(capsys, "order", "E7", "--max-elements", "2015")
+    assert code == 3 and out == "" and "resource cap" in err
+    assert run(capsys, "order", "E7", "--max-elements", "2016")[0] == 0
+
+
+@pytest.mark.parametrize("option", ["--max-elements", "--max-frames"])
+def test_caps_must_be_positive(capsys, option):
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "order", "A2", option, value)
+        assert code == 2 and out == ""
+        assert f"argument {option}: must be a positive integer" in err
+
+
+def test_frame_cap_exits_3(capsys):
+    code, out, err = run(capsys, "omega", "E8", "--max-frames", "2024")
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "E8" in err and "2024" in err
+    ref = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
+    want = json.loads(ref.read_text())["omega E8 --json"]["sha256"]
+    code, out, _ = run(capsys, "omega", "E8", "--max-frames", "2025", "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_help_exits_0(capsys):

@@ -10,6 +10,7 @@ from weylinv import cosets, groups
 from weylinv.errors import CapExceededError, NormalizerError
 from weylinv.groups import (
     _compose,
+    _conjugate,
     _reflection_group_order,
     build_dihedral,
     dihedral_omega,
@@ -228,14 +229,21 @@ def test_every_bfs_order_is_enumerated():
     ids=[f"{t}-{n}" for t, n, _ in ENUMERATED_ORDERS],
 )
 def test_group_order_cap_boundary(label, rank, expected):
-    """A cap equal to |W| admits the order; one less raises, as a
-    listing of W would."""
+    """The root-orbit chain lists no element of W, so the element cap is
+    no boundary for it: a cap of 1 still admits |W|."""
     sys_ = build_root_system(label, rank)
-    assert group_order(sys_, element_cap=expected) == expected
+    assert group_order(sys_, element_cap=1) == expected
+
+
+def test_group_order_cap_boundary_e7():
+    """E7's order walks its 2016 cosets: a cap of 2016 admits them, one
+    less refuses the walk before it starts."""
+    sys_ = build_root_system("E", 7)
+    assert group_order(sys_, element_cap=2016) == 2903040
     with pytest.raises(
-        CapExceededError, match=f"^subgroup exceeds element cap {expected - 1}$"
+        CapExceededError, match="2016 cosets, more than the element cap 2015$"
     ):
-        group_order(sys_, element_cap=expected - 1)
+        group_order(sys_, element_cap=2015)
 
 
 def test_bfs_orders_read_no_formula(monkeypatch):
@@ -493,10 +501,11 @@ def test_frame_cap_stops_the_search():
 
 def test_omega_frame_cap_boundary_e8():
     sys_ = build_root_system("E", 8)
-    assert omega_classes(sys_, max_frames=2025).method == "bfs"
-    capped = omega_classes(sys_, max_frames=2024)
-    assert capped.method == "inductive"
-    assert capped.orbit_sizes is None
+    (_, size), = omega_classes(sys_, max_frames=2025)
+    assert size == 2025
+    with pytest.raises(CapExceededError, match="^E8 has more than 2024 ") as err:
+        omega_classes(sys_, max_frames=2024)
+    assert err.value.cap == 2024
 
 
 def test_a_type_frame_size():
@@ -589,11 +598,8 @@ OMEGA_COUNTS = [
 def test_omega_class_counts(label, rank, expected):
     sys_ = build_root_system(label, rank)
     omega = omega_classes(sys_)
-    assert omega.method == "bfs"
-    assert len(omega.representatives) == expected
-    assert omega.orbit_sizes is not None
-    total = sum(omega.orbit_sizes)
-    assert total == len(maximal_orthogonal_frames(sys_))
+    assert len(omega) == expected
+    assert sum(size for _, size in omega) == len(maximal_orthogonal_frames(sys_))
 
 
 @pytest.mark.parametrize("label,rank", SUPPORTED_SYSTEMS)
@@ -607,22 +613,18 @@ def test_omega_orbits_match_the_clique_search(label, rank):
     assert {f for orbit in orbits for f in orbit} == set(frames)
     assert sum(map(len, orbits)) == len(frames)
     assert [orbit[0] for orbit in orbits] == [min(orbit) for orbit in orbits]
-    omega = omega_classes(sys_)
-    assert omega.method == "bfs"
-    assert omega.representatives == tuple(orbit[0] for orbit in orbits)
-    assert omega.orbit_sizes == tuple(map(len, orbits))
+    assert omega_classes(sys_) == [(orbit[0], len(orbit)) for orbit in orbits]
 
 
 @pytest.mark.parametrize("label,rank", [("B", 8), ("C", 5), ("F", 4)])
 def test_omega_does_not_follow_the_seed_order(label, rank, monkeypatch):
     """Orbits come in order of their least member, whatever order
-    standard_frames lists the seeds in (the unmemoized search is called,
-    as build_root_system caches the system and its omega memo)."""
+    standard_frames lists the seeds in."""
     sys_ = build_root_system(label, rank)
     want = omega_classes(sys_)
     reversed_frames = standard_frames(sys_)[::-1]
     monkeypatch.setattr(groups, "standard_frames", lambda _: reversed_frames)
-    assert groups._omega_classes(sys_, groups.DEFAULT_FRAME_CAP) == want
+    assert omega_classes(sys_) == want
 
 
 def test_omega_standard_frames_hit_distinct_classes():
@@ -632,15 +634,32 @@ def test_omega_standard_frames_hit_distinct_classes():
         seen = set()
         for _, roots in standard_frames(sys_):
             seen.add(frame_class(sys_, omega, make_frame(sys_, roots)))
-        assert seen == set(range(len(omega.representatives)))
+        assert seen == set(range(len(omega)))
 
 
-def test_omega_inductive_fallback():
-    sys_ = build_root_system("B", 4)
-    omega = omega_classes(sys_, max_frames=2)
-    assert omega.method == "inductive"
-    assert omega.orbit_sizes is None
-    assert len(omega.representatives) == 3
+def test_omega_frame_cap_stops_the_walk(monkeypatch):
+    """The frame walk counts the frames it expands and stops at frame
+    max_frames + 1, long before A8's 945 maximal frames are listed;
+    with the cap at 945 it expands each frame once."""
+    calls = []
+
+    def counted_orbits(points, step):
+        def counted(key):
+            calls.append(key)
+            return step(key)
+
+        return real(points, counted)
+
+    real = groups._bfs_orbits
+    monkeypatch.setattr(groups, "_bfs_orbits", counted_orbits)
+    sys_ = build_root_system("A", 8)
+    with pytest.raises(CapExceededError, match="^A8 has more than 10 ") as err:
+        omega_classes(sys_, max_frames=10)
+    assert err.value.cap == 10
+    assert len(calls) <= 11
+    calls.clear()
+    (_, size), = omega_classes(sys_, max_frames=945)
+    assert size == 945 == len(calls)
 
 
 def test_orbit_stabilizer_identity_b3():
@@ -649,7 +668,7 @@ def test_orbit_stabilizer_identity_b3():
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     canonical = sys_.canonical_rep
-    for rep, orbit_size in zip(omega.representatives, omega.orbit_sizes):
+    for rep, orbit_size in omega:
         target = set(rep)
         stab = 0
         for images in group.elements:
@@ -765,15 +784,19 @@ def test_double_flip_normalizer_element_d4():
 
 def test_dihedral_basics():
     g = build_dihedral(5)
-    assert g.n == 5
-    assert len(g.elements) == 10
-    assert len(set(g.elements)) == 10
-    for r in g.reflection_ids:
-        assert g.mul(r, r) == 0
-        assert g.inverse(r) == r
-    for i in range(len(g.elements)):
-        assert g.mul(i, g.inverse(i)) == 0 == g.mul(g.inverse(i), i)
-    assert g.inverse(1) == 4  # rotation by 1 undoes rotation by 4
+    one = tuple(range(5))
+    assert len(g) == 10 == len(set(g))
+    assert g[0] == one
+    # rotations first, then the reflections, each an involution
+    for r in g[5:]:
+        assert _compose(r, r) == one
+    assert _compose(g[1], g[4]) == one  # rotation by 1 undoes rotation by 4
+    # closed under composition, and conjugation is g r g^-1
+    assert {_compose(p, q) for p in g for q in g} == set(g)
+    for p in g:
+        (inv,) = [q for q in g if _compose(p, q) == one]
+        for r in g:
+            assert _conjugate(p, r) == _compose(p, _compose(r, inv))
 
 
 def test_dihedral_omega_odd():
@@ -815,6 +838,6 @@ def test_b2_matches_dihedral_of_order_8():
     gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
     group = enumerate_subgroup(gens)
     dih = build_dihedral(4)
-    assert group.order == len(dih.elements)
+    assert group.order == len(dih)
     # same number of reflections: one per root line
-    assert len(sys_.lines) == len(dih.reflection_ids)
+    assert len(sys_.lines) == len(dih) // 2

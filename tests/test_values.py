@@ -24,15 +24,13 @@ from weylinv.basis import (
     Product,
     SignClass,
 )
-from weylinv.cli import RunConfig
 from weylinv.cosets import CosetSpace, FoldCertificate
 from weylinv.forms import DiagonalForm
-from weylinv.groups import DihedralGroup, OmegaClasses, build_dihedral
+from weylinv.groups import _compose, build_dihedral
 
 from oracles import GeneratedGroup
 
 _ONE = NamedInvariant("1", 0, Product(()))
-_D3, _D4 = build_dihedral(3), build_dihedral(4)
 
 #: each type with its fields in declaration order, and for some fields a
 #: different value that still passes the type's construction check
@@ -54,12 +52,6 @@ CASES = [
           certificate=FoldCertificate((), (), ()))),
     (GeneratedGroup, dict(elements=(b"\0\1", b"\1\0"), order=2),
      dict(elements=(b"\0\1",), order=1)),
-    (OmegaClasses,
-     dict(representatives=((0,),), orbit_sizes=(1,), method="bfs"),
-     dict(representatives=((1,),), orbit_sizes=None, method="inductive")),
-    (DihedralGroup,
-     dict(n=3, elements=_D3.elements, reflection_ids=_D3.reflection_ids),
-     dict(n=4, elements=_D4.elements, reflection_ids=_D4.reflection_ids)),
     (FormSW, dict(d=1, action="linear", modified=False),
      dict(d=2, action="signed", modified=True)),
     (SignClass, dict(label="a"), dict(label="b")),
@@ -76,11 +68,6 @@ CASES = [
      dict(type_label="B", rank=2, basis=(_ONE,), frames=(("P_0", ()),),
           restrictions=((),), checks=(CheckResult("c", "pass"),),
           dims=((0, 1, 1),), warnings=("w",))),
-    (RunConfig,
-     dict(command="verify", type_label="A", rank=1, fmt="text", cache_dir=None,
-          max_elements=10, max_frames=10, verbosity=0),
-     dict(command="order", type_label="B", rank=2, fmt="json", cache_dir="c",
-          max_elements=11, max_frames=11, verbosity=1)),
 ]
 
 #: fields that are derived data, left out of the repr
@@ -90,7 +77,7 @@ _IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 18 == len(set(_IDS))
+    assert len(CASES) == 15 == len(set(_IDS))
 
 
 @pytest.mark.parametrize("cls,fields,alternates", CASES, ids=_IDS)
@@ -163,10 +150,6 @@ def test_defaults():
          "x: recipe degree 2 != declared 3"),
         (lambda: NamedInvariant("y", 1, Correction(((0, (_ONE,)), (1, ())))),
          "y: correction terms differ in degree"),
-        (lambda: RunConfig("verify", None, None, "text", None, 0, 1, 0),
-         "caps must be positive"),
-        (lambda: RunConfig("verify", None, None, "text", None, 1, 0, 0),
-         "caps must be positive"),
     ],
 )
 def test_construction_checks_keep_their_messages(build, message):
@@ -175,6 +158,10 @@ def test_construction_checks_keep_their_messages(build, message):
 
 
 def test_dihedral_group_index():
+    """A dihedral group is the tuple of its elements' image tuples, the
+    identity first; rotation k is undone by rotation -k mod n and each
+    reflection by itself."""
     g = build_dihedral(4)
-    assert len(g.elements) == 8
-    assert all(g.mul(i, g.inverse(i)) == 0 for i in range(len(g.elements)))
+    assert len(g) == 8 and g[0] == (0, 1, 2, 3)
+    assert all(_compose(g[k], g[-k % 4]) == g[0] for k in range(4))
+    assert all(_compose(r, r) == g[0] for r in g[4:])
