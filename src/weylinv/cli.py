@@ -88,7 +88,10 @@ def _coords(token: str) -> tuple[int, ...]:
 
 
 def _positive(token: str) -> int:
-    value = int(token)
+    try:
+        value = int(token)
+    except ValueError:  # argparse would name this function in its message
+        value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -178,7 +181,13 @@ def cmd_order(args: argparse.Namespace) -> int:
 def cmd_omega(args: argparse.Namespace) -> int:
     label, rank = args.system
     if label in ("G", "I2") and _weyl_system(args) is None:
-        classes = dihedral_omega(build_dihedral(_dihedral_parameter(args)))
+        n = _dihedral_parameter(args)
+        if (n if n % 2 else n // 2) > args.max_frames:  # its maximal frames
+            raise CapExceededError(
+                f"{system_name(label, rank)} has more than {args.max_frames} "
+                "maximal frames (the frame cap)", args.max_frames,
+            )
+        classes = dihedral_omega(build_dihedral(n))
         payload = {
             "type": label,
             "rank": rank,
@@ -411,6 +420,14 @@ def cmd_cache(args: argparse.Namespace) -> int:
 # wiring
 
 
+_CAPS = {  # flag: (default, help, the commands whose walks it bounds)
+    "--max-elements": (
+        DEFAULT_ELEMENT_CAP, "coset walk cap", ("order", "cosets", "fullcheck")
+    ),
+    "--max-frames": (DEFAULT_FRAME_CAP, "frame walk cap", ("omega",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylinv",
@@ -421,20 +438,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir", default=None, help=f"coset cache directory (or ${CACHE_ENV})"
     )
-    common.add_argument(
-        "--max-elements", type=_positive, default=DEFAULT_ELEMENT_CAP,
-        help="group enumeration cap",
-    )
-    common.add_argument(
-        "--max-frames", type=_positive, default=DEFAULT_FRAME_CAP,
-        help="frame enumeration cap",
-    )
     common.add_argument("-v", "--verbose", action="count", default=0)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     def system_cmd(name: str, helptext: str, system_required: bool = True):
         p = sub.add_parser(name, parents=[common], help=helptext)
+        for cap, (default, walk, commands) in _CAPS.items():
+            if name in commands:
+                p.add_argument(cap, type=_positive, default=default, help=walk)
         if system_required:
             p.add_argument("system", type=parse_system, help="e.g. E8, B_6, I2(5)")
         else:

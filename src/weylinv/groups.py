@@ -196,15 +196,17 @@ def omega_classes(
     CapExceededError when it expands frame max_frames + 1; no supported
     system has more than 2,025 maximal frames (E8).
     """
+    # a frame is the bytes of its line positions (line_of), which ascend
+    # with root index, so bytes order like the frames' index tuples; a
+    # simple reflection s maps it by one table, p -> line_of[s(lines[p])]
+    lines, line_of = sys_.lines, sys_.line_of
+    name = f"{sys_.type_label}{sys_.rank}"
+    if len(lines) > 256:
+        raise ValueError(f"{name} has {len(lines)} lines; a frame key holds 256")
     frames = [make_frame(sys_, roots) for _, roots in standard_frames(sys_)]
-    # a frame is the bytes of its sorted root indices, and a simple
-    # reflection maps it by one line table, r -> canonical_rep[s(r)]
-    # (root indices stay below 256: E8 has 240 roots); bytes
-    # order like the index tuples, so orbits and least members agree
-    canonical = sys_.canonical_rep
-    lines = [
-        bytes(canonical[r] for r in sys_.reflection_images(i)).ljust(256, b"\0")
-        for i in sys_.simple_indices
+    tables = [
+        bytes(map(line_of.__getitem__, _compose(s, lines))).ljust(256, b"\0")
+        for s in map(sys_.reflection_images, sys_.simple_indices)
     ]
     expanded = 0
 
@@ -213,14 +215,13 @@ def omega_classes(
         expanded += 1
         if expanded > max_frames:
             raise CapExceededError(
-                f"{sys_.type_label}{sys_.rank} has more than {max_frames} "
-                "maximal frames (the frame cap)",
+                f"{name} has more than {max_frames} maximal frames (the frame cap)",
                 max_frames,
             )
-        return [bytes(sorted(key.translate(t))) for t in lines]
+        return [bytes(sorted(key.translate(t))) for t in tables]
 
-    orbits = _bfs_orbits(map(bytes, frames), step)
-    return sorted((tuple(min(orbit)), len(orbit)) for orbit in orbits)
+    orbits = _bfs_orbits([bytes(map(line_of.__getitem__, f)) for f in frames], step)
+    return sorted((_compose(lines, min(orbit)), len(orbit)) for orbit in orbits)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,16 @@ value, so the half-integer roots of the E family stay exact integers.
 The dot product of two such tuples is 4 times the inner product of the
 roots, an integer.
 
+Reflection tables find each image by its packed key, one int:
+key(x) = sum_k x_k 2^(w k) in balanced base 2^w.  Vectors with all
+|x_k| < 2^(w-1) have equal keys only if equal (the lowest differing
+entries would differ by a multiple of 2^w), so a dict from root keys
+finds exactly the roots among them.  RootSystem._validate takes w past
+every entry of an image s_i(x) = x - c a_i, top + cmax top (top the
+largest |entry| of a root, cmax the largest |c|), so an image that is
+no root finds no key; reflection_images runs after validation, when
+every image is a root (Humphreys 1.14), so top alone sizes its w.
+
 Supported systems: A_n (n >= 1), B_n/C_n (n >= 2, C aliased to B), D_n
 (n >= 4), E6, E7, E8, F4.  The dihedral families (including G2) have no
 root geometry here; they are handled as permutation groups in
@@ -13,8 +23,8 @@ weylinv.groups.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from operator import mul
+from itertools import combinations, permutations, product, repeat
+from operator import add, eq, mul, sub
 from typing import Callable, Iterable
 
 from .errors import UnsupportedSystemError
@@ -49,31 +59,13 @@ def _vec(ambient: int, entries: dict[int, int]) -> Root:
 
 
 def _roots_a(n: int) -> tuple[list[Root], list[Root]]:
-    ambient = n + 1
-    roots = [
-        _vec(ambient, {i: 2, j: -2})
-        for i in range(ambient)
-        for j in range(ambient)
-        if i != j
-    ]
-    simple = [_vec(ambient, {i: 2, i + 1: -2}) for i in range(n)]
-    return roots, simple
-
-
-def _roots_b(n: int) -> tuple[list[Root], list[Root]]:
-    roots = [_vec(n, {i: 2 * s}) for i in range(n) for s in (1, -1)]
-    roots += [
-        _vec(n, {i: 2 * si, j: 2 * sj})
-        for i, j in combinations(range(n), 2)
-        for si in (1, -1)
-        for sj in (1, -1)
-    ]
-    simple = [_vec(n, {i: 2, i + 1: -2}) for i in range(n - 1)]
-    simple.append(_vec(n, {n - 1: 2}))
+    roots = [_vec(n + 1, {i: 2, j: -2}) for i, j in permutations(range(n + 1), 2)]
+    simple = [_vec(n + 1, {i: 2, i + 1: -2}) for i in range(n)]
     return roots, simple
 
 
 def _roots_d(n: int) -> tuple[list[Root], list[Root]]:
+    """D_n; its roots +-e_i +-e_j are also roots of B_n, E8 and F4."""
     roots = [
         _vec(n, {i: 2 * si, j: 2 * sj})
         for i, j in combinations(range(n), 2)
@@ -85,16 +77,19 @@ def _roots_d(n: int) -> tuple[list[Root], list[Root]]:
     return roots, simple
 
 
-def _roots_e8() -> tuple[list[Root], list[Root]]:
-    roots = [
-        _vec(8, {i: 2 * si, j: 2 * sj})
-        for i, j in combinations(range(8), 2)
-        for si in (1, -1)
-        for sj in (1, -1)
-    ]
-    for signs in product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(signs)
+def _roots_b(n: int) -> tuple[list[Root], list[Root]]:
+    roots = _roots_d(n)[0] + [_vec(n, {i: 2 * s}) for i in range(n) for s in (1, -1)]
+    simple = [_vec(n, {i: 2, i + 1: -2}) for i in range(n - 1)]
+    simple.append(_vec(n, {n - 1: 2}))
+    return roots, simple
+
+
+def _roots_e(n: int) -> tuple[list[Root], list[Root]]:
+    """E8, or the E7 (E6) of its roots orthogonal to e7 + e8 (and e6 - e7)."""
+    roots = _roots_d(8)[0]
+    roots += [signs for signs in product((1, -1), repeat=8) if signs.count(-1) % 2 == 0]
+    if n < 8:  # doubled coords 6 and 7 sum to 0 (and 5 equals 6)
+        roots = [r for r in roots if r[6] + r[7] == 0 and (n == 7 or r[5] == r[6])]
     simple = [
         (1, -1, -1, -1, -1, -1, -1, 1),
         _vec(8, {0: 2, 1: 2}),
@@ -105,35 +100,11 @@ def _roots_e8() -> tuple[list[Root], list[Root]]:
         _vec(8, {5: 2, 4: -2}),
         _vec(8, {6: 2, 5: -2}),
     ]
-    return roots, simple
+    return roots, simple[:n]
 
 
-def _roots_e7() -> tuple[list[Root], list[Root]]:
-    all_e8, simple_e8 = _roots_e8()
-    # E7 = roots of E8 orthogonal to e7 + e8 (doubled coords 6 and 7 sum to 0)
-    roots = [r for r in all_e8 if r[6] + r[7] == 0]
-    return roots, simple_e8[:7]
-
-
-def _roots_e6() -> tuple[list[Root], list[Root]]:
-    all_e8, simple_e8 = _roots_e8()
-    # E6 = roots of E8 orthogonal to both e7 + e8 and e6 - e7
-    roots = [
-        r
-        for r in all_e8
-        if r[6] + r[7] == 0 and r[5] == r[6]
-    ]
-    return roots, simple_e8[:6]
-
-
-def _roots_f4() -> tuple[list[Root], list[Root]]:
-    roots = [
-        _vec(4, {i: 2 * si, j: 2 * sj})
-        for i, j in combinations(range(4), 2)
-        for si in (1, -1)
-        for sj in (1, -1)
-    ]
-    roots += [_vec(4, {i: 2 * s}) for i in range(4) for s in (1, -1)]
+def _roots_f(n: int) -> tuple[list[Root], list[Root]]:
+    roots = _roots_b(4)[0]
     roots += list(product((1, -1), repeat=4))
     simple = [
         _vec(4, {1: 2, 2: -2}),
@@ -162,10 +133,10 @@ class RootSystem:
 
     gram_row(i)[j] is the dot product of the doubled coordinates of
     roots i and j, an integer equal to 4 (roots[i], roots[j]).  It and
-    every other value derived from the system (reflection tables, Omega
-    classes, frame forms, coset spaces, fold certificates) is computed
-    at its first use and held by memo(), so it lives exactly as long as
-    the system: build_root_system.cache_clear() drops them all.
+    every other value derived from the system (packed keys, reflection
+    tables, Omega classes, frame forms, coset spaces, fold certificates)
+    is computed at its first use and held by memo(), so it lives exactly
+    as long as the system: build_root_system.cache_clear() drops them all.
     """
 
     def __init__(
@@ -199,10 +170,8 @@ class RootSystem:
         self.lines: tuple[int, ...] = tuple(
             i for i, c in enumerate(self.canonical_rep) if c == i
         )
-        self.line_of: dict[int, int] = {}
-        for pos, root_idx in enumerate(self.lines):
-            self.line_of[root_idx] = pos
-            self.line_of[self.negation[root_idx]] = pos
+        position = {r: pos for pos, r in enumerate(self.lines)}
+        self.line_of: tuple[int, ...] = tuple(map(position.get, self.canonical_rep))
         self._memo: dict = {}
         self._validate()
 
@@ -214,9 +183,9 @@ class RootSystem:
         first request, the stored value after that.
 
         Keys are tuples led by the kind of value: ("gram", i),
-        ("reflection", i), ("cosets", cache_dir), ("certificate",
-        cache_dir, frame) and, in basis, a recipe kind with a frame's
-        roots for its forms and total SW classes.
+        ("packed",), ("reflection", i), ("cosets", cache_dir),
+        ("certificate", cache_dir, frame) and, in basis, a recipe kind
+        with a frame's roots for its forms and total SW classes.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -253,37 +222,40 @@ class RootSystem:
         The tables of (b) are stored as the simple reflections'
         reflection_images: each is then a permutation of Phi, and as the
         restriction of an orthogonal reflection a sign-equivariant
-        isometry, so no later check repeats this one.  The Gram matrix
-        is not needed here: `gram_row` computes each row the first time
-        it is read.
+        isometry, so no later check repeats this one.  Images are found
+        by packed key (see the module docstring), building no tuple.
         """
         roots = self.roots
         n = len(roots)
         if n % 2 != 0:
             raise ValueError("root count must be even (negation pairing)")
-        for i in range(n):
-            j = self.negation[i]
-            if j == i or self.negation[j] != i:
-                raise ValueError("negation is not a perfect matching")
-        index = self.index
-        tables = []
+        neg = self.negation
+        fixed = any(map(eq, neg, range(n)))  # a zero vector is its own negative
+        if fixed or list(map(neg.__getitem__, neg)) != list(range(n)):
+            raise ValueError("negation is not a perfect matching")
+        cols = tuple(zip(*roots))
+        pairings = []
         for s in self.simple_indices:
             ad = roots[s]
             aa = sum(map(mul, ad, ad))
-            table = []
-            for j, wd in enumerate(roots):
-                c, rem = divmod(2 * sum(map(mul, ad, wd)), aa)
-                if rem:
-                    raise ValueError(
-                        f"non-integral Cartan pairing between {ad} and {wd}"
-                    )
-                if c:  # s_i fixes the roots orthogonal to a_i
-                    j = index.get(tuple([b - c * a for a, b in zip(ad, wd)]))
-                    if j is None:
-                        raise ValueError(f"not closed: s_{ad}({wd}) missing")
-                table.append(j)
+            twice = _combine(cols, [2 * a for a in ad], n)  # 2 ad.wd per root wd
+            if any(map(aa.__rmod__, twice)):
+                wd = roots[next(j for j, t in enumerate(twice) if t % aa)]
+                raise ValueError(f"non-integral Cartan pairing between {ad} and {wd}")
+            pairings.append(list(map(aa.__rfloordiv__, twice)))
+        # Phi = -Phi, so the largest entry and pairing are the largest |.|
+        top = max(map(max, cols), default=0)
+        index = _packed_index(cols, top + top * max(map(max, pairings), default=0), n)
+        keys = list(index)
+        tables = []
+        for s, cs in zip(self.simple_indices, pairings):
+            # key(s_i w) = key(w) - c key(a_i); c = 0 gives w its own key
+            table = tuple(map(index.get, map(sub, keys, map(keys[s].__mul__, cs))))
+            if None in table:
+                wd = roots[table.index(None)]
+                raise ValueError(f"not closed: s_{roots[s]}({wd}) missing")
             tables.append(table)
-            self._memo["reflection", s] = tuple(table)
+            self._memo["reflection", s] = table
         reached = _bfs_orbits(self.simple_indices, lambda i: [t[i] for t in tables])
         seen = {i for orbit in reached for i in orbit}
         if len(seen) != n:
@@ -295,25 +267,44 @@ class RootSystem:
     def reflection_images(self, root_idx: int) -> tuple[int, ...]:
         """Root-index images of the reflection at roots[root_idx].
 
-        The Cartan integers come from the Gram row; a root orthogonal to
-        roots[root_idx] is its own image.  _validate stores the simple
-        reflections' tables, so those are never rebuilt here.
+        The Cartan integers come from the coordinate columns, and each
+        image is looked up by its packed key, key(w) - c key(v); the key
+        index is memoized once per system as ("packed",).  _validate
+        stores the simple reflections' tables, so those are never
+        rebuilt here.
         """
 
         def build():
+            n = len(self.roots)
+            cols = tuple(zip(*self.roots))
+            index = self.memo(
+                ("packed",), lambda: _packed_index(cols, max(map(max, cols)), n)
+            )
             vd = self.roots[root_idx]
-            row = self.gram_row(root_idx)
-            vv = row[root_idx]
-            index = self.index
-            out = []
-            for j, (w, g) in enumerate(zip(self.roots, row)):
-                if g:
-                    c = 2 * g // vv
-                    j = index[tuple([b - c * a for a, b in zip(vd, w)])]
-                out.append(j)
-            return tuple(out)
+            vv = sum(map(mul, vd, vd))
+            cs = map(vv.__rfloordiv__, _combine(cols, [2 * a for a in vd], n))
+            keys = list(index)
+            images = map(sub, keys, map(keys[root_idx].__mul__, cs))
+            return tuple(map(index.__getitem__, images))
 
         return self.memo(("reflection", root_idx), build)
+
+
+def _combine(cols: tuple[tuple[int, ...], ...], coeffs: list[int], n: int) -> list[int]:
+    """sum_k coeffs[k] cols[k], one entry per root: the dot products of
+    coeffs with every root, or with coeffs = 2^(w k) the packed keys."""
+    out = [0] * n
+    for c, col in zip(coeffs, cols):
+        if c:
+            out = map(add, out, map(mul, col, repeat(c, n)))
+    return list(out)
+
+
+def _packed_index(cols, bound: int, n: int) -> dict[int, int]:
+    """Packed key -> root index, in base 2^w with 2^(w-1) > bound."""
+    w = bound.bit_length() + 1
+    keys = _combine(cols, [1 << (w * k) for k in range(len(cols))], n)
+    return dict(zip(keys, range(n)))
 
 
 def _bfs_orbits(points: Iterable, step: Callable[..., Iterable]) -> list[list]:
@@ -363,24 +354,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         raise UnsupportedSystemError(
             f"unsupported root system {type_label}{rank}"
         )
-    if label == "A":
-        roots, simple = _roots_a(rank)
-    elif label == "B":
-        roots, simple = _roots_b(rank)
-    elif label == "D":
-        roots, simple = _roots_d(rank)
-    elif label == "E":
-        if rank == 6:
-            roots, simple = _roots_e6()
-        elif rank == 7:
-            roots, simple = _roots_e7()
-        elif rank == 8:
-            roots, simple = _roots_e8()
-        else:
-            raise UnsupportedSystemError(f"unsupported root system E{rank}")
-    elif label == "F":
-        roots, simple = _roots_f4()
-    else:  # pragma: no cover - SUPPORTED table guards this
-        raise UnsupportedSystemError(type_label)
+    build = {"A": _roots_a, "B": _roots_b, "D": _roots_d, "E": _roots_e, "F": _roots_f}
+    roots, simple = build[label](rank)
     return RootSystem(label, rank, roots, simple, notes)
 

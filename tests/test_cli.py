@@ -808,10 +808,38 @@ def test_element_cap_exits_3(capsys):
 
 @pytest.mark.parametrize("option", ["--max-elements", "--max-frames"])
 def test_caps_must_be_positive(capsys, option):
-    for value in ("0", "-1"):
-        code, out, err = run(capsys, "order", "A2", option, value)
+    command = "omega" if option == "--max-frames" else "order"
+    for value in ("0", "-1", "abc", "1.5"):
+        code, out, err = run(capsys, command, "A2", option, value)
         assert code == 2 and out == ""
         assert f"argument {option}: must be a positive integer" in err
+        assert "_positive" not in err  # argparse names a type function on ValueError
+
+
+def test_caps_are_options_of_the_commands_they_bound(capsys):
+    """--max-elements bounds the coset walks of order, cosets and
+    fullcheck, --max-frames the frame walk of omega; any other command
+    refuses them as usage errors instead of ignoring them."""
+    for command, option in (
+        ("order", "--max-elements"),
+        ("cosets", "--max-elements"),
+        ("fullcheck", "--max-elements"),
+        ("omega", "--max-frames"),
+    ):
+        assert run(capsys, command, "D4", option, "100")[0] == 0
+    for argv in (
+        ("verify", "E7", "--max-elements", "4"),
+        ("verify", "E7", "--max-frames", "4"),
+        ("restrict", "A2", "v1", "--max-elements", "4"),
+        ("restrict", "A2", "v1", "--max-frames", "4"),
+        ("roots", "A2", "--max-elements", "4"),
+        ("order", "A2", "--max-frames", "4"),
+        ("omega", "A2", "--max-elements", "4"),
+        ("cache", "inspect", "--max-elements", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"unrecognized arguments: {argv[-2]} 4" in err
 
 
 def test_frame_cap_exits_3(capsys):
@@ -822,6 +850,16 @@ def test_frame_cap_exits_3(capsys):
     want = json.loads(ref.read_text())["omega E8 --json"]["sha256"]
     code, out, _ = run(capsys, "omega", "E8", "--max-frames", "2025", "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_dihedral_frame_cap_exits_3(capsys):
+    """A dihedral omega honours the cap too: G2 (n = 6) has the 3
+    frames {f_k, f_(k+3)}, I2(5) its 5 single reflections."""
+    for system, frames in (("G2", 3), ("I2(5)", 5)):
+        code, out, err = run(capsys, "omega", system, "--max-frames", str(frames - 1))
+        assert code == 3 and out == ""
+        assert f"{system} has more than {frames - 1} maximal frames" in err
+        assert run(capsys, "omega", system, "--max-frames", str(frames))[0] == 0
 
 
 def test_help_exits_0(capsys):

@@ -24,7 +24,7 @@ from weylinv.groups import (
     standard_frames,
     weyl_order,
 )
-from weylinv.roots import SUPPORTED, build_root_system
+from weylinv.roots import SUPPORTED, RootSystem, _roots_d, build_root_system
 
 from oracles import (
     _maximal_cliques,
@@ -122,12 +122,12 @@ def test_every_reflection_table_is_an_involutive_isometry(label, rank):
         images = sys_.reflection_images(r)
         validate_root_permutation(sys_, images)
         assert all(images[images[i]] == i for i in range(len(images)))
-    # the simple tables are the ones RootSystem._validate stored: check
-    # them against reflections computed afresh from the coordinates
-    for s in sys_.simple_indices:
-        a = sys_.roots[s]
+    # the simple tables RootSystem._validate stored and the packed-key
+    # tables of every line against reflections in Fraction arithmetic
+    for r in sorted(set(sys_.lines) | set(sys_.simple_indices)):
+        a = sys_.roots[r]
         fresh = tuple(sys_.index[reflect(a, w)] for w in sys_.roots)
-        assert sys_.reflection_images(s) == fresh
+        assert sys_.reflection_images(r) == fresh
 
 
 def test_compose_against_after():
@@ -635,6 +635,20 @@ def test_omega_standard_frames_hit_distinct_classes():
         for _, roots in standard_frames(sys_):
             seen.add(frame_class(sys_, omega, make_frame(sys_, roots)))
         assert seen == set(range(len(omega)))
+
+
+def test_omega_keys_frames_by_line_position():
+    """A frame is keyed by its lines' positions, so a system past 256
+    roots walks while it has at most 256 lines.  D12 (264 roots, 132
+    lines, past every supported rank) has one class: the 11!! perfect
+    matchings of its 12 coordinates into pairs {e_i - e_j, e_i + e_j}."""
+    d12 = RootSystem("D", 12, *_roots_d(12))
+    (rep, size), = omega_classes(d12)
+    assert size == 10_395 == 11 * 9 * 7 * 5 * 3
+    assert rep == make_frame(d12, rep) and len(rep) == 12
+    d17 = RootSystem("D", 17, *_roots_d(17))  # 544 roots, 272 lines
+    with pytest.raises(ValueError, match="^D17 has 272 lines"):
+        omega_classes(d17)
 
 
 def test_omega_frame_cap_stops_the_walk(monkeypatch):

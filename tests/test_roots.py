@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from weylinv import roots as roots_module
 from weylinv.errors import UnsupportedSystemError
 from weylinv.roots import RootSystem, _bfs_orbits, build_root_system
 
@@ -173,6 +174,47 @@ def test_validate_rejects_non_integral_pairing():
     a, e1 = v(2, 2, 2), v(2, 0, 0)
     with pytest.raises(ValueError, match="non-integral"):
         RootSystem("A", 1, [a, neg(a), e1, neg(e1)], [a])
+
+
+def test_validate_sizes_packed_keys_past_every_image(monkeypatch):
+    """An image that is no root finds no packed key even where it would
+    wrap onto a root's key in a base sized by the roots alone.  Here
+    s_a(+-w) = +-(5, 1, 1) is missing; in base 2^3 (roots' entries <= 3)
+    its key 5 + 8 + 64 equals that of the root (-3, 2, 1), so only the
+    pairing bound (c = 4 at (-3, 2, 1)) keeps the closure check exact."""
+    a, w, b, c = v(-1, 1, 1), v(3, 3, 3), v(-3, 2, 1), v(1, -2, -3)
+    assert 5 + 8 * 1 + 64 * 1 == -3 + 8 * 2 + 64 * 1
+    roots = [a, w, b, c] + [neg(r) for r in (a, w, b, c)]
+    with pytest.raises(ValueError, match=r"not closed: s_\(-1, 1, 1\)\(\(-3, -3, -3\)\)"):
+        RootSystem("A", 1, roots, [a])
+    # sized by the roots alone, the wrapped keys pass the closure check
+    real = roots_module._packed_index
+    monkeypatch.setattr(
+        roots_module, "_packed_index", lambda cols, bound, n: real(cols, 3, n)
+    )
+    with pytest.raises(ValueError, match="not reached from the simple roots"):
+        RootSystem("A", 1, roots, [a])
+
+
+def test_reflection_tables_share_one_packed_index(monkeypatch):
+    """("packed",) is built once per system, on its first non-simple
+    table, and no table leaves a Gram row behind."""
+    calls = []
+    real = roots_module._packed_index
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(roots_module, "_packed_index", counted)
+    sys_ = RootSystem("D", 4, *roots_module._roots_d(4))
+    assert calls == [2 + 2 * 2]  # _validate's own: top 2, the largest |c| 2
+    assert ("packed",) not in sys_._memo
+    for r in range(len(sys_.roots)):
+        sys_.reflection_images(r)
+    assert calls == [6, 2]  # every image is a root: top alone
+    assert ("packed",) in sys_._memo
+    assert not [key for key in sys_._memo if key[0] == "gram"]
 
 
 def test_root_set_without_a_negative_names_it():
