@@ -9,7 +9,8 @@ restriction engine can evaluate at a maximal orthogonal frame:
                       2-twisted: the reflection representation, or a
                       point action (signed coordinates, the natural
                       A-type points, the pair collapse B_n -> S_n, the
-                      three-point quotient used for F4);
+                      three-point quotient used for F4), each read off
+                      the frame's reflection vectors;
   * SignClass       - the degree-one class of one frame coordinate's
                       sign character;
   * FoldInvariant   - elementary symmetric functions of the fold data
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ._records import record_eq, record_ne
@@ -54,8 +56,8 @@ from .cosets import build_coset_space, f_restriction, full_check, standard_u_gen
 from .errors import UnsupportedEmbeddingError, UnsupportedSystemError
 from .forms import (
     DiagonalForm,
+    _form_of_lines,
     form_of_linear_action,
-    form_of_permutation_action,
     _modified_from_twisted,
     total_sw,
     twist_by_two,
@@ -68,10 +70,11 @@ from .groups import (
     dihedral_omega,
     g2_split_check,
     normalizer_action,
+    resolve,
     root_label,
     standard_frames,
 )
-from .roots import SUPPORTED, RootSystem, build_root_system
+from .roots import SUPPORTED, Root, RootSystem, _vec, build_root_system
 
 __all__ = [
     "FormSW",
@@ -103,13 +106,13 @@ class FormSW(NamedTuple):
     """w_d of a frame form, of its <2>-twist when modified.
 
     action names the form: "linear" is the reflection representation,
-    and every other value is a _POINT_PERMS point action: "signed"
-    doubles each coordinate into a point pair (i, i+n) so that sign
-    flips become transpositions, "natural" is the bare action on the
-    n+1 points of an A-type system, "pairs" collapses each signed pair
-    to one point, killing the sign flips, and "triality" is the
-    three-point action where axis reflections all map to the same
-    transposition and coordinate-pair reflections die.
+    and every other value is a point action, which _frame_form reads as
+    a reflection representation too: "signed" acts on the 2n points
+    +-e_i, so that sign flips become transpositions, "natural" on the
+    n+1 points of an A-type system, "pairs" on the n pairs {+-e_i},
+    killing the sign flips, and "triality" on three points, where axis
+    reflections all act as the same transposition and coordinate-pair
+    reflections trivially.
     """
 
     d: int
@@ -225,72 +228,33 @@ def _root_coords(sys_: RootSystem, root_idx: int) -> tuple[str, int, int]:
         return kind, support[0][0], support[1][0]
     raise UnsupportedEmbeddingError(
         "frame root is neither an axis vector nor a coordinate pair; "
-        "no permutation recipe applies"
+        "no point action applies"
     )
 
 
-def _swap(images: list[int], p: int, q: int) -> None:
-    images[p], images[q] = images[q], images[p]
-
-
-def _signed_point_perm(sys_: RootSystem, root_idx: int, n: int) -> tuple[int, ...]:
+def _point_vector(sys_: RootSystem, root_idx: int, action: str) -> Optional[Root]:
+    """The vector of the reflection by which a frame root acts on the
+    points of a "natural", "pairs" or "triality" action, or None when it
+    acts trivially (see _frame_form)."""
     kind, i, j = _root_coords(sys_, root_idx)
-    images = list(range(2 * n))
-    if kind == "axis":
-        _swap(images, i, i + n)
-    elif kind == "difference":
-        _swap(images, i, j)
-        _swap(images, i + n, j + n)
-    else:
-        _swap(images, i, j + n)
-        _swap(images, j, i + n)
-    return tuple(images)
-
-
-def _natural_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
-    kind, i, j = _root_coords(sys_, root_idx)
-    if kind != "difference":
+    if action == "triality":
+        return (0, 2, -2) if kind == "axis" else None
+    if action == "natural" and kind != "difference":
         raise UnsupportedEmbeddingError("natural point action needs e_i - e_j roots")
-    images = list(range(npts))
-    _swap(images, i, j)
-    return tuple(images)
-
-
-def _pair_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
-    kind, i, j = _root_coords(sys_, root_idx)
-    images = list(range(npts))
-    if kind != "axis":
-        _swap(images, i, j)
-    return tuple(images)
-
-
-def _triality_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
-    kind = _root_coords(sys_, root_idx)[0]
-    return (0, 2, 1) if kind == "axis" else (0, 1, 2)
-
-
-#: point-action builders by FormSW.action
-_POINT_PERMS = {
-    "signed": _signed_point_perm,
-    "natural": _natural_point_perm,
-    "pairs": _pair_point_perm,
-    "triality": _triality_point_perm,
-}
+    if kind == "axis":
+        return None
+    return _vec(len(sys_.roots[0]), {i: 2, j: -2})
 
 
 def _fold_certificate(sys_, frame_roots, cache_dir):
-    """The frame's fold certificate on the standard coset space, both
-    memoized per cache_dir so that every cache dir gets its file."""
-
-    def certify():
-        space = sys_.memo(
-            ("cosets", cache_dir),
-            lambda: build_coset_space(sys_, standard_u_gens(sys_), cache_dir=cache_dir),
-        )
-        return full_check(sys_, space, frame_roots)
-
-    canonical = tuple(sys_.canonical_rep[r] for r in frame_roots)
-    return sys_.memo(("certificate", cache_dir, canonical), certify)
+    """The frame's fold certificate on the standard coset space, which
+    is memoized per cache_dir so that every cache dir gets its file;
+    full_check returns the space's own certificate for its frame."""
+    space = sys_.memo(
+        ("cosets", cache_dir),
+        lambda: build_coset_space(sys_, standard_u_gens(sys_), cache_dir=cache_dir),
+    )
+    return full_check(sys_, space, frame_roots)
 
 
 def restrict(
@@ -330,10 +294,9 @@ def _restrict_leaf(inv, roots, labels, sys_, cache_dir) -> KInvariant:
         return f_restriction(_fold_certificate(sys_, roots, cache_dir), r.m)
     if isinstance(r, SignClass):
         return _restrict_abelian(inv, labels)
-    key = (r.action, roots)
-    form = sys_.memo(key, lambda: _frame_form(sys_, r.action, roots, labels))
+    form = _memo_form(sys_, r.action, roots, labels)
     total = sys_.memo(
-        key + (r.modified,),
+        (r.action, roots, r.modified),
         lambda: total_sw(twist_by_two(form) if r.modified else form),
     )
     if r.modified:
@@ -341,17 +304,40 @@ def _restrict_leaf(inv, roots, labels, sys_, cache_dir) -> KInvariant:
     return total.degree_part(r.d)
 
 
+def _memo_form(sys_, action, roots, labels) -> DiagonalForm:
+    """The frame's form of this action, built once per system."""
+    return sys_.memo((action, roots), lambda: _frame_form(sys_, action, roots, labels))
+
+
 def _frame_form(sys_, action, roots, labels) -> DiagonalForm:
-    """The diagonal form of the frame's reflections acting linearly
-    (action "linear") or on the points of a _POINT_PERMS action."""
+    """The diagonal form of the frame's reflections in the reflection
+    representation (action "linear") or in a point action.
+
+    A point action is a reflection representation too: a root acting on
+    the points as the transposition (i j) is the reflection at
+    p(i) - p(j).  "natural" (the n + 1 points of an A-type system) needs
+    e_i - e_j roots; "pairs" collapses each signed pair +-e_i to one
+    point, so e_i +- e_j acts as (i j) and an axis root trivially; on
+    the three points of "triality" every axis root acts as (2 3) and
+    every other root trivially.  The 2N points +-e_i of "signed" span
+    p(e_i) + p(-e_i), which carry the pairs action, and p(e_i) - p(-e_i),
+    which carry the reflection representation; all have squared norm 2,
+    so the signed form is the <2>-twist of those two forms side by side,
+    each the one memoized for its own action.  Its entries are sorted by
+    (mask, exponent), which keeps total_sw's products small.
+    """
     if action == "linear":
         return form_of_linear_action(sys_, roots, labels)
-    build = _POINT_PERMS.get(action)
-    if build is None:
+    if action == "signed":
+        pairs, linear = (
+            _memo_form(sys_, half, roots, labels).entries for half in ("pairs", "linear")
+        )
+        entries = sorted(pairs + linear, key=itemgetter(1, 0))
+        return twist_by_two(DiagonalForm(labels, tuple(entries)))
+    if action not in ("natural", "pairs", "triality"):
         raise ValueError(f"unknown point action {action!r}")
-    npts = len(sys_.roots[0])
-    gens = [build(sys_, idx, npts) for idx in roots]
-    return form_of_permutation_action(gens, labels)
+    dim = 3 if action == "triality" else len(sys_.roots[0])
+    return _form_of_lines([_point_vector(sys_, r, action) for r in roots], labels, dim)
 
 
 def _restrict_abelian(inv: NamedInvariant, labels: tuple[str, ...]) -> KInvariant:
@@ -1163,21 +1149,10 @@ def verify_basis(
     type_label: str, rank: int, cache_dir: Optional[str] = None
 ) -> BasisReport:
     """Build the full verification report for one supported pair."""
-    t = type_label
-    if t == "G":
-        if rank != 2:
-            raise UnsupportedSystemError(f"unsupported system G{rank}")
-        return _dihedral_report("G", 2, 6)
-    if t == "I2":
-        if rank == 4:
-            return _weyl_report("I2", 4, build_root_system("B", 2), cache_dir)
-        if rank >= 3 and (rank % 2 == 1 or rank % 4 == 2):
-            return _dihedral_report("I2", rank, rank)
-        raise UnsupportedSystemError(
-            f"I2({rank}) has no finite restriction basis of this kind"
-        )
-    sys_ = build_root_system(t, rank)
-    return _weyl_report(sys_.type_label, sys_.rank, sys_, cache_dir)
+    (t, n), target = resolve(type_label, rank)
+    if isinstance(target, int):
+        return _dihedral_report(t, n, target)
+    return _weyl_report(t, n, target, cache_dir)
 
 
 def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:

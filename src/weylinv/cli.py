@@ -41,10 +41,11 @@ from .groups import (
     group_order,
     omega_classes,
     order_method,
+    resolve,
     root_label,
     standard_frames,
+    system_name,
 )
-from .roots import build_root_system
 
 __all__ = ["main", "parse_system", "system_name", "VERIFY_TASKS"]
 
@@ -74,10 +75,6 @@ def parse_system(token: str) -> tuple[str, int]:
     return m.group(1), int(m.group(2))
 
 
-def system_name(label: str, rank: int) -> str:
-    return f"I2({rank})" if label == "I2" else f"{label}{rank}"
-
-
 def _coords(token: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in token.split(","))
@@ -105,37 +102,15 @@ def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None
             print(line)
 
 
-def _weyl_system(args: argparse.Namespace):
-    """The root system carrying this label, or None for dihedral-only."""
-    label, rank = args.system
-    if label == "I2":
-        if rank == 4:
-            return build_root_system("B", 2)
-        return None
-    if label == "G":
-        return None
-    return build_root_system(label, rank)
-
-
-def _dihedral_parameter(args: argparse.Namespace) -> int:
-    """n for the dihedral group I2(n) that G2 or I2(n) names."""
-    label, rank = args.system
-    if label == "G" and rank == 2:
-        return 6
-    if label == "I2" and rank >= 3:
-        return rank
-    raise UnsupportedSystemError(f"unsupported system {system_name(label, rank)}")
-
-
 def _require_weyl(args: argparse.Namespace):
-    sys_ = _weyl_system(args)
-    if sys_ is None:
-        _dihedral_parameter(args)  # G3, I2(2), ...: unsupported outright
+    """The printed (type, rank) and the root system of args.system."""
+    name, sys_ = resolve(*args.system)
+    if isinstance(sys_, int):
         raise UnsupportedSystemError(
             f"{system_name(*args.system)} has no crystallographic "
             "root system here; its checks run under 'verify'"
         )
-    return sys_
+    return name, sys_
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +118,7 @@ def _require_weyl(args: argparse.Namespace):
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(args)
+    (label, rank), sys_ = _require_weyl(args)
     coords = [list(r) for r in sys_.roots]
     lines = [f"{len(coords)} roots"]
     lines += [
@@ -152,8 +127,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
     _emit(
         args,
         {
-            "type": sys_.type_label,
-            "rank": sys_.rank,
+            "type": label,
+            "rank": rank,
             "count": len(coords),
             "doubled_coordinates": coords,
         },
@@ -163,13 +138,12 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    label, rank = args.system
-    if label in ("G", "I2") and _weyl_system(args) is None:
-        order, method = 2 * _dihedral_parameter(args), "dihedral"
+    (label, rank), target = resolve(*args.system)
+    if isinstance(target, int):
+        order, method = 2 * target, "dihedral"
     else:
-        sys_ = _require_weyl(args)
-        order = group_order(sys_, element_cap=args.max_elements)
-        method = order_method(sys_)
+        order = group_order(target, element_cap=args.max_elements)
+        method = order_method(target)
     _emit(
         args,
         {"type": label, "rank": rank, "order": order, "method": method},
@@ -179,15 +153,15 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    label, rank = args.system
-    if label in ("G", "I2") and _weyl_system(args) is None:
-        n = _dihedral_parameter(args)
-        if (n if n % 2 else n // 2) > args.max_frames:  # its maximal frames
+    (label, rank), target = resolve(*args.system)
+    if isinstance(target, int):
+        # I2(n) has n maximal frames for n odd, n / 2 for n even
+        if (target if target % 2 else target // 2) > args.max_frames:
             raise CapExceededError(
                 f"{system_name(label, rank)} has more than {args.max_frames} "
                 "maximal frames (the frame cap)", args.max_frames,
             )
-        classes = dihedral_omega(build_dihedral(n))
+        classes = dihedral_omega(build_dihedral(target))
         payload = {
             "type": label,
             "rank": rank,
@@ -200,13 +174,12 @@ def cmd_omega(args: argparse.Namespace) -> int:
         ]
         _emit(args, payload, lines)
         return 0
-    sys_ = _require_weyl(args)
-    classes = omega_classes(sys_, max_frames=args.max_frames)
-    reps = [[root_label(sys_, r) for r in rep] for rep, _ in classes]
+    classes = omega_classes(target, max_frames=args.max_frames)
+    reps = [[root_label(target, r) for r in rep] for rep, _ in classes]
     sizes = [size for _, size in classes]
     payload = {
-        "type": sys_.type_label,
-        "rank": sys_.rank,
+        "type": label,
+        "rank": rank,
         "classes": len(reps),
         "representatives": reps,
         "orbit_sizes": sizes,
@@ -238,14 +211,14 @@ def _u_generators(sys_, args: argparse.Namespace) -> tuple[int, ...]:
 
 
 def cmd_cosets(args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(args)
+    (label, rank), sys_ = _require_weyl(args)
     space = build_coset_space(
         sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
     )
     product = space.size * space.u_order
     payload = {
-        "type": sys_.type_label,
-        "rank": sys_.rank,
+        "type": label,
+        "rank": rank,
         "cosets": space.size,
         "u_order": space.u_order,
         "group_order": product,
@@ -285,7 +258,7 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
 
 
 def cmd_fullcheck(args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(args)
+    (label, rank), sys_ = _require_weyl(args)
     space = build_coset_space(
         sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
     )
@@ -295,8 +268,8 @@ def cmd_fullcheck(args: argparse.Namespace) -> int:
     folds = sorted(set(map(len, cert.a_sets)))
     fold_counts = {str(f): cert.fold_count(f) for f in folds}
     payload = {
-        "type": sys_.type_label,
-        "rank": sys_.rank,
+        "type": label,
+        "rank": rank,
         "cosets": space.size,
         "frame": fname,
         "orbits": len(cert.a_sets),
@@ -316,8 +289,7 @@ def cmd_fullcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_restrict(args: argparse.Namespace) -> int:
-    sys_ = _require_weyl(args)
-    label, rank = args.system
+    (label, rank), sys_ = _require_weyl(args)
     named = {g.name: g for g in generators_for(label, rank)}
     if args.name not in named:
         raise UnsupportedSystemError(

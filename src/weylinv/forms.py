@@ -1,20 +1,13 @@
 """Torsor-parameterized quadratic forms and their symbol-algebra images.
 
-Two routes from an embedding of (Z/2)^k into an orthogonal group to a
-diagonal form over the torsor coordinates:
-
- * linear route: each line of the frame is one character space, and
-   the lines' orthogonal complement is fixed; each vector of an
-   orthogonal basis of the lines and the complement contributes one
-   diagonal entry 2^a * (product of coordinates where the character is
-   -1).
- * permutation route: the action on a finite point set decomposes into
-   orbits; each orbit of size 2^f is a scaled f-fold Pfister form whose
-   slots are pullbacks of the dual basis of P/kernel.  One kernel,
-   _orbit_pfister, finds each orbit by doubling from its least point and
-   reads the kernel off the same pass, in O(k + 2^f) table reads.  The
-   coset fold certificate does not need it: cosets reads each orbit's
-   active set off the frame pairings of a coset key.
+One route from an embedding of (Z/2)^k into an orthogonal group, given
+by the k commuting reflections' vectors, to a diagonal form over the
+torsor coordinates: each line of the vectors is one character space,
+and the lines' orthogonal complement is fixed; each vector of an
+orthogonal basis of the lines and the complement contributes one
+diagonal entry 2^a * (product of coordinates where the character is
+-1).  The reflection representation of a frame and every point action
+of the basis recipes are embeddings of this kind (see basis._frame_form).
 
 Entries are square classes: only 2-power scales times coordinate
 monomials occur for the embeddings treated here, and anything else
@@ -26,14 +19,13 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .algebra import KInvariant, Monomial, _f2_eliminate, kinv, one, two
+from .algebra import KInvariant, Monomial, kinv, one, two
 from .errors import UnsupportedEmbeddingError
-from .groups import _compose, root_label
+from .groups import root_label
 
 __all__ = [
     "DiagonalForm",
     "form_of_linear_action",
-    "form_of_permutation_action",
     "total_sw",
     "twist_by_two",
 ]
@@ -73,7 +65,7 @@ class DiagonalForm:
 
 
 # ---------------------------------------------------------------------------
-# linear route
+# forms of reflection embeddings
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -131,11 +123,12 @@ def _square_free_two_part(x: int) -> Optional[int]:
 
 
 def _form_of_lines(
-    roots: Sequence[Sequence[int]], labels: Sequence[str], dim: int
+    roots: Sequence[Optional[Sequence[int]]], labels: Sequence[str], dim: int
 ) -> DiagonalForm:
     """Diagonal form of the torsor twist for the reflections at the
     integer vectors roots[i] of the standard inner-product space of
-    dimension dim (given, since roots may be empty).
+    dimension dim (given, since roots may be empty); roots[i] is None
+    when generator i acts trivially.
 
     Two reflections commute exactly when their vectors are parallel or
     orthogonal.  Each line is then one character space, with bit i for
@@ -149,6 +142,8 @@ def _form_of_lines(
     lines: list[list[int]] = []
     chars: list[int] = []
     for i, r in enumerate(roots):
+        if r is None:
+            continue
         v = _primitive(list(r))
         j = next((j for j, u in enumerate(lines) if sum(map(mul, u, v))), None)
         if j is None:
@@ -180,133 +175,6 @@ def form_of_linear_action(
         labels = [root_label(sys_, r) for r in frame_roots]
     roots = [sys_.roots[r] for r in frame_roots]
     return _form_of_lines(roots, labels, len(sys_.roots[0]))
-
-
-# ---------------------------------------------------------------------------
-# permutation route
-
-
-def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
-    """Deterministic basis of {x : x . v = 0 for all v} in F2^width."""
-    # row-reduce the constraint matrix, then solve back from each free variable
-    rows = [r for r, _ in _f2_eliminate(vectors)[0]]
-    pivots = [(r & -r).bit_length() - 1 for r in rows]
-    free = [i for i in range(width) if i not in pivots]
-    basis = []
-    for f in free:
-        x = 1 << f
-        # solve pivot coordinates; rows are in ascending pivot order, and
-        # each row may involve free vars and later pivots, so sweep from
-        # the highest pivot down
-        for r, p in sorted(zip(rows, pivots), key=lambda t: -t[1]):
-            if (r & x).bit_count() % 2:
-                x ^= 1 << p
-        basis.append(x)
-    return sorted(basis)
-
-
-def _commuting_involution_failure(
-    tables: Sequence[Sequence[int]], size: int
-) -> Optional[tuple[int, ...]]:
-    """None when the tables are commuting involutive permutations of
-    range(size); otherwise the first failure, (i,) when table i is not an
-    involutive permutation and (j, i), j < i, when tables j and i do not
-    commute."""
-    identity = tuple(range(size))
-    for i, t in enumerate(tables):
-        in_range = len(t) == size and (not t or min(t) >= 0 and max(t) < size)
-        if not in_range or _compose(t, t) != identity:
-            return (i,)
-        for j in range(i):
-            if _compose(t, tables[j]) != _compose(tables[j], t):
-                return (j, i)
-    return None
-
-
-def _orbit_pfister(
-    tables: Sequence[Sequence[int]], size: int
-) -> list[tuple[tuple[int, ...], int, list[int]]]:
-    """Orbits of commuting involutive permutations with their Pfister data.
-
-    The tables must pass _commuting_involution_failure.  For each orbit,
-    in order of its least point (the base), returns (a_set, fold,
-    kernel): the active set, the increasing positions of the generators
-    moving the base, the orbit's 2^fold = |orbit|, and k - fold vectors
-    spanning the kernel of F2^k on the orbit.  When fold = |a_set| the
-    orbit is certified and is its active set: the kernel's annihilator
-    is spanned by 1 << i for i in a_set, so only form_of_permutation_action
-    solves for it.
-
-    The orbit is found by doubling from the base, labelling each point
-    with an exponent vector that carries the base to it.  Once generators
-    0..i-1 are done, the labelled points are the base's orbit under them.
-    If g_i(base) is unlabelled, g_i moves that whole set off itself (were
-    g_i(p) labelled, so would g_i(base) be), and its images, labelled
-    with bit i added, double it.  Otherwise label(g_i(base)) + e_i fixes
-    the base and is new, having bit i; the orbit did not grow, so the
-    stabiliser of the base gained one dimension, and these vectors span
-    it.  An abelian transitive action has one stabiliser, the kernel.
-    This search labels points with group elements, so it is not
-    roots._bfs_orbits.
-    """
-    label = [-1] * size
-    out = []
-    for base in range(size):
-        if label[base] >= 0:
-            continue
-        label[base] = 0
-        points, a_set, kernel = [base], [], []
-        for i, t in enumerate(tables):
-            img = t[base]
-            if img != base:
-                a_set.append(i)
-            if label[img] >= 0:
-                kernel.append(label[img] | 1 << i)
-                continue
-            images = [t[p] for p in points]
-            for p, q in zip(points, images):
-                label[q] = label[p] | 1 << i
-            points += images
-        fold = len(points).bit_length() - 1
-        out.append((tuple(a_set), fold, kernel))
-    return out
-
-
-def form_of_permutation_action(
-    gens: Sequence[Sequence[int]], labels: Sequence[str]
-) -> DiagonalForm:
-    """Diagonal form of a permutation embedding, orbit by orbit.
-
-    gens[i] is the point-image tuple of the i-th frame generator.  Every
-    orbit of the generated abelian 2-group has 2^f points on which the
-    quotient by the kernel acts simply transitively, so it is the scaled
-    Pfister form <2^f> <<-d_1, ..., -d_f>>, the d_j the kernel's
-    annihilator basis (see _orbit_pfister).  Its entries are the
-    products of the d_j over all subsets (signs vanish since {-1} = 0,
-    and square classes multiply by XOR of coordinate masks), each scaled
-    by 2^f.  A certified orbit (fold = |a_set|, as on the cosets) is its
-    active set: its d_j are the t_i for i in a_set.
-    """
-    if len(gens) != len(labels):
-        raise ValueError("one label per generator required")
-    size = len(gens[0]) if gens else 0
-    bad = _commuting_involution_failure(gens, size)
-    if bad is not None and len(bad) == 1:
-        raise ValueError(
-            f"generator {bad[0]} is not an involutive permutation of range({size})"
-        )
-    if bad is not None:
-        raise ValueError(f"generators {bad[0]} and {bad[1]} do not commute")
-    entries = []
-    for _, fold, kernel in _orbit_pfister(gens, size):
-        deltas = _f2_kernel_basis(kernel, len(gens))
-        for s in range(1 << fold):
-            mask = 0
-            for j, d in enumerate(deltas):
-                if (s >> j) & 1:
-                    mask ^= d
-            entries.append((fold, mask))
-    return DiagonalForm(tuple(labels), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

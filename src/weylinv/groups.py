@@ -16,20 +16,22 @@ The module also classifies Omega(G), the conjugacy classes of maximal
 frames (pairwise-orthogonal root sets generating elementary abelian
 2-subgroups of reflections), as sorted (representative, orbit size)
 pairs, and builds the dihedral groups that have no root geometry here,
-each as the tuple of its elements' image tuples.
+each as the tuple of its elements' image tuples.  resolve sends a
+system as typed to the name every command prints and to its root
+system or dihedral n.
 """
 from __future__ import annotations
 
 from math import factorial
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     CapExceededError,
     NormalizerError,
     UnsupportedSystemError,
 )
-from .roots import RootSystem, _bfs_orbits, _vec
+from .roots import RootSystem, _bfs_orbits, _vec, build_root_system
 
 __all__ = [
     "group_order",
@@ -40,6 +42,8 @@ __all__ = [
     "normalizer_action",
     "standard_frames",
     "root_label",
+    "system_name",
+    "resolve",
     "build_dihedral",
     "dihedral_omega",
     "g2_split_check",
@@ -332,6 +336,36 @@ def normalizer_action(
     if sorted(out) != list(range(len(roots))):
         raise NormalizerError("induced map is not a permutation of positions")
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# system names
+
+
+def system_name(label: str, rank: int) -> str:
+    return f"I2({rank})" if label == "I2" else f"{label}{rank}"
+
+
+def resolve(
+    label: str, rank: int
+) -> tuple[tuple[str, int], Union[RootSystem, int]]:
+    """The (type, rank) to print for a system as typed, with its root
+    system, or with n when it is the dihedral group I2(n) that has no
+    root system here (G2 is I2(6)).
+
+    C_n prints as B_n, whose root system it is; I2(4) stays I2(4) with
+    the root system of B2.  A G or I2 label with no dihedral group (G3,
+    I2(2)) raises UnsupportedSystemError naming the system, and any
+    other label is build_root_system's to refuse.
+    """
+    if (label, rank) == ("G", 2):
+        return (label, rank), 6
+    if label == "I2" and rank >= 3:
+        return (label, rank), build_root_system("B", 2) if rank == 4 else rank
+    if label in ("G", "I2"):
+        raise UnsupportedSystemError(f"unsupported system {system_name(label, rank)}")
+    sys_ = build_root_system(label, rank)
+    return (sys_.type_label, sys_.rank), sys_
 
 
 # ---------------------------------------------------------------------------

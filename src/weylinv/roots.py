@@ -134,7 +134,7 @@ class RootSystem:
     gram_row(i)[j] is the dot product of the doubled coordinates of
     roots i and j, an integer equal to 4 (roots[i], roots[j]).  It and
     every other value derived from the system (packed keys, reflection
-    tables, Omega classes, frame forms, coset spaces, fold certificates)
+    tables, Omega classes, frame forms, coset spaces and their certificates)
     is computed at its first use and held by memo(), so it lives exactly
     as long as the system: build_root_system.cache_clear() drops them all.
     """
@@ -183,9 +183,9 @@ class RootSystem:
         first request, the stored value after that.
 
         Keys are tuples led by the kind of value: ("gram", i),
-        ("packed",), ("reflection", i), ("cosets", cache_dir),
-        ("certificate", cache_dir, frame) and, in basis, a recipe kind
-        with a frame's roots for its forms and total SW classes.
+        ("packed",), ("reflection", i), ("cosets", cache_dir) and, in
+        basis, a FormSW action with a frame's roots for its forms and
+        total SW classes.
         """
         if key not in self._memo:
             self._memo[key] = build()

@@ -31,9 +31,16 @@ directly, and the tests check the direct form against it:
     table_certificate - the table route to a fold certificate: the coset
     BFS recording its edges as one action table per simple reflection,
     each frame reflection's table composed from them, and the active
-    sets found by weylinv.forms._orbit_pfister, the permutation route's
-    kernel, after its commuting-involution check; weylinv.cosets reads
-    the active sets off the frame pairings of the coset keys.
+    sets found by _orbit_pfister, the permutation route's kernel, after
+    its commuting-involution check; weylinv.cosets reads the active sets
+    off the frame pairings of the coset keys.
+  * form_of_permutation_action / _orbit_pfister /
+    _commuting_involution_failure / _f2_kernel_basis / _POINT_PERMS /
+    permutation_frame_form - the permutation route: a point action's
+    frame form orbit by orbit, each orbit a scaled Pfister form read off
+    the points' permutation tables; weylinv.basis._frame_form takes each
+    point action for the reflection representation it is and hands its
+    vectors to weylinv.forms._form_of_lines.
   * reflect - a root's reflection in another computed from the real
     inner product in Fraction; weylinv.roots builds reflection tables
     from integer dot products of doubled coordinates.
@@ -98,6 +105,7 @@ from weylinv.algebra import (
     BnContext,
     KInvariant,
     Monomial,
+    _f2_eliminate,
     _moved,
     coordinate_mask,
     one,
@@ -111,6 +119,7 @@ from weylinv.basis import (
     NamedInvariant,
     _check,
     _restrict,
+    _root_coords,
     generators_for,
     normalizer_families,
 )
@@ -121,19 +130,18 @@ from weylinv.errors import (
     CertificateError,
     ContextMismatchError,
     CosetValidationError,
+    UnsupportedEmbeddingError,
 )
 from weylinv.forms import (
     DiagonalForm,
-    _commuting_involution_failure,
     _form_of_lines,
     _modified_from_twisted,
-    _orbit_pfister,
     total_sw,
     twist_by_two,
 )
 from weylinv.groups import DEFAULT_ELEMENT_CAP, _compose, root_label, standard_frames
 from weylinv._records import record_eq, record_ne
-from weylinv.roots import _bfs_orbits, build_root_system
+from weylinv.roots import RootSystem, _bfs_orbits, build_root_system
 
 _ONE = 0
 
@@ -846,6 +854,194 @@ def _mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+# ---------------------------------------------------------------------------
+# permutation route
+
+
+def _f2_kernel_basis(vectors: list[int], width: int) -> list[int]:
+    """Deterministic basis of {x : x . v = 0 for all v} in F2^width."""
+    # row-reduce the constraint matrix, then solve back from each free variable
+    rows = [r for r, _ in _f2_eliminate(vectors)[0]]
+    pivots = [(r & -r).bit_length() - 1 for r in rows]
+    free = [i for i in range(width) if i not in pivots]
+    basis = []
+    for f in free:
+        x = 1 << f
+        # solve pivot coordinates; rows are in ascending pivot order, and
+        # each row may involve free vars and later pivots, so sweep from
+        # the highest pivot down
+        for r, p in sorted(zip(rows, pivots), key=lambda t: -t[1]):
+            if (r & x).bit_count() % 2:
+                x ^= 1 << p
+        basis.append(x)
+    return sorted(basis)
+
+
+def _commuting_involution_failure(
+    tables: Sequence[Sequence[int]], size: int
+) -> Optional[tuple[int, ...]]:
+    """None when the tables are commuting involutive permutations of
+    range(size); otherwise the first failure, (i,) when table i is not an
+    involutive permutation and (j, i), j < i, when tables j and i do not
+    commute."""
+    identity = tuple(range(size))
+    for i, t in enumerate(tables):
+        in_range = len(t) == size and (not t or min(t) >= 0 and max(t) < size)
+        if not in_range or _compose(t, t) != identity:
+            return (i,)
+        for j in range(i):
+            if _compose(t, tables[j]) != _compose(tables[j], t):
+                return (j, i)
+    return None
+
+
+def _orbit_pfister(
+    tables: Sequence[Sequence[int]], size: int
+) -> list[tuple[tuple[int, ...], int, list[int]]]:
+    """Orbits of commuting involutive permutations with their Pfister data.
+
+    The tables must pass _commuting_involution_failure.  For each orbit,
+    in order of its least point (the base), returns (a_set, fold,
+    kernel): the active set, the increasing positions of the generators
+    moving the base, the orbit's 2^fold = |orbit|, and k - fold vectors
+    spanning the kernel of F2^k on the orbit.  When fold = |a_set| the
+    orbit is certified and is its active set: the kernel's annihilator
+    is spanned by 1 << i for i in a_set, so only form_of_permutation_action
+    solves for it.
+
+    The orbit is found by doubling from the base, labelling each point
+    with an exponent vector that carries the base to it.  Once generators
+    0..i-1 are done, the labelled points are the base's orbit under them.
+    If g_i(base) is unlabelled, g_i moves that whole set off itself (were
+    g_i(p) labelled, so would g_i(base) be), and its images, labelled
+    with bit i added, double it.  Otherwise label(g_i(base)) + e_i fixes
+    the base and is new, having bit i; the orbit did not grow, so the
+    stabiliser of the base gained one dimension, and these vectors span
+    it.  An abelian transitive action has one stabiliser, the kernel.
+    This search labels points with group elements, so it is not
+    roots._bfs_orbits.
+    """
+    label = [-1] * size
+    out = []
+    for base in range(size):
+        if label[base] >= 0:
+            continue
+        label[base] = 0
+        points, a_set, kernel = [base], [], []
+        for i, t in enumerate(tables):
+            img = t[base]
+            if img != base:
+                a_set.append(i)
+            if label[img] >= 0:
+                kernel.append(label[img] | 1 << i)
+                continue
+            images = [t[p] for p in points]
+            for p, q in zip(points, images):
+                label[q] = label[p] | 1 << i
+            points += images
+        fold = len(points).bit_length() - 1
+        out.append((tuple(a_set), fold, kernel))
+    return out
+
+
+def form_of_permutation_action(
+    gens: Sequence[Sequence[int]], labels: Sequence[str]
+) -> DiagonalForm:
+    """Diagonal form of a permutation embedding, orbit by orbit.
+
+    gens[i] is the point-image tuple of the i-th frame generator.  Every
+    orbit of the generated abelian 2-group has 2^f points on which the
+    quotient by the kernel acts simply transitively, so it is the scaled
+    Pfister form <2^f> <<-d_1, ..., -d_f>>, the d_j the kernel's
+    annihilator basis (see _orbit_pfister).  Its entries are the
+    products of the d_j over all subsets (signs vanish since {-1} = 0,
+    and square classes multiply by XOR of coordinate masks), each scaled
+    by 2^f.  A certified orbit (fold = |a_set|, as on the cosets) is its
+    active set: its d_j are the t_i for i in a_set.
+    """
+    if len(gens) != len(labels):
+        raise ValueError("one label per generator required")
+    size = len(gens[0]) if gens else 0
+    bad = _commuting_involution_failure(gens, size)
+    if bad is not None and len(bad) == 1:
+        raise ValueError(
+            f"generator {bad[0]} is not an involutive permutation of range({size})"
+        )
+    if bad is not None:
+        raise ValueError(f"generators {bad[0]} and {bad[1]} do not commute")
+    entries = []
+    for _, fold, kernel in _orbit_pfister(gens, size):
+        deltas = _f2_kernel_basis(kernel, len(gens))
+        for s in range(1 << fold):
+            mask = 0
+            for j, d in enumerate(deltas):
+                if (s >> j) & 1:
+                    mask ^= d
+            entries.append((fold, mask))
+    return DiagonalForm(tuple(labels), tuple(entries))
+
+
+def _swap(images: list[int], p: int, q: int) -> None:
+    images[p], images[q] = images[q], images[p]
+
+
+def _signed_point_perm(sys_: RootSystem, root_idx: int, n: int) -> tuple[int, ...]:
+    kind, i, j = _root_coords(sys_, root_idx)
+    images = list(range(2 * n))
+    if kind == "axis":
+        _swap(images, i, i + n)
+    elif kind == "difference":
+        _swap(images, i, j)
+        _swap(images, i + n, j + n)
+    else:
+        _swap(images, i, j + n)
+        _swap(images, j, i + n)
+    return tuple(images)
+
+
+def _natural_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
+    kind, i, j = _root_coords(sys_, root_idx)
+    if kind != "difference":
+        raise UnsupportedEmbeddingError("natural point action needs e_i - e_j roots")
+    images = list(range(npts))
+    _swap(images, i, j)
+    return tuple(images)
+
+
+def _pair_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
+    kind, i, j = _root_coords(sys_, root_idx)
+    images = list(range(npts))
+    if kind != "axis":
+        _swap(images, i, j)
+    return tuple(images)
+
+
+def _triality_point_perm(sys_: RootSystem, root_idx: int, npts: int) -> tuple[int, ...]:
+    kind = _root_coords(sys_, root_idx)[0]
+    return (0, 2, 1) if kind == "axis" else (0, 1, 2)
+
+
+#: point-action builders by FormSW.action
+_POINT_PERMS = {
+    "signed": _signed_point_perm,
+    "natural": _natural_point_perm,
+    "pairs": _pair_point_perm,
+    "triality": _triality_point_perm,
+}
+
+
+def permutation_frame_form(sys_, action, roots, labels) -> DiagonalForm:
+    """The diagonal form of the frame's reflections on the points of a
+    _POINT_PERMS action, orbit by orbit: the reference that
+    weylinv.basis._frame_form's point actions are checked against."""
+    build = _POINT_PERMS.get(action)
+    if build is None:
+        raise ValueError(f"unknown point action {action!r}")
+    npts = len(sys_.roots[0])
+    gens = [build(sys_, idx, npts) for idx in roots]
+    return form_of_permutation_action(gens, labels)
+
+
 def modified_sw(form: DiagonalForm, d: int, ambient_parity: int | None = None):
     """The d-th modified Stiefel-Whitney class of the form, multiplied out
     for one degree.  The parity defaults to the entry count; a form that
@@ -1035,8 +1231,8 @@ def table_certificate(sys_, tables, frame_roots: Sequence[int]):
     """The frame's sorted active sets on the cosets, from action tables.
 
     The frame tables must be commuting involutive permutations, so they
-    generate an elementary abelian 2-group, and forms._orbit_pfister
-    gives each orbit's active set and fold; the certificate condition is
+    generate an elementary abelian 2-group, and _orbit_pfister gives
+    each orbit's active set and fold; the certificate condition is
     fold = |active set|.  Raises CertificateError naming the first
     failure.
     """

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     CoordinateMap,
     XIndex,
+    _f2_kernel_basis,
     is_zero,
     kinv_json,
     lambda_indices,
@@ -33,7 +34,6 @@ from weylinv.algebra import (
 )
 from weylinv.algebra import _f2_eliminate
 from weylinv.errors import ContextMismatchError
-from weylinv.forms import _f2_kernel_basis
 
 L2 = ("a1", "b1", "a2", "b2")
 

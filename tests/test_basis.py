@@ -660,8 +660,11 @@ def test_one_linear_form_per_frame(monkeypatch):
     report = verify_basis("E", 8)
     assert report.passed()
     frames = [tuple(roots) for _, roots in standard_frames(build_root_system("E", 8))]
+    # then the D8 frame of the upstream table, whose signed form has the
+    # frame's linear form as one half
+    frames.append(standard_frames(build_root_system("D", 8))[0][1])
     assert calls == frames
-    verify_basis("E", 8)  # the system keeps its forms
+    verify_basis("E", 8)  # the systems keep their forms
     assert calls == frames
 
 

@@ -175,6 +175,28 @@ def test_verify_output_digests(capsys, monkeypatch, label):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == _VERIFY_SHA256[label]
 
 
+#: sha256 over `restrict X b --json` for every basis element b of every
+#: system X that `verify --all` reports but G2, which has no root system
+#: to restrict to: each command's exit code and a newline, then its stdout
+_RESTRICT_SHA256 = "59e2dfbb17b354da3a1688b274d86ba7609228b584704cce0af1606315e8967a"
+
+
+def test_restrict_output_digest(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    digest, count = hashlib.sha256(), 0
+    for label, rank in cli.VERIFY_TASKS:
+        if label == "G":
+            continue
+        for b in basis.generators_for(label, rank):
+            code, out, _ = run(
+                capsys, "restrict", cli.system_name(label, rank), b.name, "--json"
+            )
+            digest.update(f"{code}\n".encode())
+            digest.update(out.encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (136, _RESTRICT_SHA256)
+
+
 def test_order_enumerated_and_dihedral(capsys):
     code, out, _ = run(capsys, "order", "B4")
     assert code == 0 and "384" in out and "bfs" in out
@@ -414,7 +436,7 @@ def test_verify_all_reuses_the_systems_memos(capsys, monkeypatch):
     want = json.loads(ref.read_text())["verify --all --json"]["sha256"]
     counted_names = (
         (basis, "form_of_linear_action"),
-        (basis, "form_of_permutation_action"),
+        (basis, "_form_of_lines"),
         (cosets, "_coset_orbit"),
     )
     build_root_system.cache_clear()
@@ -778,6 +800,32 @@ def test_commands_needing_roots_name_the_dihedral_system(capsys):
         assert run(capsys, "verify", system)[0] == 0
 
 
+def test_every_command_prints_one_name_per_system(capsys):
+    """C_n prints as B_n, whose root system it is, and I2(4) as I2(4),
+    though it runs on the root system of B2, under every command."""
+    for system, u_root, name, want in (
+        ("C3", "2,-2,0", "u1", ("B", 3)),
+        ("I2(4)", "2,0", "w1", ("I2", 4)),
+    ):
+        for argv in (
+            ("roots", system),
+            ("order", system),
+            ("omega", system),
+            ("cosets", system, "--u-root", u_root),
+            ("fullcheck", system, "--u-root", u_root),
+            ("restrict", system, name),
+        ):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 0, err
+            doc = json.loads(out)
+            assert (doc["type"], doc["rank"]) == want, argv
+        code, out, _ = run(capsys, "verify", system, "--json")
+        (doc,) = json.loads(out)["reports"]
+        assert code == 0 and (doc["type"], doc["rank"]) == want
+    code, out, _ = run(capsys, "order", "C3")
+    assert code == 0 and out.startswith("|W(B3)| = 48")
+
+
 def test_missing_standard_coset_subgroup_names_the_label_as_typed(capsys):
     """cosets and fullcheck build the typed label's root system (B2 for
     I2(4), B4 for C4); the message names the label and --u-root."""
@@ -893,6 +941,9 @@ def test_json_outputs_validate_against_published_schema(capsys, tmp_path):
     check("cosets", "cosets", "D4", "--cache-dir", cache)
     check("fullcheck", "fullcheck", "D4", "--cache-dir", cache)
     check("restrict", "restrict", "B4", "v2u1")
+    check("order", "order", "C3")
+    check("restrict", "restrict", "C3", "u1")
+    check("omega", "omega", "I2(4)")
     check("verify", "verify", "A3")
     check("cache_inspect", "cache", "inspect", "--cache-dir", cache)
     check("cache_clear", "cache", "clear", "--cache-dir", cache)

@@ -8,29 +8,28 @@ from math import comb
 import pytest
 
 from weylinv.algebra import one, two
+from weylinv.basis import _frame_form
 from weylinv.errors import UnsupportedEmbeddingError
 from weylinv.forms import (
     DiagonalForm,
     form_of_linear_action,
-    form_of_permutation_action,
     total_sw,
     twist_by_two,
 )
-from weylinv.forms import (
-    _commuting_involution_failure,
-    _f2_kernel_basis,
-    _orbit_pfister,
-    _orthogonalize,
-    _square_free_two_part,
-)
+from weylinv.forms import _orthogonalize, _square_free_two_part
 from weylinv.groups import root_label, standard_frames
 from weylinv.roots import SUPPORTED, build_root_system
 
 from oracles import (
+    _commuting_involution_failure,
+    _f2_kernel_basis,
+    _orbit_pfister,
     form_of_involutions,
+    form_of_permutation_action,
     is_zero,
     maximal_orthogonal_frames,
     modified_sw,
+    permutation_frame_form,
     pfister_gram_check,
     reflection_matrix,
     render_form,
@@ -202,7 +201,7 @@ def test_permutation_action_validation():
 
 
 def _exponent_walk(gens, size):
-    """Reference for forms._orbit_pfister: from each orbit's least point,
+    """Reference for oracles._orbit_pfister: from each orbit's least point,
     walk all 2^k exponent vectors of the generated group and read the
     orbit and the kernel off the images (orbits x 2^k x k steps)."""
     k = len(gens)
@@ -469,6 +468,44 @@ def test_linear_forms_match_fraction_oracle(label, rank):
             continue
         assert form_of_linear_action(sys_, frame) == oracle, frame
     assert raised == (10 if (label, rank) == ("E", 6) else 0)
+
+
+def _sw_classes(build, sys_, action, frame, labels):
+    """The form's dimension, total class and <2>-twisted total class, or
+    the type of the error building it raised."""
+    try:
+        form = build(sys_, action, frame, labels)
+    except ValueError as err:
+        return type(err)
+    return form.dim, total_sw(form), total_sw(twist_by_two(form))
+
+
+def test_point_forms_match_the_permutation_route():
+    """Each point action, taken as the reflection representation it is,
+    gives the permutation route's dimension, total class and
+    <2>-twisted total class, or raises the same error type: at every
+    standard frame of the 31 supported systems and at up to 40 sampled
+    maximal frames of each."""
+    rng = random.Random(7)
+    outcomes = set()
+    for label, lo, hi in SUPPORTED:
+        for rank in range(lo, hi + 1):
+            sys_ = build_root_system(label, rank)
+            found = maximal_orthogonal_frames(sys_)
+            frames = [frame for _, frame in standard_frames(sys_)]
+            frames += rng.sample(found, min(40, len(found)))
+            for frame in frames:
+                labels = tuple(root_label(sys_, r) for r in frame)
+                for action in ("natural", "pairs", "triality", "signed"):
+                    got, want = (
+                        _sw_classes(build, sys_, action, frame, labels)
+                        for build in (_frame_form, permutation_frame_form)
+                    )
+                    assert got == want, (label, rank, frame, action)
+                    outcomes.add(got if isinstance(got, type) else action)
+    assert outcomes == {"natural", "pairs", "triality", "signed", UnsupportedEmbeddingError}
+    with pytest.raises(ValueError, match="unknown point action"):
+        _frame_form(sys_, "spinor", frame, labels)
 
 
 def test_linear_action_repeated_and_non_commuting_roots():
