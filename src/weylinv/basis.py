@@ -7,10 +7,10 @@ restriction engine can evaluate at a maximal orthogonal frame:
 
   * FormSW          - Stiefel-Whitney classes of one frame form, plain or
                       2-twisted: the reflection representation, or a
-                      point action (signed coordinates, the natural
-                      A-type points, the pair collapse B_n -> S_n, the
-                      three-point quotient used for F4), each read off
-                      the frame's reflection vectors;
+                      point action (signed coordinates, the pair
+                      collapse B_n -> S_n, the three-point quotient used
+                      for F4), each read off the frame's reflection
+                      vectors;
   * SignClass       - the degree-one class of one frame coordinate's
                       sign character;
   * FoldInvariant   - elementary symmetric functions of the fold data
@@ -105,14 +105,14 @@ __all__ = [
 class FormSW(NamedTuple):
     """w_d of a frame form, of its <2>-twist when modified.
 
-    action names the form: "linear" is the reflection representation,
+    action names the form: "linear" is the reflection representation
+    (for A_n, on R^(n+1), the permutation action on its n + 1 points),
     and every other value is a point action, which _frame_form reads as
     a reflection representation too: "signed" acts on the 2n points
-    +-e_i, so that sign flips become transpositions, "natural" on the
-    n+1 points of an A-type system, "pairs" on the n pairs {+-e_i},
-    killing the sign flips, and "triality" on three points, where axis
-    reflections all act as the same transposition and coordinate-pair
-    reflections trivially.
+    +-e_i, so that sign flips become transpositions, "pairs" on the n
+    pairs {+-e_i}, killing the sign flips, and "triality" on three
+    points, where axis reflections all act as the same transposition
+    and coordinate-pair reflections trivially.
     """
 
     d: int
@@ -234,13 +234,11 @@ def _root_coords(sys_: RootSystem, root_idx: int) -> tuple[str, int, int]:
 
 def _point_vector(sys_: RootSystem, root_idx: int, action: str) -> Optional[Root]:
     """The vector of the reflection by which a frame root acts on the
-    points of a "natural", "pairs" or "triality" action, or None when it
-    acts trivially (see _frame_form)."""
+    points of a "pairs" or "triality" action, or None when it acts
+    trivially (see _frame_form)."""
     kind, i, j = _root_coords(sys_, root_idx)
     if action == "triality":
         return (0, 2, -2) if kind == "axis" else None
-    if action == "natural" and kind != "difference":
-        raise UnsupportedEmbeddingError("natural point action needs e_i - e_j roots")
     if kind == "axis":
         return None
     return _vec(len(sys_.roots[0]), {i: 2, j: -2})
@@ -315,8 +313,7 @@ def _frame_form(sys_, action, roots, labels) -> DiagonalForm:
 
     A point action is a reflection representation too: a root acting on
     the points as the transposition (i j) is the reflection at
-    p(i) - p(j).  "natural" (the n + 1 points of an A-type system) needs
-    e_i - e_j roots; "pairs" collapses each signed pair +-e_i to one
+    p(i) - p(j).  "pairs" collapses each signed pair +-e_i to one
     point, so e_i +- e_j acts as (i j) and an axis root trivially; on
     the three points of "triality" every axis root acts as (2 3) and
     every other root trivially.  The 2N points +-e_i of "signed" span
@@ -334,7 +331,7 @@ def _frame_form(sys_, action, roots, labels) -> DiagonalForm:
         )
         entries = sorted(pairs + linear, key=itemgetter(1, 0))
         return twist_by_two(DiagonalForm(labels, tuple(entries)))
-    if action not in ("natural", "pairs", "triality"):
+    if action not in ("pairs", "triality"):
         raise ValueError(f"unknown point action {action!r}")
     dim = 3 if action == "triality" else len(sys_.roots[0])
     return _form_of_lines([_point_vector(sys_, r, action) for r in roots], labels, dim)
@@ -433,8 +430,9 @@ def _plain_reflection_formula(d: int, ctx: BnContext) -> Optional[KInvariant]:
 
 
 def _natural_sw_formula(d: int, labels: Sequence[str]) -> KInvariant:
-    # total SW of the natural action at a frame of f disjoint
-    # transpositions is (1+s)^f * prod_i (1 + s + x_i)
+    # the linear form of A_n is that of the natural action of S_(n+1);
+    # its total SW at a frame of f disjoint transpositions is
+    # (1+s)^f * prod_i (1 + s + x_i)
     labels = tuple(labels)
     total = one(labels)
     for lab in labels:
@@ -507,23 +505,22 @@ def _stated_leaf(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
     return stated(r.d, ctx) if stated else None
 
 
-def _context_for_frame(
-    type_label: str, rank: int, frame_name: str
-) -> Optional[BnContext]:
-    if type_label in ("B", "F") or (type_label == "I2" and rank == 4):
-        n = 4 if type_label == "F" else (2 if type_label == "I2" else rank)
-        return BnContext(int(frame_name.split("_")[1]), n)
-    if type_label == "D":
-        m = rank // 2
-        return BnContext(m, 2 * m)
-    return None
+def _full_pairs(labels: Sequence[str]) -> int:
+    """The frame's full coordinate pairs {a_i, b_i}: one b_i each."""
+    return sum(lab[0] == "b" for lab in labels)
+
+
+def _context_for_frame(labels: Sequence[str]) -> BnContext:
+    """The coordinate context of a B_n, D_n, F4 or I2(4) frame with these
+    labels: its full pairs, then lone axis entries."""
+    return BnContext(_full_pairs(labels), len(labels))
 
 
 def _a_stated(inv: NamedInvariant, labels: Sequence[str]) -> Optional[KInvariant]:
     # A-type frames carry plain transposition coordinates, not pair slots
     if inv.name == "1":
         return one(tuple(labels))
-    if _sw_key(inv) == ("natural", False):
+    if _sw_key(inv) == ("linear", False):
         return _natural_sw_formula(inv.recipe.d, labels)
     return None
 
@@ -594,7 +591,7 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
     if t == "A":
         f = (rank + 1) // 2
         return (_ONE,) + tuple(
-            NamedInvariant(f"w{d}", d, FormSW(d, "natural", False))
+            NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
             for d in range(1, f + 1)
         )
     if t in ("B", "C"):
@@ -727,20 +724,22 @@ def _e_torsor_elem(sys_: RootSystem) -> tuple[int, ...]:
 
 
 def normalizer_families(
-    sys_: RootSystem, frame_name: str, frame_roots: Sequence[int]
+    sys_: RootSystem, frame_roots: Sequence[int]
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Recorded normalizer elements as labeled position permutations.
 
     The families are fixed per type: pair swaps, pair flips and tail
     swaps for A/B/D/F (flips through paired sign changes where single
     flips are not available), plus the torsor element for F4's pair
-    frame and for the E types.  Each element genuinely lives in the
+    frame and for the E types.  The frame's full pairs are counted off
+    its labels (_full_pairs).  Each element genuinely lives in the
     group (built from root reflections) and is pushed through
     normalizer_action, so a bookkeeping mistake raises instead of
     silently constraining nothing.
     """
     t, n = sys_.type_label, sys_.rank
     roots = tuple(frame_roots)
+    L = _full_pairs([root_label(sys_, r) for r in roots])
     out: list[tuple[str, tuple[int, ...]]] = []
 
     def add(label: str, g: tuple[int, ...]) -> None:
@@ -752,7 +751,6 @@ def normalizer_families(
             add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
         return out
     if t in ("B", "F"):
-        L = int(frame_name.split("_")[1])
         for i in range(1, L):
             add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
         for i in range(1, L + 1):
@@ -766,11 +764,10 @@ def normalizer_families(
             add("torsor-g", sys_.reflection_images(sys_.index[(1, 1, 1, 1)]))
         return out
     if t == "D":
-        m = n // 2
-        for i in range(1, m):
+        for i in range(1, L):
             add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
         if n % 2 == 0:
-            for i in range(1, m):
+            for i in range(1, L):
                 add(
                     f"double-flip({i},{i + 1})",
                     _double_flip_elem(sys_, 2 * i, 2 * i + 2),
@@ -778,14 +775,13 @@ def normalizer_families(
         else:
             # the spare coordinate absorbs the second sign change, so
             # every pair flips individually
-            for i in range(1, m + 1):
+            for i in range(1, L + 1):
                 add(f"pair-flip({i})", _double_flip_elem(sys_, 2 * i, n))
         return out
     if t == "E":
-        pairs = {6: 2, 7: 3, 8: 4}[n]
-        for i in range(1, pairs):
+        for i in range(1, L):
             add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
-        for i in range(1, pairs):
+        for i in range(1, L):
             add(
                 f"double-flip({i},{i + 1})",
                 _double_flip_elem(sys_, 2 * i, 2 * i + 2),
@@ -1182,8 +1178,7 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
                 if out_type == "A":
                     expected = _a_stated(b, labels)
                 else:
-                    ctx = _context_for_frame(out_type, out_rank, fname)
-                    expected = stated_formula(b, ctx) if ctx is not None else None
+                    expected = stated_formula(b, _context_for_frame(labels))
                 if expected is None:
                     continue
                 covered += 1
@@ -1227,8 +1222,8 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
 
     elements = [
         (j, desc, perm)
-        for j, (fname, roots) in enumerate(std)
-        for desc, perm in normalizer_families(sys_, fname, roots)
+        for j, (_, roots) in enumerate(std)
+        for desc, perm in normalizer_families(sys_, roots)
     ]
     return _report(
         out_type,

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from .basis import generators_for, restrict, verify_basis
@@ -240,8 +241,8 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
             raise UnsupportedSystemError(
                 f"{bad.args[0]} is not a doubled root of this system"
             ) from None
-        for (i, u), (j, v) in combinations(zip(idxs, args.root), 2):
-            if sys_.gram_row(i)[j]:  # nonzero also when u and v share a line
+        for u, v in combinations(args.root, 2):
+            if sum(map(mul, u, v)):  # nonzero also when u and v share a line
                 raise UnsupportedSystemError(
                     f"frame roots {u} and {v} are not orthogonal"
                 )

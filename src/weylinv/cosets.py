@@ -267,9 +267,9 @@ def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key
 
 def _invariant_vector(
     sys_: RootSystem, images: Sequence[Sequence[int]], domain_lines: set[int]
-) -> Key:
+) -> Optional[Key]:
     """A primitive weight-lattice vector whose stabiliser in W is
-    exactly U.
+    exactly U, or None when no candidate has that stabiliser.
 
     images are the reflection tables of U's generators.  Candidates are
     weighted sums of the U-orbit sums of the roots (each summand is
@@ -277,11 +277,13 @@ def _invariant_vector(
     when the set of roots orthogonal to it is precisely Sigma_U: by
     Steinberg's theorem the stabiliser of a vector is generated by the
     reflections fixing it, so acceptance proves Stab(v) = U and the
-    coset key g^{-1}(v) is collision-free.  The accepted vector is
-    divided by the gcd g of its doubled coordinates and its Dynkin
-    labels, which keeps both integral; a positive multiple has the same
-    orthogonal roots, so the proof stands, and the same order on its
-    orbit.  g is 294 for E8, 242 for E7 and 18 for D4.
+    coset key g^{-1}(v) is collision-free.  For U = W that is the zero
+    vector, the one vector every root is orthogonal to.  The accepted
+    vector is divided by the gcd g of its doubled coordinates and its
+    Dynkin labels (by 1 when they are all 0), which keeps both integral;
+    a positive multiple has the same orthogonal roots, so the proof
+    stands, and the same order on its orbit.  g is 294 for E8, 242 for
+    E7 and 18 for D4.
     """
     sums = _u_orbit_sums(sys_, images)
     for t in range(1, 65):
@@ -291,8 +293,6 @@ def _invariant_vector(
             for i, d in enumerate(s):
                 vec[i] += weight * d
             weight *= t
-        if not any(vec):
-            continue
         perp = {
             pos
             for pos in range(len(sys_.lines))
@@ -303,12 +303,9 @@ def _invariant_vector(
         }
         if perp == domain_lines:
             simple = [sys_.roots[i] for i in sys_.simple_indices]
-            g = gcd(*vec, *_labels(simple, vec))
+            g = gcd(*vec, *_labels(simple, vec)) or 1
             return tuple(x // g for x in vec)
-    raise CosetValidationError(
-        "no generic invariant vector found; the orbit-sum family does not "
-        "span the fixed space of this subgroup"
-    )
+    return None
 
 
 def build_coset_space(
@@ -412,6 +409,13 @@ def _coset_orbit(
     expected = weyl_order(sys_)
     _check_cap(sys_, expected // u_order, u_order, element_cap)
     start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
+    if start is None:
+        gens = ", ".join(str(sys_.roots[g]) for g in u_gen_roots)
+        raise CosetValidationError(
+            f"cannot key the cosets of U = <{gens}> in {sys_.type_label}"
+            f"{sys_.rank}: no weighted sum of U's root-orbit sums has stabiliser "
+            "exactly U (none can when U is no vector's stabiliser)"
+        )
     size, a_sets = _label_bfs(sys_, start, frame_roots)
     if size * u_order != expected:
         raise CosetValidationError(
@@ -455,7 +459,7 @@ def full_check(
             raise CertificateError(
                 f"the frame roots {labels[i]} and {labels[j]} lie on one line"
             )
-        if sys_.gram_row(r)[s]:
+        if sum(map(mul, sys_.roots[r], sys_.roots[s])):
             raise CertificateError(
                 f"the reflections in {labels[i]} and {labels[j]} do not "
                 "commute on the cosets: the roots are not orthogonal"

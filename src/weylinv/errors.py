@@ -43,12 +43,12 @@ class CacheFormatError(WeylinvError, ValueError):
 
 
 class CosetValidationError(WeylinvError, RuntimeError):
-    """The coset-space order identity |orbit| * |U| = |W| failed.
+    """The cosets of U could not be keyed or counted.
 
-    This means the frame-restriction key is not faithful for the
-    requested subgroup (two cosets restrict identically), so the keyed
-    orbit undercounts the cosets and a different enumeration method
-    would be required.
+    The coset walk keys a coset Ug by g^-1(v) for a vector v whose
+    stabiliser is exactly U.  Raised when no such v is found (U may be
+    no vector's stabiliser), when a key lies outside the weight lattice,
+    or when the order identity |orbit| * |U| = |W| fails.
     """
 
 

@@ -6,8 +6,8 @@ degree stays <= 240.  The reflection tables, RootSystem.reflection_images,
 are sign-equivariant isometries of the roots, as RootSystem._validate
 proves, and a product of isometries is one, so composed tuples are never
 revalidated.  A frame is the sorted tuple of the canonical root indices
-of its lines (make_frame), so frames are hashable and orbit searches key
-dictionaries by them directly.
+of its lines, so frames are hashable; omega_classes walks each as the
+bytes of its line positions (RootSystem.line_of).
 
 group_order never lists the elements of W: its "bfs" route is the
 orbit-stabiliser chain of root orbits (_reflection_group_order).
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import factorial
 from operator import itemgetter, mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     CapExceededError,
@@ -37,7 +37,6 @@ __all__ = [
     "group_order",
     "order_method",
     "weyl_order",
-    "make_frame",
     "omega_classes",
     "normalizer_action",
     "standard_frames",
@@ -150,38 +149,6 @@ def group_order(sys_: RootSystem, element_cap: int = DEFAULT_ELEMENT_CAP) -> int
 
 
 # ---------------------------------------------------------------------------
-# frames
-
-
-def make_frame(
-    sys_: RootSystem, roots: Iterable[int], require_maximal: bool = True
-) -> tuple[int, ...]:
-    """Canonicalize and validate a frame given by arbitrary root indices:
-    the sorted sign-canonical representatives of its lines.
-
-    Both checks read only the members' Gram rows: the Gram matrix is
-    symmetric, so a line is orthogonal to every member exactly when
-    each member's row is 0 at that line.
-    """
-    canon = sorted({sys_.canonical_rep[i] for i in roots})
-    rows = [sys_.gram_row(m) for m in canon]
-    for a in range(len(canon)):
-        for b in range(a + 1, len(canon)):
-            if rows[a][canon[b]] != 0:
-                raise ValueError(
-                    f"roots {canon[a]} and {canon[b]} are not orthogonal"
-                )
-    if require_maximal:
-        members = set(canon)
-        for line in sys_.lines:
-            if line not in members and all(row[line] == 0 for row in rows):
-                raise ValueError(
-                    f"frame not maximal: root {line} is orthogonal to all members"
-                )
-    return tuple(canon)
-
-
-# ---------------------------------------------------------------------------
 # Omega classification
 
 
@@ -192,22 +159,23 @@ def omega_classes(
     (representative, orbit size) pairs.
 
     The classes are the set-orbits of the standard frames under the
-    simple reflections (which generate W).  Reflections are isometries,
-    so every orbit member is a maximal frame, and standard_frames meets
-    every class (the tests check both against a listing of all maximal
-    frames), so the orbits partition the maximal frames.  Each orbit is
+    simple reflections (which generate W).  The standard frames are
+    maximal frames meeting every class, program constants that the tests
+    check against a listing of all maximal frames rather than each call;
+    reflections are isometries, so every orbit member is a maximal frame
+    and the orbits partition the maximal frames.  Each orbit is
     represented by its lexicographically least member.  The walk raises
     CapExceededError when it expands frame max_frames + 1; no supported
     system has more than 2,025 maximal frames (E8).
     """
-    # a frame is the bytes of its line positions (line_of), which ascend
-    # with root index, so bytes order like the frames' index tuples; a
-    # simple reflection s maps it by one table, p -> line_of[s(lines[p])]
+    # a frame is the sorted bytes of its line positions (line_of), which
+    # ascend with root index, so bytes order like the frames' index
+    # tuples; a simple reflection s maps it by one table,
+    # p -> line_of[s(lines[p])]
     lines, line_of = sys_.lines, sys_.line_of
     name = f"{sys_.type_label}{sys_.rank}"
     if len(lines) > 256:
         raise ValueError(f"{name} has {len(lines)} lines; a frame key holds 256")
-    frames = [make_frame(sys_, roots) for _, roots in standard_frames(sys_)]
     tables = [
         bytes(map(line_of.__getitem__, _compose(s, lines))).ljust(256, b"\0")
         for s in map(sys_.reflection_images, sys_.simple_indices)
@@ -224,7 +192,10 @@ def omega_classes(
             )
         return [bytes(sorted(key.translate(t))) for t in tables]
 
-    orbits = _bfs_orbits([bytes(map(line_of.__getitem__, f)) for f in frames], step)
+    orbits = _bfs_orbits(
+        [bytes(sorted(map(line_of.__getitem__, f))) for _, f in standard_frames(sys_)],
+        step,
+    )
     return sorted((_compose(lines, min(orbit)), len(orbit)) for orbit in orbits)
 
 

@@ -12,8 +12,9 @@ entries would differ by a multiple of 2^w), so a dict from root keys
 finds exactly the roots among them.  RootSystem._validate takes w past
 every entry of an image s_i(x) = x - c a_i, top + cmax top (top the
 largest |entry| of a root, cmax the largest |c|), so an image that is
-no root finds no key; reflection_images runs after validation, when
-every image is a root (Humphreys 1.14), so top alone sizes its w.
+no root finds no key.  That index is the system's one, memoized as
+("packed",): after validation every image of every reflection is a root
+(Humphreys 1.14), so reflection_images finds its images in it too.
 
 Supported systems: A_n (n >= 1), B_n/C_n (n >= 2, C aliased to B), D_n
 (n >= 4), E6, E7, E8, F4.  The dihedral families (including G2) have no
@@ -39,7 +40,7 @@ __all__ = [
 Root = tuple[int, ...]
 
 #: (type_label, min_rank, max_rank) rows of the supported table.  E/F entries
-#: are fixed-rank.  max_rank 8 keeps every enumeration comfortably in memory.
+#: are fixed-rank.  The A/B/C/D cap of 8 stays until ROADMAP item 3 lifts it.
 SUPPORTED: tuple[tuple[str, int, int], ...] = (
     ("A", 1, 8),
     ("B", 2, 8),
@@ -131,12 +132,10 @@ class RootSystem:
         canonical_rep: root index -> index of the sign-canonical partner.
         notes: informational strings (e.g. the C -> B alias).
 
-    gram_row(i)[j] is the dot product of the doubled coordinates of
-    roots i and j, an integer equal to 4 (roots[i], roots[j]).  It and
-    every other value derived from the system (packed keys, reflection
-    tables, Omega classes, frame forms, coset spaces and their certificates)
-    is computed at its first use and held by memo(), so it lives exactly
-    as long as the system: build_root_system.cache_clear() drops them all.
+    The values derived from the system (the packed key index, reflection
+    tables, frame forms and their total classes, coset spaces) are held
+    by memo(), so they live exactly as long as the system:
+    build_root_system.cache_clear() drops them all.
     """
 
     def __init__(
@@ -182,8 +181,8 @@ class RootSystem:
         """The value derived from this system under key: build() on the
         first request, the stored value after that.
 
-        Keys are tuples led by the kind of value: ("gram", i),
-        ("packed",), ("reflection", i), ("cosets", cache_dir) and, in
+        Keys are tuples led by the kind of value: ("packed",),
+        ("reflection", i), ("cosets", cache_dir) and, in
         basis, a FormSW action with a frame's roots for its forms and
         total SW classes.
         """
@@ -191,20 +190,12 @@ class RootSystem:
             self._memo[key] = build()
         return self._memo[key]
 
-    def gram_row(self, i: int) -> tuple[int, ...]:
-        """Dot products of the doubled coordinates of roots[i] with every root."""
-
-        def build():
-            vd = self.roots[i]
-            return tuple([sum(map(mul, vd, w)) for w in self.roots])
-
-        return self.memo(("gram", i), build)
-
     def _validate(self) -> None:
         """Check that the roots form a crystallographic root system.
 
         In O(rank x roots) integer operations on doubled coordinates:
-        (a) negation is a perfect matching; (b) every pairing
+        (a) no root is zero (__init__ has matched each root with its
+        negative, so negation is then a perfect matching); (b) every pairing
         <w, a_i^v> = 2(w, a_i)/(a_i, a_i) with a simple root a_i is an
         integer and s_i(w) = w - <w, a_i^v> a_i is a root; (c) a search
         from the simple roots under the simple reflections reaches every
@@ -223,15 +214,12 @@ class RootSystem:
         reflection_images: each is then a permutation of Phi, and as the
         restriction of an orthogonal reflection a sign-equivariant
         isometry, so no later check repeats this one.  Images are found
-        by packed key (see the module docstring), building no tuple.
+        by packed key (see the module docstring), building no tuple, and
+        the key index is kept as the system's ("packed",).
         """
         roots = self.roots
         n = len(roots)
-        if n % 2 != 0:
-            raise ValueError("root count must be even (negation pairing)")
-        neg = self.negation
-        fixed = any(map(eq, neg, range(n)))  # a zero vector is its own negative
-        if fixed or list(map(neg.__getitem__, neg)) != list(range(n)):
+        if any(map(eq, self.negation, range(n))):  # a zero vector is its own negative
             raise ValueError("negation is not a perfect matching")
         cols = tuple(zip(*roots))
         pairings = []
@@ -246,6 +234,7 @@ class RootSystem:
         # Phi = -Phi, so the largest entry and pairing are the largest |.|
         top = max(map(max, cols), default=0)
         index = _packed_index(cols, top + top * max(map(max, pairings), default=0), n)
+        self._memo["packed",] = index
         keys = list(index)
         tables = []
         for s, cs in zip(self.simple_indices, pairings):
@@ -268,18 +257,15 @@ class RootSystem:
         """Root-index images of the reflection at roots[root_idx].
 
         The Cartan integers come from the coordinate columns, and each
-        image is looked up by its packed key, key(w) - c key(v); the key
-        index is memoized once per system as ("packed",).  _validate
-        stores the simple reflections' tables, so those are never
-        rebuilt here.
+        image is looked up by its packed key, key(w) - c key(v), in the
+        ("packed",) index _validate built.  _validate also stores the
+        simple reflections' tables, so those are never rebuilt here.
         """
 
         def build():
             n = len(self.roots)
             cols = tuple(zip(*self.roots))
-            index = self.memo(
-                ("packed",), lambda: _packed_index(cols, max(map(max, cols)), n)
-            )
+            index = self._memo["packed",]
             vd = self.roots[root_idx]
             vv = sum(map(mul, vd, vd))
             cs = map(vv.__rfloordiv__, _combine(cols, [2 * a for a in vd], n))

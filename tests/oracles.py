@@ -50,8 +50,12 @@ directly, and the tests check the direct form against it:
     weylinv.forms reads the frame's lines off the roots directly.
   * GeneratedGroup / enumerate_subgroup - a subgroup listed element by
     element from permutation generators, each element the bytes of its
-    images; weylinv.groups.group_order counts W two BFS layers at a
-    time and keeps no element list.
+    images; weylinv.groups.group_order multiplies the orbit sizes of a
+    chain of root orbits and lists no element.
+  * make_frame - a frame canonicalized from any root indices, with its
+    orthogonality and maximality checked one dot product per pair;
+    weylinv.groups.omega_classes keys the standard frames by their
+    line positions directly, and the tests check those frames once.
   * unreduced_invariant_vector / cauchy_schwarz_label_width - the coset
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
@@ -62,8 +66,10 @@ route no command takes:
 
   * parse_terms - an invariant from its rendered text, for fixtures;
     the inverse of KInvariant.render.
+  * dot - the dot product of two roots' doubled coordinates, which
+    every oracle that needs a pair's inner product reads.
   * validate_root_permutation - a sign-equivariant isometry test from
-    the Gram rows of the simple roots, an independent check of the
+    the inner products of the simple roots, an independent check of the
     tables that weylinv.roots.RootSystem._validate proves.
   * maximal_orthogonal_frames / _maximal_cliques / clique_seeded_orbits
     - every maximal frame, as a maximal clique of the orthogonality
@@ -425,8 +431,8 @@ def orbit_sum_bound(type_label: str, rank: int, degree: int) -> int:
     if degree == 0:
         return 1
     sys_ = build_root_system(type_label, rank)
-    frame_name, roots = standard_frames(sys_)[0]
-    perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
+    _, roots = standard_frames(sys_)[0]
+    perms = [p for _, p in normalizer_families(sys_, roots)]
     labels = tuple(root_label(sys_, r) for r in roots)
     return orbit_count(labels, perms, degree)
 
@@ -490,7 +496,7 @@ def b_orbit_nodes(n: int, d: int) -> list[tuple[int, int, int]]:
     nodes = []
     for frame_name, roots in standard_frames(sys_):
         ctx = BnContext(int(frame_name.split("_")[1]), n)
-        perms = [p for _, p in normalizer_families(sys_, frame_name, roots)]
+        perms = [p for _, p in normalizer_families(sys_, roots)]
         for s in orbit_sums(monomials, perms, ctx.labels):
             mask = coordinate_mask(min(s.terms))
             node = (ctx.L,) + _monomial_signature(mask, ctx)
@@ -645,6 +651,12 @@ def reflect(v, w):
     return tuple(int(x) for x in image)
 
 
+def dot(sys_, i: int, j: int) -> int:
+    """The dot product of the doubled coordinates of roots i and j, an
+    integer equal to 4 (roots[i], roots[j])."""
+    return sum(map(mul, sys_.roots[i], sys_.roots[j]))
+
+
 # ---------------------------------------------------------------------------
 # groups
 
@@ -653,7 +665,7 @@ def validate_root_permutation(sys_, images: Sequence[int]) -> None:
     """Raise ValueError unless images defines a sign-equivariant isometry.
 
     Inner products are checked only between the simple roots b and all
-    roots j: gram[b][j] == gram[pi b][pi j].  That suffices.  Taking j
+    roots j: dot(b, j) == dot(pi b, pi j).  That suffices.  Taking j
     simple shows that the images pi b have the simple roots' Gram
     matrix, which is nondegenerate, so they form a basis of the roots'
     span and b -> pi b extends to a linear isometry T of it.  Each pi j
@@ -670,12 +682,37 @@ def validate_root_permutation(sys_, images: Sequence[int]) -> None:
         if images[neg[i]] != neg[images[i]]:
             raise ValueError(f"not sign-equivariant at root {i}")
     for b in sys_.simple_indices:
-        gb, gpb = sys_.gram_row(b), sys_.gram_row(images[b])
         for j in range(n):
-            if gb[j] != gpb[images[j]]:
+            if dot(sys_, b, j) != dot(sys_, images[b], images[j]):
                 raise ValueError(
                     f"inner product not preserved on roots ({b}, {j})"
                 )
+
+
+def make_frame(
+    sys_: RootSystem, roots: Iterable[int], require_maximal: bool = True
+) -> tuple[int, ...]:
+    """Canonicalize and validate a frame given by arbitrary root indices:
+    the sorted sign-canonical representatives of its lines.
+
+    Both checks read one dot product per pair: a line extends the frame
+    exactly when it is orthogonal to every member.
+    """
+    canon = sorted({sys_.canonical_rep[i] for i in roots})
+    for a in range(len(canon)):
+        for b in range(a + 1, len(canon)):
+            if dot(sys_, canon[a], canon[b]) != 0:
+                raise ValueError(
+                    f"roots {canon[a]} and {canon[b]} are not orthogonal"
+                )
+    if require_maximal:
+        members = set(canon)
+        for line in sys_.lines:
+            if line not in members and all(dot(sys_, m, line) == 0 for m in canon):
+                raise ValueError(
+                    f"frame not maximal: root {line} is orthogonal to all members"
+                )
+    return tuple(canon)
 
 
 def frame_class(sys_, omega, frame) -> int:
@@ -713,9 +750,8 @@ def maximal_orthogonal_frames(
     adj = []
     for a in range(nlines):
         mask = 0
-        ga = sys_.gram_row(lines[a])
         for b in range(nlines):
-            if b != a and ga[lines[b]] == 0:
+            if b != a and dot(sys_, lines[a], lines[b]) == 0:
                 mask |= 1 << b
         adj.append(mask)
     frames = []

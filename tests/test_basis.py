@@ -16,6 +16,7 @@ from oracles import (
     enumerate_subgroup,
     f4_hat,
     lambda_sum,
+    make_frame,
     normalizer_action_full,
     orbit_count,
     orbit_sum_bound,
@@ -42,7 +43,7 @@ from weylinv.basis import (
     verify_basis,
 )
 from weylinv.errors import UnsupportedEmbeddingError, UnsupportedSystemError
-from weylinv.groups import make_frame, root_label, standard_frames
+from weylinv.groups import normalizer_action, resolve, root_label, standard_frames
 from weylinv.roots import build_root_system
 
 
@@ -131,7 +132,7 @@ def test_stated_formulas_are_keyed_by_the_whole_recipe(type_label):
         NamedInvariant("p", sum(f.degree for f in p.factors), p) for p in products
     ]
     for fname, roots in standard_frames(sys_):
-        ctx = basis._context_for_frame(type_label, 4, fname)
+        ctx = basis._context_for_frame([root_label(sys_, r) for r in roots])
         stated = [(inv, basis.stated_formula(inv, ctx)) for inv in invs]
         for inv, expected in stated:
             if expected is not None:
@@ -223,7 +224,7 @@ def test_natural_action_small_cases():
     sys_ = build_root_system("A", 3)
     roots = standard_frames(sys_)[0][1]
     labels = ("a1", "a2")
-    w = lambda d: NamedInvariant(f"w{d}", d, FormSW(d, "natural", False))
+    w = lambda d: NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
     assert restrict(w(1), roots, sys_) == parse_terms(labels, "{a1} + {a2}")
     assert restrict(w(2), roots, sys_) == parse_terms(
         labels, "{a1}{a2} + {2}{a1} + {2}{a2}"
@@ -582,7 +583,7 @@ def _generated(gens, size):
 def test_recorded_families_generate_the_full_normalizer_action(type_label, rank):
     sys_ = build_root_system(type_label, rank)
     for name, roots, full in _full_actions(type_label, rank):
-        recorded = [p for _, p in normalizer_families(sys_, name, roots)]
+        recorded = [p for _, p in normalizer_families(sys_, roots)]
         full_group = _generated(full, len(roots))
         recorded_group = _generated(recorded, len(roots))
         assert recorded_group <= full_group, name
@@ -697,14 +698,89 @@ def test_g2_structure_facts_check():
 def test_normalizer_negative_case():
     # a bare pair coordinate is not flip-invariant, so the constraint bites
     sys_ = build_root_system("B", 2)
-    fname, roots = standard_frames(sys_)[1]
-    fams = dict(normalizer_families(sys_, fname, roots))
+    _, roots = standard_frames(sys_)[1]
+    fams = dict(normalizer_families(sys_, roots))
     action = fams["pair-flip(1)"]
     labels = ("a1", "b1")
     bare = parse_terms(labels, "{a1}")
     moved = relabel(bare, action)
     assert moved == parse_terms(labels, "{b1}")
     assert moved != bare
+
+
+def _named_context(type_label, rank, frame_name):
+    """The stated-formula context read off the frame's name: P_L holds
+    L full pairs, a D_n frame n // 2."""
+    if type_label in ("B", "F") or (type_label == "I2" and rank == 4):
+        n = 4 if type_label == "F" else (2 if type_label == "I2" else rank)
+        return BnContext(int(frame_name.split("_")[1]), n)
+    if type_label == "D":
+        m = rank // 2
+        return BnContext(m, 2 * m)
+    return None
+
+
+def _named_families(sys_, frame_name, frame_roots):
+    """normalizer_families with the frame's full pairs taken from its
+    name and type: parsed from P_L for B and F, n // 2 for D, a table
+    for E."""
+    t, n = sys_.type_label, sys_.rank
+    roots = tuple(frame_roots)
+    out = []
+
+    def add(label, g):
+        out.append((label, normalizer_action(sys_, g, roots)))
+
+    if t == "A":
+        for i in range(1, (n + 1) // 2):
+            add(f"pair-swap({i},{i + 1})", basis._pair_swap_elem(sys_, i, i + 1))
+        return out
+    if t in ("B", "F"):
+        L = int(frame_name.split("_")[1])
+        for i in range(1, L):
+            add(f"pair-swap({i},{i + 1})", basis._pair_swap_elem(sys_, i, i + 1))
+        for i in range(1, L + 1):
+            add(f"pair-flip({i})", basis._refl_at(sys_, {2 * i - 1: 2}))
+        for j in range(2 * L + 1, n):
+            add(f"tail-swap(e{j},e{j + 1})", basis._refl_at(sys_, {j - 1: 2, j: -2}))
+        if t == "F" and L == 2:
+            add("torsor-g", sys_.reflection_images(sys_.index[(1, 1, 1, 1)]))
+        return out
+    if t == "D":
+        m = n // 2
+        for i in range(1, m):
+            add(f"pair-swap({i},{i + 1})", basis._pair_swap_elem(sys_, i, i + 1))
+        if n % 2 == 0:
+            for i in range(1, m):
+                add(
+                    f"double-flip({i},{i + 1})",
+                    basis._double_flip_elem(sys_, 2 * i, 2 * i + 2),
+                )
+        else:
+            for i in range(1, m + 1):
+                add(f"pair-flip({i})", basis._double_flip_elem(sys_, 2 * i, n))
+        return out
+    pairs = {6: 2, 7: 3, 8: 4}[n]
+    for i in range(1, pairs):
+        add(f"pair-swap({i},{i + 1})", basis._pair_swap_elem(sys_, i, i + 1))
+    for i in range(1, pairs):
+        flip = basis._double_flip_elem(sys_, 2 * i, 2 * i + 2)
+        add(f"double-flip({i},{i + 1})", flip)
+    add("torsor-g", basis._e_torsor_elem(sys_))
+    return out
+
+
+@pytest.mark.parametrize("type_label,rank", _WEYL_SYSTEMS + [("C", 3), ("I2", 4)])
+def test_pair_counts_read_off_labels_match_the_frame_names(type_label, rank):
+    """One b_i per full pair: the labels give the stated-formula context
+    and the normalizer families that parsing P_L gave at every standard
+    frame."""
+    (t, n), sys_ = resolve(type_label, rank)
+    for fname, roots in standard_frames(sys_):
+        labels = [root_label(sys_, r) for r in roots]
+        if t not in ("A", "E"):
+            assert basis._context_for_frame(labels) == _named_context(t, n, fname)
+        assert normalizer_families(sys_, roots) == _named_families(sys_, fname, roots)
 
 
 # ---------------------------------------------------------------------------

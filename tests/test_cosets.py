@@ -27,6 +27,7 @@ from weylinv.cosets import (
     full_check,
     standard_u_gens,
 )
+from weylinv.cli import main
 from weylinv.errors import (
     CacheFormatError,
     CapExceededError,
@@ -100,6 +101,58 @@ def test_validation_failure_full_rank_subgroup():
     e2 = sys_.index[(0, 2)]
     with pytest.raises(CosetValidationError):
         build_coset_space(sys_, [e1, e2])
+
+
+_U_IS_W = [("A", 1), ("A", 2), ("B", 2), ("D", 4), ("E", 8)]
+
+
+@pytest.mark.parametrize("system", _U_IS_W)
+def test_u_equal_to_w_has_one_coset(tmp_path, system):
+    """U generated by the simple reflections is W.  The zero vector is
+    the one vector whose stabiliser is W, so U\\W is one coset, and each
+    standard frame has one orbit on it, of fold 0; a cold and a warm
+    cache give the same space."""
+    sys_ = build_root_system(*system)
+    gens = sys_.simple_indices
+    space = build_coset_space(sys_, gens)
+    assert (space.size, space.u_order) == (1, weyl_order(sys_))
+    for _, frame in standard_frames(sys_):
+        cert = full_check(sys_, space, frame)
+        assert (cert.a_sets, cert.min_fold) == (((),), 0)
+    cold = build_coset_space(sys_, gens, cache_dir=str(tmp_path))
+    assert os.path.exists(cache_path(sys_, gens, str(tmp_path)))
+    warm = build_coset_space(sys_, gens, cache_dir=str(tmp_path))
+    assert cold == warm == space
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["A1", "--u-root", "2,-2"],
+        ["A2", "--u-root", "2,-2,0", "--u-root", "0,2,-2"],
+        ["B2", "--u-root", "2,-2", "--u-root", "0,2"],
+        ["D4"] + [
+            arg
+            for root in ("2,-2,0,0", "0,2,-2,0", "0,0,2,-2", "0,0,2,2")
+            for arg in ("--u-root", root)
+        ],
+    ],
+)
+def test_u_equal_to_w_commands_print_one_coset(capsys, argv):
+    assert main(["cosets", *argv]) == 0
+    assert capsys.readouterr().out.startswith("1 cosets; ")
+    assert main(["fullcheck", *argv]) == 0
+    assert capsys.readouterr().out.endswith("\n1 orbits; fold 0\n")
+
+
+def test_a_u_that_is_no_vectors_stabiliser_names_its_system(capsys):
+    """U = <s_e1, s_e2> in B2 (A1 x A1) fixes only the zero vector,
+    whose stabiliser is all of W: no coset key exists, and the failure
+    names the system and U's generators."""
+    assert main(["cosets", "B2", "--u-root", "2,0", "--u-root", "0,2"]) == 1
+    err = capsys.readouterr().err
+    assert "U = <(2, 0), (0, 2)> in B2" in err
+    assert "fixed space" not in err
 
 
 def test_standard_u_gens_unknown():

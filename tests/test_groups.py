@@ -16,7 +16,6 @@ from weylinv.groups import (
     dihedral_omega,
     g2_split_check,
     group_order,
-    make_frame,
     normalizer_action,
     omega_classes,
     order_method,
@@ -29,8 +28,10 @@ from weylinv.roots import SUPPORTED, RootSystem, _roots_d, build_root_system
 from oracles import (
     _maximal_cliques,
     clique_seeded_orbits,
+    dot,
     enumerate_subgroup,
     frame_class,
+    make_frame,
     maximal_orthogonal_frames,
     reflect,
     validate_root_permutation,
@@ -516,18 +517,18 @@ def test_a_type_frame_size():
 
 def _all_lines_failure(sys_, roots):
     """The ValueError text make_frame gave when its maximality check
-    built every line's Gram row, or None for a maximal frame."""
+    read every line's row of inner products, or None for a maximal
+    frame."""
     canon = sorted({sys_.canonical_rep[i] for i in roots})
     for a in range(len(canon)):
         for b in range(a + 1, len(canon)):
-            if sys_.gram_row(canon[a])[canon[b]] != 0:
+            if dot(sys_, canon[a], canon[b]) != 0:
                 return f"roots {canon[a]} and {canon[b]} are not orthogonal"
     members = set(canon)
     for line in sys_.lines:
         if line in members:
             continue
-        row = sys_.gram_row(line)
-        if all(row[m] == 0 for m in canon):
+        if all(dot(sys_, line, m) == 0 for m in canon):
             return f"frame not maximal: root {line} is orthogonal to all members"
     return None
 
@@ -551,9 +552,9 @@ def test_make_frame_errors_match_the_all_lines_check(label, rank):
             assert make_frame(sys_, rest, require_maximal=False) == tuple(
                 sorted(rest)
             )
-        row = sys_.gram_row(roots[0])
         bad = next(
-            (r for r in sys_.lines if row[r] != 0 and r != roots[0]), None
+            (r for r in sys_.lines if dot(sys_, roots[0], r) != 0 and r != roots[0]),
+            None,
         )
         if bad is None:  # A1 has one line
             assert len(sys_.lines) == 1

@@ -9,6 +9,8 @@ from weylinv import roots as roots_module
 from weylinv.errors import UnsupportedSystemError
 from weylinv.roots import RootSystem, _bfs_orbits, build_root_system
 
+from oracles import dot
+
 
 def v(*doubled: int) -> tuple[int, ...]:
     return doubled
@@ -84,8 +86,8 @@ def test_cartan_integers_sample():
     # 2(a, b)/(a, a) is an integer for every pair of roots
     sys_ = build_root_system("B", 3)
     for a in range(len(sys_.roots)):
-        row = sys_.gram_row(a)
-        assert all(2 * g % row[a] == 0 for g in row)
+        aa = dot(sys_, a, a)
+        assert all(2 * dot(sys_, a, b) % aa == 0 for b in range(len(sys_.roots)))
 
 
 def test_negation_and_lines():
@@ -120,17 +122,6 @@ def test_e7_contains_expected_half_roots():
     sys_ = build_root_system("E", 7)
     assert v(1, -1, -1, -1, -1, -1, -1, 1) in sys_.index
     assert v(-1, 1, 1, 1, -1, -1, -1, 1) in sys_.index
-
-
-@pytest.mark.parametrize(
-    "label,rank", [("A", 3), ("B", 3), ("D", 4), ("F", 4), ("E", 6)]
-)
-def test_gram_matches_dot_products(label, rank):
-    sys_ = build_root_system(label, rank)
-    for i, r in enumerate(sys_.roots):
-        assert sys_.gram_row(i) == tuple(
-            sum(a * b for a, b in zip(r, w)) for w in sys_.roots
-        )
 
 
 def test_memo_builds_once_per_key():
@@ -197,8 +188,8 @@ def test_validate_sizes_packed_keys_past_every_image(monkeypatch):
 
 
 def test_reflection_tables_share_one_packed_index(monkeypatch):
-    """("packed",) is built once per system, on its first non-simple
-    table, and no table leaves a Gram row behind."""
+    """("packed",) is the index _validate builds, the system's one:
+    every reflection table, simple or not, reads it."""
     calls = []
     real = roots_module._packed_index
 
@@ -209,12 +200,19 @@ def test_reflection_tables_share_one_packed_index(monkeypatch):
     monkeypatch.setattr(roots_module, "_packed_index", counted)
     sys_ = RootSystem("D", 4, *roots_module._roots_d(4))
     assert calls == [2 + 2 * 2]  # _validate's own: top 2, the largest |c| 2
-    assert ("packed",) not in sys_._memo
+    assert ("packed",) in sys_._memo
     for r in range(len(sys_.roots)):
         sys_.reflection_images(r)
-    assert calls == [6, 2]  # every image is a root: top alone
-    assert ("packed",) in sys_._memo
-    assert not [key for key in sys_._memo if key[0] == "gram"]
+    assert calls == [6]
+    assert sorted(key[0] for key in sys_._memo) == ["packed"] + ["reflection"] * 24
+
+
+def test_zero_vector_is_refused():
+    """The zero vector is its own negative, so negation is no perfect
+    matching."""
+    alpha = v(2, -2)
+    with pytest.raises(ValueError, match="^negation is not a perfect matching$"):
+        RootSystem("A", 1, [alpha, neg(alpha), v(0, 0)], [alpha])
 
 
 def test_root_set_without_a_negative_names_it():
