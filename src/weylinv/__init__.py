@@ -6,7 +6,8 @@ Layers, bottom up:
 * groups  - Weyl groups as root permutations, frames, Omega classes, dihedral
 * algebra - the F2 exterior algebra on torsor coordinates with nilpotent {2}
 * forms   - torsor-parameterized diagonal forms and Stiefel-Whitney images
-* cosets  - U\\W coset spaces keyed by frame restrictions, fold certificates
+* cosets  - U\\W coset spaces, each coset Ug keyed by g^-1(v_U) as packed
+            Dynkin labels, and fold certificates
 * basis   - named invariants, restriction engine, basis verification reports
 * cli     - the weylinv command-line frontend
 """

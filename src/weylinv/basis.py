@@ -376,9 +376,10 @@ def _fold_recipe(inv, labels, leaf) -> Optional[KInvariant]:
 
 
 def _subset_monomials(k: int, d: int) -> list[int]:
+    # no monomial has a negative degree (w_0's {2}-part reads degree -1)
     return [
         Monomial(sum(1 << p for p in subset))
-        for subset in combinations(range(k), d)
+        for subset in (combinations(range(k), d) if d >= 0 else ())
     ]
 
 
@@ -408,25 +409,18 @@ def _pairs_free(shape) -> bool:
     return not shape.A and not shape.B
 
 
-def _plain_reflection_formula(d: int, ctx: BnContext) -> Optional[KInvariant]:
-    # untwisted w_d of the reflection embedding at a coordinate frame;
-    # the {2}-part shifts through the norm-2 pair entries
-    L, n = ctx.L, ctx.n
-    if d == 1:
-        return lambda_sum(L, n, 1)
-    if d == 2:
-        return lambda_sum(L, n, 2) + two(ctx.labels) * lambda_sum(
-            L, n, 1, _no_tail_no_c
-        )
-    if d == 3:
-        return lambda_sum(L, n, 3) + two(ctx.labels) * lambda_sum(
-            L, n, 2, lambda i: not i.C and i.E == 1
-        )
-    if d == 4:
-        return lambda_sum(L, n, 4) + two(ctx.labels) * lambda_sum(
-            L, n, 3, lambda i: 2 * i.C + i.E == 2
-        )
-    return None
+def _plain_reflection_formula(d: int, ctx: BnContext) -> KInvariant:
+    """Untwisted w_d of the reflection representation at a coordinate
+    frame: lambda_d + {2} lambda_(d-1)[A + B odd].
+
+    Each pair slot contributes (1 + s + a)(1 + s + b) = 1 + a + b + ab +
+    s(a + b) to the total class and each tail entry 1 + e, and s^2 = 0,
+    so a degree-(d - 1) monomial carries {2} once for each pair slot it
+    holds one entry of alone.
+    """
+    return lambda_sum(ctx.L, ctx.n, d) + two(ctx.labels) * lambda_sum(
+        ctx.L, ctx.n, d - 1, lambda i: (i.A + i.B) % 2 == 1
+    )
 
 
 def _natural_sw_formula(d: int, labels: Sequence[str]) -> KInvariant:
@@ -467,28 +461,12 @@ def _sw_key(inv: NamedInvariant) -> Optional[tuple[str, bool]]:
 def stated_formula(inv: NamedInvariant, ctx: BnContext) -> Optional[KInvariant]:
     """The closed-form restriction on record for this recipe, if any.
 
-    Returns None when no formula is stated; verify_basis then relies on
-    the independence, cardinality and normalizer checks alone for that
-    element.  A product u_a * v_f of at most one modified pair class and
-    at most one modified signed class has a formula of its own; other
-    products and corrections fold their factors' formulas.
+    Products and corrections fold their factors' formulas, as restrict
+    folds their restrictions (_fold_recipe).  Returns None when some
+    leaf has no formula on record; verify_basis then relies on the
+    independence, cardinality and normalizer checks alone for that
+    element.
     """
-    r = inv.recipe
-    keys = [_sw_key(f) for f in r.factors] if isinstance(r, Product) else []
-    if (
-        keys
-        and len(set(keys)) == len(keys)
-        and set(keys) <= {("pairs", True), ("signed", True)}
-    ):
-        # product formula: the signed-action degree singles out the
-        # monomials whose C/E weight equals it
-        f_deg = sum(f.recipe.d for f in r.factors if f.recipe.action == "signed")
-        return lambda_sum(
-            ctx.L,
-            ctx.n,
-            inv.degree,
-            lambda i: 2 * i.C + i.E == f_deg,
-        )
     return _fold_recipe(inv, ctx.labels, lambda f: _stated_leaf(f, ctx))
 
 
@@ -517,9 +495,8 @@ def _context_for_frame(labels: Sequence[str]) -> BnContext:
 
 
 def _a_stated(inv: NamedInvariant, labels: Sequence[str]) -> Optional[KInvariant]:
-    # A-type frames carry plain transposition coordinates, not pair slots
-    if inv.name == "1":
-        return one(tuple(labels))
+    """The _fold_recipe leaf of stated formulas at an A-type frame, whose
+    coordinates are plain transpositions, not pair slots."""
     if _sw_key(inv) == ("linear", False):
         return _natural_sw_formula(inv.recipe.d, labels)
     return None
@@ -527,6 +504,10 @@ def _a_stated(inv: NamedInvariant, labels: Sequence[str]) -> Optional[KInvariant
 
 # ---------------------------------------------------------------------------
 # generator tables
+
+
+def _w(k: int) -> NamedInvariant:
+    return NamedInvariant(f"w{k}", k, FormSW(k, "linear", False))
 
 
 def _u(k: int) -> NamedInvariant:
@@ -590,10 +571,7 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
         raise UnsupportedSystemError(f"unsupported system {t}{rank}")
     if t == "A":
         f = (rank + 1) // 2
-        return (_ONE,) + tuple(
-            NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
-            for d in range(1, f + 1)
-        )
+        return (_ONE,) + tuple(_w(d) for d in range(1, f + 1))
     if t in ("B", "C"):
         out = []
         for d in range(rank + 1):
@@ -606,20 +584,16 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
             out.extend(_d_degree_block(rank, d))
         return tuple(out)
     if t == "F":
-        w = {
-            d: NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
-            for d in range(1, 5)
-        }
         v1 = NamedInvariant("v1", 1, FormSW(1, "triality", True))
         return (
             _ONE,
-            w[1],
+            _w(1),
             v1,
-            w[2],
-            NamedInvariant("v1w1", 2, Product((v1, w[1]))),
-            w[3],
-            NamedInvariant("v1w2", 3, Product((v1, w[2]))),
-            w[4],
+            _w(2),
+            NamedInvariant("v1w1", 2, Product((v1, _w(1)))),
+            _w(3),
+            NamedInvariant("v1w2", 3, Product((v1, _w(2)))),
+            _w(4),
         )
     if t == "E":
         wt = {
@@ -645,10 +619,7 @@ def generators_for(type_label: str, rank: int) -> tuple[NamedInvariant, ...]:
     if t == "I2":
         n = rank
         if n == 4:
-            w1 = NamedInvariant("w1", 1, FormSW(1, "linear", False))
-            v1 = NamedInvariant("v1", 1, FormSW(1, "signed", True))
-            w2 = NamedInvariant("w2", 2, FormSW(2, "linear", False))
-            return (_ONE, w1, v1, w2)
+            return (_ONE, _w(1), _v(1), _w(2))
         if n >= 3 and n % 2 == 1:
             return _x_subset_basis(("x1",))
         if n >= 3 and n % 4 == 2:
@@ -715,7 +686,13 @@ _E_TORSOR_ROOTS = (
 )
 
 
-def _e_torsor_elem(sys_: RootSystem) -> tuple[int, ...]:
+def _torsor_elem(sys_: RootSystem) -> tuple[int, ...]:
+    """The recorded torsor-swapping normalizer element: for F4 the
+    reflection in (e1 + e2 + e3 + e4) / 2, which normalizes its pair
+    frame P_2, and for the E systems the product of the two _E_TORSOR_ROOTS
+    reflections, which normalizes the standard frame."""
+    if sys_.type_label == "F":
+        return sys_.reflection_images(sys_.index[(1, 1, 1, 1)])
     r1, r2 = _E_TORSOR_ROOTS
     return _compose(
         sys_.reflection_images(sys_.index[r2]),
@@ -728,67 +705,54 @@ def normalizer_families(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Recorded normalizer elements as labeled position permutations.
 
-    The families are fixed per type: pair swaps, pair flips and tail
-    swaps for A/B/D/F (flips through paired sign changes where single
-    flips are not available), plus the torsor element for F4's pair
-    frame and for the E types.  The frame's full pairs are counted off
-    its labels (_full_pairs).  Each element genuinely lives in the
-    group (built from root reflections) and is pushed through
-    normalizer_action, so a bookkeeping mistake raises instead of
-    silently constraining nothing.
+    The families are fixed per type and come in this order: swaps of
+    neighbouring full pairs (A_n: of neighbouring frame members), then
+    pair flips for B/F, double flips of neighbouring pairs for even D
+    and for E (single flips are not in those groups), or pair flips
+    through the spare coordinate for odd D, then tail swaps for B/F,
+    then the torsor element for F4's pair frame and for the E types.
+    The frame's full pairs are counted off its labels (_full_pairs).
+    Each element genuinely lives in the group (built from root
+    reflections) and is pushed through normalizer_action, so a
+    bookkeeping mistake raises instead of silently constraining nothing.
     """
     t, n = sys_.type_label, sys_.rank
+    if t not in ("A", "B", "D", "E", "F"):
+        raise UnsupportedSystemError(f"no normalizer families for type {t!r}")
     roots = tuple(frame_roots)
-    L = _full_pairs([root_label(sys_, r) for r in roots])
-    out: list[tuple[str, tuple[int, ...]]] = []
-
-    def add(label: str, g: tuple[int, ...]) -> None:
-        out.append((label, normalizer_action(sys_, g, roots)))
-
+    # each member a_i of an A_n frame fills a coordinate pair on its own
     if t == "A":
-        f = (n + 1) // 2
-        for i in range(1, f):
-            add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
-        return out
+        L = (n + 1) // 2
+    else:
+        L = _full_pairs([root_label(sys_, r) for r in roots])
+    out = [
+        (f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
+        for i in range(1, L)
+    ]
+    if t == "E" or (t == "D" and n % 2 == 0):
+        out += [
+            (f"double-flip({i},{i + 1})", _double_flip_elem(sys_, 2 * i, 2 * i + 2))
+            for i in range(1, L)
+        ]
+    elif t != "A":
+        # odd D: the spare coordinate absorbs the second sign change
+        out += [
+            (
+                f"pair-flip({i})",
+                _double_flip_elem(sys_, 2 * i, n)
+                if t == "D"
+                else _refl_at(sys_, {2 * i - 1: 2}),
+            )
+            for i in range(1, L + 1)
+        ]
     if t in ("B", "F"):
-        for i in range(1, L):
-            add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
-        for i in range(1, L + 1):
-            add(f"pair-flip({i})", _refl_at(sys_, {2 * i - 1: 2}))
-        for j in range(2 * L + 1, n):
-            add(
-                f"tail-swap(e{j},e{j + 1})",
-                _refl_at(sys_, {j - 1: 2, j: -2}),
-            )
-        if t == "F" and L == 2:
-            add("torsor-g", sys_.reflection_images(sys_.index[(1, 1, 1, 1)]))
-        return out
-    if t == "D":
-        for i in range(1, L):
-            add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
-        if n % 2 == 0:
-            for i in range(1, L):
-                add(
-                    f"double-flip({i},{i + 1})",
-                    _double_flip_elem(sys_, 2 * i, 2 * i + 2),
-                )
-        else:
-            # the spare coordinate absorbs the second sign change, so
-            # every pair flips individually
-            for i in range(1, L + 1):
-                add(f"pair-flip({i})", _double_flip_elem(sys_, 2 * i, n))
-        return out
-    if t == "E":
-        for i in range(1, L):
-            add(f"pair-swap({i},{i + 1})", _pair_swap_elem(sys_, i, i + 1))
-        for i in range(1, L):
-            add(
-                f"double-flip({i},{i + 1})",
-                _double_flip_elem(sys_, 2 * i, 2 * i + 2),
-            )
-        add("torsor-g", _e_torsor_elem(sys_))
-        return out
-    raise UnsupportedSystemError(f"no normalizer families for type {t!r}")
+        out += [
+            (f"tail-swap(e{j},e{j + 1})", _refl_at(sys_, {j - 1: 2, j: -2}))
+            for j in range(2 * L + 1, n)
+        ]
+    if t == "E" or (t == "F" and L == 2):
+        out.append(("torsor-g", _torsor_elem(sys_)))
+    return [(label, normalizer_action(sys_, g, roots)) for label, g in out]
 
 
 # ---------------------------------------------------------------------------
@@ -955,22 +919,19 @@ def _constrained_dims(
             (b.degree, _restrict(b, roots_b, labels, sys_b, cache_dir))
             for b in generators_for("B", 4)
         ]
-        sys_f = build_root_system("F", 4)
-        _, roots_f = standard_frames(sys_f)[2]
-        action = normalizer_action(
-            sys_f, sys_f.reflection_images(sys_f.index[(1, 1, 1, 1)]), roots_f
-        )
+        sys_ = build_root_system("F", 4)
+        _, roots = standard_frames(sys_)[2]
     elif type_label == "E" and rank in (6, 7, 8):
-        sys_e = build_root_system("E", rank)
-        _, roots_e = standard_frames(sys_e)[0]
+        sys_ = build_root_system("E", rank)
+        _, roots = standard_frames(sys_)[0]
         if upstream is None:
             upstream = upstream_table(type_label, rank, cache_dir)
         graded = [(deg, val) for _, deg, val in upstream]
-        action = normalizer_action(sys_e, _e_torsor_elem(sys_e), roots_e)
     else:
         raise UnsupportedSystemError(
             "constrained dimensions are computed for F4/E6/E7/E8 only"
         )
+    action = normalizer_action(sys_, _torsor_elem(sys_), roots)
     by_degree: dict[int, list[KInvariant]] = {}
     for deg, val in graded:
         by_degree.setdefault(deg, []).append(val)
@@ -1176,7 +1137,7 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
         for b, row in zip(basis, restrictions):
             for (fname, labels), value in zip(frames, row):
                 if out_type == "A":
-                    expected = _a_stated(b, labels)
+                    expected = _fold_recipe(b, labels, lambda f: _a_stated(f, labels))
                 else:
                     expected = stated_formula(b, _context_for_frame(labels))
                 if expected is None:

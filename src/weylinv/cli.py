@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
@@ -194,14 +195,32 @@ def cmd_omega(args: argparse.Namespace) -> int:
     return 0
 
 
+def _root_indices(sys_, coords: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The indices of roots given by their doubled coordinates."""
+    try:
+        return tuple(sys_.index[c] for c in coords)
+    except KeyError as bad:
+        raise UnsupportedSystemError(
+            f"{bad.args[0]} is not a doubled root of this system"
+        ) from None
+
+
+@contextmanager
+def _as_typed(args: argparse.Namespace, sys_):
+    """Name the system as typed in the coset errors raised inside: cosets
+    names the root system it was handed, which is B2 for I2(4) and B_n
+    for C_n."""
+    try:
+        yield
+    except (CapExceededError, CosetValidationError) as err:
+        built, typed = f"{sys_.type_label}{sys_.rank}", system_name(*args.system)
+        err.args = (str(err).replace(built, typed),) + err.args[1:]
+        raise
+
+
 def _u_generators(sys_, args: argparse.Namespace) -> tuple[int, ...]:
     if args.u_root:
-        try:
-            return tuple(sys_.index[c] for c in args.u_root)
-        except KeyError as bad:
-            raise UnsupportedSystemError(
-                f"{bad.args[0]} is not a doubled root of this system"
-            ) from None
+        return _root_indices(sys_, args.u_root)
     try:
         return standard_u_gens(sys_)
     except ValueError:  # it names sys_, not the label as typed
@@ -213,9 +232,10 @@ def _u_generators(sys_, args: argparse.Namespace) -> tuple[int, ...]:
 
 def cmd_cosets(args: argparse.Namespace) -> int:
     (label, rank), sys_ = _require_weyl(args)
-    space = build_coset_space(
-        sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
-    )
+    with _as_typed(args, sys_):
+        space = build_coset_space(
+            sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
+        )
     product = space.size * space.u_order
     payload = {
         "type": label,
@@ -234,13 +254,8 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
-    if getattr(args, "root", None):
-        try:
-            idxs = tuple(sys_.index[c] for c in args.root)
-        except KeyError as bad:
-            raise UnsupportedSystemError(
-                f"{bad.args[0]} is not a doubled root of this system"
-            ) from None
+    if args.root:
+        idxs = _root_indices(sys_, args.root)
         for u, v in combinations(args.root, 2):
             if sum(map(mul, u, v)):  # nonzero also when u and v share a line
                 raise UnsupportedSystemError(
@@ -248,7 +263,7 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
                 )
         return "(custom)", idxs
     frames = dict(standard_frames(sys_))
-    name = getattr(args, "frame", None)
+    name = args.frame
     if name is None:
         name = list(frames)[-1]
     if name not in frames:
@@ -260,11 +275,12 @@ def _frame_for(sys_, args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
 
 def cmd_fullcheck(args: argparse.Namespace) -> int:
     (label, rank), sys_ = _require_weyl(args)
-    space = build_coset_space(
-        sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
-    )
-    fname, frame_roots = _frame_for(sys_, args)
-    cert = full_check(sys_, space, frame_roots)
+    with _as_typed(args, sys_):
+        space = build_coset_space(
+            sys_, _u_generators(sys_, args), args.cache_dir, args.max_elements
+        )
+        fname, frame_roots = _frame_for(sys_, args)
+        cert = full_check(sys_, space, frame_roots)
     m = cert.min_fold
     folds = sorted(set(map(len, cert.a_sets)))
     fold_counts = {str(f): cert.fold_count(f) for f in folds}

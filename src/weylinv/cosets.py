@@ -256,26 +256,34 @@ def _label_bfs(
     return size, tuple(sorted(a_sets))
 
 
-def _u_orbit_sums(sys_: RootSystem, images: Sequence[Sequence[int]]) -> list[Key]:
-    """Sum of roots over each U-orbit, orbits ordered by least root."""
+def _u_orbits(
+    sys_: RootSystem, u_gen_roots: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """U's orbits on the roots, ordered by least root, and Sigma_U, the
+    roots of U, ascending.
+
+    Sigma_U is the union of the orbits that hold a generator's root:
+    each of their members is u(g), and s_u(g) = u s_g u^-1 lies in U,
+    so that union is closed under reflecting its members in each other.
+    """
+    images = [sys_.reflection_images(g) for g in u_gen_roots]
     orbits = _bfs_orbits(range(len(sys_.roots)), lambda r: [g[r] for g in images])
-    return [
-        tuple(map(sum, zip(*(sys_.roots[r] for r in orbit))))
-        for orbit in orbits
-    ]
+    gens = set(u_gen_roots)
+    sigma_u = sorted(r for o in orbits if not gens.isdisjoint(o) for r in o)
+    return orbits, sigma_u
 
 
 def _invariant_vector(
-    sys_: RootSystem, images: Sequence[Sequence[int]], domain_lines: set[int]
+    sys_: RootSystem, orbits: Sequence[Sequence[int]], domain_lines: set[int]
 ) -> Optional[Key]:
     """A primitive weight-lattice vector whose stabiliser in W is
     exactly U, or None when no candidate has that stabiliser.
 
-    images are the reflection tables of U's generators.  Candidates are
-    weighted sums of the U-orbit sums of the roots (each summand is
-    U-invariant and lies in the root lattice).  A candidate is accepted
-    when the set of roots orthogonal to it is precisely Sigma_U: by
-    Steinberg's theorem the stabiliser of a vector is generated by the
+    orbits are U's orbits on the roots (_u_orbits).  Candidates are
+    weighted sums of the orbits' root sums (each summand is U-invariant
+    and lies in the root lattice).  A candidate is accepted when the
+    lines orthogonal to it are precisely domain_lines, those of Sigma_U:
+    by Steinberg's theorem the stabiliser of a vector is generated by the
     reflections fixing it, so acceptance proves Stab(v) = U and the
     coset key g^{-1}(v) is collision-free.  For U = W that is the zero
     vector, the one vector every root is orthogonal to.  The accepted
@@ -285,7 +293,7 @@ def _invariant_vector(
     stands, and the same order on its orbit.  g is 294 for E8, 242 for
     E7 and 18 for D4.
     """
-    sums = _u_orbit_sums(sys_, images)
+    sums = [tuple(map(sum, zip(*(sys_.roots[r] for r in o)))) for o in orbits]
     for t in range(1, 65):
         vec = [0] * len(sums[0])
         weight = 1
@@ -363,25 +371,6 @@ def _space(
     )
 
 
-def _sigma_u(sys_: RootSystem, u_gen_roots: Sequence[int]) -> list[int]:
-    """Sigma_U, the roots of U, ascending: the U-orbit of the generators'
-    roots.  Each member is u(g), and s_u(g) = u s_g u^-1 lies in U, so
-    the orbit is closed under reflecting its members in each other.  It
-    is searched on doubled vectors, so no reflection table is built."""
-    gens = [sys_.roots[g] for g in u_gen_roots]
-    norms = [sum(map(mul, g, g)) for g in gens]
-
-    def images(v: Key) -> list[Key]:
-        out = []
-        for g, gg in zip(gens, norms):
-            c = 2 * sum(map(mul, g, v)) // gg  # a Cartan integer: exact
-            out.append(tuple([b - c * a for a, b in zip(g, v)]) if c else v)
-        return out
-
-    orbits = _bfs_orbits(gens, images)
-    return sorted(sys_.index[v] for orbit in orbits for v in orbit)
-
-
 def _check_cap(
     sys_: RootSystem, size: int, u_order: int, element_cap: Optional[int]
 ) -> None:
@@ -403,12 +392,11 @@ def _coset_orbit(
     without frame_roots) and |U|, after checking the order identity
     |orbit| x |U| = |W|.  |W| / |U| is known before the walk, which does
     not start when it is above element_cap (None: no cap)."""
-    images = [sys_.reflection_images(g) for g in u_gen_roots]
-    sigma_u = _sigma_u(sys_, u_gen_roots)
+    orbits, sigma_u = _u_orbits(sys_, u_gen_roots)
     u_order = _reflection_group_order(sys_, sigma_u)
     expected = weyl_order(sys_)
     _check_cap(sys_, expected // u_order, u_order, element_cap)
-    start = _invariant_vector(sys_, images, {sys_.line_of[r] for r in sigma_u})
+    start = _invariant_vector(sys_, orbits, {sys_.line_of[r] for r in sigma_u})
     if start is None:
         gens = ", ".join(str(sys_.roots[g]) for g in u_gen_roots)
         raise CosetValidationError(
@@ -593,7 +581,7 @@ def _load_space(
                 f"cache file {path} is inconsistent: size x |U| = "
                 f"{size!r} x {u_order!r} != |W| = {order}"
             )
-        true_order = _reflection_group_order(sys_, _sigma_u(sys_, u_gen_roots))
+        true_order = _reflection_group_order(sys_, _u_orbits(sys_, u_gen_roots)[1])
         if u_order != true_order:
             raise CacheFormatError(
                 f"cache file {path} has u_order {u_order}; its generators "

@@ -16,10 +16,10 @@ no root finds no key.  That index is the system's one, memoized as
 ("packed",): after validation every image of every reflection is a root
 (Humphreys 1.14), so reflection_images finds its images in it too.
 
-Supported systems: A_n (n >= 1), B_n/C_n (n >= 2, C aliased to B), D_n
-(n >= 4), E6, E7, E8, F4.  The dihedral families (including G2) have no
-root geometry here; they are handled as permutation groups in
-weylinv.groups.
+Supported systems (SUPPORTED): A_n (1 <= n <= 8), B_n/C_n (2 <= n <= 8,
+C aliased to B), D_n (4 <= n <= 8), E6, E7, E8, F4.  The dihedral
+families (including G2) have no root geometry here; they are handled as
+permutation groups in weylinv.groups.
 """
 from __future__ import annotations
 

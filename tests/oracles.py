@@ -130,7 +130,6 @@ from weylinv.basis import (
     normalizer_families,
 )
 from weylinv import cosets
-from weylinv.cosets import _u_orbit_sums
 from weylinv.errors import (
     CapExceededError,
     CertificateError,
@@ -1167,9 +1166,8 @@ def coset_start(sys_, u_gens=None):
     (the standard subgroup by default)."""
     if u_gens is None:
         u_gens = cosets.standard_u_gens(sys_)
-    images = [sys_.reflection_images(g) for g in u_gens]
-    lines = {sys_.line_of[r] for r in cosets._sigma_u(sys_, u_gens)}
-    return cosets._invariant_vector(sys_, images, lines)
+    orbits, sigma_u = cosets._u_orbits(sys_, u_gens)
+    return cosets._invariant_vector(sys_, orbits, {sys_.line_of[r] for r in sigma_u})
 
 
 def coset_vectors(sys_, u_gens=None):
@@ -1336,11 +1334,12 @@ def compare_support(cert, expected: KInvariant) -> bool:
 # coset BFS start and label width
 
 
-def unreduced_invariant_vector(sys_, images, domain_lines):
+def unreduced_invariant_vector(sys_, orbits, domain_lines):
     """A root-lattice vector whose stabiliser in W is exactly U: the first
-    weighted sum of U-orbit sums whose orthogonal roots are Sigma_U,
-    taken as it is, without dividing out a common factor."""
-    sums = _u_orbit_sums(sys_, images)
+    weighted sum of the root sums of U's orbits (cosets._u_orbits) whose
+    orthogonal roots are Sigma_U, taken as it is, without dividing out a
+    common factor."""
+    sums = [tuple(map(sum, zip(*(sys_.roots[r] for r in o)))) for o in orbits]
     for t in range(1, 65):
         vec = [0] * len(sums[0])
         weight = 1

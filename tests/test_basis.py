@@ -121,7 +121,7 @@ def test_stated_formulas_are_keyed_by_the_whole_recipe(type_label):
         Product((NamedInvariant(f"v{d}", d, FormSW(d, "signed", False)), u[0]))
         for d in (1, 2, 3)
     ]
-    # repeated factors fall outside the u_a * v_f product formula
+    # products with repeated factors, and u_a * v_f, fold their factors
     products += [
         Product(fs)
         for k in (2, 3)
@@ -144,13 +144,32 @@ def test_stated_formulas_are_keyed_by_the_whole_recipe(type_label):
         assert on_record == 13 + len(products) - 3, fname
 
 
-#: the shape predicates basis passes to lambda_sum: the _STATED_SW
-#: entries, the {2}-parts of _plain_reflection_formula and the fold
-#: classes; the product rule's signed weights are added per case
+@pytest.mark.parametrize(
+    "type_label,rank", [("B", n) for n in range(2, 9)] + [("F", 4)]
+)
+def test_plain_linear_formula_is_the_restriction_in_every_degree(type_label, rank):
+    """The one closed form of the plain reflection classes holds at every
+    standard frame in every degree up to the rank, w_0 = 1 included;
+    frames with three or more full pairs have monomials with three lone
+    pair entries."""
+    sys_ = build_root_system(type_label, rank)
+    for fname, roots in standard_frames(sys_):
+        ctx = basis._context_for_frame([root_label(sys_, r) for r in roots])
+        for d in range(rank + 1):
+            inv = NamedInvariant(f"w{d}", d, FormSW(d, "linear", False))
+            expected = restrict(inv, roots, sys_)
+            assert basis.stated_formula(inv, ctx) == expected, (fname, d)
+
+
+#: shape predicates for lambda_sum: the ones basis passes (the
+#: _STATED_SW entries, the {2}-part of _plain_reflection_formula and the
+#: fold classes) and two that weigh full pairs against tail entries; the
+#: signed weights of u_a * v_f products are added per case
 _SHAPE_PREDICATES = [
     basis._no_tail_no_c,
     basis._pairs_free,
     lambda s: not s.A and not s.B and not s.C,
+    lambda s: (s.A + s.B) % 2 == 1,
     lambda s: not s.C and s.E == 1,
     lambda s: 2 * s.C + s.E == 2,
     lambda s: not s.C and not s.E and s.A % 2 == 0,
@@ -766,7 +785,7 @@ def _named_families(sys_, frame_name, frame_roots):
     for i in range(1, pairs):
         flip = basis._double_flip_elem(sys_, 2 * i, 2 * i + 2)
         add(f"double-flip({i},{i + 1})", flip)
-    add("torsor-g", basis._e_torsor_elem(sys_))
+    add("torsor-g", basis._torsor_elem(sys_))
     return out
 
 

@@ -844,6 +844,30 @@ def test_missing_standard_coset_subgroup_names_the_label_as_typed(capsys):
     assert code == 0 and json.loads(out)["u_order"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("cosets", "I2(4)", "--u-root", "2,0", "--u-root", "0,2"), 1,
+         "cannot key the cosets of U = <(2, 0), (0, 2)> in I2(4): "),
+        (("fullcheck", "I2(4)", "--u-root", "2,0", "--u-root", "0,2"), 1,
+         "cannot key the cosets of U = <(2, 0), (0, 2)> in I2(4): "),
+        (("cosets", "I2(4)", "--u-root", "2,0", "--max-elements", "1"), 3,
+         "U\\W(I2(4)) with |U| = 2 has 4 cosets"),
+        (("cosets", "C3", "--u-root", "2,0,0", "--max-elements", "1"), 3,
+         "U\\W(C3) with |U| = 2 has 24 cosets"),
+        (("fullcheck", "C3", "--u-root", "2,0,0", "--max-elements", "1"), 3,
+         "U\\W(C3) with |U| = 2 has 24 cosets"),
+    ],
+)
+def test_coset_failures_name_the_label_as_typed(capsys, argv, code, message):
+    """cosets and fullcheck walk B2 for I2(4) and B_n for C_n; a coset
+    failure or cap names the system the user gave."""
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == "", err
+    assert message in err, err
+    assert "B2" not in err and "B3" not in err, err
+
+
 def test_element_cap_exits_3(capsys):
     # the root-orbit chain lists no element, so the cap does not bound it
     code, out, _ = run(capsys, "order", "E6", "--max-elements", "10")

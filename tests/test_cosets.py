@@ -535,10 +535,10 @@ def _u_and_starts(label, rank, custom):
     else:
         sys_ = build_root_system(label, rank)
         u_gens = standard_u_gens(sys_)
-    images = [sys_.reflection_images(g) for g in u_gens]
-    lines = {sys_.line_of[r] for r in _sigma_u(sys_, u_gens)}
-    start = cosets._invariant_vector(sys_, images, lines)
-    unreduced = unreduced_invariant_vector(sys_, images, lines)
+    orbits, sigma_u = cosets._u_orbits(sys_, u_gens)
+    lines = {sys_.line_of[r] for r in sigma_u}
+    start = cosets._invariant_vector(sys_, orbits, lines)
+    unreduced = unreduced_invariant_vector(sys_, orbits, lines)
     return sys_, u_gens, start, unreduced
 
 
@@ -632,7 +632,7 @@ def test_closure_matches_mutual_reflection():
             if not more:
                 break
             closed |= more
-        assert sorted(sys_.index[r] for r in closed) == _sigma_u(sys_, gens)
+        assert sorted(sys_.index[r] for r in closed) == cosets._u_orbits(sys_, gens)[1]
 
 
 def _frames(sys_):
