@@ -18,18 +18,17 @@ restriction engine can evaluate at a maximal orthogonal frame:
   * Product         - products of previously defined invariants;
   * Correction      - explicit F2[s]-combinations of products.
 
-verify_basis, tensor_basis and abelian_x_report build their reports
-through _report, the one BasisReport builder, whose checks run in a
-fixed order: the caller's first checks (closed-form expectations where
-one is on record), mod-s independence of the restrictions stacked over
-the frames, cardinality, invariance under the recorded normalizer
-elements, degree-by-degree dimension bounds, then the caller's last
-checks.  The bounds are closed counts of normalizer-orbit signatures
-for A, B/C, D and I2(4) (see upper_bound_dim), which the tests derive
-again by orbit sums and by linking the B_n frames; for F4 and the E
-types the constrained dimension lists are encoded and cross-checked
-against a machine computation of the torsor-element constraint on the
-upstream restriction span.
+verify_basis builds its reports through _report, the one BasisReport
+builder, whose checks run in a fixed order: the caller's first checks
+(closed-form expectations where one is on record), mod-s independence
+of the restrictions stacked over the frames, cardinality, invariance
+under the recorded normalizer elements, degree-by-degree dimension
+bounds, then the caller's last checks.  The bounds are closed counts of
+normalizer-orbit signatures for A, B/C, D and I2(4) (see
+upper_bound_dim), which the tests derive again by orbit sums and by
+linking the B_n frames; for F4 and the E types the constrained dimension
+lists are encoded and cross-checked against a machine computation of the
+torsor-element constraint on the upstream restriction span.
 """
 from __future__ import annotations
 
@@ -93,8 +92,6 @@ __all__ = [
     "upper_bound_dim",
     "upstream_table",
     "verify_basis",
-    "tensor_basis",
-    "abelian_x_report",
 ]
 
 
@@ -1282,7 +1279,7 @@ def _dihedral_stabilizer_perms(group, frame) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# tensor products of verified bases
+# x-context rows
 
 
 def _x_rows(basis, labels: tuple[str, ...]) -> tuple[tuple[KInvariant], ...]:
@@ -1291,82 +1288,4 @@ def _x_rows(basis, labels: tuple[str, ...]) -> tuple[tuple[KInvariant], ...]:
     return tuple(
         (_fold_recipe(b, labels, lambda f: _restrict_abelian(f, labels)),)
         for b in basis
-    )
-
-
-def abelian_x_report(labels: Sequence[str], type_label: str = "Z2") -> BasisReport:
-    """Report for an elementary abelian factor with the given coordinates.
-
-    Used for the sign-character factors that tensor into larger bases;
-    every check is computed, none assumed.
-    """
-    labels = tuple(labels)
-    basis = _x_subset_basis(labels)
-    return _report(
-        type_label,
-        len(labels),
-        basis,
-        (("P", labels),),
-        _x_rows(basis, labels),
-        lambda d: comb(len(labels), d),
-    )
-
-
-def tensor_basis(report_a: BasisReport, report_b: BasisReport) -> BasisReport:
-    """Product basis of two verified reports on concatenated contexts.
-
-    Elements a_i * b_j are degree-graded with the plain a_i before the
-    b-multiples, matching the displayed product lists; independence and
-    per-degree ranks are recomputed from the product restrictions, and
-    bounds convolve.
-    """
-    frames = []
-    pair_maps = []
-    for ja, (fa, la) in enumerate(report_a.frames):
-        for jb, (fb, lb) in enumerate(report_b.frames):
-            combined = la + lb
-            if len(set(combined)) != len(combined):
-                raise ValueError("tensor contexts share coordinate labels")
-            frames.append((fa if fb == "P" else f"{fa}x{fb}", combined))
-            inj_a, inj_b = _injection(la, combined), _injection(lb, combined)
-            pair_maps.append((ja, jb, combined, inj_a, inj_b))
-    indexed = []
-    for bj, eb in enumerate(report_b.basis):
-        for ai, ea in enumerate(report_a.basis):
-            indexed.append((ea.degree + eb.degree, bj, ai, ea, eb))
-    indexed.sort(key=lambda row: row[:3])
-    basis: list[NamedInvariant] = []
-    restrictions = []
-    for _, bj, ai, ea, eb in indexed:
-        if eb.name == "1":
-            elem = ea
-        elif ea.name == "1":
-            elem = eb
-        else:
-            elem = NamedInvariant(
-                _product_name(ea.name, eb.name),
-                ea.degree + eb.degree,
-                Product((ea, eb)),
-            )
-        basis.append(elem)
-        restrictions.append(
-            tuple(
-                relabel(report_a.restrictions[ai][ja], inj_a, combined)
-                * relabel(report_b.restrictions[bj][jb], inj_b, combined)
-                for ja, jb, combined, inj_a, inj_b in pair_maps
-            )
-        )
-    bounds_a = {d: v for d, _, v in report_a.dims}
-    bounds_b = {d: v for d, _, v in report_b.dims}
-    return _report(
-        f"{report_a.type_label}{report_a.rank}x"
-        f"{report_b.type_label}{report_b.rank}",
-        report_a.rank + report_b.rank,
-        basis,
-        frames,
-        restrictions,
-        lambda d: sum(
-            bounds_a.get(k, 0) * bounds_b.get(d - k, 0) for k in range(d + 1)
-        ),
-        warnings=report_a.warnings + report_b.warnings,
     )

@@ -13,7 +13,12 @@ each label field is as wide as the largest label on the orbit needs,
 which is 3 bits for E8, so an E8 key is a 24-bit int.  It walks a tree
 rooted at the orbit's dominant point, meeting each key from its one
 canonical parent (_label_bfs), so it keeps no set of keys: a space is
-its size, |U| and a fold certificate.  |U| is never enumerated either:
+its size, |U| and a fold certificate.  The tree is walked one depth at
+a time, and only down to half its depth D, the number of positive roots
+not orthogonal to the start: the longest element w0 maps depth k onto
+depth D - k (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5;
+Humphreys, Reflection Groups and Coxeter Groups, 1.8), so each depth
+k < D/2 counts twice.  |U| is never enumerated either:
 a chain of root orbits gives it as |U r| x |Stab_U(r)|, the stabiliser
 again a reflection group by Steinberg's theorem.  The order identity
 |orbit| x |U| = |W| is still re-checked at build time.
@@ -30,7 +35,13 @@ Cohomological Invariants in Galois Cohomology, Ch. VII).  s_{b_i}
 negates the i-th pairing and keeps the others, so each orbit holds
 exactly one point whose pairings are all >= 0.  A certificate is the
 sorted active sets of those points, which the coset walk reads off k
-more packed fields holding the pairings (_label_bfs).
+more packed fields holding the pairings (_label_bfs).  When w0 sends
+every b_i to -b_i, as at the one standard frame of A1, D4-D8, E7 and
+E8, w0 x has the pairings of x negated, so the points with every
+pairing >= 0 past depth D/2 are the w0-images of the points with every
+pairing <= 0 before it, with the same active sets, and the half walk
+reads both kinds.  At any other frame (the standard frames of A2-A8 and
+E6 among them) the frame walk goes on to depth D.
 
 A cache file (format_version 5) is one line of compact JSON with sorted
 keys and nothing after it: type, rank, u_gens, u_order, size and the
@@ -205,13 +216,31 @@ def _label_bfs(
     its value is >= 0, so that is one mask test, and
     ((key & lows) + lows) & key & tops marks the fields with c_i > 0.
 
+    Each step raises by one the number of positive roots b with
+    (y, b) < 0, so the tree is walked one depth at a time and depth k
+    holds the points with k such roots, from the dominant point at 0 to
+    the antidominant one at D, the number of positive roots not
+    orthogonal to start.  The longest element w0 sends every positive
+    root to a negative one, so it maps depth k onto depth D - k and the
+    depth sizes are palindromic (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, 2.4-2.5; Humphreys 1.8): the walk stops at depth
+    floor(D/2) and counts each shallower depth twice.
+
     Frame roots b_1, ..., b_k add k fields after the labels, holding
     <v, b_j^v> + off.  s_i lowers <v, b_j^v> by c_i <a_i, b_j^v>, so
     row_i carries <a_i, b_j^v> in field rank + j and the same
     subtraction updates them.  A pairing is 2(v, b)/(b, b) for a root b,
     so M bounds it too and the width holds it.  The one vector of each
-    frame orbit with every frame field's top bit set gives the orbit's
-    active set, the fields not equal to off (see the module docstring).
+    frame orbit with every frame field's top bit set, its E-dominant
+    point, gives the orbit's active set, the fields not equal to off
+    (see the module docstring).  When w0 negates every frame root
+    (_w0_negates), <w0 x, b_j^v> = -<x, b_j^v>, so the E-dominant points
+    past depth D/2 are the w0-images of the E-antidominant points
+    (every pairing <= 0) before it, with the same active sets: the walk
+    reads those too, and still stops halfway.  Depth D/2 is its own w0
+    image, so there it reads only the E-dominant points.  A point with
+    every pairing 0 is both, and its w0-image is a second one-point
+    orbit.  Otherwise the frame walk goes on to depth D.
     A packed kernel, so not roots._bfs_orbits.
     """
     simple = [sys_.roots[i] for i in sys_.simple_indices]
@@ -235,18 +264,26 @@ def _label_bfs(
     while neg := tops & ~key:  # some c_j < 0: raise towards the root
         shift, row, _ = kids[neg & -neg][0]
         key -= (((key >> shift) & mask) - off) * row
-    # the top bits of the frame fields; without a frame, a bit no key has
-    fdom = 1 << tail if frame_roots is None else pack([off] * len(frame)) << tail
-    size, found, stack = 0, [], [key]
-    while stack:
-        key = stack.pop()
-        size += 1
-        if key & fdom == fdom:
-            found.append(key >> tail)
-        for shift, row, below in kids[((key & lows) + lows) & key & tops]:
-            img = key - ((key >> shift) & (off - 1)) * row  # c_i > 0: its low bits
-            if img & below == below:
-                stack.append(img)
+    depth = sum(1 for b in sys_.lines if sum(map(mul, sys_.roots[b], start)))
+    halve = frame_roots is None or _w0_negates(sys_, frame_roots)
+    # the frame fields, their top bits and their low bits: a field minus
+    # 1 is below off exactly when its pairing is <= 0
+    fields, ftops, ones = (pack([f] * len(frame)) << tail for f in (mask, off, 1))
+    size, found, layer = 0, [], [key]
+    for d in range(depth // 2 + 1 if halve else depth + 1):
+        mirrored = halve and 2 * d < depth
+        size += len(layer) << mirrored
+        if frame_roots is not None:
+            found += [x >> tail for x in layer if x & ftops == ftops]
+            if mirrored:
+                found += [x >> tail for x in layer if not ((x & fields) - ones) & ftops]
+        deeper = []
+        for key in layer:
+            for shift, row, below in kids[((key & lows) + lows) & key & tops]:
+                img = key - ((key >> shift) & (off - 1)) * row  # c_i > 0: its low bits
+                if img & below == below:
+                    deeper.append(img)
+        layer = deeper
     if frame_roots is None:
         return size, None
     a_sets = [
@@ -254,6 +291,23 @@ def _label_bfs(
         for f in found
     ]
     return size, tuple(sorted(a_sets))
+
+
+def _w0_negates(sys_: RootSystem, roots: Sequence[int]) -> bool:
+    """Whether the longest element w0 of W sends each of roots to its
+    negative.  w0 is read off a reduced word: from rho, all labels 1,
+    apply some s_i with c_i > 0 until every label is < 0, which takes
+    one step per positive root and ends at -rho = w0(rho); the simple
+    reflections' tables are applied to roots along the same word."""
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    rows = [_labels(simple, a) for a in simple]
+    tables = [sys_.reflection_images(i) for i in sys_.simple_indices]
+    labels, images = [1] * len(simple), list(roots)
+    while (top := max(labels)) > 0:
+        i = labels.index(top)
+        labels = [c - top * a for c, a in zip(labels, rows[i])]
+        images = [tables[i][r] for r in images]
+    return images == [sys_.negation[r] for r in roots]
 
 
 def _u_orbits(

@@ -60,6 +60,15 @@ directly, and the tests check the direct form against it:
     BFS's start as the accepted root-lattice vector itself, and a label
     field wide enough by Cauchy-Schwarz; weylinv.cosets divides the
     start down to a primitive vector and takes the exact largest label.
+  * abelian_x_report / tensor_basis - the report of an elementary
+    abelian factor, and the product basis of two reports on concatenated
+    contexts, both through weylinv.basis._report;
+    weylinv.basis.upstream_table builds the one product table a command
+    needs (E7's D6 x a4) directly.
+  * full_label_walk - the coset walk over the whole reverse-search
+    tree, depth first, with the number of points at each depth;
+    weylinv.cosets._label_bfs walks the depths up to half the largest
+    and reads the rest off the longest element's symmetry.
 
 Others check a claim of the paper, or a table the package builds, by a
 route no command takes:
@@ -103,7 +112,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import inf, isqrt, lcm
+from math import comb, inf, isqrt, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -115,6 +124,7 @@ from weylinv.algebra import (
     _moved,
     coordinate_mask,
     one,
+    relabel,
     two,
     x_monomial,
     zero,
@@ -129,7 +139,7 @@ from weylinv.basis import (
     generators_for,
     normalizer_families,
 )
-from weylinv import cosets
+from weylinv import basis, cosets
 from weylinv.errors import (
     CapExceededError,
     CertificateError,
@@ -1177,6 +1187,54 @@ def coset_vectors(sys_, u_gens=None):
     return dense_orbit(sys_, coset_start(sys_, u_gens))
 
 
+def full_label_walk(sys_, start, frame_roots=None):
+    """cosets._label_bfs as it was before it stopped halfway: the whole
+    reverse-search tree, depth first with a stack, each point's frame
+    fields read as it is popped.  Returns (size, sorted active sets or
+    None, depths), depths[k] the number of points k steps below the
+    dominant point."""
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    frame = [sys_.roots[b] for b in frame_roots or ()]
+    labels = cosets._labels(simple, start)
+    width = cosets._label_width(sys_, start)
+    off, mask = 1 << (width - 1), (1 << width) - 1
+
+    def pack(fields):
+        return sum(c << (width * j) for j, c in enumerate(fields))
+
+    tail = width * len(simple)
+    tops, lows = pack([off] * len(simple)), pack([off - 1] * len(simple))
+    kids = {0: ()}
+    for i, a in enumerate(simple):
+        step = (width * i, pack(cosets._labels(simple + frame, a)), pack([off] * i))
+        kids.update({p | off << step[0]: ks + (step,) for p, ks in kids.items()})
+    key = pack([c + off for c in labels + cosets._labels(frame, start)])
+    while neg := tops & ~key:
+        shift, row, _ = kids[neg & -neg][0]
+        key -= (((key >> shift) & mask) - off) * row
+    fdom = 1 << tail if frame_roots is None else pack([off] * len(frame)) << tail
+    size, found, stack, depths = 0, [], [(key, 0)], []
+    while stack:
+        key, depth = stack.pop()
+        size += 1
+        if depth == len(depths):
+            depths.append(0)
+        depths[depth] += 1
+        if key & fdom == fdom:
+            found.append(key >> tail)
+        for shift, row, below in kids[((key & lows) + lows) & key & tops]:
+            img = key - ((key >> shift) & (off - 1)) * row
+            if img & below == below:
+                stack.append((img, depth + 1))
+    if frame_roots is None:
+        return size, None, depths
+    a_sets = [
+        tuple(j for j in range(len(frame)) if (f >> (width * j)) & mask != off)
+        for f in found
+    ]
+    return size, tuple(sorted(a_sets)), depths
+
+
 # ---------------------------------------------------------------------------
 # the table route to fold certificates
 
@@ -1434,3 +1492,90 @@ def verify_identity(
                 cid, False, f"differs at {name}: {lv.render()} != {rv.render()}"
             )
     return _check(cid, True)
+
+
+# ---------------------------------------------------------------------------
+# tensor products of verified bases
+
+
+def abelian_x_report(
+    labels: Sequence[str], type_label: str = "Z2"
+) -> basis.BasisReport:
+    """Report for an elementary abelian factor with the given coordinates.
+
+    Used for the sign-character factors that tensor into larger bases;
+    every check is computed, none assumed.
+    """
+    labels = tuple(labels)
+    elems = basis._x_subset_basis(labels)
+    return basis._report(
+        type_label,
+        len(labels),
+        elems,
+        (("P", labels),),
+        basis._x_rows(elems, labels),
+        lambda d: comb(len(labels), d),
+    )
+
+
+def tensor_basis(
+    report_a: basis.BasisReport, report_b: basis.BasisReport
+) -> basis.BasisReport:
+    """Product basis of two verified reports on concatenated contexts.
+
+    Elements a_i * b_j are degree-graded with the plain a_i before the
+    b-multiples, matching the displayed product lists; independence and
+    per-degree ranks are recomputed from the product restrictions, and
+    bounds convolve.
+    """
+    frames = []
+    pair_maps = []
+    for ja, (fa, la) in enumerate(report_a.frames):
+        for jb, (fb, lb) in enumerate(report_b.frames):
+            combined = la + lb
+            if len(set(combined)) != len(combined):
+                raise ValueError("tensor contexts share coordinate labels")
+            frames.append((fa if fb == "P" else f"{fa}x{fb}", combined))
+            inj_a = basis._injection(la, combined)
+            inj_b = basis._injection(lb, combined)
+            pair_maps.append((ja, jb, combined, inj_a, inj_b))
+    indexed = []
+    for bj, eb in enumerate(report_b.basis):
+        for ai, ea in enumerate(report_a.basis):
+            indexed.append((ea.degree + eb.degree, bj, ai, ea, eb))
+    indexed.sort(key=lambda row: row[:3])
+    elems: list[NamedInvariant] = []
+    restrictions = []
+    for _, bj, ai, ea, eb in indexed:
+        if eb.name == "1":
+            elem = ea
+        elif ea.name == "1":
+            elem = eb
+        else:
+            elem = NamedInvariant(
+                basis._product_name(ea.name, eb.name),
+                ea.degree + eb.degree,
+                basis.Product((ea, eb)),
+            )
+        elems.append(elem)
+        restrictions.append(
+            tuple(
+                relabel(report_a.restrictions[ai][ja], inj_a, combined)
+                * relabel(report_b.restrictions[bj][jb], inj_b, combined)
+                for ja, jb, combined, inj_a, inj_b in pair_maps
+            )
+        )
+    bounds_a = {d: v for d, _, v in report_a.dims}
+    bounds_b = {d: v for d, _, v in report_b.dims}
+    return basis._report(
+        f"{report_a.type_label}{report_a.rank}x"
+        f"{report_b.type_label}{report_b.rank}",
+        report_a.rank + report_b.rank,
+        elems,
+        frames,
+        restrictions,
+        lambda d: sum(
+            bounds_a.get(k, 0) * bounds_b.get(d - k, 0) for k in range(d + 1)
+        ),
+        warnings=report_a.warnings + report_b.warnings,
+    )

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import (
+    abelian_x_report,
     b_linked_bound,
     b_nodes,
     b_orbit_nodes,
@@ -21,6 +22,7 @@ from oracles import (
     orbit_count,
     orbit_sum_bound,
     parse_terms,
+    tensor_basis,
     verify_identity,
 )
 from weylinv import basis
@@ -33,11 +35,9 @@ from weylinv.basis import (
     Product,
     SignClass,
     _constrained_dims,
-    abelian_x_report,
     generators_for,
     normalizer_families,
     restrict,
-    tensor_basis,
     upper_bound_dim,
     upstream_table,
     verify_basis,

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tracemalloc
+from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -20,6 +21,7 @@ from weylinv.cosets import (
     _coset_orbit,
     _label_width,
     _labels,
+    _w0_negates,
     build_coset_space,
     cache_path,
     clear_cache,
@@ -35,7 +37,7 @@ from weylinv.errors import (
     CosetValidationError,
 )
 from weylinv.groups import _reflection_group_order, standard_frames, weyl_order
-from weylinv.roots import _bfs_orbits, build_root_system
+from weylinv.roots import SUPPORTED, _bfs_orbits, build_root_system
 
 from oracles import (
     cauchy_schwarz_label_width,
@@ -46,6 +48,7 @@ from oracles import (
     dense_orbit,
     enumerate_subgroup,
     frame_tables,
+    full_label_walk,
     is_zero,
     maximal_orthogonal_frames,
     p_orbits,
@@ -316,6 +319,106 @@ def test_walk_with_non_simply_laced_rows(label):
         assert _label_bfs(sys_, start, frame) == (
             size, table_certificate(sys_, tables, frame)
         )
+
+
+_WEYL_SYSTEMS = [
+    (label, rank) for label, lo, hi in SUPPORTED if label != "C"
+    for rank in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("label,rank", _WEYL_SYSTEMS)
+def test_half_walk_matches_the_whole_tree(label, rank):
+    """The walk that stops halfway gives the whole tree's size and
+    active sets from each line's root and each sum of two distinct
+    simple roots, with no frame and with each standard frame: the frames
+    that w0 does not negate (A2-A8, E6) take the full-depth branch."""
+    sys_ = build_root_system(label, rank)
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    starts = [sys_.roots[b] for b in sys_.lines] + [
+        tuple(map(sum, zip(a, b))) for a, b in combinations(simple, 2)
+    ]
+    frames = [None] + [f for _, f in standard_frames(sys_)]
+    for v in starts:
+        for frame in frames:
+            assert _label_bfs(sys_, v, frame) == full_label_walk(sys_, v, frame)[:2]
+
+
+@pytest.mark.parametrize(
+    "label,rank", [("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("E", 7), ("E", 8)]
+)
+def test_coset_depths_are_palindromic(label, rank):
+    """w0 reverses depth: the standard coset space has as many points
+    k steps below its dominant point as D - k steps, D the number of
+    positive roots not orthogonal to the start."""
+    sys_ = build_root_system(label, rank)
+    start = coset_start(sys_)
+    size, _, depths = full_label_walk(sys_, start)
+    depth = sum(1 for r in sys_.roots if sum(map(mul, r, start))) // 2
+    assert sum(depths) == size and len(depths) == depth + 1
+    assert depths == depths[::-1]
+
+
+def _dominant_regular(sys_):
+    """A vector orthogonal to no root with (v, a) > 0 for every simple
+    root a, in doubled coordinates: a generic vector raised by Fraction
+    reflections."""
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    v = tuple(4 << i for i in range(len(simple[0])))
+    while low := [a for a in simple if sum(map(mul, a, v)) < 0]:
+        v = reflect(low[0], v)
+    assert all(sum(map(mul, r, v)) for r in sys_.roots)
+    return v
+
+
+def _w0_word(sys_):
+    """A reduced word for w0, as simple roots: lower a dominant regular
+    vector by reflections until it is antidominant."""
+    simple = [sys_.roots[i] for i in sys_.simple_indices]
+    v, word = _dominant_regular(sys_), []
+    while high := [a for a in simple if sum(map(mul, a, v)) > 0]:
+        v = reflect(high[0], v)
+        word.append(high[0])
+    return word
+
+
+@pytest.mark.parametrize(
+    "label,rank,negates",
+    [("A", 1, True)] + [("A", n, False) for n in range(2, 9)]
+    + [("D", n, True) for n in range(4, 9)]
+    + [("E", 6, False), ("E", 7, True), ("E", 8, True)],
+)
+def test_w0_negates_exactly_the_walks_it_halves(label, rank, negates):
+    """w0 sends every root of the standard frame to its negative at A1,
+    D4-D8, E7 and E8, the walks verify makes, and not at A2-A8 and E6.
+    The check is compared with a w0 found without its reduced word: the
+    Fraction reflections along a word that lowers a dominant regular
+    vector to an antidominant one, and at A4 and D5 also the one element
+    of the enumerated W that sends every positive root to a negative
+    one."""
+    sys_ = build_root_system(label, rank)
+    (_, frame), = standard_frames(sys_)
+    assert _w0_negates(sys_, frame) is negates
+    word = _w0_word(sys_)
+    assert len(word) == len(sys_.roots) // 2
+
+    def w0(x):
+        for a in word:
+            x = reflect(a, x)
+        return x
+
+    negated = [tuple(-x for x in sys_.roots[b]) for b in frame]
+    assert ([w0(sys_.roots[b]) for b in frame] == negated) is negates
+    if (label, rank) in (("A", 4), ("D", 5)):
+        rho = _dominant_regular(sys_)
+        positive = {r for r, x in enumerate(sys_.roots) if sum(map(mul, x, rho)) > 0}
+        gens = [sys_.reflection_images(i) for i in sys_.simple_indices]
+        w0s = [
+            g for g in enumerate_subgroup(gens).elements
+            if positive.isdisjoint(g[r] for r in positive)
+        ]
+        assert len(w0s) == 1
+        assert ([sys_.roots[w0s[0][b]] for b in frame] == negated) is negates
 
 
 def test_e8_build_keeps_no_keys():
