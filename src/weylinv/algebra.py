@@ -12,11 +12,14 @@ A monomial is one int, the set of its generators: bit 0 is s = {2} and
 bit i + 1 is t_i, the coordinate at label position i.  Sums are term
 sets with XOR semantics.  No other module reads or shifts these bits:
 they build monomials through Monomial, one, two and x_monomial,
-move coordinates through relabel, which takes a tuple of positions,
-and read a frame mask's pair and tail counts through BnContext.shape.
+move coordinates through relabel, which takes a tuple of positions and
+looks each monomial up in one move table per position tuple, and read a
+frame mask's pair and tail counts through BnContext.shape.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._records import record_eq, record_ne
@@ -58,10 +61,8 @@ class KInvariant:
     __slots__ = ("labels", "terms")
 
     def __init__(self, labels: tuple[str, ...], terms: frozenset[int]) -> None:
-        limit = 2 << len(labels)
-        for m in terms:
-            if not 0 <= m < limit:
-                raise ValueError("monomial references a coordinate outside the context")
+        if terms and not (0 <= min(terms) and max(terms) < 2 << len(labels)):
+            raise ValueError("monomial references a coordinate outside the context")
         self.labels = labels
         self.terms = terms
 
@@ -223,15 +224,20 @@ class BnContext:
 # relabeling
 
 
-def _moved(m: int, images: Sequence[int]) -> int:
-    """The monomial m with coordinate bit i moved to position images[i]."""
-    out = m & 1  # {2} is fixed
-    v = m >> 1
-    while v:
-        i = (v & -v).bit_length() - 1
-        v &= v - 1
-        out |= 2 << images[i]
-    return out
+@lru_cache(maxsize=1)  # callers apply one element to every basis row in turn
+def _move_table(
+    images: tuple[int, ...], source: tuple[str, ...], target: tuple[str, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """relabel's position checks and move tables, once per tuple: chunk 0 maps
+    bits 0-8 ({2}, coordinates 0-7), chunk j > 0 coordinates 8j to 8j + 7."""
+    if len(images) != len(source):
+        raise ContextMismatchError(f"{len(images)} images for the context {source}")
+    if len(set(images)) != len(images) or not all(0 <= p < len(target) for p in images):
+        raise ValueError(f"images {images} are not distinct positions of {target}")
+    tables = [[0, 1]] + [[0] for _ in range(8, len(images), 8)]  # {2} is fixed
+    for i, p in enumerate(images):
+        tables[i // 8] += [m | 2 << p for m in tables[i // 8]]
+    return tuple(map(tuple, tables))  # shared by every caller of the memo
 
 
 def relabel(
@@ -245,17 +251,11 @@ def relabel(
     coordinates, and a context embeds in a larger one.
     """
     target = inv.labels if labels is None else tuple(labels)
-    if len(images) != len(inv.labels):
-        raise ContextMismatchError(
-            f"{len(images)} images for the context {inv.labels}"
-        )
-    if len(set(images)) != len(images) or not all(
-        0 <= p < len(target) for p in images
-    ):
-        raise ValueError(
-            f"images {tuple(images)} are not distinct positions of {target}"
-        )
-    return KInvariant(target, frozenset(_moved(m, images) for m in inv.terms))
+    head, *tail = _move_table(tuple(images), inv.labels, target)
+    moved = map(head.__getitem__, [m & 511 for m in inv.terms] if tail else inv.terms)
+    for j, t in enumerate(tail, 1):
+        moved = map(or_, moved, [t[m >> 8 * j + 1 & 255] for m in inv.terms])
+    return KInvariant(target, frozenset(moved))
 
 
 # ---------------------------------------------------------------------------

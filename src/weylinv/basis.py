@@ -1131,12 +1131,18 @@ def _weyl_report(out_type, out_rank, sys_, cache_dir) -> BasisReport:
     else:
         failures = []
         covered = 0
+        leaves = {}  # (recipe, context) -> its stated leaf, for this report only
+        stated_leaf = _a_stated if out_type == "A" else _stated_leaf
+
+        def leaf(f, ctx):
+            if (f.recipe, ctx) not in leaves:
+                leaves[f.recipe, ctx] = stated_leaf(f, ctx)
+            return leaves[f.recipe, ctx]
+
         for b, row in zip(basis, restrictions):
             for (fname, labels), value in zip(frames, row):
-                if out_type == "A":
-                    expected = _fold_recipe(b, labels, lambda f: _a_stated(f, labels))
-                else:
-                    expected = stated_formula(b, _context_for_frame(labels))
+                ctx = labels if out_type == "A" else _context_for_frame(labels)
+                expected = _fold_recipe(b, labels, lambda f: leaf(f, ctx))
                 if expected is None:
                     continue
                 covered += 1

@@ -6,6 +6,8 @@ directly, and the tests check the direct form against it:
   * CoordinateMap / substitute - an F2-linear map on degree-one symbols,
     rows of any weight with optional {2} offsets; weylinv.algebra.relabel
     is its single-bit-row case.
+  * _moved - one monomial relabeled bit by bit; weylinv.algebra.relabel
+    looks every monomial up in one move table per position tuple.
   * XIndex / x_basis / lambda_indices / lambda_sum - the B_n restriction
     basis indexed by set tuples (A, B, C, E); weylinv.basis.lambda_sum
     enumerates masks and reads their counts through BnContext.shape.
@@ -121,7 +123,6 @@ from weylinv.algebra import (
     KInvariant,
     Monomial,
     _f2_eliminate,
-    _moved,
     coordinate_mask,
     one,
     relabel,
@@ -264,6 +265,17 @@ class CoordinateMap:
 
 def substitute(inv: KInvariant, cmap: CoordinateMap) -> KInvariant:
     return cmap.apply(inv)
+
+
+def _moved(m: int, images: Sequence[int]) -> int:
+    """The monomial m with coordinate bit i moved to position images[i]."""
+    out = m & 1  # {2} is fixed
+    v = m >> 1
+    while v:
+        i = (v & -v).bit_length() - 1
+        v &= v - 1
+        out |= 2 << images[i]
+    return out
 
 
 def parse_terms(labels: Sequence[str], text: str) -> KInvariant:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from operator import xor
 
@@ -11,6 +12,7 @@ from oracles import (
     CoordinateMap,
     XIndex,
     _f2_kernel_basis,
+    _moved,
     is_zero,
     kinv_json,
     lambda_indices,
@@ -138,8 +140,29 @@ def test_relabel_matches_single_bit_coordinate_maps_seeded():
     ],
 )
 def test_relabel_guards(images, labels, error):
-    with pytest.raises(error):
+    if error is ContextMismatchError:
+        message = f"{len(images)} images for the context {L2}"
+    else:
+        message = f"images {images} are not distinct positions of {L2}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         relabel(x_monomial(L2, ["a1"]), images, labels)
+
+
+def test_relabel_matches_the_bit_loop_oracle_seeded():
+    # every width 1-20 crosses the move table's 8-coordinate chunks; a
+    # permutation of the context, or an injection into up to 4 more labels
+    rng = random.Random(4093)
+    for k in range(1, 21):
+        labels = tuple(f"t{i}" for i in range(k))
+        for trial in range(12):
+            width = k + trial % 5
+            target = tuple(f"t{i}" for i in range(width))
+            images = tuple(rng.sample(range(width), k))
+            terms = {rng.getrandbits(k + 1) for _ in range(rng.randint(0, 24))}
+            x = kinv(labels, terms)
+            expected = frozenset(_moved(m, images) for m in x.terms)
+            got = relabel(x, images, target if width > k else None)
+            assert (got.labels, got.terms) == (target, expected), (k, images)
 
 
 @pytest.mark.parametrize("L,n", [(3, 4), (-1, 4), (1, 1), (0, -1)])

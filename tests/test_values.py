@@ -157,6 +157,19 @@ def test_construction_checks_keep_their_messages(build, message):
         build()
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_kinvariant_range_check_boundaries(k):
+    # a monomial of k coordinates is an int in [0, 2 << k): bit 0 is {2}
+    labels = tuple(f"t{i}" for i in range(k))
+    limit = 2 << k
+    for terms in (set(), {0}, {limit - 1}, {0, 1, limit - 1}):
+        assert KInvariant(labels, frozenset(terms)).terms == terms
+    message = "^monomial references a coordinate outside the context$"
+    for terms in ({limit}, {-1}, {0, limit}, {-1, limit - 1}):
+        with pytest.raises(ValueError, match=message):
+            KInvariant(labels, frozenset(terms))
+
+
 def test_dihedral_group_index():
     """A dihedral group is the tuple of its elements' image tuples, the
     identity first; rotation k is undone by rotation -k mod n and each
